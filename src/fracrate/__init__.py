@@ -35,12 +35,14 @@ from .ldp_harness import (
     linear_case_prediction,
 )
 from .multiscale_sim import (
+    BatchPaths,
     ControlPair,
     OccupationHistogram,
     SlowFastSpec,
     default_substeps,
     empirical_occupation,
     simulate,
+    simulate_batch,
     simulate_controlled,
 )
 from .poisson_cell import (

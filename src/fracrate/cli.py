@@ -1,12 +1,12 @@
 """Command-line interface: validation, experiment orchestration, artifacts.
 
 Subcommands: sample-fbm, simulate, poisson, rate, limit-study, mc, validate.
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.  The
-default output directory is the environment variable FRACRATE_OUT (falling
-back to the working directory).  Every run writes a machine-readable
-manifest (config digest, seed, versions, timestamp) beside its outputs;
-re-running a config with the same seed reproduces every output byte except
-the manifest timestamp.
+Exit codes: 0 success, 2 validation failure or invalid input, 3 numerical
+failure.  The default output directory is the environment variable
+FRACRATE_OUT (falling back to the working directory).  Every run writes a
+machine-readable manifest (config digest, seed, versions, timestamp) beside
+its outputs; re-running a config with the same seed reproduces every output
+byte except the manifest timestamp.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .ldp_harness import (
     linear_case_prediction,
     stabilization_diagnostic,
 )
-from .multiscale_sim import default_substeps, simulate
+from .multiscale_sim import default_substeps, simulate_batch
 from .poisson_cell import (
     domain_halfwidth,
     effective_q,
@@ -111,6 +111,12 @@ def _validated_config(args):
 
 def _measure_and_drift(config):
     spec = config.make_spec(*config.schedule[-1])
+    if spec.m != 1 or spec.dy != 1:
+        # config coefficients act elementwise, so they average over a 1-d
+        # fast grid only against a scalar slow state
+        raise InvalidInputError(
+            f"averaged coefficients need one slow and one fast dimension, got m={spec.m}, dy={spec.dy}"
+        )
     tol = config.tol
     L = config.poisson["L"] or domain_halfwidth(spec.f, spec.tau, sigmas=tol["default_domain_sigmas"])
     mu = invariant_density_1d(spec.f, spec.tau, L, config.poisson["n"], tail_ratio=tol["tail_mass_ratio"])
@@ -162,19 +168,17 @@ def cmd_simulate(args):
         spec = config.make_spec(eps, eta)
         sub = config.grid["substeps"] or default_substeps(dt, eta, factor=config.tol["substep_factor"], cap=int(config.tol["max_substeps"]))
         n_fine = (n - 1) * sub + 1
-        sup_errs = []
-        aborted = 0
-        terminals = []
-        for trial in range(trials):
-            noise = sample_noise_bundle(spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=(idx, trial))
-            try:
-                xp, yp = simulate(spec, noise, substeps=sub)
-            except FracrateError:
-                aborted += 1
-                continue
-            sup_errs.append(float(np.max(np.abs(xp.values - ref))))
-            terminals.append(float(xp.values[-1, 0]))
-            xp.to_csv(os.path.join(out_dir, f"trajectory_eps{idx}_trial{trial}.csv"))
+        noises = (
+            sample_noise_bundle(spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=(idx, trial))
+            for trial in range(trials)
+        )
+        batch = simulate_batch(spec, noises, substeps=sub)
+        healthy = np.flatnonzero(~batch.diverged)
+        aborted = trials - healthy.size
+        sup_errs = [float(np.max(np.abs(batch.x[trial] - ref))) for trial in healthy]
+        terminals = [float(batch.x[trial, -1, 0]) for trial in healthy]
+        for trial in healthy:
+            batch.paths(trial)[0].to_csv(os.path.join(out_dir, f"trajectory_eps{idx}_trial{trial}.csv"))
         summary["schedule"].append(
             {
                 "eps": eps,
@@ -444,6 +448,9 @@ def main(argv=None):
         return args.func(args)
     except ValidationFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
+        return 2
+    except InvalidInputError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except FracrateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

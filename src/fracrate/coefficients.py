@@ -33,8 +33,8 @@ class Coefficient:
 
 def _zero(role, params):
     if role in ("b", "f", "tau"):
-        return lambda y: np.zeros_like(np.asarray(y, dtype=float))
-    return lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
+        return lambda y: np.zeros(np.shape(y))
+    return lambda x, y: np.zeros(np.shape(x))
 
 
 def _constant(role, params):

@@ -165,21 +165,6 @@ def marchaud_left_values(values, alpha, dt, return_parts=False):
     return out
 
 
-def delta_minus_from(values, alpha, dt, j0):
-    """Delta^-_alpha f_{t_{j0}, t_k} for every k > j0 (cumulative in k)."""
-    n = len(values)
-    tail = values[j0:]
-    L = len(tail)
-    out = np.zeros(L)
-    if L < 2:
-        return out
-    B0, B1 = _minus_cell_weights(alpha, L + 1, dt)
-    slopes = np.diff(tail) / dt
-    cells = (tail[:-1] - tail[0]) * B0[: L - 1] + slopes * B1[: L - 1]
-    out[1:] = np.cumsum(cells)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exact signed / absolute single-interval functionals
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ fast trajectories, noises, controls and rate-function inputs alike.
 """
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .errors import InvalidInputError
@@ -150,11 +148,6 @@ class GridPath:
         if dt <= 0 or not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
             raise InvalidInputError("CSV grid is not uniform")
         return cls(t[0], dt, data[:, 1:] if data.shape[1] > 1 else np.zeros((len(t), 0)))
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def trapezoid_weights(n, dt) -> np.ndarray:

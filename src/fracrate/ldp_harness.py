@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DivergenceError, ExperimentFailure, InvalidInputError
+from .errors import ExperimentFailure, InvalidInputError
 from .fbm_gen import rng_for, sample_noise_bundle
-from .multiscale_sim import SlowFastSpec, default_substeps, simulate
+from .multiscale_sim import SlowFastSpec, default_substeps, simulate_batch
 
 
 @dataclass
@@ -103,22 +103,16 @@ def _terminal_values_gaussian(spec, horizon, trials, seed, stream):
 
 
 def _terminal_values_simulate(spec, horizon, n_grid, substeps, trials, seed, stream):
-    vals = np.empty(trials)
-    aborted = 0
     sub = substeps if substeps else default_substeps(horizon / (n_grid - 1), spec.eta)
     n_fine = (n_grid - 1) * sub + 1
-    for trial in range(trials):
-        noise = sample_noise_bundle(
+    noises = (
+        sample_noise_bundle(
             spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=(*stream, trial)
         )
-        try:
-            x_path, _ = simulate(spec, noise, substeps=sub)
-        except DivergenceError:
-            aborted += 1
-            vals[trial] = np.nan
-            continue
-        vals[trial] = x_path.values[-1, 0]
-    return vals, aborted
+        for trial in range(trials)
+    )
+    batch = simulate_batch(spec, noises, substeps=sub)
+    return batch.x[:, -1, 0], int(np.sum(batch.diverged))  # NaN where diverged
 
 
 def _terminal_values(spec, horizon, n_grid, substeps, trials, seed, stream, engine):

@@ -29,8 +29,13 @@ class SlowFastSpec:
 
     Coefficient callables follow the signatures b(y), c(x, y),
     sigma1(x, y), sigma2(x, y), f(y), g(x, y), tau(y) and must broadcast
-    over numpy arrays.  Scalar returns are promoted to the declared
-    dimensions (diagonal promotion for matrices).
+    over numpy arrays.  The simulator calls them on a batch of trials,
+    x of shape (B, m) and y of shape (B, dy); a result either carries the
+    trial axis first or has none and is shared by all trials.  Per trial,
+    scalar results are promoted to the declared dimensions (diagonal
+    promotion for matrices) and a 1-D result of size d becomes the diagonal
+    of a square d x d matrix.  The averaging layer calls them with one slow
+    state (m,) against a grid of fast states.
     """
 
     b: object
@@ -98,9 +103,6 @@ class ControlPair:
                     f"control energy {energy:.6g} exceeds declared bound {self.bound**2:.6g}"
                 )
 
-    def is_zero(self):
-        return self.v1 is None and self.u2dot is None
-
 
 @dataclass
 class OccupationHistogram:
@@ -154,36 +156,116 @@ def default_substeps(dt_out, eta, factor=10.0, cap=4096):
     return sub
 
 
-def _grad_norm_probe(fn, y0, d):
-    delta = 1e-4
-    rows = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = delta
-        hi = _as_vec(fn(y0 + e), d)
-        lo = _as_vec(fn(y0 - e), d)
-        rows.append((hi - lo) / (2 * delta))
-    return float(np.linalg.norm(np.column_stack(rows), 2))
+# Trials x fine-grid points stepped together; longer batches run in chunks.
+_MAX_BATCH_POINTS = 1 << 20
+_TAKES_X = ("c", "sigma1", "sigma2", "g")
+_SHAPES = {"b": ("m",), "c": ("m",), "f": ("dy",), "g": ("dy",),
+           "sigma1": ("m", "k"), "sigma2": ("m", "ell"), "tau": ("dy", "ell")}
 
 
-def _check_noise(spec, noise, substeps):
-    n_fine = noise.bh.n
-    if (n_fine - 1) % substeps != 0:
+@dataclass
+class BatchPaths:
+    """Slow paths ``x`` (B, n_out, m) and fast paths ``y`` (B, n_out, dy) of
+    a batch of trials.  ``first_bad_time`` is each trial's first output time
+    with a non-finite state (its rows are NaN from there on), NaN if none."""
+
+    x: np.ndarray
+    y: np.ndarray
+    dt: float
+    first_bad_time: np.ndarray
+
+    @property
+    def diverged(self):
+        return ~np.isnan(self.first_bad_time)
+
+    def paths(self, trial):
+        """The (slow, fast) ``GridPath`` pair of one trial."""
+        return GridPath(0.0, self.dt, self.x[trial]), GridPath(0.0, self.dt, self.y[trial])
+
+
+def _matvec(s, v):
+    return (s @ v[..., None])[..., 0]
+
+
+def _promoter(spec, role, rows, cols=None):
+    """Bring one coefficient's results to batch shape: (B, rows) for a
+    vector, a (B, 1) factor for a 1 x 1 matrix, (B, rows, cols) otherwise.
+
+    Fixed once per run by probes at the initial state on batches of 1 and 2
+    trials: a result whose leading axis follows the batch is per trial, any
+    other is shared by all trials.  Per trial, the rules of ``_as_vec`` and
+    ``_as_mat`` apply.  Matrices also get their mat-vec.
+    """
+    fn = getattr(spec, role)
+    raw = []
+    for size in (1, 2):
+        x, y = (np.repeat(v[None, :], size, axis=0) for v in (spec.x0, spec.y0))
+        raw.append(fn(x, y) if role in _TAKES_X else fn(y))
+    one, two = (np.asarray(r, dtype=float) for r in raw)
+    if one.shape == two.shape:
+        lead, val = (), one
+    elif one.shape[:1] == (1,) and two.shape == (2,) + one.shape[1:]:
+        lead, val = (-1,), one[0]
+    else:
+        raise InvalidInputError(f"coefficient {role} returned shapes {one.shape} and {two.shape} for 1 and 2 trials")
+    _as_vec(val, rows) if cols is None else _as_mat(val, rows, cols)  # raises on a bad shape
+    shape = (rows, cols) if val.shape == (rows, cols) and rows * cols > 1 else (val.size,)
+    if val.shape == shape and all(isinstance(r, (np.ndarray, np.generic, float)) for r in raw):
+        reshape = lambda v: v  # noqa: E731  (already broadcasts)
+    else:
+        reshape = lambda v: np.reshape(v, lead + shape)  # noqa: E731
+    if cols is None:
+        return reshape
+    if rows == cols == 1:
+        return reshape, np.multiply
+    if len(shape) == 2:
+        return reshape, _matvec
+    idx = np.arange(min(rows, cols))
+
+    def to_diagonal(v):
+        v = reshape(v)
+        out = np.zeros(v.shape[:-1] + (rows, cols))
+        out[..., idx, idx] = v
+        return out
+
+    return to_diagonal, _matvec
+
+
+def _fast_jacobian_norm(spec, promote_f, y):
+    """Largest spectral norm of the fast-drift Jacobian over the rows of y."""
+
+    def column(e):
+        return np.broadcast_to(promote_f(spec.f(y + e)) - promote_f(spec.f(y - e)), y.shape) / 2e-4
+
+    jac = np.stack([column(e) for e in 1e-4 * np.eye(spec.dy)], axis=-1)
+    if not np.all(np.isfinite(jac)):
+        return math.inf
+    norms = np.abs(jac[:, 0, 0]) if spec.dy == 1 else np.linalg.norm(jac, 2, axis=(-2, -1))
+    return float(np.max(norms))
+
+
+def _check_noise(spec, noise, substeps, first):
+    if not noise.bh.same_grid(first.bh) or (noise.bh.n - 1) % substeps != 0:
         raise InvalidInputError(
-            f"noise grid ({n_fine} points) does not refine the output grid by {substeps}"
+            f"noise grid ({noise.bh.n} points) differs within the batch or does not refine the output grid by {substeps}"
         )
-    if noise.bh.dim != spec.k:
-        raise InvalidInputError(f"fBm dimension {noise.bh.dim} != k={spec.k}")
-    if noise.w.dim != spec.ell:
-        raise InvalidInputError(f"Brownian dimension {noise.w.dim} != ell={spec.ell}")
-    dtf = noise.bh.dt
-    gnorm = _grad_norm_probe(spec.f, spec.y0, spec.dy)
-    if gnorm > 0 and spec.eta < 2.0 * dtf * gnorm:
-        warnings.warn(
-            f"fast Euler step may be unstable: eta={spec.eta:.3g} < 2*dt_fast*|grad f|"
-            f"={2 * dtf * gnorm:.3g}",
-            RuntimeWarning,
-        )
+    if (noise.bh.dim, noise.w.dim) != (spec.k, spec.ell):
+        raise InvalidInputError(f"noise dimensions {noise.bh.dim}, {noise.w.dim} != k={spec.k}, ell={spec.ell}")
+
+
+def _chunks(noises):
+    """Consecutive runs of noise bundles of at most _MAX_BATCH_POINTS points."""
+    it = iter(noises)
+    chunk = [next(it, None)]
+    if chunk[0] is None:
+        raise InvalidInputError("need at least one noise realization")
+    size = max(1, _MAX_BATCH_POINTS // chunk[0].bh.n)
+    for noise in it:
+        if len(chunk) == size:
+            yield chunk
+            chunk = []
+        chunk.append(noise)
+    yield chunk
 
 
 def _interp_to_fine(path: GridPath, t_fine):
@@ -198,78 +280,123 @@ def simulate(spec: SlowFastSpec, noise: NoiseBundle, substeps=1):
     grid thinned by ``substeps``).  Raises ``DivergenceError`` with the
     first bad time if the state leaves the finite range.
     """
-    return _simulate(spec, noise, substeps, None)
+    return _one_trial(spec, noise, substeps, None)
 
 
 def simulate_controlled(spec: SlowFastSpec, noise: NoiseBundle, ctrl: ControlPair, substeps=1):
     """Controlled variant: the fBm shift enters the slow drift through the
     lifted derivative of v1, the Brownian shift through u2dot, and the fast
     drift picks up the rescaled tau u2dot forcing."""
-    return _simulate(spec, noise, substeps, ctrl)
+    return _one_trial(spec, noise, substeps, ctrl)
 
 
-def _simulate(spec, noise, substeps, ctrl):
-    _check_noise(spec, noise, substeps)
-    n_fine = noise.bh.n
-    dtf = noise.bh.dt
+def _one_trial(spec, noise, substeps, ctrl):
+    batch = simulate_batch(spec, [noise], substeps, ctrl)
+    if batch.diverged[0]:
+        t_bad = float(batch.first_bad_time[0])
+        raise DivergenceError(f"trajectory diverged at t={t_bad:.6g}", first_bad_time=t_bad)
+    return batch.paths(0)
+
+
+def simulate_batch(spec: SlowFastSpec, noises, substeps=1, ctrl: ControlPair | None = None):
+    """``simulate_controlled`` (``simulate`` when ``ctrl`` is None) along every
+    noise bundle of ``noises``, an iterable on one grid.
+
+    The bundles are read in chunks, so a generator keeps memory bounded, and
+    the trials of a chunk are stepped at once; a trial's path depends
+    neither on the others nor on the chunking.  A trial whose state leaves
+    the finite range is marked in ``first_bad_time`` while the others go
+    on.  Warns once if the fast Euler step looks unstable at the states the
+    trials visit.
+    """
+    promote = {role: _promoter(spec, role, *(getattr(spec, d) for d in dims)) for role, dims in _SHAPES.items()}
+    parts = []
+    first = None
+    warned = False
+    for chunk in _chunks(noises):
+        if first is None:
+            first = chunk[0]
+            controls = [None, None]
+            t_fine = first.bh.times()
+            if ctrl is not None and ctrl.v1 is not None:
+                if ctrl.v1.dim != spec.k:
+                    raise InvalidInputError(f"v1 dimension {ctrl.v1.dim} != k={spec.k}")
+                ctx = HurstContext(spec.hurst, ctrl.v1.n, ctrl.v1.dt)
+                controls[0] = _interp_to_fine(apply_KH_dot(ctrl.v1, ctx), t_fine)
+            if ctrl is not None and ctrl.u2dot is not None:
+                if ctrl.u2dot.dim != spec.ell:
+                    raise InvalidInputError(f"u2dot dimension {ctrl.u2dot.dim} != ell={spec.ell}")
+                controls[1] = _interp_to_fine(ctrl.u2dot, t_fine)
+        for noise in chunk:
+            _check_noise(spec, noise, substeps, first)
+        part, warned = _euler_chunk(spec, chunk, substeps, promote, controls, warned)
+        parts.append(part)
+    xs, ys, bad = parts[0] if len(parts) == 1 else (np.concatenate(arrs) for arrs in zip(*parts))
+    return BatchPaths(x=xs, y=ys, dt=first.bh.dt * substeps, first_bad_time=bad)
+
+
+def _euler_chunk(spec, noises, substeps, promote, controls, warned):
+    """Left-point Euler steps of one chunk, trials on the leading axis."""
+    n_fine = noises[0].bh.n
+    dtf = noises[0].bh.dt
+    t_fine = noises[0].bh.times()
     n_out = (n_fine - 1) // substeps + 1
-    dt_out = dtf * substeps
-    t_fine = noise.bh.times()
+    batch = len(noises)
+    u1dot_f, u2dot_f = controls
 
-    u1dot_f = None
-    u2dot_f = None
-    if ctrl is not None and ctrl.v1 is not None:
-        if ctrl.v1.dim != spec.k:
-            raise InvalidInputError(f"v1 dimension {ctrl.v1.dim} != k={spec.k}")
-        ctx = HurstContext(spec.hurst, ctrl.v1.n, ctrl.v1.dt)
-        u1dot = apply_KH_dot(ctrl.v1, ctx)
-        u1dot_f = _interp_to_fine(u1dot, t_fine)
-    if ctrl is not None and ctrl.u2dot is not None:
-        if ctrl.u2dot.dim != spec.ell:
-            raise InvalidInputError(f"u2dot dimension {ctrl.u2dot.dim} != ell={spec.ell}")
-        u2dot_f = _interp_to_fine(ctrl.u2dot, t_fine)
+    eta = spec.eta
+    se, sh, seh = math.sqrt(spec.eps), math.sqrt(eta), math.sqrt(spec.eps * eta)
+    se_sh = se / sh
+    b, c, sigma1, sigma2, f, g, tau = spec.b, spec.c, spec.sigma1, spec.sigma2, spec.f, spec.g, spec.tau
+    pb, pc, pf, pg = promote["b"], promote["c"], promote["f"], promote["g"]
+    (ps1, mv1), (ps2, mv2), (pt, mvt) = promote["sigma1"], promote["sigma2"], promote["tau"]
 
-    se = math.sqrt(spec.eps)
-    sh = math.sqrt(spec.eta)
-    seh = math.sqrt(spec.eps * spec.eta)
-    m, dy, k, ell = spec.m, spec.dy, spec.k, spec.ell
+    db = np.stack([np.diff(nb.bh.values, axis=0) for nb in noises], axis=1)
+    dw = np.stack([np.diff(nb.w.values, axis=0) for nb in noises], axis=1)
+    x = np.repeat(spec.x0[None, :], batch, axis=0)
+    y = np.repeat(spec.y0[None, :], batch, axis=0)
+    xs = np.full((batch, n_out, spec.m), np.nan)
+    ys = np.full((batch, n_out, spec.dy), np.nan)
+    bad = np.full(batch, np.nan)
+    alive = np.ones(batch, dtype=bool)
 
-    x = spec.x0.copy()
-    y = spec.y0.copy()
-    xs = np.empty((n_out, m))
-    ys = np.empty((n_out, dy))
-    xs[0], ys[0] = x, y
-    db = np.diff(noise.bh.values, axis=0)
-    dw = np.diff(noise.w.values, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_out):
+            for i in range(max(j - 1, 0) * substeps, j * substeps):
+                bv = pb(b(y))
+                cv = pc(c(x, y))
+                s1 = ps1(sigma1(x, y))
+                s2 = ps2(sigma2(x, y))
+                fv = pf(f(y))
+                gv = pg(g(x, y))
+                tv = pt(tau(y))
 
-    out_idx = 1
-    for i in range(n_fine - 1):
-        bv = _as_vec(spec.b(y), m)
-        cv = _as_vec(spec.c(x, y), m)
-        s1 = _as_mat(spec.sigma1(x, y), m, k)
-        s2 = _as_mat(spec.sigma2(x, y), m, ell)
-        fv = _as_vec(spec.f(y), dy)
-        gv = _as_vec(spec.g(x, y), dy)
-        tv = _as_mat(spec.tau(y), dy, ell)
-
-        dx = (se / sh * bv + cv) * dtf + se * (s1 @ db[i] + s2 @ dw[i])
-        dyv = (fv / spec.eta + gv / seh) * dtf + (tv @ dw[i]) / sh
-        if u1dot_f is not None:
-            dx += s1 @ u1dot_f[i] * dtf
-        if u2dot_f is not None:
-            dx += s2 @ u2dot_f[i] * dtf
-            dyv += (tv @ u2dot_f[i]) / seh * dtf
-        x = x + dx
-        y = y + dyv
-        if (i + 1) % substeps == 0:
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise DivergenceError(
-                    f"trajectory diverged at t={t_fine[i + 1]:.6g}", first_bad_time=t_fine[i + 1]
-                )
-            xs[out_idx], ys[out_idx] = x, y
-            out_idx += 1
-
-    return GridPath(0.0, dt_out, xs), GridPath(0.0, dt_out, ys)
+                dx = (se_sh * bv + cv) * dtf + se * (mv1(s1, db[i]) + mv2(s2, dw[i]))
+                dyv = (fv / eta + gv / seh) * dtf + mvt(tv, dw[i]) / sh
+                if u1dot_f is not None:
+                    dx += mv1(s1, u1dot_f[i]) * dtf
+                if u2dot_f is not None:
+                    dx += mv2(s2, u2dot_f[i]) * dtf
+                    dyv += mvt(tv, u2dot_f[i]) / seh * dtf
+                x = x + dx
+                y = y + dyv
+            finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+            bad[alive & ~finite] = t_fine[j * substeps]
+            alive &= finite
+            xs[:, j] = np.where(alive[:, None], x, np.nan)
+            ys[:, j] = np.where(alive[:, None], y, np.nan)
+            if not alive.any():
+                break
+            if not warned:
+                gnorm = _fast_jacobian_norm(spec, pf, y[alive])
+                if gnorm > 0 and spec.eta < 2.0 * dtf * gnorm:
+                    warnings.warn(
+                        f"fast Euler step may be unstable: eta={spec.eta:.3g} < 2*dt_fast*|grad f|"
+                        f"={2 * dtf * gnorm:.3g}",
+                        RuntimeWarning,
+                    )
+                    warned = True
+    return (xs, ys, bad), warned
 
 
 def empirical_occupation(y_path: GridPath, ctrl: ControlPair, bins=16):

@@ -34,7 +34,7 @@ from fracrate.ldp_harness import (
     linear_case_prediction,
     stabilization_diagnostic,
 )
-from fracrate.multiscale_sim import default_substeps, simulate
+from fracrate.multiscale_sim import default_substeps, simulate_batch
 from fracrate.poisson_cell import average_coeff, solve_poisson_1d
 from fracrate.rate_fn import eval_rate_explicit, eval_rate_general, h_limit_study
 
@@ -168,12 +168,11 @@ def test_criterion_06_homogenization():
         spec = ou_spec(eps=eps, eta=eps**1.5, c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
         sub = default_substeps(dt_out, spec.eta)
         n_fine = (n_out - 1) * sub + 1
-        errs = []
-        for trial in range(100):
-            noise = sample_noise_bundle(spec.hurst, n_fine, 1.0, seed=500, stream=trial)
-            xp, _ = simulate(spec, noise, substeps=sub)
-            t = xp.times()
-            errs.append(float(np.max(np.abs(xp.scalar() - np.exp(-t)))))
+        noises = (sample_noise_bundle(spec.hurst, n_fine, 1.0, seed=500, stream=trial) for trial in range(100))
+        batch = simulate_batch(spec, noises, substeps=sub)
+        assert not batch.diverged.any()
+        t = batch.paths(0)[0].times()
+        errs = np.max(np.abs(batch.x[:, :, 0] - np.exp(-t)), axis=1)
         means[eps] = float(np.mean(errs))
     elapsed = time.monotonic() - t0
     decreasing = means[0.1] > means[0.03] > means[0.01]

@@ -184,6 +184,20 @@ class TestCommands:
         rc = main(["validate", "--config", cfg])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [("y0 = 0.0", "dy = 2\ny0 = 0.0 0.0"), ("x0 = 1.0", "m = 2\nx0 = 1.0 1.0")],
+    )
+    def test_simulate_dimension_mismatch_is_invalid_input(self, tmp_path, capsys, edit):
+        # the homogenized reference averages over one fast dimension against
+        # a scalar slow state
+        cfg = write(tmp_path, "d.cfg", OU_HOMOG.replace(*edit))
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", cfg, "--out-dir", str(out)])
+        assert rc == 2
+        assert "invalid input:" in capsys.readouterr().err
+        assert not (out / "simulate_summary.json").exists()
+
     def test_limit_study_csv(self, tmp_path):
         cfg = write(tmp_path, "cos.cfg", COS_LIMIT)
         out = str(tmp_path / "ls.csv")

@@ -181,20 +181,19 @@ class TestWilson:
         # variance of the terminal law under fast cos-diffusion follows the
         # naive average, not the averaged square (quantile-matched exponent)
         from fracrate.fbm_gen import sample_noise_bundle
-        from fracrate.multiscale_sim import default_substeps, simulate
+        from fracrate.multiscale_sim import default_substeps, simulate_batch
 
         eps, eta = 0.05, 0.005
         spec = ou_spec(eps=eps, eta=eta, sigma1=("cos_y", {}), hurst=0.8, beta=0.45)
         n_out = 65
         sub = default_substeps(1.0 / (n_out - 1), eta)
-        terms = []
-        for trial in range(400):
-            noise = sample_noise_bundle(
-                spec.hurst, (n_out - 1) * sub + 1, 1.0, seed=77, stream=trial
-            )
-            xp, _ = simulate(spec, noise, substeps=sub)
-            terms.append(xp.values[-1, 0])
-        var = np.var(terms, ddof=1)
+        noises = (
+            sample_noise_bundle(spec.hurst, (n_out - 1) * sub + 1, 1.0, seed=77, stream=trial)
+            for trial in range(400)
+        )
+        batch = simulate_batch(spec, noises, substeps=sub)
+        assert not batch.diverged.any()
+        var = np.var(batch.x[:, -1, 0], ddof=1)
         v_bar = eps * math.exp(-1.0)  # naive average squared
         v_sq = eps * 0.5 * (1 + math.exp(-2.0))  # averaged square
         assert abs(var - v_bar) < abs(var - v_sq)

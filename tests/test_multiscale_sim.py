@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from fracrate import coefficients as cf
-from fracrate.cameron_martin import c_H
+from fracrate import multiscale_sim
+from fracrate.cameron_martin import HurstContext, apply_KH_dot, c_H
 from fracrate.errors import DivergenceError, InvalidInputError
 from fracrate.fbm_gen import NoiseBundle, sample_noise_bundle
 from fracrate.gridpath import GridPath
 from fracrate.multiscale_sim import (
     ControlPair,
     SlowFastSpec,
+    _as_mat,
+    _as_vec,
+    _interp_to_fine,
     default_substeps,
     empirical_occupation,
     simulate,
+    simulate_batch,
     simulate_controlled,
 )
 from scipy.special import gamma
@@ -24,6 +29,79 @@ from conftest import SQRT2, ou_spec
 def make_noise(spec, n_out, horizon, sub, seed=0, stream=0):
     n_fine = (n_out - 1) * sub + 1
     return sample_noise_bundle(spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=stream)
+
+
+def scalar_reference(spec, noise, substeps, ctrl=None):
+    """Euler loop over one trial with per-step shape promotion: the oracle
+    that ``simulate_batch`` must match bit for bit."""
+    n_fine = noise.bh.n
+    dtf = noise.bh.dt
+    n_out = (n_fine - 1) // substeps + 1
+    t_fine = noise.bh.times()
+    u1dot_f = u2dot_f = None
+    if ctrl is not None and ctrl.v1 is not None:
+        ctx = HurstContext(spec.hurst, ctrl.v1.n, ctrl.v1.dt)
+        u1dot_f = _interp_to_fine(apply_KH_dot(ctrl.v1, ctx), t_fine)
+    if ctrl is not None and ctrl.u2dot is not None:
+        u2dot_f = _interp_to_fine(ctrl.u2dot, t_fine)
+    se, sh, seh = math.sqrt(spec.eps), math.sqrt(spec.eta), math.sqrt(spec.eps * spec.eta)
+    m, dy, k, ell = spec.m, spec.dy, spec.k, spec.ell
+    x, y = spec.x0.copy(), spec.y0.copy()
+    xs, ys = np.empty((n_out, m)), np.empty((n_out, dy))
+    xs[0], ys[0] = x, y
+    db = np.diff(noise.bh.values, axis=0)
+    dw = np.diff(noise.w.values, axis=0)
+    out_idx = 1
+    for i in range(n_fine - 1):
+        bv = _as_vec(spec.b(y), m)
+        cv = _as_vec(spec.c(x, y), m)
+        s1 = _as_mat(spec.sigma1(x, y), m, k)
+        s2 = _as_mat(spec.sigma2(x, y), m, ell)
+        fv = _as_vec(spec.f(y), dy)
+        gv = _as_vec(spec.g(x, y), dy)
+        tv = _as_mat(spec.tau(y), dy, ell)
+        dx = (se / sh * bv + cv) * dtf + se * (s1 @ db[i] + s2 @ dw[i])
+        dyv = (fv / spec.eta + gv / seh) * dtf + (tv @ dw[i]) / sh
+        if u1dot_f is not None:
+            dx += s1 @ u1dot_f[i] * dtf
+        if u2dot_f is not None:
+            dx += s2 @ u2dot_f[i] * dtf
+            dyv += (tv @ u2dot_f[i]) / seh * dtf
+        x = x + dx
+        y = y + dyv
+        if (i + 1) % substeps == 0:
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                raise DivergenceError("diverged", first_bad_time=t_fine[i + 1])
+            xs[out_idx], ys[out_idx] = x, y
+            out_idx += 1
+    return xs, ys
+
+
+def assert_matches_reference(spec, noises, substeps, ctrl=None):
+    batch = simulate_batch(spec, noises, substeps=substeps, ctrl=ctrl)
+    for trial, noise in enumerate(noises):
+        xs, ys = scalar_reference(spec, noise, substeps, ctrl)
+        assert np.isnan(batch.first_bad_time[trial])
+        assert np.array_equal(batch.x[trial], xs)
+        assert np.array_equal(batch.y[trial], ys)
+    return batch
+
+
+# every built-in coefficient in each role whose signature it matches; the
+# parameters keep a short horizon finite
+BUILTIN_ROLES = [
+    (name, role, params)
+    for name, params, roles in [
+        ("zero", {}, ("b", "c", "sigma1", "sigma2", "f", "g", "tau")),
+        ("constant", {"value": 0.7}, ("b", "c", "sigma1", "sigma2", "f", "g", "tau")),
+        ("linear_y", {"rate": 0.5}, ("b", "c", "sigma1", "sigma2", "f", "g", "tau")),
+        ("ou", {"rate": 1.5}, ("b", "f", "tau")),
+        ("linear_xy", {"ax": -0.8, "ay": 0.6, "const": 0.1}, ("c", "sigma1", "sigma2", "g")),
+        ("cos_y", {"scale": 0.9}, ("b", "c", "sigma1", "sigma2", "f", "g", "tau")),
+        ("cubic_y", {"rate": 1.0}, ("b", "f", "tau")),
+    ]
+    for role in roles
+]
 
 
 class TestSimulate:
@@ -45,12 +123,11 @@ class TestSimulate:
         # averaging oracle: the homogenized flow of c(x,y) = -x + y is x0 e^{-t}
         spec = ou_spec(eps=0.01, eta=0.01**1.5, c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
         sub = default_substeps(1.0 / 100, spec.eta)
-        errs = []
-        for trial in range(10):
-            noise = make_noise(spec, 101, 1.0, sub, seed=42, stream=trial)
-            x_path, _ = simulate(spec, noise, substeps=sub)
-            t = x_path.times()
-            errs.append(np.max(np.abs(x_path.scalar() - np.exp(-t))))
+        noises = [make_noise(spec, 101, 1.0, sub, seed=42, stream=trial) for trial in range(10)]
+        batch = simulate_batch(spec, noises, substeps=sub)
+        assert not batch.diverged.any()
+        t = batch.paths(0)[0].times()
+        errs = np.max(np.abs(batch.x[:, :, 0] - np.exp(-t)), axis=1)
         assert np.mean(errs) < 0.1
 
     def test_determinism(self):
@@ -112,6 +189,97 @@ class TestSimulate:
         with pytest.warns(RuntimeWarning):
             simulate(spec, noise, substeps=1)
 
+    def test_stability_warning_sees_visited_states(self):
+        # f = -y^3 is flat at y0 = 0, so a probe there alone sees no
+        # stiffness; the trials leave 0 at once and blow up
+        spec = ou_spec(eta=1e-3)
+        spec.f = cf.build("f", "cubic_y", rate=1.0)
+        noises = [make_noise(spec, 1001, 1.0, 1, seed=1, stream=trial) for trial in range(4)]
+        with pytest.warns(RuntimeWarning, match="fast Euler step may be unstable") as record:
+            batch = simulate_batch(spec, noises, substeps=1)
+        assert sum("unstable" in str(w.message) for w in record) == 1
+        assert batch.diverged.all()
+        assert np.all(batch.first_bad_time < 0.05)
+
+
+class TestBatched:
+    @pytest.mark.filterwarnings("ignore:fast Euler step may be unstable")
+    @pytest.mark.parametrize("name,role,params", BUILTIN_ROLES)
+    def test_builtin_matches_scalar_reference(self, name, role, params):
+        spec = ou_spec(eps=0.1, eta=0.1, sigma1=("constant", {"value": 0.5}),
+                       c=("linear_xy", {"ax": -1.0, "ay": 1.0}), sigma2=("constant", {"value": 0.3}),
+                       g=("cos_y", {"scale": 0.2}), x0=0.4, y0=0.2)
+        setattr(spec, role, cf.build(role, name, **params))
+        noises = [make_noise(spec, 21, 1.0, 3, seed=4, stream=trial) for trial in range(3)]
+        assert_matches_reference(spec, noises, 3)
+
+    def test_matrix_coefficients_match_scalar_reference(self):
+        # m = k = ell = 2: scalar and 1-d results promoted to diagonals
+        spec = SlowFastSpec(
+            b=cf.build("b", "cos_y"), c=cf.build("c", "linear_xy", ax=-1.0),
+            sigma1=lambda x, y: 0.5 + 0.1 * x, sigma2=cf.build("sigma2", "constant", value=0.3),
+            f=cf.build("f", "ou"), g=cf.build("g", "cos_y", scale=0.2),
+            tau=cf.build("tau", "constant", value=SQRT2),
+            hurst=0.7, eps=0.1, eta=0.1, x0=[1.0, -1.0], y0=0.0, m=2, k=2, ell=2,
+        )
+        noises = [make_noise(spec, 21, 1.0, 3, seed=5, stream=trial) for trial in range(3)]
+        assert_matches_reference(spec, noises, 3)
+
+    def test_controlled_matches_scalar_reference(self):
+        spec = ou_spec(eps=0.1, eta=0.05, sigma1=("cos_y", {}), sigma2=("constant", {"value": 0.4}),
+                       c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
+        n_out, sub = 51, 4
+        dt_out = 1.0 / (n_out - 1)
+        t = dt_out * np.arange(n_out)
+        ctrl = ControlPair(v1=GridPath(0.0, dt_out, np.sin(3 * t)), u2dot=GridPath(0.0, dt_out, np.cos(2 * t)))
+        noises = [make_noise(spec, n_out, 1.0, sub, seed=6, stream=trial) for trial in range(3)]
+        assert_matches_reference(spec, noises, sub, ctrl)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diverging_trial_is_marked(self):
+        spec = ou_spec(eps=1.0, eta=0.2, sigma1=("constant", {"value": 1.0}), c=("linear_xy", {"ax": 50.0}), x0=1.0)
+        noises = [make_noise(spec, 21, 1.0, 1, seed=7, stream=trial) for trial in range(3)]
+        huge = noises[1]
+        noises[1] = NoiseBundle(bh=GridPath(0.0, huge.bh.dt, 1e306 * huge.bh.values), w=huge.w,
+                                seed=huge.seed, hurst=huge.hurst)
+        batch = simulate_batch(spec, noises, substeps=1)
+        assert list(batch.diverged) == [False, True, False]
+        with pytest.raises(DivergenceError) as err:
+            scalar_reference(spec, noises[1], 1)
+        assert batch.first_bad_time[1] == err.value.first_bad_time
+        with pytest.raises(DivergenceError) as err:
+            simulate(spec, noises[1], substeps=1)
+        assert err.value.first_bad_time == batch.first_bad_time[1]
+        for trial in (0, 2):
+            xs, ys = scalar_reference(spec, noises[trial], 1)
+            assert np.array_equal(batch.x[trial], xs) and np.array_equal(batch.y[trial], ys)
+
+    def test_chunk_size_independence(self, monkeypatch):
+        spec = ou_spec(eps=0.1, eta=0.02, sigma1=("cos_y", {}), c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
+        n_out, sub = 41, 5
+        n_fine = (n_out - 1) * sub + 1
+        noises = [make_noise(spec, n_out, 1.0, sub, seed=8, stream=trial) for trial in range(7)]
+        results = []
+        for per_chunk in (1, 3, 7):
+            monkeypatch.setattr(multiscale_sim, "_MAX_BATCH_POINTS", per_chunk * n_fine)
+            results.append(simulate_batch(spec, iter(noises), substeps=sub))
+        for other in results[1:]:
+            assert np.array_equal(other.x, results[0].x)
+            assert np.array_equal(other.y, results[0].y)
+            assert np.array_equal(other.first_bad_time, results[0].first_bad_time, equal_nan=True)
+
+    def test_shape_mismatch_raises_before_stepping(self):
+        # two fast dimensions make b(y) a 2-vector for a 1-d slow state
+        spec = SlowFastSpec(
+            b=cf.build("b", "zero"), c=cf.build("c", "zero"), sigma1=cf.build("sigma1", "zero"),
+            sigma2=cf.build("sigma2", "zero"), f=cf.build("f", "ou"), g=cf.build("g", "zero"),
+            tau=cf.build("tau", "constant", value=SQRT2), hurst=0.7, eps=0.1, eta=0.1,
+            x0=0.0, y0=[0.0, 0.0], dy=2,
+        )
+        noise = make_noise(spec, 11, 1.0, 1)
+        with pytest.raises(InvalidInputError, match="returned size 2, expected 1"):
+            simulate_batch(spec, [noise])
+
 
 class TestControlled:
     def test_zero_control_matches_uncontrolled(self):
@@ -147,11 +315,9 @@ class TestControlled:
         n_out, sub = 101, 20
         dt_out = 1.0 / (n_out - 1)
         ctrl = ControlPair(u2dot=GridPath(0.0, dt_out, c_hat * np.ones(n_out)))
-        means = []
-        for trial in range(40):
-            noise = make_noise(spec, n_out, 1.0, sub, seed=31, stream=trial)
-            _, y_path = simulate_controlled(spec, noise, ctrl, substeps=sub)
-            means.append(np.mean(y_path.scalar()[n_out // 2 :]))
+        noises = [make_noise(spec, n_out, 1.0, sub, seed=31, stream=trial) for trial in range(40)]
+        batch = simulate_batch(spec, noises, substeps=sub, ctrl=ctrl)
+        means = np.mean(batch.y[:, n_out // 2 :, 0], axis=1)
         target = c_hat * SQRT2 * math.sqrt(eta / eps)
         assert abs(np.mean(means) - target) < 0.1 * target
 
