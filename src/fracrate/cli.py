@@ -103,20 +103,15 @@ def _validated_config(args):
     for chk in checks:
         print(f"[{chk.status}] {chk.name}: {chk.detail}")
     if failures and not getattr(args, "force", False):
+        named = "; ".join(f"{chk.name}: {chk.detail}" for chk in failures)
         raise ValidationFailure(
-            f"{len(failures)} hard validation failure(s); rerun with --force to override"
+            f"{len(failures)} hard validation failure(s) ({named}); rerun with --force to override"
         )
     return config
 
 
 def _measure_and_drift(config):
     spec = config.make_spec(*config.schedule[-1])
-    if spec.m != 1 or spec.dy != 1:
-        # config coefficients act elementwise, so they average over a 1-d
-        # fast grid only against a scalar slow state
-        raise InvalidInputError(
-            f"averaged coefficients need one slow and one fast dimension, got m={spec.m}, dy={spec.dy}"
-        )
     tol = config.tol
     L = config.poisson["L"] or domain_halfwidth(spec.f, spec.tau, sigmas=tol["default_domain_sigmas"])
     mu = invariant_density_1d(spec.f, spec.tau, L, config.poisson["n"], tail_ratio=tol["tail_mass_ratio"])
@@ -135,7 +130,7 @@ def _load_or_default_path(config, drift):
     dt = horizon / (n - 1)
     t = dt * np.arange(n)
     x0 = np.atleast_1d(config.model["x0"])[0]
-    s1 = float(np.atleast_2d(drift.sigma1_bar(np.atleast_1d(config.model["x0"])))[0, 0])
+    s1 = float(drift.sigma1_bar(np.reshape(x0, (1, 1)))[0, 0, 0])
     return GridPath(0.0, dt, x0 + s1 * t**3 / 3.0)
 
 
@@ -161,7 +156,8 @@ def cmd_simulate(args):
     ref = np.empty((n, spec_tmpl.m))
     ref[0] = spec_tmpl.x0
     for i in range(n - 1):
-        ref[i + 1] = ref[i] + dt * (drift.cbar(ref[i]) + np.atleast_1d(drift.grad_psi_g_bar(ref[i])))
+        node = ref[i : i + 1]
+        ref[i + 1] = ref[i] + dt * (drift.cbar(node) + drift.grad_psi_g_bar(node))[0]
 
     summary = {"schedule": [], "trials": trials, "reference": "homogenized Euler"}
     for idx, (eps, eta) in enumerate(config.schedule):
@@ -298,7 +294,7 @@ def cmd_mc(args):
             sigma_bar = None
             if spec0.sigma1_depends_on_y():
                 _, mu, psol, drift = _measure_and_drift(config)
-                sigma_bar = float(np.atleast_2d(drift.sigma1_bar(spec0.x0))[0, 0])
+                sigma_bar = float(drift.sigma1_bar(spec0.x0[None])[0, 0, 0])
             pred = linear_case_prediction(
                 spec0, exp_cfg["threshold"], config.grid["horizon"], sigma_bar=sigma_bar
             )

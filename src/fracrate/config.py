@@ -56,15 +56,14 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import coefficients
 from .defaults import tolerances
-from .errors import InvalidInputError
-from .multiscale_sim import SlowFastSpec
+from .errors import FracrateError, InvalidInputError
+from .multiscale_sim import SlowFastSpec, schedule_checks
 
 _MODEL_KEYS = {
     "m", "dy", "k", "ell", "hurst", "x0", "y0", "beta",
@@ -259,8 +258,9 @@ def validate(config: ExperimentConfig):
     """Numeric spot checks of the standing conditions; side-effect free.
 
     Returns a list of CheckResult; hard failures (centering violated, Hurst
-    index outside the branch that matches the rough-diffusion dependence)
-    carry status 'fail' and block execution.
+    index outside the branch that matches the rough-diffusion dependence,
+    a model the averaging layer rejects as invalid input) carry status
+    'fail' and block execution.
     """
     from .poisson_cell import domain_halfwidth, invariant_density_1d
 
@@ -283,7 +283,7 @@ def validate(config: ExperimentConfig):
         b_mean = float(np.abs(np.trapezoid(bvals * mu.density, mu.grid)).max())
         status = "pass" if b_mean < tol["centering_tol"] else "fail"
         checks.append(CheckResult("centering", status, f"|int b dmu| = {b_mean:.3g}"))
-    except Exception as exc:  # measure construction failures are hard failures
+    except FracrateError as exc:  # measure construction failures are hard failures
         mu = None
         checks.append(CheckResult("invariant_measure", "fail", str(exc)))
 
@@ -316,23 +316,8 @@ def validate(config: ExperimentConfig):
         checks.append(CheckResult("hurst_branch", status, f"state-only branch, H={h}"))
 
     # schedule monotonicity
-    r1 = [math.sqrt(eta) / math.sqrt(eps) for eps, eta in config.schedule]
-    ok1 = all(b < a for a, b in zip(r1, r1[1:])) or len(r1) == 1
-    checks.append(
-        CheckResult(
-            "scale_ratio", "pass" if ok1 else "fail",
-            f"sqrt(eta)/sqrt(eps) along schedule: {['%.4g' % v for v in r1]}",
-        )
-    )
-    if dep_y and spec.beta is not None:
-        r2 = [math.sqrt(eps) / eta**spec.beta for eps, eta in config.schedule]
-        ok2 = all(b < a for a, b in zip(r2, r2[1:])) or len(r2) == 1
-        checks.append(
-            CheckResult(
-                "beta_ratio", "pass" if ok2 else "fail",
-                f"sqrt(eps)/eta^beta along schedule: {['%.4g' % v for v in r2]}",
-            )
-        )
+    for name, ok, detail in schedule_checks(config.schedule, spec.beta if dep_y else None):
+        checks.append(CheckResult(name, "pass" if ok else "fail", detail))
 
     # tau non-degeneracy and effective Gram at x0
     if mu is not None:
@@ -354,7 +339,9 @@ def validate(config: ExperimentConfig):
                     "qqt_min_eigenvalue", status, f"min eigenvalue at x0 = {eq['min_eigenvalue']:.3g}"
                 )
             )
-        except Exception as exc:
+        except InvalidInputError as exc:  # e.g. dimensions the averaging layer cannot handle
+            checks.append(CheckResult("qqt_min_eigenvalue", "fail", f"invalid input: {exc}"))
+        except FracrateError as exc:
             checks.append(CheckResult("qqt_min_eigenvalue", "warn", str(exc)))
 
     return checks

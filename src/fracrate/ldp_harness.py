@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 
 from .errors import ExperimentFailure, InvalidInputError
 from .fbm_gen import rng_for, sample_noise_bundle
-from .multiscale_sim import SlowFastSpec, default_substeps, simulate_batch
+from .multiscale_sim import SlowFastSpec, default_substeps, schedule_checks, simulate_batch
 
 
 @dataclass
@@ -48,15 +48,11 @@ class HFunctional:
 
 
 def _check_schedule(schedule, beta=None, sigma1_dep_y=False):
-    ratios = [math.sqrt(eta) / math.sqrt(eps) for eps, eta in schedule]
-    if any(r2 >= r1 for r1, r2 in zip(ratios, ratios[1:])):
-        raise InvalidInputError(f"sqrt(eta)/sqrt(eps) must decrease along the schedule: {ratios}")
-    if sigma1_dep_y:
-        if beta is None:
-            raise InvalidInputError("fast-dependent rough diffusion requires a declared beta")
-        r2 = [math.sqrt(eps) / eta**beta for eps, eta in schedule]
-        if any(b >= a for a, b in zip(r2, r2[1:])):
-            raise InvalidInputError(f"sqrt(eps)/eta^beta must decrease along the schedule: {r2}")
+    if sigma1_dep_y and beta is None:
+        raise InvalidInputError("fast-dependent rough diffusion requires a declared beta")
+    for name, ok, detail in schedule_checks(schedule, beta if sigma1_dep_y else None):
+        if not ok:
+            raise InvalidInputError(f"{name}: {detail} must strictly decrease")
 
 
 @dataclass

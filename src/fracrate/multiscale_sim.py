@@ -34,8 +34,10 @@ class SlowFastSpec:
     trial axis first or has none and is shared by all trials.  Per trial,
     scalar results are promoted to the declared dimensions (diagonal
     promotion for matrices) and a 1-D result of size d becomes the diagonal
-    of a square d x d matrix.  The averaging layer calls them with one slow
-    state (m,) against a grid of fast states.
+    of a square d x d matrix.  The averaging layer (``poisson_cell``) calls
+    c, sigma1, sigma2 and g on a block of path nodes, x of shape (n, 1),
+    against the fast grid, y of shape (ny,), and reads one scalar per node
+    and grid point; it handles m = dy = 1 only.
     """
 
     b: object
@@ -154,6 +156,22 @@ def default_substeps(dt_out, eta, factor=10.0, cap=4096):
         )
         sub = cap
     return sub
+
+
+def schedule_checks(schedule, beta=None):
+    """Scale-separation rules along an (eps, eta) schedule as (name, ok,
+    detail) triples: sqrt(eta)/sqrt(eps) must strictly decrease
+    ("scale_ratio") and, when ``beta`` is given, so must sqrt(eps)/eta^beta
+    ("beta_ratio")."""
+    rules = [("scale_ratio", "sqrt(eta)/sqrt(eps)", lambda eps, eta: math.sqrt(eta) / math.sqrt(eps))]
+    if beta is not None:
+        rules.append(("beta_ratio", "sqrt(eps)/eta^beta", lambda eps, eta: math.sqrt(eps) / eta**beta))
+    checks = []
+    for name, label, ratio in rules:
+        vals = [ratio(eps, eta) for eps, eta in schedule]
+        ok = all(b < a for a, b in zip(vals, vals[1:]))
+        checks.append((name, ok, f"{label} along schedule: {['%.4g' % v for v in vals]}"))
+    return checks
 
 
 # Trials x fine-grid points stepped together; longer batches run in chunks.

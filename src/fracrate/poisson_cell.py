@@ -4,9 +4,8 @@ solve, coefficient averaging, and the effective noise matrix.
 The one-dimensional generator (tau^2/2) d2/dy2 + f d/dy admits the
 closed-form stationary density rho ~ (1/tau^2) exp(int 2f/tau^2) and a
 double-quadrature Poisson solve; both are evaluated on a truncated grid
-whose tails are checked explicitly.  Multi-dimensional fast spaces are
-supported only through the analytic Ornstein-Uhlenbeck family, which is all
-the rate-function machinery needs.
+whose tails are checked explicitly.  The averaging layer handles one slow
+and one fast dimension, which is all the rate-function machinery needs.
 """
 from __future__ import annotations
 
@@ -70,11 +69,15 @@ class PoissonSolution:
     grad: np.ndarray
     analytic: bool = False
 
-    def grad_at(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.stack(
-            [np.interp(y, self.grid, self.grad[:, j]) for j in range(self.grad.shape[1])], axis=-1
-        )
+
+def _unnormalized_density(f, tau, y):
+    """(1/tau^2) exp(int_0^y 2 f / tau^2) on the grid y, scaled to peak order 1."""
+    tau2 = np.broadcast_to(np.asarray(tau(y), dtype=float), y.shape) ** 2
+    if np.any(tau2 <= 0):
+        raise InvalidInputError("tau^2 must be positive on the domain")
+    drift = np.broadcast_to(np.asarray(f(y), dtype=float), y.shape)
+    pot = _cumulative_from_zero(2.0 * drift / tau2, y)
+    return np.exp(pot - pot.max()) / tau2
 
 
 def invariant_density_1d(f, tau, L, n, tail_ratio=1e-8, norm_tol=1e-6):
@@ -87,12 +90,7 @@ def invariant_density_1d(f, tau, L, n, tail_ratio=1e-8, norm_tol=1e-6):
     if L <= 0 or n < 8:
         raise InvalidInputError(f"bad domain: L={L}, n={n}")
     y = np.linspace(-L, L, int(n))
-    tau2 = np.broadcast_to(np.asarray(tau(y), dtype=float), y.shape) ** 2
-    if np.any(tau2 <= 0):
-        raise InvalidInputError("tau^2 must be positive on the domain")
-    drift = np.broadcast_to(np.asarray(f(y), dtype=float), y.shape)
-    pot = _cumulative_from_zero(2.0 * drift / tau2, y)
-    raw = np.exp(pot - pot.max()) / tau2
+    raw = _unnormalized_density(f, tau, y)
     z = float(np.trapezoid(raw, y))
     rho = raw / z
     peak = rho.max()
@@ -152,21 +150,49 @@ def analytic_ou_solution(alpha, lam, mu: InvariantMeasure):
     return PoissonSolution(grid=y, psi=psi, grad=grad, analytic=True)
 
 
-def average_coeff(phi, mu: InvariantMeasure, x=None):
-    """mu-average of phi(x, .) (or phi(.) when x is None) by quadrature.
+# Nodes x grid points per coefficient evaluation; longer paths run in blocks.
+_MAX_BLOCK_POINTS = 1 << 18
 
-    phi may return scalars, vectors or matrices per grid point; arrays must
-    carry the fast variable on the leading axis.
+
+def _block_average(vals, mu: InvariantMeasure, rows, cells):
+    vals = np.atleast_2d(np.asarray(vals, dtype=float))
+    ny = mu.grid.size
+    if vals.ndim != 2 or vals.shape[0] not in (1, rows) or vals.shape[1] not in (1, ny):
+        raise InvalidInputError(f"coefficient returned shape {vals.shape}, expected one broadcasting to ({rows}, {ny})")
+    if cells is None:
+        return np.broadcast_to(mu.average(vals)[:, None] if vals.shape[1] == ny else vals, (rows, 1))
+    index, weight = cells
+    width = int(index[-1]) + 1
+    if vals.shape[1] == ny:
+        # summed row by row in grid order, so a node's averages do not
+        # depend on its block
+        keys = np.arange(len(vals))[:, None] * width + index
+        vals = np.bincount(keys.ravel(), (vals * weight).ravel(), len(vals) * width).reshape(-1, width)
+    return np.broadcast_to(vals, (rows, width))
+
+
+def average_coeff(coef, mu: InvariantMeasure, xs=None, cells=None):
+    """mu-averages of a scalar coefficient along a path of slow states.
+
+    ``coef(xs, y)`` is called on node blocks of the path ``xs`` (n, 1)
+    against the fast grid ``y`` (ny,), so its result broadcasts to
+    (nodes, ny) as elementwise numpy expressions do.  A result whose last
+    axis is the grid is integrated against the density; one without it
+    (last axis of size 1, or 0-d) is its own average.  Returns (n, 1).
+    With ``cells``, a pair of (ny,) arrays (the non-decreasing cell index
+    of each grid point, from 0 to p - 1, and weights that sum to one on
+    each cell), returns the (n, p) weighted averages on the cells instead.
+    With ``xs`` None, ``coef(y)`` is averaged once and the result is 0-d.
     """
     y = mu.grid
-    vals = np.asarray(phi(y) if x is None else phi(x, y), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(y.size, float(vals))
-    elif vals.shape[0] != y.size:
-        # independent of the fast variable: average is the value itself
-        vals = np.broadcast_to(vals, (y.size,) + vals.shape)
-    weights = mu.density.reshape((y.size,) + (1,) * (vals.ndim - 1))
-    return np.trapezoid(vals * weights, y, axis=0)
+    if xs is None:
+        return _block_average(coef(y), mu, 1, None)[0, 0]
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != 1:
+        raise InvalidInputError(f"slow path must have shape (n, 1), got {xs.shape}")
+    step = max(1, _MAX_BLOCK_POINTS // y.size)
+    blocks = (xs[i : i + step] for i in range(0, len(xs), step))
+    return np.concatenate([_block_average(coef(blk, y), mu, len(blk), cells) for blk in blocks])
 
 
 def generator_residual(psol: PoissonSolution, b, f, tau):
@@ -184,54 +210,40 @@ def generator_residual(psol: PoissonSolution, b, f, tau):
     return float(np.max(np.abs(res[interior])))
 
 
-def _sigma2_matrix(spec, x, yv):
-    from .multiscale_sim import _as_mat
+def effective_noise(spec, psol: PoissonSolution, mu: InvariantMeasure):
+    """Scalar effective noise map q(xs, y) = grad-psi(y) tau(y) + sigma2(xs, y)
+    on the grid of ``mu``, in the calling convention of ``average_coeff``.
 
-    return _as_mat(spec.sigma2(np.asarray(x), yv), spec.m, spec.ell)
-
-
-def _tau_row(spec, yv):
-    from .multiscale_sim import _as_mat
-
-    # one fast dimension: tau(y) is a (1 x ell) row
-    return _as_mat(spec.tau(yv), 1, spec.ell) if spec.ell != 1 else np.asarray(
-        spec.tau(yv), dtype=float
-    ).reshape(1, 1)
+    The (m x ell) map Q(y) is its diagonal promotion.  The averaging layer
+    handles one slow and one fast dimension only: this is its dimension
+    check, and it raises ``InvalidInputError`` otherwise.
+    """
+    if spec.m != 1 or spec.dy != 1:
+        # coefficients act elementwise, so they average over a 1-d fast grid
+        # only against a scalar slow state
+        raise InvalidInputError(
+            f"averaged coefficients need one slow and one fast dimension, got m={spec.m}, dy={spec.dy}"
+        )
+    qy = psol.grad[:, 0] * spec.tau(mu.grid)
+    return lambda xs, y: qy + spec.sigma2(xs, y)
 
 
 def effective_q(spec, psol: PoissonSolution, mu: InvariantMeasure, x, degeneracy_tol=1e-8):
-    """Effective noise map y -> grad-psi(y) tau(y) + sigma2(x, y) and its Gram.
+    """Effective noise map Q(y) = grad-psi(y) tau(y) + sigma2(x, y) at one
+    slow state x and its Gram averaged against the invariant measure.
 
-    Returns a dict with the pointwise sampler ``q`` (y -> (m, ell) matrix),
-    the averaged Gram ``qqt_bar`` (m x m), its minimum eigenvalue and a
-    degeneracy flag.  Degeneracy is a flag rather than an error: degenerate
-    systems are simply outside the general evaluator's domain.
+    Returns a dict with ``q``, Q on the grid (ny, m, ell), the averaged Gram
+    ``qqt_bar`` (m x m), its minimum eigenvalue and a degeneracy flag.
+    Degeneracy is a flag rather than an error: degenerate systems are
+    simply outside the general evaluator's domain.
     """
-    if spec.dy != 1:
-        raise InvalidInputError("numeric effective Q supports one fast dimension")
-    m = spec.m
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-
-    def q_at(yv):
-        yv = float(yv)
-        grad = psol.grad_at(yv).reshape(m, 1)
-        return grad @ _tau_row(spec, yv) + _sigma2_matrix(spec, x, yv)
-
-    y = mu.grid
-    if m == 1 and spec.ell == 1:
-        tau_vals = np.broadcast_to(np.asarray(spec.tau(y), dtype=float), y.shape)
-        s2_vals = np.broadcast_to(np.asarray(spec.sigma2(x, y), dtype=float), y.shape)
-        qv = psol.grad[:, 0] * tau_vals + s2_vals
-        qqt_bar = np.array([[float(np.trapezoid(qv**2 * mu.density, y))]])
-    else:
-        qq = np.empty((y.size, m, m))
-        for i, yv in enumerate(y):
-            qi = q_at(yv)
-            qq[i] = qi @ qi.T
-        qqt_bar = np.trapezoid(qq * mu.density[:, None, None], y, axis=0)
+    q = effective_noise(spec, psol, mu)
+    xs = np.reshape(np.asarray(x, dtype=float), (1, 1))
+    qv = np.broadcast_to(q(xs, mu.grid), (1, mu.grid.size))[0]
+    qqt_bar = average_coeff(lambda x_, y: q(x_, y) ** 2, mu, xs)[0, :, None]  # (m, m), m = 1
     eigs = np.linalg.eigvalsh(qqt_bar)
     return {
-        "q": q_at,
+        "q": qv[:, None, None] * np.eye(1, spec.ell),
         "qqt_bar": qqt_bar,
         "min_eigenvalue": float(eigs[0]),
         "degenerate": bool(eigs[0] <= degeneracy_tol),
@@ -241,10 +253,7 @@ def effective_q(spec, psol: PoissonSolution, mu: InvariantMeasure, x, degeneracy
 def domain_halfwidth(f, tau, sigmas=8.0, probe_half=30.0, n=4001):
     """Truncation half-width: ``sigmas`` standard deviations of the density."""
     y = np.linspace(-probe_half, probe_half, n)
-    tau2 = np.broadcast_to(np.asarray(tau(y), dtype=float), y.shape) ** 2
-    drift = np.broadcast_to(np.asarray(f(y), dtype=float), y.shape)
-    pot = _cumulative_from_zero(2.0 * drift / tau2, y)
-    raw = np.exp(pot - pot.max()) / tau2
+    raw = _unnormalized_density(f, tau, y)
     raw /= np.trapezoid(raw, y)
     var = np.trapezoid(y**2 * raw, y) - np.trapezoid(y * raw, y) ** 2
     return float(sigmas * np.sqrt(max(var, 1e-12)))

@@ -1,7 +1,8 @@
 """Large-deviations rate functionals of the homogenized slow dynamics.
 
 Four evaluators share one differentiation convention (``GridPath.derivative``)
-and one set of averaged coefficients (``LimitDrift``):
+and one set of averaged coefficients (``LimitDrift``), which they evaluate
+on the whole path at once:
 
 * ``eval_rate_explicit`` - the closed quadratic form available when the
   singular drift and the Brownian diffusion vanish and the averaged rough
@@ -32,21 +33,23 @@ from .errors import (
     RegularityError,
 )
 from .gridpath import GridPath, l2_norm, trapezoid_weights
-from .multiscale_sim import ControlPair, _as_mat, _as_vec
-from .poisson_cell import InvariantMeasure, PoissonSolution, average_coeff, effective_q
+from .multiscale_sim import ControlPair
+from .poisson_cell import InvariantMeasure, PoissonSolution, average_coeff, effective_noise
 
 
 @dataclass
 class LimitDrift:
     """Averaged coefficient set entering the limiting dynamics.
 
-    All callables take a slow state (m,) and return averaged quantities:
-    ``cbar`` and ``grad_psi_g_bar`` the drift pieces, ``sigma1_bar`` the
-    naively averaged rough diffusion (m x k), ``sigma1_sq_bar`` the averaged
-    squared coefficient (m x m), ``qqt_bar`` the effective Brownian Gram
-    (m x m).  ``q_bins`` carries the quantile-binned effective noise map for
-    feedback-control representations: (nbins, m, ell) per state, with bin
-    masses ``bin_mass``.
+    Every callable takes a path of slow states xs (n, m), a single state
+    being the one-node path (1, m), and returns the averages at its nodes
+    with the nodes on the leading axis: ``cbar`` and ``grad_psi_g_bar`` the
+    drift pieces (n, m), ``sigma1_bar`` the naively averaged rough diffusion
+    (n, m, k), ``sigma1_sq_bar`` the averaged squared coefficient (n, m, m),
+    ``qqt_bar`` the effective Brownian Gram (n, m, m).  ``q_bins`` carries
+    the effective noise map averaged on equal-mass cells of the measure for
+    feedback-control representations, (n, nbins, m, ell), with the cell
+    masses ``bin_mass`` and centres ``bin_centers``.
     """
 
     m: int
@@ -60,98 +63,38 @@ class LimitDrift:
     q_bins: object
     bin_mass: np.ndarray
     bin_centers: np.ndarray
-    q_depends_on_x: bool = True
 
 
 def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=64):
     """Average the coefficients of a slow-fast system against the invariant
-    measure and bin the effective noise map on measure quantiles."""
+    measure and bin the effective noise map on measure quantiles.
+
+    Raises ``InvalidInputError`` unless m = dy = 1 (see ``effective_noise``).
+    """
+    q = effective_noise(spec, psol, mu)
     m, k, ell = spec.m, spec.k, spec.ell
     y = mu.grid
-    rho = mu.density
     edges = mu.quantile_edges(nbins)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    # bin masses and per-bin density weights on the grid
-    bin_idx = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, nbins - 1)
-    masses = np.zeros(nbins)
-    wq = trapezoid_weights(y.size, y[1] - y[0])
-    for bidx in range(nbins):
-        masses[bidx] = float(np.sum(wq[bin_idx == bidx] * rho[bin_idx == bidx]))
-    masses /= masses.sum()
-
-    grad = psol.grad  # (ny, m)
-    tau_vals = np.asarray(spec.tau(y), dtype=float)
-    tau_rows = np.broadcast_to(np.atleast_1d(tau_vals).reshape(-1, 1), (y.size, ell))
-
-    def cbar(x):
-        return _as_vec(average_coeff(lambda xx, yy: spec.c(xx, yy), mu, x), m)
-
-    def grad_psi_g_bar(x):
-        gv = np.asarray(spec.g(np.asarray(x), y), dtype=float)
-        gv = np.broadcast_to(np.atleast_1d(gv), (y.size,)) if gv.ndim <= 1 else gv
-        vals = grad * gv[:, None]  # one fast dimension
-        return np.trapezoid(vals * rho[:, None], y, axis=0)
-
-    def sigma1_bar(x):
-        s1 = np.asarray(spec.sigma1(np.asarray(x), y), dtype=float)
-        if s1.ndim <= 1:
-            avg = float(np.trapezoid(np.broadcast_to(np.atleast_1d(s1), (y.size,)) * rho, y))
-            return _as_mat(avg, m, k)
-        return _as_mat(np.trapezoid(s1 * rho.reshape((-1,) + (1,) * (s1.ndim - 1)), y, axis=0), m, k)
-
-    def sigma1_sq_bar(x):
-        s1 = np.asarray(spec.sigma1(np.asarray(x), y), dtype=float)
-        if s1.ndim <= 1:
-            vals = np.broadcast_to(np.atleast_1d(s1), (y.size,))
-            avg = float(np.trapezoid(vals**2 * rho, y))
-            out = np.zeros((m, m))
-            np.fill_diagonal(out, avg)
-            return out
-        mats = np.stack([_as_mat(s1[i], m, k) for i in range(y.size)])
-        grams = np.einsum("iac,ibc->iab", mats, mats)
-        return np.trapezoid(grams * rho[:, None, None], y, axis=0)
-
-    def qqt_bar(x):
-        return effective_q(spec, psol, mu, x)["qqt_bar"]
-
-    def q_bins(x):
-        s2 = np.asarray(spec.sigma2(np.asarray(x), y), dtype=float)
-        s2 = np.broadcast_to(np.atleast_1d(s2), (y.size,)) if s2.ndim <= 1 else s2
-        out = np.zeros((nbins, m, ell))
-        for bidx in range(nbins):
-            sel = bin_idx == bidx
-            wsel = wq[sel] * rho[sel]
-            tot = wsel.sum()
-            if tot <= 0:
-                continue
-            gavg = (wsel[:, None] * grad[sel]).sum(axis=0) / tot  # (m,)
-            tavg = (wsel[:, None] * tau_rows[sel]).sum(axis=0) / tot  # (ell,)
-            if s2.ndim == 1:
-                s2avg = _as_mat(float((wsel * s2[sel]).sum() / tot), m, ell)
-            else:
-                s2avg = _as_mat((wsel[:, None] * s2[sel]).sum(axis=0) / tot, m, ell)
-            out[bidx] = gavg[:, None] @ tavg[None, :] + s2avg
-        return out
-
-    # Q depends on the slow state only through sigma2; probe it
-    x_probe = np.atleast_1d(np.asarray(spec.x0, dtype=float))
-    s2_a = np.asarray(spec.sigma2(x_probe, y[:: max(1, y.size // 16)]), dtype=float)
-    s2_b = np.asarray(spec.sigma2(x_probe + 0.83, y[:: max(1, y.size // 16)]), dtype=float)
-    q_dep_x = not np.array_equal(s2_a, s2_b)
+    # each grid point's cell, and its density quadrature weight normalized
+    # to one over the cell
+    cell = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, nbins - 1)
+    weight = trapezoid_weights(y.size, mu.dy) * mu.density
+    mass = np.bincount(cell, weight, nbins)
+    cells = (cell, weight / np.where(mass > 0, mass, 1.0)[cell])
+    g1 = psol.grad[:, 0]
 
     return LimitDrift(
         m=m,
         k=k,
         ell=ell,
-        cbar=cbar,
-        grad_psi_g_bar=grad_psi_g_bar,
-        sigma1_bar=sigma1_bar,
-        sigma1_sq_bar=sigma1_sq_bar,
-        qqt_bar=qqt_bar,
-        q_bins=q_bins,
-        bin_mass=masses,
-        bin_centers=centers,
-        q_depends_on_x=q_dep_x,
+        cbar=lambda xs: average_coeff(spec.c, mu, xs),
+        grad_psi_g_bar=lambda xs: average_coeff(lambda x, yy: g1 * spec.g(x, yy), mu, xs),
+        sigma1_bar=lambda xs: average_coeff(spec.sigma1, mu, xs)[..., None] * np.eye(m, k),
+        sigma1_sq_bar=lambda xs: average_coeff(lambda x, yy: spec.sigma1(x, yy) ** 2, mu, xs)[..., None],
+        qqt_bar=lambda xs: average_coeff(lambda x, yy: q(x, yy) ** 2, mu, xs)[..., None],
+        q_bins=lambda xs: average_coeff(q, mu, xs, cells)[..., None, None] * np.eye(m, ell),
+        bin_mass=mass / mass.sum(),
+        bin_centers=0.5 * (edges[:-1] + edges[1:]),
     )
 
 
@@ -171,31 +114,26 @@ class RateEvalResult:
 
 def _forced_displacement(phi: GridPath, drift: LimitDrift, include_psi_g=True):
     """phi-dot minus the homogenized drift, shape (n, m)."""
-    dphi = phi.derivative()
-    r = np.empty_like(dphi)
-    for i in range(phi.n):
-        x = phi.values[i]
-        rr = dphi[i] - drift.cbar(x)
-        if include_psi_g:
-            rr = rr - _as_vec(drift.grad_psi_g_bar(x), drift.m)
-        r[i] = rr
+    r = phi.derivative() - drift.cbar(phi.values)
+    if include_psi_g:
+        r = r - drift.grad_psi_g_bar(phi.values)
     return r
 
 
-def _sigma1_path(phi: GridPath, drift: LimitDrift, tol):
-    """sigma1-bar along the path with a singularity check, shape (n, m, k)."""
-    n, m, k = phi.n, drift.m, drift.k
-    if m != k:
-        raise DegeneracyError(f"explicit form needs square sigma1-bar, got {m}x{k}")
-    s1 = np.empty((n, m, k))
-    for i in range(n):
-        s1[i] = drift.sigma1_bar(phi.values[i])
-        smin = np.linalg.svd(s1[i], compute_uv=False)[-1]
-        if smin < tol:
-            raise DegeneracyError(
-                f"sigma1-bar singular along the path (min singular value {smin:.3g} at node {i})"
-            )
-    return s1
+def _normalized_displacement(phi: GridPath, drift: LimitDrift, tol):
+    """psi = sigma1-bar^{-1} (phi-dot - cbar) along the path, shape (n, m),
+    after checking that sigma1-bar is square and nonsingular at every node."""
+    if drift.m != drift.k:
+        raise DegeneracyError(f"explicit form needs square sigma1-bar, got {drift.m}x{drift.k}")
+    r = _forced_displacement(phi, drift, include_psi_g=False)
+    s1 = drift.sigma1_bar(phi.values)
+    smin = np.linalg.svd(s1, compute_uv=False)[:, -1]
+    bad = np.flatnonzero(smin < tol)
+    if bad.size:
+        raise DegeneracyError(
+            f"sigma1-bar singular along the path (min singular value {smin[bad[0]]:.3g} at node {bad[0]})"
+        )
+    return np.linalg.solve(s1, r[..., None])[..., 0]
 
 
 def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext, tol=1e-8):
@@ -208,9 +146,7 @@ def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext, tol=
     """
     if phi.n != ctx.n or abs(phi.dt - ctx.dt) > 1e-12 * ctx.dt:
         raise InvalidInputError("path grid does not match the Hurst context")
-    r = _forced_displacement(phi, drift, include_psi_g=False)
-    s1 = _sigma1_path(phi, drift, tol)
-    psi = np.stack([np.linalg.solve(s1[i], r[i]) for i in range(phi.n)])
+    psi = _normalized_displacement(phi, drift, tol)
     try:
         v = kdot_inverse(psi, ctx)
     except RegularityError as exc:
@@ -235,29 +171,23 @@ class DiscreteQH:
 
     ``a_u1`` maps weighted-coordinate controls of the rough noise to
     weighted-coordinate slow forcings ((n m) x (n k)); the Brownian part is
-    pointwise in time and carried as per-node bin maps ``b_u2``
-    ((n, m, ell*nbins), already mass-weighted).
+    pointwise in time and carried as the averaged Gram ``qqt`` at each node
+    (n, m, m).
     """
 
     ctx: HurstContext
     a_u1: np.ndarray
-    b_u2: np.ndarray
-    bin_mass: np.ndarray
+    qqt: np.ndarray
     weights: np.ndarray
     shape: tuple
 
-    def gram(self, qqt_path=None):
-        """(n m) x (n m) Gram matrix; the Brownian block is exact when the
-        pointwise averaged Gram is supplied, binned otherwise."""
+    def gram(self):
+        """(n m) x (n m) Gram matrix: the rough-noise part plus the averaged
+        Brownian Gram on the diagonal blocks."""
         n, m = self.shape
         g = self.a_u1 @ self.a_u1.T
-        for i in range(n):
-            if qqt_path is not None:
-                blk = qqt_path[i]
-            else:
-                bi = self.b_u2[i]
-                blk = bi @ bi.T
-            g[i * m : (i + 1) * m, i * m : (i + 1) * m] += blk
+        nodes = np.arange(n)
+        g.reshape(n, m, n, m)[nodes, :, nodes, :] += self.qqt
         return g
 
     def operator_norm(self):
@@ -270,31 +200,24 @@ class DiscreteQH:
         return float(np.sqrt(v @ (mat @ v)))
 
 
-def assemble_QH(phi: GridPath, drift: LimitDrift, ctx: HurstContext, nbins=None):
+def assemble_QH(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     """Discrete effective-diffusivity operator along a path.
 
     The rough-noise block composes the naively averaged coefficient with the
     lifted-derivative kernel matrix; the Brownian block acts pointwise in
-    time through the measure-binned effective noise map.
+    time through the averaged effective Gram.
     """
     if phi.n != ctx.n or abs(phi.dt - ctx.dt) > 1e-12 * ctx.dt:
         raise InvalidInputError("path grid does not match the Hurst context")
-    n, m, k, ell = phi.n, drift.m, drift.k, drift.ell
+    n, m, k = phi.n, drift.m, drift.k
     w = trapezoid_weights(n, phi.dt)
     sw = np.sqrt(w)
     kd = ctx.kdot_matrix()
-    s1 = np.stack([_as_mat(drift.sigma1_bar(phi.values[i]), m, k) for i in range(n)])
+    s1 = drift.sigma1_bar(phi.values)
     # A[(i,a),(j,c)] = sqrt(w_i) s1[i,a,c] kd[i,j] / sqrt(w_j)
     a = np.einsum("iac,ij->iajc", s1, kd * (sw[:, None] / sw[None, :]))
     a = a.reshape(n * m, n * k)
-    nb = len(drift.bin_mass) if nbins is None else nbins
-    b = np.zeros((n, m, ell * nb))
-    qb0 = None
-    for i in range(n):
-        if drift.q_depends_on_x or qb0 is None:
-            qb0 = drift.q_bins(phi.values[i])  # (nbins, m, ell)
-        b[i] = (qb0 * np.sqrt(drift.bin_mass)[:, None, None]).transpose(1, 2, 0).reshape(m, ell * nb)
-    return DiscreteQH(ctx=ctx, a_u1=a, b_u2=b, bin_mass=drift.bin_mass, weights=w, shape=(n, m))
+    return DiscreteQH(ctx=ctx, a_u1=a, qqt=drift.qqt_bar(phi.values), weights=w, shape=(n, m))
 
 
 def _condition_estimate(gram, chol):
@@ -312,14 +235,7 @@ def _condition_estimate(gram, chol):
     return lam_max, lam_min
 
 
-def eval_rate_general(
-    phi: GridPath,
-    drift: LimitDrift,
-    ctx: HurstContext,
-    tol=1e-8,
-    condition_limit=1e8,
-    exact_u2_gram=True,
-):
+def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext, tol=1e-8, condition_limit=1e8):
     """Operator-form rate: solve the Gram system of the effective diffusivity.
 
     Assembles G = Q Q* (positive definite on the admissible domain), solves
@@ -329,13 +245,7 @@ def eval_rate_general(
     """
     n, m = phi.n, drift.m
     dq = assemble_QH(phi, drift, ctx)
-    qqt_path = None
-    if exact_u2_gram:
-        if drift.q_depends_on_x:
-            qqt_path = np.stack([drift.qqt_bar(phi.values[i]) for i in range(n)])
-        else:
-            qqt_path = np.broadcast_to(drift.qqt_bar(phi.values[0]), (n, m, m))
-    gram = dq.gram(qqt_path=qqt_path)
+    gram = dq.gram()
     r = _forced_displacement(phi, drift)
     sw = np.sqrt(dq.weights)
     r_w = (r * sw[:, None]).reshape(n * m)
@@ -364,13 +274,7 @@ def eval_rate_general(
     u1_w = dq.a_u1.T @ w_sol
     u1 = (u1_w.reshape(n, drift.k) / sw[:, None])
     w_nat = (w_sol.reshape(n, m)) / sw[:, None]
-    nb = len(drift.bin_mass)
-    u2 = np.zeros((n, nb, drift.ell))
-    qb = None
-    for i in range(n):
-        if drift.q_depends_on_x or qb is None:
-            qb = drift.q_bins(phi.values[i])  # (nb, m, ell)
-        u2[i] = np.einsum("bme,m->be", qb, w_nat[i])
+    u2 = np.einsum("ibme,im->ibe", drift.q_bins(phi.values), w_nat)
     ctrl = ControlPair(v1=GridPath(0.0, phi.dt, u1))
     return RateEvalResult(
         value=val,
@@ -381,44 +285,29 @@ def eval_rate_general(
 
 
 def _quadratic_form_rate(phi, r, mats, method):
-    n = phi.n
-    w = trapezoid_weights(n, phi.dt)
-    total = 0.0
-    for i in range(n):
-        eigs = np.linalg.eigvalsh(mats[i])
-        if eigs[0] <= 1e-12:
-            raise DegeneracyError(f"{method}: effective matrix degenerate at node {i}")
-        total += w[i] * float(r[i] @ np.linalg.solve(mats[i], r[i]))
-    return 0.5 * total
+    """Half the weighted time integral of r^T mats^{-1} r, mats (n, m, m)."""
+    eig_min = np.linalg.eigvalsh(mats)[:, 0]
+    bad = np.flatnonzero(eig_min <= 1e-12)
+    if bad.size:
+        raise DegeneracyError(f"{method}: effective matrix degenerate at node {bad[0]}")
+    quad = np.einsum("ia,ia->i", r, np.linalg.solve(mats, r[..., None])[..., 0])
+    return 0.5 * float(trapezoid_weights(phi.n, phi.dt) @ quad)
 
 
-def eval_rate_fw_half(phi: GridPath, drift: LimitDrift, q_half=None):
-    """Classical-noise rate with the fully averaged effective matrix.
-
-    ``q_half`` overrides the default matrix function
-    x -> sigma1 sigma1^T-bar(x) + Q Q^T-bar(x).
-    """
+def eval_rate_fw_half(phi: GridPath, drift: LimitDrift):
+    """Classical-noise rate with the fully averaged effective matrix
+    sigma1 sigma1^T-bar + Q Q^T-bar."""
     r = _forced_displacement(phi, drift)
-    if q_half is None:
-        mats = [
-            np.atleast_2d(drift.sigma1_sq_bar(phi.values[i]) + drift.qqt_bar(phi.values[i]))
-            for i in range(phi.n)
-        ]
-    else:
-        mats = [np.atleast_2d(np.asarray(q_half(phi.values[i]), dtype=float)) for i in range(phi.n)]
-    val = _quadratic_form_rate(phi, r, mats, "fw_half")
-    return RateEvalResult(value=val, method="fw_half")
+    mats = drift.sigma1_sq_bar(phi.values) + drift.qqt_bar(phi.values)
+    return RateEvalResult(value=_quadratic_form_rate(phi, r, mats, "fw_half"), method="fw_half")
 
 
 def eval_rate_tilde_half(phi: GridPath, drift: LimitDrift):
     """Classical-form rate with the square of the naively averaged coefficient."""
     r = _forced_displacement(phi, drift, include_psi_g=False)
-    mats = []
-    for i in range(phi.n):
-        s1 = drift.sigma1_bar(phi.values[i])
-        mats.append(np.atleast_2d(s1 @ s1.T))
-    val = _quadratic_form_rate(phi, r, mats, "tilde_half")
-    return RateEvalResult(value=val, method="tilde_half")
+    s1 = drift.sigma1_bar(phi.values)
+    mats = s1 @ s1.transpose(0, 2, 1)
+    return RateEvalResult(value=_quadratic_form_rate(phi, r, mats, "tilde_half"), method="tilde_half")
 
 
 def admissibility_check(phi: GridPath, drift: LimitDrift, exponent=1.05, factor=4.0, decade=10):
@@ -428,15 +317,9 @@ def admissibility_check(phi: GridPath, drift: LimitDrift, exponent=1.05, factor=
     grid points (psi the normalized forced displacement).  This is a grid
     heuristic, not a certificate; results carry it as a flag.
     """
-    r = _forced_displacement(phi, drift, include_psi_g=False)
-    s1 = _sigma1_path(phi, drift, 1e-12)
-    t = phi.times()
-    hi = min(decade, phi.n - 1)
-    ratios = []
-    for i in range(1, hi + 1):
-        psi_i = np.linalg.solve(s1[i], r[i])
-        ratios.append(np.linalg.norm(psi_i) / t[i] ** exponent)
-    ratios = np.asarray(ratios)
+    psi = _normalized_displacement(phi, drift, 1e-12)
+    head = slice(1, min(decade, phi.n - 1) + 1)
+    ratios = np.linalg.norm(psi[head], axis=-1) / phi.times()[head] ** exponent
     scale = max(ratios[-1], 1e-12 * ratios.max())
     ok = bool(ratios.max() <= factor * scale)
     return ok, ratios
@@ -490,17 +373,14 @@ def replay_minimizer(phi: GridPath, drift: LimitDrift, ctx: HurstContext, result
         u2 = result.minimizer["u2_feedback"]
     kd = ctx.kdot_matrix()
     u1dot = kd @ v1.values  # (n, k)
-    x = phi.values[0].copy()
+    x = phi.values[:1].copy()  # one-node path
     out = np.empty((n, m))
-    out[0] = x
-    qb = None
+    out[0] = x[0]
     for i in range(n - 1):
-        dx = drift.cbar(x) + _as_vec(drift.grad_psi_g_bar(x), m)
-        dx = dx + _as_mat(drift.sigma1_bar(x), m, drift.k) @ u1dot[i]
+        dx = drift.cbar(x) + drift.grad_psi_g_bar(x)
+        dx = dx + drift.sigma1_bar(x) @ u1dot[i]
         if u2 is not None:
-            if drift.q_depends_on_x or qb is None:
-                qb = drift.q_bins(x)  # (nb, m, ell)
-            dx = dx + np.einsum("bme,be,b->m", qb, u2[i], drift.bin_mass)
+            dx = dx + np.einsum("ibme,be,b->im", drift.q_bins(x), u2[i], drift.bin_mass)
         x = x + dt * dx
-        out[i + 1] = x
+        out[i + 1] = x[0]
     return GridPath(0.0, dt, out)

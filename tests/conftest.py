@@ -37,20 +37,31 @@ def ou_measure():
     return invariant_density_1d(spec.f, spec.tau, 8.0, 4097)
 
 
+def cos_spec():
+    """The cos-diffusion system (b = sigma2 = 0)."""
+    return ou_spec(sigma1=("cos_y", {}), hurst=0.8, beta=0.45)
+
+
+def const_spec():
+    """The constant-diffusion linear system."""
+    return ou_spec(sigma1=("constant", {"value": 1.0}), c=("linear_xy", {"ax": -1.0}))
+
+
+def limit_drift(spec, mu):
+    psol = solve_poisson_1d(spec.b, spec.f, spec.tau, mu)
+    return build_limit_drift(spec, psol, mu)
+
+
 @pytest.fixture(scope="session")
 def cos_drift(ou_measure):
-    """Averaged coefficients of the cos-diffusion system (b = sigma2 = 0)."""
-    spec = ou_spec(sigma1=("cos_y", {}), hurst=0.8, beta=0.45)
-    psol = solve_poisson_1d(spec.b, spec.f, spec.tau, ou_measure)
-    return build_limit_drift(spec, psol, ou_measure)
+    """Averaged coefficients of the cos-diffusion system."""
+    return limit_drift(cos_spec(), ou_measure)
 
 
 @pytest.fixture(scope="session")
 def const_drift(ou_measure):
     """Averaged coefficients of the constant-diffusion linear system."""
-    spec = ou_spec(sigma1=("constant", {"value": 1.0}), c=("linear_xy", {"ax": -1.0}))
-    psol = solve_poisson_1d(spec.b, spec.f, spec.tau, ou_measure)
-    return build_limit_drift(spec, psol, ou_measure)
+    return limit_drift(const_spec(), ou_measure)
 
 
 def grid_t(n, horizon=1.0):

@@ -6,7 +6,9 @@ import pytest
 
 from fracrate.cli import main
 from fracrate.config import hard_failures, load_config, validate
+from fracrate.errors import InvalidInputError
 from fracrate.gridpath import GridPath
+from fracrate.ldp_harness import HFunctional, LaplaceExperiment
 
 OU_HOMOG = """
 [model]
@@ -117,8 +119,6 @@ class TestConfig:
         assert spec.x0[0] == 1.0
 
     def test_unknown_key_rejected(self, tmp_path):
-        from fracrate.errors import InvalidInputError
-
         bad = OU_HOMOG.replace("trials = 3", "trails = 3")
         with pytest.raises(InvalidInputError):
             load_config(write(tmp_path, "b.cfg", bad))
@@ -150,6 +150,14 @@ class TestConfig:
         checks = validate(cfg)
         branch = [c for c in checks if c.name == "hurst_branch"][0]
         assert branch.status == "pass"
+
+    def test_schedule_ratio_rule_shared(self, tmp_path):
+        # eta proportional to eps: sqrt(eta)/sqrt(eps) does not decrease
+        text = OU_HOMOG.replace("eta = auto", "eta = 0.01, 0.005")
+        cfg = load_config(write(tmp_path, "s.cfg", text))
+        assert {c.name for c in hard_failures(validate(cfg))} == {"scale_ratio"}
+        with pytest.raises(InvalidInputError, match="scale_ratio"):
+            LaplaceExperiment(cfg.make_spec, cfg.schedule, HFunctional(), trials=1000)
 
     def test_centering_failure_blocks(self, tmp_path):
         text = OU_HOMOG.replace("b = zero", "b = constant value=0.3")
@@ -197,6 +205,13 @@ class TestCommands:
         assert rc == 2
         assert "invalid input:" in capsys.readouterr().err
         assert not (out / "simulate_summary.json").exists()
+
+    def test_validate_reports_unsupported_dimension(self, tmp_path, capsys):
+        cfg = write(tmp_path, "m2.cfg", OU_HOMOG.replace("x0 = 1.0", "m = 2\nx0 = 1.0, 1.0"))
+        assert main(["validate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "[fail] qqt_min_eigenvalue: invalid input:" in captured.out
+        assert "Traceback" not in captured.err
 
     def test_limit_study_csv(self, tmp_path):
         cfg = write(tmp_path, "cos.cfg", COS_LIMIT)

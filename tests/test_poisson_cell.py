@@ -100,7 +100,7 @@ class TestAveraging:
         assert abs(s2 - 0.5 * (1 + math.exp(-2))) < 1e-6
 
     def test_y_independent(self, ou_measure):
-        val = average_coeff(lambda x, y: np.full_like(np.asarray(x), 3.25), ou_measure, x=np.array([1.0]))
+        val = average_coeff(lambda x, y: np.full_like(np.asarray(x), 3.25), ou_measure, xs=np.array([[1.0]]))
         assert abs(np.asarray(val).reshape(-1)[0] - 3.25) < 1e-12
 
     def test_linearity_and_monotonicity(self, ou_measure):
@@ -122,8 +122,8 @@ class TestEffectiveQ:
         assert abs(eq["qqt_bar"][0, 0] - 2 * lam**2) < 1e-12
         assert eq["min_eigenvalue"] >= 2 * lam**2 - 1e-12
         assert not eq["degenerate"]
-        q_mid = eq["q"](0.3)
-        assert abs(q_mid[0, 0] - SQRT2 * lam) < 1e-9
+        assert eq["q"].shape == (ou_measure.grid.size, 1, 1)
+        assert np.max(np.abs(eq["q"][:, 0, 0] - SQRT2 * lam)) < 1e-9
 
     def test_identity_sigma2_alone(self, ou_measure):
         spec = ou_spec(sigma2=("constant", {"value": 1.0}))

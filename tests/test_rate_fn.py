@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
+from fracrate import poisson_cell
 from fracrate.cameron_martin import HurstContext, c_H
-from fracrate.errors import AdmissibilityError, DegeneracyError
-from fracrate.gridpath import GridPath
-from fracrate.poisson_cell import solve_poisson_1d
+from fracrate.errors import AdmissibilityError, DegeneracyError, InvalidInputError
+from fracrate.gridpath import GridPath, trapezoid_weights
+from fracrate.multiscale_sim import _as_mat, _as_vec
+from fracrate.poisson_cell import effective_q, invariant_density_1d, solve_poisson_1d
 from fracrate.rate_fn import (
     assemble_QH,
     build_limit_drift,
@@ -19,7 +22,7 @@ from fracrate.rate_fn import (
     replay_minimizer,
 )
 
-from conftest import grid_t, ou_spec
+from conftest import const_spec, cos_spec, grid_t, limit_drift, ou_spec
 
 COS_S1_BAR = math.exp(-0.5)
 COS_S1_SQ_BAR = 0.5 * (1 + math.exp(-2))
@@ -29,6 +32,159 @@ def admissible_phi(n, scale=1.0, x0=0.0, sigma_bar=COS_S1_BAR):
     """phi with normalized displacement psi(t) = scale * t^2 (no drift)."""
     dt, t = grid_t(n)
     return GridPath(0.0, dt, x0 + sigma_bar * scale * t**3 / 3.0)
+
+
+def reference_drift(spec, psol, mu, nbins=64):
+    """Averaged coefficients one slow state x (m,) at a time: the per-state
+    closures the package used before it averaged along whole paths.
+
+    Two departures from that code: the effective Gram of the ell > 1 branch
+    is formed over the grid at once instead of point by point (the same
+    products and sum), and ``q_bins`` promotes tau(y) to its 1 x ell row by
+    the diagonal rule, as ``effective_q`` and the simulator do; the
+    per-state code repeated tau in every column, which made the minimizer
+    replay miss the path for ell > 1 (``test_minimizer_replay``).
+    """
+    m, k, ell = spec.m, spec.k, spec.ell
+    y = mu.grid
+    rho = mu.density
+    edges = mu.quantile_edges(nbins)
+    bin_idx = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, nbins - 1)
+    wq = trapezoid_weights(y.size, y[1] - y[0])
+    grad = psol.grad  # (ny, m)
+    tau_vals = np.broadcast_to(np.asarray(spec.tau(y), dtype=float), y.shape)
+    tau_rows = tau_vals[:, None] * np.eye(1, ell)[0]
+
+    def average(fn, x):
+        vals = np.asarray(fn(x, y), dtype=float)
+        if vals.ndim == 0:
+            vals = np.full(y.size, float(vals))
+        elif vals.shape[0] != y.size:
+            vals = np.broadcast_to(vals, (y.size,) + vals.shape)
+        return np.trapezoid(vals * rho.reshape((y.size,) + (1,) * (vals.ndim - 1)), y, axis=0)
+
+    def cbar(x):
+        return _as_vec(average(spec.c, x), m)
+
+    def grad_psi_g_bar(x):
+        gv = np.asarray(spec.g(np.asarray(x), y), dtype=float)
+        gv = np.broadcast_to(np.atleast_1d(gv), (y.size,)) if gv.ndim <= 1 else gv
+        return np.trapezoid(grad * gv[:, None] * rho[:, None], y, axis=0)
+
+    def sigma1_bar(x):
+        s1 = np.asarray(spec.sigma1(np.asarray(x), y), dtype=float)
+        return _as_mat(float(np.trapezoid(np.broadcast_to(np.atleast_1d(s1), (y.size,)) * rho, y)), m, k)
+
+    def sigma1_sq_bar(x):
+        s1 = np.broadcast_to(np.atleast_1d(np.asarray(spec.sigma1(np.asarray(x), y), dtype=float)), (y.size,))
+        out = np.zeros((m, m))
+        np.fill_diagonal(out, float(np.trapezoid(s1**2 * rho, y)))
+        return out
+
+    def qqt_bar(x):
+        s2_vals = np.broadcast_to(np.asarray(spec.sigma2(x, y), dtype=float), y.shape)
+        if m == 1 and ell == 1:
+            qv = grad[:, 0] * tau_vals + s2_vals
+            return np.array([[float(np.trapezoid(qv**2 * rho, y))]])
+        q = grad[:, :, None] * tau_rows[:, None, :] + s2_vals[:, None, None] * np.eye(m, ell)
+        return np.trapezoid(np.einsum("iae,ibe->iab", q, q) * rho[:, None, None], y, axis=0)
+
+    def q_bins(x):
+        s2 = np.asarray(spec.sigma2(np.asarray(x), y), dtype=float)
+        s2 = np.broadcast_to(np.atleast_1d(s2), (y.size,)) if s2.ndim <= 1 else s2
+        out = np.zeros((nbins, m, ell))
+        for bidx in range(nbins):
+            sel = bin_idx == bidx
+            wsel = wq[sel] * rho[sel]
+            tot = wsel.sum()
+            if tot <= 0:
+                continue
+            gavg = (wsel[:, None] * grad[sel]).sum(axis=0) / tot
+            tavg = (wsel[:, None] * tau_rows[sel]).sum(axis=0) / tot
+            s2avg = _as_mat(float((wsel * s2[sel]).sum() / tot), m, ell)
+            out[bidx] = gavg[:, None] @ tavg[None, :] + s2avg
+        return out
+
+    return {
+        "cbar": cbar,
+        "grad_psi_g_bar": grad_psi_g_bar,
+        "sigma1_bar": sigma1_bar,
+        "sigma1_sq_bar": sigma1_sq_bar,
+        "qqt_bar": qqt_bar,
+        "q_bins": q_bins,
+    }
+
+
+DRIFT_FIELDS = ("cbar", "grad_psi_g_bar", "sigma1_bar", "sigma1_sq_bar", "qqt_bar", "q_bins")
+XY = {"ax": 0.5, "ay": 0.3, "const": 1.0}
+ORACLE_SPECS = {
+    "cos_drift": cos_spec,
+    "const_drift": const_spec,
+    "ou_linear_xy": lambda: ou_spec(b=("linear_y", {"rate": 0.8}), sigma2=("linear_xy", XY)),
+    "k2_ell2": lambda: dataclasses.replace(
+        ou_spec(
+            b=("linear_y", {"rate": 0.8}),
+            c=("linear_xy", {"ax": -1.0, "ay": 1.0}),
+            g=("linear_xy", {"ax": 0.3, "ay": 0.7}),
+            sigma1=("linear_xy", {"ax": 0.2, "ay": 0.4, "const": 1.0}),
+            sigma2=("linear_xy", XY),
+        ),
+        k=2,
+        ell=2,
+    ),
+}
+
+
+def oracle_path(n=257):
+    _, t = grid_t(n)
+    return (0.3 + 1.5 * t - np.sin(4 * t))[:, None]
+
+
+class TestPathAveraging:
+    @pytest.mark.parametrize("case", sorted(ORACLE_SPECS))
+    def test_matches_per_state_reference(self, case, ou_measure):
+        spec = ORACLE_SPECS[case]()
+        psol = solve_poisson_1d(spec.b, spec.f, spec.tau, ou_measure)
+        drift = build_limit_drift(spec, psol, ou_measure)
+        ref = reference_drift(spec, psol, ou_measure)
+        xs = oracle_path()
+        for name in DRIFT_FIELDS:
+            want = np.stack([ref[name](x) for x in xs])
+            got = getattr(drift, name)(xs)
+            assert got.shape == want.shape, name
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_empty_cells_match_reference(self):
+        # 64 cells on a 65-point grid: most cells hold no grid point
+        spec = ORACLE_SPECS["ou_linear_xy"]()
+        mu = invariant_density_1d(spec.f, spec.tau, 8.0, 65)
+        psol = solve_poisson_1d(spec.b, spec.f, spec.tau, mu)
+        drift = build_limit_drift(spec, psol, mu)
+        xs = oracle_path()
+        want = np.stack([reference_drift(spec, psol, mu)["q_bins"](x) for x in xs])
+        assert np.any(drift.bin_mass == 0)
+        np.testing.assert_allclose(drift.q_bins(xs), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_SPECS))
+    def test_independent_of_block_size(self, case, ou_measure, monkeypatch):
+        drift = limit_drift(ORACLE_SPECS[case](), ou_measure)
+        xs = oracle_path()
+        results = []
+        for nodes in (1, 7, len(xs)):
+            monkeypatch.setattr(poisson_cell, "_MAX_BLOCK_POINTS", nodes * ou_measure.grid.size)
+            results.append([getattr(drift, name)(xs) for name in DRIFT_FIELDS])
+        for other in results[1:]:
+            for name, a, b in zip(DRIFT_FIELDS, results[0], other):
+                assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("dims", [{"m": 2, "x0": np.zeros(2)}, {"dy": 2, "y0": np.zeros(2)}])
+    def test_unsupported_dimensions_are_invalid_input(self, dims, ou_measure):
+        spec = dataclasses.replace(ou_spec(), **dims)
+        psol = solve_poisson_1d(spec.b, spec.f, spec.tau, ou_measure)
+        with pytest.raises(InvalidInputError, match="one slow and one fast dimension"):
+            build_limit_drift(spec, psol, ou_measure)
+        with pytest.raises(InvalidInputError, match="one slow and one fast dimension"):
+            effective_q(spec, psol, ou_measure, spec.x0)
 
 
 class TestExplicit:
@@ -109,9 +265,8 @@ class TestAssembleQH:
         ctx = HurstContext(0.7, n, dt)
         dq = assemble_QH(GridPath(0.0, dt, np.zeros(n)), drift, ctx)
         assert np.max(np.abs(dq.a_u1)) == 0.0
-        # image of constant-in-y u2 equals the bin-mass weighted sum
-        gram_blk = dq.b_u2[5] @ dq.b_u2[5].T
-        assert abs(gram_blk[0, 0] - 1.0) < 5e-3
+        # the Brownian block is the averaged Gram of sigma2 = 1
+        assert abs(dq.gram()[5, 5] - 1.0) < 5e-3
 
     def test_u1_action_matches_kdot_closed_form(self, const_drift):
         n = 256
@@ -167,8 +322,7 @@ class TestGeneral:
         dt, t = grid_t(n)
         phi = GridPath(0.0, dt, 0.3 * t**2)
         rg = eval_rate_general(phi, drift, HurstContext(0.7, n, dt))
-        qh = lambda x: drift.qqt_bar(x)
-        rf = eval_rate_fw_half(phi, drift, q_half=qh)
+        rf = eval_rate_fw_half(phi, drift)  # its matrix is qqt_bar when sigma1 = 0
         assert abs(rg.value - rf.value) / rf.value < 2e-2
 
     def test_coercivity_with_brownian_block(self, ou_measure):
@@ -179,7 +333,7 @@ class TestGeneral:
         n = 256
         dt, t = grid_t(n)
         res = eval_rate_general(GridPath(0.0, dt, 0.2 * t**2), drift, HurstContext(0.7, n, dt))
-        floor = drift.qqt_bar(np.zeros(1))[0, 0]
+        floor = drift.qqt_bar(np.zeros((1, 1)))[0, 0, 0]
         assert res.diagnostics["lambda_min"] >= 0.5 * floor
 
     def test_minimizer_replay(self, cos_drift):
@@ -189,6 +343,21 @@ class TestGeneral:
         phi = admissible_phi(n, scale=1.3)
         res = eval_rate_general(phi, cos_drift, ctx)
         replay = replay_minimizer(phi, cos_drift, ctx, res)
+        assert np.max(np.abs(replay.values - phi.values)) < 5e-3
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_minimizer_replay_with_brownian_feedback(self, ell, ou_measure):
+        # the u2 feedback bins carry Q(y) with tau promoted like the Gram's
+        spec = dataclasses.replace(
+            ou_spec(b=("linear_y", {"rate": 0.8}), sigma1=("constant", {"value": 0.5})), ell=ell
+        )
+        drift = limit_drift(spec, ou_measure)
+        n = 256
+        dt, t = grid_t(n)
+        ctx = HurstContext(0.7, n, dt)
+        phi = GridPath(0.0, dt, 0.4 * t**2)
+        res = eval_rate_general(phi, drift, ctx)
+        replay = replay_minimizer(phi, drift, ctx, res)
         assert np.max(np.abs(replay.values - phi.values)) < 5e-3
 
 
