@@ -33,12 +33,7 @@ from .ldp_harness import (
     stabilization_diagnostic,
 )
 from .multiscale_sim import default_substeps, simulate_batch
-from .poisson_cell import (
-    domain_halfwidth,
-    effective_q,
-    invariant_density_1d,
-    solve_poisson_1d,
-)
+from .poisson_cell import effective_q
 from .rate_fn import (
     build_limit_drift,
     eval_rate_explicit,
@@ -112,11 +107,8 @@ def _validated_config(args):
 
 def _measure_and_drift(config):
     spec = config.make_spec(*config.schedule[-1])
-    tol = config.tol
-    L = config.poisson["L"] or domain_halfwidth(spec.f, spec.tau, sigmas=tol["default_domain_sigmas"])
-    mu = invariant_density_1d(spec.f, spec.tau, L, config.poisson["n"], tail_ratio=tol["tail_mass_ratio"])
-    psol = solve_poisson_1d(spec.b, spec.f, spec.tau, mu, centering_tol=tol["centering_tol"])
-    drift = build_limit_drift(spec, psol, mu, nbins=int(tol["u2_bins"]))
+    mu, psol = config.cell_problem()
+    drift = build_limit_drift(spec, psol, mu, nbins=config.tol["u2_bins"])
     return spec, mu, psol, drift
 
 
@@ -162,7 +154,7 @@ def cmd_simulate(args):
     summary = {"schedule": [], "trials": trials, "reference": "homogenized Euler"}
     for idx, (eps, eta) in enumerate(config.schedule):
         spec = config.make_spec(eps, eta)
-        sub = config.grid["substeps"] or default_substeps(dt, eta, factor=config.tol["substep_factor"], cap=int(config.tol["max_substeps"]))
+        sub = config.grid["substeps"] or default_substeps(dt, eta, factor=config.tol["substep_factor"], cap=config.tol["max_substeps"])
         n_fine = (n - 1) * sub + 1
         noises = (
             sample_noise_bundle(spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=(idx, trial))
@@ -196,7 +188,7 @@ def cmd_poisson(args):
     config = _validated_config(args)
     out = _ensure_parent(args.out) if args.out else os.path.join(_out_dir(args), "poisson.json")
     spec, mu, psol, _ = _measure_and_drift(config)
-    eq = effective_q(spec, psol, mu, spec.x0)
+    eq = effective_q(spec, psol, mu, spec.x0, degeneracy_tol=config.tol["degeneracy_tol"])
     payload = {
         "grid": mu.grid.tolist(),
         "density": mu.density.tolist(),

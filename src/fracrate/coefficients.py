@@ -4,6 +4,10 @@ Each builder returns a callable with the signature its role expects:
 drift-of-fast f(y), fast-coupling g(x, y), slow drifts b(y) and c(x, y),
 diffusions sigma1(x, y), sigma2(x, y), tau(y).  Callables accept and return
 numpy arrays (scalars broadcast) so simulators can batch-evaluate them.
+In the roles that take x, a result that does not depend on x carries no
+x axis: ``zero`` and ``constant`` return 0-d arrays there, which the
+simulator shares across trials and the averaging layer across path nodes,
+so neither evaluates them once per trial or node.
 Config files can only reference these names; library users may pass any
 callable directly to ``SlowFastSpec``.
 """
@@ -34,14 +38,14 @@ class Coefficient:
 def _zero(role, params):
     if role in ("b", "f", "tau"):
         return lambda y: np.zeros(np.shape(y))
-    return lambda x, y: np.zeros(np.shape(x))
+    return lambda x, y: np.zeros(())
 
 
 def _constant(role, params):
     value = float(params.get("value", 1.0))
     if role in ("b", "f", "tau"):
         return lambda y: np.full_like(np.asarray(y, dtype=float), value)
-    return lambda x, y: np.full_like(np.asarray(x, dtype=float), value)
+    return lambda x, y: np.full((), value)
 
 
 def _linear_y(role, params):
@@ -112,5 +116,8 @@ def parse_spec(role, text):
         if "=" not in tok:
             raise InvalidInputError(f"bad coefficient parameter {tok!r} (expected key=value)")
         key, val = tok.split("=", 1)
-        params[key] = float(val)
+        try:
+            params[key] = float(val)
+        except ValueError:
+            raise InvalidInputError(f"bad coefficient parameter {tok!r} (value is not a number)") from None
     return build(role, name, **params)

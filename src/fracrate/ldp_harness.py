@@ -47,12 +47,10 @@ class HFunctional:
         raise InvalidInputError(f"unknown functional kind {self.kind!r}")
 
 
-def _check_schedule(schedule, beta=None, sigma1_dep_y=False):
-    if sigma1_dep_y and beta is None:
-        raise InvalidInputError("fast-dependent rough diffusion requires a declared beta")
-    for name, ok, detail in schedule_checks(schedule, beta if sigma1_dep_y else None):
+def _check_schedule(spec0, schedule):
+    for name, ok, detail in schedule_checks(schedule, spec0.beta, spec0.sigma1_depends_on_y()):
         if not ok:
-            raise InvalidInputError(f"{name}: {detail} must strictly decrease")
+            raise InvalidInputError(f"{name}: {detail}")
 
 
 @dataclass
@@ -73,7 +71,7 @@ class LaplaceExperiment:
         if self.trials < 1000:
             raise InvalidInputError("need at least 1000 trials per schedule point")
         spec0 = self.make_spec(*self.eps_schedule[0])
-        _check_schedule(self.eps_schedule, spec0.beta, spec0.sigma1_depends_on_y())
+        _check_schedule(spec0, self.eps_schedule)
 
 
 def _is_pure_fbm_linear(spec: SlowFastSpec):
@@ -203,7 +201,7 @@ def estimate_rare_event(
     ``extrapolated_exponent`` on the rows for the limit itself.
     """
     spec0 = make_spec(*eps_schedule[0])
-    _check_schedule(eps_schedule, spec0.beta, spec0.sigma1_depends_on_y())
+    _check_schedule(spec0, eps_schedule)
     # feasibility pilot at the largest eps
     pilot_n = max(200, int(trials * pilot_fraction))
     vals, _, engine_used = _terminal_values(

@@ -158,19 +158,23 @@ def default_substeps(dt_out, eta, factor=10.0, cap=4096):
     return sub
 
 
-def schedule_checks(schedule, beta=None):
+def schedule_checks(schedule, beta=None, fast_sigma1=False):
     """Scale-separation rules along an (eps, eta) schedule as (name, ok,
     detail) triples: sqrt(eta)/sqrt(eps) must strictly decrease
-    ("scale_ratio") and, when ``beta`` is given, so must sqrt(eps)/eta^beta
-    ("beta_ratio")."""
+    ("scale_ratio") and, when sigma1 depends on the fast state, a regime
+    exponent ``beta`` must be declared and sqrt(eps)/eta^beta must strictly
+    decrease ("beta_ratio")."""
     rules = [("scale_ratio", "sqrt(eta)/sqrt(eps)", lambda eps, eta: math.sqrt(eta) / math.sqrt(eps))]
-    if beta is not None:
+    if fast_sigma1 and beta is not None:
         rules.append(("beta_ratio", "sqrt(eps)/eta^beta", lambda eps, eta: math.sqrt(eps) / eta**beta))
     checks = []
     for name, label, ratio in rules:
         vals = [ratio(eps, eta) for eps, eta in schedule]
         ok = all(b < a for a, b in zip(vals, vals[1:]))
-        checks.append((name, ok, f"{label} along schedule: {['%.4g' % v for v in vals]}"))
+        detail = f"{label} along schedule: {['%.4g' % v for v in vals]}"
+        checks.append((name, ok, detail if ok else f"{detail} must strictly decrease"))
+    if fast_sigma1 and beta is None:
+        checks.append(("beta_ratio", False, "fast-dependent sigma1 requires a declared beta"))
     return checks
 
 
@@ -228,7 +232,7 @@ def _promoter(spec, role, rows, cols=None):
         raise InvalidInputError(f"coefficient {role} returned shapes {one.shape} and {two.shape} for 1 and 2 trials")
     _as_vec(val, rows) if cols is None else _as_mat(val, rows, cols)  # raises on a bad shape
     shape = (rows, cols) if val.shape == (rows, cols) and rows * cols > 1 else (val.size,)
-    if val.shape == shape and all(isinstance(r, (np.ndarray, np.generic, float)) for r in raw):
+    if val.shape in (shape, ()) and all(isinstance(r, (np.ndarray, np.generic, float)) for r in raw):
         reshape = lambda v: v  # noqa: E731  (already broadcasts)
     else:
         reshape = lambda v: np.reshape(v, lead + shape)  # noqa: E731

@@ -1,8 +1,12 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracrate.cli import main
 from fracrate.config import hard_failures, load_config, validate
@@ -109,6 +113,34 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+SHIPPED = [p.read_text() for p in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))]
+FUZZ_TOKENS = [
+    "[", "]", "=", ":", ";", "#", "%", "%(x)s", "\n", ",", "abc", "-1", "0", "1e300", "1e999", "nan",
+    "[Grid]", "[grid]", "[tolerances]", "[DEFAULT]", "[model]", "condition_limit = 10", "centering_tol = abc",
+    "zero", "cos_y", "ou", "ax=abc", "value=", "rate=-1", "auto", "kind = rate", "eta = 0.1", "m = two",
+]
+
+
+@st.composite
+def edited_config(draw):
+    """A shipped config with one to three whitespace-delimited tokens
+    replaced or inserted."""
+    parts = re.split(r"(\s+)", draw(st.sampled_from(SHIPPED)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(parts) - 1))
+        token = draw(st.sampled_from(FUZZ_TOKENS) | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6))
+        if draw(st.booleans()):
+            parts[i] = token
+        else:
+            parts.insert(i, token)
+    return "".join(parts)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.cfg"
+
+
 class TestConfig:
     def test_parse_and_spec(self, tmp_path):
         cfg = load_config(write(tmp_path, "a.cfg", OU_HOMOG))
@@ -159,6 +191,23 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="scale_ratio"):
             LaplaceExperiment(cfg.make_spec, cfg.schedule, HFunctional(), trials=1000)
 
+    def test_fast_dependent_sigma_needs_beta(self, tmp_path):
+        cfg = load_config(write(tmp_path, "nb.cfg", COS_LIMIT.replace("beta = 0.45\n", "")))
+        fails = {c.name: c.detail for c in hard_failures(validate(cfg))}
+        assert list(fails) == ["beta_ratio"]
+        assert "requires a declared beta" in fails["beta_ratio"]
+        with pytest.raises(InvalidInputError, match="requires a declared beta"):
+            LaplaceExperiment(cfg.make_spec, cfg.schedule, HFunctional(), trials=1000)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(text=edited_config())
+    def test_fuzzed_config_raises_only_invalid_input(self, text, fuzz_path):
+        fuzz_path.write_text(text)
+        try:
+            load_config(str(fuzz_path))
+        except InvalidInputError:
+            pass
+
     def test_centering_failure_blocks(self, tmp_path):
         text = OU_HOMOG.replace("b = zero", "b = constant value=0.3")
         cfg = load_config(write(tmp_path, "e.cfg", text))
@@ -205,6 +254,23 @@ class TestCommands:
         assert rc == 2
         assert "invalid input:" in capsys.readouterr().err
         assert not (out / "simulate_summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("seed = 77", "seed = 77\n[tolerances]\ncondition_limit = 10"),
+            ("seed = 77", "seed = 77\n[tolerances]\nsmoothing_tol = 1e-3"),
+            ("seed = 77", "seed = 77\n[tolerances]\ncentering_tol = abc"),
+            ("c = linear_xy ax=-1.0", "c = linear_xy ax=abc"),
+            ("[grid]", "[Grid]"),
+        ],
+    )
+    def test_malformed_config_is_invalid_input(self, tmp_path, capsys, edit):
+        cfg = write(tmp_path, "bad.cfg", OU_HOMOG.replace(*edit))
+        assert main(["validate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:")
+        assert "Traceback" not in err
 
     def test_validate_reports_unsupported_dimension(self, tmp_path, capsys):
         cfg = write(tmp_path, "m2.cfg", OU_HOMOG.replace("x0 = 1.0", "m = 2\nx0 = 1.0, 1.0"))

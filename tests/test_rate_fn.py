@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+from fracrate import coefficients as cf
 from fracrate import poisson_cell
 from fracrate.cameron_martin import HurstContext, c_H
 from fracrate.errors import AdmissibilityError, DegeneracyError, InvalidInputError
@@ -132,6 +133,12 @@ ORACLE_SPECS = {
         k=2,
         ell=2,
     ),
+    "x_constants": lambda: ou_spec(
+        c=("constant", {"value": 0.4}),
+        g=("constant", {"value": -0.7}),
+        sigma1=("constant", {"value": 1.3}),
+        sigma2=("constant", {"value": 0.5}),
+    ),
 }
 
 
@@ -176,6 +183,14 @@ class TestPathAveraging:
         for other in results[1:]:
             for name, a, b in zip(DRIFT_FIELDS, results[0], other):
                 assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("role", ["c", "g", "sigma1", "sigma2"])
+    @pytest.mark.parametrize("name", ["zero", "constant"])
+    def test_x_free_builtins_carry_no_node_axis(self, role, name, ou_measure):
+        # shared by all nodes, so averaged once; the cos_drift, ou_linear_xy
+        # and x_constants oracle cases compare them with the per-state reference
+        coef = cf.build(role, name, value=0.6)
+        assert np.shape(coef(oracle_path(), ou_measure.grid)) == ()
 
     @pytest.mark.parametrize("dims", [{"m": 2, "x0": np.zeros(2)}, {"dy": 2, "y0": np.zeros(2)}])
     def test_unsupported_dimensions_are_invalid_input(self, dims, ou_measure):
