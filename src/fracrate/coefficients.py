@@ -8,8 +8,10 @@ In the roles that take x, a result that does not depend on x carries no
 x axis: ``zero`` and ``constant`` return 0-d arrays there, which the
 simulator shares across trials and the averaging layer across path nodes,
 so neither evaluates them once per trial or node.
-Config files can only reference these names; library users may pass any
-callable directly to ``SlowFastSpec``.
+``_BUILDERS`` declares each built-in's roles and parameters, and ``build``
+rejects any other role or parameter name.  Config files can only
+reference these names; library users may pass any callable directly to
+``SlowFastSpec``.
 """
 from __future__ import annotations
 
@@ -35,74 +37,87 @@ class Coefficient:
         return f"{self.name}({ps})"
 
 
+_Y_ROLES = ("b", "f", "tau")
+_ROLES = _Y_ROLES + ("c", "g", "sigma1", "sigma2")
+
+
 def _zero(role, params):
-    if role in ("b", "f", "tau"):
+    if role in _Y_ROLES:
         return lambda y: np.zeros(np.shape(y))
     return lambda x, y: np.zeros(())
 
 
 def _constant(role, params):
-    value = float(params.get("value", 1.0))
-    if role in ("b", "f", "tau"):
+    value = params["value"]
+    if role in _Y_ROLES:
         return lambda y: np.full_like(np.asarray(y, dtype=float), value)
     return lambda x, y: np.full((), value)
 
 
 def _linear_y(role, params):
-    rate = float(params.get("rate", 1.0))
-    if role in ("b", "f", "tau"):
+    rate = params["rate"]
+    if role in _Y_ROLES:
         return lambda y: rate * np.asarray(y, dtype=float)
     return lambda x, y: rate * np.asarray(y, dtype=float)
 
 
 def _ou(role, params):
-    rate = float(params.get("rate", 1.0))
+    rate = params["rate"]
     if rate <= 0:
         raise InvalidInputError("ou relaxation rate must be positive")
     return lambda y: -rate * np.asarray(y, dtype=float)
 
 
 def _linear_xy(role, params):
-    ax = float(params.get("ax", 0.0))
-    ay = float(params.get("ay", 0.0))
-    const = float(params.get("const", 0.0))
+    ax, ay, const = params["ax"], params["ay"], params["const"]
     return lambda x, y: ax * np.asarray(x, dtype=float) + ay * np.asarray(y, dtype=float) + const
 
 
 def _cos_y(role, params):
-    scale = float(params.get("scale", 1.0))
-    if role in ("b", "f", "tau"):
+    scale = params["scale"]
+    if role in _Y_ROLES:
         return lambda y: scale * np.cos(np.asarray(y, dtype=float))
     return lambda x, y: scale * np.cos(np.asarray(y, dtype=float))
 
 
 def _cubic_y(role, params):
-    rate = float(params.get("rate", 1.0))
+    rate = params["rate"]
     return lambda y: -rate * np.asarray(y, dtype=float) ** 3
 
 
+# name -> (builder, roles it serves, parameters with defaults, depends on y;
+# None: iff ay != 0)
 _BUILDERS = {
-    "zero": (_zero, False),
-    "constant": (_constant, False),
-    "linear_y": (_linear_y, True),
-    "ou": (_ou, True),
-    "linear_xy": (_linear_xy, None),  # depends on y iff ay != 0
-    "cos_y": (_cos_y, True),
-    "cubic_y": (_cubic_y, True),
+    "zero": (_zero, _ROLES, {}, False),
+    "constant": (_constant, _ROLES, {"value": 1.0}, False),
+    "linear_y": (_linear_y, _ROLES, {"rate": 1.0}, True),
+    "ou": (_ou, _Y_ROLES, {"rate": 1.0}, True),
+    "linear_xy": (_linear_xy, ("c", "g", "sigma1", "sigma2"), {"ax": 0.0, "ay": 0.0, "const": 0.0}, None),
+    "cos_y": (_cos_y, _ROLES, {"scale": 1.0}, True),
+    "cubic_y": (_cubic_y, _Y_ROLES, {"rate": 1.0}, True),
 }
 
 
 def build(role, name, **params):
-    """Instantiate a built-in coefficient for the given role."""
+    """Instantiate a built-in coefficient for the given role.
+
+    Raises ``InvalidInputError`` for an unknown name, a role the built-in
+    cannot serve and a parameter it does not declare.
+    """
     if name not in _BUILDERS:
         raise InvalidInputError(f"unknown coefficient {name!r}; known: {sorted(_BUILDERS)}")
-    builder, dep_y = _BUILDERS[name]
-    fn = builder(role, params)
+    builder, roles, defaults, dep_y = _BUILDERS[name]
+    if role not in roles:
+        raise InvalidInputError(f"coefficient {name!r} cannot serve as {role}; it serves {', '.join(roles)}")
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise InvalidInputError(
+            f"coefficient {name!r} takes no parameter {', '.join(unknown)}; it takes: {', '.join(defaults) or 'none'}"
+        )
+    values = {key: float(params.get(key, default)) for key, default in defaults.items()}
     if dep_y is None:
-        dep_y = float(params.get("ay", 0.0)) != 0.0
-    if role in ("b", "f", "tau"):
-        dep_y = name not in ("zero", "constant")
-    return Coefficient(name, fn, params, dep_y)
+        dep_y = values["ay"] != 0.0
+    return Coefficient(name, builder(role, values), params, dep_y)
 
 
 def parse_spec(role, text):

@@ -12,10 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FracrateError, InvalidInputError
 from .frac_calc import _minus_cell_weights, _plus_cell_weights
 from .gridpath import GridPath
+
+# Values per temporary array in path_norms' blocks: about eight are live at
+# once, so a block stays near 1 MB whatever the path length.
+_MAX_BLOCK_ELEMENTS = 2**14
 
 
 def rng_for(seed, *stream):
@@ -144,62 +149,63 @@ def path_norms(f: GridPath, alpha):
     quotient, of |f| plus the running absolute difference ratio from 0, and
     of the quotient plus the backward ratio over all subintervals.  Vector
     paths are reduced with the Euclidean norm of increments.
+
+    The suprema run over all pairs of nodes, so the cost is O(n^2).  It is
+    spent in array operations on blocks of rows of the anchor-by-lag table
+    |f(t_i + l dt) - f(t_i)|; each temporary of a block holds at most
+    ``_MAX_BLOCK_ELEMENTS`` values (128 KB), which keeps peak memory flat.
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0,1), got {alpha}")
     vals = f.values
+    if not np.all(np.isfinite(vals)):
+        raise InvalidInputError("path norms need a finite path")
     n = f.n
     dt = f.dt
-    holder = 0.0
-    for lag in range(1, n):
-        diff = np.linalg.norm(vals[lag:] - vals[:-lag], axis=1)
-        holder = max(holder, diff.max() / (lag * dt) ** alpha)
+    lagpow = (dt * np.arange(n)) ** alpha
+    B0, B1 = _minus_cell_weights(alpha, n + 1, dt)
+    holder = wT = 0.0
+    for _, d in _lag_blocks(vals):
+        width = d.shape[1]
+        quot = d[:, 1:] / lagpow[1:width]
+        slopes = np.diff(d, axis=1) / dt
+        dminus = np.cumsum(d[:, :-1] * B0[: width - 1] + slopes * B1[: width - 1], axis=1)
+        holder = max(holder, float(np.fmax.reduce(quot, axis=None)))
+        wT = max(wT, float(np.fmax.reduce(quot + dminus, axis=None)))
 
-    # |Delta_alpha| f_{0,t} for every t, Euclidean numerator per cell endpoint
-    norm0 = np.linalg.norm(vals, axis=1)
-    w0 = 0.0
-    abs_plus = _abs_delta_plus_running(vals, alpha, dt)
-    w0 = float(np.max(norm0 + abs_plus))
-
-    wT = 0.0
-    for i in range(n - 1):
-        diff = np.linalg.norm(vals[i + 1 :] - vals[i], axis=1)
-        lag = dt * np.arange(1, n - i)
-        quot = diff / lag**alpha
-        dminus = _abs_delta_minus_from(vals, alpha, dt, i)
-        wT = max(wT, float(np.max(quot + dminus[1:])))
+    # |Delta_alpha| f_{0,t_k} with the Euclidean norm of the increment to t_k
+    # interpolated linearly between nodes and the kernel integrated exactly
+    # per cell (the divergent moment of the cell touching t_k multiplies the
+    # vanishing endpoint value and is dropped).  Row i of the reversed path
+    # looks back from k = n-1-i; summed by parts, lag l < k carries the
+    # weight A0[l+1] + (A1[l] - A1[l+1]) / dt and lag k only A1[k] / dt.
+    # Lags past k are zero-filled, so the matrix-vector product gives lag k
+    # the first weight; the difference is taken off afterwards.
+    A0, A1 = _plus_cell_weights(alpha, n + 1, dt)
+    lag_weights = A0[1:] + (A1[:-1] - A1[1:]) / dt
+    abs_plus = np.zeros(n)
+    for i0, d in _lag_blocks(vals[::-1]):
+        np.nan_to_num(d, copy=False)
+        abs_plus[n - i0 - len(d) : n - i0] = (d @ lag_weights[: d.shape[1]])[::-1]
+    abs_plus -= np.linalg.norm(vals - vals[0], axis=1) * (A0[1:] - A1[1:] / dt)
+    w0 = float(np.max(np.linalg.norm(vals, axis=1) + abs_plus))
     return {"holder_seminorm": float(holder), "w0_norm": w0, "wT_norm": wT}
 
 
-def _abs_delta_plus_running(vals, alpha, dt):
-    """|Delta_a| f_{0,t_k} for every k with a per-cell linear norm model.
+def _lag_blocks(vals):
+    """Row blocks of the table d[i, l] = |v[i + l] - v[i]| of a path (n, dim).
 
-    The Euclidean norm of the increment to the endpoint is evaluated at the
-    cell nodes and interpolated linearly; the singular kernel is integrated
-    exactly (the divergent moment of the cell touching t_k multiplies the
-    vanishing endpoint value and is dropped).
+    Yields (i0, d) with d of shape (rows, n - i0) for anchors i0, i0 + 1, ...
+    and lags 0 .. n-1-i0; lags past the last node read NaN.  The anchor
+    n - 1, which has no lag, is left out.
     """
-    n = len(vals)
-    out = np.zeros(n)
-    A0, A1 = _plus_cell_weights(alpha, n + 1, dt)
-    for k in range(1, n):
-        d = np.linalg.norm(vals[k] - vals[: k + 1], axis=1)
-        slopes = (d[1 : k + 1] - d[:k]) / dt
-        m = np.arange(k, 0, -1)
-        out[k] = float(np.sum(d[1 : k + 1] * A0[m] - slopes * A1[m]))
-    return out
-
-
-def _abs_delta_minus_from(vals, alpha, dt, i):
-    """|Delta^-_a| f_{t_i, t_k} for all k >= i, per-cell linear numerator."""
-    n = len(vals)
-    d = np.linalg.norm(vals[i:] - vals[i], axis=1)
-    L = n - i
-    out = np.zeros(L)
-    if L < 2:
-        return out
-    B0, B1 = _minus_cell_weights(alpha, L + 1, dt)
-    slopes = np.diff(d) / dt
-    cells = d[:-1] * B0[: L - 1] + slopes * B1[: L - 1]
-    out[1:] = np.cumsum(cells)
-    return out
+    n, dim = vals.shape
+    cols = vals.T
+    padded = np.concatenate([cols, np.full((dim, n - 1), np.nan)], axis=1)
+    windows = sliding_window_view(padded, n, axis=1)  # windows[c, i, l] = padded[c, i + l]
+    i0 = 0
+    while i0 < n - 1:
+        width = n - i0
+        i1 = min(n - 1, i0 + max(1, _MAX_BLOCK_ELEMENTS // (width * dim)))
+        yield i0, np.linalg.norm(windows[:, i0:i1, :width] - cols[:, i0:i1, None], axis=0)
+        i0 = i1

@@ -16,19 +16,35 @@ Conventions
   inside the interval.
 * ``young_integral`` evaluates the fractional integration-by-parts formula
   int f dg = -int D^a_{left} (f - f(a)) * D^{1-a}_{right} (g - g(b)) dt
-  on every prefix interval, plus the exactly-known contribution of the
-  constant part f(a).
+  (Zaehle, PTRF 111, 1998) on every prefix interval, plus the
+  exactly-known contribution of the constant part f(a).  The trapezoid
+  weight of a node does not depend on the prefix, so the running integral
+  over all prefixes is five convolutions against fixed kernels and two
+  cumulative sums, O(n log n) in all: product integration by FFT (Hairer,
+  Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
+* Every convolution is ``_fftconv``, ``scipy.signal.fftconvolve``'s
+  algorithm on ``scipy.fft`` (``scipy.signal`` costs about half a second
+  to import).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gamma
 
 from .errors import InvalidInputError, RegularityError
 from .gridpath import GridPath, trapezoid_weights
+
+
+def _fftconv(a, b):
+    """Full linear convolution of two real 1-d arrays, as ``fftconvolve``."""
+    if len(a) == 1 or len(b) == 1:
+        return a * b
+    size = len(a) + len(b) - 1
+    fast = next_fast_len(size, True)
+    return irfft(rfft(a, fast) * rfft(b, fast), fast)[:size]
 
 
 @dataclass(frozen=True)
@@ -107,14 +123,6 @@ def _minus_cell_weights(alpha, n, dt):
     return B0, B1
 
 
-def _correlate_prefix(a, kern):
-    """R[j] = sum_{m=0}^{L-1-j} a[j+m]*kern[m] for j = 0..L-1."""
-    L = len(a)
-    c = fftconvolve(a[::-1], kern[:L])
-    # c[i] = sum_p a[L-1-p] kern[i-p], so R[j] = c[L-1-j]
-    return c[L - 1 - np.arange(L)]
-
-
 # ---------------------------------------------------------------------------
 # array cores (scalar paths as flat arrays)
 # ---------------------------------------------------------------------------
@@ -129,8 +137,8 @@ def rl_left_values(values, alpha, dt):
         return out
     M0, M1 = _rl_weights(alpha, n, dt)
     slopes = np.diff(values) / dt
-    c0 = fftconvolve(values[:-1], M0[1:])
-    c1 = fftconvolve(slopes, M1[1:])
+    c0 = _fftconv(values[:-1], M0[1:])
+    c1 = _fftconv(slopes, M1[1:])
     out[1:] = (c0[: n - 1] + c1[: n - 1]) / gamma(alpha)
     return out
 
@@ -144,8 +152,8 @@ def delta_plus_running(values, alpha, dt):
     A0, A1 = _plus_cell_weights(alpha, n + 1, dt)
     S0 = np.cumsum(A0[1 : n + 1])
     slopes = np.diff(values) / dt
-    c0 = fftconvolve(values[1:], A0[1:n])
-    c1 = fftconvolve(slopes, A1[1:n])
+    c0 = _fftconv(values[1:], A0[1:n])
+    c1 = _fftconv(slopes, A1[1:n])
     out[1:] = values[1:] * S0[: n - 1] - c0[: n - 1] + c1[: n - 1]
     return out
 
@@ -332,26 +340,34 @@ def default_young_alpha(hurst, margin=0.05):
 
 
 def _young_running_scalar(fv, gv, alpha, dt):
-    """Running Young integral of scalar f against scalar g via fractional parts."""
+    """Running Young integral of scalar f against scalar g via fractional parts.
+
+    At prefix k the integration-by-parts sum runs over nodes j < k (the
+    node j = k term vanishes) with trapezoid weights w_j that do not depend
+    on k.  With h = w * D^a (f - f_0) and s the slopes of g,
+
+      out_k = f_0 (g_k - g_0) - (bnd_k - (1 - a) Delta_k) / Gamma(a),
+      bnd_k = (hg * K)_k - g_k (h * K)_k,   K(m) = (m dt)^(a-1), K(0) = 0,
+      Delta_k = sum_{i<k} [g_i (h * B0)_i + s_i (h * B1)_i] - (hg * P0)_k,
+
+    where * is the convolution and B0, B1, P0 are the cell moments of the
+    right derivative of order 1 - a.
+    """
     n = len(fv)
     fa = fv[0]
-    dfl = marchaud_left_values(fv - fa, alpha, dt)
     ap = 1.0 - alpha
     B0, B1 = _minus_cell_weights(ap, n + 1, dt)
     P0 = np.concatenate(([0.0], np.cumsum(B0[: n - 1])))
+    K = np.zeros(n)
+    K[1:] = (np.arange(1, n) * dt) ** (alpha - 1.0)
+    h = trapezoid_weights(n, dt) * marchaud_left_values(fv - fa, alpha, dt)
+    hg = h * gv
     slopes = np.diff(gv) / dt
-    ga = gamma(alpha)
-    out = np.zeros(n)
-    for k in range(1, n):
-        j = np.arange(k)
-        bnd = (gv[j] - gv[k]) * ((k - j) * dt) ** (alpha - 1.0)
-        r0 = _correlate_prefix(gv[:k], B0[:k])
-        r1 = _correlate_prefix(slopes[:k], B1[:k])
-        delta_m = r0 - gv[:k] * P0[1 : k + 1][::-1] + r1
-        dgr = np.zeros(k + 1)
-        dgr[:k] = (bnd - ap * delta_m) / ga
-        w = trapezoid_weights(k + 1, dt)
-        out[k] = fa * (gv[k] - gv[0]) - float(np.dot(w, dfl[: k + 1] * dgr))
+    bnd = _fftconv(hg, K)[:n] - gv * _fftconv(h, K)[:n]
+    terms = gv[:-1] * _fftconv(h, B0[: n - 1])[: n - 1] + slopes * _fftconv(h, B1[: n - 1])[: n - 1]
+    delta = np.concatenate(([0.0], np.cumsum(terms))) - _fftconv(hg, P0)[:n]
+    out = fa * (gv - gv[0]) - (bnd - ap * delta) / gamma(alpha)
+    out[0] = 0.0  # the empty integral, without the sign of a rounded zero
     if not np.all(np.isfinite(out)):
         raise RegularityError("Young integral diverged; regularity gap too small")
     return out

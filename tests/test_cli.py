@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +115,8 @@ def write(tmp_path, name, text):
     return str(p)
 
 
-SHIPPED = [p.read_text() for p in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = [p.read_text() for p in sorted(CONFIGS.glob("*.cfg"))]
 FUZZ_TOKENS = [
     "[", "]", "=", ":", ";", "#", "%", "%(x)s", "\n", ",", "abc", "-1", "0", "1e300", "1e999", "nan",
     "[Grid]", "[grid]", "[tolerances]", "[DEFAULT]", "[model]", "condition_limit = 10", "centering_tol = abc",
@@ -271,6 +274,34 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("invalid input:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config,edit",
+        [
+            # a misspelled parameter would run with the default value 1.0
+            ("rare_event_linear.cfg", ("sigma1 = constant value=1.0", "sigma1 = constant valeu=3.0")),
+            # ou returns f(y) in every role, so simulate died with a TypeError
+            ("ou_homogenization.cfg", ("c = linear_xy ax=-1.0 ay=1.0", "c = ou rate=1.0")),
+            ("ou_homogenization.cfg", ("f = ou rate=1.0", "f = linear_xy ax=1.0")),
+        ],
+    )
+    def test_undeclared_coefficient_use_is_invalid_input(self, tmp_path, capsys, config, edit):
+        text = (CONFIGS / config).read_text()
+        assert edit[0] in text
+        cfg = write(tmp_path, config, text.replace(*edit))
+        for argv in (["validate"], ["simulate", "--out-dir", str(tmp_path / "o")]):
+            assert main([*argv, "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("invalid input:")
+            assert "Traceback" not in err
+
+    def test_import_leaves_out_scipy_signal(self):
+        # scipy.signal (and scipy.stats, which it imports) cost about half a
+        # second per process; the convolutions run on scipy.fft
+        code = "import sys, fracrate.cli; print('scipy.signal' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_validate_reports_unsupported_dimension(self, tmp_path, capsys):
         cfg = write(tmp_path, "m2.cfg", OU_HOMOG.replace("x0 = 1.0", "m = 2\nx0 = 1.0, 1.0"))

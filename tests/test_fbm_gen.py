@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from fracrate import fbm_gen
 from fracrate.errors import InvalidInputError
 from fracrate.fbm_gen import (
     NoiseBundle,
@@ -10,6 +11,7 @@ from fracrate.fbm_gen import (
     sample_fbm_batch,
     sample_noise_bundle,
 )
+from fracrate.frac_calc import _minus_cell_weights, _plus_cell_weights
 from fracrate.gridpath import GridPath
 
 
@@ -140,3 +142,64 @@ class TestPathNorms:
                 vals[alpha].append(path_norms(p, alpha)["holder_seminorm"])
         assert vals[0.8][-1] > 1.3 * vals[0.8][0]
         assert vals[0.6][-1] < 1.2 * vals[0.6][0]
+
+    def test_non_finite_path_is_invalid_input(self):
+        # the lag table reads NaN as "no such lag", so a NaN node would
+        # drop out of the suprema instead of spoiling them
+        vals = np.sin(np.linspace(0.0, 3.0, 33))
+        vals[10] = np.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            path_norms(GridPath(0.0, 1.0 / 32, vals), 0.4)
+
+
+def path_norms_loops(f, alpha):
+    """Oracle: path_norms with one pass per lag and per anchor."""
+    vals, n, dt = f.values, f.n, f.dt
+    holder = 0.0
+    for lag in range(1, n):
+        diff = np.linalg.norm(vals[lag:] - vals[:-lag], axis=1)
+        holder = max(holder, diff.max() / (lag * dt) ** alpha)
+    abs_plus = np.zeros(n)
+    A0, A1 = _plus_cell_weights(alpha, n + 1, dt)
+    for k in range(1, n):
+        d = np.linalg.norm(vals[k] - vals[: k + 1], axis=1)
+        slopes = (d[1 : k + 1] - d[:k]) / dt
+        m = np.arange(k, 0, -1)
+        abs_plus[k] = float(np.sum(d[1 : k + 1] * A0[m] - slopes * A1[m]))
+    w0 = float(np.max(np.linalg.norm(vals, axis=1) + abs_plus))
+    wT = 0.0
+    for i in range(n - 1):
+        d = np.linalg.norm(vals[i:] - vals[i], axis=1)
+        quot = d[1:] / (dt * np.arange(1, n - i)) ** alpha
+        B0, B1 = _minus_cell_weights(alpha, n - i + 1, dt)
+        cells = d[:-1] * B0[: n - i - 1] + np.diff(d) / dt * B1[: n - i - 1]
+        wT = max(wT, float(np.max(quot + np.cumsum(cells))))
+    return {"holder_seminorm": float(holder), "w0_norm": w0, "wT_norm": wT}
+
+
+class TestPathNormsOracle:
+    """The blocked lag layout against the per-lag and per-anchor loops it
+    replaced, within 1e-14 relative."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 257, 1025])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_fbm_and_smooth_paths(self, n, dim):
+        t = np.linspace(0.0, 1.0, n)
+        dt = 1.0 / max(n - 1, 1)
+        smooth = GridPath(0.0, dt, np.column_stack([np.sin(3 * (c + 1) * t) + c for c in range(dim)]))
+        cases = [(smooth, 0.4)]
+        for hurst, alpha in ((0.6, 0.55), (0.85, 0.3)):
+            if n >= 2:
+                cases.append((sample_fbm(hurst, n, 1.0, dim=dim, seed=n), alpha))
+        for path, alpha in cases:
+            out, oracle = path_norms(path, alpha), path_norms_loops(path, alpha)
+            for key, value in oracle.items():
+                assert abs(out[key] - value) <= 1e-14 * abs(value), key
+
+    def test_blocks_of_one_row(self, monkeypatch):
+        # the smallest cap puts every anchor in a block of its own
+        path = sample_fbm(0.7, 65, 1.0, dim=2, seed=1)
+        monkeypatch.setattr(fbm_gen, "_MAX_BLOCK_ELEMENTS", 1)
+        out, oracle = path_norms(path, 0.35), path_norms_loops(path, 0.35)
+        for key, value in oracle.items():
+            assert abs(out[key] - value) <= 1e-14 * abs(value), key

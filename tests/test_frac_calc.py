@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 from scipy.special import gamma
 
 from fracrate.errors import InvalidInputError
 from fracrate.frac_calc import (
     FracOrder,
+    _minus_cell_weights,
     default_young_alpha,
     delta_ratio,
     marchaud_derivative,
+    marchaud_left_values,
     riemann_liouville,
     young_integral,
 )
 from fracrate.fbm_gen import sample_fbm
-from fracrate.gridpath import GridPath
+from fracrate.gridpath import GridPath, trapezoid_weights
 
 from conftest import grid_t
 
@@ -209,6 +212,81 @@ class TestYoungIntegral:
         out2 = young_integral(ones, gvec, 0.5)
         assert out2.dim == 2
         assert np.allclose(out2.values[-1], [1.0, 1.0], atol=1e-8)
+
+
+def _correlate_prefix(a, kern):
+    """R[j] = sum_{m=0}^{L-1-j} a[j+m]*kern[m] for j = 0..L-1."""
+    L = len(a)
+    c = fftconvolve(a[::-1], kern[:L])
+    return c[L - 1 - np.arange(L)]
+
+
+def young_prefix_loop(fv, gv, alpha, dt):
+    """Oracle: the integration-by-parts sum evaluated afresh on every prefix."""
+    n = len(fv)
+    fa = fv[0]
+    dfl = marchaud_left_values(fv - fa, alpha, dt)
+    ap = 1.0 - alpha
+    B0, B1 = _minus_cell_weights(ap, n + 1, dt)
+    P0 = np.concatenate(([0.0], np.cumsum(B0[: n - 1])))
+    slopes = np.diff(gv) / dt
+    out = np.zeros(n)
+    for k in range(1, n):
+        j = np.arange(k)
+        bnd = (gv[j] - gv[k]) * ((k - j) * dt) ** (alpha - 1.0)
+        r0 = _correlate_prefix(gv[:k], B0[:k])
+        r1 = _correlate_prefix(slopes[:k], B1[:k])
+        delta_m = r0 - gv[:k] * P0[1 : k + 1][::-1] + r1
+        dgr = np.zeros(k + 1)
+        dgr[:k] = (bnd - ap * delta_m) / gamma(alpha)
+        w = trapezoid_weights(k + 1, dt)
+        out[k] = fa * (gv[k] - gv[0]) - float(np.dot(w, dfl[: k + 1] * dgr))
+    return out
+
+
+def young_scale(f, g):
+    return np.max(np.abs(f.values)) * np.max(np.abs(g.values))
+
+
+class TestYoungOracle:
+    """The convolution form against the per-prefix loop it replaced, within
+    1e-13 of sup|f| sup|g|."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 257, 1025])
+    @pytest.mark.parametrize("hurst", [0.6, 0.85])
+    def test_scalar_paths(self, n, hurst):
+        dt, t = grid_t(n)
+        bh = sample_fbm(hurst, n, 1.0, seed=n)
+        smooth = GridPath(0.0, dt, 1.0 + 0.5 * np.sin(2 * t))
+        poly = GridPath(0.0, dt, t**2 - 0.3 * t)
+        for alpha in (default_young_alpha(hurst), 0.5):
+            for f, g in ((smooth, bh), (bh, poly)):
+                out = young_integral(f, g, alpha).scalar()
+                oracle = young_prefix_loop(f.scalar(), g.scalar(), alpha, dt)
+                assert np.max(np.abs(out - oracle)) <= 1e-13 * young_scale(f, g)
+
+    @pytest.mark.parametrize("n", [2, 3, 129])
+    def test_contraction_rules(self, n):
+        dt, t = grid_t(n)
+        alpha = default_young_alpha(0.7)
+        bh = sample_fbm(0.7, n, 1.0, dim=2, seed=3)
+        fvec = GridPath(0.0, dt, np.column_stack([np.cos(t), t**2]))
+        fsc = GridPath(0.0, dt, 1.0 + t)
+        gsc = GridPath(0.0, dt, bh.component(0))
+
+        def loop(fv, gv):
+            return young_prefix_loop(fv, gv, alpha, dt)
+
+        cases = [
+            (fsc, gsc, loop(fsc.scalar(), gsc.scalar())[:, None]),
+            (fvec, bh, (loop(fvec.component(0), bh.component(0)) + loop(fvec.component(1), bh.component(1)))[:, None]),
+            (fsc, bh, np.column_stack([loop(fsc.scalar(), bh.component(c)) for c in range(2)])),
+            (fvec, gsc, np.column_stack([loop(fvec.component(c), gsc.scalar()) for c in range(2)])),
+        ]
+        for f, g, oracle in cases:
+            out = young_integral(f, g, alpha).values
+            assert out.shape == oracle.shape
+            assert np.max(np.abs(out - oracle)) <= 1e-13 * young_scale(f, g)
 
 
 def test_default_young_alpha():
