@@ -128,57 +128,47 @@ class HurstContext:
             self._inverse_tables = (dM0, dR, lastP)
         return self._inverse_tables
 
+    def check_grid(self, v: GridPath, op):
+        """Raise ``InvalidInputError`` unless v is a finite path on this grid
+        starting at t = 0, the domain of every operator built on it."""
+        if v.n != self.n or abs(v.dt - self.dt) > 1e-12 * self.dt:
+            raise InvalidInputError(f"{op}: path grid {v!r} does not match {self!r}")
+        if abs(v.t0) > 1e-12:
+            raise InvalidInputError(f"{op}: Cameron-Martin operators act on paths starting at t=0")
+        if not np.all(np.isfinite(v.values)):
+            raise InvalidInputError(f"{op}: path contains non-finite values")
+
     def __repr__(self):
         return f"HurstContext(H={self.H}, n={self.n}, dt={self.dt})"
 
 
-def _check_grid(v: GridPath, ctx: HurstContext, op):
-    if v.n != ctx.n or abs(v.dt - ctx.dt) > 1e-12 * ctx.dt:
-        raise InvalidInputError(f"{op}: path grid {v!r} does not match {ctx!r}")
-    if abs(v.t0) > 1e-12:
-        raise InvalidInputError(f"{op}: Cameron-Martin operators act on paths starting at t=0")
-    if not np.all(np.isfinite(v.values)):
-        raise InvalidInputError(f"{op}: path contains non-finite values")
-
-
 def apply_KH_dot(v: GridPath, ctx: HurstContext) -> GridPath:
     """Weak derivative of the lifted path, s -> Kdot v(s)."""
-    _check_grid(v, ctx, "apply_KH_dot")
+    ctx.check_grid(v, "apply_KH_dot")
     out = ctx.kdot_matrix() @ v.values
     return v.with_values(out)
-
-
-def _regular_factor(v_values, ctx):
-    """h(s) = Kdot v(s) / s^(H-1/2) on the grid, with its finite limit at 0."""
-    T = ctx.cell_table()
-    mids = 0.5 * (v_values[:-1] + v_values[1:])
-    h = (ctx.cH / gamma(ctx.H - 0.5)) * (T @ mids)
-    h[0] = ctx.cH * gamma(1.5 - ctx.H) * mids[0]
-    return h
 
 
 def apply_KH(v: GridPath, ctx: HurstContext) -> GridPath:
     """Lift v from L2 into the admissible-shift space; output vanishes at 0.
 
     The outer time integral uses trapezoid values of the regular factor
-    h(s) = Kdot v(s)/s^(H-1/2) against the exact cell integrals of the
-    power weight s^(H-1/2), so the integrable kernel singularity at s = 0
-    costs no accuracy.
+    h(s) = Kdot v(s)/s^(H-1/2), with its finite limit at 0, against the
+    exact cell integrals of the power weight s^(H-1/2), so the integrable
+    kernel singularity at s = 0 costs no accuracy.
     """
-    _check_grid(v, ctx, "apply_KH")
-    t = ctx.times
+    ctx.check_grid(v, "apply_KH")
+    mids = 0.5 * (v.values[:-1] + v.values[1:])
+    h = (ctx.cH / gamma(ctx.H - 0.5)) * (ctx.cell_table() @ mids)
+    h[0] = ctx.cH * gamma(1.5 - ctx.H) * mids[0]
     p = ctx.H + 0.5
-    dpow = np.diff(t**p) / p
-    cols = []
-    for j in range(v.dim):
-        h = _regular_factor(v.values[:, j], ctx)
-        incr = 0.5 * (h[:-1] + h[1:]) * dpow
-        cols.append(np.concatenate(([0.0], np.cumsum(incr))))
-    return v.with_values(np.column_stack(cols))
+    dpow = np.diff(ctx.times**p) / p
+    incr = 0.5 * (h[:-1] + h[1:]) * dpow[:, None]
+    return v.with_values(np.concatenate((np.zeros((1, v.dim)), np.cumsum(incr, axis=0))))
 
 
-def _kdot_inverse_core(psi, ctx, psi_half=None, psi0_at_half=False):
-    """Inverse-lift bracket applied to grid values of a derivative path.
+def _kdot_inverse_core(psi, ctx, psi_half=None):
+    """Inverse-lift bracket applied to grid values (n, d) of a derivative path.
 
     Splitting the weighted difference w(t)-w(s), w(s) = s^(1/2-H) psi(s),
     into psi(t)*(t^(1/2-H)-s^(1/2-H)) plus s^(1/2-H)*(psi(t)-psi(s)) lets
@@ -187,92 +177,79 @@ def _kdot_inverse_core(psi, ctx, psi_half=None, psi0_at_half=False):
           + (H-1/2) t^(H-1/2) int_0^t s^(1/2-H) (psi(t)-psi(s)) (t-s)^(-H-1/2) ds
     with gamma_H = Gamma(3/2-H)^2 / Gamma(2-2H).  The remaining integral is
     product-integrated exactly per cell against the linear interpolant of
-    psi via the cached moment tables.  The value at t = 0, where the
-    bracket is genuinely singular unless psi vanishes, is the half-step
-    surrogate (the bracket evaluated at dt/2 on the local interpolant).
+    psi via the cached moment tables, one matrix product for all columns.
+    The value at t = 0, where the bracket is genuinely singular unless psi
+    vanishes, is the half-step surrogate (the bracket evaluated at dt/2 on
+    the local interpolant).  A given ``psi_half`` (d,) is the input at dt/2;
+    row 0 of psi is then read at dt/2 as well.
     """
     h = ctx.H
     t = ctx.times
-    n = ctx.n
     gamma_h = gamma(1.5 - h) ** 2 / gamma(2.0 - 2.0 * h)
     dM0, dR, lastP = ctx.inverse_tables()
     # the s^(H-1/2) component of lifted-path derivatives inverts exactly to
     # a constant and defeats linear interpolation near 0: fit it out first
-    lo, hi = (4, 40) if n >= 48 else (1, n)
+    lo, hi = (4, 40) if ctx.n >= 48 else (1, ctx.n)
     tt = t[lo:hi]
     basis = np.column_stack([tt ** (h - 0.5), np.ones(len(tt)), tt])
-    coef, *_ = np.linalg.lstsq(basis, psi[lo:hi], rcond=None)
-    beta = float(coef[0])
-    cusp = beta * t ** (h - 0.5)
-    if psi0_at_half:
-        # the node-0 value is a half-step quotient; subtract the cusp there
-        cusp = cusp.copy()
-        cusp[0] = beta * (0.5 * ctx.dt) ** (h - 0.5)
-    psi = psi - cusp
+    beta = np.linalg.lstsq(basis, psi[lo:hi], rcond=None)[0][0]
+    cusp = t[:, None] ** (h - 0.5) * beta
+    th = 0.5 * ctx.dt
     if psi_half is not None:
-        psi_half = psi_half - beta * (0.5 * ctx.dt) ** (h - 0.5)
+        cusp[0] = beta * th ** (h - 0.5)
+        psi_half = psi_half - cusp[0]
+    psi = psi - cusp
     cusp_out = beta / (ctx.cH * gamma(1.5 - h))
-    slopes = np.zeros(n)
-    slopes[: n - 1] = np.diff(psi) / ctx.dt
-    offs = psi[: n - 1] - slopes[: n - 1] * t[: n - 1]
-    i2 = np.zeros(n)
-    k = np.arange(1, n)
+    slopes = np.diff(psi, axis=0) / ctx.dt
+    offs = psi[:-1] - slopes * t[:-1, None]
     # cells strictly before the evaluation node
-    const_part = psi[1:] * dM0[1:].sum(axis=1) - dM0[1:, : n - 1] @ offs
-    slope_part = dR[1:, : n - 1] @ slopes[: n - 1]
-    i2[1:] = t[1:] ** (1.0 - 2.0 * h) * const_part
-    i2[1:] += t[1:] ** (2.0 - 2.0 * h) * (-slope_part + slopes[k - 1] * lastP[1:])
-    out = np.empty(n)
-    out[1:] = gamma_h * t[1:] ** (0.5 - h) * psi[1:] + (h - 0.5) * t[1:] ** (h - 0.5) * i2[1:]
+    const_part = psi[1:] * dM0[1:].sum(axis=1)[:, None] - dM0[1:, :-1] @ offs
+    slope_part = dR[1:, :-1] @ slopes
+    i2 = t[1:, None] ** (1.0 - 2.0 * h) * const_part
+    i2 += t[1:, None] ** (2.0 - 2.0 * h) * (-slope_part + slopes * lastP[1:, None])
+    out = np.empty(psi.shape)
+    out[1:] = gamma_h * t[1:, None] ** (0.5 - h) * psi[1:] + (h - 0.5) * t[1:, None] ** (h - 0.5) * i2
     # half-step surrogate at the origin: the local interpolant is linear
     if psi_half is None:
         psi_half = 0.5 * (psi[0] + psi[1])
-    th = 0.5 * ctx.dt
     bfull = beta_fn(1.5 - h, 1.5 - h)
     out[0] = gamma_h * th ** (0.5 - h) * psi_half
     out[0] += (h - 0.5) * bfull * slopes[0] * th ** (1.5 - h)
     return out / (ctx.cH * gamma(1.5 - h)) + cusp_out
 
 
-def kdot_inverse(psi_values, ctx: HurstContext):
-    """Inverse of Kdot applied to grid values of a derivative path."""
+def kdot_inverse(psi_values, ctx: HurstContext, psi_half=None):
+    """Inverse of Kdot applied to grid values (n,) or (n, d) of a derivative
+    path, column by column; the output has the shape of the input.
+
+    ``psi_half``, one value per column, is the input at the half step dt/2
+    when row 0 holds it rather than the value at t = 0 (the forward
+    quotient of ``apply_KH_inverse``).  Raises ``RegularityError`` when the
+    inverse diverges.
+    """
     arr = np.asarray(psi_values, dtype=float)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[:, None]
-    if arr.shape[0] != ctx.n:
+    if arr.ndim not in (1, 2) or arr.shape[0] != ctx.n:
         raise InvalidInputError("psi grid does not match context")
-    out = np.empty_like(arr)
-    for j in range(arr.shape[1]):
-        out[:, j] = _kdot_inverse_core(arr[:, j], ctx)
+    out = _kdot_inverse_core(arr.reshape(ctx.n, -1), ctx, psi_half)
     if not np.all(np.isfinite(out)):
         raise RegularityError("Kdot inverse diverged on this input")
-    return out[:, 0] if squeeze else out
+    return out.reshape(arr.shape)
 
 
 def apply_KH_inverse(u: GridPath, ctx: HurstContext) -> GridPath:
     """Inverse lift: recover the L2 pre-image of a path with u(0) = 0.
 
     The derivative of u is taken by centered finite differences (one-sided
-    second order at the final point); the t = 0 node uses the forward
-    difference combined with the half-step weight inside ``kdot_inverse``.
+    second order at the final point).  At t = 0 the forward difference
+    already sits at the half step, where ``kdot_inverse`` evaluates the
+    otherwise singular bracket.
     """
-    _check_grid(u, ctx, "apply_KH_inverse")
+    ctx.check_grid(u, "apply_KH_inverse")
     if np.max(np.abs(u.values[0])) > 1e-10 * max(1.0, np.max(np.abs(u.values))):
         raise InvalidInputError("apply_KH_inverse requires u(0) = 0")
-    udot = u.derivative()
-    # the forward quotient at t=0 already sits at the half step, where the
-    # otherwise singular bracket is evaluated
-    fwd = (u.values[1] - u.values[0]) / u.dt
-    cols = []
-    for j in range(u.dim):
-        psi = udot[:, j].copy()
-        psi[0] = fwd[j]
-        vals = _kdot_inverse_core(psi, ctx, psi_half=fwd[j], psi0_at_half=True)
-        if not np.all(np.isfinite(vals)):
-            raise RegularityError("K inverse diverged on this input")
-        cols.append(vals)
-    return u.with_values(np.column_stack(cols))
+    psi = u.derivative()
+    psi[0] = (u.values[1] - u.values[0]) / u.dt
+    return u.with_values(kdot_inverse(psi, ctx, psi_half=psi[0]))
 
 
 def hH_norm(u: GridPath, ctx: HurstContext) -> float:

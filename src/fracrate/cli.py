@@ -154,7 +154,7 @@ def cmd_simulate(args):
     summary = {"schedule": [], "trials": trials, "reference": "homogenized Euler"}
     for idx, (eps, eta) in enumerate(config.schedule):
         spec = config.make_spec(eps, eta)
-        sub = config.grid["substeps"] or default_substeps(dt, eta, factor=config.tol["substep_factor"], cap=config.tol["max_substeps"])
+        sub = config.grid["substeps"] or default_substeps(dt, eta)
         n_fine = (n - 1) * sub + 1
         noises = (
             sample_noise_bundle(spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=(idx, trial))

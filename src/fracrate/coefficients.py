@@ -102,7 +102,7 @@ def build(role, name, **params):
     """Instantiate a built-in coefficient for the given role.
 
     Raises ``InvalidInputError`` for an unknown name, a role the built-in
-    cannot serve and a parameter it does not declare.
+    cannot serve, a parameter it does not declare and a non-finite value.
     """
     if name not in _BUILDERS:
         raise InvalidInputError(f"unknown coefficient {name!r}; known: {sorted(_BUILDERS)}")
@@ -115,6 +115,9 @@ def build(role, name, **params):
             f"coefficient {name!r} takes no parameter {', '.join(unknown)}; it takes: {', '.join(defaults) or 'none'}"
         )
     values = {key: float(params.get(key, default)) for key, default in defaults.items()}
+    bad = sorted(key for key, value in values.items() if not np.isfinite(value))
+    if bad:
+        raise InvalidInputError(f"coefficient {name!r}: parameter {', '.join(bad)} must be finite")
     if dep_y is None:
         dep_y = values["ay"] != 0.0
     return Coefficient(name, builder(role, values), params, dep_y)

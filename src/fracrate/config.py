@@ -17,7 +17,7 @@ Every section is optional except ``[model]``, whose keys are the fields of
 * ``[poisson]`` - cell-problem domain half-width ``L`` (0 = automatic,
   ``default_domain_sigmas`` standard deviations) and grid size;
 * ``[tolerances]`` - the numerical tolerances of the cell problem, the
-  effective Gram, the u2 feedback bins and the automatic substep rule.
+  effective Gram and the u2 feedback bins.
 
 Lists are comma- or space-separated.  A missing key takes its default; an
 unknown section or key, a value its parser rejects and any INI syntax
@@ -28,8 +28,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import coefficients
 from .errors import CenteringError, FracrateError, InvalidInputError
@@ -92,8 +90,6 @@ _SCHEMA = {
         "centering_tol": (float, "1e-4"),  # |int b dmu| allowed before hard failure
         "tail_mass_ratio": (float, "1e-8"),  # density at +-L relative to its max
         "default_domain_sigmas": (float, "8.0"),  # automatic half-width in std devs
-        "substep_factor": (float, "10.0"),  # automatic fine step resolves eta / substep_factor
-        "max_substeps": (int, "4096"),
         "u2_bins": (int, "64"),  # mu-quantile cells of the u2 feedback control
     },
 }
@@ -246,13 +242,8 @@ def validate(config: ExperimentConfig):
     for name, ok, detail in schedule_checks(config.schedule, beta, dep_y):
         checks.append(CheckResult(name, "pass" if ok else "fail", detail))
 
-    # tau non-degeneracy and effective Gram at x0
+    # effective Gram at x0; tau^2 > 0 on the grid holds once mu exists
     if mu is not None:
-        tau_vals = np.broadcast_to(np.asarray(spec.tau(mu.grid), dtype=float), mu.grid.shape)
-        tmin = float(np.min(tau_vals**2))
-        checks.append(
-            CheckResult("tau_nondegenerate", "pass" if tmin > 0 else "fail", f"min tau^2 = {tmin:.3g}")
-        )
         try:
             eq = effective_q(spec, psol, mu, spec.x0, degeneracy_tol=tol["degeneracy_tol"])
             status = "pass" if not eq["degenerate"] else "warn"

@@ -142,6 +142,8 @@ class GridPath:
         if len(rows) < 2:
             raise InvalidInputError("need at least two grid rows")
         data = np.array([[float(x) for x in row.split(",")] for row in rows])
+        if not np.all(np.isfinite(data)):
+            raise InvalidInputError("CSV path contains non-finite values")
         t = data[:, 0]
         dts = np.diff(t)
         dt = dts[0]

@@ -73,7 +73,7 @@ class PoissonSolution:
 def _unnormalized_density(f, tau, y):
     """(1/tau^2) exp(int_0^y 2 f / tau^2) on the grid y, scaled to peak order 1."""
     tau2 = np.broadcast_to(np.asarray(tau(y), dtype=float), y.shape) ** 2
-    if np.any(tau2 <= 0):
+    if not np.all(tau2 > 0):  # also rejects NaN
         raise InvalidInputError("tau^2 must be positive on the domain")
     drift = np.broadcast_to(np.asarray(f(y), dtype=float), y.shape)
     pot = _cumulative_from_zero(2.0 * drift / tau2, y)

@@ -29,7 +29,6 @@ from .errors import (
     AdmissibilityError,
     DegeneracyError,
     IllConditionedError,
-    InvalidInputError,
     RegularityError,
 )
 from .gridpath import GridPath, l2_norm, trapezoid_weights
@@ -144,8 +143,7 @@ def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext, tol=
     the corresponding pre-image control.  A divergent inverse lift marks the
     path inadmissible: the value is infinity with a reason, not an error.
     """
-    if phi.n != ctx.n or abs(phi.dt - ctx.dt) > 1e-12 * ctx.dt:
-        raise InvalidInputError("path grid does not match the Hurst context")
+    ctx.check_grid(phi, "eval_rate_explicit")
     psi = _normalized_displacement(phi, drift, tol)
     try:
         v = kdot_inverse(psi, ctx)
@@ -207,8 +205,7 @@ def assemble_QH(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     lifted-derivative kernel matrix; the Brownian block acts pointwise in
     time through the averaged effective Gram.
     """
-    if phi.n != ctx.n or abs(phi.dt - ctx.dt) > 1e-12 * ctx.dt:
-        raise InvalidInputError("path grid does not match the Hurst context")
+    ctx.check_grid(phi, "assemble_QH")
     n, m, k = phi.n, drift.m, drift.k
     w = trapezoid_weights(n, phi.dt)
     sw = np.sqrt(w)

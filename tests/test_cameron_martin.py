@@ -1,8 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import beta as beta_fn
 from scipy.special import gamma
 
 from fracrate.cameron_martin import (
@@ -134,6 +138,12 @@ class TestLift:
         assert np.max(np.abs(ud_fd[mask] - ud[mask])) < 5 * ctx.dt
 
 
+@functools.lru_cache(maxsize=None)
+def _round_trip_context(h):
+    n = 2048
+    return HurstContext(h, n, 1.0 / (n - 1))
+
+
 class TestInverse:
     def test_constant_pre_image(self):
         # u = KH[1] in closed form; the inverse recovers 1
@@ -169,6 +179,31 @@ class TestInverse:
             back = apply_KH_inverse(u, ctx).scalar()
             mask = t >= 0.05
             assert np.max(np.abs(back[mask] - v[mask]) / np.abs(v[mask])) < 1e-3
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        h=st.sampled_from((0.6, 0.75, 0.9)),
+        cols=st.lists(
+            st.tuples(
+                st.floats(1.0, 2.0),  # level
+                st.floats(-0.4, 0.4),  # amplitude
+                st.floats(0.0, 8.0),  # frequency
+                st.floats(0.0, 2 * math.pi),  # phase
+                st.floats(-0.3, 0.3),  # curvature
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_round_trip_property(self, h, cols):
+        # K then K^{-1} on smooth paths of one to three columns, |v| >= 0.3
+        ctx = _round_trip_context(h)
+        t = ctx.times[:, None]
+        level, amp, freq, phase, curv = (np.array(c) for c in zip(*cols))
+        v = level + amp * np.sin(freq * t + phase) + curv * t**2
+        back = apply_KH_inverse(apply_KH(GridPath(0, ctx.dt, v), ctx), ctx).values
+        mask = ctx.times >= 0.05
+        assert np.max(np.abs(back[mask] - v[mask]) / np.abs(v[mask])) < 1e-3
 
     def test_round_trip_refines(self):
         h = 0.75
@@ -232,3 +267,119 @@ def test_kdot_quadrature_oracle():
     )
     oracle *= c_H(h) / gamma(h - 0.5) * s ** (h - 0.5)
     assert abs(out[300] - oracle) / abs(oracle) < 5e-4
+
+
+
+# -- per-column oracles ----------------------------------------------------
+# The column-at-a-time operators that the batched ones replaced, kept as
+# they were: one column must come out bit-identical, several within
+# round-off.  n = 47 and 48 straddle the switch of the cusp-fit window.
+
+
+def _column_inverse_oracle(psi, ctx, psi_half=None, psi0_at_half=False):
+    h = ctx.H
+    t = ctx.times
+    n = ctx.n
+    gamma_h = gamma(1.5 - h) ** 2 / gamma(2.0 - 2.0 * h)
+    dM0, dR, lastP = ctx.inverse_tables()
+    lo, hi = (4, 40) if n >= 48 else (1, n)
+    tt = t[lo:hi]
+    basis = np.column_stack([tt ** (h - 0.5), np.ones(len(tt)), tt])
+    coef, *_ = np.linalg.lstsq(basis, psi[lo:hi], rcond=None)
+    beta = float(coef[0])
+    cusp = beta * t ** (h - 0.5)
+    if psi0_at_half:
+        cusp = cusp.copy()
+        cusp[0] = beta * (0.5 * ctx.dt) ** (h - 0.5)
+    psi = psi - cusp
+    if psi_half is not None:
+        psi_half = psi_half - beta * (0.5 * ctx.dt) ** (h - 0.5)
+    cusp_out = beta / (ctx.cH * gamma(1.5 - h))
+    slopes = np.zeros(n)
+    slopes[: n - 1] = np.diff(psi) / ctx.dt
+    offs = psi[: n - 1] - slopes[: n - 1] * t[: n - 1]
+    i2 = np.zeros(n)
+    k = np.arange(1, n)
+    const_part = psi[1:] * dM0[1:].sum(axis=1) - dM0[1:, : n - 1] @ offs
+    slope_part = dR[1:, : n - 1] @ slopes[: n - 1]
+    i2[1:] = t[1:] ** (1.0 - 2.0 * h) * const_part
+    i2[1:] += t[1:] ** (2.0 - 2.0 * h) * (-slope_part + slopes[k - 1] * lastP[1:])
+    out = np.empty(n)
+    out[1:] = gamma_h * t[1:] ** (0.5 - h) * psi[1:] + (h - 0.5) * t[1:] ** (h - 0.5) * i2[1:]
+    if psi_half is None:
+        psi_half = 0.5 * (psi[0] + psi[1])
+    th = 0.5 * ctx.dt
+    bfull = beta_fn(1.5 - h, 1.5 - h)
+    out[0] = gamma_h * th ** (0.5 - h) * psi_half
+    out[0] += (h - 0.5) * bfull * slopes[0] * th ** (1.5 - h)
+    return out / (ctx.cH * gamma(1.5 - h)) + cusp_out
+
+
+def _column_lift_oracle(vals, ctx):
+    T = ctx.cell_table()
+    t = ctx.times
+    p = ctx.H + 0.5
+    dpow = np.diff(t**p) / p
+    cols = []
+    for j in range(vals.shape[1]):
+        mids = 0.5 * (vals[:-1, j] + vals[1:, j])
+        h = (ctx.cH / gamma(ctx.H - 0.5)) * (T @ mids)
+        h[0] = ctx.cH * gamma(1.5 - ctx.H) * mids[0]
+        incr = 0.5 * (h[:-1] + h[1:]) * dpow
+        cols.append(np.concatenate(([0.0], np.cumsum(incr))))
+    return np.column_stack(cols)
+
+
+def _column_lift_inverse_oracle(u: GridPath, ctx):
+    udot = u.derivative()
+    fwd = (u.values[1] - u.values[0]) / u.dt
+    cols = []
+    for j in range(u.dim):
+        psi = udot[:, j].copy()
+        psi[0] = fwd[j]
+        cols.append(_column_inverse_oracle(psi, ctx, psi_half=fwd[j], psi0_at_half=True))
+    return np.column_stack(cols)
+
+
+ORACLE_CASES = [(h, n) for h in (0.52, 0.7, 0.9) for n in (5, 47, 48, 257, 1025)]
+
+
+@pytest.fixture(scope="module")
+def oracle_inputs():
+    """Per (H, n): the context, smooth values v (n, 3), their lift u and a
+    derivative path psi (n, 3) with the s^(H-1/2) cusp of lifted paths."""
+    rng = np.random.default_rng(8)
+    cases = {}
+    for h, n in ORACLE_CASES:
+        ctx = HurstContext(h, n, 1.0 / (n - 1))
+        t = ctx.times[:, None]
+        a, w, c = rng.uniform(0.5, 1.5, 3), rng.uniform(1.0, 6.0, 3), rng.uniform(-1.0, 1.0, 3)
+        v = a + 0.3 * np.sin(w * t) + c * t**2
+        u = apply_KH(GridPath(0, ctx.dt, v), ctx)
+        psi = a * t ** (h - 0.5) + np.cos(w * t) + c * t
+        cases[h, n] = ctx, v, u, psi
+    return cases
+
+
+def _assert_columns_close(new, old, rtol):
+    scale = np.max(np.abs(old), axis=0)
+    assert np.all(np.max(np.abs(new - old), axis=0) <= rtol * scale)
+
+
+class TestColumnOracles:
+    @pytest.mark.parametrize("h,n", ORACLE_CASES)
+    def test_one_column_bit_identical(self, oracle_inputs, h, n):
+        ctx, v, u, psi = oracle_inputs[h, n]
+        lift = apply_KH(GridPath(0, ctx.dt, v[:, :1]), ctx).values
+        assert np.array_equal(lift, _column_lift_oracle(v[:, :1], ctx))
+        assert np.array_equal(kdot_inverse(psi[:, 0], ctx), _column_inverse_oracle(psi[:, 0], ctx))
+        u1 = GridPath(0, ctx.dt, u.values[:, :1])
+        assert np.array_equal(apply_KH_inverse(u1, ctx).values, _column_lift_inverse_oracle(u1, ctx))
+
+    @pytest.mark.parametrize("h,n", ORACLE_CASES)
+    def test_three_columns_within_round_off(self, oracle_inputs, h, n):
+        ctx, v, u, psi = oracle_inputs[h, n]
+        _assert_columns_close(u.values, _column_lift_oracle(v, ctx), 1e-13)
+        oracle = np.column_stack([_column_inverse_oracle(psi[:, j], ctx) for j in range(3)])
+        _assert_columns_close(kdot_inverse(psi, ctx), oracle, 1e-13)
+        _assert_columns_close(apply_KH_inverse(u, ctx).values, _column_lift_inverse_oracle(u, ctx), 1e-13)

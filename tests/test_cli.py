@@ -163,7 +163,7 @@ class TestConfig:
         checks = validate(cfg)
         assert not hard_failures(checks)
         names = {c.name for c in checks}
-        assert {"centering", "hurst_branch", "scale_ratio", "tau_nondegenerate"} <= names
+        assert {"centering", "hurst_branch", "scale_ratio"} <= names
 
     def test_validate_is_pure(self, tmp_path):
         cfg = load_config(write(tmp_path, "a.cfg", OU_HOMOG))
@@ -294,6 +294,42 @@ class TestCommands:
             err = capsys.readouterr().err
             assert err.startswith("invalid input:")
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # validated, then simulate aborted every trial and exited 0
+            ("c = linear_xy ax=-1.0 ay=1.0", "c = linear_xy ax=-1.0 ay=inf"),
+            # validated the centering and the Gram on a NaN density
+            ("tau = constant value=1.4142135623730951", "tau = constant value=nan"),
+        ],
+    )
+    def test_non_finite_coefficient_parameter_is_invalid_input(self, tmp_path, capsys, edit):
+        text = (CONFIGS / "ou_homogenization.cfg").read_text()
+        assert edit[0] in text
+        cfg = write(tmp_path, "nf.cfg", text.replace(*edit))
+        for argv in (["validate"], ["simulate", "--trials", "2", "--out-dir", str(tmp_path / "o")]):
+            assert main([*argv, "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("invalid input:")
+            assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("method", ["explicit", "general"])
+    def test_rate_non_finite_path_is_invalid_input(self, tmp_path, capsys, method):
+        # explicit wrote an infinite value, general died with a ValueError
+        n = 1025
+        t = np.linspace(0.0, 1.0, n)
+        vals = t**3 / 3.0
+        vals[500] = np.nan
+        csv = str(tmp_path / "nan.csv")
+        GridPath(0.0, t[1], vals).to_csv(csv)
+        out = tmp_path / "r.json"
+        argv = ["rate", "--config", str(CONFIGS / "cos_limit_study.cfg"), "--path", csv, "--method", method]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input:")
+        assert not out.exists()
 
     def test_import_leaves_out_scipy_signal(self):
         # scipy.signal (and scipy.stats, which it imports) cost about half a

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from fracrate import fbm_gen
-from fracrate.errors import InvalidInputError
+from fracrate.errors import FracrateError, InvalidInputError
 from fracrate.fbm_gen import (
     NoiseBundle,
     path_norms,
@@ -80,6 +80,24 @@ class TestSampling:
             sample_fbm(1.2, 64, 1.0)
         with pytest.raises(InvalidInputError):
             sample_fbm(0.7, 1, 1.0)
+
+    def test_near_one_hurst_clips_round_off(self):
+        # the smallest embedding eigenvalue is -1.2e-8 of the largest here:
+        # round-off, clipped; no dense covariance of 2^18 increments is formed
+        lam = fbm_gen._fgn_eigenvalues(2**18, 0.999)
+        assert -fbm_gen._EIGEN_ROUNDOFF < lam.min() / lam.max() < -1e-9
+        p = sample_fbm(0.999, 2**18 + 1, 1.0, seed=12)
+        assert p.values[0, 0] == 0.0 and np.all(np.isfinite(p.values))
+        # near H = 1 the path is almost the line t B(1)
+        t = p.times()
+        assert np.max(np.abs(p.values[:, 0] - t * p.values[-1, 0])) < 0.5
+
+    def test_indefinite_embedding_raises(self, monkeypatch):
+        lam = np.ones(64)
+        lam[3] = -1e-3
+        monkeypatch.setattr(fbm_gen, "_fgn_eigenvalues", lambda n_inc, hurst: lam)
+        with pytest.raises(FracrateError, match="indefinite"):
+            sample_fbm(0.7, 33, 1.0)
 
 
 class TestNoiseBundle:

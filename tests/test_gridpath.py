@@ -53,6 +53,14 @@ def test_csv_rejects_nonuniform(tmp_path):
         GridPath.from_csv(str(path))
 
 
+@pytest.mark.parametrize("row", ["0.1,nan", "0.1,inf", "0.1,-inf", "nan,2.0"])
+def test_csv_rejects_non_finite(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,v0\n0.0,1.0\n{row}\n0.2,3.0\n")
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        GridPath.from_csv(str(path))
+
+
 def test_derivative_convention():
     dt = 0.01
     t = dt * np.arange(101)

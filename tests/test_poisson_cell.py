@@ -48,6 +48,11 @@ class TestInvariantDensity:
         with pytest.raises(TruncationError):
             invariant_density_1d(OU_F, OU_TAU, 2.0, 257)
 
+    def test_nan_tau_is_invalid_input(self):
+        # a library callable may return NaN, which a "tau^2 <= 0" test passes
+        with pytest.raises(InvalidInputError, match="tau"):
+            invariant_density_1d(OU_F, lambda y: np.full(np.shape(y), np.nan), 8.0, 257)
+
     def test_quantile_edges(self, ou_measure):
         edges = ou_measure.quantile_edges(4)
         # quartiles of the standard normal
