@@ -33,6 +33,43 @@ def c_H(hurst):
     return float(np.sqrt(c2))
 
 
+def _smallest_prime_factors(n):
+    """spf[k] = smallest prime factor of k, for 2 <= k < n."""
+    spf = np.arange(n)
+    for p in range(2, int(n**0.5) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p :: p]
+            np.minimum(multiples, p, out=multiples)
+    return spf
+
+
+def _beta_rows(out, a, b):
+    """Fill out[i, :i] with I_{j/i}(a, b), j < i, for every row i >= 1.
+
+    An entry depends on x = j/i alone, so ``betainc`` runs once per reduced
+    fraction.  Where j shares a prime p with i, the entry is copied from row
+    i/p at j/p: both quotients round to the same double.  With a == b the
+    entries past i/2 are 1 - I_{1-x}(a, a) (DLMF 8.17.4), so the row costs
+    half its coprime entries.
+    """
+    spf = _smallest_prime_factors(out.shape[0])
+    for i in range(1, out.shape[0]):
+        row = out[i, :i]
+        fresh = np.ones(i, dtype=bool)
+        k = i
+        while k > 1:
+            p = int(spf[k])
+            row[::p] = out[i // p, : i // p]
+            fresh[::p] = False
+            while k % p == 0:
+                k //= p
+        half = i // 2 + 1 if a == b else i
+        j = np.flatnonzero(fresh[:half])
+        row[j] = betainc(a, b, j / i)
+        if a == b:
+            row[half:] = 1.0 - row[i - half : 0 : -1]
+
+
 class HurstContext:
     """Hurst index plus derived constants and cached kernel tables.
 
@@ -71,10 +108,9 @@ class HurstContext:
             a, b = 1.5 - h, h - 0.5
             bab = beta_fn(a, b)
             T = np.zeros((n, n - 1))
-            for i in range(1, n):
-                x = np.arange(i + 1) / i
-                reg = betainc(a, b, x)
-                T[i, :i] = bab * np.diff(reg)
+            _beta_rows(T, a, b)
+            for i in range(1, n):  # I_1(a, b) = 1 closes the last cell
+                T[i, :i] = bab * np.diff(T[i, :i], append=1.0)
             self._cell_table = T
         return self._cell_table
 
@@ -114,17 +150,16 @@ class HurstContext:
             dM0 = np.zeros((n, n))
             dR = np.zeros((n, n))
             lastP = np.zeros(n)
+            _beta_rows(dM0, a, a)  # row i holds I_x(a, a) until it is converted
             for i in range(1, n):
-                x = np.arange(i + 1) / i
-                P = bfull * betainc(a, a, x)
-                pw = np.zeros(i + 1)
-                pw[:i] = x[:i] ** a * (1.0 - x[:i]) ** b0
-                R = (a * P - pw) / b0
+                x = np.arange(i) / i
+                P = bfull * dM0[i, :i]
+                R = (a * P - x**a * (1.0 - x) ** b0) / b0
                 lastP[i] = bfull - P[i - 1]
+                dM0[i, i - 1] = 0.0
                 if i > 1:
-                    M0 = P + R
-                    dM0[i, : i - 1] = np.diff(M0[:i])
-                    dR[i, : i - 1] = np.diff(R[:i])
+                    dM0[i, : i - 1] = np.diff(P + R)
+                    dR[i, : i - 1] = np.diff(R)
             self._inverse_tables = (dM0, dR, lastP)
         return self._inverse_tables
 

@@ -141,7 +141,14 @@ class GridPath:
                 buf.close()
         if len(rows) < 2:
             raise InvalidInputError("need at least two grid rows")
-        data = np.array([[float(x) for x in row.split(",")] for row in rows])
+        width = len(header.split(","))
+        cells = [row.split(",") for row in rows]
+        if any(len(c) != width for c in cells):
+            raise InvalidInputError(f"CSV rows must have {width} fields, like the header")
+        try:
+            data = np.array([[float(x) for x in c] for c in cells])
+        except ValueError as exc:
+            raise InvalidInputError(f"CSV path has a non-numeric cell: {exc}") from None
         if not np.all(np.isfinite(data)):
             raise InvalidInputError("CSV path contains non-finite values")
         t = data[:, 0]

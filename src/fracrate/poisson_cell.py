@@ -12,14 +12,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import CenteringError, InvalidInputError, TruncationError
 
 
 def _cumulative(values, dy):
-    """Cumulative Simpson integral from the first grid point, initial 0."""
-    return cumulative_simpson(values, dx=dy, axis=0, initial=0.0)
+    """Cumulative Simpson integral along axis 0 from the first grid point,
+    initial 0, on at least three points.
+
+    The equal-interval rule of ``scipy.integrate.cumulative_simpson``, step
+    for step (its import alone costs about 0.2 s): cell k takes the
+    three-point rule on nodes k..k+2 when k is even and not the last cell,
+    and on nodes k-1..k+1 otherwise.
+    """
+    v = np.asarray(values, dtype=float)
+    f0, f1, f2 = v[:-2], v[1:-1], v[2:]
+    first = dy / 3 * (5 * f0 / 4 + 2 * f1 - f2 / 4)  # cell k on nodes k..k+2
+    second = dy / 3 * (5 * f2 / 4 + 2 * f1 - f0 / 4)  # cell k+1 on nodes k..k+2
+    cells = np.empty((v.shape[0] - 1,) + v.shape[1:])
+    cells[:-1:2] = first[::2]
+    cells[1::2] = second[::2]
+    cells[-1] = second[-1]
+    out = np.zeros(v.shape)
+    # adding the initial 0.0 turns a -0.0 sum into +0.0, as scipy does
+    out[1:] = np.cumsum(cells, axis=0) + 0.0
+    return out
 
 
 def _cumulative_from_zero(integrand, y):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
-from scipy.special import gamma
+from scipy.special import betainc, gamma
 
 from fracrate.cameron_martin import (
     HurstContext,
@@ -138,18 +138,19 @@ class TestLift:
         assert np.max(np.abs(ud_fd[mask] - ud[mask])) < 5 * ctx.dt
 
 
-@functools.lru_cache(maxsize=None)
-def _round_trip_context(h):
+@pytest.fixture(scope="module")
+def round_trip_context():
+    """One n = 2048 context per H for the tests of this module, so each
+    builds its tables once; they are freed when the module is done."""
     n = 2048
-    return HurstContext(h, n, 1.0 / (n - 1))
+    return functools.lru_cache(maxsize=None)(lambda h: HurstContext(h, n, 1.0 / (n - 1)))
 
 
 class TestInverse:
-    def test_constant_pre_image(self):
+    def test_constant_pre_image(self, round_trip_context):
         # u = KH[1] in closed form; the inverse recovers 1
         for h in (0.6, 0.75, 0.9):
-            n = 2048
-            ctx = HurstContext(h, n, 1.0 / (n - 1))
+            ctx = round_trip_context(h)
             t = ctx.times
             u = GridPath(0, ctx.dt, c_H(h) * gamma(1.5 - h) * t ** (h + 0.5) / (h + 0.5))
             v = apply_KH_inverse(u, ctx).scalar()
@@ -165,11 +166,10 @@ class TestInverse:
         with pytest.raises(InvalidInputError):
             apply_KH_inverse(GridPath(0, ctx.dt, np.ones(128)), ctx)
 
-    def test_round_trip_smooth(self):
-        n = 2048
+    def test_round_trip_smooth(self, round_trip_context):
         rng = np.random.default_rng(11)
         for h in (0.6, 0.75, 0.9):
-            ctx = HurstContext(h, n, 1.0 / (n - 1))
+            ctx = round_trip_context(h)
             t = ctx.times
             coef = rng.standard_normal(4)
             v = 1.5 + 0.4 * np.tanh(coef[0]) * np.sin(3 * t) + 0.3 * np.tanh(coef[1]) * np.cos(
@@ -195,9 +195,9 @@ class TestInverse:
             max_size=3,
         ),
     )
-    def test_round_trip_property(self, h, cols):
+    def test_round_trip_property(self, round_trip_context, h, cols):
         # K then K^{-1} on smooth paths of one to three columns, |v| >= 0.3
-        ctx = _round_trip_context(h)
+        ctx = round_trip_context(h)
         t = ctx.times[:, None]
         level, amp, freq, phase, curv = (np.array(c) for c in zip(*cols))
         v = level + amp * np.sin(freq * t + phase) + curv * t**2
@@ -236,20 +236,18 @@ class TestNorm:
         ctx = HurstContext(0.7, 128, 1 / 127)
         assert hH_norm(GridPath(0, ctx.dt, np.zeros(128)), ctx) == 0.0
 
-    def test_isometry(self):
-        n = 2048
+    def test_isometry(self, round_trip_context):
         rng = np.random.default_rng(3)
         for h in (0.6, 0.9):
-            ctx = HurstContext(h, n, 1.0 / (n - 1))
+            ctx = round_trip_context(h)
             t = ctx.times
             v = 1.0 + 0.4 * np.sin(5 * t) + 0.2 * rng.standard_normal() * t
             u = apply_KH(GridPath(0, ctx.dt, v), ctx)
             assert abs(hH_norm(u, ctx) - l2_norm(v, ctx.dt)) / l2_norm(v, ctx.dt) < 1e-3
 
-    def test_unit_norm_of_lifted_one(self):
-        n = 2048
-        ctx = HurstContext(0.7, n, 1.0 / (n - 1))
-        u = apply_KH(GridPath(0, ctx.dt, np.ones(n)), ctx)
+    def test_unit_norm_of_lifted_one(self, round_trip_context):
+        ctx = round_trip_context(0.7)
+        u = apply_KH(GridPath(0, ctx.dt, np.ones(ctx.n)), ctx)
         assert abs(hH_norm(u, ctx) - 1.0) < 1e-3
 
 
@@ -383,3 +381,53 @@ class TestColumnOracles:
         oracle = np.column_stack([_column_inverse_oracle(psi[:, j], ctx) for j in range(3)])
         _assert_columns_close(kdot_inverse(psi, ctx), oracle, 1e-13)
         _assert_columns_close(apply_KH_inverse(u, ctx).values, _column_lift_inverse_oracle(u, ctx), 1e-13)
+
+
+# -- table oracles ---------------------------------------------------------
+# The row loops with one betainc call per entry that the reduced-fraction
+# builder replaced.  The cell table (a != b) only reuses values, so it must
+# be bit-identical.  The inverse tables take the entries past x = 1/2 from
+# I_x(a, a) = 1 - I_{1-x}(a, a), and R divides by 1/2 - H, so they move by
+# round-off that grows as H -> 1/2: 9.1e-14 of the table maximum at
+# H = 0.52, n = 1025, against the bound 2e-13.
+
+
+def _cell_table_oracle(ctx):
+    n, h = ctx.n, ctx.H
+    a, b = 1.5 - h, h - 0.5
+    bab = beta_fn(a, b)
+    T = np.zeros((n, n - 1))
+    for i in range(1, n):
+        x = np.arange(i + 1) / i
+        T[i, :i] = bab * np.diff(betainc(a, b, x))
+    return T
+
+
+def _inverse_tables_oracle(ctx):
+    n, h = ctx.n, ctx.H
+    a = 1.5 - h
+    b0 = 0.5 - h
+    bfull = beta_fn(a, a)
+    dM0 = np.zeros((n, n))
+    dR = np.zeros((n, n))
+    lastP = np.zeros(n)
+    for i in range(1, n):
+        x = np.arange(i + 1) / i
+        P = bfull * betainc(a, a, x)
+        pw = np.zeros(i + 1)
+        pw[:i] = x[:i] ** a * (1.0 - x[:i]) ** b0
+        R = (a * P - pw) / b0
+        lastP[i] = bfull - P[i - 1]
+        if i > 1:
+            dM0[i, : i - 1] = np.diff((P + R)[:i])
+            dR[i, : i - 1] = np.diff(R[:i])
+    return dM0, dR, lastP
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 47, 48, 257, 1025])
+@pytest.mark.parametrize("h", [0.52, 0.6, 0.8, 0.99])
+def test_tables_match_loop_oracles(h, n):
+    ctx = HurstContext(h, n, 1.0 / (n - 1))
+    assert np.array_equal(ctx.cell_table(), _cell_table_oracle(ctx))
+    for new, old in zip(ctx.inverse_tables(), _inverse_tables_oracle(ctx)):
+        assert np.max(np.abs(new - old)) <= 2e-13 * np.max(np.abs(old))

@@ -331,13 +331,30 @@ class TestCommands:
         assert err.startswith("invalid input:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows",
+        [["0.0,0.0", "0.1,abc", "0.2,0.0"], ["0.0,0.0", "0.1,2.0,5.0", "0.2,0.0"], ["0.0,0.0", "0.1", "0.2,0.0"]],
+        ids=["non_numeric", "too_wide", "too_narrow"],
+    )
+    def test_rate_malformed_csv_is_invalid_input(self, tmp_path, capsys, rows):
+        # each used to escape as a bare ValueError: exit 1 with a traceback
+        csv = tmp_path / "bad.csv"
+        csv.write_text("\n".join(["t,v0", *rows]) + "\n")
+        argv = ["rate", "--config", str(CONFIGS / "cos_limit_study.cfg"), "--path", str(csv)]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid input:")
+        assert "Traceback" not in captured.err
+
     def test_import_leaves_out_scipy_signal(self):
         # scipy.signal (and scipy.stats, which it imports) cost about half a
-        # second per process; the convolutions run on scipy.fft
-        code = "import sys, fracrate.cli; print('scipy.signal' in sys.modules)"
+        # second per process, scipy.integrate (with scipy.optimize, scipy.sparse
+        # and scipy.spatial) about 0.2 s; the package needs neither
+        heavy = ["scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.sparse"]
+        code = f"import sys, fracrate.cli; print([m for m in {heavy!r} if m in sys.modules])"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_validate_reports_unsupported_dimension(self, tmp_path, capsys):
         cfg = write(tmp_path, "m2.cfg", OU_HOMOG.replace("x0 = 1.0", "m = 2\nx0 = 1.0, 1.0"))

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_simpson, quad
 
 from fracrate.errors import CenteringError, InvalidInputError, TruncationError
 from fracrate.poisson_cell import (
+    _cumulative,
     analytic_ou_solution,
     average_coeff,
     domain_halfwidth,
@@ -19,6 +20,21 @@ from conftest import SQRT2, ou_spec
 
 OU_F = lambda y: -np.asarray(y, dtype=float)
 OU_TAU = lambda y: SQRT2 * np.ones_like(np.asarray(y, dtype=float))
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 64, 65, 1024, 1025, 4096, 4097])
+def test_cumulative_matches_scipy_cumulative_simpson(n):
+    # the written-out rule keeps scipy.integrate out of the import; it must
+    # give scipy's bits, signed zeros included (the first cell is -0.0)
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (n, 3)):
+        v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6.0, 6.0, shape)
+        v[rng.random(shape) < 0.1] = 0.0
+        v[rng.random(shape) < 0.1] = -0.0
+        v[:2], v[2] = -0.0, 0.0
+        dy = rng.uniform(1e-3, 1.0)
+        expect = cumulative_simpson(v, dx=dy, axis=0, initial=0.0)
+        assert _cumulative(v, dy).tobytes() == expect.tobytes()
 
 
 class TestInvariantDensity:
