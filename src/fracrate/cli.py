@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .cameron_martin import HurstContext
+from .coefficients import reads
 from .config import hard_failures, load_config, validate
 from .errors import FracrateError, InvalidInputError, ValidationFailure
 from .fbm_gen import sample_fbm, sample_noise_bundle
@@ -30,6 +31,7 @@ from .ldp_harness import (
     estimate_laplace,
     estimate_rare_event,
     linear_case_prediction,
+    rough_noise_only,
     stabilization_diagnostic,
 )
 from .multiscale_sim import default_substeps, simulate_batch
@@ -281,10 +283,9 @@ def cmd_mc(args):
         _write_rows_csv(out, rows, ["eps", "eta", "estimate", "std_error", "trials", "aborted", "engine"])
     else:
         spec0 = config.make_spec(*config.schedule[0])
-        pred = None
         try:
             sigma_bar = None
-            if spec0.sigma1_depends_on_y():
+            if rough_noise_only(spec0) and reads(spec0.sigma1, "y"):
                 _, mu, psol, drift = _measure_and_drift(config)
                 sigma_bar = float(drift.sigma1_bar(spec0.x0[None])[0, 0, 0])
             pred = linear_case_prediction(

@@ -1,19 +1,21 @@
 """Built-in coefficient library addressable from config files.
 
-Each builder returns a callable with the signature its role expects:
+``build`` returns a callable with the signature its role expects:
 drift-of-fast f(y), fast-coupling g(x, y), slow drifts b(y) and c(x, y),
 diffusions sigma1(x, y), sigma2(x, y), tau(y).  Callables accept and return
 numpy arrays (scalars broadcast) so simulators can batch-evaluate them.
-In the roles that take x, a result that does not depend on x carries no
-x axis: ``zero`` and ``constant`` return 0-d arrays there, which the
-simulator shares across trials and the averaging layer across path nodes,
-so neither evaluates them once per trial or node.
-``_BUILDERS`` declares each built-in's roles and parameters, and ``build``
-rejects any other role or parameter name.  Config files can only
-reference these names; library users may pass any callable directly to
-``SlowFastSpec``.
+A result that reads neither x nor y carries no axis: ``zero`` and
+``constant`` return 0-d arrays, which the simulator shares across trials
+and the averaging layer across path nodes and grid points.
+``_BUILDERS`` declares each built-in's roles, parameters and the arguments
+it reads; ``zero`` is declared zero.  ``build`` rejects any other role or
+parameter name.  Config files can only reference these names; library
+users may pass any callable directly to ``SlowFastSpec``, where it counts
+as reading x and y and not zero, or a ``Coefficient`` with declared facts.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -21,13 +23,16 @@ from .errors import InvalidInputError
 
 
 class Coefficient:
-    """Named coefficient with parameters and dependence metadata."""
+    """Named coefficient with parameters and declared facts: ``reads``, the
+    arguments ("x", "y") its value depends on, and ``zero``, true when it is
+    zero everywhere, so that callers may drop its terms unevaluated."""
 
-    def __init__(self, name, fn, params, depends_on_y):
+    def __init__(self, name, fn, params, reads="xy", zero=False):
         self.name = name
         self.fn = fn
         self.params = dict(params)
-        self.depends_on_y = depends_on_y
+        self.reads = frozenset(reads)
+        self.zero = zero
 
     def __call__(self, *args):
         return self.fn(*args)
@@ -37,64 +42,41 @@ class Coefficient:
         return f"{self.name}({ps})"
 
 
+def reads(coef, arg):
+    """Whether ``coef`` reads argument "x" or "y"; undeclared callables read both."""
+    return arg in getattr(coef, "reads", "xy")
+
+
+def is_zero(coef):
+    """Whether ``coef`` is declared zero; undeclared callables are not."""
+    return getattr(coef, "zero", False)
+
+
 _Y_ROLES = ("b", "f", "tau")
 _ROLES = _Y_ROLES + ("c", "g", "sigma1", "sigma2")
 
 
-def _zero(role, params):
-    if role in _Y_ROLES:
-        return lambda y: np.zeros(np.shape(y))
-    return lambda x, y: np.zeros(())
-
-
-def _constant(role, params):
-    value = params["value"]
-    if role in _Y_ROLES:
-        return lambda y: np.full_like(np.asarray(y, dtype=float), value)
-    return lambda x, y: np.full((), value)
-
-
-def _linear_y(role, params):
-    rate = params["rate"]
-    if role in _Y_ROLES:
-        return lambda y: rate * np.asarray(y, dtype=float)
-    return lambda x, y: rate * np.asarray(y, dtype=float)
-
-
-def _ou(role, params):
+def _ou(params):
     rate = params["rate"]
     if rate <= 0:
         raise InvalidInputError("ou relaxation rate must be positive")
-    return lambda y: -rate * np.asarray(y, dtype=float)
+    return lambda x, y: -rate * np.asarray(y, dtype=float)
 
 
-def _linear_xy(role, params):
-    ax, ay, const = params["ax"], params["ay"], params["const"]
-    return lambda x, y: ax * np.asarray(x, dtype=float) + ay * np.asarray(y, dtype=float) + const
-
-
-def _cos_y(role, params):
-    scale = params["scale"]
-    if role in _Y_ROLES:
-        return lambda y: scale * np.cos(np.asarray(y, dtype=float))
-    return lambda x, y: scale * np.cos(np.asarray(y, dtype=float))
-
-
-def _cubic_y(role, params):
-    rate = params["rate"]
-    return lambda y: -rate * np.asarray(y, dtype=float) ** 3
-
-
-# name -> (builder, roles it serves, parameters with defaults, depends on y;
-# None: iff ay != 0)
+# name -> (builder of a callable f(x, y), roles it serves, parameters with
+# defaults, the arguments it reads, each with the parameter that must be
+# non-zero for it to be read (None: always read))
 _BUILDERS = {
-    "zero": (_zero, _ROLES, {}, False),
-    "constant": (_constant, _ROLES, {"value": 1.0}, False),
-    "linear_y": (_linear_y, _ROLES, {"rate": 1.0}, True),
-    "ou": (_ou, _Y_ROLES, {"rate": 1.0}, True),
-    "linear_xy": (_linear_xy, ("c", "g", "sigma1", "sigma2"), {"ax": 0.0, "ay": 0.0, "const": 0.0}, None),
-    "cos_y": (_cos_y, _ROLES, {"scale": 1.0}, True),
-    "cubic_y": (_cubic_y, _Y_ROLES, {"rate": 1.0}, True),
+    "zero": (lambda p: lambda x, y: np.zeros(()), _ROLES, {}, {}),
+    "constant": (lambda p: lambda x, y: np.full((), p["value"]), _ROLES, {"value": 1.0}, {}),
+    "linear_y": (lambda p: lambda x, y: p["rate"] * np.asarray(y, dtype=float), _ROLES, {"rate": 1.0}, {"y": None}),
+    "ou": (_ou, _Y_ROLES, {"rate": 1.0}, {"y": None}),
+    "linear_xy": (
+        lambda p: lambda x, y: p["ax"] * np.asarray(x, dtype=float) + p["ay"] * np.asarray(y, dtype=float) + p["const"],
+        ("c", "g", "sigma1", "sigma2"), {"ax": 0.0, "ay": 0.0, "const": 0.0}, {"x": "ax", "y": "ay"},
+    ),
+    "cos_y": (lambda p: lambda x, y: p["scale"] * np.cos(np.asarray(y, dtype=float)), _ROLES, {"scale": 1.0}, {"y": None}),
+    "cubic_y": (lambda p: lambda x, y: -p["rate"] * np.asarray(y, dtype=float) ** 3, _Y_ROLES, {"rate": 1.0}, {"y": None}),
 }
 
 
@@ -106,7 +88,7 @@ def build(role, name, **params):
     """
     if name not in _BUILDERS:
         raise InvalidInputError(f"unknown coefficient {name!r}; known: {sorted(_BUILDERS)}")
-    builder, roles, defaults, dep_y = _BUILDERS[name]
+    builder, roles, defaults, gates = _BUILDERS[name]
     if role not in roles:
         raise InvalidInputError(f"coefficient {name!r} cannot serve as {role}; it serves {', '.join(roles)}")
     unknown = sorted(set(params) - set(defaults))
@@ -118,9 +100,11 @@ def build(role, name, **params):
     bad = sorted(key for key, value in values.items() if not np.isfinite(value))
     if bad:
         raise InvalidInputError(f"coefficient {name!r}: parameter {', '.join(bad)} must be finite")
-    if dep_y is None:
-        dep_y = values["ay"] != 0.0
-    return Coefficient(name, builder(role, values), params, dep_y)
+    fn = builder(values)
+    if role in _Y_ROLES:
+        fn = functools.partial(fn, None)
+    read = [arg for arg, gate in gates.items() if gate is None or values[gate] != 0.0]
+    return Coefficient(name, fn, params, read, zero=name == "zero")
 
 
 def parse_spec(role, text):

@@ -224,7 +224,7 @@ def validate(config: ExperimentConfig):
         checks.append(CheckResult("invariant_measure", "fail", str(exc)))
 
     # Hurst branch vs sigma1 dependence; make_spec has checked H in (1/2, 1)
-    dep_y = spec.sigma1_depends_on_y()
+    dep_y = coefficients.reads(spec.sigma1, "y")
     h, beta = spec.hurst, spec.beta
     if not dep_y:
         checks.append(CheckResult("hurst_branch", "pass", f"state-only branch, H={h}"))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from .coefficients import is_zero, reads
 from .errors import ExperimentFailure, InvalidInputError
 from .fbm_gen import rng_for, sample_noise_bundle
 from .multiscale_sim import SlowFastSpec, default_substeps, schedule_checks, simulate_batch
@@ -48,7 +49,7 @@ class HFunctional:
 
 
 def _check_schedule(spec0, schedule):
-    for name, ok, detail in schedule_checks(schedule, spec0.beta, spec0.sigma1_depends_on_y()):
+    for name, ok, detail in schedule_checks(schedule, spec0.beta, reads(spec0.sigma1, "y")):
         if not ok:
             raise InvalidInputError(f"{name}: {detail}")
 
@@ -74,17 +75,19 @@ class LaplaceExperiment:
         _check_schedule(spec0, self.eps_schedule)
 
 
+def rough_noise_only(spec: SlowFastSpec):
+    """True when the declared facts leave the scalar slow motion driven by
+    sigma1 dB^H alone: b, c, g and sigma2 are zero, sigma1 does not read x
+    and m = k = 1.  Then the closed form of ``linear_case_prediction``
+    applies, with the averaged sigma1 when sigma1 reads the fast state."""
+    drifts_zero = all(is_zero(getattr(spec, role)) for role in ("b", "c", "g", "sigma2"))
+    return drifts_zero and not reads(spec.sigma1, "x") and spec.m == spec.k == 1
+
+
 def _is_pure_fbm_linear(spec: SlowFastSpec):
-    """True when the slow motion reduces to x0 + sqrt(eps) sigma B^H."""
-    names = {}
-    for role in ("b", "c", "g", "sigma2", "sigma1"):
-        fn = getattr(spec, role)
-        names[role] = getattr(fn, "name", None)
-    if any(names[r] != "zero" for r in ("b", "c", "g", "sigma2")):
-        return False
-    if names["sigma1"] != "constant":
-        return False
-    return spec.m == spec.k == 1
+    """True when the slow motion is x0 + sqrt(eps) sigma B^H with a constant
+    sigma, so its terminal law is Gaussian."""
+    return rough_noise_only(spec) and not reads(spec.sigma1, "y")
 
 
 def _terminal_values_gaussian(spec, horizon, trials, seed, stream):
@@ -263,9 +266,15 @@ def linear_case_prediction(spec: SlowFastSpec, threshold, horizon=1.0, sigma_bar
 
     ``sigma_bar`` overrides the coefficient read off the system; pass the
     averaged coefficient when the rough diffusion depends on the fast state.
+    Raises ``InvalidInputError`` unless ``rough_noise_only(spec)`` holds and
+    the coefficient is non-zero.
     """
+    if not rough_noise_only(spec):
+        raise InvalidInputError("the closed form needs b, c, g, sigma2 zero and sigma1 free of x, with m = k = 1")
     if sigma_bar is None:
         sigma_bar = float(np.asarray(spec.sigma1(spec.x0, spec.y0)).reshape(-1)[0])
+    if sigma_bar == 0.0:
+        raise InvalidInputError("the closed form needs a non-zero rough diffusion")
     gap = threshold - float(spec.x0[0])
     return gap**2 / (2.0 * sigma_bar**2 * horizon ** (2.0 * spec.hurst))
 

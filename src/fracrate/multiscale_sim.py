@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cameron_martin import HurstContext, apply_KH_dot
+from .coefficients import is_zero
 from .errors import DivergenceError, InvalidInputError
 from .fbm_gen import NoiseBundle
 from .gridpath import GridPath, l2_norm
@@ -38,6 +39,12 @@ class SlowFastSpec:
     c, sigma1, sigma2 and g on a block of path nodes, x of shape (n, 1),
     against the fast grid, y of shape (ny,), and reads one scalar per node
     and grid point; it handles m = dy = 1 only.
+
+    What a coefficient reads and whether it is zero are declared facts
+    (``coefficients.reads``, ``coefficients.is_zero``), never probed: a
+    bare callable counts as reading x and y, which puts a bare sigma1 on
+    the fast-dependent branch, and the simulator does not evaluate a
+    coefficient declared zero.
     """
 
     b: object
@@ -67,18 +74,6 @@ class SlowFastSpec:
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
         if self.x0.shape != (self.m,) or self.y0.shape != (self.dy,):
             raise InvalidInputError("initial conditions do not match declared dimensions")
-
-    def sigma1_depends_on_y(self):
-        dep = getattr(self.sigma1, "depends_on_y", None)
-        if dep is not None:
-            return bool(dep)
-        # numeric probe at a few displaced fast states
-        x = self.x0
-        base = np.asarray(self.sigma1(x, self.y0), dtype=float)
-        for shift in (0.7, -1.3):
-            if not np.allclose(base, np.asarray(self.sigma1(x, self.y0 + shift), dtype=float)):
-                return True
-        return False
 
 
 @dataclass
@@ -209,20 +204,28 @@ def _matvec(s, v):
     return (s @ v[..., None])[..., 0]
 
 
-def _promoter(spec, role, rows, cols=None):
-    """Bring one coefficient's results to batch shape: (B, rows) for a
-    vector, a (B, 1) factor for a 1 x 1 matrix, (B, rows, cols) otherwise.
+def _zero(*args):
+    """Value and mat-vec of a coefficient declared zero."""
+    return 0.0
 
-    Fixed once per run by probes at the initial state on batches of 1 and 2
+
+def _promoter(spec, role, rows, cols=None):
+    """Evaluate one coefficient on a batch, ``(x, y) -> value``, at batch
+    shape: (B, rows) for a vector, a (B, 1) factor for a 1 x 1 matrix,
+    (B, rows, cols) otherwise.  Matrices also get their mat-vec.
+
+    A coefficient declared zero is never called: its value and mat-vec are
+    0.0, and adding 0.0 leaves a finite non-zero value exact.  Any other is
+    fixed once per run by probes at the initial state on batches of 1 and 2
     trials: a result whose leading axis follows the batch is per trial, any
     other is shared by all trials.  Per trial, the rules of ``_as_vec`` and
-    ``_as_mat`` apply.  Matrices also get their mat-vec.
+    ``_as_mat`` apply.
     """
     fn = getattr(spec, role)
-    raw = []
-    for size in (1, 2):
-        x, y = (np.repeat(v[None, :], size, axis=0) for v in (spec.x0, spec.y0))
-        raw.append(fn(x, y) if role in _TAKES_X else fn(y))
+    if is_zero(fn):
+        return _zero if cols is None else (_zero, _zero)
+    call = fn if role in _TAKES_X else lambda x, y: fn(y)  # noqa: E731
+    raw = [call(*(np.repeat(v[None, :], size, axis=0) for v in (spec.x0, spec.y0))) for size in (1, 2)]
     one, two = (np.asarray(r, dtype=float) for r in raw)
     if one.shape == two.shape:
         lead, val = (), one
@@ -233,19 +236,19 @@ def _promoter(spec, role, rows, cols=None):
     _as_vec(val, rows) if cols is None else _as_mat(val, rows, cols)  # raises on a bad shape
     shape = (rows, cols) if val.shape == (rows, cols) and rows * cols > 1 else (val.size,)
     if val.shape in (shape, ()) and all(isinstance(r, (np.ndarray, np.generic, float)) for r in raw):
-        reshape = lambda v: v  # noqa: E731  (already broadcasts)
+        evaluate = call  # already broadcasts
     else:
-        reshape = lambda v: np.reshape(v, lead + shape)  # noqa: E731
+        evaluate = lambda x, y: np.reshape(call(x, y), lead + shape)  # noqa: E731
     if cols is None:
-        return reshape
+        return evaluate
     if rows == cols == 1:
-        return reshape, np.multiply
+        return evaluate, np.multiply
     if len(shape) == 2:
-        return reshape, _matvec
+        return evaluate, _matvec
     idx = np.arange(min(rows, cols))
 
-    def to_diagonal(v):
-        v = reshape(v)
+    def to_diagonal(x, y):
+        v = evaluate(x, y)
         out = np.zeros(v.shape[:-1] + (rows, cols))
         out[..., idx, idx] = v
         return out
@@ -253,11 +256,11 @@ def _promoter(spec, role, rows, cols=None):
     return to_diagonal, _matvec
 
 
-def _fast_jacobian_norm(spec, promote_f, y):
+def _fast_jacobian_norm(spec, eval_f, y):
     """Largest spectral norm of the fast-drift Jacobian over the rows of y."""
 
     def column(e):
-        return np.broadcast_to(promote_f(spec.f(y + e)) - promote_f(spec.f(y - e)), y.shape) / 2e-4
+        return np.broadcast_to(eval_f(None, y + e) - eval_f(None, y - e), y.shape) / 2e-4
 
     jac = np.stack([column(e) for e in 1e-4 * np.eye(spec.dy)], axis=-1)
     if not np.all(np.isfinite(jac)):
@@ -369,9 +372,8 @@ def _euler_chunk(spec, noises, substeps, promote, controls, warned):
     eta = spec.eta
     se, sh, seh = math.sqrt(spec.eps), math.sqrt(eta), math.sqrt(spec.eps * eta)
     se_sh = se / sh
-    b, c, sigma1, sigma2, f, g, tau = spec.b, spec.c, spec.sigma1, spec.sigma2, spec.f, spec.g, spec.tau
-    pb, pc, pf, pg = promote["b"], promote["c"], promote["f"], promote["g"]
-    (ps1, mv1), (ps2, mv2), (pt, mvt) = promote["sigma1"], promote["sigma2"], promote["tau"]
+    b, c, f, g = promote["b"], promote["c"], promote["f"], promote["g"]
+    (sigma1, mv1), (sigma2, mv2), (tau, mvt) = promote["sigma1"], promote["sigma2"], promote["tau"]
 
     db = np.stack([np.diff(nb.bh.values, axis=0) for nb in noises], axis=1)
     dw = np.stack([np.diff(nb.w.values, axis=0) for nb in noises], axis=1)
@@ -385,13 +387,13 @@ def _euler_chunk(spec, noises, substeps, promote, controls, warned):
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_out):
             for i in range(max(j - 1, 0) * substeps, j * substeps):
-                bv = pb(b(y))
-                cv = pc(c(x, y))
-                s1 = ps1(sigma1(x, y))
-                s2 = ps2(sigma2(x, y))
-                fv = pf(f(y))
-                gv = pg(g(x, y))
-                tv = pt(tau(y))
+                bv = b(x, y)
+                cv = c(x, y)
+                s1 = sigma1(x, y)
+                s2 = sigma2(x, y)
+                fv = f(x, y)
+                gv = g(x, y)
+                tv = tau(x, y)
 
                 dx = (se_sh * bv + cv) * dtf + se * (mv1(s1, db[i]) + mv2(s2, dw[i]))
                 dyv = (fv / eta + gv / seh) * dtf + mvt(tv, dw[i]) / sh
@@ -410,7 +412,7 @@ def _euler_chunk(spec, noises, substeps, promote, controls, warned):
             if not alive.any():
                 break
             if not warned:
-                gnorm = _fast_jacobian_norm(spec, pf, y[alive])
+                gnorm = _fast_jacobian_norm(spec, f, y[alive])
                 if gnorm > 0 and spec.eta < 2.0 * dtf * gnorm:
                     warnings.warn(
                         f"fast Euler step may be unstable: eta={spec.eta:.3g} < 2*dt_fast*|grad f|"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracrate import coefficients as cf
 from fracrate.cli import main
 from fracrate.config import hard_failures, load_config, validate
 from fracrate.errors import InvalidInputError
@@ -199,6 +200,23 @@ class TestConfig:
         fails = {c.name: c.detail for c in hard_failures(validate(cfg))}
         assert list(fails) == ["beta_ratio"]
         assert "requires a declared beta" in fails["beta_ratio"]
+        with pytest.raises(InvalidInputError, match="requires a declared beta"):
+            LaplaceExperiment(cfg.make_spec, cfg.schedule, HFunctional(), trials=1000)
+
+    def test_sigma1_branch_follows_declared_facts(self, tmp_path):
+        # a bare callable carries no facts: it reads x and y, so beta is due;
+        # the same callable declared state-only is honoured, and linear_xy
+        # reads y only when ay != 0
+        cfg = load_config(write(tmp_path, "u.cfg", OU_HOMOG))
+        fn = lambda x, y: 0.5 + 0.1 * np.asarray(x)  # noqa: E731
+        for sigma1, fails in [(fn, {"hurst_branch", "beta_ratio"}),
+                              (cf.Coefficient("mine", fn, {}, reads="x"), set()),
+                              (cf.parse_spec("sigma1", "linear_xy ax=0.3 ay=0 const=1.0"), set()),
+                              (cf.parse_spec("sigma1", "linear_xy ax=0.3 ay=0.1 const=1.0"),
+                               {"hurst_branch", "beta_ratio"})]:
+            cfg.model["sigma1"] = sigma1
+            assert {c.name for c in hard_failures(validate(cfg))} == fails
+        cfg.model["sigma1"] = fn
         with pytest.raises(InvalidInputError, match="requires a declared beta"):
             LaplaceExperiment(cfg.make_spec, cfg.schedule, HFunctional(), trials=1000)
 
@@ -395,6 +413,22 @@ class TestCommands:
         assert main(["mc", "rare-event", "--config", cfg, "--out", out1, "--out-dir", str(tmp_path)]) == 0
         assert main(["mc", "rare-event", "--config", cfg, "--out", out2, "--out-dir", str(tmp_path)]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
+
+    @pytest.mark.parametrize("edit,engine,prediction", [
+        (("", ""), "gaussian", "0.08000000000000002"),
+        (("c = zero", "c = linear_xy ax=-2.0"), "simulate", ""),
+    ])
+    def test_mc_rare_event_prediction_only_for_closed_form(self, tmp_path, edit, engine, prediction):
+        # the closed form (a - x0)^2 / (2 sigma^2 T^2H) holds only without drift
+        text = RARE_EVENT.replace(*edit).replace("trials = 20000", "trials = 1000")
+        cfg = write(tmp_path, "mc.cfg", text + "\n[grid]\nn = 9\n")
+        out = str(tmp_path / "m.csv")
+        assert main(["mc", "rare-event", "--config", cfg, "--out", out, "--out-dir", str(tmp_path)]) == 0
+        with open(out) as fh:
+            header, *rows = [line.rstrip("\n").split(",") for line in fh]
+        assert len(rows) == 2
+        assert {row[header.index("engine")] for row in rows} == {engine}
+        assert {row[header.index("prediction")] for row in rows} == {prediction}
 
     def test_run_dispatch_and_empty_kind(self, tmp_path):
         # kind = none: manifest only, exit success

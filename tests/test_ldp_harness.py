@@ -1,13 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from fracrate import coefficients as cf
+from fracrate.config import load_config
 from fracrate.errors import ExperimentFailure, InvalidInputError
 from fracrate.ldp_harness import (
     HFunctional,
     LaplaceExperiment,
+    _terminal_values,
     estimate_laplace,
     estimate_rare_event,
     extrapolated_exponent,
@@ -109,6 +113,25 @@ class TestRareEvent:
         assert ok
         # ordering consistency: estimates sit above the prediction
         assert all(r["neg_eps_log_p"] > pred for r in rows)
+
+    @pytest.mark.parametrize("sigma1,engine", [
+        (None, "gaussian"),
+        ("linear_xy", "gaussian"),  # ax = ay = 0: a constant law
+        ("linear_xy ax=0.5", "simulate"),
+        ("cos_y", "simulate"),
+    ])
+    def test_auto_engine_reads_declared_facts(self, sigma1, engine):
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / "rare_event_linear.cfg")
+        spec = config.make_spec(*config.schedule[0])
+        if sigma1 is not None:
+            spec.sigma1 = cf.parse_spec("sigma1", sigma1)
+        assert _terminal_values(spec, 1.0, 9, None, 4, 0, (0,), "auto")[2] == engine
+
+    def test_prediction_needs_closed_form(self):
+        with pytest.raises(InvalidInputError, match="closed form"):
+            linear_case_prediction(ou_spec(sigma1=("constant", {}), c=("linear_xy", {"ax": -2.0})), 0.2)
+        with pytest.raises(InvalidInputError, match="non-zero"):
+            linear_case_prediction(ou_spec(), 0.2)
 
     def test_pilot_infeasible(self):
         with pytest.raises(ExperimentFailure):

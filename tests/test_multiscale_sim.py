@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracrate import coefficients as cf
 from fracrate import multiscale_sim
@@ -271,7 +273,7 @@ class TestBatched:
     def test_shape_mismatch_raises_before_stepping(self):
         # two fast dimensions make b(y) a 2-vector for a 1-d slow state
         spec = SlowFastSpec(
-            b=cf.build("b", "zero"), c=cf.build("c", "zero"), sigma1=cf.build("sigma1", "zero"),
+            b=cf.build("b", "cos_y"), c=cf.build("c", "zero"), sigma1=cf.build("sigma1", "zero"),
             sigma2=cf.build("sigma2", "zero"), f=cf.build("f", "ou"), g=cf.build("g", "zero"),
             tau=cf.build("tau", "constant", value=SQRT2), hurst=0.7, eps=0.1, eta=0.1,
             x0=0.0, y0=[0.0, 0.0], dy=2,
@@ -279,6 +281,66 @@ class TestBatched:
         noise = make_noise(spec, 11, 1.0, 1)
         with pytest.raises(InvalidInputError, match="returned size 2, expected 1"):
             simulate_batch(spec, [noise])
+
+    def test_zero_drift_steps_at_any_dimension(self):
+        # a declared-zero b is valid whatever the fast dimension
+        spec = SlowFastSpec(
+            b=cf.build("b", "zero"), c=cf.build("c", "zero"), sigma1=cf.build("sigma1", "zero"),
+            sigma2=cf.build("sigma2", "zero"), f=cf.build("f", "ou"), g=cf.build("g", "zero"),
+            tau=cf.build("tau", "constant", value=SQRT2), hurst=0.7, eps=0.1, eta=0.1,
+            x0=0.5, y0=[0.0, 0.0], dy=2, ell=2,
+        )
+        batch = simulate_batch(spec, [make_noise(spec, 11, 1.0, 4)], substeps=4)
+        assert not batch.diverged.any()
+        assert np.all(batch.x == 0.5)
+        assert np.all(np.isfinite(batch.y)) and np.all(batch.y[0, 1:] != 0.0)
+
+
+ROLE_CHOICES = {role: [(name, params) for name, r, params in BUILTIN_ROLES if r == role and name != "zero"]
+                for role in ("b", "c", "sigma1", "sigma2", "f", "g", "tau")}
+
+
+@st.composite
+def zero_heavy_spec(draw):
+    """A spec with a built-in in every role, each drawn as ``zero`` half the
+    time, and a control pair with v1 and u2dot each present or absent."""
+    coefs = {}
+    for role, choices in ROLE_CHOICES.items():
+        name, params = ("zero", {}) if draw(st.booleans()) else draw(st.sampled_from(choices))
+        coefs[role] = cf.build(role, name, **params)
+    spec = SlowFastSpec(**coefs, hurst=0.7, eps=0.1, eta=0.5, x0=0.4, y0=0.2)
+    t = np.linspace(0.0, 1.0, 9)
+    ctrl = ControlPair(v1=GridPath(0.0, 0.125, np.sin(3 * t)) if draw(st.booleans()) else None,
+                       u2dot=GridPath(0.0, 0.125, np.cos(2 * t)) if draw(st.booleans()) else None)
+    return spec, ctrl
+
+
+class TestZeroTerms:
+    def test_declared_zero_is_never_called(self):
+        spec = ou_spec(eps=0.1, eta=0.1, c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
+        calls = {}
+        for role in ("b", "c", "sigma1", "sigma2", "g"):
+            coef, calls[role] = getattr(spec, role), 0
+
+            def counted(*args, fn=coef.fn, role=role):
+                calls[role] += 1
+                return fn(*args)
+
+            coef.fn = counted
+        t = np.linspace(0.0, 1.0, 11)
+        noises = [make_noise(spec, 11, 1.0, 4, seed=2, stream=trial) for trial in range(3)]
+        for ctrl in (None, ControlPair(v1=GridPath(0.0, 0.1, t), u2dot=GridPath(0.0, 0.1, 1.0 - t))):
+            simulate_batch(spec, noises, substeps=4, ctrl=ctrl)
+        assert calls.pop("c") > 0
+        assert calls == dict.fromkeys(("b", "sigma1", "sigma2", "g"), 0)
+
+    @pytest.mark.filterwarnings("ignore:fast Euler step may be unstable")
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=zero_heavy_spec())
+    def test_zero_roles_match_scalar_reference(self, case):
+        spec, ctrl = case
+        noises = [make_noise(spec, 9, 1.0, 2, seed=12, stream=trial) for trial in range(2)]
+        assert_matches_reference(spec, noises, 2, ctrl)
 
 
 class TestControlled:
