@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .cameron_martin import HurstContext
 from .coefficients import reads
-from .config import hard_failures, load_config, validate
+from .config import float_list, hard_failures, load_config, validate
 from .errors import FracrateError, InvalidInputError, ValidationFailure
 from .fbm_gen import sample_fbm, sample_noise_bundle
 from .gridpath import GridPath
@@ -230,12 +230,25 @@ def cmd_rate(args):
     return 0
 
 
+def _hurst_list(args, config):
+    """``--hurst-list`` read by the config's list rule, else the config's list."""
+    if not args.hurst_list:
+        return config.experiment["hurst_list"]
+    try:
+        h_list = float_list(args.hurst_list)
+    except ValueError as exc:
+        raise InvalidInputError(f"--hurst-list: {exc}") from None
+    if not h_list:
+        raise InvalidInputError(f"--hurst-list names no Hurst index: {args.hurst_list!r}")
+    return h_list
+
+
 def cmd_limit_study(args):
     config = _validated_config(args)
     out = _ensure_parent(args.out) if args.out else os.path.join(_out_dir(args), "limit_study.csv")
+    h_list = _hurst_list(args, config)
     _, mu, psol, drift = _measure_and_drift(config)
     phi = GridPath.from_csv(args.path) if args.path else _load_or_default_path(config, drift)
-    h_list = [float(h) for h in args.hurst_list.split(",")] if args.hurst_list else config.experiment["hurst_list"]
     study = h_limit_study(phi, drift, h_list)
     rows = []
     for row, gap_t, gap_f in zip(study["rows"], study["gap_to_tilde"], study["gap_to_fw"]):

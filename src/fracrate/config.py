@@ -35,7 +35,9 @@ from .multiscale_sim import SlowFastSpec, schedule_checks
 from .poisson_cell import domain_halfwidth, effective_q, invariant_density_1d, solve_poisson_1d
 
 
-def _floats(text):
+def float_list(text):
+    """The numbers of a comma- or space-separated list; ``ValueError``
+    names the first token that is not one."""
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
@@ -55,8 +57,8 @@ _SCHEMA = {
         "k": (int, "1"),  # rough-noise dimension
         "ell": (int, "1"),  # Brownian-noise dimension
         "hurst": (float, "0.7"),
-        "x0": (_floats, "0.0"),
-        "y0": (_floats, "0.0"),
+        "x0": (float_list, "0.0"),
+        "y0": (float_list, "0.0"),
         "beta": (_float_or_none, ""),
         "b": (_coefficient("b"), "zero"),
         "c": (_coefficient("c"), "zero"),
@@ -67,7 +69,7 @@ _SCHEMA = {
         "tau": (_coefficient("tau"), "constant value=1.0"),
     },
     "grid": {"n": (int, "201"), "horizon": (float, "1.0"), "substeps": (int, "0")},
-    "schedule": {"eps": (_floats, "0.1, 0.05, 0.02, 0.01"), "eta": (str, "auto")},
+    "schedule": {"eps": (float_list, "0.1, 0.05, 0.02, 0.01"), "eta": (str, "auto")},
     "experiment": {
         "kind": (str, "none"),
         "trials": (int, "1000"),
@@ -80,7 +82,7 @@ _SCHEMA = {
         "h_height": (float, "10.0"),
         "h_width": (float, "0.05"),
         "method": (str, "explicit"),  # rate evaluator
-        "hurst_list": (_floats, "0.6, 0.55, 0.52"),  # limit study
+        "hurst_list": (float_list, "0.6, 0.55, 0.52"),  # limit study
         "path_csv": (str, ""),  # input path of rate and limit-study; empty = built-in cubic
         "engine": (str, "auto"),  # Monte Carlo engine
     },
@@ -167,7 +169,7 @@ def load_config(path):
             raise InvalidInputError("config must contain a [model] section")
         values = _read_sections(parser)
         eps_list, eta_text = values["schedule"]["eps"], values["schedule"]["eta"]
-        eta_list = [eps**1.5 for eps in eps_list] if eta_text == "auto" else _floats(eta_text)
+        eta_list = [eps**1.5 for eps in eps_list] if eta_text == "auto" else float_list(eta_text)
     except InvalidInputError:
         raise
     except (OSError, ValueError, OverflowError, configparser.Error) as exc:

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FracrateError, InvalidInputError
-from .frac_calc import _minus_cell_weights, _plus_cell_weights
+from .frac_calc import _cell_moments
 from .gridpath import GridPath
 
 # Values per temporary array in path_norms' blocks: about eight are live at
@@ -156,13 +156,13 @@ def path_norms(f: GridPath, alpha):
     n = f.n
     dt = f.dt
     lagpow = (dt * np.arange(n)) ** alpha
-    B0, B1 = _minus_cell_weights(alpha, n + 1, dt)
+    C0, C1 = _cell_moments(alpha, n, dt)
     holder = wT = 0.0
     for _, d in _lag_blocks(vals):
         width = d.shape[1]
         quot = d[:, 1:] / lagpow[1:width]
         slopes = np.diff(d, axis=1) / dt
-        dminus = np.cumsum(d[:, :-1] * B0[: width - 1] + slopes * B1[: width - 1], axis=1)
+        dminus = np.cumsum(d[:, :-1] * C0[: width - 1] + slopes * C1[: width - 1], axis=1)
         holder = max(holder, float(np.fmax.reduce(quot, axis=None)))
         wT = max(wT, float(np.fmax.reduce(quot + dminus, axis=None)))
 
@@ -171,16 +171,16 @@ def path_norms(f: GridPath, alpha):
     # per cell (the divergent moment of the cell touching t_k multiplies the
     # vanishing endpoint value and is dropped).  Row i of the reversed path
     # looks back from k = n-1-i; summed by parts, lag l < k carries the
-    # weight A0[l+1] + (A1[l] - A1[l+1]) / dt and lag k only A1[k] / dt.
-    # Lags past k are zero-filled, so the matrix-vector product gives lag k
-    # the first weight; the difference is taken off afterwards.
-    A0, A1 = _plus_cell_weights(alpha, n + 1, dt)
-    lag_weights = A0[1:] + (A1[:-1] - A1[1:]) / dt
+    # weight C0[l] + (C1[l-1] - C1[l]) / dt (C1[-1] = 0) and lag k only
+    # C1[k-1] / dt.  Lags past k are zero-filled, so the matrix-vector
+    # product gives lag k the first weight; the difference is taken off
+    # afterwards.
+    lag_weights = C0 + (np.concatenate(([0.0], C1[:-1])) - C1) / dt
     abs_plus = np.zeros(n)
     for i0, d in _lag_blocks(vals[::-1]):
         np.nan_to_num(d, copy=False)
         abs_plus[n - i0 - len(d) : n - i0] = (d @ lag_weights[: d.shape[1]])[::-1]
-    abs_plus -= np.linalg.norm(vals - vals[0], axis=1) * (A0[1:] - A1[1:] / dt)
+    abs_plus -= np.linalg.norm(vals - vals[0], axis=1) * (C0 - C1 / dt)
     w0 = float(np.max(np.linalg.norm(vals, axis=1) + abs_plus))
     return {"holder_seminorm": float(holder), "w0_norm": w0, "wT_norm": wT}
 

@@ -7,9 +7,19 @@ diverges or loses all accuracy, so none is used anywhere in this module.
 
 Conventions
 -----------
-* Left-sided operators act from the first grid point a = t0; right-sided
-  operators act from the last grid point b = t0 + (n-1)*dt and are computed
-  by time reversal of the left-sided machinery.
+* Every operator acts on the whole (n, d) value array of a path at once, and
+  each column's result is the one that column gives alone.
+* Left-sided operators act from the first grid point a = t0.  Right-sided
+  operators, and the ``'minus'`` difference ratios, are the left-sided (and
+  ``'plus'``) machinery applied to the time-reversed values.
+* One table, ``_cell_moments``, holds the moments of u^(-a-1) over the lag
+  cells [m dt, (m+1) dt], u the distance to the kernel's singular end.
+  Looking back from node k (the left Marchaud derivative, the difference
+  ratios, the absolute ratio of ``path_norms``) cell [t_{k-m-1}, t_{k-m}]
+  is entry m; looking forward from node i (the right derivative inside the
+  Young integral, the backward ratio of ``path_norms``) cell
+  [t_{i+m}, t_{i+m+1}] is.  ``_cell_integral`` is the same integral over
+  part of a cell, for the sign split of the absolute ratios.
 * Marchaud derivatives return 0 at the anchoring endpoint itself (the Weyl
   representation carries an open-interval indicator); for paths that do not
   vanish there the one-sided limit is infinite and tests evaluate strictly
@@ -25,6 +35,9 @@ Conventions
 * Every convolution is ``_fftconv``, ``scipy.signal.fftconvolve``'s
   algorithm on ``scipy.fft`` (``scipy.signal`` costs about half a second
   to import).
+* A path with a non-finite value raises ``InvalidInputError`` at every
+  public entry; a non-finite result of a finite path raises
+  ``RegularityError``.
 """
 from __future__ import annotations
 
@@ -38,13 +51,15 @@ from .errors import InvalidInputError, RegularityError
 from .gridpath import GridPath, trapezoid_weights
 
 
-def _fftconv(a, b):
-    """Full linear convolution of two real 1-d arrays, as ``fftconvolve``."""
-    if len(a) == 1 or len(b) == 1:
-        return a * b
-    size = len(a) + len(b) - 1
+def _fftconv(a, kernel):
+    """Full linear convolution along axis 0 of an (n,) or (n, d) array with
+    a 1-d kernel, each column as ``fftconvolve`` gives it."""
+    shape = (-1,) + (1,) * (a.ndim - 1)
+    if len(a) == 1 or len(kernel) == 1:
+        return a * kernel.reshape(shape)
+    size = len(a) + len(kernel) - 1
     fast = next_fast_len(size, True)
-    return irfft(rfft(a, fast) * rfft(b, fast), fast)[:size]
+    return irfft(rfft(a, fast, axis=0) * rfft(kernel, fast).reshape(shape), fast, axis=0)[:size]
 
 
 @dataclass(frozen=True)
@@ -83,60 +98,48 @@ def _rl_weights(alpha, n, dt):
     return M0, M1
 
 
-def _plus_cell_weights(alpha, n, dt):
-    """Moments of u^(-alpha-1) over cells [(m-1)dt, m dt], m = 1..n-1.
+def _cell_moments(alpha, cells, dt):
+    """Moments of u^(-alpha-1) over the lag cells [m dt, (m+1) dt], m < cells.
 
-    A0[m] multiplies the constant offset taken at the cell's *right* node and
-    is therefore zero by construction at m = 1 (where the raw moment
-    diverges); A1[m] multiplies the slope against (u - (m-1)dt).
+    For a numerator linear on the cell, C0[m] multiplies its value at the
+    near node u = m dt and C1[m] its slope against (u - m dt).  The raw C0
+    moment diverges at m = 0; there the near node is the anchor, where every
+    numerator of this module vanishes, so C0[0] is zero by construction.
     """
-    m = np.arange(n, dtype=float)
-    A0 = np.zeros(n)
-    A1 = np.zeros(n)
-    if n > 2:
-        mm = m[2:]
-        A0[2:] = dt ** (-alpha) * ((mm - 1.0) ** (-alpha) - mm ** (-alpha)) / alpha
-    p1 = m ** (1.0 - alpha)
-    A1[1:] = dt ** (1.0 - alpha) * np.diff(p1) / (1.0 - alpha)
-    if n > 2:
-        mm = m[2:]
-        A1[2:] += dt ** (1.0 - alpha) * (mm - 1.0) * (mm ** (-alpha) - (mm - 1.0) ** (-alpha)) / alpha
-    return A0, A1
+    m = np.arange(cells + 1, dtype=float)
+    mm = m[1:-1]
+    C0 = np.zeros(cells)
+    C0[1:] = dt ** (-alpha) * (mm ** (-alpha) - (mm + 1.0) ** (-alpha)) / alpha
+    C1 = dt ** (1.0 - alpha) * np.diff(m ** (1.0 - alpha)) / (1.0 - alpha)
+    C1[1:] += dt ** (1.0 - alpha) * mm * ((mm + 1.0) ** (-alpha) - mm ** (-alpha)) / alpha
+    return C0, C1
 
 
-def _minus_cell_weights(alpha, n, dt):
-    """Moments of u^(-alpha-1) over cells [m dt, (m+1)dt], m = 0..n-2.
+def _cell_integral(c, s, p, q, alpha):
+    """int_p^q (c + s u) u^(-alpha-1) du for 0 <= p <= q, exact.
 
-    B0[m] multiplies the constant offset taken at the cell's *left* node
-    (zero by construction at m = 0); B1[m] multiplies the slope against
-    (u - m dt).
+    Where p = 0 the numerator must vanish at u = 0 (c = 0), and the
+    divergent moment it multiplies is dropped.
     """
-    m = np.arange(n, dtype=float)
-    B0 = np.zeros(n)
-    B1 = np.zeros(n)
-    if n > 1:
-        B1[:-1] = dt ** (1.0 - alpha) * np.diff(m ** (1.0 - alpha)) / (1.0 - alpha)
-    if n > 2:
-        mm = m[1:-1]
-        B0[1:-1] = dt ** (-alpha) * (mm ** (-alpha) - (mm + 1.0) ** (-alpha)) / alpha
-        B1[1:-1] += dt ** (1.0 - alpha) * mm * ((mm + 1.0) ** (-alpha) - mm ** (-alpha)) / alpha
-    return B0, B1
+    with np.errstate(divide="ignore"):
+        p_a = np.where(p > 0.0, p ** (-alpha), 0.0)
+    return c * (p_a - q ** (-alpha)) / alpha + s * (q ** (1.0 - alpha) - p ** (1.0 - alpha)) / (1.0 - alpha)
 
 
 # ---------------------------------------------------------------------------
-# array cores (scalar paths as flat arrays)
+# array cores on (n, d) value arrays, n >= 2
 # ---------------------------------------------------------------------------
 
 def rl_left_values(values, alpha, dt):
-    """Left Riemann-Liouville integral of a scalar grid function, all prefixes."""
+    """Left Riemann-Liouville integral of every column, all prefixes."""
     n = len(values)
-    out = np.zeros(n)
+    out = np.zeros(values.shape)
     if alpha == 1.0:
         mid = 0.5 * (values[1:] + values[:-1]) * dt
-        out[1:] = np.cumsum(mid)
+        out[1:] = np.cumsum(mid, axis=0)
         return out
     M0, M1 = _rl_weights(alpha, n, dt)
-    slopes = np.diff(values) / dt
+    slopes = np.diff(values, axis=0) / dt
     c0 = _fftconv(values[:-1], M0[1:])
     c1 = _fftconv(slopes, M1[1:])
     out[1:] = (c0[: n - 1] + c1[: n - 1]) / gamma(alpha)
@@ -144,152 +147,125 @@ def rl_left_values(values, alpha, dt):
 
 
 def delta_plus_running(values, alpha, dt):
-    """Delta_alpha f_{t0, t_k} for every k, exact on the linear interpolant."""
+    """Delta_alpha f_{t0, t_k} for every k and column, exact on the linear
+    interpolant: int_{t0}^{t_k} (f_k - f(r)) (t_k - r)^(-alpha-1) dr."""
     n = len(values)
-    out = np.zeros(n)
-    if n < 2:
-        return out
-    A0, A1 = _plus_cell_weights(alpha, n + 1, dt)
-    S0 = np.cumsum(A0[1 : n + 1])
-    slopes = np.diff(values) / dt
-    c0 = _fftconv(values[1:], A0[1:n])
-    c1 = _fftconv(slopes, A1[1:n])
-    out[1:] = values[1:] * S0[: n - 1] - c0[: n - 1] + c1[: n - 1]
+    C0, C1 = _cell_moments(alpha, n, dt)
+    slopes = np.diff(values, axis=0) / dt
+    c0 = _fftconv(values[1:], C0[: n - 1])
+    c1 = _fftconv(slopes, C1[: n - 1])
+    out = np.zeros(values.shape)
+    out[1:] = values[1:] * np.cumsum(C0)[: n - 1, None] - c0[: n - 1] + c1[: n - 1]
     return out
 
 
-def marchaud_left_values(values, alpha, dt, return_parts=False):
-    """Left Marchaud derivative on the grid; value 0 at the left endpoint."""
+def marchaud_left_values(values, alpha, dt):
+    """Left Marchaud derivative of every column; value 0 at the left endpoint."""
     n = len(values)
     t = dt * np.arange(n)
-    boundary = np.zeros(n)
-    boundary[1:] = values[1:] * t[1:] ** (-alpha)
-    delta = delta_plus_running(values, alpha, dt)
-    out = (boundary + alpha * delta) / gamma(1.0 - alpha)
-    if not np.all(np.isfinite(out)):
-        raise RegularityError("Marchaud derivative produced non-finite values")
-    if return_parts:
-        return out, boundary / gamma(1.0 - alpha), alpha * delta / gamma(1.0 - alpha)
+    boundary = np.zeros(values.shape)
+    boundary[1:] = values[1:] * (t[1:] ** (-alpha))[:, None]
+    return (boundary + alpha * delta_plus_running(values, alpha, dt)) / gamma(1.0 - alpha)
+
+
+def _ratio_to_end(values, alpha, dt, absolute):
+    """int_{t0}^{t} (f_t - f(r)) (t - r)^(-alpha-1) dr for every column of an
+    (n, d) array, t its last node, or the same with |f_t - f(r)|.
+
+    Exact per cell; an absolute cell is split where its numerator changes
+    sign, and each piece is ``_cell_integral``.
+    """
+    n = len(values)
+    near = values[-1] - values[1:]  # numerator at each cell's right node
+    s = np.diff(values, axis=0) / dt  # its slope in the lag u = t - r
+    if not absolute:
+        C0, C1 = _cell_moments(alpha, n - 1, dt)
+        return np.sum(C0[::-1, None] * near + C1[::-1, None] * s, axis=0)
+    lo = (dt * np.arange(n - 2, -1, -1))[:, None]
+    hi = (dt * np.arange(n - 1, 0, -1))[:, None]
+    far = values[-1] - values[:-1]
+    c = near - s * lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        split = np.where(near * far < 0.0, np.clip(lo - near / s, lo, hi), hi)
+    pieces = np.abs(_cell_integral(c, s, lo, split, alpha)) + np.abs(_cell_integral(c, s, split, hi, alpha))
+    return np.sum(pieces, axis=0)
+
+
+def _young_running(fv, gv, alpha, dt):
+    """Running Young integral of the columns of f against those of g.
+
+    f and g are (n, d) or (n, 1) and broadcast column by column.  At prefix
+    k the integration-by-parts sum runs over nodes j < k (the node j = k
+    term vanishes) with trapezoid weights w_j that do not depend on k.
+    With h = w * D^a (f - f_0) and s the slopes of g,
+
+      out_k = f_0 (g_k - g_0) - (bnd_k - (1 - a) Delta_k) / Gamma(a),
+      bnd_k = (hg * K)_k - g_k (h * K)_k,   K(m) = (m dt)^(a-1), K(0) = 0,
+      Delta_k = sum_{i<k} [g_i (h * C0)_i + s_i (h * C1)_i] - (hg * P0)_k,
+
+    where * is the convolution along the grid, C0, C1 are the cell moments
+    of the right derivative of order 1 - a and P0 their running sum.
+    """
+    n = len(fv)
+    ap = 1.0 - alpha
+    C0, C1 = _cell_moments(ap, n, dt)
+    P0 = np.concatenate(([0.0], np.cumsum(C0[: n - 1])))
+    K = np.zeros(n)
+    K[1:] = (np.arange(1, n) * dt) ** (alpha - 1.0)
+    h = trapezoid_weights(n, dt)[:, None] * marchaud_left_values(fv - fv[0], alpha, dt)
+    hg = h * gv
+    slopes = np.diff(gv, axis=0) / dt
+    bnd = _fftconv(hg, K)[:n] - gv * _fftconv(h, K)[:n]
+    terms = gv[:-1] * _fftconv(h, C0[: n - 1])[: n - 1] + slopes * _fftconv(h, C1[: n - 1])[: n - 1]
+    delta = np.concatenate((np.zeros((1, terms.shape[1])), np.cumsum(terms, axis=0))) - _fftconv(hg, P0)[:n]
+    out = fv[0] * (gv - gv[0]) - (bnd - ap * delta) / gamma(alpha)
+    out[0] = 0.0  # the empty integral, without the sign of a rounded zero
     return out
-
-
-# ---------------------------------------------------------------------------
-# exact signed / absolute single-interval functionals
-# ---------------------------------------------------------------------------
-
-def _seg_plus(C, B, t, p, q, alpha):
-    """int_p^q (C - B(t-r)) (t-r)^(-a-1) dr for 0 <= p < q <= t."""
-    a1, b1 = t - q, t - p
-    if a1 <= 0.0:
-        if abs(C) > 1e-12 * (abs(B) * (q - p) + 1.0):
-            raise RegularityError("divergent singular integral at the right endpoint")
-        term0 = 0.0
-    else:
-        term0 = C * (a1 ** (-alpha) - b1 ** (-alpha)) / alpha
-    term1 = -B * (b1 ** (1.0 - alpha) - a1 ** (1.0 - alpha)) / (1.0 - alpha)
-    return term0 + term1
-
-
-def _cell_plus(f_t, fv0, slope, c0, c1, t, alpha, absolute):
-    """Exact integral of (f_t - f(r)) [or its absolute value] times the
-    (t-r)^(-a-1) kernel over one interpolation cell [c0, c1]."""
-    # numerator n(r) = C - B*(t - r) with n(r) = f_t - fv0 - slope*(r - c0)
-    B = -slope
-    C = f_t - fv0 - slope * (t - c0)
-    if not absolute:
-        return _seg_plus(C, B, t, c0, c1, alpha)
-    n0 = f_t - fv0
-    n1 = f_t - (fv0 + slope * (c1 - c0))
-    if n0 == 0.0 and n1 == 0.0:
-        return 0.0
-    if n0 * n1 >= 0.0:
-        sgn = 1.0 if (n0 + n1) >= 0.0 else -1.0
-        return sgn * _seg_plus(C, B, t, c0, c1, alpha)
-    r_star = c0 + n0 / slope if slope != 0.0 else c1
-    r_star = min(max(r_star, c0), c1)
-    s0 = 1.0 if n0 > 0 else -1.0
-    return s0 * _seg_plus(C, B, t, c0, r_star, alpha) - s0 * _seg_plus(C, B, t, r_star, c1, alpha)
-
-
-def _seg_minus(C, B, s, p, q, alpha):
-    """int_p^q (C + B(r-s)) (r-s)^(-a-1) dr for s <= p < q."""
-    a1, b1 = p - s, q - s
-    if a1 <= 0.0:
-        if abs(C) > 1e-12 * (abs(B) * (q - p) + 1.0):
-            raise RegularityError("divergent singular integral at the left endpoint")
-        term0 = 0.0
-    else:
-        term0 = C * (a1 ** (-alpha) - b1 ** (-alpha)) / alpha
-    term1 = B * (b1 ** (1.0 - alpha) - a1 ** (1.0 - alpha)) / (1.0 - alpha)
-    return term0 + term1
-
-
-def _cell_minus(f_s, fv0, slope, c0, c1, s, alpha, absolute):
-    """Exact integral of (f(r) - f_s) [or abs] times (r-s)^(-a-1) over [c0, c1]."""
-    # n(r) = C + B(r - s) with C = fv0 - f_s + slope*(s - c0), B = slope
-    B = slope
-    C = fv0 - f_s + slope * (s - c0)
-    if not absolute:
-        return _seg_minus(C, B, s, c0, c1, alpha)
-    n0 = fv0 - f_s
-    n1 = fv0 + slope * (c1 - c0) - f_s
-    if n0 == 0.0 and n1 == 0.0:
-        return 0.0
-    if n0 * n1 >= 0.0:
-        sgn = 1.0 if (n0 + n1) >= 0.0 else -1.0
-        return sgn * _seg_minus(C, B, s, c0, c1, alpha)
-    r_star = c0 - n0 / slope if slope != 0.0 else c1
-    r_star = min(max(r_star, c0), c1)
-    s0 = 1.0 if n0 > 0 else -1.0
-    return s0 * _seg_minus(C, B, s, c0, r_star, alpha) - s0 * _seg_minus(C, B, s, r_star, c1, alpha)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def riemann_liouville(f: GridPath, order: FracOrder) -> GridPath:
-    """Fractional integral I^a of f on the same grid, order in (0, 1]."""
+def _path_values(f: GridPath):
+    """The (n, d) values of a path with at least two nodes, all finite."""
     if f.n < 2:
         raise InvalidInputError("degenerate grid: need at least two points")
-    cols = []
-    for j in range(f.dim):
-        v = f.component(j)
-        if order.side == "right":
-            col = rl_left_values(v[::-1], order.alpha, f.dt)[::-1]
-        else:
-            col = rl_left_values(v, order.alpha, f.dt)
-        cols.append(col)
-    return f.with_values(np.column_stack(cols))
+    if not np.all(np.isfinite(f.values)):
+        raise InvalidInputError(f"fractional calculus needs a finite path, got non-finite values in {f!r}")
+    return f.values
 
 
-def marchaud_derivative(f: GridPath, order: FracOrder, return_parts=False):
+def _finite_result(out, message):
+    if not np.all(np.isfinite(out)):
+        raise RegularityError(message)
+    return out
+
+
+def _from_side(core, values, side, *args):
+    """A left-sided core on the values, or on their time reversal for 'right'."""
+    if side == "right":
+        return core(values[::-1], *args)[::-1]
+    return core(values, *args)
+
+
+def riemann_liouville(f: GridPath, order: FracOrder) -> GridPath:
+    """Fractional integral I^a of f on the same grid, order in (0, 1]."""
+    out = _from_side(rl_left_values, _path_values(f), order.side, order.alpha, f.dt)
+    return f.with_values(_finite_result(out, "Riemann-Liouville integral produced non-finite values"))
+
+
+def marchaud_derivative(f: GridPath, order: FracOrder) -> GridPath:
     """Marchaud fractional derivative D^a of f via the Weyl representation.
 
     The boundary term f(t)/(t-a)^a and the difference-quotient integral are
-    both integrated exactly against the linear interpolant.  With
-    ``return_parts`` the boundary and difference contributions are returned
-    alongside the derivative.
+    both integrated exactly against the linear interpolant.
     """
-    if f.n < 2:
-        raise InvalidInputError("degenerate grid: need at least two points")
+    values = _path_values(f)
     if order.alpha >= 1.0:
         raise InvalidInputError("Marchaud derivative requires order in (0,1)")
-    outs, bnds, dels = [], [], []
-    for j in range(f.dim):
-        v = f.component(j)
-        if order.side == "right":
-            res = marchaud_left_values(v[::-1], order.alpha, f.dt, return_parts=True)
-            out, bnd, dlt = (arr[::-1] for arr in res)
-        else:
-            out, bnd, dlt = marchaud_left_values(v, order.alpha, f.dt, return_parts=True)
-        outs.append(out)
-        bnds.append(bnd)
-        dels.append(dlt)
-    d = f.with_values(np.column_stack(outs))
-    if return_parts:
-        return d, f.with_values(np.column_stack(bnds)), f.with_values(np.column_stack(dels))
-    return d
+    out = _from_side(marchaud_left_values, values, order.side, order.alpha, f.dt)
+    return f.with_values(_finite_result(out, "Marchaud derivative produced non-finite values"))
 
 
 def _grid_index(f: GridPath, t, name):
@@ -304,9 +280,10 @@ def delta_ratio(f: GridPath, alpha, s, t, absolute=False, direction="plus"):
     """Difference-ratio functional Delta_a f_{s,t} and its variants.
 
     ``direction='plus'`` integrates (f_t - f_r)/(t-r)^(a+1) over (s,t);
-    ``'minus'`` integrates (f_r - f_s)/(r-s)^(a+1).  The absolute variants
-    take the absolute numerator (componentwise for vector paths).  Exact per
-    cell, including the sign change of the numerator inside a cell.
+    ``'minus'`` integrates (f_r - f_s)/(r-s)^(a+1), which is minus the plus
+    ratio of the time-reversed path.  The absolute variants take the
+    absolute numerator (componentwise for vector paths).  Exact per cell,
+    including the sign change of the numerator inside a cell.
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0,1), got {alpha}")
@@ -316,20 +293,14 @@ def delta_ratio(f: GridPath, alpha, s, t, absolute=False, direction="plus"):
     i1 = _grid_index(f, t, "t")
     if i0 >= i1:
         raise InvalidInputError(f"need s < t on the grid, got indices {i0} >= {i1}")
-    tt = f.times()
-    out = np.zeros(f.dim)
-    for jdim in range(f.dim):
-        v = f.component(jdim)
-        total = 0.0
-        for c in range(i0, i1):
-            slope = (v[c + 1] - v[c]) / f.dt
-            if direction == "plus":
-                total += _cell_plus(v[i1], v[c], slope, tt[c], tt[c + 1], tt[i1], alpha, absolute)
-            else:
-                total += _cell_minus(v[i0], v[c], slope, tt[c], tt[c + 1], tt[i0], alpha, absolute)
-        out[jdim] = total
-    if not np.all(np.isfinite(out)):
-        raise RegularityError("difference-ratio integral diverged")
+    values = _path_values(f)[i0 : i1 + 1]
+    if direction == "plus":
+        out = _ratio_to_end(values, alpha, f.dt, absolute)
+    elif absolute:
+        out = _ratio_to_end(values[::-1], alpha, f.dt, absolute)
+    else:
+        out = -_ratio_to_end(values[::-1], alpha, f.dt, absolute)
+    _finite_result(out, "difference-ratio integral diverged")
     return float(out[0]) if f.dim == 1 else out
 
 
@@ -337,40 +308,6 @@ def default_young_alpha(hurst, margin=0.05):
     """Order used for integration against an fBm path of known Hurst index."""
     a = 1.0 - hurst + margin
     return min(max(a, 1e-3), 0.999)
-
-
-def _young_running_scalar(fv, gv, alpha, dt):
-    """Running Young integral of scalar f against scalar g via fractional parts.
-
-    At prefix k the integration-by-parts sum runs over nodes j < k (the
-    node j = k term vanishes) with trapezoid weights w_j that do not depend
-    on k.  With h = w * D^a (f - f_0) and s the slopes of g,
-
-      out_k = f_0 (g_k - g_0) - (bnd_k - (1 - a) Delta_k) / Gamma(a),
-      bnd_k = (hg * K)_k - g_k (h * K)_k,   K(m) = (m dt)^(a-1), K(0) = 0,
-      Delta_k = sum_{i<k} [g_i (h * B0)_i + s_i (h * B1)_i] - (hg * P0)_k,
-
-    where * is the convolution and B0, B1, P0 are the cell moments of the
-    right derivative of order 1 - a.
-    """
-    n = len(fv)
-    fa = fv[0]
-    ap = 1.0 - alpha
-    B0, B1 = _minus_cell_weights(ap, n + 1, dt)
-    P0 = np.concatenate(([0.0], np.cumsum(B0[: n - 1])))
-    K = np.zeros(n)
-    K[1:] = (np.arange(1, n) * dt) ** (alpha - 1.0)
-    h = trapezoid_weights(n, dt) * marchaud_left_values(fv - fa, alpha, dt)
-    hg = h * gv
-    slopes = np.diff(gv) / dt
-    bnd = _fftconv(hg, K)[:n] - gv * _fftconv(h, K)[:n]
-    terms = gv[:-1] * _fftconv(h, B0[: n - 1])[: n - 1] + slopes * _fftconv(h, B1[: n - 1])[: n - 1]
-    delta = np.concatenate(([0.0], np.cumsum(terms))) - _fftconv(hg, P0)[:n]
-    out = fa * (gv - gv[0]) - (bnd - ap * delta) / gamma(alpha)
-    out[0] = 0.0  # the empty integral, without the sign of a rounded zero
-    if not np.all(np.isfinite(out)):
-        raise RegularityError("Young integral diverged; regularity gap too small")
-    return out
 
 
 def young_integral(f: GridPath, g: GridPath, alpha) -> GridPath:
@@ -382,25 +319,12 @@ def young_integral(f: GridPath, g: GridPath, alpha) -> GridPath:
     """
     if not f.same_grid(g):
         raise InvalidInputError("f and g must share the same grid")
-    if f.n < 2:
-        raise InvalidInputError("degenerate grid: need at least two points")
+    fv, gv = _path_values(f), _path_values(g)
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0,1), got {alpha}")
-    if f.dim == 1 and g.dim == 1:
-        vals = _young_running_scalar(f.scalar(), g.scalar(), alpha, f.dt)[:, None]
-    elif f.dim == g.dim:
-        acc = np.zeros(f.n)
-        for c in range(f.dim):
-            acc += _young_running_scalar(f.component(c), g.component(c), alpha, f.dt)
-        vals = acc[:, None]
-    elif f.dim == 1:
-        vals = np.column_stack(
-            [_young_running_scalar(f.scalar(), g.component(c), alpha, f.dt) for c in range(g.dim)]
-        )
-    elif g.dim == 1:
-        vals = np.column_stack(
-            [_young_running_scalar(f.component(c), g.scalar(), alpha, f.dt) for c in range(f.dim)]
-        )
-    else:
+    if f.dim != g.dim and 1 not in (f.dim, g.dim):
         raise InvalidInputError(f"incompatible dimensions f.dim={f.dim}, g.dim={g.dim}")
-    return f.with_values(vals)
+    out = _young_running(fv, gv, alpha, f.dt)
+    if f.dim == g.dim > 1:
+        out = out.sum(axis=1, keepdims=True)
+    return f.with_values(_finite_result(out, "Young integral diverged; regularity gap too small"))

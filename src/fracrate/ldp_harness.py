@@ -21,6 +21,9 @@ from .errors import ExperimentFailure, InvalidInputError
 from .fbm_gen import rng_for, sample_noise_bundle
 from .multiscale_sim import SlowFastSpec, default_substeps, schedule_checks, simulate_batch
 
+# share of the trials, at least 200, that the rare-event feasibility pilot runs
+_PILOT_FRACTION = 0.02
+
 
 @dataclass
 class HFunctional:
@@ -187,7 +190,6 @@ def estimate_rare_event(
     substeps=None,
     engine="auto",
     prediction=None,
-    pilot_fraction=0.02,
 ):
     """Exceedance-probability exponents -eps log P(X_T >= a) along a schedule.
 
@@ -206,7 +208,7 @@ def estimate_rare_event(
     spec0 = make_spec(*eps_schedule[0])
     _check_schedule(spec0, eps_schedule)
     # feasibility pilot at the largest eps
-    pilot_n = max(200, int(trials * pilot_fraction))
+    pilot_n = max(200, int(trials * _PILOT_FRACTION))
     vals, _, engine_used = _terminal_values(
         spec0, horizon, n_grid, substeps, pilot_n, seed, (999,), engine
     )

@@ -35,6 +35,14 @@ from .gridpath import GridPath, l2_norm, trapezoid_weights
 from .multiscale_sim import ControlPair
 from .poisson_cell import InvariantMeasure, PoissonSolution, average_coeff, effective_noise
 
+# sigma1-bar is singular where its smallest singular value is below this
+_SINGULAR_TOL = 1e-8
+# the Gram operator is degenerate where its eigenvalue range
+# [lam_min, lam_max] has lam_min <= _DEGENERATE_RATIO * max(lam_max, 1), and
+# too ill-conditioned to solve where lam_max / lam_min > _CONDITION_LIMIT
+_DEGENERATE_RATIO = 1e-8
+_CONDITION_LIMIT = 1e8
+
 
 @dataclass
 class LimitDrift:
@@ -135,7 +143,7 @@ def _normalized_displacement(phi: GridPath, drift: LimitDrift, tol):
     return np.linalg.solve(s1, r[..., None])[..., 0]
 
 
-def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext, tol=1e-8):
+def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     """Quadratic-form rate for vanishing singular drift and Brownian noise.
 
     Forms psi(t) = sigma1-bar(phi_t)^{-1} [phi-dot - cbar(phi_t)] and returns
@@ -144,7 +152,7 @@ def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext, tol=
     path inadmissible: the value is infinity with a reason, not an error.
     """
     ctx.check_grid(phi, "eval_rate_explicit")
-    psi = _normalized_displacement(phi, drift, tol)
+    psi = _normalized_displacement(phi, drift, _SINGULAR_TOL)
     try:
         v = kdot_inverse(psi, ctx)
     except RegularityError as exc:
@@ -232,7 +240,7 @@ def _condition_estimate(gram, chol):
     return lam_max, lam_min
 
 
-def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext, tol=1e-8, condition_limit=1e8):
+def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     """Operator-form rate: solve the Gram system of the effective diffusivity.
 
     Assembles G = Q Q* (positive definite on the admissible domain), solves
@@ -255,14 +263,14 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext, tol=1
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(f"effective diffusivity Gram is not positive definite: {exc}")
     lam_max, lam_min = _condition_estimate(gram_k, chol)
-    if lam_min <= tol * max(lam_max, 1.0):
+    if lam_min <= _DEGENERATE_RATIO * max(lam_max, 1.0):
         raise DegeneracyError(
             f"Gram operator degenerate: eigenvalue range [{lam_min:.3g}, {lam_max:.3g}]"
         )
     cond = lam_max / lam_min
-    if cond > condition_limit:
+    if cond > _CONDITION_LIMIT:
         raise IllConditionedError(
-            f"Gram solve condition {cond:.3g} exceeds limit {condition_limit:.3g}", condition=cond
+            f"Gram solve condition {cond:.3g} exceeds limit {_CONDITION_LIMIT:.3g}", condition=cond
         )
     w_sol = np.zeros(n * m)
     w_sol[keep] = cho_solve(chol, r_w[keep])
@@ -312,7 +320,8 @@ def admissibility_check(phi: GridPath, drift: LimitDrift, exponent=1.05, factor=
 
     Checks that psi(t)/t^exponent does not blow up over the first decade of
     grid points (psi the normalized forced displacement).  This is a grid
-    heuristic, not a certificate; results carry it as a flag.
+    heuristic, not a certificate; ``h_limit_study`` refuses a path that
+    fails it.
     """
     psi = _normalized_displacement(phi, drift, 1e-12)
     head = slice(1, min(decade, phi.n - 1) + 1)
@@ -322,7 +331,7 @@ def admissibility_check(phi: GridPath, drift: LimitDrift, exponent=1.05, factor=
     return ok, ratios
 
 
-def h_limit_study(phi: GridPath, drift: LimitDrift, h_list, check_admissibility=True):
+def h_limit_study(phi: GridPath, drift: LimitDrift, h_list):
     """Rate values along a Hurst schedule against both classical forms.
 
     Returns a dict with one row per Hurst index plus the two classical
@@ -330,7 +339,7 @@ def h_limit_study(phi: GridPath, drift: LimitDrift, h_list, check_admissibility=
     near-zero heuristic clearly fails.
     """
     ok, ratios = admissibility_check(phi, drift)
-    if check_admissibility and not ok:
+    if not ok:
         raise AdmissibilityError(
             "path fails the near-zero weighted-regularity heuristic "
             f"(ratios {ratios[:3]}... vs {ratios[-1]})"
@@ -349,7 +358,6 @@ def h_limit_study(phi: GridPath, drift: LimitDrift, h_list, check_admissibility=
         "fw_half": fw.value,
         "gap_to_tilde": gaps,
         "gap_to_fw": [abs(row["value"] - fw.value) for row in rows],
-        "admissibility_heuristic": ok,
     }
 
 

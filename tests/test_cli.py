@@ -390,6 +390,17 @@ class TestCommands:
         assert lines[0].startswith("hurst,")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("command", ["limit-study", "run"])
+    @pytest.mark.parametrize("hurst_list", ["0.6,abc", " , "])
+    def test_bad_hurst_list_is_invalid_input(self, tmp_path, capsys, command, hurst_list):
+        cfg = write(tmp_path, "cos.cfg", COS_LIMIT)
+        argv = [command, "--config", cfg, "--hurst-list", hurst_list, "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid input: --hurst-list" in err
+        assert "abc" in err or "no Hurst index" in err
+        assert not (tmp_path / "limit_study.csv").exists()
+
     def test_poisson_json(self, tmp_path):
         cfg = write(tmp_path, "cos.cfg", COS_LIMIT)
         out = str(tmp_path / "p.json")

@@ -11,7 +11,7 @@ from fracrate.fbm_gen import (
     sample_fbm_batch,
     sample_noise_bundle,
 )
-from fracrate.frac_calc import _minus_cell_weights, _plus_cell_weights
+from fracrate.frac_calc import _cell_moments
 from fracrate.gridpath import GridPath
 
 
@@ -178,19 +178,19 @@ def path_norms_loops(f, alpha):
         diff = np.linalg.norm(vals[lag:] - vals[:-lag], axis=1)
         holder = max(holder, diff.max() / (lag * dt) ** alpha)
     abs_plus = np.zeros(n)
-    A0, A1 = _plus_cell_weights(alpha, n + 1, dt)
+    C0, C1 = _cell_moments(alpha, n, dt)
     for k in range(1, n):
         d = np.linalg.norm(vals[k] - vals[: k + 1], axis=1)
         slopes = (d[1 : k + 1] - d[:k]) / dt
-        m = np.arange(k, 0, -1)
-        abs_plus[k] = float(np.sum(d[1 : k + 1] * A0[m] - slopes * A1[m]))
+        m = np.arange(k - 1, -1, -1)  # lag index of cells [j, j + 1] seen from k
+        abs_plus[k] = float(np.sum(d[1 : k + 1] * C0[m] - slopes * C1[m]))
     w0 = float(np.max(np.linalg.norm(vals, axis=1) + abs_plus))
     wT = 0.0
     for i in range(n - 1):
         d = np.linalg.norm(vals[i:] - vals[i], axis=1)
         quot = d[1:] / (dt * np.arange(1, n - i)) ** alpha
-        B0, B1 = _minus_cell_weights(alpha, n - i + 1, dt)
-        cells = d[:-1] * B0[: n - i - 1] + np.diff(d) / dt * B1[: n - i - 1]
+        C0, C1 = _cell_moments(alpha, n - i, dt)
+        cells = d[:-1] * C0[: n - i - 1] + np.diff(d) / dt * C1[: n - i - 1]
         wT = max(wT, float(np.max(quot + np.cumsum(cells))))
     return {"holder_seminorm": float(holder), "w0_norm": w0, "wT_norm": wT}
 
