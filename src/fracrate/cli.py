@@ -130,7 +130,7 @@ def _load_or_default_path(config, drift):
 
 def cmd_sample_fbm(args):
     path = sample_fbm(args.hurst, args.n, args.horizon, dim=args.dim, seed=args.seed)
-    path.to_csv(args.out)
+    path.to_csv(_ensure_parent(args.out))
     print(f"wrote {args.out}: fBm H={args.hurst}, n={args.n}, dim={args.dim}")
     return 0
 

@@ -11,6 +11,7 @@ Carlo is reproducible independently of scheduling.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,20 +53,34 @@ def _fgn_eigenvalues(n_inc, hurst):
     return lam
 
 
-def sample_fgn_batch(hurst, n_inc, size, rng):
-    """Unit-step fractional Gaussian noise, shape (size, n_inc), exact covariance.
+@functools.lru_cache(maxsize=8)
+def _fgn_scales(n_inc, hurst):
+    """Square roots of the clipped embedding eigenvalues.  They depend on
+    (n_inc, hurst) alone, so they are computed once per grid (the last
+    eight grids are kept) and returned read-only, one array shared by every
+    caller.
 
     Raises ``FracrateError`` when an eigenvalue of the embedding falls below
     ``-_EIGEN_ROUNDOFF`` of the largest, which round-off cannot explain.
     """
     lam = _fgn_eigenvalues(n_inc, hurst)
-    m = 2 * n_inc
     if lam.min() < -_EIGEN_ROUNDOFF * lam.max():
         raise FracrateError(
             f"circulant embedding of fGn is indefinite (H={hurst}, n={n_inc}): "
             f"eigenvalue ratio {lam.min() / lam.max():.3g}"
         )
-    lam = np.clip(lam, 0.0, None)
+    scales = np.sqrt(np.clip(lam, 0.0, None))
+    scales.flags.writeable = False
+    return scales
+
+
+def sample_fgn_batch(hurst, n_inc, size, rng):
+    """Unit-step fractional Gaussian noise, shape (size, n_inc), exact covariance.
+
+    Raises ``FracrateError`` when the embedding is indefinite (``_fgn_scales``).
+    """
+    scales = _fgn_scales(n_inc, hurst)
+    m = 2 * n_inc
     z = np.zeros((size, m), dtype=complex)
     z[:, 0] = rng.standard_normal(size) * np.sqrt(m)
     z[:, n_inc] = rng.standard_normal(size) * np.sqrt(m)
@@ -74,7 +89,7 @@ def sample_fgn_batch(hurst, n_inc, size, rng):
     half = np.sqrt(m / 2.0) * (a + 1j * b)
     z[:, 1:n_inc] = half
     z[:, n_inc + 1 :] = np.conj(half[:, ::-1])
-    return np.fft.ifft(np.sqrt(lam)[None, :] * z, axis=1).real[:, :n_inc]
+    return np.fft.ifft(scales[None, :] * z, axis=1).real[:, :n_inc]
 
 
 def sample_fbm(hurst, n, horizon, dim=1, seed=0, stream=0):
@@ -150,6 +165,8 @@ def path_norms(f: GridPath, alpha):
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0,1), got {alpha}")
+    if f.dim == 0:
+        raise InvalidInputError("path norms need a path with at least one column")
     vals = f.values
     if not np.all(np.isfinite(vals)):
         raise InvalidInputError("path norms need a finite path")

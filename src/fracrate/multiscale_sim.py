@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cameron_martin import HurstContext, apply_KH_dot
-from .coefficients import is_zero
+from .coefficients import is_zero, reads
 from .errors import DivergenceError, InvalidInputError
 from .fbm_gen import NoiseBundle
 from .gridpath import GridPath, l2_norm
@@ -43,8 +43,9 @@ class SlowFastSpec:
     What a coefficient reads and whether it is zero are declared facts
     (``coefficients.reads``, ``coefficients.is_zero``), never probed: a
     bare callable counts as reading x and y, which puts a bare sigma1 on
-    the fast-dependent branch, and the simulator does not evaluate a
-    coefficient declared zero.
+    the fast-dependent branch.  The simulator does not evaluate a
+    coefficient declared zero and evaluates one that reads neither x nor y
+    once per chunk of trials.
     """
 
     b: object
@@ -174,7 +175,12 @@ def schedule_checks(schedule, beta=None, fast_sigma1=False):
 
 
 # Trials x fine-grid points stepped together; longer batches run in chunks.
+# One (fine step, trial) stack of a chunk is then 8 MB per noise column; a
+# composed step holds one per noise term of the chunk, as many as it reads.
 _MAX_BATCH_POINTS = 1 << 20
+# Visited fast states per call of the stability probe, which holds about
+# six arrays of that many rows.
+_PROBE_ROWS = 1 << 14
 _TAKES_X = ("c", "sigma1", "sigma2", "g")
 _SHAPES = {"b": ("m",), "c": ("m",), "f": ("dy",), "g": ("dy",),
            "sigma1": ("m", "k"), "sigma2": ("m", "ell"), "tau": ("dy", "ell")}
@@ -204,26 +210,21 @@ def _matvec(s, v):
     return (s @ v[..., None])[..., 0]
 
 
-def _zero(*args):
-    """Value and mat-vec of a coefficient declared zero."""
-    return 0.0
-
-
 def _promoter(spec, role, rows, cols=None):
     """Evaluate one coefficient on a batch, ``(x, y) -> value``, at batch
     shape: (B, rows) for a vector, a (B, 1) factor for a 1 x 1 matrix,
-    (B, rows, cols) otherwise.  Matrices also get their mat-vec.
+    (B, rows, cols) otherwise.  Returns the evaluator and, for a matrix,
+    its mat-vec (None for a vector).
 
-    A coefficient declared zero is never called: its value and mat-vec are
-    0.0, and adding 0.0 leaves a finite non-zero value exact.  Any other is
-    fixed once per run by probes at the initial state on batches of 1 and 2
-    trials: a result whose leading axis follows the batch is per trial, any
-    other is shared by all trials.  Per trial, the rules of ``_as_vec`` and
-    ``_as_mat`` apply.
+    A coefficient declared zero has neither: its evaluator is None, and its
+    terms are dropped from the step.  Any other is fixed once per run by
+    probes at the initial state on batches of 1 and 2 trials: a result whose
+    leading axis follows the batch is per trial, any other is shared by all
+    trials.  Per trial, the rules of ``_as_vec`` and ``_as_mat`` apply.
     """
     fn = getattr(spec, role)
     if is_zero(fn):
-        return _zero if cols is None else (_zero, _zero)
+        return None, None
     call = fn if role in _TAKES_X else lambda x, y: fn(y)  # noqa: E731
     raw = [call(*(np.repeat(v[None, :], size, axis=0) for v in (spec.x0, spec.y0))) for size in (1, 2)]
     one, two = (np.asarray(r, dtype=float) for r in raw)
@@ -240,7 +241,7 @@ def _promoter(spec, role, rows, cols=None):
     else:
         evaluate = lambda x, y: np.reshape(call(x, y), lead + shape)  # noqa: E731
     if cols is None:
-        return evaluate
+        return evaluate, None
     if rows == cols == 1:
         return evaluate, np.multiply
     if len(shape) == 2:
@@ -254,6 +255,50 @@ def _promoter(spec, role, rows, cols=None):
         return out
 
     return to_diagonal, _matvec
+
+
+class _Term:
+    """A summand of the Euler step, composed once per chunk.  A term that
+    reads the state has ``at(i, x, y)``, its value at fine step i.  A free
+    term reads no state: ``at`` is None and it holds its ``value``, with the
+    fine steps on the leading axis when ``stepped``.  A stepped value
+    belongs to its term alone, so the term that consumes it may write
+    into it."""
+
+    def __init__(self, at=None, value=None, stepped=False):
+        self.at, self.value, self.stepped = at, value, stepped
+
+    def reader(self):
+        """``at``; for a free term, a read of its value."""
+        if self.at is not None:
+            return self.at
+        value = self.value
+        return (lambda i, x, y: value[i]) if self.stepped else (lambda i, x, y: value)
+
+
+def _lift(op, a, b):
+    """The term ``op(a, b)``, None if a or b is None (a term of a
+    coefficient declared zero).  Two free terms combine here, for all fine
+    steps in one array operation, elementwise in the order the step would
+    combine them, so every value is the same.  A ufunc writes into a stepped
+    operand of the result's shape: a chain of free terms holds one stack."""
+    if a is None or b is None:
+        return None
+    if a.at is None and b.at is None:
+        if isinstance(op, np.ufunc):
+            shape = np.broadcast_shapes(np.shape(a.value), np.shape(b.value))
+            out = next((t.value for t in (a, b) if t.stepped and t.value.shape == shape), None)
+            value = op(a.value, b.value, out=out)
+        else:
+            value = op(a.value, b.value)
+        return _Term(value=value, stepped=a.stepped or b.stepped)
+    fa, fb = a.reader(), b.reader()
+    return _Term(lambda i, x, y: op(fa(i, x, y), fb(i, x, y)))
+
+
+def _plus(a, b):
+    """The term a + b, a term of a coefficient declared zero (None) dropped."""
+    return b if a is None else a if b is None else _lift(np.add, a, b)
 
 
 def _fast_jacobian_norm(spec, eval_f, y):
@@ -360,25 +405,84 @@ def simulate_batch(spec: SlowFastSpec, noises, substeps=1, ctrl: ControlPair | N
     return BatchPaths(x=xs, y=ys, dt=first.bh.dt * substeps, first_bad_time=bad)
 
 
+def _compose_step(spec, promote, noises, controls, x, y):
+    """The Euler step of a chunk at its initial state (x, y), composed from
+    the declared facts: ``(step_x, step_y)``, each a function of (i, x, y)
+    giving that state after fine step i of length dt, with increments dB, dW:
+
+        dx = (sqrt(eps/eta) b + c) dt + sqrt(eps) (sigma1 dB + sigma2 dW)
+             + (sigma1 u1dot + sigma2 u2dot) dt
+        dy = (f/eta + g/sqrt(eps eta)) dt + tau dW/sqrt(eta) + tau u2dot dt/sqrt(eps eta)
+
+    A coefficient that reads no state is evaluated here, once; the terms it
+    alone feeds, noise and control terms included, are formed here for all
+    fine steps at once; the terms of a coefficient declared zero are left
+    out.  So the step does only the state-dependent work."""
+    dtf, eta = noises[0].bh.dt, spec.eta
+    se, sh, seh = math.sqrt(spec.eps), math.sqrt(eta), math.sqrt(spec.eps * eta)
+
+    def coefficient(role):
+        evaluate, fn = promote[role][0], getattr(spec, role)
+        if evaluate is None:
+            return None
+        if reads(fn, "x") or reads(fn, "y"):
+            return _Term(lambda i, x, y: evaluate(x, y))
+        return _Term(value=evaluate(x, y))
+
+    coef = {role: coefficient(role) for role in _SHAPES}
+
+    def times(term, scalar):
+        return _lift(np.multiply, term, _Term(value=scalar))
+
+    def over(term, scalar):
+        return _lift(np.true_divide, term, _Term(value=scalar))
+
+    def noise(role, path):
+        """The term role @ d(path)[i]; the increments, (fine step, trial,
+        column), are formed for this term alone, which may overwrite them."""
+        if coef[role] is None:
+            return None
+        values = [getattr(nb, path).values for nb in noises]
+        inc = np.empty((values[0].shape[0] - 1, len(values), values[0].shape[1]))
+        for trial, v in enumerate(values):
+            np.subtract(v[1:], v[:-1], out=inc[:, trial])
+        return _lift(promote[role][1], coef[role], _Term(value=inc, stepped=True))
+
+    def control(role, u):
+        """The term role @ u[i], on a copy of the control that the term may overwrite."""
+        if u is None or coef[role] is None:
+            return None
+        return _lift(promote[role][1], coef[role], _Term(value=u[:-1, None, :].copy(), stepped=True))
+
+    u1dot, u2dot = controls
+    # The fast side first: summing the two slow noise stacks frees one, after
+    # which glibc serves blocks of that size from its heap, where they stay
+    # resident; freed last, it adds nothing to the peak.
+    drift_y = _plus(over(coef["f"], eta), over(coef["g"], seh))
+    dyv = _plus(times(drift_y, dtf), over(noise("tau", "w"), sh))
+    dyv = _plus(dyv, times(over(control("tau", u2dot), seh), dtf))
+    drift_x = _plus(times(coef["b"], se / sh), coef["c"])
+    dx = _plus(times(drift_x, dtf), times(_plus(noise("sigma1", "bh"), noise("sigma2", "w")), se))
+    dx = _plus(dx, times(control("sigma1", u1dot), dtf))
+    dx = _plus(dx, times(control("sigma2", u2dot), dtf))
+    return _plus(_Term(lambda i, x, y: x), dx).at, _plus(_Term(lambda i, x, y: y), dyv).at
+
+
 def _euler_chunk(spec, noises, substeps, promote, controls, warned):
-    """Left-point Euler steps of one chunk, trials on the leading axis."""
+    """Left-point Euler steps of one chunk, trials on the leading axis.
+
+    Warns, unless ``warned``, if the fast step looks unstable at any
+    recorded output state of a live trial: probed after the loop, in blocks
+    of output nodes, and skipped when f is declared zero or free of y,
+    whose Jacobian is then zero."""
     n_fine = noises[0].bh.n
     dtf = noises[0].bh.dt
     t_fine = noises[0].bh.times()
     n_out = (n_fine - 1) // substeps + 1
     batch = len(noises)
-    u1dot_f, u2dot_f = controls
-
-    eta = spec.eta
-    se, sh, seh = math.sqrt(spec.eps), math.sqrt(eta), math.sqrt(spec.eps * eta)
-    se_sh = se / sh
-    b, c, f, g = promote["b"], promote["c"], promote["f"], promote["g"]
-    (sigma1, mv1), (sigma2, mv2), (tau, mvt) = promote["sigma1"], promote["sigma2"], promote["tau"]
-
-    db = np.stack([np.diff(nb.bh.values, axis=0) for nb in noises], axis=1)
-    dw = np.stack([np.diff(nb.w.values, axis=0) for nb in noises], axis=1)
     x = np.repeat(spec.x0[None, :], batch, axis=0)
     y = np.repeat(spec.y0[None, :], batch, axis=0)
+    step_x, step_y = _compose_step(spec, promote, noises, controls, x, y)
     xs = np.full((batch, n_out, spec.m), np.nan)
     ys = np.full((batch, n_out, spec.dy), np.nan)
     bad = np.full(batch, np.nan)
@@ -387,23 +491,7 @@ def _euler_chunk(spec, noises, substeps, promote, controls, warned):
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_out):
             for i in range(max(j - 1, 0) * substeps, j * substeps):
-                bv = b(x, y)
-                cv = c(x, y)
-                s1 = sigma1(x, y)
-                s2 = sigma2(x, y)
-                fv = f(x, y)
-                gv = g(x, y)
-                tv = tau(x, y)
-
-                dx = (se_sh * bv + cv) * dtf + se * (mv1(s1, db[i]) + mv2(s2, dw[i]))
-                dyv = (fv / eta + gv / seh) * dtf + mvt(tv, dw[i]) / sh
-                if u1dot_f is not None:
-                    dx += mv1(s1, u1dot_f[i]) * dtf
-                if u2dot_f is not None:
-                    dx += mv2(s2, u2dot_f[i]) * dtf
-                    dyv += mvt(tv, u2dot_f[i]) / seh * dtf
-                x = x + dx
-                y = y + dyv
+                x, y = step_x(i, x, y), step_y(i, x, y)
             finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
             bad[alive & ~finite] = t_fine[j * substeps]
             alive &= finite
@@ -411,15 +499,22 @@ def _euler_chunk(spec, noises, substeps, promote, controls, warned):
             ys[:, j] = np.where(alive[:, None], y, np.nan)
             if not alive.any():
                 break
-            if not warned:
-                gnorm = _fast_jacobian_norm(spec, f, y[alive])
-                if gnorm > 0 and spec.eta < 2.0 * dtf * gnorm:
-                    warnings.warn(
-                        f"fast Euler step may be unstable: eta={spec.eta:.3g} < 2*dt_fast*|grad f|"
-                        f"={2 * dtf * gnorm:.3g}",
-                        RuntimeWarning,
-                    )
-                    warned = True
+        eval_f = promote["f"][0]
+        if not warned and eval_f is not None and reads(spec.f, "y"):
+            gnorm, nodes = 0.0, max(1, _PROBE_ROWS // batch)
+            for j in range(0, n_out, nodes):
+                rows = ys[:, j : j + nodes].reshape(-1, spec.dy)
+                rows = rows[np.isfinite(rows).all(axis=1)]
+                gnorm = max(gnorm, _fast_jacobian_norm(spec, eval_f, rows) if len(rows) else 0.0)
+                if spec.eta < 2.0 * dtf * gnorm:
+                    break
+            if gnorm > 0 and spec.eta < 2.0 * dtf * gnorm:
+                warnings.warn(
+                    f"fast Euler step may be unstable: eta={spec.eta:.3g} < 2*dt_fast*|grad f|"
+                    f"={2 * dtf * gnorm:.3g}",
+                    RuntimeWarning,
+                )
+                warned = True
     return (xs, ys, bad), warned
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .cameron_martin import HurstContext, kdot_inverse
+from .coefficients import is_zero
 from .errors import (
     AdmissibilityError,
     DegeneracyError,
@@ -76,7 +77,9 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
     """Average the coefficients of a slow-fast system against the invariant
     measure and bin the effective noise map on measure quantiles.
 
-    Raises ``InvalidInputError`` unless m = dy = 1 (see ``effective_noise``).
+    The corrector ``grad_psi_g_bar`` of a g declared zero is zero and is
+    not averaged.  Raises ``InvalidInputError`` unless m = dy = 1 (see
+    ``effective_noise``).
     """
     q = effective_noise(spec, psol, mu)
     m, k, ell = spec.m, spec.k, spec.ell
@@ -89,13 +92,17 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
     mass = np.bincount(cell, weight, nbins)
     cells = (cell, weight / np.where(mass > 0, mass, 1.0)[cell])
     g1 = psol.grad[:, 0]
+    if is_zero(spec.g):
+        grad_psi_g_bar = lambda xs: np.zeros((len(xs), m))  # noqa: E731
+    else:
+        grad_psi_g_bar = lambda xs: average_coeff(lambda x, yy: g1 * spec.g(x, yy), mu, xs)  # noqa: E731
 
     return LimitDrift(
         m=m,
         k=k,
         ell=ell,
         cbar=lambda xs: average_coeff(spec.c, mu, xs),
-        grad_psi_g_bar=lambda xs: average_coeff(lambda x, yy: g1 * spec.g(x, yy), mu, xs),
+        grad_psi_g_bar=grad_psi_g_bar,
         sigma1_bar=lambda xs: average_coeff(spec.sigma1, mu, xs)[..., None] * np.eye(m, k),
         sigma1_sq_bar=lambda xs: average_coeff(lambda x, yy: spec.sigma1(x, yy) ** 2, mu, xs)[..., None],
         qqt_bar=lambda xs: average_coeff(lambda x, yy: q(x, yy) ** 2, mu, xs)[..., None],

@@ -245,6 +245,12 @@ class TestCommands:
         assert path.n == 64
         assert path.values[0, 0] == 0.0
 
+    def test_sample_fbm_creates_out_directory(self, tmp_path):
+        out = tmp_path / "new" / "dir" / "b.csv"
+        rc = main(["sample-fbm", "--hurst", "0.7", "--n", "64", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        assert GridPath.from_csv(str(out)).n == 64
+
     def test_simulate_and_summary(self, tmp_path):
         cfg = write(tmp_path, "a.cfg", OU_HOMOG)
         out = str(tmp_path / "out")

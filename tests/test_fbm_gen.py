@@ -92,10 +92,23 @@ class TestSampling:
         t = p.times()
         assert np.max(np.abs(p.values[:, 0] - t * p.values[-1, 0])) < 0.5
 
+    def test_embedding_scales_once_per_grid(self):
+        scales = fbm_gen._fgn_scales(64, 0.7)
+        assert fbm_gen._fgn_scales(64, 0.7) is scales
+        assert np.array_equal(scales, np.sqrt(np.clip(fbm_gen._fgn_eigenvalues(64, 0.7), 0.0, None)))
+        with pytest.raises(ValueError, match="read-only"):
+            scales[0] = 0.0
+        cached = sample_noise_bundle(0.7, 65, 1.0, k=2, ell=1, seed=4)
+        fbm_gen._fgn_scales.cache_clear()
+        fresh = sample_noise_bundle(0.7, 65, 1.0, k=2, ell=1, seed=4)
+        assert np.array_equal(cached.bh.values, fresh.bh.values)
+        assert np.array_equal(cached.w.values, fresh.w.values)
+
     def test_indefinite_embedding_raises(self, monkeypatch):
         lam = np.ones(64)
         lam[3] = -1e-3
         monkeypatch.setattr(fbm_gen, "_fgn_eigenvalues", lambda n_inc, hurst: lam)
+        fbm_gen._fgn_scales.cache_clear()  # an earlier test may have kept this grid's scales
         with pytest.raises(FracrateError, match="indefinite"):
             sample_fbm(0.7, 33, 1.0)
 
@@ -168,6 +181,15 @@ class TestPathNorms:
         vals[10] = np.nan
         with pytest.raises(InvalidInputError, match="finite"):
             path_norms(GridPath(0.0, 1.0 / 32, vals), 0.4)
+
+    def test_zero_column_path_is_invalid_input(self, tmp_path):
+        # a CSV holding only the time column loads as an (n, 0) path
+        csv = tmp_path / "t_only.csv"
+        csv.write_text("t\n0.0\n0.5\n1.0\n")
+        path = GridPath.from_csv(str(csv))
+        assert path.values.shape == (3, 0)
+        with pytest.raises(InvalidInputError, match="at least one column"):
+            path_norms(path, 0.4)
 
 
 def path_norms_loops(f, alpha):

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracrate.errors import InvalidInputError
 from fracrate.gridpath import GridPath, l2_norm, trapezoid_weights
@@ -44,6 +46,35 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     cols1 = [line.split(",")[1:] for line in buf1.getvalue().splitlines()]
     cols2 = [line.split(",")[1:] for line in buf2.getvalue().splitlines()]
     assert cols1 == cols2
+
+
+@st.composite
+def grid_paths(draw):
+    """A path of 2 to 20 nodes and 0 to 3 columns holding any finite
+    doubles, signed zeros and subnormals included, on a moderate grid."""
+    n, dim = draw(st.integers(2, 20)), draw(st.integers(0, 3))
+    cells = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n * dim, max_size=n * dim))
+    t0 = draw(st.floats(-10.0, 10.0))
+    dt = draw(st.floats(1e-3, 10.0))
+    return GridPath(t0, dt, np.reshape(np.array(cells, dtype=float), (n, dim)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(path=grid_paths())
+def test_csv_roundtrip_property(path):
+    buf = io.StringIO()
+    path.to_csv(buf)
+    buf.seek(0)
+    back = GridPath.from_csv(buf)
+    assert back.values.shape == path.values.shape
+    assert back.values.tobytes() == path.values.tobytes()  # bit for bit, signs of zeros too
+    assert back.t0 == path.t0
+    # dt comes back as t1 - t0 of the written times, within two roundings
+    assert abs(back.dt - path.dt) <= 4e-16 * (abs(path.t0) + path.dt)
+    again = io.StringIO()
+    back.to_csv(again)
+    rows = [line.split(",")[1:] for line in buf.getvalue().splitlines()]
+    assert rows == [line.split(",")[1:] for line in again.getvalue().splitlines()]
 
 
 def test_csv_rejects_nonuniform(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +79,17 @@ def scalar_reference(spec, noise, substeps, ctrl=None):
             xs[out_idx], ys[out_idx] = x, y
             out_idx += 1
     return xs, ys
+
+
+def matrix_spec(sigma1):
+    """m = k = ell = 2 with constant sigma2 and tau."""
+    return SlowFastSpec(
+        b=cf.build("b", "cos_y"), c=cf.build("c", "linear_xy", ax=-1.0),
+        sigma1=sigma1, sigma2=cf.build("sigma2", "constant", value=0.3),
+        f=cf.build("f", "ou"), g=cf.build("g", "cos_y", scale=0.2),
+        tau=cf.build("tau", "constant", value=SQRT2),
+        hurst=0.7, eps=0.1, eta=0.1, x0=[1.0, -1.0], y0=0.0, m=2, k=2, ell=2,
+    )
 
 
 def assert_matches_reference(spec, noises, substeps, ctrl=None):
@@ -217,15 +230,21 @@ class TestBatched:
 
     def test_matrix_coefficients_match_scalar_reference(self):
         # m = k = ell = 2: scalar and 1-d results promoted to diagonals
-        spec = SlowFastSpec(
-            b=cf.build("b", "cos_y"), c=cf.build("c", "linear_xy", ax=-1.0),
-            sigma1=lambda x, y: 0.5 + 0.1 * x, sigma2=cf.build("sigma2", "constant", value=0.3),
-            f=cf.build("f", "ou"), g=cf.build("g", "cos_y", scale=0.2),
-            tau=cf.build("tau", "constant", value=SQRT2),
-            hurst=0.7, eps=0.1, eta=0.1, x0=[1.0, -1.0], y0=0.0, m=2, k=2, ell=2,
-        )
+        spec = matrix_spec(lambda x, y: 0.5 + 0.1 * x)
         noises = [make_noise(spec, 21, 1.0, 3, seed=5, stream=trial) for trial in range(3)]
         assert_matches_reference(spec, noises, 3)
+
+    @pytest.mark.parametrize("state_free_sigma1", [False, True])
+    def test_matrix_controls_match_scalar_reference(self, state_free_sigma1):
+        # the state-free diagonal sigma2 and tau, and sigma1 when constant,
+        # meet the noise and control stacks of all fine steps at once
+        sigma1 = cf.build("sigma1", "constant", value=0.5) if state_free_sigma1 else lambda x, y: 0.5 + 0.1 * x
+        spec = matrix_spec(sigma1)
+        t = np.linspace(0.0, 1.0, 21)
+        ctrl = ControlPair(v1=GridPath(0.0, 0.05, np.column_stack([np.sin(3 * t), t])),
+                           u2dot=GridPath(0.0, 0.05, np.column_stack([np.cos(2 * t), 1.0 - t])))
+        noises = [make_noise(spec, 21, 1.0, 3, seed=5, stream=trial) for trial in range(3)]
+        assert_matches_reference(spec, noises, 3, ctrl)
 
     def test_controlled_matches_scalar_reference(self):
         spec = ou_spec(eps=0.1, eta=0.05, sigma1=("cos_y", {}), sigma2=("constant", {"value": 0.4}),
@@ -313,6 +332,87 @@ def zero_heavy_spec(draw):
     ctrl = ControlPair(v1=GridPath(0.0, 0.125, np.sin(3 * t)) if draw(st.booleans()) else None,
                        u2dot=GridPath(0.0, 0.125, np.cos(2 * t)) if draw(st.booleans()) else None)
     return spec, ctrl
+
+
+def kinked_drift_spec(rate):
+    """y runs deterministically along y = t (g = 1, eps = eta = 1, no fast
+    noise) and f = -rate (y - 0.95)^+ is stiff beyond y = 0.95 only, which
+    the output grid of 11 nodes on [0, 1] reaches at its last node."""
+    spec = ou_spec(eps=1.0, eta=1.0, g=("constant", {"value": 1.0}))
+    spec.tau = cf.build("tau", "zero")
+    spec.f = cf.Coefficient("kink", lambda y: -rate * np.maximum(np.asarray(y) - 0.95, 0.0), {}, reads="y")
+    return spec
+
+
+class TestComposedStep:
+    @pytest.mark.parametrize("role", ["c", "sigma1", "tau"])
+    def test_state_free_coefficient_called_once_per_chunk(self, monkeypatch, role):
+        spec = ou_spec(eps=0.1, eta=0.5, c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return np.full((), 0.7)
+
+        spec_builtin = ou_spec(eps=0.1, eta=0.5, c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
+        setattr(spec_builtin, role, cf.build(role, "constant", value=0.7))
+        setattr(spec, role, cf.Coefficient("counted", counted, {}, reads=""))
+        for sub in (1, 8):
+            noises = [make_noise(spec, 11, 1.0, sub, seed=3, stream=trial) for trial in range(3)]
+            n_fine = noises[0].bh.n
+            for per_chunk, chunks in ((3, 1), (1, 3)):
+                monkeypatch.setattr(multiscale_sim, "_MAX_BATCH_POINTS", per_chunk * n_fine)
+                calls.clear()
+                batch = simulate_batch(spec, noises, substeps=sub)
+                # two shape probes per run, then one evaluation per chunk
+                assert len(calls) == 2 + chunks
+                reference = simulate_batch(spec_builtin, noises, substeps=sub)
+                assert np.array_equal(batch.x, reference.x) and np.array_equal(batch.y, reference.y)
+
+    def test_state_free_control_terms_match_scalar_reference(self, monkeypatch):
+        # one trial per chunk: the state-free control terms of sigma1, sigma2
+        # and tau are formed in place on stacks the shape of the control
+        spec = ou_spec(eps=0.1, eta=0.1, sigma1=("constant", {"value": 0.6}), sigma2=("constant", {"value": 0.4}),
+                       c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
+        t = np.linspace(0.0, 1.0, 21)
+        ctrl = ControlPair(v1=GridPath(0.0, 0.05, np.sin(3 * t)), u2dot=GridPath(0.0, 0.05, np.cos(2 * t)))
+        noises = [make_noise(spec, 21, 1.0, 2, seed=6, stream=trial) for trial in range(3)]
+        monkeypatch.setattr(multiscale_sim, "_MAX_BATCH_POINTS", noises[0].bh.n)
+        assert_matches_reference(spec, noises, 2, ctrl)
+
+    def test_state_free_noise_terms_are_written_in_place(self, monkeypatch):
+        # sigma1, sigma2 and tau constant: one (fine step, trial) stack per
+        # noise term, three at most while the slow two are summed, as the
+        # increments of dB and dW took; the outputs are a quarter stack each
+        spec = ou_spec(eps=0.1, eta=0.5, sigma1=("constant", {"value": 0.6}), sigma2=("constant", {"value": 0.4}))
+        noises = [make_noise(spec, 1025, 1.0, 4, seed=3, stream=trial) for trial in range(16)]
+        monkeypatch.setattr(multiscale_sim, "_PROBE_ROWS", 1024)
+        stack = 4096 * 16 * 8
+        tracemalloc.start()
+        try:
+            simulate_batch(spec, noises, substeps=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * stack
+
+    def test_stability_warning_at_late_node_fires_once(self, monkeypatch):
+        spec = kinked_drift_spec(rate=100.0)  # 2 dt |f'| = 20 > eta beyond y = 0.95
+        noises = [make_noise(spec, 11, 1.0, 1, seed=2, stream=trial) for trial in range(3)]
+        monkeypatch.setattr(multiscale_sim, "_MAX_BATCH_POINTS", noises[0].bh.n)  # one trial per chunk
+        monkeypatch.setattr(multiscale_sim, "_PROBE_ROWS", 4)  # the last node in the third probe block
+        with pytest.warns(RuntimeWarning, match="fast Euler step may be unstable") as record:
+            batch = simulate_batch(spec, noises, substeps=1)
+        assert sum("unstable" in str(w.message) for w in record) == 1
+        assert np.all(batch.y[:, -2, 0] < 0.95) and np.all(batch.y[:, -1, 0] > 0.95)
+        assert np.allclose(batch.y[0, :, 0], np.linspace(0.0, 1.0, 11))
+
+    def test_no_stability_warning_without_violation(self):
+        spec = kinked_drift_spec(rate=2.0)  # 2 dt |f'| = 0.4 < eta everywhere
+        noises = [make_noise(spec, 11, 1.0, 1, seed=2, stream=trial) for trial in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_batch(spec, noises, substeps=1)
 
 
 class TestZeroTerms:

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import gamma
 
 from fracrate import coefficients as cf
-from fracrate import poisson_cell
+from fracrate import poisson_cell, rate_fn
 from fracrate.cameron_martin import HurstContext, c_H
 from fracrate.errors import AdmissibilityError, DegeneracyError, InvalidInputError
 from fracrate.gridpath import GridPath, trapezoid_weights
@@ -183,6 +183,17 @@ class TestPathAveraging:
         for other in results[1:]:
             for name, a, b in zip(DRIFT_FIELDS, results[0], other):
                 assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("g,averages", [("zero", 0), ("constant", 1)])
+    def test_corrector_of_zero_g_is_not_averaged(self, g, averages, ou_measure, monkeypatch):
+        spec = ou_spec(b=("linear_y", {"rate": 0.8}), g=(g, {"value": -0.7} if g == "constant" else {}))
+        drift = build_limit_drift(spec, solve_poisson_1d(spec.b, spec.f, spec.tau, ou_measure), ou_measure)
+        calls, average = [], rate_fn.average_coeff
+        monkeypatch.setattr(rate_fn, "average_coeff", lambda *args: calls.append(args) or average(*args))
+        xs = oracle_path()
+        got = drift.grad_psi_g_bar(xs)
+        assert len(calls) == averages and got.shape == xs.shape
+        assert np.any(got != 0) if averages else np.all(got == 0)
 
     @pytest.mark.parametrize("role", ["c", "g", "sigma1", "sigma2"])
     @pytest.mark.parametrize("name", ["zero", "constant"])
