@@ -137,13 +137,15 @@ def cmd_sample_fbm(args):
 
 def cmd_simulate(args):
     config = _validated_config(args)
+    trials = config.experiment["trials"] if getattr(args, "trials", None) is None else args.trials
+    if trials < 1:
+        raise InvalidInputError(f"need at least one trial, got {trials}")
     out_dir = _out_dir(args)
     spec_tmpl = config.make_spec(*config.schedule[-1])
     _, mu, psol, drift = _measure_and_drift(config)
     n = config.grid["n"]
     horizon = config.grid["horizon"]
     dt = horizon / (n - 1)
-    trials = getattr(args, "trials", None) or config.experiment["trials"]
     seed = config.seed if getattr(args, "seed", None) is None else args.seed
 
     # homogenized reference by Euler on the averaged drift

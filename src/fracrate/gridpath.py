@@ -112,13 +112,9 @@ class GridPath:
         else:
             buf = path_or_buf
         try:
-            header = "t," + ",".join(f"v{j}" for j in range(self.dim))
-            buf.write(header.rstrip(",") + "\n" if self.dim else "t\n")
-            times = self.times()
-            for i in range(self.n):
-                row = [repr(float(times[i]))]
-                row.extend(repr(float(v)) for v in self.values[i])
-                buf.write(",".join(row) + "\n")
+            buf.write(",".join(["t", *(f"v{j}" for j in range(self.dim))]) + "\n")
+            rows = np.column_stack([self.times(), self.values]).tolist()
+            buf.writelines(",".join(map(repr, row)) + "\n" for row in rows)
         finally:
             if close:
                 buf.close()

@@ -41,14 +41,16 @@ class HFunctional:
     height: float = 10.0
     width: float = 0.05
 
+    def __post_init__(self):
+        if self.kind not in ("terminal_sq", "smooth_exceedance"):
+            raise InvalidInputError(f"unknown functional kind {self.kind!r}")
+
     def __call__(self, x_terminal):
         x = np.asarray(x_terminal, dtype=float)
         if self.kind == "terminal_sq":
             return np.minimum(self.rho * (x - self.target) ** 2, self.cap)
-        if self.kind == "smooth_exceedance":
-            z = (self.target - x) / self.width
-            return self.height / (1.0 + np.exp(-np.clip(z, -60, 60)))
-        raise InvalidInputError(f"unknown functional kind {self.kind!r}")
+        z = (self.target - x) / self.width
+        return self.height / (1.0 + np.exp(-np.clip(z, -60, 60)))
 
 
 def _check_schedule(spec0, schedule):

@@ -176,7 +176,7 @@ def schedule_checks(schedule, beta=None, fast_sigma1=False):
 
 # Trials x fine-grid points stepped together; longer batches run in chunks.
 # One (fine step, trial) stack of a chunk is then 8 MB per noise column; a
-# composed step holds one per noise term of the chunk, as many as it reads.
+# chunk holds the forcing stacks of its noise terms, one per term at most.
 _MAX_BATCH_POINTS = 1 << 20
 # Visited fast states per call of the stability probe, which holds about
 # six arrays of that many rows.
@@ -255,50 +255,6 @@ def _promoter(spec, role, rows, cols=None):
         return out
 
     return to_diagonal, _matvec
-
-
-class _Term:
-    """A summand of the Euler step, composed once per chunk.  A term that
-    reads the state has ``at(i, x, y)``, its value at fine step i.  A free
-    term reads no state: ``at`` is None and it holds its ``value``, with the
-    fine steps on the leading axis when ``stepped``.  A stepped value
-    belongs to its term alone, so the term that consumes it may write
-    into it."""
-
-    def __init__(self, at=None, value=None, stepped=False):
-        self.at, self.value, self.stepped = at, value, stepped
-
-    def reader(self):
-        """``at``; for a free term, a read of its value."""
-        if self.at is not None:
-            return self.at
-        value = self.value
-        return (lambda i, x, y: value[i]) if self.stepped else (lambda i, x, y: value)
-
-
-def _lift(op, a, b):
-    """The term ``op(a, b)``, None if a or b is None (a term of a
-    coefficient declared zero).  Two free terms combine here, for all fine
-    steps in one array operation, elementwise in the order the step would
-    combine them, so every value is the same.  A ufunc writes into a stepped
-    operand of the result's shape: a chain of free terms holds one stack."""
-    if a is None or b is None:
-        return None
-    if a.at is None and b.at is None:
-        if isinstance(op, np.ufunc):
-            shape = np.broadcast_shapes(np.shape(a.value), np.shape(b.value))
-            out = next((t.value for t in (a, b) if t.stepped and t.value.shape == shape), None)
-            value = op(a.value, b.value, out=out)
-        else:
-            value = op(a.value, b.value)
-        return _Term(value=value, stepped=a.stepped or b.stepped)
-    fa, fb = a.reader(), b.reader()
-    return _Term(lambda i, x, y: op(fa(i, x, y), fb(i, x, y)))
-
-
-def _plus(a, b):
-    """The term a + b, a term of a coefficient declared zero (None) dropped."""
-    return b if a is None else a if b is None else _lift(np.add, a, b)
 
 
 def _fast_jacobian_norm(spec, eval_f, y):
@@ -405,67 +361,75 @@ def simulate_batch(spec: SlowFastSpec, noises, substeps=1, ctrl: ControlPair | N
     return BatchPaths(x=xs, y=ys, dt=first.bh.dt * substeps, first_bad_time=bad)
 
 
-def _compose_step(spec, promote, noises, controls, x, y):
-    """The Euler step of a chunk at its initial state (x, y), composed from
-    the declared facts: ``(step_x, step_y)``, each a function of (i, x, y)
-    giving that state after fine step i of length dt, with increments dB, dW:
+# The roles of each side in the order its step adds their terms:
+# y + tau Ftau + f Ff + g Fg and x + sigma1 F1 + sigma2 F2 + b Fb + c Fc.
+_SIDES = (("tau", "f", "g"), ("sigma1", "sigma2", "b", "c"))
 
-        dx = (sqrt(eps/eta) b + c) dt + sqrt(eps) (sigma1 dB + sigma2 dW)
-             + (sigma1 u1dot + sigma2 u2dot) dt
-        dy = (f/eta + g/sqrt(eps eta)) dt + tau dW/sqrt(eta) + tau u2dot dt/sqrt(eps eta)
 
-    A coefficient that reads no state is evaluated here, once; the terms it
-    alone feeds, noise and control terms included, are formed here for all
-    fine steps at once; the terms of a coefficient declared zero are left
-    out.  So the step does only the state-dependent work."""
-    dtf, eta = noises[0].bh.dt, spec.eta
-    se, sh, seh = math.sqrt(spec.eps), math.sqrt(eta), math.sqrt(spec.eps * eta)
+def _forcing(spec, noises, controls, role):
+    """F of ``role``, what its coefficient multiplies at each fine step of
+    the chunk ``noises``, with increments dB, dW over a step of length dt:
 
-    def coefficient(role):
-        evaluate, fn = promote[role][0], getattr(spec, role)
+        b: sqrt(eps/eta) dt   c: dt   f: dt/eta   g: dt/sqrt(eps eta)
+        sigma1: sqrt(eps) dB + u1dot dt        sigma2: sqrt(eps) dW + u2dot dt
+        tau: dW/sqrt(eta) + u2dot dt/sqrt(eps eta)
+
+    A drift role's F is a scalar; a noise role's is a fresh (fine step,
+    trial, column) stack, which the caller may overwrite."""
+    dt, eps, eta = noises[0].bh.dt, spec.eps, spec.eta
+    drift = {"b": math.sqrt(eps / eta) * dt, "c": dt, "f": dt / eta, "g": dt / math.sqrt(eps * eta)}
+    if role in drift:
+        return drift[role]
+    path, u, scale, u_scale = {
+        "sigma1": ("bh", controls[0], math.sqrt(eps), dt),
+        "sigma2": ("w", controls[1], math.sqrt(eps), dt),
+        "tau": ("w", controls[1], 1.0 / math.sqrt(eta), dt / math.sqrt(eps * eta)),
+    }[role]
+    values = [getattr(nb, path).values for nb in noises]
+    inc = np.empty((values[0].shape[0] - 1, len(values), values[0].shape[1]))
+    for trial, v in enumerate(values):
+        np.subtract(v[1:], v[:-1], out=inc[:, trial])
+    inc *= scale
+    if u is not None:
+        inc += u[:-1, None, :] * u_scale
+    return inc
+
+
+def _terms(spec, promote, roles, noises, controls, x, y):
+    """The terms of one side of the step for a chunk whose trials start at
+    (x, y), in ``roles`` order: ``(evaluate, mul, F, stacked)`` is the term
+    mul(evaluate(x, y), F[i] if stacked else F) at fine step i.  A role
+    declared zero has no term.  A coefficient that reads no state is
+    evaluated here, once, and its term formed for all fine steps, in place
+    on F where the shapes allow (``evaluate`` None, F the term); the terms
+    before the first that reads the state are summed into one."""
+    terms = []
+    for role in roles:
+        evaluate, mul = promote[role]
         if evaluate is None:
-            return None
+            continue
+        mul, force, fn = mul or np.multiply, _forcing(spec, noises, controls, role), getattr(spec, role)
+        stacked = np.ndim(force) > 0
         if reads(fn, "x") or reads(fn, "y"):
-            return _Term(lambda i, x, y: evaluate(x, y))
-        return _Term(value=evaluate(x, y))
+            terms.append((evaluate, mul, force, stacked))
+            continue
+        value = evaluate(x, y)
+        term = np.multiply(value, force, out=force) if stacked and mul is np.multiply else mul(value, force)
+        if len(terms) == 1 and terms[0][0] is None:  # noise roles come first: a stacked prefix sums in place
+            base, stacked = terms.pop()[2:]
+            term = np.add(base, term, out=base) if stacked else base + term
+        terms.append((None, None, term, stacked))
+    return terms
 
-    coef = {role: coefficient(role) for role in _SHAPES}
 
-    def times(term, scalar):
-        return _lift(np.multiply, term, _Term(value=scalar))
-
-    def over(term, scalar):
-        return _lift(np.true_divide, term, _Term(value=scalar))
-
-    def noise(role, path):
-        """The term role @ d(path)[i]; the increments, (fine step, trial,
-        column), are formed for this term alone, which may overwrite them."""
-        if coef[role] is None:
-            return None
-        values = [getattr(nb, path).values for nb in noises]
-        inc = np.empty((values[0].shape[0] - 1, len(values), values[0].shape[1]))
-        for trial, v in enumerate(values):
-            np.subtract(v[1:], v[:-1], out=inc[:, trial])
-        return _lift(promote[role][1], coef[role], _Term(value=inc, stepped=True))
-
-    def control(role, u):
-        """The term role @ u[i], on a copy of the control that the term may overwrite."""
-        if u is None or coef[role] is None:
-            return None
-        return _lift(promote[role][1], coef[role], _Term(value=u[:-1, None, :].copy(), stepped=True))
-
-    u1dot, u2dot = controls
-    # The fast side first: summing the two slow noise stacks frees one, after
-    # which glibc serves blocks of that size from its heap, where they stay
-    # resident; freed last, it adds nothing to the peak.
-    drift_y = _plus(over(coef["f"], eta), over(coef["g"], seh))
-    dyv = _plus(times(drift_y, dtf), over(noise("tau", "w"), sh))
-    dyv = _plus(dyv, times(over(control("tau", u2dot), seh), dtf))
-    drift_x = _plus(times(coef["b"], se / sh), coef["c"])
-    dx = _plus(times(drift_x, dtf), times(_plus(noise("sigma1", "bh"), noise("sigma2", "w")), se))
-    dx = _plus(dx, times(control("sigma1", u1dot), dtf))
-    dx = _plus(dx, times(control("sigma2", u2dot), dtf))
-    return _plus(_Term(lambda i, x, y: x), dx).at, _plus(_Term(lambda i, x, y: y), dyv).at
+def _advance(s, terms, i, x, y):
+    """The state s after fine step i: s plus the sum of the terms, in order."""
+    ds = None
+    for evaluate, mul, force, stacked in terms:
+        f = force[i] if stacked else force
+        t = f if evaluate is None else mul(evaluate(x, y), f)
+        ds = t if ds is None else ds + t
+    return s if ds is None else s + ds
 
 
 def _euler_chunk(spec, noises, substeps, promote, controls, warned):
@@ -475,14 +439,13 @@ def _euler_chunk(spec, noises, substeps, promote, controls, warned):
     recorded output state of a live trial: probed after the loop, in blocks
     of output nodes, and skipped when f is declared zero or free of y,
     whose Jacobian is then zero."""
-    n_fine = noises[0].bh.n
-    dtf = noises[0].bh.dt
-    t_fine = noises[0].bh.times()
-    n_out = (n_fine - 1) // substeps + 1
-    batch = len(noises)
+    dtf, t_fine, batch = noises[0].bh.dt, noises[0].bh.times(), len(noises)
+    n_out = (len(t_fine) - 1) // substeps + 1
     x = np.repeat(spec.x0[None, :], batch, axis=0)
     y = np.repeat(spec.y0[None, :], batch, axis=0)
-    step_x, step_y = _compose_step(spec, promote, noises, controls, x, y)
+    # The fast side first: the stack freed by summing the slow noise terms
+    # stays resident in the heap; freed last, it adds nothing to the peak.
+    y_terms, x_terms = (_terms(spec, promote, roles, noises, controls, x, y) for roles in _SIDES)
     xs = np.full((batch, n_out, spec.m), np.nan)
     ys = np.full((batch, n_out, spec.dy), np.nan)
     bad = np.full(batch, np.nan)
@@ -491,7 +454,7 @@ def _euler_chunk(spec, noises, substeps, promote, controls, warned):
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_out):
             for i in range(max(j - 1, 0) * substeps, j * substeps):
-                x, y = step_x(i, x, y), step_y(i, x, y)
+                x, y = _advance(x, x_terms, i, x, y), _advance(y, y_terms, i, x, y)
             finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
             bad[alive & ~finite] = t_fine[j * substeps]
             alive &= finite
@@ -525,34 +488,12 @@ def empirical_occupation(y_path: GridPath, ctrl: ControlPair, bins=16):
     marginal is a point mass at 0).  Total mass equals the horizon up to
     round-off.
     """
-    n = y_path.n
-    dt = y_path.dt
-    cols = []
-    names = []
-    k_dim = ctrl.v1.dim if ctrl.v1 is not None else 1
-    for j in range(k_dim):
-        if ctrl.v1 is not None:
-            if not ctrl.v1.same_grid(y_path):
-                raise InvalidInputError("v1 grid does not match the fast path")
-            cols.append(ctrl.v1.component(j)[: n - 1])
-        else:
-            cols.append(np.zeros(n - 1))
-        names.append(f"u1_{j}")
-    ell_dim = ctrl.u2dot.dim if ctrl.u2dot is not None else 1
-    for j in range(ell_dim):
-        if ctrl.u2dot is not None:
-            if not ctrl.u2dot.same_grid(y_path):
-                raise InvalidInputError("u2dot grid does not match the fast path")
-            cols.append(ctrl.u2dot.component(j)[: n - 1])
-        else:
-            cols.append(np.zeros(n - 1))
-        names.append(f"u2_{j}")
-    for j in range(y_path.dim):
-        cols.append(y_path.component(j)[: n - 1])
-        names.append(f"y_{j}")
-
-    data = np.column_stack(cols)
-    counts, edges = np.histogramdd(data, bins=bins, weights=np.full(n - 1, dt))
-    return OccupationHistogram(
-        edges=list(edges), counts=counts, total_time=(n - 1) * dt, axis_names=names
-    )
+    n, dt = y_path.n, y_path.dt
+    blocks, names = [], []
+    for label, name, path in (("v1", "u1", ctrl.v1), ("u2dot", "u2", ctrl.u2dot), ("y", "y", y_path)):
+        if path is not None and not path.same_grid(y_path):
+            raise InvalidInputError(f"{label} grid does not match the fast path")
+        blocks.append(np.zeros((n - 1, 1)) if path is None else path.values[: n - 1])
+        names.extend(f"{name}_{j}" for j in range(blocks[-1].shape[1]))
+    counts, edges = np.histogramdd(np.hstack(blocks), bins=bins, weights=np.full(n - 1, dt))
+    return OccupationHistogram(edges=list(edges), counts=counts, total_time=(n - 1) * dt, axis_names=names)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracrate import cli
 from fracrate import coefficients as cf
 from fracrate.cli import main
 from fracrate.config import hard_failures, load_config, validate
@@ -281,6 +282,27 @@ class TestCommands:
         assert rc == 2
         assert "invalid input:" in capsys.readouterr().err
         assert not (out / "simulate_summary.json").exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_simulate_trials_below_one_is_invalid_input(self, tmp_path, capsys, monkeypatch, trials):
+        # --trials 0 ran the config's trial count and exited 0; no cell
+        # problem is built for a run of no trials
+        monkeypatch.setattr(cli, "_measure_and_drift", pytest.fail)
+        cfg = write(tmp_path, "a.cfg", OU_HOMOG)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--trials", trials, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid input: need at least one trial, got {trials}")
+        assert not out.exists()
+
+    def test_mc_laplace_unknown_functional_kind_exits_before_simulating(self, tmp_path, capsys, monkeypatch):
+        # a misspelled h_kind simulated a schedule point of 1000 trials first
+        monkeypatch.setattr(cli, "estimate_laplace", pytest.fail)
+        text = OU_HOMOG.replace("kind = simulate", "kind = laplace\nh_kind = terminal_sqr")
+        cfg = write(tmp_path, "l.cfg", text.replace("trials = 3", "trials = 1000"))
+        out = tmp_path / "l.csv"
+        assert main(["mc", "laplace", "--config", cfg, "--out", str(out), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: unknown functional kind 'terminal_sqr'")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit",

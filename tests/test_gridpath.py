@@ -77,6 +77,21 @@ def test_csv_roundtrip_property(path):
     assert rows == [line.split(",")[1:] for line in again.getvalue().splitlines()]
 
 
+@pytest.mark.parametrize("dim", [0, 1, 3])
+def test_csv_rows_follow_the_per_cell_repr_rule(dim):
+    # every cell is written as repr(float(v)): signed zeros, NaN, infinities
+    # and subnormals included
+    special = np.array([-0.0, np.nan, 5e-324, -np.inf, 1.0 / 3.0, -1e308, 0.1])
+    vals = np.column_stack([np.roll(special, j) for j in range(dim)]) if dim else np.zeros((7, 0))
+    path = GridPath(-0.5, 0.1, vals)
+    buf = io.StringIO()
+    path.to_csv(buf)
+    times = path.times()
+    expected = [",".join(["t"] + [f"v{j}" for j in range(dim)])]
+    expected += [",".join([repr(float(times[i]))] + [repr(float(v)) for v in vals[i]]) for i in range(7)]
+    assert buf.getvalue() == "\n".join(expected) + "\n"
+
+
 def test_csv_rejects_nonuniform(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,v0\n0.0,1.0\n0.1,2.0\n0.3,3.0\n")

@@ -40,6 +40,10 @@ class TestHFunctional:
         assert 0.0 <= h(10.0) < 1e-6
         assert abs(h(-10.0) - 7.0) < 1e-6
 
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(InvalidInputError, match="unknown functional kind 'nope'"):
+            HFunctional("nope")
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError):
             HFunctional("nope")(0.0)

@@ -35,12 +35,8 @@ def make_noise(spec, n_out, horizon, sub, seed=0, stream=0):
     return sample_noise_bundle(spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=stream)
 
 
-def scalar_reference(spec, noise, substeps, ctrl=None):
-    """Euler loop over one trial with per-step shape promotion: the oracle
-    that ``simulate_batch`` must match bit for bit."""
-    n_fine = noise.bh.n
-    dtf = noise.bh.dt
-    n_out = (n_fine - 1) // substeps + 1
+def fine_controls(spec, noise, ctrl):
+    """The controls (u1dot, u2dot) on the fine grid, None where absent."""
     t_fine = noise.bh.times()
     u1dot_f = u2dot_f = None
     if ctrl is not None and ctrl.v1 is not None:
@@ -48,6 +44,58 @@ def scalar_reference(spec, noise, substeps, ctrl=None):
         u1dot_f = _interp_to_fine(apply_KH_dot(ctrl.v1, ctx), t_fine)
     if ctrl is not None and ctrl.u2dot is not None:
         u2dot_f = _interp_to_fine(ctrl.u2dot, t_fine)
+    return u1dot_f, u2dot_f
+
+
+def forced(noise_term, u, i, u_scale):
+    """A noise role's forcing at fine step i: its noise term plus u[i] * u_scale."""
+    return noise_term if u is None else noise_term + u[i] * u_scale
+
+
+def scalar_reference(spec, noise, substeps, ctrl=None):
+    """Euler loop over one trial with per-step shape promotion, each side
+    the state plus every coefficient times its forcing, in a fixed role
+    order: the oracle that ``simulate_batch`` must match bit for bit."""
+    n_fine = noise.bh.n
+    dtf = noise.bh.dt
+    n_out = (n_fine - 1) // substeps + 1
+    t_fine = noise.bh.times()
+    u1, u2 = fine_controls(spec, noise, ctrl)
+    eps, eta = spec.eps, spec.eta
+    m, dy, k, ell = spec.m, spec.dy, spec.k, spec.ell
+    x, y = spec.x0.copy(), spec.y0.copy()
+    xs, ys = np.empty((n_out, m)), np.empty((n_out, dy))
+    xs[0], ys[0] = x, y
+    db = np.diff(noise.bh.values, axis=0)
+    dw = np.diff(noise.w.values, axis=0)
+    out_idx = 1
+    for i in range(n_fine - 1):
+        f1 = forced(math.sqrt(eps) * db[i], u1, i, dtf)
+        f2 = forced(math.sqrt(eps) * dw[i], u2, i, dtf)
+        ft = forced(1.0 / math.sqrt(eta) * dw[i], u2, i, dtf / math.sqrt(eps * eta))
+        dx = (_as_mat(spec.sigma1(x, y), m, k) @ f1 + _as_mat(spec.sigma2(x, y), m, ell) @ f2
+              + _as_vec(spec.b(y), m) * (math.sqrt(eps / eta) * dtf) + _as_vec(spec.c(x, y), m) * dtf)
+        dyv = (_as_mat(spec.tau(y), dy, ell) @ ft + _as_vec(spec.f(y), dy) * (dtf / eta)
+               + _as_vec(spec.g(x, y), dy) * (dtf / math.sqrt(eps * eta)))
+        x = x + dx
+        y = y + dyv
+        if (i + 1) % substeps == 0:
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                raise DivergenceError("diverged", first_bad_time=t_fine[i + 1])
+            xs[out_idx], ys[out_idx] = x, y
+            out_idx += 1
+    return xs, ys
+
+
+def grouped_reference(spec, noise, substeps, ctrl=None):
+    """The Euler step with the drift, noise and control terms grouped as in
+    the equations: ``simulate_batch`` sums the same terms in another order
+    and must agree with it up to round-off."""
+    n_fine = noise.bh.n
+    dtf = noise.bh.dt
+    n_out = (n_fine - 1) // substeps + 1
+    t_fine = noise.bh.times()
+    u1dot_f, u2dot_f = fine_controls(spec, noise, ctrl)
     se, sh, seh = math.sqrt(spec.eps), math.sqrt(spec.eta), math.sqrt(spec.eps * spec.eta)
     m, dy, k, ell = spec.m, spec.dy, spec.k, spec.ell
     x, y = spec.x0.copy(), spec.y0.copy()
@@ -93,12 +141,16 @@ def matrix_spec(sigma1):
 
 
 def assert_matches_reference(spec, noises, substeps, ctrl=None):
+    """Bit for bit the scalar oracle, and within 1e-12 of each path's sup
+    norm the grouped one."""
     batch = simulate_batch(spec, noises, substeps=substeps, ctrl=ctrl)
     for trial, noise in enumerate(noises):
         xs, ys = scalar_reference(spec, noise, substeps, ctrl)
         assert np.isnan(batch.first_bad_time[trial])
         assert np.array_equal(batch.x[trial], xs)
         assert np.array_equal(batch.y[trial], ys)
+        for got, want in zip((xs, ys), grouped_reference(spec, noise, substeps, ctrl)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     return batch
 
 
