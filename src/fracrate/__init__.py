@@ -29,10 +29,11 @@ from .frac_calc import (
 from .gridpath import GridPath
 from .ldp_harness import (
     HFunctional,
-    LaplaceExperiment,
+    MonteCarloPlan,
     estimate_laplace,
     estimate_rare_event,
     linear_case_prediction,
+    simulate_point,
 )
 from .multiscale_sim import (
     BatchPaths,

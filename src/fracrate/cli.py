@@ -23,18 +23,18 @@ from .cameron_martin import HurstContext
 from .coefficients import reads
 from .config import float_list, hard_failures, load_config, validate
 from .errors import FracrateError, InvalidInputError, ValidationFailure
-from .fbm_gen import sample_fbm, sample_noise_bundle
+from .fbm_gen import sample_fbm
 from .gridpath import GridPath
 from .ldp_harness import (
     HFunctional,
-    LaplaceExperiment,
+    MonteCarloPlan,
     estimate_laplace,
     estimate_rare_event,
     linear_case_prediction,
     rough_noise_only,
+    simulate_point,
     stabilization_diagnostic,
 )
-from .multiscale_sim import default_substeps, simulate_batch
 from .poisson_cell import effective_q
 from .rate_fn import (
     build_limit_drift,
@@ -157,14 +157,7 @@ def cmd_simulate(args):
 
     summary = {"schedule": [], "trials": trials, "reference": "homogenized Euler"}
     for idx, (eps, eta) in enumerate(config.schedule):
-        spec = config.make_spec(eps, eta)
-        sub = config.grid["substeps"] or default_substeps(dt, eta)
-        n_fine = (n - 1) * sub + 1
-        noises = (
-            sample_noise_bundle(spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=(idx, trial))
-            for trial in range(trials)
-        )
-        batch = simulate_batch(spec, noises, substeps=sub)
+        batch, sub = simulate_point(config.make_spec(eps, eta), n, horizon, config.grid["substeps"], trials, seed, idx)
         healthy = np.flatnonzero(~batch.diverged)
         aborted = trials - healthy.size
         sup_errs = [float(np.max(np.abs(batch.x[trial] - ref))) for trial in healthy]
@@ -214,7 +207,7 @@ def cmd_rate(args):
     _, mu, psol, drift = _measure_and_drift(config)
     phi = GridPath.from_csv(args.path) if args.path else _load_or_default_path(config, drift)
     method = args.method or config.experiment["method"]
-    hurst = args.hurst or config.model["hurst"]
+    hurst = config.model["hurst"] if args.hurst is None else args.hurst
     if method == "explicit":
         res = eval_rate_explicit(phi, drift, HurstContext(hurst, phi.n, phi.dt))
     elif method == "general":
@@ -234,7 +227,7 @@ def cmd_rate(args):
 
 def _hurst_list(args, config):
     """``--hurst-list`` read by the config's list rule, else the config's list."""
-    if not args.hurst_list:
+    if args.hurst_list is None:
         return config.experiment["hurst_list"]
     try:
         h_list = float_list(args.hurst_list)
@@ -274,6 +267,15 @@ def cmd_mc(args):
     config = _validated_config(args)
     out = _ensure_parent(args.out) if args.out else os.path.join(_out_dir(args), f"mc_{args.mode}.csv")
     exp_cfg = config.experiment
+    plan = MonteCarloPlan(
+        config.make_spec,
+        config.schedule,
+        exp_cfg["trials"],
+        seed=config.seed,
+        n_grid=config.grid["n"],
+        horizon=config.grid["horizon"],
+        substeps=config.grid["substeps"],
+    )
     if args.mode == "laplace":
         h = HFunctional(
             kind=exp_cfg["h_kind"],
@@ -283,18 +285,7 @@ def cmd_mc(args):
             height=exp_cfg["h_height"],
             width=exp_cfg["h_width"],
         )
-        exp = LaplaceExperiment(
-            make_spec=config.make_spec,
-            eps_schedule=config.schedule,
-            h=h,
-            trials=exp_cfg["trials"],
-            seed=config.seed,
-            n_grid=config.grid["n"],
-            horizon=config.grid["horizon"],
-            substeps=config.grid["substeps"] or None,
-            engine=exp_cfg["engine"],
-        )
-        rows = estimate_laplace(exp)
+        rows = estimate_laplace(plan, h)
         _write_rows_csv(out, rows, ["eps", "eta", "estimate", "std_error", "trials", "aborted", "engine"])
     else:
         spec0 = config.make_spec(*config.schedule[0])
@@ -308,18 +299,7 @@ def cmd_mc(args):
             )
         except FracrateError:
             pred = None
-        rows = estimate_rare_event(
-            config.make_spec,
-            exp_cfg["threshold"],
-            config.schedule,
-            exp_cfg["trials"],
-            seed=config.seed,
-            n_grid=config.grid["n"],
-            horizon=config.grid["horizon"],
-            substeps=config.grid["substeps"] or None,
-            engine=exp_cfg["engine"],
-            prediction=pred,
-        )
+        rows = estimate_rare_event(plan, exp_cfg["threshold"], prediction=pred)
         cols = [
             "eps", "eta", "trials", "aborted", "hits", "p_hat", "bound_only",
             "wilson_low", "wilson_high", "neg_eps_log_p", "p_upper",

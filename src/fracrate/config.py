@@ -84,7 +84,6 @@ _SCHEMA = {
         "method": (str, "explicit"),  # rate evaluator
         "hurst_list": (float_list, "0.6, 0.55, 0.52"),  # limit study
         "path_csv": (str, ""),  # input path of rate and limit-study; empty = built-in cubic
-        "engine": (str, "auto"),  # Monte Carlo engine
     },
     "poisson": {"l": (float, "0"), "n": (int, "4097")},
     "tolerances": {

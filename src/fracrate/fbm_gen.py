@@ -102,6 +102,8 @@ def sample_fbm(hurst, n, horizon, dim=1, seed=0, stream=0):
         raise InvalidInputError(f"Hurst index must lie in (0,1), got {hurst}")
     if n < 2 or horizon <= 0:
         raise InvalidInputError(f"bad grid: n={n}, horizon={horizon}")
+    if dim < 1:
+        raise InvalidInputError(f"need at least one fBm component, got dim={dim}")
     dt = horizon / (n - 1)
     rng = rng_for(seed, 0, stream)
     cols = []
@@ -137,8 +139,8 @@ class NoiseBundle:
 
 def sample_noise_bundle(hurst, n, horizon, k=1, ell=1, seed=0, stream=0):
     """fBm (k-dim) and Brownian (ell-dim) paths from disjoint RNG streams."""
-    if ell < 0 or k < 1:
-        raise InvalidInputError(f"bad dimensions k={k}, ell={ell}")
+    if ell < 0:
+        raise InvalidInputError(f"bad Brownian dimension ell={ell}")
     bh = sample_fbm(hurst, n, horizon, dim=k, seed=seed, stream=stream)
     dt = bh.dt
     rng = rng_for(seed, 1, stream)

@@ -53,33 +53,6 @@ class HFunctional:
         return self.height / (1.0 + np.exp(-np.clip(z, -60, 60)))
 
 
-def _check_schedule(spec0, schedule):
-    for name, ok, detail in schedule_checks(schedule, spec0.beta, reads(spec0.sigma1, "y")):
-        if not ok:
-            raise InvalidInputError(f"{name}: {detail}")
-
-
-@dataclass
-class LaplaceExperiment:
-    """Schedule, functional, and sampling plan for a Laplace-asymptotics run."""
-
-    make_spec: object  # (eps, eta) -> SlowFastSpec
-    eps_schedule: list
-    h: HFunctional
-    trials: int = 1000
-    seed: int = 0
-    n_grid: int = 129
-    horizon: float = 1.0
-    substeps: int | None = None
-    engine: str = "auto"
-
-    def __post_init__(self):
-        if self.trials < 1000:
-            raise InvalidInputError("need at least 1000 trials per schedule point")
-        spec0 = self.make_spec(*self.eps_schedule[0])
-        _check_schedule(spec0, self.eps_schedule)
-
-
 def rough_noise_only(spec: SlowFastSpec):
     """True when the declared facts leave the scalar slow motion driven by
     sigma1 dB^H alone: b, c, g and sigma2 are zero, sigma1 does not read x
@@ -95,61 +68,81 @@ def _is_pure_fbm_linear(spec: SlowFastSpec):
     return rough_noise_only(spec) and not reads(spec.sigma1, "y")
 
 
-def _terminal_values_gaussian(spec, horizon, trials, seed, stream):
-    """Exact terminal law of the pure-fBm linear slow motion."""
-    sigma = float(np.asarray(spec.sigma1(spec.x0, spec.y0)).reshape(-1)[0])
-    rng = rng_for(seed, 3, *stream)
-    z = rng.standard_normal(trials)
-    scale = math.sqrt(spec.eps) * sigma * horizon**spec.hurst
-    return spec.x0[0] + scale * z, 0
+def _sigma1_at_start(spec: SlowFastSpec):
+    """sigma1 at (x0, y0) as a number: the constant of the closed forms."""
+    return float(np.asarray(spec.sigma1(spec.x0, spec.y0)).reshape(-1)[0])
 
 
-def _terminal_values_simulate(spec, horizon, n_grid, substeps, trials, seed, stream):
-    sub = substeps if substeps else default_substeps(horizon / (n_grid - 1), spec.eta)
+def simulate_point(spec, n_grid, horizon, substeps, trials, seed, stream):
+    """``simulate_batch`` over ``trials`` trials of one schedule point, on
+    ``n_grid`` output points over [0, horizon] with ``substeps`` (0 or None:
+    ``default_substeps``); trial t reads the noise stream (``stream``, t).
+    Returns the ``BatchPaths`` and the substeps used."""
+    sub = substeps or default_substeps(horizon / (n_grid - 1), spec.eta)
     n_fine = (n_grid - 1) * sub + 1
     noises = (
-        sample_noise_bundle(
-            spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=(*stream, trial)
-        )
+        sample_noise_bundle(spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=(stream, trial))
         for trial in range(trials)
     )
-    batch = simulate_batch(spec, noises, substeps=sub)
-    return batch.x[:, -1, 0], int(np.sum(batch.diverged))  # NaN where diverged
+    return simulate_batch(spec, noises, substeps=sub), sub
 
 
-def _terminal_values(spec, horizon, n_grid, substeps, trials, seed, stream, engine):
-    if engine == "auto":
-        engine = "gaussian" if _is_pure_fbm_linear(spec) else "simulate"
-    if engine == "gaussian":
-        if not _is_pure_fbm_linear(spec):
-            raise InvalidInputError("gaussian engine requires the pure-fBm linear system")
-        vals, aborted = _terminal_values_gaussian(spec, horizon, trials, seed, stream)
-    elif engine == "simulate":
-        vals, aborted = _terminal_values_simulate(
-            spec, horizon, n_grid, substeps, trials, seed, stream
-        )
-    else:
-        raise InvalidInputError(f"unknown engine {engine!r}")
-    return vals, aborted, engine
+@dataclass
+class MonteCarloPlan:
+    """Trials of the slow-fast system along one (eps, eta) schedule, the
+    sampling plan that ``estimate_laplace`` and ``estimate_rare_event`` read.
+
+    ``make_spec`` maps (eps, eta) to a ``SlowFastSpec``.  Construction
+    checks the inputs once: at least one trial, and the scale-separation
+    rules of ``schedule_checks``.  Schedule point i reads stream i.
+    """
+
+    make_spec: object  # (eps, eta) -> SlowFastSpec
+    schedule: list
+    trials: int
+    seed: int = 0
+    n_grid: int = 129
+    horizon: float = 1.0
+    substeps: int | None = None  # 0 or None: default_substeps
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise InvalidInputError(f"need at least one trial, got {self.trials}")
+        spec0 = self.make_spec(*self.schedule[0])
+        for name, ok, detail in schedule_checks(self.schedule, spec0.beta, reads(spec0.sigma1, "y")):
+            if not ok:
+                raise InvalidInputError(f"{name}: {detail}")
+
+    def terminal_values(self, spec, stream, trials=None):
+        """Terminal slow values of ``trials`` trials (None: the plan's) on
+        ``stream``, NaN where a trial diverged, the number aborted and the
+        engine: the exact Gaussian law when the declared facts make
+        ``_is_pure_fbm_linear(spec)`` true, ``simulate_point`` otherwise."""
+        trials = self.trials if trials is None else trials
+        if _is_pure_fbm_linear(spec):
+            z = rng_for(self.seed, 3, stream).standard_normal(trials)
+            scale = math.sqrt(spec.eps) * _sigma1_at_start(spec) * self.horizon**spec.hurst
+            return spec.x0[0] + scale * z, 0, "gaussian"
+        batch, _ = simulate_point(spec, self.n_grid, self.horizon, self.substeps, trials, self.seed, stream)
+        return batch.x[:, -1, 0], int(np.sum(batch.diverged)), "simulate"
 
 
-def estimate_laplace(exp: LaplaceExperiment):
+def estimate_laplace(plan: MonteCarloPlan, h: HFunctional):
     """Plug-in estimator of -eps log E[exp(-h/eps)] along the schedule.
 
     Accumulation is in the log domain (mandatory: the weights underflow at
     small eps otherwise); the standard error is the delta-method propagation
     of the weight variance.  Aborted trials are counted, not dropped.
     """
+    if plan.trials < 1000:
+        raise InvalidInputError("need at least 1000 trials per schedule point")
     rows = []
-    for idx, (eps, eta) in enumerate(exp.eps_schedule):
-        spec = exp.make_spec(eps, eta)
-        vals, aborted, engine = _terminal_values(
-            spec, exp.horizon, exp.n_grid, exp.substeps, exp.trials, exp.seed, (idx,), exp.engine
-        )
+    for idx, (eps, eta) in enumerate(plan.schedule):
+        vals, aborted, engine = plan.terminal_values(plan.make_spec(eps, eta), idx)
         good = vals[np.isfinite(vals)]
         if good.size == 0:
-            raise ExperimentFailure(f"all {exp.trials} trials aborted at eps={eps}")
-        hv = exp.h(good)
+            raise ExperimentFailure(f"all {plan.trials} trials aborted at eps={eps}")
+        hv = h(good)
         logw = -hv / eps
         lme = logsumexp(logw) - math.log(good.size)
         estimate = -eps * lme
@@ -162,7 +155,7 @@ def estimate_laplace(exp: LaplaceExperiment):
                 "eta": eta,
                 "estimate": float(estimate),
                 "std_error": float(se),
-                "trials": int(exp.trials),
+                "trials": int(plan.trials),
                 "aborted": int(aborted),
                 "engine": engine,
             }
@@ -181,18 +174,7 @@ def wilson_interval(hits, n, z=1.959963984540054):
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def estimate_rare_event(
-    make_spec,
-    threshold,
-    eps_schedule,
-    trials,
-    seed=0,
-    n_grid=129,
-    horizon=1.0,
-    substeps=None,
-    engine="auto",
-    prediction=None,
-):
+def estimate_rare_event(plan: MonteCarloPlan, threshold, prediction=None):
     """Exceedance-probability exponents -eps log P(X_T >= a) along a schedule.
 
     The exceedance indicator is not a bounded continuous functional, so this
@@ -207,34 +189,27 @@ def estimate_rare_event(
     the rate-function exponent at every finite eps.  Use
     ``extrapolated_exponent`` on the rows for the limit itself.
     """
-    spec0 = make_spec(*eps_schedule[0])
-    _check_schedule(spec0, eps_schedule)
     # feasibility pilot at the largest eps
-    pilot_n = max(200, int(trials * _PILOT_FRACTION))
-    vals, _, engine_used = _terminal_values(
-        spec0, horizon, n_grid, substeps, pilot_n, seed, (999,), engine
-    )
+    pilot_n = max(200, int(plan.trials * _PILOT_FRACTION))
+    vals, _, _ = plan.terminal_values(plan.make_spec(*plan.schedule[0]), 999, pilot_n)
     pilot_hits = int(np.sum(vals >= threshold))
-    if pilot_hits * (trials / pilot_n) < 10:
+    if pilot_hits * (plan.trials / pilot_n) < 10:
         raise ExperimentFailure(
             f"pilot run found {pilot_hits}/{pilot_n} hits at the largest eps; "
-            f"the event is too rare for {trials} plain Monte Carlo trials"
+            f"the event is too rare for {plan.trials} plain Monte Carlo trials"
         )
     rows = []
-    for idx, (eps, eta) in enumerate(eps_schedule):
-        spec = make_spec(eps, eta)
-        vals, aborted, engine_used = _terminal_values(
-            spec, horizon, n_grid, substeps, trials, seed, (idx,), engine
-        )
+    for idx, (eps, eta) in enumerate(plan.schedule):
+        vals, aborted, engine = plan.terminal_values(plan.make_spec(eps, eta), idx)
         good = vals[np.isfinite(vals)]
         hits = int(np.sum(good >= threshold))
         row = {
             "eps": eps,
             "eta": eta,
-            "trials": int(trials),
+            "trials": int(plan.trials),
             "aborted": int(aborted),
             "hits": hits,
-            "engine": engine_used,
+            "engine": engine,
             "note": "exceedance indicator: heuristic companion to the Laplace principle",
         }
         if hits == 0:
@@ -276,7 +251,7 @@ def linear_case_prediction(spec: SlowFastSpec, threshold, horizon=1.0, sigma_bar
     if not rough_noise_only(spec):
         raise InvalidInputError("the closed form needs b, c, g, sigma2 zero and sigma1 free of x, with m = k = 1")
     if sigma_bar is None:
-        sigma_bar = float(np.asarray(spec.sigma1(spec.x0, spec.y0)).reshape(-1)[0])
+        sigma_bar = _sigma1_at_start(spec)
     if sigma_bar == 0.0:
         raise InvalidInputError("the closed form needs a non-zero rough diffusion")
     gap = threshold - float(spec.x0[0])

@@ -236,7 +236,8 @@ def _promoter(spec, role, rows, cols=None):
         raise InvalidInputError(f"coefficient {role} returned shapes {one.shape} and {two.shape} for 1 and 2 trials")
     _as_vec(val, rows) if cols is None else _as_mat(val, rows, cols)  # raises on a bad shape
     shape = (rows, cols) if val.shape == (rows, cols) and rows * cols > 1 else (val.size,)
-    if val.shape in (shape, ()) and all(isinstance(r, (np.ndarray, np.generic, float)) for r in raw):
+    shared_scalar = val.shape == lead == ()  # a 0-d value, the same for every trial
+    if (val.shape == shape or shared_scalar) and all(isinstance(r, (np.ndarray, np.generic, float)) for r in raw):
         evaluate = call  # already broadcasts
     else:
         evaluate = lambda x, y: np.reshape(call(x, y), lead + shape)  # noqa: E731

@@ -29,6 +29,7 @@ from fracrate.fbm_gen import sample_fbm, sample_fbm_batch, sample_noise_bundle
 from fracrate.frac_calc import default_young_alpha, young_integral
 from fracrate.gridpath import GridPath
 from fracrate.ldp_harness import (
+    MonteCarloPlan,
     estimate_rare_event,
     extrapolated_exponent,
     linear_case_prediction,
@@ -237,7 +238,8 @@ def test_criterion_09_ldp_exponent_25pct():
     a = math.sqrt(0.01) * norm.isf(1e-3)
     sched = [(0.1, 0.1**1.5), (0.05, 0.05**1.5), (0.02, 0.02**1.5), (0.01, 0.01**1.5)]
     pred = linear_case_prediction(make_linear_spec(0.01, 0.001), a)
-    rows = estimate_rare_event(make_linear_spec, a, sched, trials=10**6, seed=404, prediction=pred)
+    plan = MonteCarloPlan(make_linear_spec, sched, trials=10**6, seed=404)
+    rows = estimate_rare_event(plan, a, prediction=pred)
     fit = extrapolated_exponent(rows)
     est = fit["exponent"]
     elapsed = time.monotonic() - t0
@@ -261,7 +263,8 @@ def test_criterion_09b_schedule_stabilization():
     a = math.sqrt(0.01) * norm.isf(1e-3)
     sched = [(0.1, 0.1**1.5), (0.05, 0.05**1.5), (0.02, 0.02**1.5), (0.01, 0.01**1.5)]
     pred = linear_case_prediction(make_linear_spec(0.01, 0.001), a)
-    rows = estimate_rare_event(make_linear_spec, a, sched, trials=10**6, seed=404, prediction=pred)
+    plan = MonteCarloPlan(make_linear_spec, sched, trials=10**6, seed=404)
+    rows = estimate_rare_event(plan, a, prediction=pred)
     ok_stab, diffs = stabilization_diagnostic(rows)
     ordering = all(row["neg_eps_log_p"] > pred for row in rows)
     ok = ok_stab and ordering

@@ -16,7 +16,7 @@ from fracrate.cli import main
 from fracrate.config import hard_failures, load_config, validate
 from fracrate.errors import InvalidInputError
 from fracrate.gridpath import GridPath
-from fracrate.ldp_harness import HFunctional, LaplaceExperiment
+from fracrate.ldp_harness import MonteCarloPlan
 
 OU_HOMOG = """
 [model]
@@ -194,7 +194,7 @@ class TestConfig:
         cfg = load_config(write(tmp_path, "s.cfg", text))
         assert {c.name for c in hard_failures(validate(cfg))} == {"scale_ratio"}
         with pytest.raises(InvalidInputError, match="scale_ratio"):
-            LaplaceExperiment(cfg.make_spec, cfg.schedule, HFunctional(), trials=1000)
+            MonteCarloPlan(cfg.make_spec, cfg.schedule, trials=1000)
 
     def test_fast_dependent_sigma_needs_beta(self, tmp_path):
         cfg = load_config(write(tmp_path, "nb.cfg", COS_LIMIT.replace("beta = 0.45\n", "")))
@@ -202,7 +202,7 @@ class TestConfig:
         assert list(fails) == ["beta_ratio"]
         assert "requires a declared beta" in fails["beta_ratio"]
         with pytest.raises(InvalidInputError, match="requires a declared beta"):
-            LaplaceExperiment(cfg.make_spec, cfg.schedule, HFunctional(), trials=1000)
+            MonteCarloPlan(cfg.make_spec, cfg.schedule, trials=1000)
 
     def test_sigma1_branch_follows_declared_facts(self, tmp_path):
         # a bare callable carries no facts: it reads x and y, so beta is due;
@@ -219,7 +219,7 @@ class TestConfig:
             assert {c.name for c in hard_failures(validate(cfg))} == fails
         cfg.model["sigma1"] = fn
         with pytest.raises(InvalidInputError, match="requires a declared beta"):
-            LaplaceExperiment(cfg.make_spec, cfg.schedule, HFunctional(), trials=1000)
+            MonteCarloPlan(cfg.make_spec, cfg.schedule, trials=1000)
 
     @settings(max_examples=600, deadline=None, derandomize=True, database=None)
     @given(text=edited_config())
@@ -245,6 +245,14 @@ class TestCommands:
         path = GridPath.from_csv(out)
         assert path.n == 64
         assert path.values[0, 0] == 0.0
+
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_sample_fbm_dim_below_one_is_invalid_input(self, tmp_path, capsys, dim):
+        # ended in a ValueError from np.concatenate: exit 1 with a traceback
+        out = tmp_path / "b.csv"
+        assert main(["sample-fbm", "--hurst", "0.7", "--n", "64", "--dim", dim, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: need at least one fBm component")
+        assert not out.exists()
 
     def test_sample_fbm_creates_out_directory(self, tmp_path):
         out = tmp_path / "new" / "dir" / "b.csv"
@@ -312,6 +320,8 @@ class TestCommands:
             ("seed = 77", "seed = 77\n[tolerances]\ncentering_tol = abc"),
             ("c = linear_xy ax=-1.0", "c = linear_xy ax=abc"),
             ("[grid]", "[Grid]"),
+            # the Monte Carlo engine follows the declared coefficient facts
+            ("seed = 77", "seed = 77\nengine = simulate"),
         ],
     )
     def test_malformed_config_is_invalid_input(self, tmp_path, capsys, edit):
@@ -419,7 +429,7 @@ class TestCommands:
         assert len(lines) == 3
 
     @pytest.mark.parametrize("command", ["limit-study", "run"])
-    @pytest.mark.parametrize("hurst_list", ["0.6,abc", " , "])
+    @pytest.mark.parametrize("hurst_list", ["0.6,abc", " , ", ""])
     def test_bad_hurst_list_is_invalid_input(self, tmp_path, capsys, command, hurst_list):
         cfg = write(tmp_path, "cos.cfg", COS_LIMIT)
         argv = [command, "--config", cfg, "--hurst-list", hurst_list, "--out-dir", str(tmp_path)]
@@ -444,6 +454,26 @@ class TestCommands:
         assert rc == 0
         data = json.load(open(out))
         assert data["value"] > 0
+
+    @pytest.mark.parametrize("hurst", ["0", "0.0"])
+    def test_rate_explicit_zero_hurst_is_invalid_input(self, tmp_path, capsys, hurst):
+        # --hurst 0 was read as unset: the run used the config's H = 0.8
+        cfg = write(tmp_path, "cos.cfg", COS_LIMIT)
+        out = tmp_path / "r.json"
+        argv = ["rate", "--config", cfg, "--method", "explicit", "--hurst", hurst, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("invalid input:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["rare-event", "laplace"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_mc_trials_below_one_is_invalid_input(self, tmp_path, capsys, mode, trials):
+        # rare-event exited 3, "event too rare for 0 plain Monte Carlo trials"
+        cfg = write(tmp_path, "mc.cfg", RARE_EVENT.replace("trials = 20000", f"trials = {trials}"))
+        out = tmp_path / "m.csv"
+        assert main(["mc", mode, "--config", cfg, "--out", str(out), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid input: need at least one trial, got {trials}")
+        assert not out.exists()
 
     def test_mc_rare_event_determinism(self, tmp_path):
         cfg = write(tmp_path, "mc.cfg", RARE_EVENT)

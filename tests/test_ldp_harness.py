@@ -10,8 +10,7 @@ from fracrate.config import load_config
 from fracrate.errors import ExperimentFailure, InvalidInputError
 from fracrate.ldp_harness import (
     HFunctional,
-    LaplaceExperiment,
-    _terminal_values,
+    MonteCarloPlan,
     estimate_laplace,
     estimate_rare_event,
     extrapolated_exponent,
@@ -44,17 +43,11 @@ class TestHFunctional:
         with pytest.raises(InvalidInputError, match="unknown functional kind 'nope'"):
             HFunctional("nope")
 
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidInputError):
-            HFunctional("nope")(0.0)
-
 
 class TestLaplace:
     def test_zero_functional_is_exact_zero(self):
-        exp = LaplaceExperiment(
-            linear_spec, SCHED, HFunctional("terminal_sq", rho=0.0), trials=1000, seed=1
-        )
-        rows = estimate_laplace(exp)
+        plan = MonteCarloPlan(linear_spec, SCHED, trials=1000, seed=1)
+        rows = estimate_laplace(plan, HFunctional("terminal_sq", rho=0.0))
         assert all(abs(r["estimate"]) < 1e-14 for r in rows)
         assert all(r["std_error"] < 1e-14 for r in rows)
 
@@ -62,8 +55,7 @@ class TestLaplace:
         # the saturated exceedance functional is constant: estimates equal it
         kappa = 1.25
         h = HFunctional("smooth_exceedance", target=1e9, height=kappa, width=1.0)
-        exp = LaplaceExperiment(linear_spec, SCHED, h, trials=1000, seed=2)
-        rows = estimate_laplace(exp)
+        rows = estimate_laplace(MonteCarloPlan(linear_spec, SCHED, trials=1000, seed=2), h)
         assert all(abs(r["estimate"] - kappa) < 1e-9 for r in rows)
 
     def test_gaussian_endpoint_oracle(self):
@@ -71,8 +63,7 @@ class TestLaplace:
         #   = rho a^2/(1+2 rho s2) + (eps/2) log(1+2 rho s2),  s2 = sigma^2 T^{2H}
         rho, a = 1.0, 0.4
         h = HFunctional("terminal_sq", target=a, rho=rho, cap=1e9)
-        exp = LaplaceExperiment(linear_spec, SCHED, h, trials=10000, seed=7)
-        rows = estimate_laplace(exp)
+        rows = estimate_laplace(MonteCarloPlan(linear_spec, SCHED, trials=10000, seed=7), h)
         limit = rho * a**2 / (1 + 2 * rho)
         for r in rows:
             exact = limit + 0.5 * r["eps"] * math.log(1 + 2 * rho)
@@ -82,25 +73,24 @@ class TestLaplace:
 
     def test_nonnegative_for_nonneg_h(self):
         h = HFunctional("smooth_exceedance", target=0.3, height=2.0)
-        exp = LaplaceExperiment(linear_spec, SCHED[:2], h, trials=2000, seed=3)
-        rows = estimate_laplace(exp)
+        rows = estimate_laplace(MonteCarloPlan(linear_spec, SCHED[:2], trials=2000, seed=3), h)
         for r in rows:
             assert r["estimate"] > -4 * r["std_error"]
 
     def test_trials_floor(self):
         with pytest.raises(InvalidInputError):
-            LaplaceExperiment(linear_spec, SCHED, HFunctional(), trials=10, seed=0)
+            estimate_laplace(MonteCarloPlan(linear_spec, SCHED, trials=10, seed=0), HFunctional())
 
     def test_bad_schedule_rejected(self):
         bad = [(0.01, 0.001), (0.1, 0.0316)]
         with pytest.raises(InvalidInputError):
-            LaplaceExperiment(linear_spec, bad, HFunctional(), trials=1000, seed=0)
+            MonteCarloPlan(linear_spec, bad, trials=1000, seed=0)
 
 
 class TestRareEvent:
     def test_threshold_at_start_is_half(self):
         # symmetric endpoint law: P(X_T >= x0) = 1/2, exponent -> 0
-        rows = estimate_rare_event(linear_spec, 0.0, SCHED, trials=40000, seed=5)
+        rows = estimate_rare_event(MonteCarloPlan(linear_spec, SCHED, trials=40000, seed=5), 0.0)
         for r in rows:
             assert abs(r["p_hat"] - 0.5) < 0.02
         assert rows[-1]["neg_eps_log_p"] < 0.02
@@ -109,9 +99,7 @@ class TestRareEvent:
         spec = linear_spec(0.01, 0.001)
         pred = linear_case_prediction(spec, 0.4)
         assert abs(pred - 0.4**2 / 2.0) < 1e-12
-        rows = estimate_rare_event(
-            linear_spec, 0.4, SCHED, trials=200000, seed=6, prediction=pred
-        )
+        rows = estimate_rare_event(MonteCarloPlan(linear_spec, SCHED, trials=200000, seed=6), 0.4, prediction=pred)
         assert all(r["engine"] == "gaussian" for r in rows)
         ok, diffs = stabilization_diagnostic(rows)
         assert ok
@@ -129,7 +117,8 @@ class TestRareEvent:
         spec = config.make_spec(*config.schedule[0])
         if sigma1 is not None:
             spec.sigma1 = cf.parse_spec("sigma1", sigma1)
-        assert _terminal_values(spec, 1.0, 9, None, 4, 0, (0,), "auto")[2] == engine
+        plan = MonteCarloPlan(config.make_spec, config.schedule, trials=4, n_grid=9)
+        assert plan.terminal_values(spec, 0)[2] == engine
 
     def test_prediction_needs_closed_form(self):
         with pytest.raises(InvalidInputError, match="closed form"):
@@ -139,25 +128,28 @@ class TestRareEvent:
 
     def test_pilot_infeasible(self):
         with pytest.raises(ExperimentFailure):
-            estimate_rare_event(linear_spec, 5.0, SCHED, trials=10000, seed=1)
+            estimate_rare_event(MonteCarloPlan(linear_spec, SCHED, trials=10000, seed=1), 5.0)
 
     def test_zero_hits_reported_as_bound(self):
         # threshold passable at large eps (pilot ok) but unreachable later
         sched = [(0.5, 0.5**1.5), (0.001, 0.001**1.5)]
-        rows = estimate_rare_event(linear_spec, 1.4, sched, trials=2000, seed=8)
+        rows = estimate_rare_event(MonteCarloPlan(linear_spec, sched, trials=2000, seed=8), 1.4)
         assert rows[0]["hits"] > 0
         assert rows[1]["bound_only"]
         assert "neg_eps_log_p_lower" in rows[1]
 
     def test_simulate_engine_agrees(self):
-        # the full path engine reproduces the exact-law engine within noise
+        # the full path engine reproduces the exact-law engine within noise:
+        # the same constant sigma1, declared to read x, goes to the simulator
+        def simulated_spec(eps, eta):
+            spec = linear_spec(eps, eta)
+            spec.sigma1 = cf.Coefficient("constant_x", spec.sigma1, {}, reads="x")
+            return spec
+
         sched = [(0.1, 0.1**1.5)]
-        rows_g = estimate_rare_event(
-            linear_spec, 0.3, sched, trials=2000, seed=9, engine="gaussian"
-        )
-        rows_s = estimate_rare_event(
-            linear_spec, 0.3, sched, trials=2000, seed=9, engine="simulate", n_grid=65
-        )
+        rows_g = estimate_rare_event(MonteCarloPlan(linear_spec, sched, trials=2000, seed=9), 0.3)
+        rows_s = estimate_rare_event(MonteCarloPlan(simulated_spec, sched, trials=2000, seed=9, n_grid=65), 0.3)
+        assert (rows_g[0]["engine"], rows_s[0]["engine"]) == ("gaussian", "simulate")
         p1, p2 = rows_g[0]["p_hat"], rows_s[0]["p_hat"]
         se = math.sqrt(p1 * (1 - p1) / 2000) * 2
         assert abs(p1 - p2) < 6 * se
@@ -188,8 +180,9 @@ class TestRareEvent:
             extrapolated_exponent(rows)
 
     def test_determinism(self):
-        rows1 = estimate_rare_event(linear_spec, 0.3, SCHED[:2], trials=5000, seed=13)
-        rows2 = estimate_rare_event(linear_spec, 0.3, SCHED[:2], trials=5000, seed=13)
+        plan = MonteCarloPlan(linear_spec, SCHED[:2], trials=5000, seed=13)
+        rows1 = estimate_rare_event(plan, 0.3)
+        rows2 = estimate_rare_event(plan, 0.3)
         assert rows1 == rows2
 
 

@@ -280,6 +280,21 @@ class TestBatched:
         noises = [make_noise(spec, 21, 1.0, 3, seed=4, stream=trial) for trial in range(3)]
         assert_matches_reference(spec, noises, 3)
 
+    @pytest.mark.parametrize("role,fn", [
+        ("c", lambda x, y: -x[..., 0]),
+        ("sigma1", lambda x, y: 0.5 + 0.1 * x[..., 0]),
+    ])
+    def test_per_trial_scalar_matches_single_trial(self, role, fn):
+        # a bare callable returning one number per trial, shape (B,), for
+        # m = k = 1: the batch died with a numpy broadcast error
+        spec = ou_spec(eps=0.1, eta=0.1, sigma1=("constant", {"value": 0.5}), x0=0.4)
+        setattr(spec, role, fn)
+        noises = [make_noise(spec, 21, 1.0, 3, seed=4, stream=trial) for trial in range(3)]
+        batch = assert_matches_reference(spec, noises, 3)
+        for trial, noise in enumerate(noises):
+            xs, ys = simulate(spec, noise, substeps=3)
+            assert np.array_equal(batch.x[trial], xs.values) and np.array_equal(batch.y[trial], ys.values)
+
     def test_matrix_coefficients_match_scalar_reference(self):
         # m = k = ell = 2: scalar and 1-d results promoted to diagonals
         spec = matrix_spec(lambda x, y: 0.5 + 0.1 * x)
