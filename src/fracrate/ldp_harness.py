@@ -6,7 +6,10 @@ probabilities above 1e-4 at the smallest noise level, so no importance
 sampling is needed.  All exponential averages are accumulated in the log
 domain; estimates come with delta-method (Laplace) or Wilson (exceedance)
 error bars.  Trials are keyed by (seed, schedule index, trial index), so a
-re-run is reproducible byte for byte and independent of batching.
+re-run is reproducible byte for byte, and results are independent of
+batching and of the block size: the exact Gaussian engine draws a schedule
+point's trials in blocks of ``_BLOCK_TRIALS`` from one generator, which
+gives the same bits as one draw of them all.
 """
 from __future__ import annotations
 
@@ -23,6 +26,9 @@ from .multiscale_sim import SlowFastSpec, default_substeps, schedule_checks, sim
 
 # share of the trials, at least 200, that the rare-event feasibility pilot runs
 _PILOT_FRACTION = 0.02
+# trials per block of the exact Gaussian engine: 512 KB per temporary, so the
+# memory of a schedule point does not grow with its trial count
+_BLOCK_TRIALS = 1 << 16
 
 
 @dataclass
@@ -62,10 +68,11 @@ def rough_noise_only(spec: SlowFastSpec):
     return drifts_zero and not reads(spec.sigma1, "x") and spec.m == spec.k == 1
 
 
-def _is_pure_fbm_linear(spec: SlowFastSpec):
-    """True when the slow motion is x0 + sqrt(eps) sigma B^H with a constant
-    sigma, so its terminal law is Gaussian."""
-    return rough_noise_only(spec) and not reads(spec.sigma1, "y")
+def _engine(spec: SlowFastSpec):
+    """The engine of ``spec``'s Monte Carlo trials: ``gaussian`` when the
+    slow motion is x0 + sqrt(eps) sigma B^H with a constant sigma, so its
+    terminal law is Gaussian and sampled exactly, ``simulate`` otherwise."""
+    return "gaussian" if rough_noise_only(spec) and not reads(spec.sigma1, "y") else "simulate"
 
 
 def _sigma1_at_start(spec: SlowFastSpec):
@@ -115,16 +122,41 @@ class MonteCarloPlan:
 
     def terminal_values(self, spec, stream, trials=None):
         """Terminal slow values of ``trials`` trials (None: the plan's) on
-        ``stream``, NaN where a trial diverged, the number aborted and the
-        engine: the exact Gaussian law when the declared facts make
-        ``_is_pure_fbm_linear(spec)`` true, ``simulate_point`` otherwise."""
+        ``stream`` as blocks (values, aborted), NaN where a trial diverged.
+        The Gaussian engine yields a fresh array of at most ``_BLOCK_TRIALS``
+        values per block, all drawn from one generator; the simulator yields
+        one block, since ``simulate_batch`` warns once per call."""
         trials = self.trials if trials is None else trials
-        if _is_pure_fbm_linear(spec):
-            z = rng_for(self.seed, 3, stream).standard_normal(trials)
+        if _engine(spec) == "gaussian":
+            rng = rng_for(self.seed, 3, stream)
             scale = math.sqrt(spec.eps) * _sigma1_at_start(spec) * self.horizon**spec.hurst
-            return spec.x0[0] + scale * z, 0, "gaussian"
-        batch, _ = simulate_point(spec, self.n_grid, self.horizon, self.substeps, trials, self.seed, stream)
-        return batch.x[:, -1, 0], int(np.sum(batch.diverged)), "simulate"
+            for start in range(0, trials, _BLOCK_TRIALS):
+                z = rng.standard_normal(min(_BLOCK_TRIALS, trials - start))
+                z *= scale
+                z += spec.x0[0]
+                yield z, 0
+        else:
+            batch, _ = simulate_point(spec, self.n_grid, self.horizon, self.substeps, trials, self.seed, stream)
+            yield batch.x[:, -1, 0], int(np.sum(batch.diverged))
+
+
+def _check_usable(finite, trials, eps):
+    """The one all-aborted rule of both estimators: ``ExperimentFailure``
+    (exit 3) when none of ``trials`` trials at ``eps`` ended finite."""
+    if finite == 0:
+        raise ExperimentFailure(f"all {trials} trials aborted at eps={eps}")
+
+
+def _count_hits(blocks, threshold):
+    """(finite trials, hits among them, aborted trials) over ``blocks`` of
+    ``terminal_values``, counted block by block."""
+    finite = hits = aborted = 0
+    for vals, block_aborted in blocks:
+        ok = np.isfinite(vals)
+        finite += np.count_nonzero(ok)
+        hits += np.count_nonzero(ok & (vals >= threshold))
+        aborted += block_aborted
+    return int(finite), int(hits), aborted
 
 
 def estimate_laplace(plan: MonteCarloPlan, h: HFunctional):
@@ -136,31 +168,35 @@ def estimate_laplace(plan: MonteCarloPlan, h: HFunctional):
     """
     if plan.trials < 1000:
         raise InvalidInputError("need at least 1000 trials per schedule point")
-    rows = []
-    for idx, (eps, eta) in enumerate(plan.schedule):
-        vals, aborted, engine = plan.terminal_values(plan.make_spec(eps, eta), idx)
-        good = vals[np.isfinite(vals)]
-        if good.size == 0:
-            raise ExperimentFailure(f"all {plan.trials} trials aborted at eps={eps}")
-        hv = h(good)
-        logw = -hv / eps
-        lme = logsumexp(logw) - math.log(good.size)
-        estimate = -eps * lme
-        w_shift = np.exp(logw - logw.max())
-        mean_w = w_shift.mean()
-        se = eps * w_shift.std(ddof=1) / (math.sqrt(good.size) * mean_w)
-        rows.append(
-            {
-                "eps": eps,
-                "eta": eta,
-                "estimate": float(estimate),
-                "std_error": float(se),
-                "trials": int(plan.trials),
-                "aborted": int(aborted),
-                "engine": engine,
-            }
-        )
-    return rows
+    return [_laplace_row(plan, h, idx, eps, eta) for idx, (eps, eta) in enumerate(plan.schedule)]
+
+
+def _laplace_row(plan, h, idx, eps, eta):
+    """The Laplace row of schedule point ``idx``; its per-trial arrays end
+    with the call."""
+    spec = plan.make_spec(eps, eta)
+    blocks = list(plan.terminal_values(spec, idx))
+    vals = np.concatenate([v for v, _ in blocks])
+    aborted = sum(a for _, a in blocks)
+    del blocks
+    ok = np.isfinite(vals)
+    good = vals if ok.all() else vals[ok]
+    _check_usable(good.size, plan.trials, eps)
+    logw = -h(good) / eps
+    lme = logsumexp(logw) - math.log(good.size)
+    estimate = -eps * lme
+    w_shift = np.exp(logw - logw.max())
+    mean_w = w_shift.mean()
+    se = eps * w_shift.std(ddof=1) / (math.sqrt(good.size) * mean_w)
+    return {
+        "eps": eps,
+        "eta": eta,
+        "estimate": float(estimate),
+        "std_error": float(se),
+        "trials": int(plan.trials),
+        "aborted": int(aborted),
+        "engine": _engine(spec),
+    }
 
 
 def wilson_interval(hits, n, z=1.959963984540054):
@@ -191,8 +227,9 @@ def estimate_rare_event(plan: MonteCarloPlan, threshold, prediction=None):
     """
     # feasibility pilot at the largest eps
     pilot_n = max(200, int(plan.trials * _PILOT_FRACTION))
-    vals, _, _ = plan.terminal_values(plan.make_spec(*plan.schedule[0]), 999, pilot_n)
-    pilot_hits = int(np.sum(vals >= threshold))
+    spec0 = plan.make_spec(*plan.schedule[0])
+    finite, pilot_hits, _ = _count_hits(plan.terminal_values(spec0, 999, pilot_n), threshold)
+    _check_usable(finite, pilot_n, plan.schedule[0][0])
     if pilot_hits * (plan.trials / pilot_n) < 10:
         raise ExperimentFailure(
             f"pilot run found {pilot_hits}/{pilot_n} hits at the largest eps; "
@@ -200,20 +237,20 @@ def estimate_rare_event(plan: MonteCarloPlan, threshold, prediction=None):
         )
     rows = []
     for idx, (eps, eta) in enumerate(plan.schedule):
-        vals, aborted, engine = plan.terminal_values(plan.make_spec(eps, eta), idx)
-        good = vals[np.isfinite(vals)]
-        hits = int(np.sum(good >= threshold))
+        spec = plan.make_spec(eps, eta)
+        finite, hits, aborted = _count_hits(plan.terminal_values(spec, idx), threshold)
+        _check_usable(finite, plan.trials, eps)
         row = {
             "eps": eps,
             "eta": eta,
             "trials": int(plan.trials),
             "aborted": int(aborted),
             "hits": hits,
-            "engine": engine,
+            "engine": _engine(spec),
             "note": "exceedance indicator: heuristic companion to the Laplace principle",
         }
         if hits == 0:
-            p_upper = 1.0 - 0.05 ** (1.0 / max(good.size, 1))
+            p_upper = 1.0 - 0.05 ** (1.0 / finite)
             row.update(
                 {
                     "p_hat": 0.0,
@@ -223,8 +260,8 @@ def estimate_rare_event(plan: MonteCarloPlan, threshold, prediction=None):
                 }
             )
         else:
-            p_hat = hits / good.size
-            lo, hi = wilson_interval(hits, good.size)
+            p_hat = hits / finite
+            lo, hi = wilson_interval(hits, finite)
             row.update(
                 {
                     "p_hat": float(p_hat),

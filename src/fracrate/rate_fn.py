@@ -240,8 +240,9 @@ def _condition_estimate(gram, chol):
         v /= np.linalg.norm(v)
     lam_max = float(v @ (gram @ v))
     u = rng.standard_normal(gram.shape[0])
+    # cho_factor checked gram, and the iterates stay finite: no rescan per solve
     for _ in range(20):
-        u = cho_solve(chol, u)
+        u = cho_solve(chol, u, check_finite=False)
         u /= np.linalg.norm(u)
     lam_min = float(u @ (gram @ u))
     return lam_max, lam_min

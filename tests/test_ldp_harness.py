@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,13 @@ from scipy.stats import norm
 from fracrate import coefficients as cf
 from fracrate.config import load_config
 from fracrate.errors import ExperimentFailure, InvalidInputError
+from fracrate.fbm_gen import rng_for
 from fracrate.ldp_harness import (
+    _BLOCK_TRIALS,
     HFunctional,
     MonteCarloPlan,
+    _count_hits,
+    _engine,
     estimate_laplace,
     estimate_rare_event,
     extrapolated_exponent,
@@ -26,6 +31,12 @@ SCHED = [(0.1, 0.1**1.5), (0.05, 0.05**1.5), (0.02, 0.02**1.5), (0.01, 0.01**1.5
 
 def linear_spec(eps, eta, sigma=1.0):
     return ou_spec(eps=eps, eta=eta, sigma1=("constant", {"value": sigma}))
+
+
+def late_blowup_spec(eps, eta):
+    # c = 1e4 x from x0 = 1 overflows every trial, below the largest eps only
+    c = ("linear_xy", {"ax": 1e4 if eps < 0.1 else 0.0})
+    return ou_spec(eps=eps, eta=eta, sigma1=("constant", {"value": 1.0}), c=c, x0=1.0)
 
 
 class TestHFunctional:
@@ -106,19 +117,20 @@ class TestRareEvent:
         # ordering consistency: estimates sit above the prediction
         assert all(r["neg_eps_log_p"] > pred for r in rows)
 
-    @pytest.mark.parametrize("sigma1,engine", [
+    @pytest.mark.parametrize("sigma1,expected", [
         (None, "gaussian"),
         ("linear_xy", "gaussian"),  # ax = ay = 0: a constant law
         ("linear_xy ax=0.5", "simulate"),
         ("cos_y", "simulate"),
     ])
-    def test_auto_engine_reads_declared_facts(self, sigma1, engine):
+    def test_auto_engine_reads_declared_facts(self, sigma1, expected):
         config = load_config(Path(__file__).resolve().parents[1] / "configs" / "rare_event_linear.cfg")
         spec = config.make_spec(*config.schedule[0])
         if sigma1 is not None:
             spec.sigma1 = cf.parse_spec("sigma1", sigma1)
         plan = MonteCarloPlan(config.make_spec, config.schedule, trials=4, n_grid=9)
-        assert plan.terminal_values(spec, 0)[2] == engine
+        assert _engine(spec) == expected
+        assert sum(vals.size for vals, _ in plan.terminal_values(spec, 0)) == 4
 
     def test_prediction_needs_closed_form(self):
         with pytest.raises(InvalidInputError, match="closed form"):
@@ -178,6 +190,51 @@ class TestRareEvent:
         rows[1]["bound_only"] = True
         with pytest.raises(InvalidInputError):
             extrapolated_exponent(rows)
+
+    @pytest.mark.parametrize("trials", [1, _BLOCK_TRIALS - 1, _BLOCK_TRIALS, _BLOCK_TRIALS + 1, 3 * _BLOCK_TRIALS + 5])
+    def test_gaussian_blocks_equal_one_draw(self, trials):
+        # oracle: the one-shot draw, scaled out of place, of the unblocked engine
+        seed, stream, threshold = 21, 2, 0.3
+        spec = linear_spec(0.1, 0.1**1.5, sigma=1.3)
+        plan = MonteCarloPlan(linear_spec, SCHED, trials=trials, seed=seed, horizon=1.5)
+        blocks = list(plan.terminal_values(spec, stream))
+        assert all(0 < vals.size <= _BLOCK_TRIALS and aborted == 0 for vals, aborted in blocks)
+        assert len(blocks) == -(-trials // _BLOCK_TRIALS)
+        scale = math.sqrt(spec.eps) * 1.3 * 1.5**spec.hurst
+        full = spec.x0[0] + scale * rng_for(seed, 3, stream).standard_normal(trials)
+        got = np.concatenate([vals for vals, _ in blocks])
+        assert np.array_equal(got.view(np.int64), full.view(np.int64))
+        good = full[np.isfinite(full)]
+        assert _count_hits(blocks, threshold) == (good.size, int(np.sum(good >= threshold)), 0)
+
+    def test_count_hits_skips_aborted_trials(self):
+        nan = math.nan
+        blocks = [(np.array([nan, 0.5, 0.1]), 1), (np.array([nan, nan]), 2), (np.array([0.3, 0.2]), 0)]
+        vals = np.concatenate([v for v, _ in blocks])
+        good = vals[np.isfinite(vals)]
+        assert _count_hits(blocks, 0.3) == (good.size, int(np.sum(good >= 0.3)), 3) == (4, 2, 3)
+
+    def test_all_trials_aborted_fails(self):
+        # every trial at eps = 0.05 diverges: no bound row from zero usable trials
+        sched = [(0.1, 0.1**1.5), (0.05, 0.05**1.5)]
+        plan = MonteCarloPlan(late_blowup_spec, sched, trials=1000, n_grid=9)
+        assert _engine(late_blowup_spec(*sched[1])) == "simulate"
+        with pytest.raises(ExperimentFailure, match="all 1000 trials aborted at eps=0.05"):
+            estimate_rare_event(plan, 0.0)
+        with pytest.raises(ExperimentFailure, match="all 1000 trials aborted at eps=0.05"):
+            estimate_laplace(plan, HFunctional())
+
+    def test_memory_independent_of_trials(self):
+        # blocks of _BLOCK_TRIALS: a 10^6-trial point holds no 8 MB array
+        plan = MonteCarloPlan(linear_spec, SCHED[:2], trials=10**6, seed=4)
+        tracemalloc.start()
+        try:
+            rows = estimate_rare_event(plan, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r["hits"] > 0 for r in rows)
+        assert peak < 4 * 2**20
 
     def test_determinism(self):
         plan = MonteCarloPlan(linear_spec, SCHED[:2], trials=5000, seed=13)
