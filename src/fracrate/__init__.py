@@ -17,7 +17,7 @@ from .errors import (
     TruncationError,
     ValidationFailure,
 )
-from .fbm_gen import NoiseBundle, path_norms, sample_fbm, sample_noise_bundle
+from .fbm_gen import NoiseBundle, path_norms, sample_fbm, sample_increments, sample_noise_bundle
 from .frac_calc import (
     FracOrder,
     delta_ratio,
@@ -44,6 +44,7 @@ from .multiscale_sim import (
     empirical_occupation,
     simulate,
     simulate_batch,
+    simulate_chunks,
     simulate_controlled,
 )
 from .poisson_cell import (

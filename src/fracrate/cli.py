@@ -28,6 +28,7 @@ from .gridpath import GridPath
 from .ldp_harness import (
     HFunctional,
     MonteCarloPlan,
+    _check_usable,
     estimate_laplace,
     estimate_rare_event,
     linear_case_prediction,
@@ -37,6 +38,7 @@ from .ldp_harness import (
 )
 from .poisson_cell import effective_q
 from .rate_fn import (
+    averaged_euler,
     build_limit_drift,
     eval_rate_explicit,
     eval_rate_fw_half,
@@ -141,38 +143,30 @@ def cmd_simulate(args):
     if trials < 1:
         raise InvalidInputError(f"need at least one trial, got {trials}")
     out_dir = _out_dir(args)
-    spec_tmpl = config.make_spec(*config.schedule[-1])
-    _, mu, psol, drift = _measure_and_drift(config)
-    n = config.grid["n"]
-    horizon = config.grid["horizon"]
-    dt = horizon / (n - 1)
+    spec_tmpl, _, _, drift = _measure_and_drift(config)
+    n, horizon = config.grid["n"], config.grid["horizon"]
     seed = config.seed if getattr(args, "seed", None) is None else args.seed
-
-    # homogenized reference by Euler on the averaged drift
-    ref = np.empty((n, spec_tmpl.m))
-    ref[0] = spec_tmpl.x0
-    for i in range(n - 1):
-        node = ref[i : i + 1]
-        ref[i + 1] = ref[i] + dt * (drift.cbar(node) + drift.grad_psi_g_bar(node))[0]
+    ref = averaged_euler(drift, spec_tmpl.x0, n, horizon / (n - 1))
 
     summary = {"schedule": [], "trials": trials, "reference": "homogenized Euler"}
     for idx, (eps, eta) in enumerate(config.schedule):
-        batch, sub = simulate_point(config.make_spec(eps, eta), n, horizon, config.grid["substeps"], trials, seed, idx)
-        healthy = np.flatnonzero(~batch.diverged)
-        aborted = trials - healthy.size
-        sup_errs = [float(np.max(np.abs(batch.x[trial] - ref))) for trial in healthy]
-        terminals = [float(batch.x[trial, -1, 0]) for trial in healthy]
-        for trial in healthy:
-            batch.paths(trial)[0].to_csv(os.path.join(out_dir, f"trajectory_eps{idx}_trial{trial}.csv"))
+        sup_errs, terminals = [], []
+        chunks = simulate_point(config.make_spec(eps, eta), n, horizon, config.grid["substeps"], trials, seed, idx)
+        for chunk, batch in chunks:
+            for i in np.flatnonzero(~batch.diverged):
+                batch.paths(i)[0].to_csv(os.path.join(out_dir, f"trajectory_eps{idx}_trial{chunk[i]}.csv"))
+                sup_errs.append(float(np.max(np.abs(batch.x[i] - ref))))
+                terminals.append(float(batch.x[i, -1, 0]))
+        _check_usable(len(terminals), trials, eps)
         summary["schedule"].append(
             {
                 "eps": eps,
                 "eta": eta,
-                "substeps": sub,
-                "aborted": aborted,
-                "mean_sup_error": float(np.mean(sup_errs)) if sup_errs else None,
-                "terminal_mean": float(np.mean(terminals)) if terminals else None,
-                "terminal_std": float(np.std(terminals)) if terminals else None,
+                "substeps": batch.substeps,
+                "aborted": trials - len(terminals),
+                "mean_sup_error": float(np.mean(sup_errs)),
+                "terminal_mean": float(np.mean(terminals)),
+                "terminal_std": float(np.std(terminals)),
             }
         )
     _write_json(os.path.join(out_dir, "simulate_summary.json"), summary)

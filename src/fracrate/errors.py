@@ -14,7 +14,7 @@ class RegularityError(FracrateError, ArithmeticError):
 
 
 class DivergenceError(FracrateError, RuntimeError):
-    """A simulated trajectory produced a non-finite state."""
+    """A simulated trajectory or a rate value became non-finite."""
 
     def __init__(self, message, first_bad_time=None):
         super().__init__(message)

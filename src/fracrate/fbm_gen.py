@@ -41,16 +41,11 @@ def rng_for(seed, *stream):
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _fgn_autocov(n_inc, hurst):
-    m = np.arange(n_inc + 1, dtype=float)
-    return 0.5 * (np.abs(m + 1) ** (2 * hurst) - 2 * m ** (2 * hurst) + np.abs(m - 1) ** (2 * hurst))
-
-
 def _fgn_eigenvalues(n_inc, hurst):
-    rho = _fgn_autocov(n_inc, hurst)
-    circ = np.concatenate([rho[:-1], rho[-1:], rho[-2:0:-1]])
-    lam = np.fft.fft(circ).real
-    return lam
+    """Eigenvalues of the circulant embedding of the fGn autocovariance."""
+    m = np.arange(n_inc + 1, dtype=float)
+    rho = 0.5 * (np.abs(m + 1) ** (2 * hurst) - 2 * m ** (2 * hurst) + np.abs(m - 1) ** (2 * hurst))
+    return np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
 
 
 @functools.lru_cache(maxsize=8)
@@ -74,50 +69,64 @@ def _fgn_scales(n_inc, hurst):
     return scales
 
 
-def sample_fgn_batch(hurst, n_inc, size, rng):
-    """Unit-step fractional Gaussian noise, shape (size, n_inc), exact covariance.
+def _fgn(z, hurst):
+    """Unit-step fGn (..., n_inc) of unit normals z (..., 2 n_inc) drawn as
+    z_0, z_n, a_1..a_{n-1}, b_1..b_{n-1}: the half spectrum z_0, a_j + i b_j,
+    z_n of a symmetric embedding, so one real inverse FFT per row suffices.
+    Raises ``FracrateError`` when the embedding is indefinite."""
+    n_inc = z.shape[-1] // 2
+    half = z[..., np.r_[0, 2 : n_inc + 1, 1]].astype(complex)
+    half.imag[..., 1:n_inc] = z[..., n_inc + 1 :]
+    half *= _fgn_scales(n_inc, hurst)[: n_inc + 1] * np.sqrt(np.r_[2.0, np.ones(n_inc - 1), 2.0] * n_inc)
+    return np.fft.irfft(half, n=2 * n_inc)[..., :n_inc]
 
-    Raises ``FracrateError`` when the embedding is indefinite (``_fgn_scales``).
-    """
-    scales = _fgn_scales(n_inc, hurst)
-    m = 2 * n_inc
-    z = np.zeros((size, m), dtype=complex)
-    z[:, 0] = rng.standard_normal(size) * np.sqrt(m)
-    z[:, n_inc] = rng.standard_normal(size) * np.sqrt(m)
-    a = rng.standard_normal((size, n_inc - 1))
-    b = rng.standard_normal((size, n_inc - 1))
-    half = np.sqrt(m / 2.0) * (a + 1j * b)
-    z[:, 1:n_inc] = half
-    z[:, n_inc + 1 :] = np.conj(half[:, ::-1])
-    return np.fft.ifft(scales[None, :] * z, axis=1).real[:, :n_inc]
+
+def sample_increments(hurst, n, horizon, streams, k=1, ell=1, seed=0):
+    """Noise increments [dB, dW] of a chunk of trials, one per key of
+    ``streams``, on n points over [0, horizon]: fBm dB (fine step, trial, k)
+    and Brownian dW (fine step, trial, ell), filled trial by trial.  Trial t
+    draws from ``rng_for(seed, 0, streams[t])`` (2(n - 1) normals per fBm
+    column) and ``rng_for(seed, 1, streams[t])``; k = 0 or ell = 0 skips one."""
+    if not (0.0 < hurst < 1.0):
+        raise InvalidInputError(f"Hurst index must lie in (0,1), got {hurst}")
+    if n < 2 or horizon <= 0 or k < 0 or ell < 0:
+        raise InvalidInputError(f"bad grid or dimensions: n={n}, horizon={horizon}, k={k}, ell={ell}")
+    dt = horizon / (n - 1)
+    db = np.empty((n - 1, len(streams), k))
+    dw = np.empty((n - 1, len(streams), ell))
+    for t, stream in enumerate(streams):
+        if k:
+            db[:, t] = _fgn(rng_for(seed, 0, stream).standard_normal((k, 2 * (n - 1))), hurst).T
+        if ell:
+            dw[:, t] = rng_for(seed, 1, stream).standard_normal((n - 1, ell))
+    db *= dt**hurst
+    dw *= np.sqrt(dt)
+    return [db, dw]
+
+
+def _path(inc, dt):
+    """The ``GridPath`` from 0 of one trial's increments (fine step, 1, dim)."""
+    return GridPath(0.0, dt, np.concatenate([np.zeros((1, inc.shape[2])), np.cumsum(inc[:, 0], axis=0)]))
 
 
 def sample_fbm(hurst, n, horizon, dim=1, seed=0, stream=0):
-    """One fBm path on n grid points over [0, horizon], started at 0.
+    """One fBm path on n grid points over [0, horizon], started at 0: the
+    sum of ``sample_increments``.
 
     Components are i.i.d. one-dimensional fBms.  Deterministic in
     (hurst, n, horizon, dim, seed, stream).
     """
-    if not (0.0 < hurst < 1.0):
-        raise InvalidInputError(f"Hurst index must lie in (0,1), got {hurst}")
-    if n < 2 or horizon <= 0:
-        raise InvalidInputError(f"bad grid: n={n}, horizon={horizon}")
     if dim < 1:
         raise InvalidInputError(f"need at least one fBm component, got dim={dim}")
-    dt = horizon / (n - 1)
-    rng = rng_for(seed, 0, stream)
-    cols = []
-    for _ in range(dim):
-        fgn = sample_fgn_batch(hurst, n - 1, 1, rng)[0] * dt**hurst
-        cols.append(np.concatenate(([0.0], np.cumsum(fgn))))
-    return GridPath(0.0, dt, np.column_stack(cols))
+    return _path(sample_increments(hurst, n, horizon, [stream], k=dim, ell=0, seed=seed)[0], horizon / (n - 1))
 
 
 def sample_fbm_batch(hurst, n, horizon, size, seed=0, stream=0):
-    """Batch of scalar fBm paths, shape (size, n); used by Monte Carlo layers."""
-    dt = horizon / (n - 1)
+    """Batch of scalar fBm paths, shape (size, n), all drawn from one
+    generator: z_0 of every path, then z_n, then a, then b."""
     rng = rng_for(seed, 0, stream)
-    fgn = sample_fgn_batch(hurst, n - 1, size, rng) * dt**hurst
+    z = np.hstack([rng.standard_normal((2, size)).T, *rng.standard_normal((2, size, n - 2))])
+    fgn = _fgn(z, hurst) * (horizon / (n - 1)) ** hurst
     return np.concatenate([np.zeros((size, 1)), np.cumsum(fgn, axis=1)], axis=1)
 
 
@@ -138,18 +147,11 @@ class NoiseBundle:
 
 
 def sample_noise_bundle(hurst, n, horizon, k=1, ell=1, seed=0, stream=0):
-    """fBm (k-dim) and Brownian (ell-dim) paths from disjoint RNG streams."""
-    if ell < 0:
-        raise InvalidInputError(f"bad Brownian dimension ell={ell}")
+    """fBm (k-dim) and Brownian (ell-dim) paths from disjoint RNG streams:
+    the sums of ``sample_increments`` on key ``stream``."""
     bh = sample_fbm(hurst, n, horizon, dim=k, seed=seed, stream=stream)
-    dt = bh.dt
-    rng = rng_for(seed, 1, stream)
-    if ell:
-        dw = rng.standard_normal((n - 1, ell)) * np.sqrt(dt)
-        wvals = np.concatenate([np.zeros((1, ell)), np.cumsum(dw, axis=0)], axis=0)
-    else:
-        wvals = np.zeros((n, 0))
-    return NoiseBundle(bh=bh, w=GridPath(0.0, dt, wvals), seed=seed, hurst=hurst)
+    _, dw = sample_increments(hurst, n, horizon, [stream], k=0, ell=ell, seed=seed)
+    return NoiseBundle(bh=bh, w=_path(dw, bh.dt), seed=seed, hurst=hurst)
 
 
 def path_norms(f: GridPath, alpha):

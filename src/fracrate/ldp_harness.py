@@ -21,14 +21,18 @@ from scipy.special import logsumexp
 
 from .coefficients import is_zero, reads
 from .errors import ExperimentFailure, InvalidInputError
-from .fbm_gen import rng_for, sample_noise_bundle
-from .multiscale_sim import SlowFastSpec, default_substeps, schedule_checks, simulate_batch
+from .fbm_gen import rng_for, sample_increments
+from .multiscale_sim import SlowFastSpec, default_substeps, schedule_checks, simulate_chunks
 
 # share of the trials, at least 200, that the rare-event feasibility pilot runs
 _PILOT_FRACTION = 0.02
 # trials per block of the exact Gaussian engine: 512 KB per temporary, so the
 # memory of a schedule point does not grow with its trial count
 _BLOCK_TRIALS = 1 << 16
+# trials x fine-grid points per chunk of the simulator: one (fine step,
+# trial) stack of a chunk is then 8 MB per noise column, and a chunk holds
+# the increment stacks and at most one forcing stack per noise term
+_MAX_BATCH_POINTS = 1 << 20
 
 
 @dataclass
@@ -81,17 +85,20 @@ def _sigma1_at_start(spec: SlowFastSpec):
 
 
 def simulate_point(spec, n_grid, horizon, substeps, trials, seed, stream):
-    """``simulate_batch`` over ``trials`` trials of one schedule point, on
-    ``n_grid`` output points over [0, horizon] with ``substeps`` (0 or None:
-    ``default_substeps``); trial t reads the noise stream (``stream``, t).
-    Returns the ``BatchPaths`` and the substeps used."""
+    """Chunks (trial indices, ``BatchPaths``) of ``_MAX_BATCH_POINTS //
+    n_fine`` of the ``trials`` trials of one schedule point, on ``n_grid``
+    output points over [0, horizon] with ``substeps`` (0 or None:
+    ``default_substeps``).  A chunk's noise is drawn and stepped when it is
+    asked for; trial t reads the stream (``stream``, t).  Only the noise
+    columns of coefficients not declared zero are drawn."""
     sub = substeps or default_substeps(horizon / (n_grid - 1), spec.eta)
     n_fine = (n_grid - 1) * sub + 1
-    noises = (
-        sample_noise_bundle(spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=(stream, trial))
-        for trial in range(trials)
-    )
-    return simulate_batch(spec, noises, substeps=sub), sub
+    size = max(1, _MAX_BATCH_POINTS // n_fine)
+    chunks = [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+    k = 0 if is_zero(spec.sigma1) else spec.k
+    ell = 0 if is_zero(spec.sigma2) and is_zero(spec.tau) else spec.ell
+    noises = (sample_increments(spec.hurst, n_fine, horizon, [(stream, t) for t in c], k, ell, seed) for c in chunks)
+    yield from zip(chunks, simulate_chunks(spec, noises, horizon / (n_fine - 1), sub))
 
 
 @dataclass
@@ -122,10 +129,10 @@ class MonteCarloPlan:
 
     def terminal_values(self, spec, stream, trials=None):
         """Terminal slow values of ``trials`` trials (None: the plan's) on
-        ``stream`` as blocks (values, aborted), NaN where a trial diverged.
-        The Gaussian engine yields a fresh array of at most ``_BLOCK_TRIALS``
-        values per block, all drawn from one generator; the simulator yields
-        one block, since ``simulate_batch`` warns once per call."""
+        ``stream`` as blocks (values, aborted), NaN where a trial diverged,
+        each a fresh array.  The Gaussian engine yields blocks of at most
+        ``_BLOCK_TRIALS`` values, all drawn from one generator; the
+        simulator yields the chunks of ``simulate_point``."""
         trials = self.trials if trials is None else trials
         if _engine(spec) == "gaussian":
             rng = rng_for(self.seed, 3, stream)
@@ -136,8 +143,8 @@ class MonteCarloPlan:
                 z += spec.x0[0]
                 yield z, 0
         else:
-            batch, _ = simulate_point(spec, self.n_grid, self.horizon, self.substeps, trials, self.seed, stream)
-            yield batch.x[:, -1, 0], int(np.sum(batch.diverged))
+            for _, batch in simulate_point(spec, self.n_grid, self.horizon, self.substeps, trials, self.seed, stream):
+                yield batch.x[:, -1, 0].copy(), int(np.count_nonzero(batch.diverged))
 
 
 def _check_usable(finite, trials, eps):
@@ -268,7 +275,7 @@ def estimate_rare_event(plan: MonteCarloPlan, threshold, prediction=None):
                     "bound_only": False,
                     "wilson_low": float(lo),
                     "wilson_high": float(hi),
-                    "neg_eps_log_p": float(-eps * math.log(p_hat)),
+                    "neg_eps_log_p": float(-eps * math.log(p_hat)) + 0.0,  # 0.0, not -0.0, at p_hat = 1
                 }
             )
         if prediction is not None:
@@ -278,7 +285,8 @@ def estimate_rare_event(plan: MonteCarloPlan, threshold, prediction=None):
 
 
 def linear_case_prediction(spec: SlowFastSpec, threshold, horizon=1.0, sigma_bar=None):
-    """Closed-form exponent (a - x0)^2 / (2 sigma^2 T^{2H}) of the linear case.
+    """Closed-form exponent (a - x0)^2 / (2 sigma^2 T^{2H}) of the linear case,
+    0.0 for a threshold a <= x0, whose event is not rare.
 
     ``sigma_bar`` overrides the coefficient read off the system; pass the
     averaged coefficient when the rough diffusion depends on the fast state.
@@ -291,7 +299,7 @@ def linear_case_prediction(spec: SlowFastSpec, threshold, horizon=1.0, sigma_bar
         sigma_bar = _sigma1_at_start(spec)
     if sigma_bar == 0.0:
         raise InvalidInputError("the closed form needs a non-zero rough diffusion")
-    gap = threshold - float(spec.x0[0])
+    gap = max(threshold - float(spec.x0[0]), 0.0)
     return gap**2 / (2.0 * sigma_bar**2 * horizon ** (2.0 * spec.hurst))
 
 

@@ -174,10 +174,6 @@ def schedule_checks(schedule, beta=None, fast_sigma1=False):
     return checks
 
 
-# Trials x fine-grid points stepped together; longer batches run in chunks.
-# One (fine step, trial) stack of a chunk is then 8 MB per noise column; a
-# chunk holds the forcing stacks of its noise terms, one per term at most.
-_MAX_BATCH_POINTS = 1 << 20
 # Visited fast states per call of the stability probe, which holds about
 # six arrays of that many rows.
 _PROBE_ROWS = 1 << 14
@@ -189,13 +185,15 @@ _SHAPES = {"b": ("m",), "c": ("m",), "f": ("dy",), "g": ("dy",),
 @dataclass
 class BatchPaths:
     """Slow paths ``x`` (B, n_out, m) and fast paths ``y`` (B, n_out, dy) of
-    a batch of trials.  ``first_bad_time`` is each trial's first output time
-    with a non-finite state (its rows are NaN from there on), NaN if none."""
+    a batch of trials, output step ``dt`` of ``substeps`` fine steps.
+    ``first_bad_time`` is each trial's first output time with a non-finite
+    state (its rows are NaN from there on), NaN if none."""
 
     x: np.ndarray
     y: np.ndarray
     dt: float
     first_bad_time: np.ndarray
+    substeps: int = 1
 
     @property
     def diverged(self):
@@ -271,30 +269,6 @@ def _fast_jacobian_norm(spec, eval_f, y):
     return float(np.max(norms))
 
 
-def _check_noise(spec, noise, substeps, first):
-    if not noise.bh.same_grid(first.bh) or (noise.bh.n - 1) % substeps != 0:
-        raise InvalidInputError(
-            f"noise grid ({noise.bh.n} points) differs within the batch or does not refine the output grid by {substeps}"
-        )
-    if (noise.bh.dim, noise.w.dim) != (spec.k, spec.ell):
-        raise InvalidInputError(f"noise dimensions {noise.bh.dim}, {noise.w.dim} != k={spec.k}, ell={spec.ell}")
-
-
-def _chunks(noises):
-    """Consecutive runs of noise bundles of at most _MAX_BATCH_POINTS points."""
-    it = iter(noises)
-    chunk = [next(it, None)]
-    if chunk[0] is None:
-        raise InvalidInputError("need at least one noise realization")
-    size = max(1, _MAX_BATCH_POINTS // chunk[0].bh.n)
-    for noise in it:
-        if len(chunk) == size:
-            yield chunk
-            chunk = []
-        chunk.append(noise)
-    yield chunk
-
-
 def _interp_to_fine(path: GridPath, t_fine):
     cols = [np.interp(t_fine, path.times(), path.component(j)) for j in range(path.dim)]
     return np.column_stack(cols)
@@ -327,24 +301,39 @@ def _one_trial(spec, noise, substeps, ctrl):
 
 def simulate_batch(spec: SlowFastSpec, noises, substeps=1, ctrl: ControlPair | None = None):
     """``simulate_controlled`` (``simulate`` when ``ctrl`` is None) along every
-    noise bundle of ``noises``, an iterable on one grid.
+    noise bundle of ``noises``, an iterable on one grid, for bundles sampled
+    outside the simulator: their increments step as one ``simulate_chunks``
+    chunk."""
+    noises = list(noises)
+    if not noises:
+        raise InvalidInputError("need at least one noise realization")
+    for nb in noises:
+        if not nb.bh.same_grid(noises[0].bh) or (nb.bh.n - 1) % substeps != 0:
+            raise InvalidInputError(
+                f"noise grid ({nb.bh.n} points) differs within the batch or does not refine the output grid by {substeps}"
+            )
+        if (nb.bh.dim, nb.w.dim) != (spec.k, spec.ell):
+            raise InvalidInputError(f"noise dimensions {nb.bh.dim}, {nb.w.dim} != k={spec.k}, ell={spec.ell}")
+    chunk = [np.stack([np.diff(getattr(nb, p).values, axis=0) for nb in noises], axis=1) for p in ("bh", "w")]
+    return next(simulate_chunks(spec, [chunk], noises[0].bh.dt, substeps, ctrl))
 
-    The bundles are read in chunks, so a generator keeps memory bounded, and
-    the trials of a chunk are stepped at once; a trial's path depends
-    neither on the others nor on the chunking.  A trial whose state leaves
-    the finite range is marked in ``first_bad_time`` while the others go
-    on.  Warns once if the fast Euler step looks unstable at the states the
-    trials visit.
-    """
+
+def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPair | None = None):
+    """``simulate_controlled`` (``simulate`` when ``ctrl`` is None) of each
+    chunk of ``chunks``, yielding its ``BatchPaths``.  A chunk is a list
+    [dB, dW] of increments (fine step, trial, k) and (fine step, trial, ell)
+    over fine steps of length dt, as ``fbm_gen.sample_increments`` returns
+    it; the stepper takes them out of the list and scales them in place.
+    The trials of a chunk step at once; a trial's path depends neither on
+    the others nor on the chunking, and one whose state leaves the finite
+    range is marked in ``first_bad_time`` while the others go on.  Warns
+    once over all chunks if the fast Euler step looks unstable."""
     promote = {role: _promoter(spec, role, *(getattr(spec, d) for d in dims)) for role, dims in _SHAPES.items()}
-    parts = []
-    first = None
-    warned = False
-    for chunk in _chunks(noises):
-        if first is None:
-            first = chunk[0]
+    controls, warned = None, False
+    for noise in chunks:
+        if controls is None:
+            t_fine = dt * np.arange(noise[0].shape[0] + 1)
             controls = [None, None]
-            t_fine = first.bh.times()
             if ctrl is not None and ctrl.v1 is not None:
                 if ctrl.v1.dim != spec.k:
                     raise InvalidInputError(f"v1 dimension {ctrl.v1.dim} != k={spec.k}")
@@ -354,12 +343,8 @@ def simulate_batch(spec: SlowFastSpec, noises, substeps=1, ctrl: ControlPair | N
                 if ctrl.u2dot.dim != spec.ell:
                     raise InvalidInputError(f"u2dot dimension {ctrl.u2dot.dim} != ell={spec.ell}")
                 controls[1] = _interp_to_fine(ctrl.u2dot, t_fine)
-        for noise in chunk:
-            _check_noise(spec, noise, substeps, first)
-        part, warned = _euler_chunk(spec, chunk, substeps, promote, controls, warned)
-        parts.append(part)
-    xs, ys, bad = parts[0] if len(parts) == 1 else (np.concatenate(arrs) for arrs in zip(*parts))
-    return BatchPaths(x=xs, y=ys, dt=first.bh.dt * substeps, first_bad_time=bad)
+        (xs, ys, bad), warned = _euler_chunk(spec, noise, dt, substeps, promote, controls, warned)
+        yield BatchPaths(x=xs, y=ys, dt=dt * substeps, first_bad_time=bad, substeps=substeps)
 
 
 # The roles of each side in the order its step adds their terms:
@@ -367,49 +352,51 @@ def simulate_batch(spec: SlowFastSpec, noises, substeps=1, ctrl: ControlPair | N
 _SIDES = (("tau", "f", "g"), ("sigma1", "sigma2", "b", "c"))
 
 
-def _forcing(spec, noises, controls, role):
+def _forcing(spec, dt, noise, controls, role):
     """F of ``role``, what its coefficient multiplies at each fine step of
-    the chunk ``noises``, with increments dB, dW over a step of length dt:
+    a chunk with increments ``noise`` = [dB, dW] over steps of length dt:
 
         b: sqrt(eps/eta) dt   c: dt   f: dt/eta   g: dt/sqrt(eps eta)
         sigma1: sqrt(eps) dB + u1dot dt        sigma2: sqrt(eps) dW + u2dot dt
         tau: dW/sqrt(eta) + u2dot dt/sqrt(eps eta)
 
-    A drift role's F is a scalar; a noise role's is a fresh (fine step,
-    trial, column) stack, which the caller may overwrite."""
-    dt, eps, eta = noises[0].bh.dt, spec.eps, spec.eta
+    A drift role's F is a scalar; a noise role's is a (fine step, trial,
+    column) stack that the caller may overwrite.  The last role to read an
+    increment stack takes it out of ``noise`` and scales it in place; tau,
+    formed first (``_SIDES``), copies dW unless sigma2 is declared zero."""
+    eps, eta = spec.eps, spec.eta
     drift = {"b": math.sqrt(eps / eta) * dt, "c": dt, "f": dt / eta, "g": dt / math.sqrt(eps * eta)}
     if role in drift:
         return drift[role]
     path, u, scale, u_scale = {
-        "sigma1": ("bh", controls[0], math.sqrt(eps), dt),
-        "sigma2": ("w", controls[1], math.sqrt(eps), dt),
-        "tau": ("w", controls[1], 1.0 / math.sqrt(eta), dt / math.sqrt(eps * eta)),
+        "sigma1": (0, controls[0], math.sqrt(eps), dt),
+        "sigma2": (1, controls[1], math.sqrt(eps), dt),
+        "tau": (1, controls[1], 1.0 / math.sqrt(eta), dt / math.sqrt(eps * eta)),
     }[role]
-    values = [getattr(nb, path).values for nb in noises]
-    inc = np.empty((values[0].shape[0] - 1, len(values), values[0].shape[1]))
-    for trial, v in enumerate(values):
-        np.subtract(v[1:], v[:-1], out=inc[:, trial])
-    inc *= scale
+    if role == "tau" and not is_zero(spec.sigma2):
+        inc = noise[path] * scale
+    else:
+        inc, noise[path] = noise[path], None
+        inc *= scale
     if u is not None:
         inc += u[:-1, None, :] * u_scale
     return inc
 
 
-def _terms(spec, promote, roles, noises, controls, x, y):
-    """The terms of one side of the step for a chunk whose trials start at
-    (x, y), in ``roles`` order: ``(evaluate, mul, F, stacked)`` is the term
-    mul(evaluate(x, y), F[i] if stacked else F) at fine step i.  A role
-    declared zero has no term.  A coefficient that reads no state is
-    evaluated here, once, and its term formed for all fine steps, in place
-    on F where the shapes allow (``evaluate`` None, F the term); the terms
-    before the first that reads the state are summed into one."""
+def _terms(spec, promote, roles, dt, noise, controls, x, y):
+    """The terms of one side of the step for a chunk with increments
+    ``noise`` whose trials start at (x, y), in ``roles`` order: ``(evaluate,
+    mul, F, stacked)`` is the term mul(evaluate(x, y), F[i] if stacked else
+    F) at fine step i.  A role declared zero has no term.  A coefficient
+    that reads no state is evaluated here, once, and its term formed for all
+    fine steps, in place on F where the shapes allow (``evaluate`` None, F
+    the term); the terms before the first that reads the state are summed."""
     terms = []
     for role in roles:
         evaluate, mul = promote[role]
         if evaluate is None:
             continue
-        mul, force, fn = mul or np.multiply, _forcing(spec, noises, controls, role), getattr(spec, role)
+        mul, force, fn = mul or np.multiply, _forcing(spec, dt, noise, controls, role), getattr(spec, role)
         stacked = np.ndim(force) > 0
         if reads(fn, "x") or reads(fn, "y"):
             terms.append((evaluate, mul, force, stacked))
@@ -433,20 +420,21 @@ def _advance(s, terms, i, x, y):
     return s if ds is None else s + ds
 
 
-def _euler_chunk(spec, noises, substeps, promote, controls, warned):
-    """Left-point Euler steps of one chunk, trials on the leading axis.
+def _euler_chunk(spec, noise, dtf, substeps, promote, controls, warned):
+    """Left-point Euler steps of one chunk with increments ``noise`` =
+    [dB, dW] over fine steps of length dtf, trials on the leading axis.
 
     Warns, unless ``warned``, if the fast step looks unstable at any
     recorded output state of a live trial: probed after the loop, in blocks
     of output nodes, and skipped when f is declared zero or free of y,
     whose Jacobian is then zero."""
-    dtf, t_fine, batch = noises[0].bh.dt, noises[0].bh.times(), len(noises)
-    n_out = (len(t_fine) - 1) // substeps + 1
+    n_steps, batch = noise[0].shape[:2]
+    t_fine, n_out = dtf * np.arange(n_steps + 1), n_steps // substeps + 1
     x = np.repeat(spec.x0[None, :], batch, axis=0)
     y = np.repeat(spec.y0[None, :], batch, axis=0)
     # The fast side first: the stack freed by summing the slow noise terms
     # stays resident in the heap; freed last, it adds nothing to the peak.
-    y_terms, x_terms = (_terms(spec, promote, roles, noises, controls, x, y) for roles in _SIDES)
+    y_terms, x_terms = (_terms(spec, promote, roles, dtf, noise, controls, x, y) for roles in _SIDES)
     xs = np.full((batch, n_out, spec.m), np.nan)
     ys = np.full((batch, n_out, spec.dy), np.nan)
     bad = np.full(batch, np.nan)

@@ -29,6 +29,7 @@ from .coefficients import is_zero
 from .errors import (
     AdmissibilityError,
     DegeneracyError,
+    DivergenceError,
     IllConditionedError,
     RegularityError,
 )
@@ -114,16 +115,17 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
 
 @dataclass
 class RateEvalResult:
-    """Rate value with its minimizing control representation and method tag."""
+    """Rate value with its minimizing control representation and method tag.
+    A NaN value raises ``DivergenceError``; an inadmissible path's is inf."""
 
     value: float
     method: str
     minimizer: object = None
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def finite(self):
-        return np.isfinite(self.value)
+    def __post_init__(self):
+        if np.isnan(self.value):
+            raise DivergenceError(f"{self.method} rate is NaN: the path or its forced displacement overflowed")
 
 
 def _forced_displacement(phi: GridPath, drift: LimitDrift, include_psi_g=True):
@@ -280,6 +282,8 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
         raise IllConditionedError(
             f"Gram solve condition {cond:.3g} exceeds limit {_CONDITION_LIMIT:.3g}", condition=cond
         )
+    if not np.all(np.isfinite(r_w)):
+        raise DivergenceError("general rate: the forced displacement overflowed")
     w_sol = np.zeros(n * m)
     w_sol[keep] = cho_solve(chol, r_w[keep])
     val = 0.5 * float(r_w[keep] @ w_sol[keep])
@@ -376,24 +380,25 @@ def replay_minimizer(phi: GridPath, drift: LimitDrift, ctx: HurstContext, result
     input within discretization tolerance when the minimizer came from one
     of the evaluators on the same drift.
     """
-    n, m = phi.n, drift.m
-    dt = phi.dt
-    if isinstance(result.minimizer, ControlPair):
-        v1 = result.minimizer.v1
-        u2 = None
-    else:
-        v1 = result.minimizer["v1"]
-        u2 = result.minimizer["u2_feedback"]
-    kd = ctx.kdot_matrix()
-    u1dot = kd @ v1.values  # (n, k)
-    x = phi.values[:1].copy()  # one-node path
-    out = np.empty((n, m))
+    mini = result.minimizer
+    v1, u2 = (mini.v1, None) if isinstance(mini, ControlPair) else (mini["v1"], mini["u2_feedback"])
+    u1dot = ctx.kdot_matrix() @ v1.values  # (n, k)
+    controls = [lambda i, x: drift.sigma1_bar(x) @ u1dot[i]]
+    if u2 is not None:
+        controls.append(lambda i, x: np.einsum("ibme,be,b->im", drift.q_bins(x), u2[i], drift.bin_mass))
+    return GridPath(0.0, phi.dt, averaged_euler(drift, phi.values[0], phi.n, phi.dt, controls))
+
+
+def averaged_euler(drift: LimitDrift, x0, n, dt, controls=()):
+    """Euler path (n, m) from x0, step dt, of the averaged drift cbar +
+    grad_psi_g_bar plus each ``control(i, x)`` at node i, x of shape (1, m)."""
+    x = np.reshape(np.array(x0, dtype=float), (1, drift.m))
+    out = np.empty((n, drift.m))
     out[0] = x[0]
     for i in range(n - 1):
         dx = drift.cbar(x) + drift.grad_psi_g_bar(x)
-        dx = dx + drift.sigma1_bar(x) @ u1dot[i]
-        if u2 is not None:
-            dx = dx + np.einsum("ibme,be,b->im", drift.q_bins(x), u2[i], drift.bin_mass)
+        for control in controls:
+            dx = dx + control(i, x)
         x = x + dt * dx
         out[i + 1] = x[0]
-    return GridPath(0.0, dt, out)
+    return out

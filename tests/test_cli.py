@@ -371,6 +371,31 @@ class TestCommands:
             assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_simulate_all_trials_aborted_is_numerical_failure(self, tmp_path, capsys):
+        # exited 0 with null mean_sup_error, terminal_mean and terminal_std
+        text = (CONFIGS / "ou_homogenization.cfg").read_text().replace("ax=-1.0", "ax=1e300")
+        cfg, out = write(tmp_path, "a.cfg", text), tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--trials", "4", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: all 4 trials aborted at eps=0.1")
+        assert not (out / "simulate_summary.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["fw-half", "tilde-half", "general", "explicit"])
+    def test_rate_never_writes_nan(self, tmp_path, capsys, method):
+        # x0 = 1e308 overflows the path's derivative: fw-half and tilde-half
+        # wrote "value": NaN and general died with a ValueError; explicit
+        # writes Infinity, an inadmissible path, by design
+        text = (CONFIGS / "cos_limit_study.cfg").read_text().replace("x0 = 0.0", "x0 = 1e308")
+        out = tmp_path / "r.json"
+        rc = main(["rate", "--config", write(tmp_path, "big.cfg", text), "--method", method, "--out", str(out)])
+        if method == "explicit":
+            assert rc == 0 and json.load(open(out))["value"] == float("inf")
+        else:
+            assert rc == 3
+            assert capsys.readouterr().err.startswith("numerical failure:")
+            assert not out.exists()
+
     @pytest.mark.parametrize("method", ["explicit", "general"])
     def test_rate_non_finite_path_is_invalid_input(self, tmp_path, capsys, method):
         # explicit wrote an infinite value, general died with a ValueError
@@ -498,6 +523,18 @@ class TestCommands:
         assert len(rows) == 2
         assert {row[header.index("engine")] for row in rows} == {engine}
         assert {row[header.index("prediction")] for row in rows} == {prediction}
+
+    def test_mc_rare_event_threshold_below_start(self, tmp_path):
+        # every row predicted (a - x0)^2 / (2 sigma^2 T^2H) = 0.5 for a = -1 < x0,
+        # and a point where every trial hits wrote -0.0
+        text = RARE_EVENT.replace("threshold = 0.4", "threshold = -1.0").replace("trials = 20000", "trials = 2000")
+        out = tmp_path / "m.csv"
+        assert main(["mc", "rare-event", "--config", write(tmp_path, "mc.cfg", text), "--out", str(out)]) == 0
+        with open(out) as fh:
+            header, *rows = [line.rstrip("\n").split(",") for line in fh]
+        assert {row[header.index("prediction")] for row in rows} == {"0.0"}
+        assert "0.0" in {row[header.index("neg_eps_log_p")] for row in rows}
+        assert "-0.0" not in out.read_text()
 
     def test_run_dispatch_and_empty_kind(self, tmp_path):
         # kind = none: manifest only, exit success

@@ -7,9 +7,10 @@ import pytest
 from scipy.stats import norm
 
 from fracrate import coefficients as cf
+from fracrate import ldp_harness
 from fracrate.config import load_config
 from fracrate.errors import ExperimentFailure, InvalidInputError
-from fracrate.fbm_gen import rng_for
+from fracrate.fbm_gen import rng_for, sample_noise_bundle
 from fracrate.ldp_harness import (
     _BLOCK_TRIALS,
     HFunctional,
@@ -20,9 +21,11 @@ from fracrate.ldp_harness import (
     estimate_rare_event,
     extrapolated_exponent,
     linear_case_prediction,
+    simulate_point,
     stabilization_diagnostic,
     wilson_interval,
 )
+from fracrate.multiscale_sim import simulate_batch
 
 from conftest import ou_spec
 
@@ -31,6 +34,11 @@ SCHED = [(0.1, 0.1**1.5), (0.05, 0.05**1.5), (0.02, 0.02**1.5), (0.01, 0.01**1.5
 
 def linear_spec(eps, eta, sigma=1.0):
     return ou_spec(eps=eps, eta=eta, sigma1=("constant", {"value": sigma}))
+
+
+def drifted_spec(eps, eta):
+    # the linear case with a drift: the simulator's engine
+    return ou_spec(eps=eps, eta=eta, sigma1=("constant", {"value": 1.0}), c=("linear_xy", {"ax": -2.0}))
 
 
 def late_blowup_spec(eps, eta):
@@ -96,6 +104,52 @@ class TestLaplace:
         bad = [(0.01, 0.001), (0.1, 0.0316)]
         with pytest.raises(InvalidInputError):
             MonteCarloPlan(linear_spec, bad, trials=1000, seed=0)
+
+
+class TestSimulatePoint:
+    @pytest.mark.parametrize("per_chunk", [2, 5])
+    @pytest.mark.parametrize("roles", [
+        {"sigma1": ("cos_y", {}), "sigma2": ("constant", {"value": 0.3}), "c": ("linear_xy", {"ax": -1.0})},
+        {"c": ("linear_xy", {"ax": -1.0, "ay": 1.0}), "x0": 1.0},  # the OU config: no fBm column
+    ])
+    def test_matches_bundles_through_simulate_batch(self, monkeypatch, per_chunk, roles):
+        # the chunk stream against the reference entry on the bundles of the
+        # same keys: within 1e-12 of each path's sup norm (the bundles'
+        # running sums and their differences cost round-off)
+        spec = ou_spec(eps=0.1, eta=0.05, hurst=0.8, **roles)
+        n_out, sub, trials = 17, 4, 5
+        monkeypatch.setattr(ldp_harness, "_MAX_BATCH_POINTS", per_chunk * ((n_out - 1) * sub + 1))
+        chunks = list(simulate_point(spec, n_out, 1.0, sub, trials, 6, 3))
+        assert [t[0] for t, _ in chunks] == list(range(0, trials, per_chunk))
+        assert [i for t, _ in chunks for i in t] == list(range(trials))
+        n_fine = (n_out - 1) * sub + 1
+        noises = [sample_noise_bundle(spec.hurst, n_fine, 1.0, seed=6, stream=(3, t)) for t in range(trials)]
+        want = simulate_batch(spec, noises, substeps=sub)
+        for trials_, batch in chunks:
+            assert batch.substeps == sub and not batch.diverged.any()
+            for got_x, got_y, t in zip(batch.x, batch.y, trials_):
+                for got, ref in ((got_x, want.x[t]), (got_y, want.y[t])):
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("roles,columns", [
+        ({}, (0, 1)),  # sigma1 zero: no fBm
+        ({"sigma1": ("constant", {"value": 1.0})}, (1, 1)),
+        ({"sigma1": ("constant", {"value": 1.0}), "tau": "zero"}, (1, 0)),  # sigma2 and tau zero: no W
+    ])
+    def test_draws_only_multiplied_columns(self, monkeypatch, roles, columns):
+        tau = roles.pop("tau", None)
+        spec = ou_spec(eps=0.1, eta=0.05, **roles)
+        if tau is not None:
+            spec.tau = cf.build("tau", tau)
+        drawn, sample = [], ldp_harness.sample_increments
+
+        def recorded(*args):
+            drawn.append(args[4:6])  # (k, ell)
+            return sample(*args)
+
+        monkeypatch.setattr(ldp_harness, "sample_increments", recorded)
+        assert [len(t) for t, _ in simulate_point(spec, 9, 1.0, 8, 3, 0, 0)] == [3]
+        assert drawn == [columns]
 
 
 class TestRareEvent:
@@ -235,6 +289,32 @@ class TestRareEvent:
             tracemalloc.stop()
         assert all(r["hits"] > 0 for r in rows)
         assert peak < 4 * 2**20
+
+    def test_simulator_memory_independent_of_trials(self, monkeypatch):
+        # chunks of 64 trials: a point of 8 chunks' worth of trials peaks
+        # no higher than one of 2 chunks' worth
+        monkeypatch.setattr(ldp_harness, "_MAX_BATCH_POINTS", 64 * 257)
+        peaks = []
+        for chunks in (2, 8):
+            plan = MonteCarloPlan(drifted_spec, SCHED[:2], trials=64 * chunks, seed=3, n_grid=129, substeps=2)
+            tracemalloc.start()
+            try:
+                rows = estimate_rare_event(plan, 0.1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert all(r["engine"] == "simulate" and r["hits"] > 0 for r in rows)
+        assert peaks[1] < 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0])
+    def test_threshold_at_or_below_start(self, threshold):
+        # not a rare event: the exponent is 0.0, and -eps log 1 is 0.0, not -0.0
+        spec = linear_spec(0.01, 0.001)
+        assert linear_case_prediction(spec, threshold) == 0.0
+        rows = estimate_rare_event(MonteCarloPlan(linear_spec, SCHED, trials=2000, seed=5), threshold)
+        full = [r for r in rows if r["hits"] == r["trials"]]
+        assert len(full) == (3 if threshold < 0 else 0)
+        assert all(math.copysign(1.0, r["neg_eps_log_p"]) == 1.0 for r in rows)
 
     def test_determinism(self):
         plan = MonteCarloPlan(linear_spec, SCHED[:2], trials=5000, seed=13)

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracrate import coefficients as cf
-from fracrate import multiscale_sim
+from fracrate import ldp_harness, multiscale_sim
 from fracrate.cameron_martin import HurstContext, apply_KH_dot, c_H
 from fracrate.errors import DivergenceError, InvalidInputError
 from fracrate.fbm_gen import NoiseBundle, sample_noise_bundle
 from fracrate.gridpath import GridPath
+from fracrate.ldp_harness import simulate_point
 from fracrate.multiscale_sim import (
+    BatchPaths,
     ControlPair,
     SlowFastSpec,
     _as_mat,
@@ -23,6 +25,7 @@ from fracrate.multiscale_sim import (
     empirical_occupation,
     simulate,
     simulate_batch,
+    simulate_chunks,
     simulate_controlled,
 )
 from scipy.special import gamma
@@ -33,6 +36,16 @@ from conftest import SQRT2, ou_spec
 def make_noise(spec, n_out, horizon, sub, seed=0, stream=0):
     n_fine = (n_out - 1) * sub + 1
     return sample_noise_bundle(spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=stream)
+
+
+def joined(chunks):
+    """The ``BatchPaths`` of the chunks (trials, batch) of ``simulate_point``
+    put together in trial order."""
+    chunks = list(chunks)
+    assert [t for trials, _ in chunks for t in trials] == list(range(sum(len(trials) for trials, _ in chunks)))
+    parts = [batch for _, batch in chunks]
+    x, y, bad = (np.concatenate([getattr(b, name) for b in parts]) for name in ("x", "y", "first_bad_time"))
+    return BatchPaths(x=x, y=y, dt=parts[0].dt, first_bad_time=bad, substeps=parts[0].substeps)
 
 
 def fine_controls(spec, noise, ctrl):
@@ -140,10 +153,10 @@ def matrix_spec(sigma1):
     )
 
 
-def assert_matches_reference(spec, noises, substeps, ctrl=None):
-    """Bit for bit the scalar oracle, and within 1e-12 of each path's sup
-    norm the grouped one."""
-    batch = simulate_batch(spec, noises, substeps=substeps, ctrl=ctrl)
+def assert_matches_reference(spec, noises, substeps, ctrl=None, batch=None):
+    """``batch`` (None: ``simulate_batch`` of ``noises``) bit for bit the
+    scalar oracle, and within 1e-12 of each path's sup norm the grouped one."""
+    batch = simulate_batch(spec, noises, substeps=substeps, ctrl=ctrl) if batch is None else batch
     for trial, noise in enumerate(noises):
         xs, ys = scalar_reference(spec, noise, substeps, ctrl)
         assert np.isnan(batch.first_bad_time[trial])
@@ -346,11 +359,12 @@ class TestBatched:
         spec = ou_spec(eps=0.1, eta=0.02, sigma1=("cos_y", {}), c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
         n_out, sub = 41, 5
         n_fine = (n_out - 1) * sub + 1
-        noises = [make_noise(spec, n_out, 1.0, sub, seed=8, stream=trial) for trial in range(7)]
         results = []
         for per_chunk in (1, 3, 7):
-            monkeypatch.setattr(multiscale_sim, "_MAX_BATCH_POINTS", per_chunk * n_fine)
-            results.append(simulate_batch(spec, iter(noises), substeps=sub))
+            monkeypatch.setattr(ldp_harness, "_MAX_BATCH_POINTS", per_chunk * n_fine)
+            chunks = list(simulate_point(spec, n_out, 1.0, sub, 7, 8, 0))
+            assert [len(trials) for trials, _ in chunks] == {1: [1] * 7, 3: [3, 3, 1], 7: [7]}[per_chunk]
+            results.append(joined(chunks))
         for other in results[1:]:
             assert np.array_equal(other.x, results[0].x)
             assert np.array_equal(other.y, results[0].y)
@@ -425,18 +439,16 @@ class TestComposedStep:
         setattr(spec_builtin, role, cf.build(role, "constant", value=0.7))
         setattr(spec, role, cf.Coefficient("counted", counted, {}, reads=""))
         for sub in (1, 8):
-            noises = [make_noise(spec, 11, 1.0, sub, seed=3, stream=trial) for trial in range(3)]
-            n_fine = noises[0].bh.n
             for per_chunk, chunks in ((3, 1), (1, 3)):
-                monkeypatch.setattr(multiscale_sim, "_MAX_BATCH_POINTS", per_chunk * n_fine)
+                monkeypatch.setattr(ldp_harness, "_MAX_BATCH_POINTS", per_chunk * (10 * sub + 1))
                 calls.clear()
-                batch = simulate_batch(spec, noises, substeps=sub)
+                batch = joined(simulate_point(spec, 11, 1.0, sub, 3, 3, 0))
                 # two shape probes per run, then one evaluation per chunk
                 assert len(calls) == 2 + chunks
-                reference = simulate_batch(spec_builtin, noises, substeps=sub)
+                reference = joined(simulate_point(spec_builtin, 11, 1.0, sub, 3, 3, 0))
                 assert np.array_equal(batch.x, reference.x) and np.array_equal(batch.y, reference.y)
 
-    def test_state_free_control_terms_match_scalar_reference(self, monkeypatch):
+    def test_state_free_control_terms_match_scalar_reference(self):
         # one trial per chunk: the state-free control terms of sigma1, sigma2
         # and tau are formed in place on stacks the shape of the control
         spec = ou_spec(eps=0.1, eta=0.1, sigma1=("constant", {"value": 0.6}), sigma2=("constant", {"value": 0.4}),
@@ -444,8 +456,10 @@ class TestComposedStep:
         t = np.linspace(0.0, 1.0, 21)
         ctrl = ControlPair(v1=GridPath(0.0, 0.05, np.sin(3 * t)), u2dot=GridPath(0.0, 0.05, np.cos(2 * t)))
         noises = [make_noise(spec, 21, 1.0, 2, seed=6, stream=trial) for trial in range(3)]
-        monkeypatch.setattr(multiscale_sim, "_MAX_BATCH_POINTS", noises[0].bh.n)
-        assert_matches_reference(spec, noises, 2, ctrl)
+        chunks = ([np.diff(nb.bh.values, axis=0)[:, None], np.diff(nb.w.values, axis=0)[:, None]] for nb in noises)
+        batches = list(simulate_chunks(spec, chunks, noises[0].bh.dt, 2, ctrl))
+        assert [len(b.x) for b in batches] == [1, 1, 1]
+        assert_matches_reference(spec, noises, 2, ctrl, joined(zip(([t] for t in range(3)), batches)))
 
     def test_state_free_noise_terms_are_written_in_place(self, monkeypatch):
         # sigma1, sigma2 and tau constant: one (fine step, trial) stack per
@@ -465,11 +479,10 @@ class TestComposedStep:
 
     def test_stability_warning_at_late_node_fires_once(self, monkeypatch):
         spec = kinked_drift_spec(rate=100.0)  # 2 dt |f'| = 20 > eta beyond y = 0.95
-        noises = [make_noise(spec, 11, 1.0, 1, seed=2, stream=trial) for trial in range(3)]
-        monkeypatch.setattr(multiscale_sim, "_MAX_BATCH_POINTS", noises[0].bh.n)  # one trial per chunk
+        monkeypatch.setattr(ldp_harness, "_MAX_BATCH_POINTS", 11)  # one trial per chunk
         monkeypatch.setattr(multiscale_sim, "_PROBE_ROWS", 4)  # the last node in the third probe block
         with pytest.warns(RuntimeWarning, match="fast Euler step may be unstable") as record:
-            batch = simulate_batch(spec, noises, substeps=1)
+            batch = joined(simulate_point(spec, 11, 1.0, 1, 3, 2, 0))
         assert sum("unstable" in str(w.message) for w in record) == 1
         assert np.all(batch.y[:, -2, 0] < 0.95) and np.all(batch.y[:, -1, 0] > 0.95)
         assert np.allclose(batch.y[0, :, 0], np.linspace(0.0, 1.0, 11))
