@@ -13,6 +13,8 @@ the weighted difference alone loses the accuracy budget.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, gamma
@@ -33,50 +35,73 @@ def c_H(hurst):
     return float(np.sqrt(c2))
 
 
-def _smallest_prime_factors(n):
-    """spf[k] = smallest prime factor of k, for 2 <= k < n."""
-    spf = np.arange(n)
-    for p in range(2, int(n**0.5) + 1):
-        if spf[p] == p:
-            multiples = spf[p * p :: p]
-            np.minimum(multiples, p, out=multiples)
-    return spf
+@functools.lru_cache(maxsize=1)
+def _fractions(n):
+    """Reduced fractions of the strict lower triangle of an n-row table.
 
-
-def _beta_rows(out, a, b):
-    """Fill out[i, :i] with I_{j/i}(a, b), j < i, for every row i >= 1.
-
-    An entry depends on x = j/i alone, so ``betainc`` runs once per reduced
-    fraction.  Where j shares a prime p with i, the entry is copied from row
-    i/p at j/p: both quotients round to the same double.  With a == b the
-    entries past i/2 are 1 - I_{1-x}(a, a) (DLMF 8.17.4), so the row costs
-    half its coprime entries.
+    An entry (i, j), j < i, of a table depends on x = j/i alone.  Returns
+    (x, pos, k): x holds every reduced j/i with i < n, first the k with
+    x <= 1/2 in row order (0/1 and 1/2 lead), then the mirrors (i-j)/i of
+    the k - 2 others in the same order; pos[e] is the place in x of the
+    reduced form of entry e of the triangle read row by row.  Striking out
+    (d i, d j) for every d >= 2 leaves the coprime pairs; one strided copy
+    per d, ascending, then carries positions to the other entries, and the
+    last write into (i, j) comes from d = gcd(i, j), whose source is reduced.
     """
-    spf = _smallest_prime_factors(out.shape[0])
-    for i in range(1, out.shape[0]):
-        row = out[i, :i]
-        fresh = np.ones(i, dtype=bool)
-        k = i
-        while k > 1:
-            p = int(spf[k])
-            row[::p] = out[i // p, : i // p]
-            fresh[::p] = False
-            while k % p == 0:
-                k //= p
-        half = i // 2 + 1 if a == b else i
-        j = np.flatnonzero(fresh[:half])
-        row[j] = betainc(a, b, j / i)
-        if a == b:
-            row[half:] = 1.0 - row[i - half : 0 : -1]
+    lo = np.arange(n // 2 + 1) <= np.arange(n)[:, None] // 2  # 2j <= i
+    lo[0] = False
+    for d in range(2, n):
+        lo[d::d, ::d] = False
+    i, j = np.nonzero(lo)
+    k = i.size
+    idx = np.empty((n, n), dtype=np.int32)
+    idx[i, j] = np.arange(k)
+    idx[i[2:], i[2:] - j[2:]] = np.arange(k, 2 * k - 2)  # 0/1 and 1/2 have no mirror
+    for d in range(2, n):
+        m = (n - 1) // d
+        idx[d::d, : d * m : d] = idx[1 : m + 1, :m]
+    x = np.concatenate((j / i, (i - j)[2:] / i[2:]))
+    pos = idx[np.tri(n, n, -1, dtype=bool)]
+    x.flags.writeable = pos.flags.writeable = False
+    return x, pos, k
+
+
+def _row_ends(n):
+    """Flat indices of the last entries (i, i-1) of rows 1..n-1 of a strict
+    lower triangle read row by row."""
+    return np.cumsum(np.arange(1, n)) - 1
+
+
+def _row_diff(flat, n, close=None):
+    """Steps between adjacent entries along each row of a flat strict lower
+    triangle with n rows; a row's last entry steps to ``close`` (None: 0)."""
+    d = np.empty_like(flat)
+    np.subtract(flat[1:], flat[:-1], out=d[:-1])
+    ends = _row_ends(n)
+    d[ends] = 0.0 if close is None else close - flat[ends]
+    return d
+
+
+def _lower(flat, shape):
+    """Zero table of the given shape with ``flat`` as its strict lower
+    triangle, read row by row."""
+    out = np.zeros(shape)
+    out[np.tri(*shape, -1, dtype=bool)] = flat
+    return out
 
 
 class HurstContext:
     """Hurst index plus derived constants and cached kernel tables.
 
-    The cell table is O(n^2) memory and is built lazily on first use; at the
-    desk scales targeted here (n <= 8192) this is acceptable and every rate
-    evaluation on the same grid reuses it.  Instances are immutable after
-    construction and safe to share across workers.
+    Each table is O(n^2) memory, built on first use and kept on the
+    instance, so every rate evaluation on the same grid reuses it: the Kdot
+    matrix, the inverse-lift tables, and the cell table only when
+    ``cell_table`` itself is called (``apply_KH``); ``kdot_matrix`` does not
+    keep the cell table it is built from.  The reduced-fraction index the
+    tables are built from is cached per n at module level (``_fractions``,
+    the last n only), so contexts at several H on one grid share it.
+    Instances are immutable after construction and safe to share across
+    workers.
     """
 
     def __init__(self, hurst, n, dt):
@@ -97,6 +122,14 @@ class HurstContext:
     def times(self):
         return self.dt * np.arange(self.n)
 
+    def _cells(self):
+        """Strict lower triangle of ``cell_table``, read row by row."""
+        a, b = 1.5 - self.H, self.H - 0.5
+        x, pos, _ = _fractions(self.n)
+        cells = _row_diff(betainc(a, b, x)[pos], self.n, close=1.0)  # I_1(a, b) = 1
+        cells *= beta_fn(a, b)
+        return cells
+
     def cell_table(self):
         """T[i, j] = int_{t_j}^{t_{j+1}} z^(1/2-H) (t_i - z)^(H-3/2) dz, j < i.
 
@@ -104,31 +137,23 @@ class HurstContext:
         the incomplete Beta function with parameters (3/2-H, H-1/2).
         """
         if self._cell_table is None:
-            n, h = self.n, self.H
-            a, b = 1.5 - h, h - 0.5
-            bab = beta_fn(a, b)
-            T = np.zeros((n, n - 1))
-            _beta_rows(T, a, b)
-            for i in range(1, n):  # I_1(a, b) = 1 closes the last cell
-                T[i, :i] = bab * np.diff(T[i, :i], append=1.0)
-            self._cell_table = T
+            self._cell_table = _lower(self._cells(), (self.n, self.n - 1))
         return self._cell_table
 
     def kdot_matrix(self):
         """Dense matrix of Kdot acting on node values of the input.
 
         The input is read as the piecewise-constant path of its cell
-        midpoints (v_j + v_{j+1})/2.
+        midpoints (v_j + v_{j+1})/2, so row i is half of cell_table row i
+        at columns j and j + 1; the cell table itself is not kept.
         """
         if self._kdot_matrix is None:
             n = self.n
-            T = self.cell_table()
-            pref = np.zeros(n)
-            pref[1:] = (self.cH / gamma(self.H - 0.5)) * self.times[1:] ** (self.H - 0.5)
-            M = np.zeros((n, n))
-            M[:, :-1] += 0.5 * T
-            M[:, 1:] += 0.5 * T
-            self._kdot_matrix = pref[:, None] * M
+            half = 0.5 * self._cells()
+            M = _lower(half, (n, n))
+            M[:, 1:][np.tri(n, n - 1, -1, dtype=bool)] += half
+            M[1:] *= ((self.cH / gamma(self.H - 0.5)) * self.times[1:] ** (self.H - 0.5))[:, None]
+            self._kdot_matrix = M
         return self._kdot_matrix
 
     def inverse_tables(self):
@@ -147,19 +172,15 @@ class HurstContext:
             a = 1.5 - h
             b0 = 0.5 - h
             bfull = beta_fn(a, a)
-            dM0 = np.zeros((n, n))
-            dR = np.zeros((n, n))
+            x, pos, k = _fractions(n)
+            lo = betainc(a, a, x[:k])
+            # I_x(a, a) = 1 - I_{1-x}(a, a) (DLMF 8.17.4) past x = 1/2
+            P = bfull * np.concatenate((lo, 1.0 - lo[2:]))
+            R = (a * P - x**a * (1.0 - x) ** b0) / b0
             lastP = np.zeros(n)
-            _beta_rows(dM0, a, a)  # row i holds I_x(a, a) until it is converted
-            for i in range(1, n):
-                x = np.arange(i) / i
-                P = bfull * dM0[i, :i]
-                R = (a * P - x**a * (1.0 - x) ** b0) / b0
-                lastP[i] = bfull - P[i - 1]
-                dM0[i, i - 1] = 0.0
-                if i > 1:
-                    dM0[i, : i - 1] = np.diff(P + R)
-                    dR[i, : i - 1] = np.diff(R)
+            lastP[1:] = bfull - P[pos[_row_ends(n)]]
+            dM0 = _lower(_row_diff((P + R)[pos], n), (n, n))
+            dR = _lower(_row_diff(R[pos], n), (n, n))
             self._inverse_tables = (dM0, dR, lastP)
         return self._inverse_tables
 

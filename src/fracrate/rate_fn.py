@@ -242,7 +242,7 @@ def _condition_estimate(gram, chol):
         v /= np.linalg.norm(v)
     lam_max = float(v @ (gram @ v))
     u = rng.standard_normal(gram.shape[0])
-    # cho_factor checked gram, and the iterates stay finite: no rescan per solve
+    # gram was checked finite once, and the iterates stay finite: no rescan per solve
     for _ in range(20):
         u = cho_solve(chol, u, check_finite=False)
         u /= np.linalg.norm(u)
@@ -268,8 +268,10 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     # lifted-derivative row vanishes there; solve on nodes 1..n-1
     keep = slice(m, n * m)
     gram_k = gram[keep, keep]
+    if not np.all(np.isfinite(gram_k)):
+        raise DivergenceError("general rate: the effective diffusivity Gram overflowed")
     try:
-        chol = cho_factor(gram_k, lower=True)
+        chol = cho_factor(gram_k, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(f"effective diffusivity Gram is not positive definite: {exc}")
     lam_max, lam_min = _condition_estimate(gram_k, chol)
@@ -302,7 +304,10 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
 
 
 def _quadratic_form_rate(phi, r, mats, method):
-    """Half the weighted time integral of r^T mats^{-1} r, mats (n, m, m)."""
+    """Half the weighted time integral of r^T mats^{-1} r, mats (n, m, m).
+    Raises ``DivergenceError`` when either input has overflowed."""
+    if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(r))):
+        raise DivergenceError(f"{method}: the effective matrix or the forced displacement overflowed")
     eig_min = np.linalg.eigvalsh(mats)[:, 0]
     bad = np.flatnonzero(eig_min <= 1e-12)
     if bad.size:

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,3 +432,108 @@ def test_tables_match_loop_oracles(h, n):
     assert np.array_equal(ctx.cell_table(), _cell_table_oracle(ctx))
     for new, old in zip(ctx.inverse_tables(), _inverse_tables_oracle(ctx)):
         assert np.max(np.abs(new - old)) <= 2e-13 * np.max(np.abs(old))
+
+
+# -- row-loop tables -------------------------------------------------------
+# The reduced-fraction row loops that the whole-array passes replaced, kept
+# as they were: one betainc call per reduced fraction, about ten numpy calls
+# per row.  Every table must come out bit for bit the same.
+
+
+def _smallest_prime_factors(n):
+    """spf[k] = smallest prime factor of k, for 2 <= k < n."""
+    spf = np.arange(n)
+    for p in range(2, int(n**0.5) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p :: p]
+            np.minimum(multiples, p, out=multiples)
+    return spf
+
+
+def _beta_rows(out, a, b):
+    """Fill out[i, :i] with I_{j/i}(a, b), j < i, for every row i >= 1,
+    copying from row i/p at j/p where j shares a prime p with i."""
+    spf = _smallest_prime_factors(out.shape[0])
+    for i in range(1, out.shape[0]):
+        row = out[i, :i]
+        fresh = np.ones(i, dtype=bool)
+        k = i
+        while k > 1:
+            p = int(spf[k])
+            row[::p] = out[i // p, : i // p]
+            fresh[::p] = False
+            while k % p == 0:
+                k //= p
+        half = i // 2 + 1 if a == b else i
+        j = np.flatnonzero(fresh[:half])
+        row[j] = betainc(a, b, j / i)
+        if a == b:
+            row[half:] = 1.0 - row[i - half : 0 : -1]
+
+
+def _row_loop_tables(ctx):
+    """cell_table, kdot_matrix and inverse_tables as the row loops built them."""
+    n, h = ctx.n, ctx.H
+    a, b = 1.5 - h, h - 0.5
+    bab = beta_fn(a, b)
+    T = np.zeros((n, n - 1))
+    _beta_rows(T, a, b)
+    for i in range(1, n):
+        T[i, :i] = bab * np.diff(T[i, :i], append=1.0)
+    pref = np.zeros(n)
+    pref[1:] = (ctx.cH / gamma(h - 0.5)) * ctx.times[1:] ** (h - 0.5)
+    M = np.zeros((n, n))
+    M[:, :-1] += 0.5 * T
+    M[:, 1:] += 0.5 * T
+    b0 = 0.5 - h
+    bfull = beta_fn(a, a)
+    dM0 = np.zeros((n, n))
+    dR = np.zeros((n, n))
+    lastP = np.zeros(n)
+    _beta_rows(dM0, a, a)
+    for i in range(1, n):
+        x = np.arange(i) / i
+        P = bfull * dM0[i, :i]
+        R = (a * P - x**a * (1.0 - x) ** b0) / b0
+        lastP[i] = bfull - P[i - 1]
+        dM0[i, i - 1] = 0.0
+        if i > 1:
+            dM0[i, : i - 1] = np.diff(P + R)
+            dR[i, : i - 1] = np.diff(R)
+    return T, pref[:, None] * M, (dM0, dR, lastP)
+
+
+# n = 2049 costs 1.5-3 s per H (betainc on 1.3e6 fractions, three times),
+# so it runs only at H = 0.51, where betainc is slowest, and at H = 0.8
+@pytest.mark.parametrize(
+    "h, n",
+    [(h, n) for h in (0.51, 0.52, 0.6, 0.75, 0.8, 0.99) for n in (2, 3, 5, 47, 48, 129, 130, 257, 1025)]
+    + [(0.51, 2049), (0.8, 2049)],
+)
+def test_tables_bit_identical_to_row_loops(h, n):
+    T, M, inverse = _row_loop_tables(HurstContext(h, n, 1.0 / (n - 1)))
+    ctx = HurstContext(h, n, 1.0 / (n - 1))
+    assert np.array_equal(ctx.kdot_matrix(), M)
+    assert ctx._cell_table is None  # kdot_matrix keeps only its own table
+    assert np.array_equal(ctx.cell_table(), T)
+    for new, old in zip(ctx.inverse_tables(), inverse):
+        assert np.array_equal(new, old)
+
+
+def test_table_builds_keep_no_square_temporaries():
+    # at n = 1025 an (n, n) float table is 8.4 MB: the builds may hold their
+    # outputs, two vectors over the strict lower triangle and three over the
+    # reduced fractions, but no further (n, n) temporary
+    n = 1025
+    HurstContext(0.6, n, 1.0 / (n - 1)).kdot_matrix()  # the index for this n
+    table, tri, fractions = n * n * 8, n * (n - 1) // 2 * 8, 318964 * 8
+    for method, outputs in (("inverse_tables", 2), ("kdot_matrix", 1)):
+        ctx = HurstContext(0.8, n, 1.0 / (n - 1))
+        tracemalloc.start()
+        try:
+            getattr(ctx, method)()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < outputs * table + 2 * tri + 3 * fractions
+        assert ctx._cell_table is None

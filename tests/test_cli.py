@@ -396,6 +396,20 @@ class TestCommands:
             assert capsys.readouterr().err.startswith("numerical failure:")
             assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["fw-half", "tilde-half", "general"])
+    def test_rate_overflowed_coefficients_are_numerical_failure(self, tmp_path, capsys, method):
+        # x0 = 1e200 and sigma1 = x + y square to inf in the averaged
+        # matrices: fw-half and tilde-half wrote "value": 0.0, and general
+        # died with a ValueError from cho_factor
+        text = (CONFIGS / "cos_limit_study.cfg").read_text().replace("x0 = 0.0", "x0 = 1e200")
+        text = text.replace("sigma1 = cos_y", "sigma1 = linear_xy ax=1.0")
+        out = tmp_path / "r.json"
+        rc = main(["rate", "--config", write(tmp_path, "big.cfg", text), "--method", method, "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["explicit", "general"])
     def test_rate_non_finite_path_is_invalid_input(self, tmp_path, capsys, method):
         # explicit wrote an infinite value, general died with a ValueError
