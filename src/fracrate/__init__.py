@@ -17,7 +17,7 @@ from .errors import (
     TruncationError,
     ValidationFailure,
 )
-from .fbm_gen import NoiseBundle, path_norms, sample_fbm, sample_increments, sample_noise_bundle
+from .fbm_gen import path_norms, sample_fbm, sample_increments
 from .frac_calc import (
     FracOrder,
     delta_ratio,
@@ -42,10 +42,7 @@ from .multiscale_sim import (
     SlowFastSpec,
     default_substeps,
     empirical_occupation,
-    simulate,
-    simulate_batch,
     simulate_chunks,
-    simulate_controlled,
 )
 from .poisson_cell import (
     InvariantMeasure,

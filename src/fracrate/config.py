@@ -45,6 +45,18 @@ def _float_or_none(text):
     return float(text) if text else None
 
 
+def _at_least(parse, low, strict=False):
+    """``parse``, then ``ValueError`` for NaN or a value below ``low`` (or at it, when ``strict``)."""
+
+    def bounded(text):
+        value = parse(text)
+        if not (value > low if strict else value >= low):
+            raise ValueError(f"need a value {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+
+    return bounded
+
+
 def _coefficient(role):
     return lambda text: coefficients.parse_spec(role, text)
 
@@ -68,7 +80,8 @@ _SCHEMA = {
         "g": (_coefficient("g"), "zero"),
         "tau": (_coefficient("tau"), "constant value=1.0"),
     },
-    "grid": {"n": (int, "201"), "horizon": (float, "1.0"), "substeps": (int, "0")},
+    "grid": {"n": (_at_least(int, 2), "201"), "horizon": (_at_least(float, 0.0, strict=True), "1.0"),
+             "substeps": (_at_least(int, 0), "0")},
     "schedule": {"eps": (float_list, "0.1, 0.05, 0.02, 0.01"), "eta": (str, "auto")},
     "experiment": {
         "kind": (str, "none"),
@@ -91,7 +104,7 @@ _SCHEMA = {
         "centering_tol": (float, "1e-4"),  # |int b dmu| allowed before hard failure
         "tail_mass_ratio": (float, "1e-8"),  # density at +-L relative to its max
         "default_domain_sigmas": (float, "8.0"),  # automatic half-width in std devs
-        "u2_bins": (int, "64"),  # mu-quantile cells of the u2 feedback control
+        "u2_bins": (_at_least(int, 1), "64"),  # mu-quantile cells of the u2 feedback control
     },
 }
 _KINDS = {"simulate", "laplace", "rare-event", "rate", "limit-study", "poisson", "none"}
@@ -147,7 +160,12 @@ def _read_sections(parser):
         extra = set(section) - set(keys)
         if extra:
             raise InvalidInputError(f"unknown keys in [{name}]: {sorted(extra)}")
-        values[name] = {key: parse(section.get(key, default)) for key, (parse, default) in keys.items()}
+        values[name] = {}
+        for key, (parse, default) in keys.items():
+            try:
+                values[name][key] = parse(section.get(key, default))
+            except ValueError as exc:
+                raise InvalidInputError(f"[{name}] {key}: {exc}") from exc
     return values
 
 

@@ -16,10 +16,6 @@ class RegularityError(FracrateError, ArithmeticError):
 class DivergenceError(FracrateError, RuntimeError):
     """A simulated trajectory or a rate value became non-finite."""
 
-    def __init__(self, message, first_bad_time=None):
-        super().__init__(message)
-        self.first_bad_time = first_bad_time
-
 
 class TruncationError(FracrateError, RuntimeError):
     """Invariant-density mass escapes the truncated domain; enlarge L."""

@@ -12,7 +12,6 @@ Carlo is reproducible independently of scheduling.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,11 +103,6 @@ def sample_increments(hurst, n, horizon, streams, k=1, ell=1, seed=0):
     return [db, dw]
 
 
-def _path(inc, dt):
-    """The ``GridPath`` from 0 of one trial's increments (fine step, 1, dim)."""
-    return GridPath(0.0, dt, np.concatenate([np.zeros((1, inc.shape[2])), np.cumsum(inc[:, 0], axis=0)]))
-
-
 def sample_fbm(hurst, n, horizon, dim=1, seed=0, stream=0):
     """One fBm path on n grid points over [0, horizon], started at 0: the
     sum of ``sample_increments``.
@@ -118,7 +112,8 @@ def sample_fbm(hurst, n, horizon, dim=1, seed=0, stream=0):
     """
     if dim < 1:
         raise InvalidInputError(f"need at least one fBm component, got dim={dim}")
-    return _path(sample_increments(hurst, n, horizon, [stream], k=dim, ell=0, seed=seed)[0], horizon / (n - 1))
+    db = sample_increments(hurst, n, horizon, [stream], k=dim, ell=0, seed=seed)[0][:, 0]
+    return GridPath(0.0, horizon / (n - 1), np.concatenate([np.zeros((1, dim)), np.cumsum(db, axis=0)]))
 
 
 def sample_fbm_batch(hurst, n, horizon, size, seed=0, stream=0):
@@ -128,30 +123,6 @@ def sample_fbm_batch(hurst, n, horizon, size, seed=0, stream=0):
     z = np.hstack([rng.standard_normal((2, size)).T, *rng.standard_normal((2, size, n - 2))])
     fgn = _fgn(z, hurst) * (horizon / (n - 1)) ** hurst
     return np.concatenate([np.zeros((size, 1)), np.cumsum(fgn, axis=1)], axis=1)
-
-
-@dataclass(frozen=True)
-class NoiseBundle:
-    """Independent fBm and Brownian driving paths on a shared grid."""
-
-    bh: GridPath
-    w: GridPath
-    seed: int
-    hurst: float
-
-    def __post_init__(self):
-        if not self.bh.same_grid(self.w):
-            raise InvalidInputError("bh and w must share the grid")
-        if np.max(np.abs(self.bh.values[0])) > 0 or (self.w.dim and np.max(np.abs(self.w.values[0])) > 0):
-            raise InvalidInputError("noise paths must start at 0")
-
-
-def sample_noise_bundle(hurst, n, horizon, k=1, ell=1, seed=0, stream=0):
-    """fBm (k-dim) and Brownian (ell-dim) paths from disjoint RNG streams:
-    the sums of ``sample_increments`` on key ``stream``."""
-    bh = sample_fbm(hurst, n, horizon, dim=k, seed=seed, stream=stream)
-    _, dw = sample_increments(hurst, n, horizon, [stream], k=0, ell=ell, seed=seed)
-    return NoiseBundle(bh=bh, w=_path(dw, bh.dt), seed=seed, hurst=hurst)
 
 
 def path_norms(f: GridPath, alpha):

@@ -19,8 +19,7 @@ import numpy as np
 
 from .cameron_martin import HurstContext, apply_KH_dot
 from .coefficients import is_zero, reads
-from .errors import DivergenceError, InvalidInputError
-from .fbm_gen import NoiseBundle
+from .errors import InvalidInputError
 from .gridpath import GridPath, l2_norm
 
 
@@ -274,65 +273,39 @@ def _interp_to_fine(path: GridPath, t_fine):
     return np.column_stack(cols)
 
 
-def simulate(spec: SlowFastSpec, noise: NoiseBundle, substeps=1):
-    """Integrate the slow-fast system along one noise realization.
-
-    Returns the pair of slow and fast paths on the coarse grid (the noise
-    grid thinned by ``substeps``).  Raises ``DivergenceError`` with the
-    first bad time if the state leaves the finite range.
-    """
-    return _one_trial(spec, noise, substeps, None)
-
-
-def simulate_controlled(spec: SlowFastSpec, noise: NoiseBundle, ctrl: ControlPair, substeps=1):
-    """Controlled variant: the fBm shift enters the slow drift through the
-    lifted derivative of v1, the Brownian shift through u2dot, and the fast
-    drift picks up the rescaled tau u2dot forcing."""
-    return _one_trial(spec, noise, substeps, ctrl)
-
-
-def _one_trial(spec, noise, substeps, ctrl):
-    batch = simulate_batch(spec, [noise], substeps, ctrl)
-    if batch.diverged[0]:
-        t_bad = float(batch.first_bad_time[0])
-        raise DivergenceError(f"trajectory diverged at t={t_bad:.6g}", first_bad_time=t_bad)
-    return batch.paths(0)
-
-
-def simulate_batch(spec: SlowFastSpec, noises, substeps=1, ctrl: ControlPair | None = None):
-    """``simulate_controlled`` (``simulate`` when ``ctrl`` is None) along every
-    noise bundle of ``noises``, an iterable on one grid, for bundles sampled
-    outside the simulator: their increments step as one ``simulate_chunks``
-    chunk."""
-    noises = list(noises)
-    if not noises:
-        raise InvalidInputError("need at least one noise realization")
-    for nb in noises:
-        if not nb.bh.same_grid(noises[0].bh) or (nb.bh.n - 1) % substeps != 0:
-            raise InvalidInputError(
-                f"noise grid ({nb.bh.n} points) differs within the batch or does not refine the output grid by {substeps}"
-            )
-        if (nb.bh.dim, nb.w.dim) != (spec.k, spec.ell):
-            raise InvalidInputError(f"noise dimensions {nb.bh.dim}, {nb.w.dim} != k={spec.k}, ell={spec.ell}")
-    chunk = [np.stack([np.diff(getattr(nb, p).values, axis=0) for nb in noises], axis=1) for p in ("bh", "w")]
-    return next(simulate_chunks(spec, [chunk], noises[0].bh.dt, substeps, ctrl))
+def _check_chunk(spec, noise, substeps, n_steps):
+    """The number of fine steps of a chunk [dB, dW].  Raises
+    ``InvalidInputError`` unless dB and dW share (fine step, trial),
+    ``substeps`` divides the fine steps, which equal ``n_steps`` (None: any),
+    and dB has k columns and dW ell, or 0 where no coefficient reads them."""
+    db, dw = (np.shape(inc) for inc in noise)
+    if len(db) != 3 or len(dw) != 3 or db[:2] != dw[:2]:
+        raise InvalidInputError(f"noise increments of shapes {db} and {dw} differ in (fine step, trial)")
+    if substeps < 1 or db[0] % substeps or n_steps not in (None, db[0]):
+        raise InvalidInputError(f"chunk of {db[0]} fine steps: need a multiple of substeps={substeps}, the same in every chunk")
+    b_unread, w_unread = is_zero(spec.sigma1), is_zero(spec.sigma2) and is_zero(spec.tau)
+    if db[2] not in (spec.k, 0 if b_unread else spec.k) or dw[2] not in (spec.ell, 0 if w_unread else spec.ell):
+        raise InvalidInputError(f"noise columns {db[2]}, {dw[2]} != k={spec.k}, ell={spec.ell}")
+    return db[0]
 
 
 def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPair | None = None):
-    """``simulate_controlled`` (``simulate`` when ``ctrl`` is None) of each
-    chunk of ``chunks``, yielding its ``BatchPaths``.  A chunk is a list
-    [dB, dW] of increments (fine step, trial, k) and (fine step, trial, ell)
-    over fine steps of length dt, as ``fbm_gen.sample_increments`` returns
-    it; the stepper takes them out of the list and scales them in place.
-    The trials of a chunk step at once; a trial's path depends neither on
-    the others nor on the chunking, and one whose state leaves the finite
-    range is marked in ``first_bad_time`` while the others go on.  Warns
-    once over all chunks if the fast Euler step looks unstable."""
+    """Euler paths under the control pair ``ctrl`` (None: uncontrolled),
+    one ``BatchPaths`` on every ``substeps``-th fine step per chunk of
+    ``chunks``: a list [dB, dW] of increments (fine step, trial, k) and
+    (fine step, trial, ell) over fine steps of length dt, as
+    ``fbm_gen.sample_increments`` draws it, checked by ``_check_chunk``,
+    then taken out of the list and scaled in place.  v1 shifts the fBm by
+    its lifted derivative, u2dot the Brownian motion on both sides.  A
+    trial's path depends neither on the other trials nor on the chunking;
+    one that leaves the finite range is marked in ``first_bad_time``.
+    Warns once over all chunks if the fast Euler step looks unstable."""
     promote = {role: _promoter(spec, role, *(getattr(spec, d) for d in dims)) for role, dims in _SHAPES.items()}
-    controls, warned = None, False
+    controls, warned, n_steps = None, False, None
     for noise in chunks:
+        n_steps = _check_chunk(spec, noise, substeps, n_steps)
         if controls is None:
-            t_fine = dt * np.arange(noise[0].shape[0] + 1)
+            t_fine = dt * np.arange(n_steps + 1)
             controls = [None, None]
             if ctrl is not None and ctrl.v1 is not None:
                 if ctrl.v1.dim != spec.k:

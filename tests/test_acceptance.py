@@ -25,7 +25,7 @@ from scipy.stats import norm
 from fracrate import coefficients as cf
 from fracrate.cameron_martin import HurstContext, apply_KH, apply_KH_dot, apply_KH_inverse, c_H
 from fracrate.cli import main as cli_main
-from fracrate.fbm_gen import sample_fbm, sample_fbm_batch, sample_noise_bundle
+from fracrate.fbm_gen import sample_fbm, sample_fbm_batch, sample_increments
 from fracrate.frac_calc import default_young_alpha, young_integral
 from fracrate.gridpath import GridPath
 from fracrate.ldp_harness import (
@@ -35,7 +35,7 @@ from fracrate.ldp_harness import (
     linear_case_prediction,
     stabilization_diagnostic,
 )
-from fracrate.multiscale_sim import default_substeps, simulate_batch
+from fracrate.multiscale_sim import default_substeps, simulate_chunks
 from fracrate.poisson_cell import average_coeff, solve_poisson_1d
 from fracrate.rate_fn import eval_rate_explicit, eval_rate_general, h_limit_study
 
@@ -169,8 +169,8 @@ def test_criterion_06_homogenization():
         spec = ou_spec(eps=eps, eta=eps**1.5, c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
         sub = default_substeps(dt_out, spec.eta)
         n_fine = (n_out - 1) * sub + 1
-        noises = (sample_noise_bundle(spec.hurst, n_fine, 1.0, seed=500, stream=trial) for trial in range(100))
-        batch = simulate_batch(spec, noises, substeps=sub)
+        noise = sample_increments(spec.hurst, n_fine, 1.0, list(range(100)), seed=500)
+        batch = next(simulate_chunks(spec, [noise], 1.0 / (n_fine - 1), sub))
         assert not batch.diverged.any()
         t = batch.paths(0)[0].times()
         errs = np.max(np.abs(batch.x[:, :, 0] - np.exp(-t)), axis=1)

@@ -322,6 +322,16 @@ class TestCommands:
             ("[grid]", "[Grid]"),
             # the Monte Carlo engine follows the declared coefficient facts
             ("seed = 77", "seed = 77\nengine = simulate"),
+            # out of range: these died with ZeroDivisionError, IndexError or
+            # a bare numpy ValueError (exit 1), or exited 2 on a message
+            # about a fine grid of -399 points
+            ("n = 51", "n = 1"),
+            ("n = 51", "n = 0"),
+            ("horizon = 1.0", "horizon = 0"),
+            ("horizon = 1.0", "horizon = nan"),
+            ("horizon = 1.0", "horizon = 1.0\nsubsteps = -2"),
+            ("seed = 77", "seed = 77\n[tolerances]\nu2_bins = 0"),
+            ("seed = 77", "seed = 77\n[tolerances]\nu2_bins = -1"),
         ],
     )
     def test_malformed_config_is_invalid_input(self, tmp_path, capsys, edit):

@@ -5,13 +5,11 @@ from scipy.stats import ks_2samp
 from fracrate import fbm_gen
 from fracrate.errors import FracrateError, InvalidInputError
 from fracrate.fbm_gen import (
-    NoiseBundle,
     path_norms,
     rng_for,
     sample_fbm,
     sample_fbm_batch,
     sample_increments,
-    sample_noise_bundle,
 )
 from fracrate.frac_calc import _cell_moments
 from fracrate.gridpath import GridPath
@@ -132,11 +130,11 @@ class TestSampling:
         assert np.array_equal(scales, np.sqrt(np.clip(fbm_gen._fgn_eigenvalues(64, 0.7), 0.0, None)))
         with pytest.raises(ValueError, match="read-only"):
             scales[0] = 0.0
-        cached = sample_noise_bundle(0.7, 65, 1.0, k=2, ell=1, seed=4)
+        cached = sample_increments(0.7, 65, 1.0, [0], 2, 1, seed=4)
         fbm_gen._fgn_scales.cache_clear()
-        fresh = sample_noise_bundle(0.7, 65, 1.0, k=2, ell=1, seed=4)
-        assert np.array_equal(cached.bh.values, fresh.bh.values)
-        assert np.array_equal(cached.w.values, fresh.w.values)
+        fresh = sample_increments(0.7, 65, 1.0, [0], 2, 1, seed=4)
+        assert np.array_equal(cached[0], fresh[0])
+        assert np.array_equal(cached[1], fresh[1])
 
     def test_indefinite_embedding_raises(self, monkeypatch):
         lam = np.ones(64)
@@ -170,56 +168,39 @@ class TestIncrements:
 
     def test_chunk_is_its_trials(self):
         # one trial's increments do not depend on the chunk that draws them,
-        # and a bundle is their running sum
+        # and its fBm path is their running sum
         streams = [(2, t) for t in range(5)]
         db, dw = sample_increments(0.7, 257, 1.0, streams, 2, 1, seed=8)
         for t, stream in enumerate(streams):
             one_b, one_w = sample_increments(0.7, 257, 1.0, [stream], 2, 1, seed=8)
             assert np.array_equal(db[:, t], one_b[:, 0]) and np.array_equal(dw[:, t], one_w[:, 0])
-            bundle = sample_noise_bundle(0.7, 257, 1.0, k=2, ell=1, seed=8, stream=stream)
-            assert np.array_equal(bundle.bh.values[1:], np.cumsum(one_b[:, 0], axis=0))
-            assert np.array_equal(bundle.w.values[1:], np.cumsum(one_w[:, 0], axis=0))
+            bh = sample_fbm(0.7, 257, 1.0, dim=2, seed=8, stream=stream)
+            assert np.array_equal(bh.values[1:], np.cumsum(one_b[:, 0], axis=0))
 
     def test_zero_columns_draw_nothing(self):
-        # k = 0 leaves the fBm generator out: dW is the same with or without it
+        # k = 0 leaves the fBm generator out, ell = 0 the Brownian one: each
+        # side is the same with or without the other
         db, dw = sample_increments(0.7, 33, 1.0, [(0, 0), (0, 1)], 0, 1, seed=5)
+        both = sample_increments(0.7, 33, 1.0, [(0, 0), (0, 1)], 1, 1, seed=5)
         assert db.shape == (32, 2, 0)
-        assert np.array_equal(dw, sample_increments(0.7, 33, 1.0, [(0, 0), (0, 1)], 1, 1, seed=5)[1])
+        assert np.array_equal(dw, both[1])
+        db, dw = sample_increments(0.7, 33, 1.0, [(0, 0), (0, 1)], 1, 0, seed=5)
+        assert dw.shape == (32, 2, 0)
+        assert np.array_equal(db, both[0])
         with pytest.raises(InvalidInputError):
             sample_increments(0.7, 33, 1.0, [(0, 0)], -1, 1)
 
-
-class TestNoiseBundle:
     def test_determinism_bitwise(self):
-        a = sample_noise_bundle(0.7, 65, 1.0, k=2, ell=1, seed=10)
-        b = sample_noise_bundle(0.7, 65, 1.0, k=2, ell=1, seed=10)
-        assert np.array_equal(a.bh.values, b.bh.values)
-        assert np.array_equal(a.w.values, b.w.values)
+        a = sample_increments(0.7, 65, 1.0, [0, 1], 2, 1, seed=10)
+        b = sample_increments(0.7, 65, 1.0, [0, 1], 2, 1, seed=10)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_independence(self):
-        # terminal values of bh and w over many bundles are uncorrelated
-        vals = np.array(
-            [
-                (
-                    sample_noise_bundle(0.7, 33, 1.0, seed=123, stream=i).bh.values[-1, 0],
-                    sample_noise_bundle(0.7, 33, 1.0, seed=123, stream=i).w.values[-1, 0],
-                )
-                for i in range(2000)
-            ]
-        )
-        corr = np.corrcoef(vals[:, 0], vals[:, 1])[0, 1]
+        # the terminal values of B^H and W over many streams are uncorrelated
+        db, dw = sample_increments(0.7, 33, 1.0, list(range(2000)), seed=123)
+        corr = np.corrcoef(db.sum(axis=0)[:, 0], dw.sum(axis=0)[:, 0])[0, 1]
         assert abs(corr) < 3.0 / np.sqrt(2000)
-
-    def test_empty_brownian_dimension(self):
-        nb = sample_noise_bundle(0.7, 33, 1.0, k=1, ell=0, seed=0)
-        assert nb.w.dim == 0
-        assert nb.bh.dim == 1
-
-    def test_shared_grid_required(self):
-        bh = sample_fbm(0.7, 33, 1.0, seed=0)
-        w = sample_fbm(0.7, 17, 1.0, seed=1)
-        with pytest.raises(InvalidInputError):
-            NoiseBundle(bh=bh, w=w, seed=0, hurst=0.7)
 
 
 class TestPathNorms:

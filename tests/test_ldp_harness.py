@@ -10,7 +10,7 @@ from fracrate import coefficients as cf
 from fracrate import ldp_harness
 from fracrate.config import load_config
 from fracrate.errors import ExperimentFailure, InvalidInputError
-from fracrate.fbm_gen import rng_for, sample_noise_bundle
+from fracrate.fbm_gen import rng_for, sample_increments
 from fracrate.ldp_harness import (
     _BLOCK_TRIALS,
     HFunctional,
@@ -25,7 +25,7 @@ from fracrate.ldp_harness import (
     stabilization_diagnostic,
     wilson_interval,
 )
-from fracrate.multiscale_sim import simulate_batch
+from fracrate.multiscale_sim import simulate_chunks
 
 from conftest import ou_spec
 
@@ -112,10 +112,9 @@ class TestSimulatePoint:
         {"sigma1": ("cos_y", {}), "sigma2": ("constant", {"value": 0.3}), "c": ("linear_xy", {"ax": -1.0})},
         {"c": ("linear_xy", {"ax": -1.0, "ay": 1.0}), "x0": 1.0},  # the OU config: no fBm column
     ])
-    def test_matches_bundles_through_simulate_batch(self, monkeypatch, per_chunk, roles):
-        # the chunk stream against the reference entry on the bundles of the
-        # same keys: within 1e-12 of each path's sup norm (the bundles'
-        # running sums and their differences cost round-off)
+    def test_matches_one_chunk_of_the_same_keys(self, monkeypatch, per_chunk, roles):
+        # the chunk stream bit for bit one chunk of all trials, drawn on the
+        # same (3, t) keys with every noise column
         spec = ou_spec(eps=0.1, eta=0.05, hurst=0.8, **roles)
         n_out, sub, trials = 17, 4, 5
         monkeypatch.setattr(ldp_harness, "_MAX_BATCH_POINTS", per_chunk * ((n_out - 1) * sub + 1))
@@ -123,13 +122,11 @@ class TestSimulatePoint:
         assert [t[0] for t, _ in chunks] == list(range(0, trials, per_chunk))
         assert [i for t, _ in chunks for i in t] == list(range(trials))
         n_fine = (n_out - 1) * sub + 1
-        noises = [sample_noise_bundle(spec.hurst, n_fine, 1.0, seed=6, stream=(3, t)) for t in range(trials)]
-        want = simulate_batch(spec, noises, substeps=sub)
+        noise = sample_increments(spec.hurst, n_fine, 1.0, [(3, t) for t in range(trials)], seed=6)
+        want = next(simulate_chunks(spec, [noise], 1.0 / (n_fine - 1), sub))
         for trials_, batch in chunks:
             assert batch.substeps == sub and not batch.diverged.any()
-            for got_x, got_y, t in zip(batch.x, batch.y, trials_):
-                for got, ref in ((got_x, want.x[t]), (got_y, want.y[t])):
-                    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(batch.x, want.x[trials_]) and np.array_equal(batch.y, want.y[trials_])
 
     @pytest.mark.parametrize("roles,columns", [
         ({}, (0, 1)),  # sigma1 zero: no fBm
@@ -337,18 +334,15 @@ class TestWilson:
     def test_averaged_sigma_distinguishes(self, ou_measure):
         # variance of the terminal law under fast cos-diffusion follows the
         # naive average, not the averaged square (quantile-matched exponent)
-        from fracrate.fbm_gen import sample_noise_bundle
-        from fracrate.multiscale_sim import default_substeps, simulate_batch
+        from fracrate.multiscale_sim import default_substeps
 
         eps, eta = 0.05, 0.005
         spec = ou_spec(eps=eps, eta=eta, sigma1=("cos_y", {}), hurst=0.8, beta=0.45)
         n_out = 65
         sub = default_substeps(1.0 / (n_out - 1), eta)
-        noises = (
-            sample_noise_bundle(spec.hurst, (n_out - 1) * sub + 1, 1.0, seed=77, stream=trial)
-            for trial in range(400)
-        )
-        batch = simulate_batch(spec, noises, substeps=sub)
+        n_fine = (n_out - 1) * sub + 1
+        noise = sample_increments(spec.hurst, n_fine, 1.0, list(range(400)), seed=77)
+        batch = next(simulate_chunks(spec, [noise], 1.0 / (n_fine - 1), sub))
         assert not batch.diverged.any()
         var = np.var(batch.x[:, -1, 0], ddof=1)
         v_bar = eps * math.exp(-1.0)  # naive average squared

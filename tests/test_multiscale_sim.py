@@ -1,6 +1,8 @@
 import math
+import re
 import tracemalloc
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from fracrate import coefficients as cf
 from fracrate import ldp_harness, multiscale_sim
 from fracrate.cameron_martin import HurstContext, apply_KH_dot, c_H
 from fracrate.errors import DivergenceError, InvalidInputError
-from fracrate.fbm_gen import NoiseBundle, sample_noise_bundle
+from fracrate.fbm_gen import sample_increments
 from fracrate.gridpath import GridPath
 from fracrate.ldp_harness import simulate_point
 from fracrate.multiscale_sim import (
@@ -23,19 +25,35 @@ from fracrate.multiscale_sim import (
     _interp_to_fine,
     default_substeps,
     empirical_occupation,
-    simulate,
-    simulate_batch,
     simulate_chunks,
-    simulate_controlled,
 )
 from scipy.special import gamma
 
 from conftest import SQRT2, ou_spec
 
 
+# The increments of a chunk of trials, (fine step, trial, column), over
+# fine steps of length dt.
+Noise = namedtuple("Noise", "db dw dt")
+
+
 def make_noise(spec, n_out, horizon, sub, seed=0, stream=0):
+    """The increments of one trial on key ``stream``, with k and ell columns
+    and ``sub`` fine steps per output step."""
     n_fine = (n_out - 1) * sub + 1
-    return sample_noise_bundle(spec.hurst, n_fine, horizon, k=spec.k, ell=spec.ell, seed=seed, stream=stream)
+    db, dw = sample_increments(spec.hurst, n_fine, horizon, [stream], spec.k, spec.ell, seed)
+    return Noise(db, dw, horizon / (n_fine - 1))
+
+
+def stacked(noises):
+    """The trials of ``noises``, one chunk on their grid."""
+    return Noise(*(np.concatenate([getattr(nb, p) for nb in noises], axis=1) for p in ("db", "dw")), noises[0].dt)
+
+
+def run(spec, noise, substeps, ctrl=None):
+    """``simulate_chunks`` of ``noise`` as one chunk, on copies of the
+    increments, which the stepper scales in place."""
+    return next(simulate_chunks(spec, [[noise.db.copy(), noise.dw.copy()]], noise.dt, substeps, ctrl))
 
 
 def joined(chunks):
@@ -48,9 +66,8 @@ def joined(chunks):
     return BatchPaths(x=x, y=y, dt=parts[0].dt, first_bad_time=bad, substeps=parts[0].substeps)
 
 
-def fine_controls(spec, noise, ctrl):
+def fine_controls(spec, t_fine, ctrl):
     """The controls (u1dot, u2dot) on the fine grid, None where absent."""
-    t_fine = noise.bh.times()
     u1dot_f = u2dot_f = None
     if ctrl is not None and ctrl.v1 is not None:
         ctx = HurstContext(spec.hurst, ctrl.v1.n, ctrl.v1.dt)
@@ -66,21 +83,21 @@ def forced(noise_term, u, i, u_scale):
 
 
 def scalar_reference(spec, noise, substeps, ctrl=None):
-    """Euler loop over one trial with per-step shape promotion, each side
-    the state plus every coefficient times its forcing, in a fixed role
-    order: the oracle that ``simulate_batch`` must match bit for bit."""
-    n_fine = noise.bh.n
-    dtf = noise.bh.dt
+    """Euler loop over the one trial of ``noise`` with per-step shape
+    promotion, each side the state plus every coefficient times its
+    forcing, in a fixed role order: the oracle that ``simulate_chunks``
+    must match bit for bit."""
+    n_fine = len(noise.db) + 1
+    dtf = noise.dt
     n_out = (n_fine - 1) // substeps + 1
-    t_fine = noise.bh.times()
-    u1, u2 = fine_controls(spec, noise, ctrl)
+    t_fine = dtf * np.arange(n_fine)
+    u1, u2 = fine_controls(spec, t_fine, ctrl)
     eps, eta = spec.eps, spec.eta
     m, dy, k, ell = spec.m, spec.dy, spec.k, spec.ell
     x, y = spec.x0.copy(), spec.y0.copy()
     xs, ys = np.empty((n_out, m)), np.empty((n_out, dy))
     xs[0], ys[0] = x, y
-    db = np.diff(noise.bh.values, axis=0)
-    dw = np.diff(noise.w.values, axis=0)
+    db, dw = noise.db[:, 0], noise.dw[:, 0]
     out_idx = 1
     for i in range(n_fine - 1):
         f1 = forced(math.sqrt(eps) * db[i], u1, i, dtf)
@@ -94,7 +111,7 @@ def scalar_reference(spec, noise, substeps, ctrl=None):
         y = y + dyv
         if (i + 1) % substeps == 0:
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise DivergenceError("diverged", first_bad_time=t_fine[i + 1])
+                raise DivergenceError(f"diverged at t={float(t_fine[i + 1])!r}")
             xs[out_idx], ys[out_idx] = x, y
             out_idx += 1
     return xs, ys
@@ -102,20 +119,19 @@ def scalar_reference(spec, noise, substeps, ctrl=None):
 
 def grouped_reference(spec, noise, substeps, ctrl=None):
     """The Euler step with the drift, noise and control terms grouped as in
-    the equations: ``simulate_batch`` sums the same terms in another order
+    the equations: ``simulate_chunks`` sums the same terms in another order
     and must agree with it up to round-off."""
-    n_fine = noise.bh.n
-    dtf = noise.bh.dt
+    n_fine = len(noise.db) + 1
+    dtf = noise.dt
     n_out = (n_fine - 1) // substeps + 1
-    t_fine = noise.bh.times()
-    u1dot_f, u2dot_f = fine_controls(spec, noise, ctrl)
+    t_fine = dtf * np.arange(n_fine)
+    u1dot_f, u2dot_f = fine_controls(spec, t_fine, ctrl)
     se, sh, seh = math.sqrt(spec.eps), math.sqrt(spec.eta), math.sqrt(spec.eps * spec.eta)
     m, dy, k, ell = spec.m, spec.dy, spec.k, spec.ell
     x, y = spec.x0.copy(), spec.y0.copy()
     xs, ys = np.empty((n_out, m)), np.empty((n_out, dy))
     xs[0], ys[0] = x, y
-    db = np.diff(noise.bh.values, axis=0)
-    dw = np.diff(noise.w.values, axis=0)
+    db, dw = noise.db[:, 0], noise.dw[:, 0]
     out_idx = 1
     for i in range(n_fine - 1):
         bv = _as_vec(spec.b(y), m)
@@ -136,7 +152,7 @@ def grouped_reference(spec, noise, substeps, ctrl=None):
         y = y + dyv
         if (i + 1) % substeps == 0:
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise DivergenceError("diverged", first_bad_time=t_fine[i + 1])
+                raise DivergenceError(f"diverged at t={float(t_fine[i + 1])!r}")
             xs[out_idx], ys[out_idx] = x, y
             out_idx += 1
     return xs, ys
@@ -154,9 +170,10 @@ def matrix_spec(sigma1):
 
 
 def assert_matches_reference(spec, noises, substeps, ctrl=None, batch=None):
-    """``batch`` (None: ``simulate_batch`` of ``noises``) bit for bit the
-    scalar oracle, and within 1e-12 of each path's sup norm the grouped one."""
-    batch = simulate_batch(spec, noises, substeps=substeps, ctrl=ctrl) if batch is None else batch
+    """``batch`` (None: ``run`` of the trials of ``noises`` as one chunk)
+    bit for bit the scalar oracle, and within 1e-12 of each path's sup norm
+    the grouped one."""
+    batch = run(spec, stacked(noises), substeps, ctrl) if batch is None else batch
     for trial, noise in enumerate(noises):
         xs, ys = scalar_reference(spec, noise, substeps, ctrl)
         assert np.isnan(batch.first_bad_time[trial])
@@ -188,15 +205,15 @@ class TestSimulate:
     def test_frozen_state_with_zero_coefficients(self):
         spec = ou_spec(eta=0.1)
         noise = make_noise(spec, 51, 1.0, 4, seed=1)
-        x_path, _ = simulate(spec, noise, substeps=4)
+        x_path, _ = run(spec, noise, 4).paths(0)
         assert np.all(x_path.values == spec.x0)
 
     def test_pure_fbm_telescopes(self):
         # b = c = sigma2 = 0, sigma1 = I: X = x0 + sqrt(eps) B^H exactly
         spec = ou_spec(eta=0.1, sigma1=("constant", {"value": 1.0}), x0=2.0)
         noise = make_noise(spec, 26, 1.0, 8, seed=3)
-        x_path, _ = simulate(spec, noise, substeps=8)
-        expected = 2.0 + math.sqrt(spec.eps) * noise.bh.values[::8, 0]
+        x_path, _ = run(spec, noise, 8).paths(0)
+        expected = 2.0 + math.sqrt(spec.eps) * np.concatenate([[0.0], np.cumsum(noise.db[:, 0, 0])])[::8]
         assert np.max(np.abs(x_path.scalar() - expected)) < 1e-13
 
     def test_homogenization_ou(self):
@@ -204,7 +221,7 @@ class TestSimulate:
         spec = ou_spec(eps=0.01, eta=0.01**1.5, c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
         sub = default_substeps(1.0 / 100, spec.eta)
         noises = [make_noise(spec, 101, 1.0, sub, seed=42, stream=trial) for trial in range(10)]
-        batch = simulate_batch(spec, noises, substeps=sub)
+        batch = run(spec, stacked(noises), sub)
         assert not batch.diverged.any()
         t = batch.paths(0)[0].times()
         errs = np.max(np.abs(batch.x[:, :, 0] - np.exp(-t)), axis=1)
@@ -213,8 +230,8 @@ class TestSimulate:
     def test_determinism(self):
         spec = ou_spec(eta=0.1, sigma1=("constant", {"value": 0.5}), c=("linear_xy", {"ax": -0.5}))
         noise = make_noise(spec, 51, 1.0, 2, seed=9)
-        a, _ = simulate(spec, noise, substeps=2)
-        b, _ = simulate(spec, noise, substeps=2)
+        a, _ = run(spec, noise, 2).paths(0)
+        b, _ = run(spec, noise, 2).paths(0)
         assert np.array_equal(a.values, b.values)
 
     def test_refinement_cauchy(self):
@@ -226,10 +243,8 @@ class TestSimulate:
         terminals = []
         for sub in (2, 4, 8, 16):
             stride = 16 // sub
-            bh = GridPath(0.0, master.bh.dt * stride, master.bh.values[::stride])
-            w = GridPath(0.0, master.w.dt * stride, master.w.values[::stride])
-            noise = type(master)(bh=bh, w=w, seed=master.seed, hurst=master.hurst)
-            x_path, _ = simulate(spec, noise, substeps=sub)
+            db, dw = (inc.reshape(-1, stride, *inc.shape[1:]).sum(axis=1) for inc in master[:2])
+            x_path, _ = run(spec, Noise(db, dw, master.dt * stride), sub).paths(0)
             terminals.append(x_path.values[-1, 0])
         d1 = abs(terminals[1] - terminals[0])
         d3 = abs(terminals[3] - terminals[2])
@@ -237,7 +252,7 @@ class TestSimulate:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reported(self):
-        # super-linear drift pushed unstably: expect a divergence error
+        # super-linear drift pushed unstably: the trial is marked diverged
         spec = SlowFastSpec(
             b=cf.build("b", "zero"),
             c=cf.build("c", "linear_xy", ax=80.0),
@@ -253,21 +268,21 @@ class TestSimulate:
             y0=0.0,
         )
         noise = make_noise(spec, 201, 10.0, 1, seed=1)
-        with pytest.raises(DivergenceError) as err:
-            simulate(spec, noise, substeps=1)
-        assert err.value.first_bad_time is not None
+        batch = run(spec, noise, 1)
+        assert batch.diverged[0] and 0.0 < batch.first_bad_time[0] <= 10.0
+        assert np.isnan(batch.x[0, -1]).all()
 
     def test_grid_mismatch_rejected(self):
         spec = ou_spec()
         noise = make_noise(spec, 51, 1.0, 4, seed=1)
         with pytest.raises(InvalidInputError):
-            simulate(spec, noise, substeps=3)
+            run(spec, noise, 3)
 
     def test_stability_warning(self):
         spec = ou_spec(eta=1e-5)
         noise = make_noise(spec, 11, 1.0, 1, seed=1)
         with pytest.warns(RuntimeWarning):
-            simulate(spec, noise, substeps=1)
+            run(spec, noise, 1)
 
     def test_stability_warning_sees_visited_states(self):
         # f = -y^3 is flat at y0 = 0, so a probe there alone sees no
@@ -276,7 +291,7 @@ class TestSimulate:
         spec.f = cf.build("f", "cubic_y", rate=1.0)
         noises = [make_noise(spec, 1001, 1.0, 1, seed=1, stream=trial) for trial in range(4)]
         with pytest.warns(RuntimeWarning, match="fast Euler step may be unstable") as record:
-            batch = simulate_batch(spec, noises, substeps=1)
+            batch = run(spec, stacked(noises), 1)
         assert sum("unstable" in str(w.message) for w in record) == 1
         assert batch.diverged.all()
         assert np.all(batch.first_bad_time < 0.05)
@@ -305,7 +320,7 @@ class TestBatched:
         noises = [make_noise(spec, 21, 1.0, 3, seed=4, stream=trial) for trial in range(3)]
         batch = assert_matches_reference(spec, noises, 3)
         for trial, noise in enumerate(noises):
-            xs, ys = simulate(spec, noise, substeps=3)
+            xs, ys = run(spec, noise, 3).paths(0)
             assert np.array_equal(batch.x[trial], xs.values) and np.array_equal(batch.y[trial], ys.values)
 
     def test_matrix_coefficients_match_scalar_reference(self):
@@ -340,17 +355,11 @@ class TestBatched:
     def test_diverging_trial_is_marked(self):
         spec = ou_spec(eps=1.0, eta=0.2, sigma1=("constant", {"value": 1.0}), c=("linear_xy", {"ax": 50.0}), x0=1.0)
         noises = [make_noise(spec, 21, 1.0, 1, seed=7, stream=trial) for trial in range(3)]
-        huge = noises[1]
-        noises[1] = NoiseBundle(bh=GridPath(0.0, huge.bh.dt, 1e306 * huge.bh.values), w=huge.w,
-                                seed=huge.seed, hurst=huge.hurst)
-        batch = simulate_batch(spec, noises, substeps=1)
+        noises[1].db[:] *= 1e306
+        batch = run(spec, stacked(noises), 1)
         assert list(batch.diverged) == [False, True, False]
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(DivergenceError, match=re.escape(f"t={float(batch.first_bad_time[1])!r}")):
             scalar_reference(spec, noises[1], 1)
-        assert batch.first_bad_time[1] == err.value.first_bad_time
-        with pytest.raises(DivergenceError) as err:
-            simulate(spec, noises[1], substeps=1)
-        assert err.value.first_bad_time == batch.first_bad_time[1]
         for trial in (0, 2):
             xs, ys = scalar_reference(spec, noises[trial], 1)
             assert np.array_equal(batch.x[trial], xs) and np.array_equal(batch.y[trial], ys)
@@ -380,7 +389,7 @@ class TestBatched:
         )
         noise = make_noise(spec, 11, 1.0, 1)
         with pytest.raises(InvalidInputError, match="returned size 2, expected 1"):
-            simulate_batch(spec, [noise])
+            run(spec, noise, 1)
 
     def test_zero_drift_steps_at_any_dimension(self):
         # a declared-zero b is valid whatever the fast dimension
@@ -390,10 +399,48 @@ class TestBatched:
             tau=cf.build("tau", "constant", value=SQRT2), hurst=0.7, eps=0.1, eta=0.1,
             x0=0.5, y0=[0.0, 0.0], dy=2, ell=2,
         )
-        batch = simulate_batch(spec, [make_noise(spec, 11, 1.0, 4)], substeps=4)
+        batch = run(spec, make_noise(spec, 11, 1.0, 4), 4)
         assert not batch.diverged.any()
         assert np.all(batch.x == 0.5)
         assert np.all(np.isfinite(batch.y)) and np.all(batch.y[0, 1:] != 0.0)
+
+
+class TestChunkChecks:
+    def test_substeps_must_divide_the_fine_steps(self):
+        # 10 fine steps with substeps = 3 dropped the last step: the paths
+        # ended at t = 0.9
+        spec = ou_spec(eta=0.1)
+        with pytest.raises(InvalidInputError, match="chunk of 10 fine steps: need a multiple of substeps=3"):
+            run(spec, make_noise(spec, 11, 1.0, 1), 3)
+        with pytest.raises(InvalidInputError, match="substeps=0"):
+            run(spec, make_noise(spec, 11, 1.0, 1), 0)
+
+    def test_columns_must_match_the_dimensions(self):
+        # a two-column dB for k = 1 died with numpy's "could not broadcast"
+        spec = ou_spec(sigma1=("constant", {"value": 1.0}))
+        noise = make_noise(spec, 11, 1.0, 1)
+        with pytest.raises(InvalidInputError, match="noise columns 2, 1 != k=1, ell=1"):
+            run(spec, noise._replace(db=np.concatenate([noise.db, noise.db], axis=2)), 1)
+        # no columns only for a noise that no coefficient reads
+        with pytest.raises(InvalidInputError, match="noise columns 0, 1"):
+            run(spec, noise._replace(db=noise.db[..., :0]), 1)
+        free = run(ou_spec(), noise._replace(db=noise.db[..., :0]), 1)
+        assert np.array_equal(free.y, run(ou_spec(), noise, 1).y)
+
+    def test_increments_share_steps_and_trials(self):
+        spec = ou_spec(sigma1=("constant", {"value": 1.0}))
+        noise = stacked([make_noise(spec, 11, 1.0, 1, stream=trial) for trial in range(2)])
+        for dw in (noise.dw[:, :1], noise.dw[:-1]):
+            with pytest.raises(InvalidInputError, match="differ in"):
+                run(spec, noise._replace(dw=dw), 1)
+
+    def test_every_chunk_has_the_same_fine_steps(self):
+        spec = ou_spec(sigma1=("constant", {"value": 1.0}))
+        long, short = make_noise(spec, 11, 1.0, 1), make_noise(spec, 6, 0.5, 1)
+        chunks = simulate_chunks(spec, [list(long[:2]), list(short[:2])], long.dt, 1)
+        assert next(chunks).x.shape == (1, 11, 1)
+        with pytest.raises(InvalidInputError, match="the same in every chunk"):
+            next(chunks)
 
 
 ROLE_CHOICES = {role: [(name, params) for name, r, params in BUILTIN_ROLES if r == role and name != "zero"]
@@ -456,22 +503,23 @@ class TestComposedStep:
         t = np.linspace(0.0, 1.0, 21)
         ctrl = ControlPair(v1=GridPath(0.0, 0.05, np.sin(3 * t)), u2dot=GridPath(0.0, 0.05, np.cos(2 * t)))
         noises = [make_noise(spec, 21, 1.0, 2, seed=6, stream=trial) for trial in range(3)]
-        chunks = ([np.diff(nb.bh.values, axis=0)[:, None], np.diff(nb.w.values, axis=0)[:, None]] for nb in noises)
-        batches = list(simulate_chunks(spec, chunks, noises[0].bh.dt, 2, ctrl))
+        chunks = ([nb.db.copy(), nb.dw.copy()] for nb in noises)
+        batches = list(simulate_chunks(spec, chunks, noises[0].dt, 2, ctrl))
         assert [len(b.x) for b in batches] == [1, 1, 1]
         assert_matches_reference(spec, noises, 2, ctrl, joined(zip(([t] for t in range(3)), batches)))
 
     def test_state_free_noise_terms_are_written_in_place(self, monkeypatch):
         # sigma1, sigma2 and tau constant: one (fine step, trial) stack per
         # noise term, three at most while the slow two are summed, as the
-        # increments of dB and dW took; the outputs are a quarter stack each
+        # increments of dB and dW, drawn in the traced region, took; the
+        # outputs are a quarter stack each
         spec = ou_spec(eps=0.1, eta=0.5, sigma1=("constant", {"value": 0.6}), sigma2=("constant", {"value": 0.4}))
-        noises = [make_noise(spec, 1025, 1.0, 4, seed=3, stream=trial) for trial in range(16)]
         monkeypatch.setattr(multiscale_sim, "_PROBE_ROWS", 1024)
         stack = 4096 * 16 * 8
         tracemalloc.start()
         try:
-            simulate_batch(spec, noises, substeps=4)
+            noise = sample_increments(spec.hurst, 4097, 1.0, list(range(16)), seed=3)
+            next(simulate_chunks(spec, [noise], 1.0 / 4096, 4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -492,7 +540,7 @@ class TestComposedStep:
         noises = [make_noise(spec, 11, 1.0, 1, seed=2, stream=trial) for trial in range(3)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            simulate_batch(spec, noises, substeps=1)
+            run(spec, stacked(noises), 1)
 
 
 class TestZeroTerms:
@@ -510,7 +558,7 @@ class TestZeroTerms:
         t = np.linspace(0.0, 1.0, 11)
         noises = [make_noise(spec, 11, 1.0, 4, seed=2, stream=trial) for trial in range(3)]
         for ctrl in (None, ControlPair(v1=GridPath(0.0, 0.1, t), u2dot=GridPath(0.0, 0.1, 1.0 - t))):
-            simulate_batch(spec, noises, substeps=4, ctrl=ctrl)
+            run(spec, stacked(noises), 4, ctrl)
         assert calls.pop("c") > 0
         assert calls == dict.fromkeys(("b", "sigma1", "sigma2", "g"), 0)
 
@@ -527,8 +575,8 @@ class TestControlled:
     def test_zero_control_matches_uncontrolled(self):
         spec = ou_spec(eta=0.1, sigma1=("constant", {"value": 1.0}), c=("linear_xy", {"ax": -1.0}))
         noise = make_noise(spec, 51, 1.0, 4, seed=17)
-        a, ya = simulate(spec, noise, substeps=4)
-        b, yb = simulate_controlled(spec, noise, ControlPair(), substeps=4)
+        a, ya = run(spec, noise, 4).paths(0)
+        b, yb = run(spec, noise, 4, ControlPair()).paths(0)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(ya.values, yb.values)
 
@@ -538,11 +586,11 @@ class TestControlled:
         n_out, sub = 201, 4
         n_fine = (n_out - 1) * sub + 1
         dtf = 1.0 / (n_fine - 1)
-        zeros = GridPath(0.0, dtf, np.zeros((n_fine, 1)))
-        noise = NoiseBundle(bh=zeros, w=zeros, seed=0, hurst=0.7)
+        zeros = np.zeros((n_fine - 1, 1, 1))
+        noise = Noise(zeros, zeros, dtf)
         dt_out = 1.0 / (n_out - 1)
         ctrl = ControlPair(v1=GridPath(0.0, dt_out, np.ones(n_out)))
-        x_path, _ = simulate_controlled(spec, noise, ctrl, substeps=sub)
+        x_path, _ = run(spec, noise, sub, ctrl).paths(0)
         t = x_path.times()
         h = 0.7
         exact = c_H(h) * gamma(1.5 - h) * t ** (h + 0.5) / (h + 0.5)
@@ -558,7 +606,7 @@ class TestControlled:
         dt_out = 1.0 / (n_out - 1)
         ctrl = ControlPair(u2dot=GridPath(0.0, dt_out, c_hat * np.ones(n_out)))
         noises = [make_noise(spec, n_out, 1.0, sub, seed=31, stream=trial) for trial in range(40)]
-        batch = simulate_batch(spec, noises, substeps=sub, ctrl=ctrl)
+        batch = run(spec, stacked(noises), sub, ctrl)
         means = np.mean(batch.y[:, n_out // 2 :, 0], axis=1)
         target = c_hat * SQRT2 * math.sqrt(eta / eps)
         assert abs(np.mean(means) - target) < 0.1 * target
@@ -575,7 +623,7 @@ class TestOccupation:
     def test_total_mass_is_horizon(self):
         spec = ou_spec(eta=0.01)
         noise = make_noise(spec, 201, 2.0, 5, seed=2)
-        _, y_path = simulate(spec, noise, substeps=5)
+        _, y_path = run(spec, noise, 5).paths(0)
         hist = empirical_occupation(y_path, ControlPair(), bins=12)
         assert abs(hist.total_mass - 2.0) < 1e-9
         assert hist.total_time == pytest.approx(2.0)
@@ -586,7 +634,7 @@ class TestOccupation:
         n_out = 2001
         sub = 100
         noise = make_noise(spec, n_out, 20.0, sub, seed=5)
-        _, y_path = simulate(spec, noise, substeps=sub)
+        _, y_path = run(spec, noise, sub).paths(0)
         hist = empirical_occupation(y_path, ControlPair(), bins=16)
         y_axis = len(hist.edges) - 1
         marg = hist.marginal(y_axis) / hist.total_mass
@@ -601,7 +649,7 @@ class TestOccupation:
     def test_point_mass_for_zero_controls(self):
         spec = ou_spec(eta=0.01)
         noise = make_noise(spec, 101, 1.0, 4, seed=2)
-        _, y_path = simulate(spec, noise, substeps=4)
+        _, y_path = run(spec, noise, 4).paths(0)
         hist = empirical_occupation(y_path, ControlPair(), bins=7)
         u1_marg = hist.marginal(0)
         assert np.isclose(u1_marg.max(), hist.total_mass)
@@ -617,7 +665,7 @@ class TestOccupation:
         sub = default_substeps(dt_out, spec.eta)
         ctrl = ControlPair(u2dot=GridPath(0.0, dt_out, 0.5 * np.sin(np.arange(n_out))[:, None]))
         noise = make_noise(spec, n_out, 8.0, sub, seed=6)
-        _, y_path = simulate_controlled(spec, noise, ctrl, substeps=sub)
+        _, y_path = run(spec, noise, sub, ctrl).paths(0)
         hist = empirical_occupation(y_path, ControlPair(u2dot=ctrl.u2dot), bins=24)
         y_axis = len(hist.edges) - 1
         marg = hist.marginal(y_axis) / hist.total_mass
