@@ -178,17 +178,22 @@ class TestIncrements:
             assert np.array_equal(bh.values[1:], np.cumsum(one_b[:, 0], axis=0))
 
     def test_zero_columns_draw_nothing(self):
-        # k = 0 leaves the fBm generator out, ell = 0 the Brownian one: each
-        # side is the same with or without the other
+        # k = 0 leaves the fBm generator out: dW is the same with or without it
         db, dw = sample_increments(0.7, 33, 1.0, [(0, 0), (0, 1)], 0, 1, seed=5)
-        both = sample_increments(0.7, 33, 1.0, [(0, 0), (0, 1)], 1, 1, seed=5)
         assert db.shape == (32, 2, 0)
-        assert np.array_equal(dw, both[1])
-        db, dw = sample_increments(0.7, 33, 1.0, [(0, 0), (0, 1)], 1, 0, seed=5)
-        assert dw.shape == (32, 2, 0)
-        assert np.array_equal(db, both[0])
+        assert np.array_equal(dw, sample_increments(0.7, 33, 1.0, [(0, 0), (0, 1)], 1, 1, seed=5)[1])
         with pytest.raises(InvalidInputError):
             sample_increments(0.7, 33, 1.0, [(0, 0)], -1, 1)
+
+    def test_empty_brownian_dimension(self):
+        # ell = 0 leaves the Brownian generator out: dB^H is the same with or
+        # without it
+        db, dw = sample_increments(0.7, 33, 1.0, [(0, 0), (0, 1)], 1, 0, seed=5)
+        assert dw.shape == (32, 2, 0)
+        assert db.shape == (32, 2, 1)
+        assert np.array_equal(db, sample_increments(0.7, 33, 1.0, [(0, 0), (0, 1)], 1, 1, seed=5)[0])
+        with pytest.raises(InvalidInputError):
+            sample_increments(0.7, 33, 1.0, [(0, 0)], 1, -1)
 
     def test_determinism_bitwise(self):
         a = sample_increments(0.7, 65, 1.0, [0, 1], 2, 1, seed=10)
