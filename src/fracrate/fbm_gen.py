@@ -12,16 +12,17 @@ Carlo is reproducible independently of scheduling.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FracrateError, InvalidInputError
+from .errors import FracrateError, InvalidInputError, RegularityError
 from .frac_calc import _cell_moments
 from .gridpath import GridPath
 
-# Values per temporary array in path_norms' blocks: about eight are live at
-# once, so a block stays near 1 MB whatever the path length.
+# Values per temporary array in path_norms' blocks: about five are live at
+# once (tracemalloc), so a pass stays near 640 KB whatever the path length.
 _MAX_BLOCK_ELEMENTS = 2**14
 # Negative eigenvalues of the fGn embedding down to this fraction of the
 # largest are round-off (-1.2e-8 at H = 0.999, n = 2^18) and are clipped.
@@ -131,50 +132,48 @@ def path_norms(f: GridPath, alpha):
     Returns a dict with the grid maxima of the alpha-Hoelder difference
     quotient, of |f| plus the running absolute difference ratio from 0, and
     of the quotient plus the backward ratio over all subintervals.  Vector
-    paths are reduced with the Euclidean norm of increments.
+    paths are reduced with the Euclidean norm of increments.  A norm past
+    the float range raises ``RegularityError``.
 
-    The suprema run over all pairs of nodes, so the cost is O(n^2).  It is
-    spent in array operations on blocks of rows of the anchor-by-lag table
-    |f(t_i + l dt) - f(t_i)|; each temporary of a block holds at most
-    ``_MAX_BLOCK_ELEMENTS`` values (128 KB), which keeps peak memory flat.
+    The O(n^2) suprema are one pass over row blocks of the table
+    d[i, l] = |f(t_i + l dt) - f(t_i)|, at most ``_MAX_BLOCK_ELEMENTS``
+    values (one row, if longer) per temporary.  With d linear per cell,
+    both ratios sum by parts to sums of wd = d * weight, weight[l] = C0[l]
+    + (C1[l-1] - C1[l]) / dt: the backward one from t_i to t_i + L dt is
+    wd[i, :L].sum() + d[i, L] C1[L-1] / dt, the absolute one at t_k sums
+    wd[k - l, l] over l <= k, with C1[k-1] / dt for weight[k].
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must lie in (0,1), got {alpha}")
     if f.dim == 0:
         raise InvalidInputError("path norms need a path with at least one column")
-    vals = f.values
-    if not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(f.values)):
         raise InvalidInputError("path norms need a finite path")
-    n = f.n
-    dt = f.dt
-    lagpow = (dt * np.arange(n)) ** alpha
+    # a power of two, so scaling is exact and no squared increment overflows
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(f.values))))[1] - 1)
+    vals, n, dt = f.values / scale, f.n, f.dt
+    lagpow = (dt * np.arange(1, n)) ** alpha  # lags 1 .. n-1
     C0, C1 = _cell_moments(alpha, n, dt)
+    weight = C0 + (np.concatenate(([0.0], C1[:-1])) - C1) / dt
+    edge = 1.0 / lagpow + C1[:-1] / dt  # what d[i, L] adds to the backward ratio at lag L
     holder = wT = 0.0
-    for _, d in _lag_blocks(vals):
-        width = d.shape[1]
-        quot = d[:, 1:] / lagpow[1:width]
-        slopes = np.diff(d, axis=1) / dt
-        dminus = np.cumsum(d[:, :-1] * C0[: width - 1] + slopes * C1[: width - 1], axis=1)
+    # |f(t_k)|; row 0's lag k weighs C1[k-1] / dt alone (the cell at t_k meets a vanishing value)
+    w0_terms = np.linalg.norm(vals, axis=1) - np.linalg.norm(vals - vals[0], axis=1) * (C0 - C1 / dt)
+    for i0, d in _lag_blocks(vals):
+        rows, width = d.shape
+        quot = d[:, 1:] / lagpow[: width - 1]
         holder = max(holder, float(np.fmax.reduce(quot, axis=None)))
-        wT = max(wT, float(np.fmax.reduce(quot + dminus, axis=None)))
-
-    # |Delta_alpha| f_{0,t_k} with the Euclidean norm of the increment to t_k
-    # interpolated linearly between nodes and the kernel integrated exactly
-    # per cell (the divergent moment of the cell touching t_k multiplies the
-    # vanishing endpoint value and is dropped).  Row i of the reversed path
-    # looks back from k = n-1-i; summed by parts, lag l < k carries the
-    # weight C0[l] + (C1[l-1] - C1[l]) / dt (C1[-1] = 0) and lag k only
-    # C1[k-1] / dt.  Lags past k are zero-filled, so the matrix-vector
-    # product gives lag k the first weight; the difference is taken off
-    # afterwards.
-    lag_weights = C0 + (np.concatenate(([0.0], C1[:-1])) - C1) / dt
-    abs_plus = np.zeros(n)
-    for i0, d in _lag_blocks(vals[::-1]):
-        np.nan_to_num(d, copy=False)
-        abs_plus[n - i0 - len(d) : n - i0] = (d @ lag_weights[: d.shape[1]])[::-1]
-    abs_plus -= np.linalg.norm(vals - vals[0], axis=1) * (C0 - C1 / dt)
-    w0 = float(np.max(np.linalg.norm(vals, axis=1) + abs_plus))
-    return {"holder_seminorm": float(holder), "w0_norm": w0, "wT_norm": wT}
+        wd = d * weight[:width]
+        for r in range(rows):
+            w0_terms[i0 + r :] += wd[r, : width - r]
+        np.cumsum(wd, axis=1, out=wd)
+        np.multiply(d[:, 1:], edge[: width - 1], out=quot)
+        quot += wd[:, :-1]
+        wT = max(wT, float(np.fmax.reduce(quot, axis=None)))
+    out = {"holder_seminorm": holder * scale, "w0_norm": float(np.max(w0_terms)) * scale, "wT_norm": wT * scale}
+    if not all(math.isfinite(v) for v in out.values()):
+        raise RegularityError(f"path norms overflow the float range: {out}")
+    return out
 
 
 def _lag_blocks(vals):
@@ -192,5 +191,7 @@ def _lag_blocks(vals):
     while i0 < n - 1:
         width = n - i0
         i1 = min(n - 1, i0 + max(1, _MAX_BLOCK_ELEMENTS // (width * dim)))
-        yield i0, np.linalg.norm(windows[:, i0:i1, :width] - cols[:, i0:i1, None], axis=0)
+        d = windows[:, i0:i1, :width] - cols[:, i0:i1, None]
+        d = np.abs(d[0], out=d[0]) if dim == 1 else np.linalg.norm(d, axis=0)
+        yield i0, d
         i0 = i1

@@ -15,11 +15,12 @@ Conventions
 * One table, ``_cell_moments``, holds the moments of u^(-a-1) over the lag
   cells [m dt, (m+1) dt], u the distance to the kernel's singular end.
   Looking back from node k (the left Marchaud derivative, the difference
-  ratios, the absolute ratio of ``path_norms``) cell [t_{k-m-1}, t_{k-m}]
-  is entry m; looking forward from node i (the right derivative inside the
-  Young integral, the backward ratio of ``path_norms``) cell
-  [t_{i+m}, t_{i+m+1}] is.  ``_cell_integral`` is the same integral over
-  part of a cell, for the sign split of the absolute ratios.
+  ratios) cell [t_{k-m-1}, t_{k-m}] is entry m; looking forward from node i
+  (the right derivative inside the Young integral) cell [t_{i+m}, t_{i+m+1}]
+  is.  ``path_norms`` reads both its ratios off one forward table; its
+  absolute ratio at node k takes lag l from the row of node k - l.
+  ``_cell_integral`` is the same integral over part of a cell, for the sign
+  split of the absolute ratios.
 * Marchaud derivatives return 0 at the anchoring endpoint itself (the Weyl
   representation carries an open-interval indicator); for paths that do not
   vanish there the one-sided limit is infinite and tests evaluate strictly

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from fracrate import fbm_gen
-from fracrate.errors import FracrateError, InvalidInputError
+from fracrate.errors import FracrateError, InvalidInputError, RegularityError
 from fracrate.fbm_gen import (
     path_norms,
     rng_for,
@@ -253,6 +255,35 @@ class TestPathNorms:
         with pytest.raises(InvalidInputError, match="at least one column"):
             path_norms(path, 0.4)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_huge_finite_path_scales_or_raises(self, dim):
+        # squares of increments near 1e200 overflow; the norms themselves
+        # are finite and scale with the path until they leave the float range
+        path = sample_fbm(0.7, 65, 1.0, dim=dim, seed=1)
+        unit = path_norms(path, 0.4)
+        with np.errstate(over="raise", invalid="raise"):
+            big = path_norms(path.with_values(1e200 * path.values), 0.4)
+        for key, value in unit.items():
+            assert big[key] == pytest.approx(1e200 * value, rel=1e-14), key
+        top = path.with_values(1e308 * path.values / np.max(np.abs(path.values)))
+        with pytest.raises(RegularityError, match="float range"):
+            path_norms(top, 0.4)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_peak_memory_is_flat_in_n(self, dim):
+        # a few blocks of _MAX_BLOCK_ELEMENTS values and O(n) vectors; an
+        # (n, n) temporary would be 8.4 MB at n = 1025 and 134 MB at 4097
+        block = fbm_gen._MAX_BLOCK_ELEMENTS * 8
+        for n in (1025, 4097):
+            path = sample_fbm(0.7, n, 1.0, dim=dim, seed=1)
+            tracemalloc.start()
+            try:
+                path_norms(path, 0.4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * block + 16 * n * 8, n
+
 
 def path_norms_loops(f, alpha):
     """Oracle: path_norms with one pass per lag and per anchor."""
@@ -283,14 +314,15 @@ class TestPathNormsOracle:
     """The blocked lag layout against the per-lag and per-anchor loops it
     replaced, within 1e-14 relative."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 257, 1025])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 257, 1025, 2049])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_fbm_and_smooth_paths(self, n, dim):
+        # alpha = 0.02 and 0.98 are where the sums by parts cancel most
         t = np.linspace(0.0, 1.0, n)
         dt = 1.0 / max(n - 1, 1)
         smooth = GridPath(0.0, dt, np.column_stack([np.sin(3 * (c + 1) * t) + c for c in range(dim)]))
-        cases = [(smooth, 0.4)]
-        for hurst, alpha in ((0.6, 0.55), (0.85, 0.3)):
+        cases = [(smooth, 0.4), (smooth, 0.98)]
+        for hurst, alpha in ((0.6, 0.55), (0.85, 0.3), (0.6, 0.02)):
             if n >= 2:
                 cases.append((sample_fbm(hurst, n, 1.0, dim=dim, seed=n), alpha))
         for path, alpha in cases:
