@@ -8,10 +8,14 @@ A result that reads neither x nor y carries no axis: ``zero`` and
 ``constant`` return 0-d arrays, which the simulator shares across trials
 and the averaging layer across path nodes and grid points.
 ``_BUILDERS`` declares each built-in's roles, parameters and the arguments
-it reads; ``zero`` is declared zero.  ``build`` rejects any other role or
-parameter name.  Config files can only reference these names; library
-users may pass any callable directly to ``SlowFastSpec``, where it counts
-as reading x and y and not zero, or a ``Coefficient`` with declared facts.
+it reads; ``zero`` is declared zero, and ``zero``, ``constant``,
+``linear_y``, ``ou`` and ``linear_xy`` declare their affine form
+(slope in x, slope in y, constant), which lets the simulator step a
+system of such coefficients by superposition.  ``build`` rejects any other
+role or parameter name.  Config files can only reference these names;
+library users may pass any callable directly to ``SlowFastSpec``, where it
+counts as reading x and y, not zero and not affine, or a ``Coefficient``
+with declared facts.
 """
 from __future__ import annotations
 
@@ -24,15 +28,18 @@ from .errors import InvalidInputError
 
 class Coefficient:
     """Named coefficient with parameters and declared facts: ``reads``, the
-    arguments ("x", "y") its value depends on, and ``zero``, true when it is
-    zero everywhere, so that callers may drop its terms unevaluated."""
+    arguments ("x", "y") its value depends on, ``zero``, true when it is
+    zero everywhere, so that callers may drop its terms unevaluated, and
+    ``affine``, (ax, ay, const) when its value is ax x + ay y + const
+    (None: not declared affine)."""
 
-    def __init__(self, name, fn, params, reads="xy", zero=False):
+    def __init__(self, name, fn, params, reads="xy", zero=False, affine=None):
         self.name = name
         self.fn = fn
         self.params = dict(params)
         self.reads = frozenset(reads)
         self.zero = zero
+        self.affine = affine
 
     def __call__(self, *args):
         return self.fn(*args)
@@ -52,6 +59,12 @@ def is_zero(coef):
     return getattr(coef, "zero", False)
 
 
+def affine(coef):
+    """The declared affine form (ax, ay, const) of ``coef``; None for
+    undeclared callables and coefficients that declare none."""
+    return getattr(coef, "affine", None)
+
+
 _Y_ROLES = ("b", "f", "tau")
 _ROLES = _Y_ROLES + ("c", "g", "sigma1", "sigma2")
 
@@ -65,18 +78,24 @@ def _ou(params):
 
 # name -> (builder of a callable f(x, y), roles it serves, parameters with
 # defaults, the arguments it reads, each with the parameter that must be
-# non-zero for it to be read (None: always read))
+# non-zero for it to be read (None: always read), and the builder of its
+# affine form (ax, ay, const), None if it is not affine)
 _BUILDERS = {
-    "zero": (lambda p: lambda x, y: np.zeros(()), _ROLES, {}, {}),
-    "constant": (lambda p: lambda x, y: np.full((), p["value"]), _ROLES, {"value": 1.0}, {}),
-    "linear_y": (lambda p: lambda x, y: p["rate"] * np.asarray(y, dtype=float), _ROLES, {"rate": 1.0}, {"y": None}),
-    "ou": (_ou, _Y_ROLES, {"rate": 1.0}, {"y": None}),
+    "zero": (lambda p: lambda x, y: np.zeros(()), _ROLES, {}, {}, lambda p: (0.0, 0.0, 0.0)),
+    "constant": (lambda p: lambda x, y: np.full((), p["value"]), _ROLES, {"value": 1.0}, {},
+                 lambda p: (0.0, 0.0, p["value"])),
+    "linear_y": (lambda p: lambda x, y: p["rate"] * np.asarray(y, dtype=float), _ROLES, {"rate": 1.0}, {"y": None},
+                 lambda p: (0.0, p["rate"], 0.0)),
+    "ou": (_ou, _Y_ROLES, {"rate": 1.0}, {"y": None}, lambda p: (0.0, -p["rate"], 0.0)),
     "linear_xy": (
         lambda p: lambda x, y: p["ax"] * np.asarray(x, dtype=float) + p["ay"] * np.asarray(y, dtype=float) + p["const"],
         ("c", "g", "sigma1", "sigma2"), {"ax": 0.0, "ay": 0.0, "const": 0.0}, {"x": "ax", "y": "ay"},
+        lambda p: (p["ax"], p["ay"], p["const"]),
     ),
-    "cos_y": (lambda p: lambda x, y: p["scale"] * np.cos(np.asarray(y, dtype=float)), _ROLES, {"scale": 1.0}, {"y": None}),
-    "cubic_y": (lambda p: lambda x, y: -p["rate"] * np.asarray(y, dtype=float) ** 3, _Y_ROLES, {"rate": 1.0}, {"y": None}),
+    "cos_y": (lambda p: lambda x, y: p["scale"] * np.cos(np.asarray(y, dtype=float)), _ROLES, {"scale": 1.0},
+              {"y": None}, None),
+    "cubic_y": (lambda p: lambda x, y: -p["rate"] * np.asarray(y, dtype=float) ** 3, _Y_ROLES, {"rate": 1.0},
+                {"y": None}, None),
 }
 
 
@@ -88,7 +107,7 @@ def build(role, name, **params):
     """
     if name not in _BUILDERS:
         raise InvalidInputError(f"unknown coefficient {name!r}; known: {sorted(_BUILDERS)}")
-    builder, roles, defaults, gates = _BUILDERS[name]
+    builder, roles, defaults, gates, form = _BUILDERS[name]
     if role not in roles:
         raise InvalidInputError(f"coefficient {name!r} cannot serve as {role}; it serves {', '.join(roles)}")
     unknown = sorted(set(params) - set(defaults))
@@ -104,7 +123,7 @@ def build(role, name, **params):
     if role in _Y_ROLES:
         fn = functools.partial(fn, None)
     read = [arg for arg, gate in gates.items() if gate is None or values[gate] != 0.0]
-    return Coefficient(name, fn, params, read, zero=name == "zero")
+    return Coefficient(name, fn, params, read, zero=name == "zero", affine=form and form(values))
 
 
 def parse_spec(role, text):

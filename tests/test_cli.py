@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fracrate import cli
 from fracrate import coefficients as cf
+from fracrate import multiscale_sim
 from fracrate.cli import main
 from fracrate.config import hard_failures, load_config, validate
 from fracrate.errors import InvalidInputError
@@ -389,6 +390,19 @@ class TestCommands:
         assert main(["simulate", "--config", cfg, "--trials", "4", "--out-dir", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: all 4 trials aborted at eps=0.1")
         assert not (out / "simulate_summary.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("route", ["affine", "loop"])
+    def test_simulate_unstable_fast_step_aborts_every_trial(self, tmp_path, capsys, monkeypatch, route):
+        # dt_fast = 1/(200 * 4096) >> eta: the fast Euler step of the OU
+        # config grows y by about -10 per step; the affine route hands the
+        # trial to the loop, which aborts it as it does on its own
+        if route == "loop":
+            monkeypatch.setattr(multiscale_sim, "_affine_route", lambda spec, dt: None)
+        text = (CONFIGS / "ou_homogenization.cfg").read_text().replace("eta = auto", "eta = 1e-7, 1e-8, 1e-9")
+        cfg, out = write(tmp_path, "u.cfg", text), tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--trials", "1", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: all 1 trials aborted at eps=0.1")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("method", ["fw-half", "tilde-half", "general", "explicit"])

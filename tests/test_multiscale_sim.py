@@ -6,7 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracrate import coefficients as cf
@@ -169,18 +169,37 @@ def matrix_spec(sigma1):
     )
 
 
+def on_affine_route(spec, dt):
+    """Whether ``simulate_chunks`` steps ``spec`` by block superposition."""
+    return multiscale_sim._affine_route(spec, dt) is not None
+
+
+def assert_close(got, want):
+    """``got`` within 1e-12 of the sup norm of the path ``want``."""
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def assert_path_matches(spec, dt, got, want):
+    """``got`` bit for bit ``want`` when the loop steps ``spec``, within
+    1e-12 of its sup norm on the affine route."""
+    if on_affine_route(spec, dt):
+        assert_close(got, want)
+    else:
+        assert np.array_equal(got, want)
+
+
 def assert_matches_reference(spec, noises, substeps, ctrl=None, batch=None):
     """``batch`` (None: ``run`` of the trials of ``noises`` as one chunk)
-    bit for bit the scalar oracle, and within 1e-12 of each path's sup norm
-    the grouped one."""
+    the scalar oracle (``assert_path_matches``), and within 1e-12 of each
+    path's sup norm the grouped one."""
     batch = run(spec, stacked(noises), substeps, ctrl) if batch is None else batch
     for trial, noise in enumerate(noises):
         xs, ys = scalar_reference(spec, noise, substeps, ctrl)
         assert np.isnan(batch.first_bad_time[trial])
-        assert np.array_equal(batch.x[trial], xs)
-        assert np.array_equal(batch.y[trial], ys)
-        for got, want in zip((xs, ys), grouped_reference(spec, noise, substeps, ctrl)):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_path_matches(spec, noise.dt, batch.x[trial], xs)
+        assert_path_matches(spec, noise.dt, batch.y[trial], ys)
+        for got, want in zip((batch.x[trial], batch.y[trial]), grouped_reference(spec, noise, substeps, ctrl)):
+            assert_close(got, want)
     return batch
 
 
@@ -362,22 +381,26 @@ class TestBatched:
             scalar_reference(spec, noises[1], 1)
         for trial in (0, 2):
             xs, ys = scalar_reference(spec, noises[trial], 1)
-            assert np.array_equal(batch.x[trial], xs) and np.array_equal(batch.y[trial], ys)
+            assert_path_matches(spec, noises[trial].dt, batch.x[trial], xs)
+            assert_path_matches(spec, noises[trial].dt, batch.y[trial], ys)
 
     def test_chunk_size_independence(self, monkeypatch):
-        spec = ou_spec(eps=0.1, eta=0.02, sigma1=("cos_y", {}), c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
+        # a loop spec (sigma1 reads y) and the OU config, on the affine route
         n_out, sub = 41, 5
         n_fine = (n_out - 1) * sub + 1
-        results = []
-        for per_chunk in (1, 3, 7):
-            monkeypatch.setattr(ldp_harness, "_MAX_BATCH_POINTS", per_chunk * n_fine)
-            chunks = list(simulate_point(spec, n_out, 1.0, sub, 7, 8, 0))
-            assert [len(trials) for trials, _ in chunks] == {1: [1] * 7, 3: [3, 3, 1], 7: [7]}[per_chunk]
-            results.append(joined(chunks))
-        for other in results[1:]:
-            assert np.array_equal(other.x, results[0].x)
-            assert np.array_equal(other.y, results[0].y)
-            assert np.array_equal(other.first_bad_time, results[0].first_bad_time, equal_nan=True)
+        for sigma1 in (("cos_y", {}), ("zero", {})):
+            spec = ou_spec(eps=0.1, eta=0.02, sigma1=sigma1, c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
+            assert on_affine_route(spec, 1.0 / (n_fine - 1)) == (sigma1[0] == "zero")
+            results = []
+            for per_chunk in (1, 3, 7):
+                monkeypatch.setattr(ldp_harness, "_MAX_BATCH_POINTS", per_chunk * n_fine)
+                chunks = list(simulate_point(spec, n_out, 1.0, sub, 7, 8, 0))
+                assert [len(trials) for trials, _ in chunks] == {1: [1] * 7, 3: [3, 3, 1], 7: [7]}[per_chunk]
+                results.append(joined(chunks))
+            for other in results[1:]:
+                assert np.array_equal(other.x, results[0].x)
+                assert np.array_equal(other.y, results[0].y)
+                assert np.array_equal(other.first_bad_time, results[0].first_bad_time, equal_nan=True)
 
     def test_shape_mismatch_raises_before_stepping(self):
         # two fast dimensions make b(y) a 2-vector for a 1-d slow state
@@ -443,19 +466,31 @@ class TestChunkChecks:
             next(chunks)
 
 
-ROLE_CHOICES = {role: [(name, params) for name, r, params in BUILTIN_ROLES if r == role and name != "zero"]
+# The non-zero built-ins of each role, without the fast noise tau = -y^3,
+# whose multiplicative noise can blow y up within the horizon.
+ROLE_CHOICES = {role: [(name, params) for name, r, params in BUILTIN_ROLES
+                       if r == role and name != "zero" and (name, role) != ("cubic_y", "tau")]
                 for role in ("b", "c", "sigma1", "sigma2", "f", "g", "tau")}
+# Those that keep a spec on the affine route: declared affine, and free of
+# the state in a noise role.
+AFFINE_CHOICES = {role: [(name, params) for name, params in choices
+                         if cf.affine(cf.build(role, name, **params)) is not None
+                         and (role in ("b", "c", "f", "g") or name == "constant")]
+                  for role, choices in ROLE_CHOICES.items()}
 
 
 @st.composite
 def zero_heavy_spec(draw):
     """A spec with a built-in in every role, each drawn as ``zero`` half the
-    time, and a control pair with v1 and u2dot each present or absent."""
+    time, half of the specs on the affine route and half on the loop, and
+    a control pair with v1 and u2dot each present or absent."""
+    affine = draw(st.booleans())
     coefs = {}
-    for role, choices in ROLE_CHOICES.items():
+    for role, choices in (AFFINE_CHOICES if affine else ROLE_CHOICES).items():
         name, params = ("zero", {}) if draw(st.booleans()) else draw(st.sampled_from(choices))
         coefs[role] = cf.build(role, name, **params)
     spec = SlowFastSpec(**coefs, hurst=0.7, eps=0.1, eta=0.5, x0=0.4, y0=0.2)
+    assume(on_affine_route(spec, 1.0) == affine)
     t = np.linspace(0.0, 1.0, 9)
     ctrl = ControlPair(v1=GridPath(0.0, 0.125, np.sin(3 * t)) if draw(st.booleans()) else None,
                        u2dot=GridPath(0.0, 0.125, np.cos(2 * t)) if draw(st.booleans()) else None)
@@ -569,6 +604,87 @@ class TestZeroTerms:
         spec, ctrl = case
         noises = [make_noise(spec, 9, 1.0, 2, seed=12, stream=trial) for trial in range(2)]
         assert_matches_reference(spec, noises, 2, ctrl)
+
+
+def loop_only(monkeypatch):
+    """Send every spec through the Euler loop, the affine route's oracle."""
+    monkeypatch.setattr(multiscale_sim, "_affine_route", lambda spec, dt: None)
+
+
+def coupled_affine_spec():
+    """Every entry of the affine step nonzero: c and g read x and y and add
+    a constant, b reads y, and every noise role is constant."""
+    return ou_spec(eps=0.1, eta=0.2, sigma1=("constant", {"value": 0.6}), sigma2=("constant", {"value": 0.4}),
+                   c=("linear_xy", {"ax": -1.0, "ay": 0.5, "const": 0.2}), b=("linear_y", {"rate": 0.3}),
+                   g=("linear_xy", {"ax": 0.3, "ay": -0.2, "const": 0.1}), x0=1.0, y0=-0.5)
+
+
+class TestAffineRoute:
+    @pytest.mark.parametrize("name,role,params", BUILTIN_ROLES)
+    def test_declared_form_matches_the_callable(self, name, role, params):
+        coef = cf.build(role, name, **params)
+        x, y = 3.0 * np.random.default_rng(1).normal(size=(2, 16, 1))
+        value = coef(y) if role in ("b", "f", "tau") else coef(x, y)
+        if name in ("cos_y", "cubic_y"):
+            assert cf.affine(coef) is None
+        else:
+            ax, ay, const = cf.affine(coef)
+            assert np.array_equal(np.broadcast_to(value, x.shape), ax * x + ay * y + const)
+
+    def test_bare_callable_declares_no_form(self):
+        assert cf.affine(lambda x, y: -x) is None
+        spec = ou_spec(c=("linear_xy", {"ax": -1.0}))
+        assert on_affine_route(spec, 0.01)
+        spec.c = lambda x, y: -x
+        assert not on_affine_route(spec, 0.01)
+
+    @pytest.mark.parametrize("n_out,sub", [
+        (21, 4),  # blocks of 8 fine steps, two nodes each
+        (14, 7),  # blocks of one output step
+        (12, 2),  # blocks of 4 fine steps and a last one of 2
+        (4, 37),  # blocks of 11 fine steps across the output steps, a last one of 1
+        (31, 1),  # every fine step a node
+    ])
+    def test_block_layouts_match_the_loop(self, monkeypatch, n_out, sub):
+        spec = coupled_affine_spec()
+        t = np.linspace(0.0, 1.0, n_out)
+        ctrl = ControlPair(v1=GridPath(0.0, t[1], np.sin(3 * t)), u2dot=GridPath(0.0, t[1], np.cos(2 * t)))
+        noise = stacked([make_noise(spec, n_out, 1.0, sub, seed=13, stream=trial) for trial in range(3)])
+        assert on_affine_route(spec, noise.dt)
+        batch = run(spec, noise, sub, ctrl)
+        loop_only(monkeypatch)
+        loop = run(spec, noise, sub, ctrl)
+        assert not batch.diverged.any() and not loop.diverged.any()
+        for trial in range(3):
+            for got, want in ((batch.x, loop.x), (batch.y, loop.y)):
+                assert got[trial, 0, 0] == want[trial, 0, 0]
+                assert_close(got[trial], want[trial])
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:fast Euler step may be unstable")
+    @pytest.mark.parametrize("case", ["huge_noise", "unstable_fast_step"])
+    def test_divergence_matches_the_loop(self, monkeypatch, case):
+        # the trials that leave the finite range are stepped again by the
+        # loop: their first_bad_time and NaN rows are the loop's
+        if case == "huge_noise":  # the 1e306 trial of test_diverging_trial_is_marked
+            spec = ou_spec(eps=1.0, eta=0.2, sigma1=("constant", {"value": 1.0}), c=("linear_xy", {"ax": 50.0}), x0=1.0)
+            noises, sub = [make_noise(spec, 21, 1.0, 1, seed=7, stream=trial) for trial in range(3)], 1
+            noises[1].db[:] *= 1e306
+        else:  # 1 - dt_fast/eta = -9: y blows up, and the affine route's x, free of y, stays finite
+            spec = ou_spec(eps=0.1, eta=1e-4, c=("linear_xy", {"ax": -1.0}), x0=1.0)
+            noises, sub = [make_noise(spec, 11, 1.0, 100, seed=7, stream=trial) for trial in range(3)], 100
+        assert on_affine_route(spec, noises[0].dt)
+        batch = run(spec, stacked(noises), sub)
+        loop_only(monkeypatch)
+        loop = run(spec, stacked(noises), sub)
+        assert np.array_equal(batch.first_bad_time, loop.first_bad_time, equal_nan=True)
+        assert list(batch.diverged) == ([False, True, False] if case == "huge_noise" else [True] * 3)
+        for trial in range(3):
+            if loop.diverged[trial]:
+                assert np.array_equal(batch.x[trial], loop.x[trial], equal_nan=True)
+                assert np.array_equal(batch.y[trial], loop.y[trial], equal_nan=True)
+            else:
+                assert_close(batch.x[trial], loop.x[trial])
+                assert_close(batch.y[trial], loop.y[trial])
 
 
 class TestControlled:
