@@ -125,7 +125,7 @@ def _load_or_default_path(config, drift):
     horizon = config.grid["horizon"]
     dt = horizon / (n - 1)
     t = dt * np.arange(n)
-    x0 = np.atleast_1d(config.model["x0"])[0]
+    x0 = config.model["x0"]
     s1 = float(drift.sigma1_bar(np.reshape(x0, (1, 1)))[0, 0, 0])
     return GridPath(0.0, dt, x0 + s1 * t**3 / 3.0)
 
@@ -287,7 +287,7 @@ def cmd_mc(args):
             sigma_bar = None
             if rough_noise_only(spec0) and reads(spec0.sigma1, "y"):
                 _, mu, psol, drift = _measure_and_drift(config)
-                sigma_bar = float(drift.sigma1_bar(spec0.x0[None])[0, 0, 0])
+                sigma_bar = float(drift.sigma1_bar(np.reshape(spec0.x0, (1, 1)))[0, 0, 0])
             pred = linear_case_prediction(
                 spec0, exp_cfg["threshold"], config.grid["horizon"], sigma_bar=sigma_bar
             )

@@ -5,10 +5,10 @@ section, each key, the parser of its value and its default, named once.
 Every section is optional except ``[model]``, whose keys are the fields of
 ``SlowFastSpec`` other than eps and eta:
 
-* ``[model]`` - dimensions, Hurst index, initial states, the regime
-  exponent ``beta`` (required when sigma1 depends on the fast state) and
-  the seven coefficients as ``name key=value ...`` of the built-ins in
-  ``fracrate.coefficients``;
+* ``[model]`` - Hurst index, the initial slow and fast states (one number
+  each), the regime exponent ``beta`` (required when sigma1 depends on the
+  fast state) and the seven coefficients as ``name key=value ...`` of the
+  built-ins in ``fracrate.coefficients``;
 * ``[grid]`` - output grid and substeps per output step (0 = automatic);
 * ``[schedule]`` - the eps list, and eta as ``auto`` (eps^1.5) or a list
   of the same length;
@@ -19,14 +19,16 @@ Every section is optional except ``[model]``, whose keys are the fields of
 * ``[tolerances]`` - the numerical tolerances of the cell problem, the
   effective Gram and the u2 feedback bins.
 
-Lists are comma- or space-separated.  A missing key takes its default; an
-unknown section or key, a value its parser rejects and any INI syntax
-error raise ``InvalidInputError``.
+Lists are comma- or space-separated, and every number, alone or in a
+list, must be finite.  A missing key takes its default; an unknown section
+or key, a value its parser rejects and any INI syntax error raise
+``InvalidInputError``.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 
 from . import coefficients
@@ -35,14 +37,33 @@ from .multiscale_sim import SlowFastSpec, schedule_checks
 from .poisson_cell import domain_halfwidth, effective_q, invariant_density_1d, solve_poisson_1d
 
 
+def _finite(parse):
+    """``parse``, then ``ValueError`` for a NaN or infinite value."""
+
+    def finite(text):
+        value = parse(text)
+        if not math.isfinite(value):
+            raise ValueError(f"need a finite number, got {text!r}")
+        return value
+
+    return finite
+
+
+_float = _finite(float)
+
+
 def float_list(text):
-    """The numbers of a comma- or space-separated list; ``ValueError``
+    """The finite numbers of a comma- or space-separated list; ``ValueError``
     names the first token that is not one."""
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return [_float(tok) for tok in text.replace(",", " ").split()]
 
 
 def _float_or_none(text):
-    return float(text) if text else None
+    return _float(text) if text else None
+
+
+def _auto_or_list(text):
+    return text if text == "auto" else float_list(text)
 
 
 def _at_least(parse, low, strict=False):
@@ -64,13 +85,9 @@ def _coefficient(role):
 # section -> key -> (parser, default text)
 _SCHEMA = {
     "model": {
-        "m": (int, "1"),  # slow dimension
-        "dy": (int, "1"),  # fast dimension
-        "k": (int, "1"),  # rough-noise dimension
-        "ell": (int, "1"),  # Brownian-noise dimension
-        "hurst": (float, "0.7"),
-        "x0": (float_list, "0.0"),
-        "y0": (float_list, "0.0"),
+        "hurst": (_float, "0.7"),
+        "x0": (_float, "0.0"),
+        "y0": (_float, "0.0"),
         "beta": (_float_or_none, ""),
         "b": (_coefficient("b"), "zero"),
         "c": (_coefficient("c"), "zero"),
@@ -80,30 +97,30 @@ _SCHEMA = {
         "g": (_coefficient("g"), "zero"),
         "tau": (_coefficient("tau"), "constant value=1.0"),
     },
-    "grid": {"n": (_at_least(int, 2), "201"), "horizon": (_at_least(float, 0.0, strict=True), "1.0"),
+    "grid": {"n": (_at_least(int, 2), "201"), "horizon": (_at_least(_float, 0.0, strict=True), "1.0"),
              "substeps": (_at_least(int, 0), "0")},
-    "schedule": {"eps": (float_list, "0.1, 0.05, 0.02, 0.01"), "eta": (str, "auto")},
+    "schedule": {"eps": (float_list, "0.1, 0.05, 0.02, 0.01"), "eta": (_auto_or_list, "auto")},
     "experiment": {
         "kind": (str, "none"),
         "trials": (int, "1000"),
         "seed": (int, "0"),
-        "threshold": (float, "1.0"),  # rare-event level
+        "threshold": (_float, "1.0"),  # rare-event level
         "h_kind": (str, "terminal_sq"),  # Laplace functional family and its parameters
-        "h_target": (float, "1.0"),
-        "h_rho": (float, "1.0"),
-        "h_cap": (float, "50.0"),
-        "h_height": (float, "10.0"),
-        "h_width": (float, "0.05"),
+        "h_target": (_float, "1.0"),
+        "h_rho": (_float, "1.0"),
+        "h_cap": (_float, "50.0"),
+        "h_height": (_float, "10.0"),
+        "h_width": (_at_least(_float, 0.0, strict=True), "0.05"),  # smooth_exceedance divides by it
         "method": (str, "explicit"),  # rate evaluator
         "hurst_list": (float_list, "0.6, 0.55, 0.52"),  # limit study
         "path_csv": (str, ""),  # input path of rate and limit-study; empty = built-in cubic
     },
-    "poisson": {"l": (float, "0"), "n": (int, "4097")},
+    "poisson": {"l": (_float, "0"), "n": (int, "4097")},
     "tolerances": {
-        "degeneracy_tol": (float, "1e-8"),  # smallest acceptable eigenvalue of the effective Gram
-        "centering_tol": (float, "1e-4"),  # |int b dmu| allowed before hard failure
-        "tail_mass_ratio": (float, "1e-8"),  # density at +-L relative to its max
-        "default_domain_sigmas": (float, "8.0"),  # automatic half-width in std devs
+        "degeneracy_tol": (_float, "1e-8"),  # smallest acceptable eigenvalue of the effective Gram
+        "centering_tol": (_float, "1e-4"),  # |int b dmu| allowed before hard failure
+        "tail_mass_ratio": (_float, "1e-8"),  # density at +-L relative to its max
+        "default_domain_sigmas": (_float, "8.0"),  # automatic half-width in std devs
         "u2_bins": (_at_least(int, 1), "64"),  # mu-quantile cells of the u2 feedback control
     },
 }
@@ -185,8 +202,8 @@ def load_config(path):
         if not parser.has_section("model"):
             raise InvalidInputError("config must contain a [model] section")
         values = _read_sections(parser)
-        eps_list, eta_text = values["schedule"]["eps"], values["schedule"]["eta"]
-        eta_list = [eps**1.5 for eps in eps_list] if eta_text == "auto" else float_list(eta_text)
+        eps_list, eta = values["schedule"]["eps"], values["schedule"]["eta"]
+        eta_list = [eps**1.5 for eps in eps_list] if eta == "auto" else eta
     except InvalidInputError:
         raise
     except (OSError, ValueError, OverflowError, configparser.Error) as exc:
@@ -271,7 +288,7 @@ def validate(config: ExperimentConfig):
                     "qqt_min_eigenvalue", status, f"min eigenvalue at x0 = {eq['min_eigenvalue']:.3g}"
                 )
             )
-        except InvalidInputError as exc:  # e.g. dimensions the averaging layer cannot handle
+        except InvalidInputError as exc:  # e.g. a coefficient the averaging layer cannot read
             checks.append(CheckResult("qqt_min_eigenvalue", "fail", f"invalid input: {exc}"))
         except FracrateError as exc:
             checks.append(CheckResult("qqt_min_eigenvalue", "warn", str(exc)))

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .coefficients import is_zero, reads
-from .errors import ExperimentFailure, InvalidInputError
+from .errors import DivergenceError, ExperimentFailure, InvalidInputError
 from .fbm_gen import rng_for, sample_increments
 from .multiscale_sim import SlowFastSpec, default_substeps, schedule_checks, simulate_chunks
 
@@ -64,12 +64,12 @@ class HFunctional:
 
 
 def rough_noise_only(spec: SlowFastSpec):
-    """True when the declared facts leave the scalar slow motion driven by
-    sigma1 dB^H alone: b, c, g and sigma2 are zero, sigma1 does not read x
-    and m = k = 1.  Then the closed form of ``linear_case_prediction``
-    applies, with the averaged sigma1 when sigma1 reads the fast state."""
+    """True when the declared facts leave the slow motion driven by
+    sigma1 dB^H alone: b, c, g and sigma2 are zero and sigma1 does not read
+    x.  Then the closed form of ``linear_case_prediction`` applies, with the
+    averaged sigma1 when sigma1 reads the fast state."""
     drifts_zero = all(is_zero(getattr(spec, role)) for role in ("b", "c", "g", "sigma2"))
-    return drifts_zero and not reads(spec.sigma1, "x") and spec.m == spec.k == 1
+    return drifts_zero and not reads(spec.sigma1, "x")
 
 
 def _engine(spec: SlowFastSpec):
@@ -89,14 +89,14 @@ def simulate_point(spec, n_grid, horizon, substeps, trials, seed, stream):
     n_fine`` of the ``trials`` trials of one schedule point, on ``n_grid``
     output points over [0, horizon] with ``substeps`` (0 or None:
     ``default_substeps``).  A chunk's noise is drawn and stepped when it is
-    asked for; trial t reads the stream (``stream``, t).  Only the noise
-    columns of coefficients not declared zero are drawn."""
+    asked for; trial t reads the stream (``stream``, t).  A noise is drawn
+    only when a coefficient not declared zero reads it."""
     sub = substeps or default_substeps(horizon / (n_grid - 1), spec.eta)
     n_fine = (n_grid - 1) * sub + 1
     size = max(1, _MAX_BATCH_POINTS // n_fine)
     chunks = [range(start, min(start + size, trials)) for start in range(0, trials, size)]
-    k = 0 if is_zero(spec.sigma1) else spec.k
-    ell = 0 if is_zero(spec.sigma2) and is_zero(spec.tau) else spec.ell
+    k = 0 if is_zero(spec.sigma1) else 1
+    ell = 0 if is_zero(spec.sigma2) and is_zero(spec.tau) else 1
     noises = (sample_increments(spec.hurst, n_fine, horizon, [(stream, t) for t in c], k, ell, seed) for c in chunks)
     yield from zip(chunks, simulate_chunks(spec, noises, horizon / (n_fine - 1), sub))
 
@@ -140,7 +140,7 @@ class MonteCarloPlan:
             for start in range(0, trials, _BLOCK_TRIALS):
                 z = rng.standard_normal(min(_BLOCK_TRIALS, trials - start))
                 z *= scale
-                z += spec.x0[0]
+                z += spec.x0
                 yield z, 0
         else:
             for _, batch in simulate_point(spec, self.n_grid, self.horizon, self.substeps, trials, self.seed, stream):
@@ -291,16 +291,23 @@ def linear_case_prediction(spec: SlowFastSpec, threshold, horizon=1.0, sigma_bar
     ``sigma_bar`` overrides the coefficient read off the system; pass the
     averaged coefficient when the rough diffusion depends on the fast state.
     Raises ``InvalidInputError`` unless ``rough_noise_only(spec)`` holds and
-    the coefficient is non-zero.
+    the coefficient is non-zero, and ``DivergenceError`` when the exponent
+    overflows.
     """
     if not rough_noise_only(spec):
-        raise InvalidInputError("the closed form needs b, c, g, sigma2 zero and sigma1 free of x, with m = k = 1")
+        raise InvalidInputError("the closed form needs b, c, g, sigma2 zero and sigma1 free of x")
     if sigma_bar is None:
         sigma_bar = _sigma1_at_start(spec)
     if sigma_bar == 0.0:
         raise InvalidInputError("the closed form needs a non-zero rough diffusion")
-    gap = max(threshold - float(spec.x0[0]), 0.0)
-    return gap**2 / (2.0 * sigma_bar**2 * horizon ** (2.0 * spec.hurst))
+    gap = max(threshold - spec.x0, 0.0)
+    try:
+        exponent = gap**2 / (2.0 * sigma_bar**2 * horizon ** (2.0 * spec.hurst))
+    except (OverflowError, ZeroDivisionError):
+        exponent = math.inf
+    if math.isinf(exponent):
+        raise DivergenceError(f"the closed-form exponent overflows at threshold {threshold!r}")
+    return exponent
 
 
 def stabilization_diagnostic(rows, key="neg_eps_log_p"):

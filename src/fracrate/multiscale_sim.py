@@ -18,26 +18,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cameron_martin import HurstContext, apply_KH_dot
-from .coefficients import affine, is_zero, reads
+from .coefficients import Coefficient, affine, is_zero, reads
 from .errors import InvalidInputError
 from .gridpath import GridPath, l2_norm
 
 
 @dataclass
 class SlowFastSpec:
-    """Coefficients, dimensions, Hurst index and scales of the system.
+    """Coefficients, Hurst index, initial states and scales of the system:
+    one slow state x driven by one fBm, one fast state y driven by one
+    Brownian motion.
 
     Coefficient callables follow the signatures b(y), c(x, y),
     sigma1(x, y), sigma2(x, y), f(y), g(x, y), tau(y) and must broadcast
-    over numpy arrays.  The simulator calls them on a batch of trials,
-    x of shape (B, m) and y of shape (B, dy); a result either carries the
-    trial axis first or has none and is shared by all trials.  Per trial,
-    scalar results are promoted to the declared dimensions (diagonal
-    promotion for matrices) and a 1-D result of size d becomes the diagonal
-    of a square d x d matrix.  The averaging layer (``poisson_cell``) calls
-    c, sigma1, sigma2 and g on a block of path nodes, x of shape (n, 1),
-    against the fast grid, y of shape (ny,), and reads one scalar per node
-    and grid point; it handles m = dy = 1 only.
+    over numpy arrays.  The simulator calls them on a batch of trials, x and
+    y of shape (B, 1); a result is (B, 1), or 0-d and shared by all trials
+    (see ``_evaluator``).  The averaging layer (``poisson_cell``) calls c,
+    sigma1, sigma2 and g on a block of path nodes, x of shape (n, 1),
+    against the fast grid, y of shape (ny,), and reads one number per node
+    and grid point.
 
     What a coefficient reads, whether it is zero and its affine form are
     declared facts (``coefficients.reads``, ``coefficients.is_zero``,
@@ -59,12 +58,8 @@ class SlowFastSpec:
     hurst: float
     eps: float
     eta: float
-    x0: np.ndarray
-    y0: np.ndarray
-    m: int = 1
-    dy: int = 1
-    k: int = 1
-    ell: int = 1
+    x0: float
+    y0: float
     beta: float | None = None
 
     def __post_init__(self):
@@ -72,10 +67,9 @@ class SlowFastSpec:
             raise InvalidInputError(f"need eps, eta > 0, got {self.eps}, {self.eta}")
         if not (0.5 < self.hurst < 1.0):
             raise InvalidInputError(f"Hurst index must lie in (1/2,1), got {self.hurst}")
-        self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
-        if self.x0.shape != (self.m,) or self.y0.shape != (self.dy,):
-            raise InvalidInputError("initial conditions do not match declared dimensions")
+        if np.ndim(self.x0) or np.ndim(self.y0):
+            raise InvalidInputError(f"x0 and y0 must be numbers, got {self.x0!r} and {self.y0!r}")
+        self.x0, self.y0 = float(self.x0), float(self.y0)
 
 
 @dataclass
@@ -121,28 +115,6 @@ class OccupationHistogram:
         return float(self.counts.sum())
 
 
-def _as_vec(val, d):
-    arr = np.asarray(val, dtype=float).reshape(-1)
-    if arr.size == d:
-        return arr
-    if arr.size == 1:
-        return np.full(d, arr[0])
-    raise InvalidInputError(f"coefficient returned size {arr.size}, expected {d}")
-
-
-def _as_mat(val, rows, cols):
-    arr = np.asarray(val, dtype=float)
-    if arr.shape == (rows, cols):
-        return arr
-    if arr.size == 1:
-        out = np.zeros((rows, cols))
-        np.fill_diagonal(out, float(arr.reshape(-1)[0]))
-        return out
-    if arr.ndim == 1 and rows == cols == arr.size:
-        return np.diag(arr)
-    raise InvalidInputError(f"coefficient returned shape {arr.shape}, expected ({rows},{cols})")
-
-
 def default_substeps(dt_out, eta, factor=10.0, cap=4096):
     """Fast-grid refinement so dt_fast resolves the eta time scale."""
     sub = max(1, math.ceil(factor * dt_out / eta))
@@ -179,13 +151,11 @@ def schedule_checks(schedule, beta=None, fast_sigma1=False):
 # six arrays of that many rows.
 _PROBE_ROWS = 1 << 14
 _TAKES_X = ("c", "sigma1", "sigma2", "g")
-_SHAPES = {"b": ("m",), "c": ("m",), "f": ("dy",), "g": ("dy",),
-           "sigma1": ("m", "k"), "sigma2": ("m", "ell"), "tau": ("dy", "ell")}
 
 
 @dataclass
 class BatchPaths:
-    """Slow paths ``x`` (B, n_out, m) and fast paths ``y`` (B, n_out, dy) of
+    """Slow paths ``x`` (B, n_out, 1) and fast paths ``y`` (B, n_out, 1) of
     a batch of trials, output step ``dt`` of ``substeps`` fine steps.
     ``first_bad_time`` is each trial's first output time with a non-finite
     state (its rows are NaN from there on), NaN if none."""
@@ -205,111 +175,76 @@ class BatchPaths:
         return GridPath(0.0, self.dt, self.x[trial]), GridPath(0.0, self.dt, self.y[trial])
 
 
-def _matvec(s, v):
-    return (s @ v[..., None])[..., 0]
+def _evaluator(spec, role):
+    """Evaluate one coefficient on a batch of states x, y of shape (B, 1),
+    ``(x, y) -> value``: (B, 1), or 0-d when shared by every trial.
 
-
-def _promoter(spec, role, rows, cols=None):
-    """Evaluate one coefficient on a batch, ``(x, y) -> value``, at batch
-    shape: (B, rows) for a vector, a (B, 1) factor for a 1 x 1 matrix,
-    (B, rows, cols) otherwise.  Returns the evaluator and, for a matrix,
-    its mat-vec (None for a vector).
-
-    A coefficient declared zero has neither: its evaluator is None, and its
-    terms are dropped from the step.  Any other is fixed once per run by
-    probes at the initial state on batches of 1 and 2 trials: a result whose
-    leading axis follows the batch is per trial, any other is shared by all
-    trials.  Per trial, the rules of ``_as_vec`` and ``_as_mat`` apply.
+    A coefficient declared zero has none (None): its terms are dropped from
+    the step.  A ``Coefficient`` broadcasts over the batch and is called as
+    it is.  A bare callable's result is read per call: 0-d is shared by
+    every trial, any other result is reshaped to (B, 1).
     """
     fn = getattr(spec, role)
     if is_zero(fn):
-        return None, None
+        return None
     call = fn if role in _TAKES_X else lambda x, y: fn(y)  # noqa: E731
-    raw = [call(*(np.repeat(v[None, :], size, axis=0) for v in (spec.x0, spec.y0))) for size in (1, 2)]
-    one, two = (np.asarray(r, dtype=float) for r in raw)
-    if one.shape == two.shape:
-        lead, val = (), one
-    elif one.shape[:1] == (1,) and two.shape == (2,) + one.shape[1:]:
-        lead, val = (-1,), one[0]
-    else:
-        raise InvalidInputError(f"coefficient {role} returned shapes {one.shape} and {two.shape} for 1 and 2 trials")
-    _as_vec(val, rows) if cols is None else _as_mat(val, rows, cols)  # raises on a bad shape
-    shape = (rows, cols) if val.shape == (rows, cols) and rows * cols > 1 else (val.size,)
-    shared_scalar = val.shape == lead == ()  # a 0-d value, the same for every trial
-    if (val.shape == shape or shared_scalar) and all(isinstance(r, (np.ndarray, np.generic, float)) for r in raw):
-        evaluate = call  # already broadcasts
-    else:
-        evaluate = lambda x, y: np.reshape(call(x, y), lead + shape)  # noqa: E731
-    if cols is None:
-        return evaluate, None
-    if rows == cols == 1:
-        return evaluate, np.multiply
-    if len(shape) == 2:
-        return evaluate, _matvec
-    idx = np.arange(min(rows, cols))
+    if isinstance(fn, Coefficient):
+        return call
 
-    def to_diagonal(x, y):
-        v = evaluate(x, y)
-        out = np.zeros(v.shape[:-1] + (rows, cols))
-        out[..., idx, idx] = v
-        return out
+    def evaluate(x, y):
+        val = np.asarray(call(x, y), dtype=float)
+        if val.ndim and val.size != len(y):
+            raise InvalidInputError(f"coefficient {role} returned shape {val.shape} for {len(y)} trials")
+        return val.reshape(-1, 1) if val.ndim else val
 
-    return to_diagonal, _matvec
+    return evaluate
 
 
-def _fast_jacobian_norm(spec, eval_f, y):
-    """Largest spectral norm of the fast-drift Jacobian over the rows of y."""
-
-    def column(e):
-        return np.broadcast_to(eval_f(None, y + e) - eval_f(None, y - e), y.shape) / 2e-4
-
-    jac = np.stack([column(e) for e in 1e-4 * np.eye(spec.dy)], axis=-1)
-    if not np.all(np.isfinite(jac)):
-        return math.inf
-    norms = np.abs(jac[:, 0, 0]) if spec.dy == 1 else np.linalg.norm(jac, 2, axis=(-2, -1))
-    return float(np.max(norms))
+def _fast_jacobian_norm(eval_f, y):
+    """Largest |f'| over the rows of y (n, 1), by central differences."""
+    jac = np.broadcast_to(eval_f(None, y + 1e-4) - eval_f(None, y - 1e-4), y.shape) / 2e-4
+    return float(np.max(np.abs(jac))) if np.all(np.isfinite(jac)) else math.inf
 
 
 def _interp_to_fine(path: GridPath, t_fine):
-    cols = [np.interp(t_fine, path.times(), path.component(j)) for j in range(path.dim)]
-    return np.column_stack(cols)
+    return np.interp(t_fine, path.times(), path.scalar())[:, None]
 
 
 def _check_chunk(spec, noise, substeps, n_steps):
     """The number of fine steps of a chunk [dB, dW].  Raises
     ``InvalidInputError`` unless dB and dW share (fine step, trial),
     ``substeps`` divides the fine steps, which equal ``n_steps`` (None: any),
-    and dB has k columns and dW ell, or 0 where no coefficient reads them."""
+    and dB and dW have 1 column each, or 0 where no coefficient reads them."""
     db, dw = (np.shape(inc) for inc in noise)
     if len(db) != 3 or len(dw) != 3 or db[:2] != dw[:2]:
         raise InvalidInputError(f"noise increments of shapes {db} and {dw} differ in (fine step, trial)")
     if substeps < 1 or db[0] % substeps or n_steps not in (None, db[0]):
         raise InvalidInputError(f"chunk of {db[0]} fine steps: need a multiple of substeps={substeps}, the same in every chunk")
     b_unread, w_unread = is_zero(spec.sigma1), is_zero(spec.sigma2) and is_zero(spec.tau)
-    if db[2] not in (spec.k, 0 if b_unread else spec.k) or dw[2] not in (spec.ell, 0 if w_unread else spec.ell):
-        raise InvalidInputError(f"noise columns {db[2]}, {dw[2]} != k={spec.k}, ell={spec.ell}")
+    if db[2] not in (1, 0 if b_unread else 1) or dw[2] not in (1, 0 if w_unread else 1):
+        raise InvalidInputError(f"noise columns {db[2]}, {dw[2]}: need 1 each, or 0 where no coefficient reads it")
     return db[0]
 
 
 def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPair | None = None):
     """Euler paths under the control pair ``ctrl`` (None: uncontrolled),
     one ``BatchPaths`` on every ``substeps``-th fine step per chunk of
-    ``chunks``: a list [dB, dW] of increments (fine step, trial, k) and
-    (fine step, trial, ell) over fine steps of length dt, as
-    ``fbm_gen.sample_increments`` draws it, checked by ``_check_chunk``,
-    then taken out of the list and scaled in place.  v1 shifts the fBm by
-    its lifted derivative, u2dot the Brownian motion on both sides.  A
-    trial's path depends neither on the other trials nor on the chunking;
-    one that leaves the finite range is marked in ``first_bad_time``.
-    Warns once over all chunks if the fast Euler step looks unstable.
+    ``chunks``: a list [dB, dW] of increments (fine step, trial, 1) over
+    fine steps of length dt, as ``fbm_gen.sample_increments`` draws it,
+    checked by ``_check_chunk``, then taken out of the list and scaled in
+    place.  v1 shifts the fBm by its lifted derivative, u2dot the Brownian
+    motion on both sides.  A trial's path depends neither on the other
+    trials nor on the chunking; one that leaves the finite range is marked
+    in ``first_bad_time``.  Warns once over all chunks if the fast Euler
+    step looks unstable.
 
-    A system that ``_affine_route`` accepts (m = dy = 1, noise roles free
-    of the state, every drift role that reads the state declared affine)
-    is stepped by block superposition (``_affine_paths``), which agrees
-    with the Euler loop within 1e-12 of each path's sup norm in the tests; its
-    trials with a non-finite recorded state, and every other system, go
-    through the loop, whose paths are bit for bit a scalar Euler loop."""
-    promote = {role: _promoter(spec, role, *(getattr(spec, d) for d in dims)) for role, dims in _SHAPES.items()}
+    A system that ``_affine_route`` accepts (noise roles free of the state,
+    every drift role that reads the state declared affine) is stepped by
+    block superposition (``_affine_paths``), which agrees with the Euler
+    loop within 1e-12 of each path's sup norm in the tests; its trials with
+    a non-finite recorded state, and every other system, go through the
+    loop, whose paths are bit for bit a scalar Euler loop."""
+    evaluators = {role: _evaluator(spec, role) for roles in _SIDES for role in roles}
     route = _affine_route(spec, dt)
     controls, warned, n_steps = None, False, None
     for noise in chunks:
@@ -318,15 +253,11 @@ def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPai
             t_fine = dt * np.arange(n_steps + 1)
             controls = [None, None]
             if ctrl is not None and ctrl.v1 is not None:
-                if ctrl.v1.dim != spec.k:
-                    raise InvalidInputError(f"v1 dimension {ctrl.v1.dim} != k={spec.k}")
                 ctx = HurstContext(spec.hurst, ctrl.v1.n, ctrl.v1.dt)
                 controls[0] = _interp_to_fine(apply_KH_dot(ctrl.v1, ctx), t_fine)
             if ctrl is not None and ctrl.u2dot is not None:
-                if ctrl.u2dot.dim != spec.ell:
-                    raise InvalidInputError(f"u2dot dimension {ctrl.u2dot.dim} != ell={spec.ell}")
                 controls[1] = _interp_to_fine(ctrl.u2dot, t_fine)
-        (xs, ys, bad), warned = _euler_chunk(spec, noise, dt, substeps, promote, controls, warned, route)
+        (xs, ys, bad), warned = _euler_chunk(spec, noise, dt, substeps, evaluators, controls, warned, route)
         yield BatchPaths(x=xs, y=ys, dt=dt * substeps, first_bad_time=bad, substeps=substeps)
 
 
@@ -344,8 +275,8 @@ def _forcing(spec, dt, noise, controls, role):
         sigma1: sqrt(eps) dB + u1dot dt        sigma2: sqrt(eps) dW + u2dot dt
         tau: dW/sqrt(eta) + u2dot dt/sqrt(eps eta)
 
-    A drift role's F is a scalar; a noise role's is a (fine step, trial,
-    column) stack that the caller may overwrite.  The last role to read an
+    A drift role's F is a scalar; a noise role's is a (fine step, trial, 1)
+    stack that the caller may overwrite.  The last role to read an
     increment stack takes it out of ``noise`` and scales it in place; tau,
     formed first (``_SIDES``), copies dW unless sigma2 is declared zero."""
     eps, eta = spec.eps, spec.eta
@@ -367,53 +298,51 @@ def _forcing(spec, dt, noise, controls, role):
     return inc
 
 
-def _terms(spec, promote, roles, dt, noise, controls, x, y):
+def _terms(spec, evaluators, roles, dt, noise, controls, x, y):
     """The terms of one side of the step for a chunk with increments
     ``noise`` whose trials start at (x, y), in ``roles`` order: ``(evaluate,
-    mul, F, stacked)`` is the term mul(evaluate(x, y), F[i] if stacked else
-    F) at fine step i.  A role declared zero has no term.  A coefficient
-    that reads no state is evaluated here, once, and its term formed for all
-    fine steps, in place on F where the shapes allow (``evaluate`` None, F
-    the term); the terms before the first that reads the state are summed."""
+    F, stacked)`` is the term evaluate(x, y) * (F[i] if stacked else F) at
+    fine step i.  A role declared zero has no term.  A coefficient that
+    reads no state is evaluated here, once, and its term formed for all
+    fine steps, in place on F where it is a stack (``evaluate`` None, F the
+    term); the terms before the first that reads the state are summed."""
     terms = []
     for role in roles:
-        evaluate, mul = promote[role]
+        evaluate = evaluators[role]
         if evaluate is None:
             continue
-        mul, force, fn = mul or np.multiply, _forcing(spec, dt, noise, controls, role), getattr(spec, role)
+        force, fn = _forcing(spec, dt, noise, controls, role), getattr(spec, role)
         stacked = np.ndim(force) > 0
         if reads(fn, "x") or reads(fn, "y"):
-            terms.append((evaluate, mul, force, stacked))
+            terms.append((evaluate, force, stacked))
             continue
         value = evaluate(x, y)
-        term = np.multiply(value, force, out=force) if stacked and mul is np.multiply else mul(value, force)
+        term = np.multiply(value, force, out=force) if stacked else np.multiply(value, force)
         if len(terms) == 1 and terms[0][0] is None:  # noise roles come first: a stacked prefix sums in place
-            base, stacked = terms.pop()[2:]
+            base, stacked = terms.pop()[1:]
             term = np.add(base, term, out=base) if stacked else base + term
-        terms.append((None, None, term, stacked))
+        terms.append((None, term, stacked))
     return terms
 
 
 def _advance(s, terms, i, x, y):
     """The state s after fine step i: s plus the sum of the terms, in order."""
     ds = None
-    for evaluate, mul, force, stacked in terms:
+    for evaluate, force, stacked in terms:
         f = force[i] if stacked else force
-        t = f if evaluate is None else mul(evaluate(x, y), f)
+        t = f if evaluate is None else np.multiply(evaluate(x, y), f)
         ds = t if ds is None else ds + t
     return s if ds is None else s + ds
 
 
 def _affine_route(spec, dt):
     """The Euler step z -> A z + a + b_i of z = (x, y) as (A, a), or None
-    when the loop must step the system.  It needs m = dy = 1, noise roles
-    (sigma1, sigma2, tau) that read no state and a declared affine form
+    when the loop must step the system.  It needs noise roles (sigma1,
+    sigma2, tau) that read no state and a declared affine form
     (``coefficients.affine``) for every drift role that reads the state.
     Each such role adds its slopes times its scalar forcing to its side's
     row of A, which starts as the identity, and its constant times the
     forcing to a; b_i are the state-free terms of fine step i (``_terms``)."""
-    if spec.m != 1 or spec.dy != 1:
-        return None
     mat, const = np.eye(2), np.zeros(2)
     for row, roles in ((1, _SIDES[0]), (0, _SIDES[1])):
         for role in roles:
@@ -434,7 +363,7 @@ def _free_terms(terms, const):
     step, trial) stack, if it has one, then ``const`` plus the other
     state-free terms, a number or one per trial, if not zero."""
     stack, rest = [], const
-    for evaluate, _, term, stacked in terms:
+    for evaluate, term, stacked in terms:
         if evaluate is not None:
             continue
         if stacked:
@@ -521,8 +450,8 @@ def _affine_paths(route, x_terms, y_terms, z0, n_steps, substeps, batch):
 def _trials(terms, idx):
     """The terms of the trials ``idx`` of a chunk."""
     return [
-        (evaluate, mul, f[:, idx] if stacked else f[idx] if evaluate is None and np.ndim(f) == 2 else f, stacked)
-        for evaluate, mul, f, stacked in terms
+        (evaluate, f[:, idx] if stacked else f[idx] if evaluate is None and np.ndim(f) == 2 else f, stacked)
+        for evaluate, f, stacked in terms
     ]
 
 
@@ -531,14 +460,13 @@ def _loop(x_terms, y_terms, x, y, n_out, substeps, t_fine):
     the states at every ``substeps``-th fine step, NaN from a trial's first
     non-finite one, and the time of that one (NaN if none)."""
     batch = len(x)
-    xs = np.full((batch, n_out, x.shape[1]), np.nan)
-    ys = np.full((batch, n_out, y.shape[1]), np.nan)
+    xs, ys = np.full((batch, n_out, 1), np.nan), np.full((batch, n_out, 1), np.nan)
     bad = np.full(batch, np.nan)
     alive = np.ones(batch, dtype=bool)
     for j in range(n_out):
         for i in range(max(j - 1, 0) * substeps, j * substeps):
             x, y = _advance(x, x_terms, i, x, y), _advance(y, y_terms, i, x, y)
-        finite = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+        finite = np.isfinite(x[:, 0]) & np.isfinite(y[:, 0])
         bad[alive & ~finite] = t_fine[j * substeps]
         alive &= finite
         xs[:, j] = np.where(alive[:, None], x, np.nan)
@@ -548,7 +476,7 @@ def _loop(x_terms, y_terms, x, y, n_out, substeps, t_fine):
     return xs, ys, bad
 
 
-def _euler_chunk(spec, noise, dtf, substeps, promote, controls, warned, route):
+def _euler_chunk(spec, noise, dtf, substeps, evaluators, controls, warned, route):
     """Left-point Euler steps of one chunk with increments ``noise`` =
     [dB, dW] over fine steps of length dtf, trials on the leading axis:
     by ``_affine_paths`` when ``route`` (``_affine_route``) is not None,
@@ -561,29 +489,28 @@ def _euler_chunk(spec, noise, dtf, substeps, promote, controls, warned, route):
     whose Jacobian is then zero."""
     n_steps, batch = noise[0].shape[:2]
     t_fine, n_out = dtf * np.arange(n_steps + 1), n_steps // substeps + 1
-    x = np.repeat(spec.x0[None, :], batch, axis=0)
-    y = np.repeat(spec.y0[None, :], batch, axis=0)
+    x, y = np.full((batch, 1), spec.x0), np.full((batch, 1), spec.y0)
     # The fast side first: the stack freed by summing the slow noise terms
     # stays resident in the heap; freed last, it adds nothing to the peak.
-    y_terms, x_terms = (_terms(spec, promote, roles, dtf, noise, controls, x, y) for roles in _SIDES)
+    y_terms, x_terms = (_terms(spec, evaluators, roles, dtf, noise, controls, x, y) for roles in _SIDES)
 
     with np.errstate(over="ignore", invalid="ignore"):
         if route is None:
             xs, ys, bad = _loop(x_terms, y_terms, x, y, n_out, substeps, t_fine)
         else:
-            xs, ys = _affine_paths(route, x_terms, y_terms, (spec.x0[0], spec.y0[0]), n_steps, substeps, batch)
+            xs, ys = _affine_paths(route, x_terms, y_terms, (spec.x0, spec.y0), n_steps, substeps, batch)
             redo = np.flatnonzero(~(np.isfinite(xs).all(axis=(1, 2)) & np.isfinite(ys).all(axis=(1, 2))))
             bad = np.full(batch, np.nan)
             if len(redo):
                 terms = (_trials(t, redo) for t in (x_terms, y_terms))
                 xs[redo], ys[redo], bad[redo] = _loop(*terms, x[redo], y[redo], n_out, substeps, t_fine)
-        eval_f = promote["f"][0]
+        eval_f = evaluators["f"]
         if not warned and eval_f is not None and reads(spec.f, "y"):
             gnorm, nodes = 0.0, max(1, _PROBE_ROWS // batch)
             for j in range(0, n_out, nodes):
-                rows = ys[:, j : j + nodes].reshape(-1, spec.dy)
-                rows = rows[np.isfinite(rows).all(axis=1)]
-                gnorm = max(gnorm, _fast_jacobian_norm(spec, eval_f, rows) if len(rows) else 0.0)
+                rows = ys[:, j : j + nodes].reshape(-1, 1)
+                rows = rows[np.isfinite(rows[:, 0])]
+                gnorm = max(gnorm, _fast_jacobian_norm(eval_f, rows) if len(rows) else 0.0)
                 if spec.eta < 2.0 * dtf * gnorm:
                     break
             if gnorm > 0 and spec.eta < 2.0 * dtf * gnorm:

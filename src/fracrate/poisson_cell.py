@@ -4,8 +4,8 @@ solve, coefficient averaging, and the effective noise matrix.
 The one-dimensional generator (tau^2/2) d2/dy2 + f d/dy admits the
 closed-form stationary density rho ~ (1/tau^2) exp(int 2f/tau^2) and a
 double-quadrature Poisson solve; both are evaluated on a truncated grid
-whose tails are checked explicitly.  The averaging layer handles one slow
-and one fast dimension, which is all the rate-function machinery needs.
+whose tails are checked explicitly.  The fast state and the slow state it
+is averaged against are scalars.
 """
 from __future__ import annotations
 
@@ -76,9 +76,8 @@ class InvariantMeasure:
 class PoissonSolution:
     """Corrector and its gradient on the grid (or the analytic OU family).
 
-    ``psi`` and ``grad`` have shape (n, m) for an m-dimensional slow space
-    (one fast dimension).  The analytic flag marks the closed-form
-    Ornstein-Uhlenbeck branch with a spatially constant gradient.
+    ``psi`` and ``grad`` have shape (n, 1).  The analytic flag marks the
+    closed-form Ornstein-Uhlenbeck branch with a spatially constant gradient.
     """
 
     grid: np.ndarray
@@ -122,16 +121,9 @@ def invariant_density_1d(f, tau, L, n, tail_ratio=1e-8, norm_tol=1e-6):
     return InvariantMeasure(grid=y, density=rho, normalization=z)
 
 
-def _b_matrix(b, y):
-    """Slow-drift values as an (n, m) array regardless of scalar/vector b."""
-    bv = np.asarray(b(y), dtype=float)
-    if bv.ndim == 0:
-        bv = np.full(y.size, float(bv))
-    if bv.ndim == 1:
-        bv = bv[:, None]
-    if bv.shape[0] != y.size:
-        bv = bv.T
-    return bv
+def _b_column(b, y):
+    """Slow-drift values on the grid y as an (n, 1) column."""
+    return np.broadcast_to(np.asarray(b(y), dtype=float), y.shape)[:, None]
 
 
 def solve_poisson_1d(b, f, tau, mu: InvariantMeasure, centering_tol=1e-4):
@@ -145,7 +137,7 @@ def solve_poisson_1d(b, f, tau, mu: InvariantMeasure, centering_tol=1e-4):
     y = mu.grid
     rho = mu.density
     dy = mu.dy
-    bv = _b_matrix(b, y)
+    bv = _b_column(b, y)
     means = np.trapezoid(bv * rho[:, None], y, axis=0)
     if np.max(np.abs(means)) > centering_tol:
         raise CenteringError(f"drift is not centered: int b dmu = {means}", b_mean=means)
@@ -220,7 +212,7 @@ def generator_residual(psol: PoissonSolution, b, f, tau):
     d2 = np.gradient(d1, dy, axis=0, edge_order=2)
     tau2 = np.broadcast_to(np.asarray(tau(y), dtype=float), y.shape) ** 2
     drift = np.broadcast_to(np.asarray(f(y), dtype=float), y.shape)
-    res = 0.5 * tau2[:, None] * d2 + drift[:, None] * d1 + _b_matrix(b, y)
+    res = 0.5 * tau2[:, None] * d2 + drift[:, None] * d1 + _b_column(b, y)
     # central half of the domain: outside it the density tails make the
     # quadrature-over-density quotient meaningless
     interior = slice(y.size // 4, -(y.size // 4))
@@ -228,19 +220,8 @@ def generator_residual(psol: PoissonSolution, b, f, tau):
 
 
 def effective_noise(spec, psol: PoissonSolution, mu: InvariantMeasure):
-    """Scalar effective noise map q(xs, y) = grad-psi(y) tau(y) + sigma2(xs, y)
-    on the grid of ``mu``, in the calling convention of ``average_coeff``.
-
-    The (m x ell) map Q(y) is its diagonal promotion.  The averaging layer
-    handles one slow and one fast dimension only: this is its dimension
-    check, and it raises ``InvalidInputError`` otherwise.
-    """
-    if spec.m != 1 or spec.dy != 1:
-        # coefficients act elementwise, so they average over a 1-d fast grid
-        # only against a scalar slow state
-        raise InvalidInputError(
-            f"averaged coefficients need one slow and one fast dimension, got m={spec.m}, dy={spec.dy}"
-        )
+    """Effective noise map q(xs, y) = grad-psi(y) tau(y) + sigma2(xs, y)
+    on the grid of ``mu``, in the calling convention of ``average_coeff``."""
     qy = psol.grad[:, 0] * spec.tau(mu.grid)
     return lambda xs, y: qy + spec.sigma2(xs, y)
 
@@ -249,18 +230,18 @@ def effective_q(spec, psol: PoissonSolution, mu: InvariantMeasure, x, degeneracy
     """Effective noise map Q(y) = grad-psi(y) tau(y) + sigma2(x, y) at one
     slow state x and its Gram averaged against the invariant measure.
 
-    Returns a dict with ``q``, Q on the grid (ny, m, ell), the averaged Gram
-    ``qqt_bar`` (m x m), its minimum eigenvalue and a degeneracy flag.
+    Returns a dict with ``q``, Q on the grid (ny, 1, 1), the averaged Gram
+    ``qqt_bar`` (1, 1), its minimum eigenvalue and a degeneracy flag.
     Degeneracy is a flag rather than an error: degenerate systems are
     simply outside the general evaluator's domain.
     """
     q = effective_noise(spec, psol, mu)
     xs = np.reshape(np.asarray(x, dtype=float), (1, 1))
     qv = np.broadcast_to(q(xs, mu.grid), (1, mu.grid.size))[0]
-    qqt_bar = average_coeff(lambda x_, y: q(x_, y) ** 2, mu, xs)[0, :, None]  # (m, m), m = 1
+    qqt_bar = average_coeff(lambda x_, y: q(x_, y) ** 2, mu, xs)[0, :, None]
     eigs = np.linalg.eigvalsh(qqt_bar)
     return {
-        "q": qv[:, None, None] * np.eye(1, spec.ell),
+        "q": qv[:, None, None],
         "qqt_bar": qqt_bar,
         "min_eigenvalue": float(eigs[0]),
         "degenerate": bool(eigs[0] <= degeneracy_tol),

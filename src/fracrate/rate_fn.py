@@ -50,20 +50,17 @@ _CONDITION_LIMIT = 1e8
 class LimitDrift:
     """Averaged coefficient set entering the limiting dynamics.
 
-    Every callable takes a path of slow states xs (n, m), a single state
-    being the one-node path (1, m), and returns the averages at its nodes
+    Every callable takes a path of slow states xs (n, 1), a single state
+    being the one-node path (1, 1), and returns the averages at its nodes
     with the nodes on the leading axis: ``cbar`` and ``grad_psi_g_bar`` the
-    drift pieces (n, m), ``sigma1_bar`` the naively averaged rough diffusion
-    (n, m, k), ``sigma1_sq_bar`` the averaged squared coefficient (n, m, m),
-    ``qqt_bar`` the effective Brownian Gram (n, m, m).  ``q_bins`` carries
+    drift pieces (n, 1), ``sigma1_bar`` the naively averaged rough diffusion
+    (n, 1, 1), ``sigma1_sq_bar`` the averaged squared coefficient (n, 1, 1),
+    ``qqt_bar`` the effective Brownian Gram (n, 1, 1).  ``q_bins`` carries
     the effective noise map averaged on equal-mass cells of the measure for
-    feedback-control representations, (n, nbins, m, ell), with the cell
+    feedback-control representations, (n, nbins, 1, 1), with the cell
     masses ``bin_mass`` and centres ``bin_centers``.
     """
 
-    m: int
-    k: int
-    ell: int
     cbar: object
     grad_psi_g_bar: object
     sigma1_bar: object
@@ -79,11 +76,9 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
     measure and bin the effective noise map on measure quantiles.
 
     The corrector ``grad_psi_g_bar`` of a g declared zero is zero and is
-    not averaged.  Raises ``InvalidInputError`` unless m = dy = 1 (see
-    ``effective_noise``).
+    not averaged.
     """
     q = effective_noise(spec, psol, mu)
-    m, k, ell = spec.m, spec.k, spec.ell
     y = mu.grid
     edges = mu.quantile_edges(nbins)
     # each grid point's cell, and its density quadrature weight normalized
@@ -94,20 +89,17 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
     cells = (cell, weight / np.where(mass > 0, mass, 1.0)[cell])
     g1 = psol.grad[:, 0]
     if is_zero(spec.g):
-        grad_psi_g_bar = lambda xs: np.zeros((len(xs), m))  # noqa: E731
+        grad_psi_g_bar = lambda xs: np.zeros((len(xs), 1))  # noqa: E731
     else:
         grad_psi_g_bar = lambda xs: average_coeff(lambda x, yy: g1 * spec.g(x, yy), mu, xs)  # noqa: E731
 
     return LimitDrift(
-        m=m,
-        k=k,
-        ell=ell,
         cbar=lambda xs: average_coeff(spec.c, mu, xs),
         grad_psi_g_bar=grad_psi_g_bar,
-        sigma1_bar=lambda xs: average_coeff(spec.sigma1, mu, xs)[..., None] * np.eye(m, k),
+        sigma1_bar=lambda xs: average_coeff(spec.sigma1, mu, xs)[..., None],
         sigma1_sq_bar=lambda xs: average_coeff(lambda x, yy: spec.sigma1(x, yy) ** 2, mu, xs)[..., None],
         qqt_bar=lambda xs: average_coeff(lambda x, yy: q(x, yy) ** 2, mu, xs)[..., None],
-        q_bins=lambda xs: average_coeff(q, mu, xs, cells)[..., None, None] * np.eye(m, ell),
+        q_bins=lambda xs: average_coeff(q, mu, xs, cells)[..., None, None],
         bin_mass=mass / mass.sum(),
         bin_centers=0.5 * (edges[:-1] + edges[1:]),
     )
@@ -129,7 +121,7 @@ class RateEvalResult:
 
 
 def _forced_displacement(phi: GridPath, drift: LimitDrift, include_psi_g=True):
-    """phi-dot minus the homogenized drift, shape (n, m)."""
+    """phi-dot minus the homogenized drift, shape (n, 1)."""
     r = phi.derivative() - drift.cbar(phi.values)
     if include_psi_g:
         r = r - drift.grad_psi_g_bar(phi.values)
@@ -137,19 +129,14 @@ def _forced_displacement(phi: GridPath, drift: LimitDrift, include_psi_g=True):
 
 
 def _normalized_displacement(phi: GridPath, drift: LimitDrift, tol):
-    """psi = sigma1-bar^{-1} (phi-dot - cbar) along the path, shape (n, m),
-    after checking that sigma1-bar is square and nonsingular at every node."""
-    if drift.m != drift.k:
-        raise DegeneracyError(f"explicit form needs square sigma1-bar, got {drift.m}x{drift.k}")
+    """psi = (phi-dot - cbar) / sigma1-bar along the path, shape (n, 1),
+    after checking that |sigma1-bar| >= tol at every node."""
     r = _forced_displacement(phi, drift, include_psi_g=False)
-    s1 = drift.sigma1_bar(phi.values)
-    smin = np.linalg.svd(s1, compute_uv=False)[:, -1]
-    bad = np.flatnonzero(smin < tol)
+    s1 = drift.sigma1_bar(phi.values)[:, 0]
+    bad = np.flatnonzero(np.abs(s1[:, 0]) < tol)
     if bad.size:
-        raise DegeneracyError(
-            f"sigma1-bar singular along the path (min singular value {smin[bad[0]]:.3g} at node {bad[0]})"
-        )
-    return np.linalg.solve(s1, r[..., None])[..., 0]
+        raise DegeneracyError(f"sigma1-bar singular along the path ({s1[bad[0], 0]:.3g} at node {bad[0]})")
+    return r / s1
 
 
 def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
@@ -185,30 +172,28 @@ class DiscreteQH:
     """Grid matrix of the effective diffusivity operator.
 
     ``a_u1`` maps weighted-coordinate controls of the rough noise to
-    weighted-coordinate slow forcings ((n m) x (n k)); the Brownian part is
+    weighted-coordinate slow forcings (n x n); the Brownian part is
     pointwise in time and carried as the averaged Gram ``qqt`` at each node
-    (n, m, m).
+    (n,).
     """
 
     ctx: HurstContext
     a_u1: np.ndarray
     qqt: np.ndarray
     weights: np.ndarray
-    shape: tuple
 
     def gram(self):
-        """(n m) x (n m) Gram matrix: the rough-noise part plus the averaged
-        Brownian Gram on the diagonal blocks."""
-        n, m = self.shape
+        """n x n Gram matrix: the rough-noise part plus the averaged
+        Brownian Gram on the diagonal."""
         g = self.a_u1 @ self.a_u1.T
-        nodes = np.arange(n)
-        g.reshape(n, m, n, m)[nodes, :, nodes, :] += self.qqt
+        nodes = np.arange(len(g))
+        g[nodes, nodes] += self.qqt
         return g
 
     def operator_norm(self):
-        n, m = self.shape
         mat = self.gram()
-        v = np.ones(n * m) / np.sqrt(n * m)
+        n = len(mat)
+        v = np.ones(n) / np.sqrt(n)
         for _ in range(30):
             v = mat @ v
             v /= np.linalg.norm(v)
@@ -223,15 +208,12 @@ def assemble_QH(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     time through the averaged effective Gram.
     """
     ctx.check_grid(phi, "assemble_QH")
-    n, m, k = phi.n, drift.m, drift.k
-    w = trapezoid_weights(n, phi.dt)
+    w = trapezoid_weights(phi.n, phi.dt)
     sw = np.sqrt(w)
     kd = ctx.kdot_matrix()
-    s1 = drift.sigma1_bar(phi.values)
-    # A[(i,a),(j,c)] = sqrt(w_i) s1[i,a,c] kd[i,j] / sqrt(w_j)
-    a = np.einsum("iac,ij->iajc", s1, kd * (sw[:, None] / sw[None, :]))
-    a = a.reshape(n * m, n * k)
-    return DiscreteQH(ctx=ctx, a_u1=a, qqt=drift.qqt_bar(phi.values), weights=w, shape=(n, m))
+    # A[i, j] = sqrt(w_i) sigma1-bar_i kd[i, j] / sqrt(w_j)
+    a = drift.sigma1_bar(phi.values)[:, 0] * (kd * (sw[:, None] / sw[None, :]))
+    return DiscreteQH(ctx=ctx, a_u1=a, qqt=drift.qqt_bar(phi.values)[:, 0, 0], weights=w)
 
 
 def _condition_estimate(gram, chol):
@@ -258,15 +240,14 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     the minimizing pair (time control for the rough noise, feedback bins for
     the Brownian noise).
     """
-    n, m = phi.n, drift.m
     dq = assemble_QH(phi, drift, ctx)
     gram = dq.gram()
     r = _forced_displacement(phi, drift)
     sw = np.sqrt(dq.weights)
-    r_w = (r * sw[:, None]).reshape(n * m)
+    r_w = r[:, 0] * sw
     # the initial node is fixed by phi(0) = x0, not by its velocity, and the
     # lifted-derivative row vanishes there; solve on nodes 1..n-1
-    keep = slice(m, n * m)
+    keep = slice(1, phi.n)
     gram_k = gram[keep, keep]
     if not np.all(np.isfinite(gram_k)):
         raise DivergenceError("general rate: the effective diffusivity Gram overflowed")
@@ -286,14 +267,12 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
         )
     if not np.all(np.isfinite(r_w)):
         raise DivergenceError("general rate: the forced displacement overflowed")
-    w_sol = np.zeros(n * m)
+    w_sol = np.zeros(phi.n)
     w_sol[keep] = cho_solve(chol, r_w[keep])
     val = 0.5 * float(r_w[keep] @ w_sol[keep])
-    # minimizers: u1* = Kdot* Sigma1-bar^T w ; u2* = Q^T w (per bin)
-    u1_w = dq.a_u1.T @ w_sol
-    u1 = (u1_w.reshape(n, drift.k) / sw[:, None])
-    w_nat = (w_sol.reshape(n, m)) / sw[:, None]
-    u2 = np.einsum("ibme,im->ibe", drift.q_bins(phi.values), w_nat)
+    # minimizers: u1* = Kdot* sigma1-bar w ; u2* = Q w (per bin)
+    u1 = ((dq.a_u1.T @ w_sol) / sw)[:, None]
+    u2 = drift.q_bins(phi.values)[..., 0] * (w_sol / sw)[:, None, None]
     ctrl = ControlPair(v1=GridPath(0.0, phi.dt, u1))
     return RateEvalResult(
         value=val,
@@ -304,16 +283,15 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
 
 
 def _quadratic_form_rate(phi, r, mats, method):
-    """Half the weighted time integral of r^T mats^{-1} r, mats (n, m, m).
-    Raises ``DivergenceError`` when either input has overflowed."""
+    """Half the weighted time integral of r^2 / mats, r (n, 1) and mats
+    (n, 1, 1).  Raises ``DivergenceError`` when either input has overflowed."""
     if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(r))):
         raise DivergenceError(f"{method}: the effective matrix or the forced displacement overflowed")
-    eig_min = np.linalg.eigvalsh(mats)[:, 0]
-    bad = np.flatnonzero(eig_min <= 1e-12)
+    mats, r = mats[:, 0, 0], r[:, 0]
+    bad = np.flatnonzero(mats <= 1e-12)
     if bad.size:
         raise DegeneracyError(f"{method}: effective matrix degenerate at node {bad[0]}")
-    quad = np.einsum("ia,ia->i", r, np.linalg.solve(mats, r[..., None])[..., 0])
-    return 0.5 * float(trapezoid_weights(phi.n, phi.dt) @ quad)
+    return 0.5 * float(trapezoid_weights(phi.n, phi.dt) @ (r * (r / mats)))
 
 
 def eval_rate_fw_half(phi: GridPath, drift: LimitDrift):
@@ -328,8 +306,7 @@ def eval_rate_tilde_half(phi: GridPath, drift: LimitDrift):
     """Classical-form rate with the square of the naively averaged coefficient."""
     r = _forced_displacement(phi, drift, include_psi_g=False)
     s1 = drift.sigma1_bar(phi.values)
-    mats = s1 @ s1.transpose(0, 2, 1)
-    return RateEvalResult(value=_quadratic_form_rate(phi, r, mats, "tilde_half"), method="tilde_half")
+    return RateEvalResult(value=_quadratic_form_rate(phi, r, s1 * s1, "tilde_half"), method="tilde_half")
 
 
 def admissibility_check(phi: GridPath, drift: LimitDrift, exponent=1.05, factor=4.0, decade=10):
@@ -342,7 +319,7 @@ def admissibility_check(phi: GridPath, drift: LimitDrift, exponent=1.05, factor=
     """
     psi = _normalized_displacement(phi, drift, 1e-12)
     head = slice(1, min(decade, phi.n - 1) + 1)
-    ratios = np.linalg.norm(psi[head], axis=-1) / phi.times()[head] ** exponent
+    ratios = np.abs(psi[head, 0]) / phi.times()[head] ** exponent
     scale = max(ratios[-1], 1e-12 * ratios.max())
     ok = bool(ratios.max() <= factor * scale)
     return ok, ratios
@@ -387,7 +364,7 @@ def replay_minimizer(phi: GridPath, drift: LimitDrift, ctx: HurstContext, result
     """
     mini = result.minimizer
     v1, u2 = (mini.v1, None) if isinstance(mini, ControlPair) else (mini["v1"], mini["u2_feedback"])
-    u1dot = ctx.kdot_matrix() @ v1.values  # (n, k)
+    u1dot = ctx.kdot_matrix() @ v1.values  # (n, 1)
     controls = [lambda i, x: drift.sigma1_bar(x) @ u1dot[i]]
     if u2 is not None:
         controls.append(lambda i, x: np.einsum("ibme,be,b->im", drift.q_bins(x), u2[i], drift.bin_mass))
@@ -395,10 +372,10 @@ def replay_minimizer(phi: GridPath, drift: LimitDrift, ctx: HurstContext, result
 
 
 def averaged_euler(drift: LimitDrift, x0, n, dt, controls=()):
-    """Euler path (n, m) from x0, step dt, of the averaged drift cbar +
-    grad_psi_g_bar plus each ``control(i, x)`` at node i, x of shape (1, m)."""
-    x = np.reshape(np.array(x0, dtype=float), (1, drift.m))
-    out = np.empty((n, drift.m))
+    """Euler path (n, 1) from x0, step dt, of the averaged drift cbar +
+    grad_psi_g_bar plus each ``control(i, x)`` at node i, x of shape (1, 1)."""
+    x = np.reshape(np.array(x0, dtype=float), (1, 1))
+    out = np.empty((n, 1))
     out[0] = x[0]
     for i in range(n - 1):
         dx = drift.cbar(x) + drift.grad_psi_g_bar(x)

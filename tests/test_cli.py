@@ -154,7 +154,7 @@ class TestConfig:
         assert cfg.schedule[0][0] == 0.1
         spec = cfg.make_spec(0.1, 0.01)
         assert spec.hurst == 0.7
-        assert spec.x0[0] == 1.0
+        assert spec.x0 == 1.0
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = OU_HOMOG.replace("trials = 3", "trails = 3")
@@ -283,8 +283,8 @@ class TestCommands:
         [("y0 = 0.0", "dy = 2\ny0 = 0.0 0.0"), ("x0 = 1.0", "m = 2\nx0 = 1.0 1.0")],
     )
     def test_simulate_dimension_mismatch_is_invalid_input(self, tmp_path, capsys, edit):
-        # the homogenized reference averages over one fast dimension against
-        # a scalar slow state
+        # the system has one slow and one fast dimension: m and dy are
+        # unknown keys, and x0 and y0 are one number each
         cfg = write(tmp_path, "d.cfg", OU_HOMOG.replace(*edit))
         out = tmp_path / "o"
         rc = main(["simulate", "--config", cfg, "--out-dir", str(out)])
@@ -476,11 +476,65 @@ class TestCommands:
         assert out.stdout.strip() == "[]"
 
     def test_validate_reports_unsupported_dimension(self, tmp_path, capsys):
-        cfg = write(tmp_path, "m2.cfg", OU_HOMOG.replace("x0 = 1.0", "m = 2\nx0 = 1.0, 1.0"))
+        # reported as a failed qqt_min_eigenvalue check before the dimension
+        # keys went; now the config does not load
+        cfg = write(tmp_path, "m2.cfg", OU_HOMOG.replace("x0 = 1.0", "m = 2\nx0 = 1.0"))
         assert main(["validate", "--config", cfg]) == 2
         captured = capsys.readouterr()
-        assert "[fail] qqt_min_eigenvalue: invalid input:" in captured.out
-        assert "Traceback" not in captured.err
+        assert captured.err == "invalid input: unknown keys in [model]: ['m']\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["validate"], ["simulate"], ["mc", "rare-event"]],
+                             ids=["validate", "simulate", "mc_rare_event"])
+    @pytest.mark.parametrize("edit,named", [
+        (("[model]", "[model]\nm = 1"), "unknown keys in [model]: ['m']"),
+        (("[model]", "[model]\ndy = 1"), "unknown keys in [model]: ['dy']"),
+        (("[model]", "[model]\nk = 1"), "unknown keys in [model]: ['k']"),
+        (("[model]", "[model]\nell = 1"), "unknown keys in [model]: ['ell']"),
+        (("x0 = 0.0", "x0 = 1.0, 1.0"), "[model] x0: "),
+    ], ids=["m", "dy", "k", "ell", "x0_list"])
+    def test_dimension_keys_are_invalid_input(self, tmp_path, capsys, monkeypatch, command, edit, named):
+        monkeypatch.setenv("FRACRATE_OUT", str(tmp_path / "o"))
+        text = (CONFIGS / "rare_event_linear.cfg").read_text().replace("trials = 1000000", "trials = 1000")
+        assert edit[0] in text
+        assert main([*command, "--config", write(tmp_path, "dim.cfg", text.replace(*edit))]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid input: {named}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,edit,named", [
+        # wrote nan into estimate and std_error of every row and exited 0
+        (["mc", "laplace"], ("threshold = 0.309", "h_cap = nan"), "[experiment] h_cap"),
+        # divided by zero in the logistic and exited 0
+        (["mc", "laplace"], ("threshold = 0.309", "h_kind = smooth_exceedance\nh_width = 0"), "[experiment] h_width"),
+        (["mc", "laplace"], ("threshold = 0.309", "h_width = -0.1"), "[experiment] h_width"),
+        # exited 3, "too rare"
+        (["mc", "rare-event"], ("threshold = 0.309", "threshold = nan"), "[experiment] threshold"),
+        # exited 3, "all 2 trials aborted"
+        (["simulate", "--trials", "2"], ("x0 = 0.0", "x0 = nan"), "[model] x0"),
+        (["simulate", "--trials", "2"], ("y0 = 0.0", "y0 = inf"), "[model] y0"),
+        # failed scale_ratio, which --force overrides
+        (["simulate", "--trials", "2"], ("eps = 0.1, 0.05", "eps = 0.1, nan"), "[schedule] eps"),
+        (["mc", "rare-event"], ("eps = 0.1, 0.05", "eps = 0.1, nan"), "[schedule] eps"),
+        # named no key: "bad config ...: need a finite number"
+        (["simulate", "--trials", "2"], ("eta = auto", "eta = 0.03, 0.01, nan, 0.001"), "[schedule] eta"),
+    ], ids=["h_cap_nan", "h_width_zero", "h_width_negative", "threshold_nan", "x0_nan", "y0_inf", "eps_nan_simulate",
+            "eps_nan_mc", "eta_nan"])
+    def test_non_finite_setting_is_invalid_input(self, tmp_path, capsys, command, edit, named):
+        text = (CONFIGS / "rare_event_linear.cfg").read_text().replace("trials = 1000000", "trials = 1000")
+        assert edit[0] in text
+        cfg, out = write(tmp_path, "nf.cfg", text.replace(*edit)), tmp_path / "o"
+        assert main([*command, "--force", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid input: {named}: ")
+        assert not out.exists()
+
+    def test_rare_event_overflowing_prediction_is_numerical_failure(self, tmp_path, capsys):
+        # died with a bare OverflowError at (a - x0)**2: exit 1 and a traceback
+        text = (CONFIGS / "rare_event_linear.cfg").read_text().replace("threshold = 0.309", "threshold = 1e308")
+        cfg, out = write(tmp_path, "big.cfg", text), tmp_path / "o"
+        assert main(["mc", "rare-event", "--config", cfg, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: pilot run found 0/") and err.count("\n") == 1
+        assert not (out / "mc_rare-event.csv").exists()
 
     def test_limit_study_csv(self, tmp_path):
         cfg = write(tmp_path, "cos.cfg", COS_LIMIT)

@@ -9,7 +9,7 @@ from scipy.stats import norm
 from fracrate import coefficients as cf
 from fracrate import ldp_harness
 from fracrate.config import load_config
-from fracrate.errors import ExperimentFailure, InvalidInputError
+from fracrate.errors import DivergenceError, ExperimentFailure, InvalidInputError
 from fracrate.fbm_gen import rng_for, sample_increments
 from fracrate.ldp_harness import (
     _BLOCK_TRIALS,
@@ -189,6 +189,13 @@ class TestRareEvent:
         with pytest.raises(InvalidInputError, match="non-zero"):
             linear_case_prediction(ou_spec(), 0.2)
 
+    @pytest.mark.parametrize("threshold,sigma", [(1e308, 1.0), (1.0, 1e-200)])
+    def test_prediction_overflow_is_divergence(self, threshold, sigma):
+        # (a - x0)**2 raised a bare OverflowError, and sigma**2 = 0 a
+        # ZeroDivisionError
+        with pytest.raises(DivergenceError, match="overflows"):
+            linear_case_prediction(linear_spec(0.1, 0.1**1.5, sigma=sigma), threshold)
+
     def test_pilot_infeasible(self):
         with pytest.raises(ExperimentFailure):
             estimate_rare_event(MonteCarloPlan(linear_spec, SCHED, trials=10000, seed=1), 5.0)
@@ -252,7 +259,7 @@ class TestRareEvent:
         assert all(0 < vals.size <= _BLOCK_TRIALS and aborted == 0 for vals, aborted in blocks)
         assert len(blocks) == -(-trials // _BLOCK_TRIALS)
         scale = math.sqrt(spec.eps) * 1.3 * 1.5**spec.hurst
-        full = spec.x0[0] + scale * rng_for(seed, 3, stream).standard_normal(trials)
+        full = spec.x0 + scale * rng_for(seed, 3, stream).standard_normal(trials)
         got = np.concatenate([vals for vals, _ in blocks])
         assert np.array_equal(got.view(np.int64), full.view(np.int64))
         good = full[np.isfinite(full)]

@@ -20,9 +20,6 @@ from fracrate.multiscale_sim import (
     BatchPaths,
     ControlPair,
     SlowFastSpec,
-    _as_mat,
-    _as_vec,
-    _interp_to_fine,
     default_substeps,
     empirical_occupation,
     simulate_chunks,
@@ -38,10 +35,10 @@ Noise = namedtuple("Noise", "db dw dt")
 
 
 def make_noise(spec, n_out, horizon, sub, seed=0, stream=0):
-    """The increments of one trial on key ``stream``, with k and ell columns
-    and ``sub`` fine steps per output step."""
+    """The increments of one trial on key ``stream``, one column each, with
+    ``sub`` fine steps per output step."""
     n_fine = (n_out - 1) * sub + 1
-    db, dw = sample_increments(spec.hurst, n_fine, horizon, [stream], spec.k, spec.ell, seed)
+    db, dw = sample_increments(spec.hurst, n_fine, horizon, [stream], seed=seed)
     return Noise(db, dw, horizon / (n_fine - 1))
 
 
@@ -67,14 +64,20 @@ def joined(chunks):
 
 
 def fine_controls(spec, t_fine, ctrl):
-    """The controls (u1dot, u2dot) on the fine grid, None where absent."""
+    """The controls (u1dot, u2dot) on the fine grid as (n_fine, 1) columns,
+    None where absent."""
     u1dot_f = u2dot_f = None
     if ctrl is not None and ctrl.v1 is not None:
-        ctx = HurstContext(spec.hurst, ctrl.v1.n, ctrl.v1.dt)
-        u1dot_f = _interp_to_fine(apply_KH_dot(ctrl.v1, ctx), t_fine)
+        u1dot = apply_KH_dot(ctrl.v1, HurstContext(spec.hurst, ctrl.v1.n, ctrl.v1.dt))
+        u1dot_f = np.interp(t_fine, u1dot.times(), u1dot.scalar())[:, None]
     if ctrl is not None and ctrl.u2dot is not None:
-        u2dot_f = _interp_to_fine(ctrl.u2dot, t_fine)
+        u2dot_f = np.interp(t_fine, ctrl.u2dot.times(), ctrl.u2dot.scalar())[:, None]
     return u1dot_f, u2dot_f
+
+
+def one(value):
+    """A coefficient's value at one trial's state as a 1-vector."""
+    return np.reshape(np.asarray(value, dtype=float), 1)
 
 
 def forced(noise_term, u, i, u_scale):
@@ -83,19 +86,18 @@ def forced(noise_term, u, i, u_scale):
 
 
 def scalar_reference(spec, noise, substeps, ctrl=None):
-    """Euler loop over the one trial of ``noise`` with per-step shape
-    promotion, each side the state plus every coefficient times its
-    forcing, in a fixed role order: the oracle that ``simulate_chunks``
-    must match bit for bit."""
+    """Euler loop over the one trial of ``noise``, its states 1-vectors,
+    each side the state plus every coefficient times its forcing, in a
+    fixed role order: the oracle that ``simulate_chunks`` must match bit
+    for bit."""
     n_fine = len(noise.db) + 1
     dtf = noise.dt
     n_out = (n_fine - 1) // substeps + 1
     t_fine = dtf * np.arange(n_fine)
     u1, u2 = fine_controls(spec, t_fine, ctrl)
     eps, eta = spec.eps, spec.eta
-    m, dy, k, ell = spec.m, spec.dy, spec.k, spec.ell
-    x, y = spec.x0.copy(), spec.y0.copy()
-    xs, ys = np.empty((n_out, m)), np.empty((n_out, dy))
+    x, y = np.array([spec.x0]), np.array([spec.y0])
+    xs, ys = np.empty((n_out, 1)), np.empty((n_out, 1))
     xs[0], ys[0] = x, y
     db, dw = noise.db[:, 0], noise.dw[:, 0]
     out_idx = 1
@@ -103,10 +105,9 @@ def scalar_reference(spec, noise, substeps, ctrl=None):
         f1 = forced(math.sqrt(eps) * db[i], u1, i, dtf)
         f2 = forced(math.sqrt(eps) * dw[i], u2, i, dtf)
         ft = forced(1.0 / math.sqrt(eta) * dw[i], u2, i, dtf / math.sqrt(eps * eta))
-        dx = (_as_mat(spec.sigma1(x, y), m, k) @ f1 + _as_mat(spec.sigma2(x, y), m, ell) @ f2
-              + _as_vec(spec.b(y), m) * (math.sqrt(eps / eta) * dtf) + _as_vec(spec.c(x, y), m) * dtf)
-        dyv = (_as_mat(spec.tau(y), dy, ell) @ ft + _as_vec(spec.f(y), dy) * (dtf / eta)
-               + _as_vec(spec.g(x, y), dy) * (dtf / math.sqrt(eps * eta)))
+        dx = (one(spec.sigma1(x, y)) * f1 + one(spec.sigma2(x, y)) * f2
+              + one(spec.b(y)) * (math.sqrt(eps / eta) * dtf) + one(spec.c(x, y)) * dtf)
+        dyv = one(spec.tau(y)) * ft + one(spec.f(y)) * (dtf / eta) + one(spec.g(x, y)) * (dtf / math.sqrt(eps * eta))
         x = x + dx
         y = y + dyv
         if (i + 1) % substeps == 0:
@@ -127,27 +128,21 @@ def grouped_reference(spec, noise, substeps, ctrl=None):
     t_fine = dtf * np.arange(n_fine)
     u1dot_f, u2dot_f = fine_controls(spec, t_fine, ctrl)
     se, sh, seh = math.sqrt(spec.eps), math.sqrt(spec.eta), math.sqrt(spec.eps * spec.eta)
-    m, dy, k, ell = spec.m, spec.dy, spec.k, spec.ell
-    x, y = spec.x0.copy(), spec.y0.copy()
-    xs, ys = np.empty((n_out, m)), np.empty((n_out, dy))
+    x, y = np.array([spec.x0]), np.array([spec.y0])
+    xs, ys = np.empty((n_out, 1)), np.empty((n_out, 1))
     xs[0], ys[0] = x, y
     db, dw = noise.db[:, 0], noise.dw[:, 0]
     out_idx = 1
     for i in range(n_fine - 1):
-        bv = _as_vec(spec.b(y), m)
-        cv = _as_vec(spec.c(x, y), m)
-        s1 = _as_mat(spec.sigma1(x, y), m, k)
-        s2 = _as_mat(spec.sigma2(x, y), m, ell)
-        fv = _as_vec(spec.f(y), dy)
-        gv = _as_vec(spec.g(x, y), dy)
-        tv = _as_mat(spec.tau(y), dy, ell)
-        dx = (se / sh * bv + cv) * dtf + se * (s1 @ db[i] + s2 @ dw[i])
-        dyv = (fv / spec.eta + gv / seh) * dtf + (tv @ dw[i]) / sh
+        bv, cv, fv, gv = one(spec.b(y)), one(spec.c(x, y)), one(spec.f(y)), one(spec.g(x, y))
+        s1, s2, tv = one(spec.sigma1(x, y)), one(spec.sigma2(x, y)), one(spec.tau(y))
+        dx = (se / sh * bv + cv) * dtf + se * (s1 * db[i] + s2 * dw[i])
+        dyv = (fv / spec.eta + gv / seh) * dtf + (tv * dw[i]) / sh
         if u1dot_f is not None:
-            dx += s1 @ u1dot_f[i] * dtf
+            dx += s1 * u1dot_f[i] * dtf
         if u2dot_f is not None:
-            dx += s2 @ u2dot_f[i] * dtf
-            dyv += (tv @ u2dot_f[i]) / seh * dtf
+            dx += s2 * u2dot_f[i] * dtf
+            dyv += (tv * u2dot_f[i]) / seh * dtf
         x = x + dx
         y = y + dyv
         if (i + 1) % substeps == 0:
@@ -156,17 +151,6 @@ def grouped_reference(spec, noise, substeps, ctrl=None):
             xs[out_idx], ys[out_idx] = x, y
             out_idx += 1
     return xs, ys
-
-
-def matrix_spec(sigma1):
-    """m = k = ell = 2 with constant sigma2 and tau."""
-    return SlowFastSpec(
-        b=cf.build("b", "cos_y"), c=cf.build("c", "linear_xy", ax=-1.0),
-        sigma1=sigma1, sigma2=cf.build("sigma2", "constant", value=0.3),
-        f=cf.build("f", "ou"), g=cf.build("g", "cos_y", scale=0.2),
-        tau=cf.build("tau", "constant", value=SQRT2),
-        hurst=0.7, eps=0.1, eta=0.1, x0=[1.0, -1.0], y0=0.0, m=2, k=2, ell=2,
-    )
 
 
 def on_affine_route(spec, dt):
@@ -342,23 +326,15 @@ class TestBatched:
             xs, ys = run(spec, noise, 3).paths(0)
             assert np.array_equal(batch.x[trial], xs.values) and np.array_equal(batch.y[trial], ys.values)
 
-    def test_matrix_coefficients_match_scalar_reference(self):
-        # m = k = ell = 2: scalar and 1-d results promoted to diagonals
-        spec = matrix_spec(lambda x, y: 0.5 + 0.1 * x)
-        noises = [make_noise(spec, 21, 1.0, 3, seed=5, stream=trial) for trial in range(3)]
-        assert_matches_reference(spec, noises, 3)
-
-    @pytest.mark.parametrize("state_free_sigma1", [False, True])
-    def test_matrix_controls_match_scalar_reference(self, state_free_sigma1):
-        # the state-free diagonal sigma2 and tau, and sigma1 when constant,
-        # meet the noise and control stacks of all fine steps at once
-        sigma1 = cf.build("sigma1", "constant", value=0.5) if state_free_sigma1 else lambda x, y: 0.5 + 0.1 * x
-        spec = matrix_spec(sigma1)
-        t = np.linspace(0.0, 1.0, 21)
-        ctrl = ControlPair(v1=GridPath(0.0, 0.05, np.column_stack([np.sin(3 * t), t])),
-                           u2dot=GridPath(0.0, 0.05, np.column_stack([np.cos(2 * t), 1.0 - t])))
-        noises = [make_noise(spec, 21, 1.0, 3, seed=5, stream=trial) for trial in range(3)]
-        assert_matches_reference(spec, noises, 3, ctrl)
+    def test_bare_callable_of_another_shape_is_invalid_input(self):
+        # a bare callable returns one number for all trials or one per trial
+        spec = ou_spec(eps=0.1, eta=0.1)
+        spec.c = lambda x, y: np.hstack([x, y])
+        noises = [make_noise(spec, 11, 1.0, 1, stream=trial) for trial in range(2)]
+        with pytest.raises(InvalidInputError, match=re.escape("coefficient c returned shape (2, 2) for 2 trials")):
+            run(spec, stacked(noises), 1)
+        with pytest.raises(InvalidInputError, match="x0 and y0 must be numbers"):
+            ou_spec(x0=[1.0, -1.0])
 
     def test_controlled_matches_scalar_reference(self):
         spec = ou_spec(eps=0.1, eta=0.05, sigma1=("cos_y", {}), sigma2=("constant", {"value": 0.4}),
@@ -402,31 +378,6 @@ class TestBatched:
                 assert np.array_equal(other.y, results[0].y)
                 assert np.array_equal(other.first_bad_time, results[0].first_bad_time, equal_nan=True)
 
-    def test_shape_mismatch_raises_before_stepping(self):
-        # two fast dimensions make b(y) a 2-vector for a 1-d slow state
-        spec = SlowFastSpec(
-            b=cf.build("b", "cos_y"), c=cf.build("c", "zero"), sigma1=cf.build("sigma1", "zero"),
-            sigma2=cf.build("sigma2", "zero"), f=cf.build("f", "ou"), g=cf.build("g", "zero"),
-            tau=cf.build("tau", "constant", value=SQRT2), hurst=0.7, eps=0.1, eta=0.1,
-            x0=0.0, y0=[0.0, 0.0], dy=2,
-        )
-        noise = make_noise(spec, 11, 1.0, 1)
-        with pytest.raises(InvalidInputError, match="returned size 2, expected 1"):
-            run(spec, noise, 1)
-
-    def test_zero_drift_steps_at_any_dimension(self):
-        # a declared-zero b is valid whatever the fast dimension
-        spec = SlowFastSpec(
-            b=cf.build("b", "zero"), c=cf.build("c", "zero"), sigma1=cf.build("sigma1", "zero"),
-            sigma2=cf.build("sigma2", "zero"), f=cf.build("f", "ou"), g=cf.build("g", "zero"),
-            tau=cf.build("tau", "constant", value=SQRT2), hurst=0.7, eps=0.1, eta=0.1,
-            x0=0.5, y0=[0.0, 0.0], dy=2, ell=2,
-        )
-        batch = run(spec, make_noise(spec, 11, 1.0, 4), 4)
-        assert not batch.diverged.any()
-        assert np.all(batch.x == 0.5)
-        assert np.all(np.isfinite(batch.y)) and np.all(batch.y[0, 1:] != 0.0)
-
 
 class TestChunkChecks:
     def test_substeps_must_divide_the_fine_steps(self):
@@ -439,16 +390,16 @@ class TestChunkChecks:
             run(spec, make_noise(spec, 11, 1.0, 1), 0)
 
     def test_columns_must_match_the_dimensions(self):
-        # a two-column dB for k = 1 died with numpy's "could not broadcast"
-        spec = ou_spec(sigma1=("constant", {"value": 1.0}))
+        # a two-column dB died with numpy's "could not broadcast"
+        spec = ou_spec(eta=0.5, sigma1=("constant", {"value": 1.0}))
         noise = make_noise(spec, 11, 1.0, 1)
-        with pytest.raises(InvalidInputError, match="noise columns 2, 1 != k=1, ell=1"):
+        with pytest.raises(InvalidInputError, match="noise columns 2, 1: need 1 each"):
             run(spec, noise._replace(db=np.concatenate([noise.db, noise.db], axis=2)), 1)
         # no columns only for a noise that no coefficient reads
         with pytest.raises(InvalidInputError, match="noise columns 0, 1"):
             run(spec, noise._replace(db=noise.db[..., :0]), 1)
-        free = run(ou_spec(), noise._replace(db=noise.db[..., :0]), 1)
-        assert np.array_equal(free.y, run(ou_spec(), noise, 1).y)
+        free = run(ou_spec(eta=0.5), noise._replace(db=noise.db[..., :0]), 1)
+        assert np.array_equal(free.y, run(ou_spec(eta=0.5), noise, 1).y)
 
     def test_increments_share_steps_and_trials(self):
         spec = ou_spec(sigma1=("constant", {"value": 1.0}))
@@ -458,7 +409,7 @@ class TestChunkChecks:
                 run(spec, noise._replace(dw=dw), 1)
 
     def test_every_chunk_has_the_same_fine_steps(self):
-        spec = ou_spec(sigma1=("constant", {"value": 1.0}))
+        spec = ou_spec(eta=0.5, sigma1=("constant", {"value": 1.0}))
         long, short = make_noise(spec, 11, 1.0, 1), make_noise(spec, 6, 0.5, 1)
         chunks = simulate_chunks(spec, [list(long[:2]), list(short[:2])], long.dt, 1)
         assert next(chunks).x.shape == (1, 11, 1)
@@ -525,8 +476,8 @@ class TestComposedStep:
                 monkeypatch.setattr(ldp_harness, "_MAX_BATCH_POINTS", per_chunk * (10 * sub + 1))
                 calls.clear()
                 batch = joined(simulate_point(spec, 11, 1.0, sub, 3, 3, 0))
-                # two shape probes per run, then one evaluation per chunk
-                assert len(calls) == 2 + chunks
+                # one evaluation per chunk, and no probe
+                assert len(calls) == chunks
                 reference = joined(simulate_point(spec_builtin, 11, 1.0, sub, 3, 3, 0))
                 assert np.array_equal(batch.x, reference.x) and np.array_equal(batch.y, reference.y)
 
@@ -580,7 +531,8 @@ class TestComposedStep:
 
 class TestZeroTerms:
     def test_declared_zero_is_never_called(self):
-        spec = ou_spec(eps=0.1, eta=0.1, c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
+        # c is not affine, so the loop steps the system and calls c
+        spec = ou_spec(eps=0.1, eta=0.1, c=("cos_y", {}), x0=1.0)
         calls = {}
         for role in ("b", "c", "sigma1", "sigma2", "g"):
             coef, calls[role] = getattr(spec, role), 0

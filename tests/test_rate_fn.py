@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +7,9 @@ from scipy.special import gamma
 from fracrate import coefficients as cf
 from fracrate import poisson_cell, rate_fn
 from fracrate.cameron_martin import HurstContext, c_H
-from fracrate.errors import AdmissibilityError, DegeneracyError, InvalidInputError
+from fracrate.errors import AdmissibilityError, DegeneracyError
 from fracrate.gridpath import GridPath, trapezoid_weights
-from fracrate.multiscale_sim import _as_mat, _as_vec
-from fracrate.poisson_cell import effective_q, invariant_density_1d, solve_poisson_1d
+from fracrate.poisson_cell import invariant_density_1d, solve_poisson_1d
 from fracrate.rate_fn import (
     assemble_QH,
     build_limit_drift,
@@ -36,25 +34,17 @@ def admissible_phi(n, scale=1.0, x0=0.0, sigma_bar=COS_S1_BAR):
 
 
 def reference_drift(spec, psol, mu, nbins=64):
-    """Averaged coefficients one slow state x (m,) at a time: the per-state
-    closures the package used before it averaged along whole paths.
-
-    Two departures from that code: the effective Gram of the ell > 1 branch
-    is formed over the grid at once instead of point by point (the same
-    products and sum), and ``q_bins`` promotes tau(y) to its 1 x ell row by
-    the diagonal rule, as ``effective_q`` and the simulator do; the
-    per-state code repeated tau in every column, which made the minimizer
-    replay miss the path for ell > 1 (``test_minimizer_replay``).
-    """
-    m, k, ell = spec.m, spec.k, spec.ell
+    """Averaged coefficients one slow state x (1,) at a time: the per-state
+    closures the package used before it averaged along whole paths, with
+    their 1 x 1 matrices and their order of operations."""
     y = mu.grid
     rho = mu.density
     edges = mu.quantile_edges(nbins)
     bin_idx = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, nbins - 1)
     wq = trapezoid_weights(y.size, y[1] - y[0])
-    grad = psol.grad  # (ny, m)
+    grad = psol.grad  # (ny, 1)
     tau_vals = np.broadcast_to(np.asarray(spec.tau(y), dtype=float), y.shape)
-    tau_rows = tau_vals[:, None] * np.eye(1, ell)[0]
+    tau_rows = tau_vals[:, None]
 
     def average(fn, x):
         vals = np.asarray(fn(x, y), dtype=float)
@@ -65,7 +55,7 @@ def reference_drift(spec, psol, mu, nbins=64):
         return np.trapezoid(vals * rho.reshape((y.size,) + (1,) * (vals.ndim - 1)), y, axis=0)
 
     def cbar(x):
-        return _as_vec(average(spec.c, x), m)
+        return np.reshape(average(spec.c, x), 1)
 
     def grad_psi_g_bar(x):
         gv = np.asarray(spec.g(np.asarray(x), y), dtype=float)
@@ -74,26 +64,21 @@ def reference_drift(spec, psol, mu, nbins=64):
 
     def sigma1_bar(x):
         s1 = np.asarray(spec.sigma1(np.asarray(x), y), dtype=float)
-        return _as_mat(float(np.trapezoid(np.broadcast_to(np.atleast_1d(s1), (y.size,)) * rho, y)), m, k)
+        return np.full((1, 1), float(np.trapezoid(np.broadcast_to(np.atleast_1d(s1), (y.size,)) * rho, y)))
 
     def sigma1_sq_bar(x):
         s1 = np.broadcast_to(np.atleast_1d(np.asarray(spec.sigma1(np.asarray(x), y), dtype=float)), (y.size,))
-        out = np.zeros((m, m))
-        np.fill_diagonal(out, float(np.trapezoid(s1**2 * rho, y)))
-        return out
+        return np.full((1, 1), float(np.trapezoid(s1**2 * rho, y)))
 
     def qqt_bar(x):
         s2_vals = np.broadcast_to(np.asarray(spec.sigma2(x, y), dtype=float), y.shape)
-        if m == 1 and ell == 1:
-            qv = grad[:, 0] * tau_vals + s2_vals
-            return np.array([[float(np.trapezoid(qv**2 * rho, y))]])
-        q = grad[:, :, None] * tau_rows[:, None, :] + s2_vals[:, None, None] * np.eye(m, ell)
-        return np.trapezoid(np.einsum("iae,ibe->iab", q, q) * rho[:, None, None], y, axis=0)
+        qv = grad[:, 0] * tau_vals + s2_vals
+        return np.array([[float(np.trapezoid(qv**2 * rho, y))]])
 
     def q_bins(x):
         s2 = np.asarray(spec.sigma2(np.asarray(x), y), dtype=float)
         s2 = np.broadcast_to(np.atleast_1d(s2), (y.size,)) if s2.ndim <= 1 else s2
-        out = np.zeros((nbins, m, ell))
+        out = np.zeros((nbins, 1, 1))
         for bidx in range(nbins):
             sel = bin_idx == bidx
             wsel = wq[sel] * rho[sel]
@@ -102,8 +87,8 @@ def reference_drift(spec, psol, mu, nbins=64):
                 continue
             gavg = (wsel[:, None] * grad[sel]).sum(axis=0) / tot
             tavg = (wsel[:, None] * tau_rows[sel]).sum(axis=0) / tot
-            s2avg = _as_mat(float((wsel * s2[sel]).sum() / tot), m, ell)
-            out[bidx] = gavg[:, None] @ tavg[None, :] + s2avg
+            s2avg = float((wsel * s2[sel]).sum() / tot)
+            out[bidx] = gavg[:, None] * tavg[None, :] + s2avg
         return out
 
     return {
@@ -122,17 +107,6 @@ ORACLE_SPECS = {
     "cos_drift": cos_spec,
     "const_drift": const_spec,
     "ou_linear_xy": lambda: ou_spec(b=("linear_y", {"rate": 0.8}), sigma2=("linear_xy", XY)),
-    "k2_ell2": lambda: dataclasses.replace(
-        ou_spec(
-            b=("linear_y", {"rate": 0.8}),
-            c=("linear_xy", {"ax": -1.0, "ay": 1.0}),
-            g=("linear_xy", {"ax": 0.3, "ay": 0.7}),
-            sigma1=("linear_xy", {"ax": 0.2, "ay": 0.4, "const": 1.0}),
-            sigma2=("linear_xy", XY),
-        ),
-        k=2,
-        ell=2,
-    ),
     "x_constants": lambda: ou_spec(
         c=("constant", {"value": 0.4}),
         g=("constant", {"value": -0.7}),
@@ -202,15 +176,6 @@ class TestPathAveraging:
         # and x_constants oracle cases compare them with the per-state reference
         coef = cf.build(role, name, **({"value": 0.6} if name == "constant" else {}))
         assert np.shape(coef(oracle_path(), ou_measure.grid)) == ()
-
-    @pytest.mark.parametrize("dims", [{"m": 2, "x0": np.zeros(2)}, {"dy": 2, "y0": np.zeros(2)}])
-    def test_unsupported_dimensions_are_invalid_input(self, dims, ou_measure):
-        spec = dataclasses.replace(ou_spec(), **dims)
-        psol = solve_poisson_1d(spec.b, spec.f, spec.tau, ou_measure)
-        with pytest.raises(InvalidInputError, match="one slow and one fast dimension"):
-            build_limit_drift(spec, psol, ou_measure)
-        with pytest.raises(InvalidInputError, match="one slow and one fast dimension"):
-            effective_q(spec, psol, ou_measure, spec.x0)
 
 
 class TestExplicit:
@@ -371,12 +336,9 @@ class TestGeneral:
         replay = replay_minimizer(phi, cos_drift, ctx, res)
         assert np.max(np.abs(replay.values - phi.values)) < 5e-3
 
-    @pytest.mark.parametrize("ell", [1, 2])
-    def test_minimizer_replay_with_brownian_feedback(self, ell, ou_measure):
-        # the u2 feedback bins carry Q(y) with tau promoted like the Gram's
-        spec = dataclasses.replace(
-            ou_spec(b=("linear_y", {"rate": 0.8}), sigma1=("constant", {"value": 0.5})), ell=ell
-        )
+    def test_minimizer_replay_with_brownian_feedback(self, ou_measure):
+        # the u2 feedback bins carry the effective noise map Q(y)
+        spec = ou_spec(b=("linear_y", {"rate": 0.8}), sigma1=("constant", {"value": 0.5}))
         drift = limit_drift(spec, ou_measure)
         n = 256
         dt, t = grid_t(n)
