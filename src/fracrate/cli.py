@@ -139,7 +139,14 @@ def cmd_sample_fbm(args):
 
 def cmd_simulate(args):
     config = _validated_config(args)
-    trials = config.experiment["trials"] if getattr(args, "trials", None) is None else args.trials
+    trials = getattr(args, "trials", None)
+    if trials is None:
+        # another kind's trials count Monte Carlo samples, one trajectory file each here
+        if config.kind != "simulate":
+            raise InvalidInputError(
+                f"[experiment] trials is read only by kind = simulate, not {config.kind}; pass --trials"
+            )
+        trials = config.experiment["trials"]
     if trials < 1:
         raise InvalidInputError(f"need at least one trial, got {trials}")
     out_dir = _out_dir(args)

@@ -11,11 +11,14 @@ and the averaging layer across path nodes and grid points.
 it reads; ``zero`` is declared zero, and ``zero``, ``constant``,
 ``linear_y``, ``ou`` and ``linear_xy`` declare their affine form
 (slope in x, slope in y, constant), which lets the simulator step a
-system of such coefficients by superposition.  ``build`` rejects any other
-role or parameter name.  Config files can only reference these names;
-library users may pass any callable directly to ``SlowFastSpec``, where it
-counts as reading x and y, not zero and not affine, or a ``Coefficient``
-with declared facts.
+system of such coefficients by superposition and the averaging layer
+average their drift in closed form; ``cos_y`` and ``cubic_y`` declare
+their y-derivative, which with the affine slopes gives the simulator its
+fast-step stability bound without a difference probe.  ``build`` rejects
+any other role or parameter name.  Config files can only reference these
+names; library users may pass any callable directly to ``SlowFastSpec``,
+where it counts as reading x and y, not zero, not affine and with no
+declared derivative, or a ``Coefficient`` with declared facts.
 """
 from __future__ import annotations
 
@@ -29,17 +32,19 @@ from .errors import InvalidInputError
 class Coefficient:
     """Named coefficient with parameters and declared facts: ``reads``, the
     arguments ("x", "y") its value depends on, ``zero``, true when it is
-    zero everywhere, so that callers may drop its terms unevaluated, and
+    zero everywhere, so that callers may drop its terms unevaluated,
     ``affine``, (ax, ay, const) when its value is ax x + ay y + const
-    (None: not declared affine)."""
+    (None: not declared affine), and ``dfdy``, its derivative in y as a
+    callable of y (None: not declared; an affine form declares it as ay)."""
 
-    def __init__(self, name, fn, params, reads="xy", zero=False, affine=None):
+    def __init__(self, name, fn, params, reads="xy", zero=False, affine=None, dfdy=None):
         self.name = name
         self.fn = fn
         self.params = dict(params)
         self.reads = frozenset(reads)
         self.zero = zero
         self.affine = affine
+        self.dfdy = dfdy
 
     def __call__(self, *args):
         return self.fn(*args)
@@ -65,6 +70,13 @@ def affine(coef):
     return getattr(coef, "affine", None)
 
 
+def y_derivative(coef):
+    """The declared y-derivative of a coefficient of y as a callable of y;
+    None for undeclared callables and coefficients that declare none, the
+    affine ones included (their derivative is the ay of ``affine``)."""
+    return getattr(coef, "dfdy", None)
+
+
 _Y_ROLES = ("b", "f", "tau")
 _ROLES = _Y_ROLES + ("c", "g", "sigma1", "sigma2")
 
@@ -78,24 +90,26 @@ def _ou(params):
 
 # name -> (builder of a callable f(x, y), roles it serves, parameters with
 # defaults, the arguments it reads, each with the parameter that must be
-# non-zero for it to be read (None: always read), and the builder of its
-# affine form (ax, ay, const), None if it is not affine)
+# non-zero for it to be read (None: always read), the builder of its
+# affine form (ax, ay, const), None if it is not affine, and the builder
+# of its y-derivative f'(y) where it reads y and is not affine, else None)
 _BUILDERS = {
-    "zero": (lambda p: lambda x, y: np.zeros(()), _ROLES, {}, {}, lambda p: (0.0, 0.0, 0.0)),
+    "zero": (lambda p: lambda x, y: np.zeros(()), _ROLES, {}, {}, lambda p: (0.0, 0.0, 0.0), None),
     "constant": (lambda p: lambda x, y: np.full((), p["value"]), _ROLES, {"value": 1.0}, {},
-                 lambda p: (0.0, 0.0, p["value"])),
+                 lambda p: (0.0, 0.0, p["value"]), None),
     "linear_y": (lambda p: lambda x, y: p["rate"] * np.asarray(y, dtype=float), _ROLES, {"rate": 1.0}, {"y": None},
-                 lambda p: (0.0, p["rate"], 0.0)),
-    "ou": (_ou, _Y_ROLES, {"rate": 1.0}, {"y": None}, lambda p: (0.0, -p["rate"], 0.0)),
+                 lambda p: (0.0, p["rate"], 0.0), None),
+    "ou": (_ou, _Y_ROLES, {"rate": 1.0}, {"y": None}, lambda p: (0.0, -p["rate"], 0.0), None),
     "linear_xy": (
         lambda p: lambda x, y: p["ax"] * np.asarray(x, dtype=float) + p["ay"] * np.asarray(y, dtype=float) + p["const"],
         ("c", "g", "sigma1", "sigma2"), {"ax": 0.0, "ay": 0.0, "const": 0.0}, {"x": "ax", "y": "ay"},
         lambda p: (p["ax"], p["ay"], p["const"]),
+        None,
     ),
     "cos_y": (lambda p: lambda x, y: p["scale"] * np.cos(np.asarray(y, dtype=float)), _ROLES, {"scale": 1.0},
-              {"y": None}, None),
+              {"y": None}, None, lambda p: lambda y: -p["scale"] * np.sin(np.asarray(y, dtype=float))),
     "cubic_y": (lambda p: lambda x, y: -p["rate"] * np.asarray(y, dtype=float) ** 3, _Y_ROLES, {"rate": 1.0},
-                {"y": None}, None),
+                {"y": None}, None, lambda p: lambda y: -3.0 * p["rate"] * np.asarray(y, dtype=float) ** 2),
 }
 
 
@@ -107,7 +121,7 @@ def build(role, name, **params):
     """
     if name not in _BUILDERS:
         raise InvalidInputError(f"unknown coefficient {name!r}; known: {sorted(_BUILDERS)}")
-    builder, roles, defaults, gates, form = _BUILDERS[name]
+    builder, roles, defaults, gates, form, dfdy = _BUILDERS[name]
     if role not in roles:
         raise InvalidInputError(f"coefficient {name!r} cannot serve as {role}; it serves {', '.join(roles)}")
     unknown = sorted(set(params) - set(defaults))
@@ -123,7 +137,9 @@ def build(role, name, **params):
     if role in _Y_ROLES:
         fn = functools.partial(fn, None)
     read = [arg for arg, gate in gates.items() if gate is None or values[gate] != 0.0]
-    return Coefficient(name, fn, params, read, zero=name == "zero", affine=form and form(values))
+    return Coefficient(
+        name, fn, params, read, zero=name == "zero", affine=form and form(values), dfdy=dfdy and dfdy(values)
+    )
 
 
 def parse_spec(role, text):

@@ -6,6 +6,8 @@ fast trajectories, noises, controls and rate-function inputs alike.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -113,8 +115,8 @@ class GridPath:
             buf = path_or_buf
         try:
             buf.write(",".join(["t", *(f"v{j}" for j in range(self.dim))]) + "\n")
-            rows = np.column_stack([self.times(), self.values]).tolist()
-            buf.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            cols = [_time_column(self.t0, self.dt, self.n), *(map(repr, col) for col in self.values.T.tolist())]
+            buf.write("\n".join(map(",".join, zip(*cols))) + "\n")
         finally:
             if close:
                 buf.close()
@@ -153,6 +155,13 @@ class GridPath:
         if dt <= 0 or not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
             raise InvalidInputError("CSV grid is not uniform")
         return cls(t[0], dt, data[:, 1:] if data.shape[1] > 1 else np.zeros((len(t), 0)))
+
+
+@functools.lru_cache(maxsize=1)
+def _time_column(t0, dt, n):
+    """The reprs of ``GridPath.times()`` on the grid (t0, dt, n), kept for
+    the next path written on the same grid."""
+    return tuple(map(repr, (t0 + dt * np.arange(n)).tolist()))
 
 
 def trapezoid_weights(n, dt) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cameron_martin import HurstContext, apply_KH_dot
-from .coefficients import Coefficient, affine, is_zero, reads
+from .coefficients import Coefficient, affine, is_zero, reads, y_derivative
 from .errors import InvalidInputError
 from .gridpath import GridPath, l2_norm
 
@@ -202,8 +202,33 @@ def _evaluator(spec, role):
 
 def _fast_jacobian_norm(eval_f, y):
     """Largest |f'| over the rows of y (n, 1), by central differences."""
-    jac = np.broadcast_to(eval_f(None, y + 1e-4) - eval_f(None, y - 1e-4), y.shape) / 2e-4
-    return float(np.max(np.abs(jac))) if np.all(np.isfinite(jac)) else math.inf
+    return _abs_max(np.broadcast_to(eval_f(None, y + 1e-4) - eval_f(None, y - 1e-4), y.shape) / 2e-4)
+
+
+def _abs_max(values):
+    """max |values|, inf if any is not finite."""
+    return float(np.max(np.abs(values))) if np.all(np.isfinite(values)) else math.inf
+
+
+def _fast_slope(f, eval_f, ys, unstable):
+    """The largest |f'| over the finite recorded fast states ys (B, n_out,
+    1), or the first that makes ``unstable(|f'|)`` true: the |ay| of an
+    affine f if any state is finite (each trial's first is y0), else f' in
+    blocks of output nodes, from f's declared y-derivative or, for a
+    callable that declares none, from ``_fast_jacobian_norm``."""
+    form = affine(f)
+    if form is not None:
+        return abs(form[1]) if np.isfinite(ys[:, 0]).any() else 0.0
+    dfdy = y_derivative(f)
+    norm = (lambda rows: _abs_max(dfdy(rows))) if dfdy else lambda rows: _fast_jacobian_norm(eval_f, rows)
+    gnorm, nodes = 0.0, max(1, _PROBE_ROWS // len(ys))
+    for j in range(0, ys.shape[1], nodes):
+        rows = ys[:, j : j + nodes].reshape(-1, 1)
+        rows = rows[np.isfinite(rows[:, 0])]
+        gnorm = max(gnorm, norm(rows) if len(rows) else 0.0)
+        if unstable(gnorm):
+            break
+    return gnorm
 
 
 def _interp_to_fine(path: GridPath, t_fine):
@@ -484,8 +509,8 @@ def _euler_chunk(spec, noise, dtf, substeps, evaluators, controls, warned, route
     ``_loop``, by ``_loop`` otherwise.
 
     Warns, unless ``warned``, if the fast step looks unstable at any
-    recorded output state of a live trial: probed after stepping, in blocks
-    of output nodes, and skipped when f is declared zero or free of y,
+    recorded output state of a live trial: checked after stepping
+    (``_fast_slope``), and skipped when f is declared zero or free of y,
     whose Jacobian is then zero."""
     n_steps, batch = noise[0].shape[:2]
     t_fine, n_out = dtf * np.arange(n_steps + 1), n_steps // substeps + 1
@@ -506,14 +531,9 @@ def _euler_chunk(spec, noise, dtf, substeps, evaluators, controls, warned, route
                 xs[redo], ys[redo], bad[redo] = _loop(*terms, x[redo], y[redo], n_out, substeps, t_fine)
         eval_f = evaluators["f"]
         if not warned and eval_f is not None and reads(spec.f, "y"):
-            gnorm, nodes = 0.0, max(1, _PROBE_ROWS // batch)
-            for j in range(0, n_out, nodes):
-                rows = ys[:, j : j + nodes].reshape(-1, 1)
-                rows = rows[np.isfinite(rows[:, 0])]
-                gnorm = max(gnorm, _fast_jacobian_norm(eval_f, rows) if len(rows) else 0.0)
-                if spec.eta < 2.0 * dtf * gnorm:
-                    break
-            if gnorm > 0 and spec.eta < 2.0 * dtf * gnorm:
+            unstable = lambda gnorm: spec.eta < 2.0 * dtf * gnorm  # noqa: E731
+            gnorm = _fast_slope(spec.f, eval_f, ys, unstable)
+            if gnorm > 0 and unstable(gnorm):
                 warnings.warn(
                     f"fast Euler step may be unstable: eta={spec.eta:.3g} < 2*dt_fast*|grad f|"
                     f"={2 * dtf * gnorm:.3g}",

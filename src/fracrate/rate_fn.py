@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .cameron_martin import HurstContext, kdot_inverse
-from .coefficients import is_zero
+from .coefficients import affine, is_zero
 from .errors import (
     AdmissibilityError,
     DegeneracyError,
@@ -58,7 +58,9 @@ class LimitDrift:
     ``qqt_bar`` the effective Brownian Gram (n, 1, 1).  ``q_bins`` carries
     the effective noise map averaged on equal-mass cells of the measure for
     feedback-control representations, (n, nbins, 1, 1), with the cell
-    masses ``bin_mass`` and centres ``bin_centers``.
+    masses ``bin_mass`` and centres ``bin_centers``.  ``affine_drift`` is
+    (slope, intercept) when cbar + grad_psi_g_bar is slope x + intercept by
+    the declared affine forms of c and g (None: not declared).
     """
 
     cbar: object
@@ -69,6 +71,7 @@ class LimitDrift:
     q_bins: object
     bin_mass: np.ndarray
     bin_centers: np.ndarray
+    affine_drift: tuple | None = None
 
 
 def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=64):
@@ -76,7 +79,10 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
     measure and bin the effective noise map on measure quantiles.
 
     The corrector ``grad_psi_g_bar`` of a g declared zero is zero and is
-    not averaged.
+    not averaged.  When c is declared affine, (ax, ay, const), and g zero
+    or affine, (gx, gy, gc), the drift's ``affine_drift`` is read off the
+    averages E[y], E[psi'] and E[psi' y] once: cbar = ax x + ay E[y] + const
+    and grad_psi_g_bar = gx x E[psi'] + gy E[psi' y] + gc E[psi'].
     """
     q = effective_noise(spec, psol, mu)
     y = mu.grid
@@ -92,6 +98,15 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
         grad_psi_g_bar = lambda xs: np.zeros((len(xs), 1))  # noqa: E731
     else:
         grad_psi_g_bar = lambda xs: average_coeff(lambda x, yy: g1 * spec.g(x, yy), mu, xs)  # noqa: E731
+    affine_drift, c_form, g_form = None, affine(spec.c), affine(spec.g)
+    if c_form is not None and (is_zero(spec.g) or g_form is not None):
+        ax, ay, const = c_form
+        slope, intercept = ax, ay * float(mu.average(y)) + const
+        if not is_zero(spec.g):
+            gx, gy, gc = g_form
+            mean_g1 = float(mu.average(g1))
+            slope, intercept = slope + gx * mean_g1, intercept + gy * float(mu.average(g1 * y)) + gc * mean_g1
+        affine_drift = (slope, intercept)
 
     return LimitDrift(
         cbar=lambda xs: average_coeff(spec.c, mu, xs),
@@ -102,6 +117,7 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
         q_bins=lambda xs: average_coeff(q, mu, xs, cells)[..., None, None],
         bin_mass=mass / mass.sum(),
         bin_centers=0.5 * (edges[:-1] + edges[1:]),
+        affine_drift=affine_drift,
     )
 
 
@@ -373,7 +389,20 @@ def replay_minimizer(phi: GridPath, drift: LimitDrift, ctx: HurstContext, result
 
 def averaged_euler(drift: LimitDrift, x0, n, dt, controls=()):
     """Euler path (n, 1) from x0, step dt, of the averaged drift cbar +
-    grad_psi_g_bar plus each ``control(i, x)`` at node i, x of shape (1, 1)."""
+    grad_psi_g_bar plus each ``control(i, x)`` at node i, x of shape (1, 1).
+
+    Without controls, a drift with an ``affine_drift`` (slope, intercept)
+    is stepped as the float recurrence x <- x + dt (slope x + intercept),
+    which agrees with the averaging loop up to the round-off of the
+    averages; the loop steps every other drift."""
+    if drift.affine_drift is not None and not controls:
+        slope, intercept = drift.affine_drift
+        x = float(np.reshape(x0, ()))
+        out = [x]
+        for _ in range(n - 1):
+            x = x + dt * (slope * x + intercept)
+            out.append(x)
+        return np.array(out)[:, None]
     x = np.reshape(np.array(x0, dtype=float), (1, 1))
     out = np.empty((n, 1))
     out[0] = x[0]

@@ -303,6 +303,19 @@ class TestCommands:
         assert capsys.readouterr().err.startswith(f"invalid input: need at least one trial, got {trials}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("config", ["rare_event_linear.cfg", "cos_limit_study.cfg"])
+    def test_simulate_without_trials_on_another_kind_is_invalid_input(self, tmp_path, capsys, monkeypatch, config):
+        # simulate took the Monte Carlo trials of rare_event_linear.cfg, 1e6
+        # per point, and wrote one trajectory CSV per trial with no bound
+        monkeypatch.setattr(cli, "_measure_and_drift", pytest.fail)
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["simulate", "--config", str(CONFIGS / config), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: [experiment] trials is read only by kind = simulate")
+        assert "--trials" in err
+        assert list(out.iterdir()) == []
+
     def test_mc_laplace_unknown_functional_kind_exits_before_simulating(self, tmp_path, capsys, monkeypatch):
         # a misspelled h_kind simulated a schedule point of 1000 trials first
         monkeypatch.setattr(cli, "estimate_laplace", pytest.fail)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracrate import gridpath
 from fracrate.errors import InvalidInputError
 from fracrate.gridpath import GridPath, l2_norm, trapezoid_weights
 
@@ -90,6 +91,54 @@ def test_csv_rows_follow_the_per_cell_repr_rule(dim):
     expected = [",".join(["t"] + [f"v{j}" for j in range(dim)])]
     expected += [",".join([repr(float(times[i]))] + [repr(float(v)) for v in vals[i]]) for i in range(7)]
     assert buf.getvalue() == "\n".join(expected) + "\n"
+
+
+def column_stack_csv(path):
+    """The CSV text of ``path`` as the row-wise writer built it, times and
+    values stacked into one float table and every cell written by repr."""
+    header = ",".join(["t", *(f"v{j}" for j in range(path.dim))]) + "\n"
+    rows = np.column_stack([path.times(), path.values]).tolist()
+    return header + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+class TestTimeColumnCache:
+    # to_csv keeps the formatted time column of the last grid it wrote;
+    # its bytes are the column_stack writer's on every grid
+
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    @pytest.mark.parametrize("t0", [0.0, -1.25, 1.0 / 3.0])
+    def test_matches_the_column_stack_writer(self, dim, t0):
+        rng = np.random.default_rng(dim)
+        path = GridPath(t0, 0.1, rng.standard_normal((201, dim)) * np.pi)
+        gridpath._time_column.cache_clear()
+        for _ in range(2):  # a cold cache, then a warm one
+            buf = io.StringIO()
+            path.to_csv(buf)
+            assert buf.getvalue() == column_stack_csv(path)
+        assert gridpath._time_column.cache_info()[:2] == (1, 1)  # hits, misses
+
+    def test_alternating_grids_miss_the_cache(self, tmp_path):
+        rng = np.random.default_rng(5)
+        paths = [GridPath(0.0, 0.005, rng.standard_normal(201)), GridPath(0.5, 1.0 / 7.0, rng.standard_normal(9)),
+                 GridPath(0.0, 0.005, rng.standard_normal(201)), GridPath(0.0, 0.005, rng.standard_normal(200))]
+        gridpath._time_column.cache_clear()
+        for i, path in enumerate(paths * 2):
+            target = tmp_path / f"p{i}.csv"
+            path.to_csv(str(target))
+            assert target.read_bytes() == column_stack_csv(path).encode()
+            back = GridPath.from_csv(str(target))
+            assert back.values.tobytes() == path.values.tobytes() and back.t0 == path.t0
+        assert gridpath._time_column.cache_info()[:2] == (0, 8)
+
+    def test_buffer_target_round_trip(self):
+        path = GridPath(2.5, 0.01, np.column_stack([np.linspace(-1.0, 1.0, 101), np.full(101, -0.0)]))
+        buf = io.StringIO()
+        path.to_csv(buf)
+        assert buf.getvalue() == column_stack_csv(path)
+        buf.seek(0)
+        back = GridPath.from_csv(buf)
+        assert back.values.tobytes() == path.values.tobytes()
+        assert back.t0 == path.t0 and abs(back.dt - path.dt) <= 1e-15
 
 
 def test_csv_rejects_nonuniform(tmp_path):

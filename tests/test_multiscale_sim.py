@@ -529,6 +529,64 @@ class TestComposedStep:
             run(spec, stacked(noises), 1)
 
 
+F_BUILTINS = [
+    ("linear_y", {"rate": 0.5}),
+    ("linear_y", {"rate": -3.0}),
+    ("ou", {"rate": 1.5}),
+    ("ou", {"rate": 40.0}),
+    ("cos_y", {"scale": 0.9}),
+    ("cos_y", {"scale": -25.0}),
+    ("cubic_y", {"rate": 1.0}),
+    ("cubic_y", {"rate": 0.02}),
+]
+
+
+class TestDeclaredSlope:
+    # the stability check reads |f'| off the declared facts of a built-in f;
+    # the oracle is the central-difference probe that bare callables keep
+
+    @pytest.mark.parametrize("name,params", F_BUILTINS, ids=[f"{n}-{list(p.values())[0]}" for n, p in F_BUILTINS])
+    # the probe's own error is its step squared, 1e-8 for the cubic: the
+    # states are drawn at scales where that is far below 1e-6 of |f'|
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 30.0])
+    def test_matches_the_difference_probe(self, name, params, scale):
+        spec = ou_spec()
+        spec.f = cf.build("f", name, **params)
+        eval_f = multiscale_sim._evaluator(spec, "f")
+        rng = np.random.default_rng(len(name))
+        never = lambda gnorm: False  # noqa: E731
+        for blocks in (1, 4, 64):
+            ys = scale * rng.standard_normal((blocks, 5, 1))
+            ys[0, 3:] = np.nan  # a diverged trial's rows are skipped
+            rows = ys.reshape(-1, 1)
+            probe = multiscale_sim._fast_jacobian_norm(eval_f, rows[np.isfinite(rows[:, 0])])
+            declared = multiscale_sim._fast_slope(spec.f, eval_f, ys, never)
+            assert declared == pytest.approx(probe, rel=1e-6)
+        # no finite state, as when y0 is not finite: nothing to bound
+        assert multiscale_sim._fast_slope(spec.f, eval_f, np.full((2, 3, 1), np.nan), never) == 0.0
+
+    @pytest.mark.parametrize("name,params", [("ou", {"rate": 1.0}), ("cos_y", {}), ("cubic_y", {"rate": 1.0})])
+    def test_built_in_f_is_never_probed(self, monkeypatch, name, params):
+        spec = ou_spec(eta=1e-5, c=("linear_xy", {"ax": -1.0}))
+        spec.f = cf.build("f", name, **params)
+        monkeypatch.setattr(multiscale_sim, "_fast_jacobian_norm", pytest.fail)
+        noises = [make_noise(spec, 11, 1.0, 2, seed=3, stream=trial) for trial in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run(spec, stacked(noises), 2)
+
+    def test_bare_callable_f_keeps_the_probe(self, monkeypatch):
+        spec = ou_spec(eta=1e-5)
+        spec.f = lambda y: -np.asarray(y)
+        calls = []
+        probe = multiscale_sim._fast_jacobian_norm
+        monkeypatch.setattr(multiscale_sim, "_fast_jacobian_norm", lambda *a: calls.append(1) or probe(*a))
+        noises = [make_noise(spec, 11, 1.0, 1, seed=3, stream=trial) for trial in range(2)]
+        with pytest.warns(RuntimeWarning, match="fast Euler step may be unstable"):
+            run(spec, stacked(noises), 1)
+        assert calls
+
+
 class TestZeroTerms:
     def test_declared_zero_is_never_called(self):
         # c is not affine, so the loop steps the system and calls c

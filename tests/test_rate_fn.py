@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from scipy.special import gamma
 from fracrate import coefficients as cf
 from fracrate import poisson_cell, rate_fn
 from fracrate.cameron_martin import HurstContext, c_H
+from fracrate.config import load_config
 from fracrate.errors import AdmissibilityError, DegeneracyError
 from fracrate.gridpath import GridPath, trapezoid_weights
 from fracrate.poisson_cell import invariant_density_1d, solve_poisson_1d
 from fracrate.rate_fn import (
     assemble_QH,
+    averaged_euler,
     build_limit_drift,
     eval_rate_explicit,
     eval_rate_fw_half,
@@ -23,6 +27,7 @@ from fracrate.rate_fn import (
 
 from conftest import const_spec, cos_spec, grid_t, limit_drift, ou_spec
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 COS_S1_BAR = math.exp(-0.5)
 COS_S1_SQ_BAR = 0.5 * (1 + math.exp(-2))
 
@@ -423,3 +428,81 @@ class TestLimitStudy:
         phi = GridPath(0.0, dt, 0.9 * t)
         with pytest.raises(AdmissibilityError):
             h_limit_study(phi, cos_drift, [0.55])
+
+
+def counted_averages(monkeypatch):
+    """Count the calls of ``average_coeff`` made through ``rate_fn``."""
+    calls = []
+
+    def average_coeff(*args, **kwargs):
+        calls.append(1)
+        return poisson_cell.average_coeff(*args, **kwargs)
+
+    monkeypatch.setattr(rate_fn, "average_coeff", average_coeff)
+    return calls
+
+
+def general_route(drift):
+    """The drift without its declared affine form, so that
+    ``averaged_euler`` steps it through the averaging loop."""
+    return dataclasses.replace(drift, affine_drift=None)
+
+
+class TestAffineReference:
+    # averaged_euler steps a declared affine drift as a float recurrence; the
+    # oracle is the averaging loop, which the same drift takes without it
+
+    def test_ou_config_is_bit_for_bit(self, monkeypatch):
+        config = load_config(str(CONFIGS / "ou_homogenization.cfg"))
+        spec = config.make_spec(*config.schedule[-1])
+        mu, psol = config.cell_problem()
+        drift = build_limit_drift(spec, psol, mu)
+        assert drift.affine_drift == (-1.0, 0.0)
+        n = config.grid["n"]
+        dt = config.grid["horizon"] / (n - 1)
+        calls = counted_averages(monkeypatch)
+        declared = averaged_euler(drift, spec.x0, n, dt)
+        assert calls == []
+        loop = averaged_euler(general_route(drift), spec.x0, n, dt)
+        assert len(calls) == n - 1
+        assert declared.shape == loop.shape == (n, 1)
+        assert declared.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("b,shift,g_const,form", [
+        # b = 0.8 y, psi' = 0.8: the drift is (0.5 + 0.2 * 0.8) x + 1 + 0.8 g_const
+        ("linear", 0.0, 0.0, (0.66, 1.0)),
+        ("linear", 0.0, 0.5, (0.66, 1.4)),
+        # b = y^2 - 1, psi' = y: E[psi'] = 0 and E[psi' y] = 1, so the drift is 0.5 x + 1 - 0.4
+        ("square", 0.0, 0.0, (0.5, 0.6)),
+        # mu = N(0.5, 1) and b = 0.8 (y - 0.5): E[y] = 0.5 and E[psi' y] = 0.4,
+        # so the drift is 0.66 x + 0.3 * 0.5 + 1 - 0.4 * 0.4
+        ("linear", 0.5, 0.0, (0.66, 0.99)),
+    ], ids=["linear_b", "linear_b_g_const", "square_b", "shifted_mu"])
+    def test_affine_c_and_g_within_round_off(self, ou_measure, monkeypatch, b, shift, g_const, form):
+        spec = ou_spec(c=("linear_xy", {"ax": 0.5, "ay": 0.3, "const": 1.0}),
+                       g=("linear_xy", {"ax": 0.2, "ay": -0.4, "const": g_const}))
+        spec.b = {"linear": lambda y: 0.8 * (np.asarray(y) - shift), "square": lambda y: np.asarray(y) ** 2 - 1.0}[b]
+        mu = ou_measure if shift == 0 else invariant_density_1d(lambda y: shift - np.asarray(y), spec.tau, 8.0, 4097)
+        drift = limit_drift(spec, mu)
+        assert drift.affine_drift == pytest.approx(form, abs=1e-6)
+        calls = counted_averages(monkeypatch)
+        declared = averaged_euler(drift, 0.3, 201, 0.005)
+        assert calls == []
+        loop = averaged_euler(general_route(drift), 0.3, 201, 0.005)
+        # the loop averages c + psi' g at each state, the declared form its
+        # pieces once: they differ by round-off, at most 2.6e-16 of the sup
+        # norm on these cases
+        assert np.max(np.abs(declared - loop)) <= 1e-14 * np.max(np.abs(loop))
+
+    @pytest.mark.parametrize("role", ["c", "g"])
+    def test_bare_callable_takes_the_averaging_loop(self, ou_measure, monkeypatch, role):
+        spec = ou_spec(b=("linear_y", {"rate": 0.8}), c=("linear_xy", {"ax": 0.5, "ay": 0.3, "const": 1.0}),
+                       g=("linear_xy", {"ax": 0.2, "ay": -0.4}))
+        declared = limit_drift(spec, ou_measure)
+        setattr(spec, role, getattr(spec, role).fn)  # the same values, no declared facts
+        drift = limit_drift(spec, ou_measure)
+        assert drift.affine_drift is None
+        calls = counted_averages(monkeypatch)
+        bare = averaged_euler(drift, 0.3, 201, 0.005)
+        assert len(calls) == 2 * 200  # cbar and grad_psi_g_bar at each step
+        assert bare.tobytes() == averaged_euler(general_route(declared), 0.3, 201, 0.005).tobytes()
