@@ -110,10 +110,8 @@ def _validated_config(args):
 
 
 def _measure_and_drift(config):
-    spec = config.make_spec(*config.schedule[-1])
     mu, psol = config.cell_problem()
-    drift = build_limit_drift(spec, psol, mu, nbins=config.tol["u2_bins"])
-    return spec, mu, psol, drift
+    return build_limit_drift(config.make_spec(*config.schedule[-1]), psol, mu, nbins=config.tol["u2_bins"])
 
 
 def _load_or_default_path(config, drift):
@@ -150,10 +148,10 @@ def cmd_simulate(args):
     if trials < 1:
         raise InvalidInputError(f"need at least one trial, got {trials}")
     out_dir = _out_dir(args)
-    spec_tmpl, _, _, drift = _measure_and_drift(config)
+    drift = _measure_and_drift(config)
     n, horizon = config.grid["n"], config.grid["horizon"]
     seed = config.seed if getattr(args, "seed", None) is None else args.seed
-    ref = averaged_euler(drift, spec_tmpl.x0, n, horizon / (n - 1))
+    ref = averaged_euler(drift, config.model["x0"], n, horizon / (n - 1))
 
     summary = {"schedule": [], "trials": trials, "reference": "homogenized Euler"}
     for idx, (eps, eta) in enumerate(config.schedule):
@@ -185,7 +183,8 @@ def cmd_simulate(args):
 def cmd_poisson(args):
     config = _validated_config(args)
     out = _ensure_parent(args.out) if args.out else os.path.join(_out_dir(args), "poisson.json")
-    spec, mu, psol, _ = _measure_and_drift(config)
+    spec = config.make_spec(*config.schedule[-1])
+    mu, psol = config.cell_problem()
     eq = effective_q(spec, psol, mu, spec.x0, degeneracy_tol=config.tol["degeneracy_tol"])
     payload = {
         "grid": mu.grid.tolist(),
@@ -205,7 +204,7 @@ def cmd_poisson(args):
 def cmd_rate(args):
     config = _validated_config(args)
     out = _ensure_parent(args.out) if args.out else os.path.join(_out_dir(args), "rate.json")
-    _, mu, psol, drift = _measure_and_drift(config)
+    drift = _measure_and_drift(config)
     phi = GridPath.from_csv(args.path) if args.path else _load_or_default_path(config, drift)
     method = args.method or config.experiment["method"]
     hurst = config.model["hurst"] if args.hurst is None else args.hurst
@@ -243,7 +242,7 @@ def cmd_limit_study(args):
     config = _validated_config(args)
     out = _ensure_parent(args.out) if args.out else os.path.join(_out_dir(args), "limit_study.csv")
     h_list = _hurst_list(args, config)
-    _, mu, psol, drift = _measure_and_drift(config)
+    drift = _measure_and_drift(config)
     phi = GridPath.from_csv(args.path) if args.path else _load_or_default_path(config, drift)
     study = h_limit_study(phi, drift, h_list)
     rows = []
@@ -293,8 +292,7 @@ def cmd_mc(args):
         try:
             sigma_bar = None
             if rough_noise_only(spec0) and reads(spec0.sigma1, "y"):
-                _, mu, psol, drift = _measure_and_drift(config)
-                sigma_bar = float(drift.sigma1_bar(np.reshape(spec0.x0, (1, 1)))[0, 0, 0])
+                sigma_bar = float(_measure_and_drift(config).sigma1_bar(np.reshape(spec0.x0, (1, 1)))[0, 0, 0])
             pred = linear_case_prediction(
                 spec0, exp_cfg["threshold"], config.grid["horizon"], sigma_bar=sigma_bar
             )

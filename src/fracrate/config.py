@@ -29,7 +29,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import coefficients
 from .errors import CenteringError, FracrateError, InvalidInputError
@@ -139,6 +139,7 @@ class ExperimentConfig:
     tol: dict
     raw_text: str
     path: str = ""
+    _cell: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def kind(self):
@@ -156,12 +157,15 @@ class ExperimentConfig:
 
     def cell_problem(self):
         """Invariant measure and centered Poisson corrector of the fast
-        dynamics, ``(mu, psol)``; they do not depend on (eps, eta)."""
-        b, f, tau = (self.model[role] for role in ("b", "f", "tau"))
-        tol = self.tol
-        L = self.poisson["l"] or domain_halfwidth(f, tau, sigmas=tol["default_domain_sigmas"])
-        mu = invariant_density_1d(f, tau, L, self.poisson["n"], tail_ratio=tol["tail_mass_ratio"])
-        return mu, solve_poisson_1d(b, f, tau, mu, centering_tol=tol["centering_tol"])
+        dynamics, ``(mu, psol)``; they do not depend on (eps, eta), so the
+        first result is kept for every later call (an error is not)."""
+        if self._cell is None:
+            b, f, tau = (self.model[role] for role in ("b", "f", "tau"))
+            tol = self.tol
+            L = self.poisson["l"] or domain_halfwidth(f, tau, sigmas=tol["default_domain_sigmas"])
+            mu = invariant_density_1d(f, tau, L, self.poisson["n"], tail_ratio=tol["tail_mass_ratio"])
+            self._cell = mu, solve_poisson_1d(b, f, tau, mu, centering_tol=tol["centering_tol"])
+        return self._cell
 
 
 def _read_sections(parser):
@@ -237,7 +241,7 @@ class CheckResult:
 
 
 def validate(config: ExperimentConfig):
-    """Numeric spot checks of the standing conditions; side-effect free.
+    """Numeric spot checks of the standing conditions; keeps the cell problem on ``config``.
 
     Returns a list of CheckResult; hard failures (centering violated, Hurst
     index outside the branch that matches the rough-diffusion dependence,

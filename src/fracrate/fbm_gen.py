@@ -31,6 +31,8 @@ _EIGEN_ROUNDOFF = 1e-6
 
 def rng_for(seed, *stream):
     """Philox generator for a (seed, stream...) tuple; spawn-key based."""
+    if int(seed) < 0:
+        raise InvalidInputError(f"need a seed >= 0, got {seed}")
     flat = []
     for s in stream:
         if isinstance(s, (tuple, list)):

@@ -22,7 +22,7 @@ from scipy.special import logsumexp
 from .coefficients import is_zero, reads
 from .errors import DivergenceError, ExperimentFailure, InvalidInputError
 from .fbm_gen import rng_for, sample_increments
-from .multiscale_sim import SlowFastSpec, default_substeps, schedule_checks, simulate_chunks
+from .multiscale_sim import SlowFastSpec, default_substeps, noise_columns, schedule_checks, simulate_chunks
 
 # share of the trials, at least 200, that the rare-event feasibility pilot runs
 _PILOT_FRACTION = 0.02
@@ -95,8 +95,7 @@ def simulate_point(spec, n_grid, horizon, substeps, trials, seed, stream):
     n_fine = (n_grid - 1) * sub + 1
     size = max(1, _MAX_BATCH_POINTS // n_fine)
     chunks = [range(start, min(start + size, trials)) for start in range(0, trials, size)]
-    k = 0 if is_zero(spec.sigma1) else 1
-    ell = 0 if is_zero(spec.sigma2) and is_zero(spec.tau) else 1
+    k, ell = noise_columns(spec)
     noises = (sample_increments(spec.hurst, n_fine, horizon, [(stream, t) for t in c], k, ell, seed) for c in chunks)
     yield from zip(chunks, simulate_chunks(spec, noises, horizon / (n_fine - 1), sub))
 

@@ -235,6 +235,12 @@ def _interp_to_fine(path: GridPath, t_fine):
     return np.interp(t_fine, path.times(), path.scalar())[:, None]
 
 
+def noise_columns(spec):
+    """The columns (dB, dW) that the coefficients of ``spec`` read, 1 or 0:
+    dB iff sigma1 is not declared zero, dW iff sigma2 or tau is not."""
+    return int(not is_zero(spec.sigma1)), int(not (is_zero(spec.sigma2) and is_zero(spec.tau)))
+
+
 def _check_chunk(spec, noise, substeps, n_steps):
     """The number of fine steps of a chunk [dB, dW].  Raises
     ``InvalidInputError`` unless dB and dW share (fine step, trial),
@@ -245,8 +251,8 @@ def _check_chunk(spec, noise, substeps, n_steps):
         raise InvalidInputError(f"noise increments of shapes {db} and {dw} differ in (fine step, trial)")
     if substeps < 1 or db[0] % substeps or n_steps not in (None, db[0]):
         raise InvalidInputError(f"chunk of {db[0]} fine steps: need a multiple of substeps={substeps}, the same in every chunk")
-    b_unread, w_unread = is_zero(spec.sigma1), is_zero(spec.sigma2) and is_zero(spec.tau)
-    if db[2] not in (1, 0 if b_unread else 1) or dw[2] not in (1, 0 if w_unread else 1):
+    k, ell = noise_columns(spec)
+    if db[2] not in (1, k) or dw[2] not in (1, ell):
         raise InvalidInputError(f"noise columns {db[2]}, {dw[2]}: need 1 each, or 0 where no coefficient reads it")
     return db[0]
 
@@ -261,7 +267,8 @@ def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPai
     motion on both sides.  A trial's path depends neither on the other
     trials nor on the chunking; one that leaves the finite range is marked
     in ``first_bad_time``.  Warns once over all chunks if the fast Euler
-    step looks unstable.
+    step looks unstable at a recorded state of a live trial (``_fast_slope``;
+    never when f is declared zero or free of y, its Jacobian then zero).
 
     A system that ``_affine_route`` accepts (noise roles free of the state,
     every drift role that reads the state declared affine) is stepped by
@@ -271,7 +278,9 @@ def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPai
     loop, whose paths are bit for bit a scalar Euler loop."""
     evaluators = {role: _evaluator(spec, role) for roles in _SIDES for role in roles}
     route = _affine_route(spec, dt)
-    controls, warned, n_steps = None, False, None
+    controls, n_steps = None, None
+    check = evaluators["f"] is not None and reads(spec.f, "y")  # until the warning is given
+    unstable = lambda gnorm: spec.eta < 2.0 * dt * gnorm  # noqa: E731
     for noise in chunks:
         n_steps = _check_chunk(spec, noise, substeps, n_steps)
         if controls is None:
@@ -282,7 +291,15 @@ def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPai
                 controls[0] = _interp_to_fine(apply_KH_dot(ctrl.v1, ctx), t_fine)
             if ctrl is not None and ctrl.u2dot is not None:
                 controls[1] = _interp_to_fine(ctrl.u2dot, t_fine)
-        (xs, ys, bad), warned = _euler_chunk(spec, noise, dt, substeps, evaluators, controls, warned, route)
+        xs, ys, bad = _euler_chunk(spec, noise, dt, substeps, evaluators, controls, route)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gnorm = _fast_slope(spec.f, evaluators["f"], ys, unstable) if check else 0.0
+        if gnorm > 0 and unstable(gnorm):
+            warnings.warn(
+                f"fast Euler step may be unstable: eta={spec.eta:.3g} < 2*dt_fast*|grad f|={2 * dt * gnorm:.3g}",
+                RuntimeWarning,
+            )
+            check = False
         yield BatchPaths(x=xs, y=ys, dt=dt * substeps, first_bad_time=bad, substeps=substeps)
 
 
@@ -385,18 +402,11 @@ def _affine_route(spec, dt):
 
 def _free_terms(terms, const):
     """The state-free addends of one side of an affine step: its (fine
-    step, trial) stack, if it has one, then ``const`` plus the other
+    step, trial, 1) stack, if it has one, then ``const`` plus the other
     state-free terms, a number or one per trial, if not zero."""
-    stack, rest = [], const
-    for evaluate, term, stacked in terms:
-        if evaluate is not None:
-            continue
-        if stacked:
-            stack.append(term[..., 0])
-        else:
-            term = np.asarray(term)
-            rest = rest + (term[:, 0] if term.ndim == 2 else term.reshape(-1)[0])
-    return stack + ([rest] if np.any(rest != 0.0) else [])
+    free = [(term, stacked) for evaluate, term, stacked in terms if evaluate is None]
+    rest = sum((term for term, stacked in free if not stacked), const)
+    return [term for term, stacked in free if stacked] + ([rest] if np.any(rest != 0.0) else [])
 
 
 def _affine_step(mat, z, adds):
@@ -419,18 +429,19 @@ def _affine_step(mat, z, adds):
 
 
 def _affine_paths(route, x_terms, y_terms, z0, n_steps, substeps, batch):
-    """The paths x and y, each (batch, n_out, 1) as a view of (n_out, batch)
-    storage, at every ``substeps``-th of ``n_steps`` fine steps of the
-    affine step ``route`` from z0 = (x0, y0), b_i read off the terms
+    """The paths x and y, each (batch, n_out, 1) as a view of (n_out,
+    batch, 1) storage, at every ``substeps``-th of ``n_steps`` fine steps of
+    the affine step ``route`` from z0 = (x0, y0), b_i read off the terms
     (``_affine_route``).  The recurrence is solved as a linear one in
     blocks (Blelloch, "Prefix sums and their applications", 1990) of s,
-    about sqrt(n_steps), fine steps:
+    about sqrt(n_steps), fine steps; node j lies t = j substeps mod s steps
+    into block k = j substeps div s:
 
     1. step every block from zero at once, s passes over (block, trial)
-       rows, keeping the output nodes;
+       rows, keeping the nodes at offset t after the t-th;
     2. carry the block starts Z_{k+1} = A^s Z_k + (block k's end), one pass
        per block;
-    3. add A^t Z_k to the node kept t steps into block k.
+    3. add A^t Z_k to every node.
 
     Every operation is elementwise per trial, so a trial's bits depend
     neither on the other trials nor on the chunking."""
@@ -438,38 +449,32 @@ def _affine_paths(route, x_terms, y_terms, z0, n_steps, substeps, batch):
     adds = [_free_terms(terms, c) for terms, c in zip((x_terms, y_terms), const)]
     root = max(1, round(math.sqrt(n_steps)))
     s = substeps * max(1, round(root / substeps)) if substeps <= root else root
-    n_out, gcd = n_steps // substeps + 1, math.gcd(s, substeps)
-    # Node j + period lies stride blocks after node j, as many steps in:
-    # class j0 < period, its first node in block b0, t0 steps in.
-    period, stride = s // gcd, substeps // gcd
-    classes = [(j0, j0 * substeps // s, j0 * substeps % s) for j0 in range(min(period, n_out))]
-    kept = {t0: (j0, b0) for j0, b0, t0 in classes if t0}
-    out = [np.zeros((n_out, batch)) for _ in range(2)]  # node-major: each pass writes whole rows
+    block, offset = np.divmod(np.arange(n_steps // substeps + 1) * substeps, s)
+    order = np.argsort(offset, kind="stable")
+    offsets, first = np.unique(offset[order], return_index=True)
+    at = dict(zip(offsets.tolist(), np.split(order, first[1:])))  # offset -> its nodes
+    out = np.zeros((2, len(block), batch, 1))
     # row k + 1: block k stepped from zero; then, in place, Z_k in row k
-    z = np.zeros((2, -(-n_steps // s) + 1, batch))
+    z = np.zeros((2, -(-n_steps // s) + 1, batch, 1))
     for t in range(s):
         rows = -(-(n_steps - t) // s)
-        _affine_step(mat, z[:, 1 : rows + 1], [[a[t::s] if np.ndim(a) == 2 else a for a in side] for side in adds])
-        if t + 1 in kept:
-            j0, b0 = kept[t + 1]
-            for row in range(2):
-                out[row][j0::period] = z[row, b0 + 1 :: stride][: len(range(j0, n_out, period))]
+        _affine_step(mat, z[:, 1 : rows + 1], [[a[t::s] if np.ndim(a) == 3 else a for a in side] for side in adds])
+        if t + 1 in at:
+            out[:, at[t + 1]] = z[:, block[at[t + 1]] + 1]
     powers = [np.eye(2)]
     for _ in range(s):
         powers.append((mat[:, :, None] * powers[-1]).sum(axis=1))  # A times the last, without BLAS
     powers = np.array(powers)
-    z[:, 0] = np.reshape(z0, (2, 1))
+    z[:, 0] = np.reshape(z0, (2, 1, 1))
     for k in range(n_steps // s):
         end = z[:, k + 1].copy()
         z[:, k + 1] = z[:, k]
         _affine_step(powers[s], z[:, k + 1], [[end[0]], [end[1]]])
-    for j0, b0, t0 in classes:
-        starts = z[:, b0::stride][:, : len(range(j0, n_out, period))]
-        for row in range(2):
-            for col in range(2):
-                if powers[:, row, col].any():
-                    out[row][j0::period] += powers[t0, row, col] * starts[col]
-    return [o.T[:, :, None] for o in out]
+    start = np.empty_like(out[0])  # one buffer for the scaled Z_k of every node
+    for row, col in np.argwhere(powers.any(axis=0)):  # the entries not zero in every power
+        np.take(z[col], block, axis=0, out=start, mode="clip")  # unbuffered; no index is out of range
+        out[row] += np.multiply(powers[offset, row, col][:, None, None], start, out=start)
+    return [o.swapaxes(0, 1) for o in out]
 
 
 def _trials(terms, idx):
@@ -501,46 +506,28 @@ def _loop(x_terms, y_terms, x, y, n_out, substeps, t_fine):
     return xs, ys, bad
 
 
-def _euler_chunk(spec, noise, dtf, substeps, evaluators, controls, warned, route):
+def _euler_chunk(spec, noise, dtf, substeps, evaluators, controls, route):
     """Left-point Euler steps of one chunk with increments ``noise`` =
     [dB, dW] over fine steps of length dtf, trials on the leading axis:
     by ``_affine_paths`` when ``route`` (``_affine_route``) is not None,
     its trials with a non-finite recorded state stepped again by
-    ``_loop``, by ``_loop`` otherwise.
-
-    Warns, unless ``warned``, if the fast step looks unstable at any
-    recorded output state of a live trial: checked after stepping
-    (``_fast_slope``), and skipped when f is declared zero or free of y,
-    whose Jacobian is then zero."""
+    ``_loop``, by ``_loop`` otherwise."""
     n_steps, batch = noise[0].shape[:2]
     t_fine, n_out = dtf * np.arange(n_steps + 1), n_steps // substeps + 1
     x, y = np.full((batch, 1), spec.x0), np.full((batch, 1), spec.y0)
     # The fast side first: the stack freed by summing the slow noise terms
     # stays resident in the heap; freed last, it adds nothing to the peak.
     y_terms, x_terms = (_terms(spec, evaluators, roles, dtf, noise, controls, x, y) for roles in _SIDES)
-
     with np.errstate(over="ignore", invalid="ignore"):
         if route is None:
-            xs, ys, bad = _loop(x_terms, y_terms, x, y, n_out, substeps, t_fine)
-        else:
-            xs, ys = _affine_paths(route, x_terms, y_terms, (spec.x0, spec.y0), n_steps, substeps, batch)
-            redo = np.flatnonzero(~(np.isfinite(xs).all(axis=(1, 2)) & np.isfinite(ys).all(axis=(1, 2))))
-            bad = np.full(batch, np.nan)
-            if len(redo):
-                terms = (_trials(t, redo) for t in (x_terms, y_terms))
-                xs[redo], ys[redo], bad[redo] = _loop(*terms, x[redo], y[redo], n_out, substeps, t_fine)
-        eval_f = evaluators["f"]
-        if not warned and eval_f is not None and reads(spec.f, "y"):
-            unstable = lambda gnorm: spec.eta < 2.0 * dtf * gnorm  # noqa: E731
-            gnorm = _fast_slope(spec.f, eval_f, ys, unstable)
-            if gnorm > 0 and unstable(gnorm):
-                warnings.warn(
-                    f"fast Euler step may be unstable: eta={spec.eta:.3g} < 2*dt_fast*|grad f|"
-                    f"={2 * dtf * gnorm:.3g}",
-                    RuntimeWarning,
-                )
-                warned = True
-    return (xs, ys, bad), warned
+            return _loop(x_terms, y_terms, x, y, n_out, substeps, t_fine)
+        xs, ys = _affine_paths(route, x_terms, y_terms, (spec.x0, spec.y0), n_steps, substeps, batch)
+        redo = np.flatnonzero(~(np.isfinite(xs).all(axis=(1, 2)) & np.isfinite(ys).all(axis=(1, 2))))
+        bad = np.full(batch, np.nan)
+        if len(redo):
+            terms = (_trials(t, redo) for t in (x_terms, y_terms))
+            xs[redo], ys[redo], bad[redo] = _loop(*terms, x[redo], y[redo], n_out, substeps, t_fine)
+    return xs, ys, bad
 
 
 def empirical_occupation(y_path: GridPath, ctrl: ControlPair, bins=16):

@@ -18,6 +18,7 @@ from fracrate.config import hard_failures, load_config, validate
 from fracrate.errors import InvalidInputError
 from fracrate.gridpath import GridPath
 from fracrate.ldp_harness import MonteCarloPlan
+from fracrate.poisson_cell import invariant_density_1d
 
 OU_HOMOG = """
 [model]
@@ -270,6 +271,31 @@ class TestCommands:
         assert len(summary["schedule"]) == 2
         assert summary["schedule"][0]["mean_sup_error"] is not None
         assert os.path.exists(os.path.join(out, "manifest.json"))
+
+    def test_simulate_solves_the_cell_problem_once(self, tmp_path, monkeypatch):
+        # validate and the limit drift each solved it: two density builds a run
+        calls = []
+        monkeypatch.setattr("fracrate.config.invariant_density_1d",
+                            lambda *args, **kw: calls.append(args) or invariant_density_1d(*args, **kw))
+        cfg = write(tmp_path, "a.cfg", OU_HOMOG)
+        assert main(["simulate", "--config", cfg, "--trials", "2", "--out-dir", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["simulate-config", "simulate-flag", "mc-config", "sample-fbm-flag"])
+    def test_negative_seed_is_invalid_input(self, tmp_path, capsys, case):
+        # numpy's SeedSequence raised a bare ValueError: exit 1 with a traceback
+        out = tmp_path / "o"
+        simulate = ["simulate", "--trials", "2", "--out-dir", str(out), "--config"]
+        argv = {
+            "simulate-config": [*simulate, write(tmp_path, "n.cfg", OU_HOMOG.replace("seed = 77", "seed = -1"))],
+            "simulate-flag": [*simulate, write(tmp_path, "s.cfg", OU_HOMOG), "--seed", "-1"],
+            "mc-config": ["mc", "rare-event", "--out", str(out / "mc.csv"),
+                          "--config", write(tmp_path, "r.cfg", RARE_EVENT.replace("seed = 99", "seed = -1"))],
+            "sample-fbm-flag": ["sample-fbm", "--hurst", "0.7", "--n", "64", "--seed", "-1", "--out", str(out / "b.csv")],
+        }[case]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("invalid input: need a seed >= 0, got -1")
+        assert list(tmp_path.rglob("*.csv")) == []
 
     def test_validation_exit_code(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", BAD_BRANCH)

@@ -3,6 +3,7 @@ import re
 import tracemalloc
 import warnings
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from fracrate import coefficients as cf
 from fracrate import ldp_harness, multiscale_sim
 from fracrate.cameron_martin import HurstContext, apply_KH_dot, c_H
+from fracrate.config import load_config
 from fracrate.errors import DivergenceError, InvalidInputError
 from fracrate.fbm_gen import sample_increments
 from fracrate.gridpath import GridPath
@@ -28,6 +30,8 @@ from scipy.special import gamma
 
 from conftest import SQRT2, ou_spec
 
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # The increments of a chunk of trials, (fine step, trial, column), over
 # fine steps of length dt.
@@ -629,6 +633,89 @@ def coupled_affine_spec():
                    g=("linear_xy", {"ax": 0.3, "ay": -0.2, "const": 0.1}), x0=1.0, y0=-0.5)
 
 
+def smooth_controls(n_out):
+    """v1 = sin 3t and u2dot = cos 2t on ``n_out`` nodes over [0, 1]."""
+    t = np.linspace(0.0, 1.0, n_out)
+    return ControlPair(v1=GridPath(0.0, t[1], np.sin(3 * t)), u2dot=GridPath(0.0, t[1], np.cos(2 * t)))
+
+
+def per_trial_free_spec():
+    """An affine-route spec whose c and g read no state and return one
+    value per trial, shape (batch, 1), beside constant sigma1 and tau."""
+    spec = ou_spec(eps=0.1, eta=0.2, sigma1=("constant", {"value": 0.6}), b=("linear_y", {"rate": 0.3}),
+                   x0=1.0, y0=-0.5)
+    spec.c = cf.Coefficient("per_trial", lambda x, y: 0.1 * np.arange(1.0, len(x) + 1.0)[:, None] - 0.2, {}, reads="")
+    spec.g = cf.Coefficient("per_trial", lambda x, y: 0.3 - 0.2 * np.arange(len(y))[:, None], {}, reads="")
+    return spec
+
+
+# (output nodes, substeps) of the affine route's block layouts
+BLOCK_LAYOUTS = [
+    (21, 4),  # blocks of 8 fine steps, two nodes each
+    (14, 7),  # blocks of one output step
+    (12, 2),  # blocks of 4 fine steps and a last one of 2
+    (4, 37),  # blocks of 11 fine steps across the output steps, a last one of 1
+    (31, 1),  # every fine step a node
+]
+
+
+def class_free_terms(terms, const):
+    """``multiscale_sim._free_terms`` for the class-based oracle below, on
+    state arrays with no trailing axis."""
+    stack, rest = [], const
+    for evaluate, term, stacked in terms:
+        if evaluate is not None:
+            continue
+        if stacked:
+            stack.append(term[..., 0])
+        else:
+            term = np.asarray(term)
+            rest = rest + (term[:, 0] if term.ndim == 2 else term.reshape(-1)[0])
+    return stack + ([rest] if np.any(rest != 0.0) else [])
+
+
+def class_affine_paths(route, x_terms, y_terms, z0, n_steps, substeps, batch):
+    """``multiscale_sim._affine_paths`` with its output nodes found as
+    residue classes of the block length: the oracle that the (block,
+    offset) form must match bit for bit."""
+    mat, const = route
+    adds = [class_free_terms(terms, c) for terms, c in zip((x_terms, y_terms), const)]
+    root = max(1, round(math.sqrt(n_steps)))
+    s = substeps * max(1, round(root / substeps)) if substeps <= root else root
+    n_out, gcd = n_steps // substeps + 1, math.gcd(s, substeps)
+    # Node j + period lies stride blocks after node j, as many steps in:
+    # class j0 < period, its first node in block b0, t0 steps in.
+    period, stride = s // gcd, substeps // gcd
+    classes = [(j0, j0 * substeps // s, j0 * substeps % s) for j0 in range(min(period, n_out))]
+    kept = {t0: (j0, b0) for j0, b0, t0 in classes if t0}
+    out = [np.zeros((n_out, batch)) for _ in range(2)]
+    z = np.zeros((2, -(-n_steps // s) + 1, batch))
+    for t in range(s):
+        rows = -(-(n_steps - t) // s)
+        multiscale_sim._affine_step(
+            mat, z[:, 1 : rows + 1], [[a[t::s] if np.ndim(a) == 2 else a for a in side] for side in adds])
+        if t + 1 in kept:
+            j0, b0 = kept[t + 1]
+            for row in range(2):
+                out[row][j0::period] = z[row, b0 + 1 :: stride][: len(range(j0, n_out, period))]
+    powers = [np.eye(2)]
+    for _ in range(s):
+        powers.append((mat[:, :, None] * powers[-1]).sum(axis=1))
+    powers = np.array(powers)
+    z[:, 0] = np.reshape(z0, (2, 1))
+    for k in range(n_steps // s):
+        end = z[:, k + 1].copy()
+        z[:, k + 1] = z[:, k]
+        multiscale_sim._affine_step(powers[s], z[:, k + 1], [[end[0]], [end[1]]])
+    for j0, b0, t0 in classes:
+        starts = z[:, b0::stride][:, : len(range(j0, n_out, period))]
+        for row in range(2):
+            for col in range(2):
+                if powers[:, row, col].any():
+                    out[row][j0::period] += powers[t0, row, col] * starts[col]
+    return [o.T[:, :, None] for o in out]
+
+
 class TestAffineRoute:
     @pytest.mark.parametrize("name,role,params", BUILTIN_ROLES)
     def test_declared_form_matches_the_callable(self, name, role, params):
@@ -648,17 +735,10 @@ class TestAffineRoute:
         spec.c = lambda x, y: -x
         assert not on_affine_route(spec, 0.01)
 
-    @pytest.mark.parametrize("n_out,sub", [
-        (21, 4),  # blocks of 8 fine steps, two nodes each
-        (14, 7),  # blocks of one output step
-        (12, 2),  # blocks of 4 fine steps and a last one of 2
-        (4, 37),  # blocks of 11 fine steps across the output steps, a last one of 1
-        (31, 1),  # every fine step a node
-    ])
+    @pytest.mark.parametrize("n_out,sub", BLOCK_LAYOUTS)
     def test_block_layouts_match_the_loop(self, monkeypatch, n_out, sub):
         spec = coupled_affine_spec()
-        t = np.linspace(0.0, 1.0, n_out)
-        ctrl = ControlPair(v1=GridPath(0.0, t[1], np.sin(3 * t)), u2dot=GridPath(0.0, t[1], np.cos(2 * t)))
+        ctrl = smooth_controls(n_out)
         noise = stacked([make_noise(spec, n_out, 1.0, sub, seed=13, stream=trial) for trial in range(3)])
         assert on_affine_route(spec, noise.dt)
         batch = run(spec, noise, sub, ctrl)
@@ -669,6 +749,24 @@ class TestAffineRoute:
             for got, want in ((batch.x, loop.x), (batch.y, loop.y)):
                 assert got[trial, 0, 0] == want[trial, 0, 0]
                 assert_close(got[trial], want[trial])
+
+    @pytest.mark.filterwarnings("ignore:fast Euler step may be unstable")  # the OU config's eta on coarse grids
+    @pytest.mark.parametrize("n_out,sub", BLOCK_LAYOUTS + [
+        (3, 200),  # substeps above sqrt(fine steps): blocks of 20 fine steps, nodes 10 blocks apart
+        (201, 50),  # the OU config's finest layout: blocks of 2 output steps
+    ])
+    def test_nodes_match_the_class_oracle(self, monkeypatch, n_out, sub):
+        ou_config = load_config(CONFIGS / "ou_homogenization.cfg")
+        for spec in (coupled_affine_spec(), ou_config.make_spec(*ou_config.schedule[0]), per_trial_free_spec()):
+            noise = stacked([make_noise(spec, n_out, 1.0, sub, seed=13, stream=trial) for trial in range(3)])
+            assert on_affine_route(spec, noise.dt)
+            for ctrl in (None, smooth_controls(n_out)):
+                got = run(spec, noise, sub, ctrl)
+                with monkeypatch.context() as patch:
+                    patch.setattr(multiscale_sim, "_affine_paths", class_affine_paths)
+                    want = run(spec, noise, sub, ctrl)
+                assert np.array_equal(got.x, want.x, equal_nan=True)
+                assert np.array_equal(got.y, want.y, equal_nan=True)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:fast Euler step may be unstable")
     @pytest.mark.parametrize("case", ["huge_noise", "unstable_fast_step"])
