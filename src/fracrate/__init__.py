@@ -56,7 +56,6 @@ from .poisson_cell import (
 from .rate_fn import (
     LimitDrift,
     RateEvalResult,
-    assemble_QH,
     build_limit_drift,
     eval_rate_explicit,
     eval_rate_fw_half,

@@ -66,27 +66,34 @@ def _fractions(n):
     return x, pos, k
 
 
-def _row_ends(n):
-    """Flat indices of the last entries (i, i-1) of rows 1..n-1 of a strict
-    lower triangle read row by row."""
-    return np.cumsum(np.arange(1, n)) - 1
+# a row block of a table holds at most this many entries
+_MAX_BLOCK_ELEMENTS = 1 << 16
 
 
-def _row_diff(flat, n, close=None):
-    """Steps between adjacent entries along each row of a flat strict lower
-    triangle with n rows; a row's last entry steps to ``close`` (None: 0)."""
-    d = np.empty_like(flat)
-    np.subtract(flat[1:], flat[:-1], out=d[:-1])
-    ends = _row_ends(n)
-    d[ends] = 0.0 if close is None else close - flat[ends]
-    return d
+def _row_blocks(n, pos, vals, fill=0.0):
+    """Rows 1..n-1 of the table of ``vals`` read through ``pos`` (see
+    ``_fractions``), a few rows at a time.  Yields (i0, i1, block), the
+    (i1 - i0, i1) block holding rows i0..i1-1: the value of entry (i, j) at
+    j < i, ``fill`` at j >= i.  A block has at most ``_MAX_BLOCK_ELEMENTS``
+    entries, or one row."""
+    step = max(1, _MAX_BLOCK_ELEMENTS // n)
+    for i0 in range(1, n, step):
+        i1 = min(n, i0 + step)
+        tri = np.tri(i1 - i0, i1, i0 - 1, dtype=bool)
+        block = np.full(tri.shape, fill)
+        block[tri] = vals[pos[i0 * (i0 - 1) // 2 : i1 * (i1 - 1) // 2]]
+        yield i0, i1, block
 
 
-def _lower(flat, shape):
-    """Zero table of the given shape with ``flat`` as its strict lower
-    triangle, read row by row."""
-    out = np.zeros(shape)
-    out[np.tri(*shape, -1, dtype=bool)] = flat
+def _step_table(n, pos, vals):
+    """(n, n) table of the steps v(i, j+1) - v(i, j), j < i - 1, along the
+    rows of the table v of ``vals`` read through ``pos``; zero elsewhere,
+    the cell next to t_i included (``lastP`` of ``inverse_tables``)."""
+    out = np.zeros((n, n))
+    for i0, i1, block in _row_blocks(n, pos, vals):
+        steps = np.diff(block, axis=1)
+        np.fill_diagonal(steps[:, i0 - 1 :], 0.0)
+        out[i0:i1, : i1 - 1] = steps
     return out
 
 
@@ -99,7 +106,9 @@ class HurstContext:
     ``cell_table`` itself is called (``apply_KH``); ``kdot_matrix`` does not
     keep the cell table it is built from.  The reduced-fraction index the
     tables are built from is cached per n at module level (``_fractions``,
-    the last n only), so contexts at several H on one grid share it.
+    the last n only), so contexts at several H on one grid share it.  A
+    build holds its tables, one vector over the reduced fractions per
+    table, and row blocks of at most ``_MAX_BLOCK_ELEMENTS`` entries.
     Instances are immutable after construction and safe to share across
     workers.
     """
@@ -122,13 +131,14 @@ class HurstContext:
     def times(self):
         return self.dt * np.arange(self.n)
 
-    def _cells(self):
-        """Strict lower triangle of ``cell_table``, read row by row."""
+    def _cell_blocks(self):
+        """Row blocks (i0, i1, cells) of ``cell_table``: cells holds its rows
+        i0..i1-1 in i1 - 1 columns."""
         a, b = 1.5 - self.H, self.H - 0.5
         x, pos, _ = _fractions(self.n)
-        cells = _row_diff(betainc(a, b, x)[pos], self.n, close=1.0)  # I_1(a, b) = 1
-        cells *= beta_fn(a, b)
-        return cells
+        # row i is closed by I_1(a, b) = 1 at column i
+        for i0, i1, ix in _row_blocks(self.n, pos, betainc(a, b, x), fill=1.0):
+            yield i0, i1, np.diff(ix, axis=1) * beta_fn(a, b)
 
     def cell_table(self):
         """T[i, j] = int_{t_j}^{t_{j+1}} z^(1/2-H) (t_i - z)^(H-3/2) dz, j < i.
@@ -137,7 +147,10 @@ class HurstContext:
         the incomplete Beta function with parameters (3/2-H, H-1/2).
         """
         if self._cell_table is None:
-            self._cell_table = _lower(self._cells(), (self.n, self.n - 1))
+            T = np.zeros((self.n, self.n - 1))
+            for i0, i1, cells in self._cell_blocks():
+                T[i0:i1, : i1 - 1] = cells
+            self._cell_table = T
         return self._cell_table
 
     def kdot_matrix(self):
@@ -148,11 +161,14 @@ class HurstContext:
         at columns j and j + 1; the cell table itself is not kept.
         """
         if self._kdot_matrix is None:
-            n = self.n
-            half = 0.5 * self._cells()
-            M = _lower(half, (n, n))
-            M[:, 1:][np.tri(n, n - 1, -1, dtype=bool)] += half
-            M[1:] *= ((self.cH / gamma(self.H - 0.5)) * self.times[1:] ** (self.H - 0.5))[:, None]
+            M = np.zeros((self.n, self.n))
+            pref = (self.cH / gamma(self.H - 0.5)) * self.times ** (self.H - 0.5)
+            for i0, i1, cells in self._cell_blocks():
+                cells *= 0.5
+                rows = M[i0:i1, :i1]
+                rows[:, :-1] = cells
+                rows[:, 1:] += cells
+                rows *= pref[i0:i1, None]
             self._kdot_matrix = M
         return self._kdot_matrix
 
@@ -173,15 +189,23 @@ class HurstContext:
             b0 = 0.5 - h
             bfull = beta_fn(a, a)
             x, pos, k = _fractions(n)
-            lo = betainc(a, a, x[:k])
+            P = np.empty(x.size)
+            betainc(a, a, x[:k], out=P[:k])
             # I_x(a, a) = 1 - I_{1-x}(a, a) (DLMF 8.17.4) past x = 1/2
-            P = bfull * np.concatenate((lo, 1.0 - lo[2:]))
-            R = (a * P - x**a * (1.0 - x) ** b0) / b0
+            np.subtract(1.0, P[2:k], out=P[k:])
+            P *= bfull
+            # R = (a P - x^a (1-x)^b0) / b0, one temporary at a time
+            R = 1.0 - x
+            R **= b0
+            R *= x**a
+            np.subtract(a * P, R, out=R)
+            R /= b0
             lastP = np.zeros(n)
-            lastP[1:] = bfull - P[pos[_row_ends(n)]]
-            dM0 = _lower(_row_diff((P + R)[pos], n), (n, n))
-            dR = _lower(_row_diff(R[pos], n), (n, n))
-            self._inverse_tables = (dM0, dR, lastP)
+            lastP[1:] = bfull - P[pos[np.cumsum(np.arange(1, n)) - 1]]  # entries (i, i - 1)
+            P += R
+            dM0 = _step_table(n, pos, P)
+            del P  # P + R goes before dR is allocated
+            self._inverse_tables = (dM0, _step_table(n, pos, R), lastP)
         return self._inverse_tables
 
     def check_grid(self, v: GridPath, op):

@@ -8,7 +8,7 @@ on the whole path at once:
   singular drift and the Brownian diffusion vanish and the averaged rough
   diffusion is invertible; equals half the squared inverse-lift norm of the
   forced displacement.
-* ``eval_rate_general`` - the operator form: assemble the effective
+* ``eval_rate_general`` - the operator form: factor the effective
   diffusivity Gram operator, solve for the adjoint state, and read off both
   the value and the minimizing control pair.
 * ``eval_rate_fw_half`` / ``eval_rate_tilde_half`` - the two classical-noise
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsymv, dsyrk
 
 from .cameron_martin import HurstContext, kdot_inverse
 from .coefficients import affine, is_zero
@@ -183,95 +184,67 @@ def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     )
 
 
-@dataclass
-class DiscreteQH:
-    """Grid matrix of the effective diffusivity operator.
-
-    ``a_u1`` maps weighted-coordinate controls of the rough noise to
-    weighted-coordinate slow forcings (n x n); the Brownian part is
-    pointwise in time and carried as the averaged Gram ``qqt`` at each node
-    (n,).
-    """
-
-    ctx: HurstContext
-    a_u1: np.ndarray
-    qqt: np.ndarray
-    weights: np.ndarray
-
-    def gram(self):
-        """n x n Gram matrix: the rough-noise part plus the averaged
-        Brownian Gram on the diagonal."""
-        g = self.a_u1 @ self.a_u1.T
-        nodes = np.arange(len(g))
-        g[nodes, nodes] += self.qqt
-        return g
-
-    def operator_norm(self):
-        mat = self.gram()
-        n = len(mat)
-        v = np.ones(n) / np.sqrt(n)
-        for _ in range(30):
-            v = mat @ v
-            v /= np.linalg.norm(v)
-        return float(np.sqrt(v @ (mat @ v)))
+# the Gram accumulates A this many columns at a time: narrower blocks make
+# dsyrk sweep the Gram more often, at a cost that grows as n^3
+_GRAM_BLOCK_COLUMNS = 128
 
 
-def assemble_QH(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
-    """Discrete effective-diffusivity operator along a path.
-
-    The rough-noise block composes the naively averaged coefficient with the
-    lifted-derivative kernel matrix; the Brownian block acts pointwise in
-    time through the averaged effective Gram.
-    """
-    ctx.check_grid(phi, "assemble_QH")
-    w = trapezoid_weights(phi.n, phi.dt)
-    sw = np.sqrt(w)
-    kd = ctx.kdot_matrix()
-    # A[i, j] = sqrt(w_i) sigma1-bar_i kd[i, j] / sqrt(w_j)
-    a = drift.sigma1_bar(phi.values)[:, 0] * (kd * (sw[:, None] / sw[None, :]))
-    return DiscreteQH(ctx=ctx, a_u1=a, qqt=drift.qqt_bar(phi.values)[:, 0, 0], weights=w)
-
-
-def _condition_estimate(gram, chol):
+def _condition_estimate(chol, diag):
+    """Power-iteration (lam_max, lam_min) of the Gram that ``chol`` factors
+    in its lower triangle and keeps in its upper one, but for ``diag``."""
+    c, _ = chol
+    fix = diag - np.diagonal(c)
+    gram_mv = lambda v: dsymv(1.0, c, v) + fix * v  # noqa: E731
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(gram.shape[0])
+    v = rng.standard_normal(len(diag))
     for _ in range(20):
-        v = gram @ v
+        v = gram_mv(v)
         v /= np.linalg.norm(v)
-    lam_max = float(v @ (gram @ v))
-    u = rng.standard_normal(gram.shape[0])
-    # gram was checked finite once, and the iterates stay finite: no rescan per solve
+    lam_max = float(v @ gram_mv(v))
+    u = rng.standard_normal(len(diag))
+    # the Gram was checked finite once, and the iterates stay finite: no rescan per solve
     for _ in range(20):
         u = cho_solve(chol, u, check_finite=False)
         u /= np.linalg.norm(u)
-    lam_min = float(u @ (gram @ u))
+    lam_min = float(u @ gram_mv(u))
     return lam_max, lam_min
 
 
-def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
-    """Operator-form rate: solve the Gram system of the effective diffusivity.
+def _solve_gram(kd, s1, sw, qqt, r_w):
+    """Solve G x = r_w on nodes 1..n-1 for the effective diffusivity Gram
+    G = A A^T + diag(qqt), A[i, j] = sigma1-bar_i kd[i, j] sqrt(w_i / w_j)
+    over rows 1..n-1, with (s1, sw, qqt) at all n nodes and r_w at nodes
+    1..n-1.  Returns (x, lam_max, lam_min).
 
-    Assembles G = Q Q* (positive definite on the admissible domain), solves
-    G w = phi-dot - cbar - grad-psi-g-bar, and returns half the pairing plus
-    the minimizing pair (time control for the rough noise, feedback bins for
-    the Brownian noise).
+    G is the one (n-1)^2 array: dsyrk accumulates A a block of columns at a
+    time into its upper triangle, which is mirrored into the lower one.
+    Cholesky then factors the lower triangle in place, and the upper one
+    keeps G for the condition estimate (the storage rule of LAPACK).
     """
-    dq = assemble_QH(phi, drift, ctx)
-    gram = dq.gram()
-    r = _forced_displacement(phi, drift)
-    sw = np.sqrt(dq.weights)
-    r_w = r[:, 0] * sw
-    # the initial node is fixed by phi(0) = x0, not by its velocity, and the
-    # lifted-derivative row vanishes there; solve on nodes 1..n-1
-    keep = slice(1, phi.n)
-    gram_k = gram[keep, keep]
-    if not np.all(np.isfinite(gram_k)):
+    m, step = len(kd) - 1, _GRAM_BLOCK_COLUMNS
+    gram = np.zeros((m, m), order="F")
+    rows = (s1 * sw)[1:, None]
+    for j0 in range(0, m + 1, step):
+        # columns j0.. of A, a temporary that is gone before the next one
+        a = kd[1:, j0 : j0 + step] / sw[j0 : j0 + step]
+        a *= rows
+        gram = dsyrk(1.0, a.T, beta=1.0, c=gram, trans=1, overwrite_c=1)
+        del a
+    for j0 in range(0, m, step):
+        j1 = j0 + step
+        gram[j1:, j0:j1] = gram[j0:j1, j1:].T
+        block = gram[j0:j1, j0:j1]
+        block += np.triu(block, 1).T
+    diag = np.diagonal(gram) + qqt[1:]
+    # G is semi-definite, |G_ik| <= sqrt(G_ii G_kk): a finite diagonal bounds G
+    if not np.all(np.isfinite(diag)):
         raise DivergenceError("general rate: the effective diffusivity Gram overflowed")
+    np.fill_diagonal(gram, diag)
     try:
-        chol = cho_factor(gram_k, lower=True, check_finite=False)
+        chol = cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(f"effective diffusivity Gram is not positive definite: {exc}")
-    lam_max, lam_min = _condition_estimate(gram_k, chol)
+    lam_max, lam_min = _condition_estimate(chol, diag)
     if lam_min <= _DEGENERATE_RATIO * max(lam_max, 1.0):
         raise DegeneracyError(
             f"Gram operator degenerate: eigenvalue range [{lam_min:.3g}, {lam_max:.3g}]"
@@ -281,20 +254,44 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
         raise IllConditionedError(
             f"Gram solve condition {cond:.3g} exceeds limit {_CONDITION_LIMIT:.3g}", condition=cond
         )
+    return cho_solve(chol, r_w, check_finite=False), lam_max, lam_min
+
+
+def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
+    """Operator-form rate: solve the Gram system of the effective diffusivity.
+
+    The Gram G = Q Q* (positive definite on the admissible domain) composes
+    the naively averaged coefficient with the lifted-derivative kernel
+    matrix for the rough noise and adds the averaged effective Gram of the
+    Brownian noise, pointwise in time, on its diagonal.  Solves
+    G w = phi-dot - cbar - grad-psi-g-bar in weighted coordinates and
+    returns half the pairing plus the minimizing pair (time control for the
+    rough noise, feedback bins for the Brownian noise).  Beyond the
+    context's cached ``kdot_matrix`` it holds one (n-1)^2 array, the Gram
+    and its Cholesky factor in one (``_solve_gram``).
+    """
+    ctx.check_grid(phi, "eval_rate_general")
+    w = trapezoid_weights(phi.n, phi.dt)
+    sw = np.sqrt(w)
+    r_w = _forced_displacement(phi, drift)[:, 0] * sw
     if not np.all(np.isfinite(r_w)):
         raise DivergenceError("general rate: the forced displacement overflowed")
+    s1 = drift.sigma1_bar(phi.values)[:, 0, 0]
+    kd = ctx.kdot_matrix()
+    # the initial node is fixed by phi(0) = x0, not by its velocity, and the
+    # lifted-derivative row vanishes there; solve on nodes 1..n-1
     w_sol = np.zeros(phi.n)
-    w_sol[keep] = cho_solve(chol, r_w[keep])
-    val = 0.5 * float(r_w[keep] @ w_sol[keep])
+    w_sol[1:], lam_max, lam_min = _solve_gram(kd, s1, sw, drift.qqt_bar(phi.values)[:, 0, 0], r_w[1:])
+    val = 0.5 * float(r_w[1:] @ w_sol[1:])
     # minimizers: u1* = Kdot* sigma1-bar w ; u2* = Q w (per bin)
-    u1 = ((dq.a_u1.T @ w_sol) / sw)[:, None]
+    u1 = ((kd.T @ (s1 * sw * w_sol)) / w)[:, None]
     u2 = drift.q_bins(phi.values)[..., 0] * (w_sol / sw)[:, None, None]
     ctrl = ControlPair(v1=GridPath(0.0, phi.dt, u1))
     return RateEvalResult(
         value=val,
         method="general",
         minimizer={"v1": ctrl.v1, "u2_feedback": u2, "bin_centers": drift.bin_centers},
-        diagnostics={"condition": cond, "lambda_min": lam_min, "lambda_max": lam_max},
+        diagnostics={"condition": lam_max / lam_min, "lambda_min": lam_min, "lambda_max": lam_max},
     )
 
 

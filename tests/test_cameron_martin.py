@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, gamma
 
+from fracrate import cameron_martin as cm
 from fracrate.cameron_martin import (
     HurstContext,
     apply_KH,
@@ -522,11 +523,12 @@ def test_tables_bit_identical_to_row_loops(h, n):
 
 def test_table_builds_keep_no_square_temporaries():
     # at n = 1025 an (n, n) float table is 8.4 MB: the builds may hold their
-    # outputs, two vectors over the strict lower triangle and three over the
-    # reduced fractions, but no further (n, n) temporary
+    # outputs, one vector over the reduced fractions and five row blocks of
+    # 0.5 MB (measured: 21.5 and 13.1 MB), but no vector over the strict
+    # lower triangle and no further (n, n) temporary
     n = 1025
     HurstContext(0.6, n, 1.0 / (n - 1)).kdot_matrix()  # the index for this n
-    table, tri, fractions = n * n * 8, n * (n - 1) // 2 * 8, 318964 * 8
+    table, fractions, block = n * n * 8, 318964 * 8, cm._MAX_BLOCK_ELEMENTS * 8
     for method, outputs in (("inverse_tables", 2), ("kdot_matrix", 1)):
         ctx = HurstContext(0.8, n, 1.0 / (n - 1))
         tracemalloc.start()
@@ -535,5 +537,5 @@ def test_table_builds_keep_no_square_temporaries():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < outputs * table + 2 * tri + 3 * fractions
+        assert peak < outputs * table + fractions + 5 * block
         assert ctx._cell_table is None

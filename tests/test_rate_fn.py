@@ -1,20 +1,21 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gamma
 
 from fracrate import coefficients as cf
 from fracrate import poisson_cell, rate_fn
 from fracrate.cameron_martin import HurstContext, c_H
 from fracrate.config import load_config
-from fracrate.errors import AdmissibilityError, DegeneracyError
+from fracrate.errors import AdmissibilityError, DegeneracyError, DivergenceError
 from fracrate.gridpath import GridPath, trapezoid_weights
 from fracrate.poisson_cell import invariant_density_1d, solve_poisson_1d
 from fracrate.rate_fn import (
-    assemble_QH,
     averaged_euler,
     build_limit_drift,
     eval_rate_explicit,
@@ -251,7 +252,61 @@ class TestExplicit:
             assert res.value >= 0
 
 
+def oracle_general(phi, drift, ctx):
+    """The general rate with the whole Gram in hand, as the package computed
+    it before it factored the Gram in place: the rough block
+    A[i, j] = sigma1-bar_i kd[i, j] sqrt(w_i / w_j) as an (n, n) array,
+    G = A A^T plus the averaged Brownian Gram on the diagonal, a Cholesky
+    copy of G on nodes 1..n-1, and power iteration on that block."""
+    w = trapezoid_weights(phi.n, phi.dt)
+    sw = np.sqrt(w)
+    a_u1 = drift.sigma1_bar(phi.values)[:, 0] * (ctx.kdot_matrix() * (sw[:, None] / sw[None, :]))
+    gram = a_u1 @ a_u1.T
+    nodes = np.arange(phi.n)
+    gram[nodes, nodes] += drift.qqt_bar(phi.values)[:, 0, 0]
+    gram_k = gram[1:, 1:]
+    chol = cho_factor(gram_k, lower=True)
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(phi.n - 1)
+    for _ in range(20):
+        v = gram_k @ v
+        v /= np.linalg.norm(v)
+    lam_max = float(v @ (gram_k @ v))
+    u = rng.standard_normal(phi.n - 1)
+    for _ in range(20):
+        u = cho_solve(chol, u)
+        u /= np.linalg.norm(u)
+    lam_min = float(u @ (gram_k @ u))
+    r_w = rate_fn._forced_displacement(phi, drift)[:, 0] * sw
+    w_sol = np.zeros(phi.n)
+    w_sol[1:] = cho_solve(chol, r_w[1:])
+    return {
+        "value": 0.5 * float(r_w[1:] @ w_sol[1:]),
+        "lambda_min": lam_min,
+        "lambda_max": lam_max,
+        "condition": lam_max / lam_min,
+        "v1": ((a_u1.T @ w_sol) / sw)[:, None],
+        "u2": drift.q_bins(phi.values)[..., 0] * (w_sol / sw)[:, None, None],
+        "a_u1": a_u1,
+        "gram": gram,
+        "weights": w,
+    }
+
+
+GENERAL_CASES = {
+    # qqt = 0, as on the benchmark's cos config
+    "cos_drift": (cos_spec, 0.8),
+    # qqt != 0: a Brownian diagonal
+    "ou_sigma2_constant": (
+        lambda: ou_spec(sigma1=("constant", {"value": 1.0}), sigma2=("constant", {"value": 0.5})), 0.7
+    ),
+    "ou_linear_b": (lambda: ou_spec(b=("linear_y", {"rate": 0.8}), sigma1=("constant", {"value": 1.0})), 0.7),
+}
+
+
 class TestAssembleQH:
+    # the whole-Gram assembly of oracle_general, and what the evaluator keeps of it
+
     def test_sigma1_zero_acts_on_u2_only(self, ou_measure):
         spec = ou_spec(sigma2=("constant", {"value": 1.0}))
         psol = solve_poisson_1d(spec.b, spec.f, spec.tau, ou_measure)
@@ -259,22 +314,36 @@ class TestAssembleQH:
         n = 128
         dt, t = grid_t(n)
         ctx = HurstContext(0.7, n, dt)
-        dq = assemble_QH(GridPath(0.0, dt, np.zeros(n)), drift, ctx)
-        assert np.max(np.abs(dq.a_u1)) == 0.0
+        dq = oracle_general(GridPath(0.0, dt, np.zeros(n)), drift, ctx)
+        assert np.max(np.abs(dq["a_u1"])) == 0.0
         # the Brownian block is the averaged Gram of sigma2 = 1
-        assert abs(dq.gram()[5, 5] - 1.0) < 5e-3
+        assert abs(dq["gram"][5, 5] - 1.0) < 5e-3
+        # a path the rough block would act on: no rough control, and the
+        # Gram is that Brownian block
+        res = eval_rate_general(GridPath(0.0, dt, 0.3 * t**2), drift, ctx)
+        assert np.max(np.abs(res.minimizer["v1"].values)) == 0.0
+        assert np.max(np.abs(res.minimizer["u2_feedback"])) > 0.0
+        for key in ("lambda_min", "lambda_max"):
+            assert abs(res.diagnostics[key] - 1.0) < 5e-3
 
     def test_u1_action_matches_kdot_closed_form(self, const_drift):
         n = 256
         h = 0.7
         dt, t = grid_t(n)
         ctx = HurstContext(h, n, dt)
-        dq = assemble_QH(GridPath(0.0, dt, np.zeros(n)), const_drift, ctx)
-        sw = np.sqrt(dq.weights)
-        out = (dq.a_u1 @ (np.ones(n) * sw)) / sw
+        dq = oracle_general(GridPath(0.0, dt, np.zeros(n)), const_drift, ctx)
+        sw = np.sqrt(dq["weights"])
+        out = (dq["a_u1"] @ (np.ones(n) * sw)) / sw
         exact = c_H(h) * gamma(1.5 - h) * t ** (h - 0.5)
         mask = t >= 10 * dt
         assert np.max(np.abs(out[mask] - exact[mask]) / exact[mask]) < 1e-10
+        # the evaluator's rough block acts the same way: sigma1-bar Kdot of
+        # its rough control gives back the forced displacement on nodes 1..n-1
+        phi = GridPath(0.0, dt, 0.2 + 0.5 * t**2 + 0.3 * t**3)
+        res = eval_rate_general(phi, const_drift, ctx)
+        r = rate_fn._forced_displacement(phi, const_drift)[1:, 0]
+        back = const_drift.sigma1_bar(phi.values)[:, 0, 0] * (ctx.kdot_matrix() @ res.minimizer["v1"].values[:, 0])
+        assert np.max(np.abs(back[1:] - r)) < 1e-10 * np.max(np.abs(r))
 
     def test_operator_norm_bounded_over_paths(self, cos_drift):
         n = 128
@@ -284,11 +353,69 @@ class TestAssembleQH:
         norms = []
         for _ in range(4):
             phi = GridPath(0.0, dt, rng.standard_normal() * t**2)
-            norms.append(assemble_QH(phi, cos_drift, ctx).operator_norm())
+            norms.append(math.sqrt(eval_rate_general(phi, cos_drift, ctx).diagnostics["lambda_max"]))
         assert max(norms) < 10 * min(norms) + 1.0
 
 
+class TestGeneralMemory:
+    def test_peak_is_one_gram(self, cos_drift):
+        # today's oracle holds about four (n-1)^2 tables: A, two temporaries
+        # building it, the Gram and a copy of its nodes 1..n-1
+        n = 1025
+        ctx = HurstContext(0.8, n, 1.0 / (n - 1))
+        ctx.kdot_matrix()
+        phi = admissible_phi(n)
+        tracemalloc.start()
+        try:
+            eval_rate_general(phi, cos_drift, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n - 1) ** 2 * 8 + 2e6
+
+    def test_factor_is_the_gram(self, cos_drift, monkeypatch):
+        factored = []
+
+        def factor(a, **kwargs):
+            out = cho_factor(a, **kwargs)
+            factored.append((a, out[0]))
+            return out
+
+        monkeypatch.setattr(rate_fn, "cho_factor", factor)
+        n = 257
+        eval_rate_general(admissible_phi(n), cos_drift, HurstContext(0.8, n, 1.0 / (n - 1)))
+        ((gram, chol),) = factored
+        assert gram.shape == (n - 1, n - 1) and np.shares_memory(gram, chol)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_forced_displacement_checked_before_the_factor(self, cos_drift, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rate_fn, "cho_factor", lambda *args, **kwargs: calls.append(1))
+        n = 65
+        dt, t = grid_t(n)
+        with pytest.raises(DivergenceError, match="forced displacement overflowed"):
+            eval_rate_general(GridPath(0.0, dt, 1e308 * np.cos(40 * t)), cos_drift, HurstContext(0.8, n, dt))
+        assert calls == []
+
+
 class TestGeneral:
+    @pytest.mark.parametrize("n", [2, 3, 48, 257, 1025])
+    @pytest.mark.parametrize("case", sorted(GENERAL_CASES))
+    def test_matches_whole_gram_oracle(self, case, n, ou_measure):
+        make_spec, h = GENERAL_CASES[case]
+        drift = limit_drift(make_spec(), ou_measure)
+        dt, t = grid_t(n)
+        phi = GridPath(0.0, dt, 0.2 + 0.5 * t**2 + 0.3 * t**3)
+        ctx = HurstContext(h, n, dt)
+        want = oracle_general(phi, drift, ctx)
+        res = eval_rate_general(phi, drift, ctx)
+        assert abs(res.value - want["value"]) <= 1e-12 * abs(want["value"])
+        for key in ("lambda_min", "lambda_max", "condition"):
+            assert abs(res.diagnostics[key] - want[key]) <= 1e-8 * abs(want[key]), key
+        for got, ref in ((res.minimizer["v1"].values, want["v1"]), (res.minimizer["u2_feedback"], want["u2"])):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
     def test_zero_on_homogenized_flow(self, const_drift):
         n = 256
         dt, t = grid_t(n)
