@@ -11,7 +11,7 @@ and the averaging layer across path nodes and grid points.
 it reads; ``zero`` is declared zero, and ``zero``, ``constant``,
 ``linear_y``, ``ou`` and ``linear_xy`` declare their affine form
 (slope in x, slope in y, constant), which lets the simulator step a
-system of such coefficients by superposition and the averaging layer
+skew product of such drifts as scalar recurrences and the averaging layer
 average their drift in closed form; ``cos_y`` and ``cubic_y`` declare
 their y-derivative, which with the affine slopes gives the simulator its
 fast-step stability bound without a difference probe.  ``build`` rejects

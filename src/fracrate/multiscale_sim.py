@@ -44,8 +44,10 @@ class SlowFastSpec:
     reading x and y and as not affine, which puts a bare sigma1 on the
     fast-dependent branch.  The simulator does not evaluate a coefficient
     declared zero, evaluates one that reads neither x nor y once per chunk
-    of trials, and steps a system of affine drifts and state-free noise
-    coefficients by superposition (``simulate_chunks``).
+    of trials, and steps a system whose fast side reads no x, and whose
+    slow side reads x only through a c declared affine, as a skew product
+    of two scalar recurrences; a g reading x sends it through the Euler
+    loop (``simulate_chunks``).
     """
 
     b: object
@@ -270,14 +272,15 @@ def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPai
     step looks unstable at a recorded state of a live trial (``_fast_slope``;
     never when f is declared zero or free of y, its Jacobian then zero).
 
-    A system that ``_affine_route`` accepts (noise roles free of the state,
-    every drift role that reads the state declared affine) is stepped by
-    block superposition (``_affine_paths``), which agrees with the Euler
-    loop within 1e-12 of each path's sup norm in the tests; its trials with
-    a non-finite recorded state, and every other system, go through the
+    A system that ``_skew_route`` accepts is a skew product: y is solved
+    alone and drives x, each by a scalar affine recurrence (``_euler_chunk``),
+    which agrees with the Euler loop within 1e-12 of each path's sup norm
+    in the tests.  Its trials with a non-finite recorded state, and every
+    other system (a g or a noise role that reads x, a bare callable, an f
+    or g not declared affine, a tau that reads the state), go through the
     loop, whose paths are bit for bit a scalar Euler loop."""
     evaluators = {role: _evaluator(spec, role) for roles in _SIDES for role in roles}
-    route = _affine_route(spec, dt)
+    skew = _skew_route(spec)
     controls, n_steps = None, None
     check = evaluators["f"] is not None and reads(spec.f, "y")  # until the warning is given
     unstable = lambda gnorm: spec.eta < 2.0 * dt * gnorm  # noqa: E731
@@ -291,7 +294,7 @@ def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPai
                 controls[0] = _interp_to_fine(apply_KH_dot(ctrl.v1, ctx), t_fine)
             if ctrl is not None and ctrl.u2dot is not None:
                 controls[1] = _interp_to_fine(ctrl.u2dot, t_fine)
-        xs, ys, bad = _euler_chunk(spec, noise, dt, substeps, evaluators, controls, route)
+        xs, ys, bad = _euler_chunk(spec, noise, dt, substeps, evaluators, controls, skew)
         with np.errstate(over="ignore", invalid="ignore"):
             gnorm = _fast_slope(spec.f, evaluators["f"], ys, unstable) if check else 0.0
         if gnorm > 0 and unstable(gnorm):
@@ -306,7 +309,6 @@ def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPai
 # The roles of each side in the order its step adds their terms:
 # y + tau Ftau + f Ff + g Fg and x + sigma1 F1 + sigma2 F2 + b Fb + c Fc.
 _SIDES = (("tau", "f", "g"), ("sigma1", "sigma2", "b", "c"))
-_NOISE_ROLES = ("tau", "sigma1", "sigma2")
 
 
 def _forcing(spec, dt, noise, controls, role):
@@ -342,12 +344,13 @@ def _forcing(spec, dt, noise, controls, role):
 
 def _terms(spec, evaluators, roles, dt, noise, controls, x, y):
     """The terms of one side of the step for a chunk with increments
-    ``noise`` whose trials start at (x, y), in ``roles`` order: ``(evaluate,
-    F, stacked)`` is the term evaluate(x, y) * (F[i] if stacked else F) at
-    fine step i.  A role declared zero has no term.  A coefficient that
-    reads no state is evaluated here, once, and its term formed for all
-    fine steps, in place on F where it is a stack (``evaluate`` None, F the
-    term); the terms before the first that reads the state are summed."""
+    ``noise`` whose trials start at (x, y), in ``roles`` order: ``(role,
+    evaluate, F, stacked)`` is the term evaluate(x, y) * (F[i] if stacked
+    else F) of ``role`` at fine step i.  A role declared zero has no term.
+    A coefficient that reads no state is evaluated here, once, and its term
+    formed for all fine steps, in place on F where it is a stack
+    (``evaluate`` None, F the term); the terms before the first that reads
+    the state are summed.  The steppers only read the terms."""
     terms = []
     for role in roles:
         evaluate = evaluators[role]
@@ -356,132 +359,88 @@ def _terms(spec, evaluators, roles, dt, noise, controls, x, y):
         force, fn = _forcing(spec, dt, noise, controls, role), getattr(spec, role)
         stacked = np.ndim(force) > 0
         if reads(fn, "x") or reads(fn, "y"):
-            terms.append((evaluate, force, stacked))
+            terms.append((role, evaluate, force, stacked))
             continue
         value = evaluate(x, y)
         term = np.multiply(value, force, out=force) if stacked else np.multiply(value, force)
-        if len(terms) == 1 and terms[0][0] is None:  # noise roles come first: a stacked prefix sums in place
-            base, stacked = terms.pop()[1:]
+        if len(terms) == 1 and terms[0][1] is None:  # noise roles come first: a stacked prefix sums in place
+            base, stacked = terms.pop()[2:]
             term = np.add(base, term, out=base) if stacked else base + term
-        terms.append((None, term, stacked))
+        terms.append((role, None, term, stacked))
     return terms
 
 
 def _advance(s, terms, i, x, y):
     """The state s after fine step i: s plus the sum of the terms, in order."""
     ds = None
-    for evaluate, force, stacked in terms:
+    for _, evaluate, force, stacked in terms:
         f = force[i] if stacked else force
         t = f if evaluate is None else np.multiply(evaluate(x, y), f)
         ds = t if ds is None else ds + t
     return s if ds is None else s + ds
 
 
-def _affine_route(spec, dt):
-    """The Euler step z -> A z + a + b_i of z = (x, y) as (A, a), or None
-    when the loop must step the system.  It needs noise roles (sigma1,
-    sigma2, tau) that read no state and a declared affine form
-    (``coefficients.affine``) for every drift role that reads the state.
-    Each such role adds its slopes times its scalar forcing to its side's
-    row of A, which starts as the identity, and its constant times the
-    forcing to a; b_i are the state-free terms of fine step i (``_terms``)."""
-    mat, const = np.eye(2), np.zeros(2)
-    for row, roles in ((1, _SIDES[0]), (0, _SIDES[1])):
-        for role in roles:
-            fn = getattr(spec, role)
-            form = affine(fn)
-            if is_zero(fn) or not (reads(fn, "x") or reads(fn, "y")):
-                continue
-            if form is None or role in _NOISE_ROLES:
-                return None
-            force = _forcing(spec, dt, None, None, role)
-            mat[row] += np.multiply(form[:2], force)
-            const[row] += form[2] * force
-    return mat, const
+def _skew_route(spec):
+    """Whether ``_euler_chunk`` may step ``spec`` as a skew product, y
+    driving x: the fast side reads no x, tau reads no state, f and g are
+    declared affine (``coefficients.affine``) where they read y, and the
+    slow side reads x only through a c declared affine."""
+    for role in _SIDES[0] + _SIDES[1]:
+        fn = getattr(spec, role)
+        if is_zero(fn):
+            continue
+        if reads(fn, "x") and not (role == "c" and affine(fn) is not None):
+            return False
+        if reads(fn, "y") and (role == "tau" or role in ("f", "g") and affine(fn) is None):
+            return False
+    return True
 
 
-def _free_terms(terms, const):
-    """The state-free addends of one side of an affine step: its (fine
-    step, trial, 1) stack, if it has one, then ``const`` plus the other
-    state-free terms, a number or one per trial, if not zero."""
-    free = [(term, stacked) for evaluate, term, stacked in terms if evaluate is None]
-    rest = sum((term for term, stacked in free if not stacked), const)
-    return [term for term, stacked in free if stacked] + ([rest] if np.any(rest != 0.0) else [])
+def _scan(a, v, s0, stride):
+    """The states s_0, s_stride, s_2stride, ... of s_{q+1} = a s_q + v[q]
+    from s0 (trial, 1) over the rows of v (fine step, trial, 1), as
+    (node, trial, 1).  The recurrence is solved as a linear one in blocks
+    (Blelloch, "Prefix sums and their applications", 1990) of s fine steps,
+    about sqrt(len(v)) and a multiple of ``stride``, so that node k r + i
+    lies i stride steps into block k (r = s / stride):
 
+    1. step every block from zero at once, one pass over (block, trial)
+       rows per step, each pass writing to the nodes it reaches;
+    2. carry the block starts Z_{k+1} = a^s Z_k + (block k's end), one
+       pass per block;
+    3. add a^(i stride) Z_k to node k r + i, one pass per offset i.
 
-def _affine_step(mat, z, adds):
-    """z <- mat z plus the terms of ``adds[r]`` on row r, in place on the
-    pair of state arrays z = (x, y)."""
-    (a, b), (c, d) = mat
-    x, y = z
-    cx = x * c if c else None
-    if a != 1:
-        x *= a
-    if b:
-        x += y * b
-    if d != 1:
-        y *= d
-    if c:
-        y += cx
-    for row, terms in zip(z, adds):
-        for term in terms:
-            row += term
-
-
-def _affine_paths(route, x_terms, y_terms, z0, n_steps, substeps, batch):
-    """The paths x and y, each (batch, n_out, 1) as a view of (n_out,
-    batch, 1) storage, at every ``substeps``-th of ``n_steps`` fine steps of
-    the affine step ``route`` from z0 = (x0, y0), b_i read off the terms
-    (``_affine_route``).  The recurrence is solved as a linear one in
-    blocks (Blelloch, "Prefix sums and their applications", 1990) of s,
-    about sqrt(n_steps), fine steps; node j lies t = j substeps mod s steps
-    into block k = j substeps div s:
-
-    1. step every block from zero at once, s passes over (block, trial)
-       rows, keeping the nodes at offset t after the t-th;
-    2. carry the block starts Z_{k+1} = A^s Z_k + (block k's end), one pass
-       per block;
-    3. add A^t Z_k to every node.
-
-    Every operation is elementwise per trial, so a trial's bits depend
-    neither on the other trials nor on the chunking."""
-    mat, const = route
-    adds = [_free_terms(terms, c) for terms, c in zip((x_terms, y_terms), const)]
-    root = max(1, round(math.sqrt(n_steps)))
-    s = substeps * max(1, round(root / substeps)) if substeps <= root else root
-    block, offset = np.divmod(np.arange(n_steps // substeps + 1) * substeps, s)
-    order = np.argsort(offset, kind="stable")
-    offsets, first = np.unique(offset[order], return_index=True)
-    at = dict(zip(offsets.tolist(), np.split(order, first[1:])))  # offset -> its nodes
-    out = np.zeros((2, len(block), batch, 1))
-    # row k + 1: block k stepped from zero; then, in place, Z_k in row k
-    z = np.zeros((2, -(-n_steps // s) + 1, batch, 1))
-    for t in range(s):
-        rows = -(-(n_steps - t) // s)
-        _affine_step(mat, z[:, 1 : rows + 1], [[a[t::s] if np.ndim(a) == 3 else a for a in side] for side in adds])
-        if t + 1 in at:
-            out[:, at[t + 1]] = z[:, block[at[t + 1]] + 1]
-    powers = [np.eye(2)]
-    for _ in range(s):
-        powers.append((mat[:, :, None] * powers[-1]).sum(axis=1))  # A times the last, without BLAS
-    powers = np.array(powers)
-    z[:, 0] = np.reshape(z0, (2, 1, 1))
-    for k in range(n_steps // s):
-        end = z[:, k + 1].copy()
-        z[:, k + 1] = z[:, k]
-        _affine_step(powers[s], z[:, k + 1], [[end[0]], [end[1]]])
-    start = np.empty_like(out[0])  # one buffer for the scaled Z_k of every node
-    for row, col in np.argwhere(powers.any(axis=0)):  # the entries not zero in every power
-        np.take(z[col], block, axis=0, out=start, mode="clip")  # unbuffered; no index is out of range
-        out[row] += np.multiply(powers[offset, row, col][:, None, None], start, out=start)
-    return [o.swapaxes(0, 1) for o in out]
+    v is only read.  Every operation is elementwise per trial, so a
+    trial's bits depend neither on the other trials nor on the chunking."""
+    n = len(v)
+    s = stride * max(1, round(math.sqrt(n) / stride))
+    r = s // stride
+    out = np.empty((n // stride + 1, *np.shape(s0)))
+    state = np.zeros((-(-n // s), *np.shape(s0)))  # every block's state, t steps in
+    for t in range(1, s + 1):
+        rows = v[t - 1 :: s]
+        block = state[: len(rows)]
+        block *= a
+        block += rows
+        if t < s and t % stride == 0:
+            out[t // stride :: r] = block
+    z, power = np.empty((n // s + 1, *np.shape(s0))), np.power(a, s)  # inf, not OverflowError, past the range
+    z[0] = s0
+    for k in range(n // s):
+        np.multiply(z[k], power, out=z[k + 1])
+        z[k + 1] += state[k]
+    out[::r] = z
+    for i in range(1, r):
+        nodes = out[i::r]
+        nodes += np.power(a, i * stride) * z[: len(nodes)]
+    return out
 
 
 def _trials(terms, idx):
     """The terms of the trials ``idx`` of a chunk."""
     return [
-        (evaluate, f[:, idx] if stacked else f[idx] if evaluate is None and np.ndim(f) == 2 else f, stacked)
-        for evaluate, f, stacked in terms
+        (role, evaluate, f[:, idx] if stacked else f[idx] if evaluate is None and np.ndim(f) == 2 else f, stacked)
+        for role, evaluate, f, stacked in terms
     ]
 
 
@@ -506,12 +465,42 @@ def _loop(x_terms, y_terms, x, y, n_out, substeps, t_fine):
     return xs, ys, bad
 
 
-def _euler_chunk(spec, noise, dtf, substeps, evaluators, controls, route):
+def _affine_parts(spec, terms, left, shape):
+    """One side's terms as (ax, ay, v): ax and ay sum the declared slopes
+    (``coefficients.affine``) in x and y times F of its drift terms that
+    read the state, and v, a stack of ``shape``, sums the rest.  On the
+    slow side, ``left`` the left-point fast states, a noise term or a drift
+    with no declared form is evaluated once on ``left``, and ay y is formed
+    in place on ``left``.  v is a term's own stack, only read, when
+    nothing is added to it, and the constant broadcast when there is none."""
+    ax, ay, stacks, const = 0.0, 0.0, [], 0.0
+    for role, evaluate, force, stacked in terms:
+        form = None if evaluate is None or stacked else affine(getattr(spec, role))
+        if form is not None:
+            ax, ay, const = ax + form[0] * force, ay + form[1] * force, const + form[2] * force
+        elif evaluate is not None:
+            stacks.append(evaluate(0.0, left) * force)
+        elif stacked:
+            stacks.append(force)
+        else:
+            const = const + force
+    if left is not None and ay:
+        stacks.append(np.multiply(left, ay, out=left))
+    if not stacks:
+        return ax, ay, np.broadcast_to(const, shape)
+    v = sum(stacks[1:], stacks[0])
+    return ax, ay, v + const if np.any(const != 0.0) else v
+
+
+def _euler_chunk(spec, noise, dtf, substeps, evaluators, controls, skew):
     """Left-point Euler steps of one chunk with increments ``noise`` =
-    [dB, dW] over fine steps of length dtf, trials on the leading axis:
-    by ``_affine_paths`` when ``route`` (``_affine_route``) is not None,
-    its trials with a non-finite recorded state stepped again by
-    ``_loop``, by ``_loop`` otherwise."""
+    [dB, dW] over fine steps of length dtf, trials on the leading axis: as
+    a skew product when ``skew`` (``_skew_route``), its trials with a
+    non-finite recorded state stepped again by ``_loop``, by ``_loop``
+    otherwise.  The skew product solves y_{i+1} = ay y_i + v_i by
+    ``_scan``, at every fine step when a slow term reads y, else at the
+    output nodes, then x_{i+1} = ax x_i + w_i at the output nodes, w_i the
+    slow terms at (0, y_i) (``_affine_parts``)."""
     n_steps, batch = noise[0].shape[:2]
     t_fine, n_out = dtf * np.arange(n_steps + 1), n_steps // substeps + 1
     x, y = np.full((batch, 1), spec.x0), np.full((batch, 1), spec.y0)
@@ -519,11 +508,17 @@ def _euler_chunk(spec, noise, dtf, substeps, evaluators, controls, route):
     # stays resident in the heap; freed last, it adds nothing to the peak.
     y_terms, x_terms = (_terms(spec, evaluators, roles, dtf, noise, controls, x, y) for roles in _SIDES)
     with np.errstate(over="ignore", invalid="ignore"):
-        if route is None:
+        if not skew:
             return _loop(x_terms, y_terms, x, y, n_out, substeps, t_fine)
-        xs, ys = _affine_paths(route, x_terms, y_terms, (spec.x0, spec.y0), n_steps, substeps, batch)
-        redo = np.flatnonzero(~(np.isfinite(xs).all(axis=(1, 2)) & np.isfinite(ys).all(axis=(1, 2))))
-        bad = np.full(batch, np.nan)
+        shape = (n_steps, batch, 1)
+        full = any(evaluate is not None and reads(getattr(spec, role), "y") for role, evaluate, _, _ in x_terms)
+        _, ay, v = _affine_parts(spec, y_terms, None, shape)
+        ys = _scan(1.0 + ay, v, y, 1 if full else substeps)
+        left, ys = (ys[:-1], ys[::substeps].copy()) if full else (None, ys)
+        ax, _, v = _affine_parts(spec, x_terms, left, shape)
+        xs = _scan(1.0 + ax, v, x, substeps)
+        redo = np.flatnonzero(~(np.isfinite(xs).all(axis=(0, 2)) & np.isfinite(ys).all(axis=(0, 2))))
+        xs, ys, bad = xs.swapaxes(0, 1), ys.swapaxes(0, 1), np.full(batch, np.nan)
         if len(redo):
             terms = (_trials(t, redo) for t in (x_terms, y_terms))
             xs[redo], ys[redo], bad[redo] = _loop(*terms, x[redo], y[redo], n_out, substeps, t_fine)

@@ -430,14 +430,38 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("numerical failure: all 4 trials aborted at eps=0.1")
         assert not (out / "simulate_summary.json").exists()
 
+    def test_simulate_skew_route_matches_the_loop(self, tmp_path, monkeypatch):
+        # the OU config stepped as a skew product and by the Euler loop
+        # alone, its oracle: every number of the summary within 1e-12
+        # relative, every trajectory within 1e-12 of its sup norm
+        outs = [tmp_path / "skew", tmp_path / "loop"]
+        for out in outs:
+            if out.name == "loop":
+                monkeypatch.setattr(multiscale_sim, "_skew_route", lambda spec: False)
+            argv = ["simulate", "--config", str(CONFIGS / "ou_homogenization.cfg"), "--trials", "2"]
+            assert main([*argv, "--out-dir", str(out)]) == 0
+        skew, loop = (json.loads((out / "simulate_summary.json").read_text()) for out in outs)
+        assert skew["trials"] == loop["trials"] and len(skew["schedule"]) == len(loop["schedule"]) == 3
+        for got, want in zip(skew["schedule"], loop["schedule"]):
+            assert got.keys() == want.keys()
+            for key in got:
+                assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key]), key
+        names = sorted(p.name for p in outs[0].glob("trajectory_*.csv"))
+        assert len(names) == 6 and names == sorted(p.name for p in outs[1].glob("trajectory_*.csv"))
+        for name in names:
+            got, want = (GridPath.from_csv(str(out / name)) for out in outs)
+            assert np.array_equal(got.times(), want.times())
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("route", ["affine", "loop"])
     def test_simulate_unstable_fast_step_aborts_every_trial(self, tmp_path, capsys, monkeypatch, route):
         # dt_fast = 1/(200 * 4096) >> eta: the fast Euler step of the OU
-        # config grows y by about -10 per step; the affine route hands the
-        # trial to the loop, which aborts it as it does on its own
+        # config grows y by about -10 per step; the skew route, two affine
+        # recurrences, hands the trial to the loop, which aborts it as it
+        # does on its own
         if route == "loop":
-            monkeypatch.setattr(multiscale_sim, "_affine_route", lambda spec, dt: None)
+            monkeypatch.setattr(multiscale_sim, "_skew_route", lambda spec: False)
         text = (CONFIGS / "ou_homogenization.cfg").read_text().replace("eta = auto", "eta = 1e-7, 1e-8, 1e-9")
         cfg, out = write(tmp_path, "u.cfg", text), tmp_path / "o"
         assert main(["simulate", "--config", cfg, "--trials", "1", "--out-dir", str(out)]) == 3

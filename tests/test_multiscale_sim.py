@@ -3,7 +3,6 @@ import re
 import tracemalloc
 import warnings
 from collections import namedtuple
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from fracrate import coefficients as cf
 from fracrate import ldp_harness, multiscale_sim
 from fracrate.cameron_martin import HurstContext, apply_KH_dot, c_H
-from fracrate.config import load_config
 from fracrate.errors import DivergenceError, InvalidInputError
 from fracrate.fbm_gen import sample_increments
 from fracrate.gridpath import GridPath
@@ -30,8 +28,6 @@ from scipy.special import gamma
 
 from conftest import SQRT2, ou_spec
 
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # The increments of a chunk of trials, (fine step, trial, column), over
 # fine steps of length dt.
@@ -157,9 +153,9 @@ def grouped_reference(spec, noise, substeps, ctrl=None):
     return xs, ys
 
 
-def on_affine_route(spec, dt):
-    """Whether ``simulate_chunks`` steps ``spec`` by block superposition."""
-    return multiscale_sim._affine_route(spec, dt) is not None
+def on_skew_route(spec):
+    """Whether ``simulate_chunks`` steps ``spec`` as a skew product."""
+    return multiscale_sim._skew_route(spec)
 
 
 def assert_close(got, want):
@@ -167,10 +163,10 @@ def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def assert_path_matches(spec, dt, got, want):
+def assert_path_matches(spec, got, want):
     """``got`` bit for bit ``want`` when the loop steps ``spec``, within
-    1e-12 of its sup norm on the affine route."""
-    if on_affine_route(spec, dt):
+    1e-12 of its sup norm on the skew route."""
+    if on_skew_route(spec):
         assert_close(got, want)
     else:
         assert np.array_equal(got, want)
@@ -184,8 +180,8 @@ def assert_matches_reference(spec, noises, substeps, ctrl=None, batch=None):
     for trial, noise in enumerate(noises):
         xs, ys = scalar_reference(spec, noise, substeps, ctrl)
         assert np.isnan(batch.first_bad_time[trial])
-        assert_path_matches(spec, noise.dt, batch.x[trial], xs)
-        assert_path_matches(spec, noise.dt, batch.y[trial], ys)
+        assert_path_matches(spec, batch.x[trial], xs)
+        assert_path_matches(spec, batch.y[trial], ys)
         for got, want in zip((batch.x[trial], batch.y[trial]), grouped_reference(spec, noise, substeps, ctrl)):
             assert_close(got, want)
     return batch
@@ -361,16 +357,17 @@ class TestBatched:
             scalar_reference(spec, noises[1], 1)
         for trial in (0, 2):
             xs, ys = scalar_reference(spec, noises[trial], 1)
-            assert_path_matches(spec, noises[trial].dt, batch.x[trial], xs)
-            assert_path_matches(spec, noises[trial].dt, batch.y[trial], ys)
+            assert_path_matches(spec, batch.x[trial], xs)
+            assert_path_matches(spec, batch.y[trial], ys)
 
     def test_chunk_size_independence(self, monkeypatch):
-        # a loop spec (sigma1 reads y) and the OU config, on the affine route
+        # a loop spec (sigma1 reads x), and on the skew route a sigma1 that
+        # reads y and the OU config
         n_out, sub = 41, 5
         n_fine = (n_out - 1) * sub + 1
-        for sigma1 in (("cos_y", {}), ("zero", {})):
+        for sigma1 in (("linear_xy", {"ax": 0.3, "const": 0.5}), ("cos_y", {}), ("zero", {})):
             spec = ou_spec(eps=0.1, eta=0.02, sigma1=sigma1, c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)
-            assert on_affine_route(spec, 1.0 / (n_fine - 1)) == (sigma1[0] == "zero")
+            assert on_skew_route(spec) == (sigma1[0] != "linear_xy")
             results = []
             for per_chunk in (1, 3, 7):
                 monkeypatch.setattr(ldp_harness, "_MAX_BATCH_POINTS", per_chunk * n_fine)
@@ -426,26 +423,37 @@ class TestChunkChecks:
 ROLE_CHOICES = {role: [(name, params) for name, r, params in BUILTIN_ROLES
                        if r == role and name != "zero" and (name, role) != ("cubic_y", "tau")]
                 for role in ("b", "c", "sigma1", "sigma2", "f", "g", "tau")}
-# Those that keep a spec on the affine route: declared affine, and free of
-# the state in a noise role.
-AFFINE_CHOICES = {role: [(name, params) for name, params in choices
-                         if cf.affine(cf.build(role, name, **params)) is not None
-                         and (role in ("b", "c", "f", "g") or name == "constant")]
-                  for role, choices in ROLE_CHOICES.items()}
+
+
+def keeps_skew_route(role, coef):
+    """Whether ``coef`` in ``role`` keeps a spec on the skew route: it reads
+    no x unless it is c declared affine, and where it reads y, it is not
+    tau, and it is declared affine in f and g."""
+    affine = cf.affine(coef) is not None
+    if cf.reads(coef, "x") and not (role == "c" and affine):
+        return False
+    return not cf.reads(coef, "y") or role in ("b", "c", "sigma1", "sigma2") or (role != "tau" and affine)
+
+
+# Those that keep a spec on the skew route: among them cos_y and linear_y
+# as sigma1, sigma2, b and c.
+SKEW_CHOICES = {role: [(name, params) for name, params in choices
+                       if keeps_skew_route(role, cf.build(role, name, **params))]
+                for role, choices in ROLE_CHOICES.items()}
 
 
 @st.composite
 def zero_heavy_spec(draw):
     """A spec with a built-in in every role, each drawn as ``zero`` half the
-    time, half of the specs on the affine route and half on the loop, and
-    a control pair with v1 and u2dot each present or absent."""
-    affine = draw(st.booleans())
+    time, half of the specs on the skew route and half on the loop, and a
+    control pair with v1 and u2dot each present or absent."""
+    skew = draw(st.booleans())
     coefs = {}
-    for role, choices in (AFFINE_CHOICES if affine else ROLE_CHOICES).items():
+    for role, choices in (SKEW_CHOICES if skew else ROLE_CHOICES).items():
         name, params = ("zero", {}) if draw(st.booleans()) else draw(st.sampled_from(choices))
         coefs[role] = cf.build(role, name, **params)
     spec = SlowFastSpec(**coefs, hurst=0.7, eps=0.1, eta=0.5, x0=0.4, y0=0.2)
-    assume(on_affine_route(spec, 1.0) == affine)
+    assume(on_skew_route(spec) == skew)
     t = np.linspace(0.0, 1.0, 9)
     ctrl = ControlPair(v1=GridPath(0.0, 0.125, np.sin(3 * t)) if draw(st.booleans()) else None,
                        u2dot=GridPath(0.0, 0.125, np.cos(2 * t)) if draw(st.booleans()) else None)
@@ -593,14 +601,16 @@ class TestDeclaredSlope:
 
 class TestZeroTerms:
     def test_declared_zero_is_never_called(self):
-        # c is not affine, so the loop steps the system and calls c
+        # c = cos y reads y only, so the skew route steps the system and
+        # calls c once per chunk, on the stack of left-point fast states
         spec = ou_spec(eps=0.1, eta=0.1, c=("cos_y", {}), x0=1.0)
+        assert on_skew_route(spec)
         calls = {}
         for role in ("b", "c", "sigma1", "sigma2", "g"):
-            coef, calls[role] = getattr(spec, role), 0
+            coef, calls[role] = getattr(spec, role), []
 
             def counted(*args, fn=coef.fn, role=role):
-                calls[role] += 1
+                calls[role].append((np.shape(args[-1]), np.all(args[-1][0] == spec.y0)))
                 return fn(*args)
 
             coef.fn = counted
@@ -608,8 +618,8 @@ class TestZeroTerms:
         noises = [make_noise(spec, 11, 1.0, 4, seed=2, stream=trial) for trial in range(3)]
         for ctrl in (None, ControlPair(v1=GridPath(0.0, 0.1, t), u2dot=GridPath(0.0, 0.1, 1.0 - t))):
             run(spec, stacked(noises), 4, ctrl)
-        assert calls.pop("c") > 0
-        assert calls == dict.fromkeys(("b", "sigma1", "sigma2", "g"), 0)
+        assert calls.pop("c") == [((40, 3, 1), True)] * 2  # its first row y_0
+        assert calls == dict.fromkeys(("b", "sigma1", "sigma2", "g"), [])
 
     @pytest.mark.filterwarnings("ignore:fast Euler step may be unstable")
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -621,16 +631,18 @@ class TestZeroTerms:
 
 
 def loop_only(monkeypatch):
-    """Send every spec through the Euler loop, the affine route's oracle."""
-    monkeypatch.setattr(multiscale_sim, "_affine_route", lambda spec, dt: None)
+    """Send every spec through the Euler loop, the skew route's oracle."""
+    monkeypatch.setattr(multiscale_sim, "_skew_route", lambda spec: False)
 
 
-def coupled_affine_spec():
-    """Every entry of the affine step nonzero: c and g read x and y and add
-    a constant, b reads y, and every noise role is constant."""
-    return ou_spec(eps=0.1, eta=0.2, sigma1=("constant", {"value": 0.6}), sigma2=("constant", {"value": 0.4}),
+def coupled_skew_spec():
+    """Every term the skew route takes: c reads x and y and adds a
+    constant, b reads y through its declared form, sigma1 = cos y is
+    evaluated on the fast states, sigma2 is state-free, and f and g read y
+    through their declared forms."""
+    return ou_spec(eps=0.1, eta=0.2, sigma1=("cos_y", {}), sigma2=("constant", {"value": 0.4}),
                    c=("linear_xy", {"ax": -1.0, "ay": 0.5, "const": 0.2}), b=("linear_y", {"rate": 0.3}),
-                   g=("linear_xy", {"ax": 0.3, "ay": -0.2, "const": 0.1}), x0=1.0, y0=-0.5)
+                   g=("linear_xy", {"ay": -0.2, "const": 0.1}), x0=1.0, y0=-0.5)
 
 
 def smooth_controls(n_out):
@@ -640,8 +652,8 @@ def smooth_controls(n_out):
 
 
 def per_trial_free_spec():
-    """An affine-route spec whose c and g read no state and return one
-    value per trial, shape (batch, 1), beside constant sigma1 and tau."""
+    """A skew-route spec whose c and g read no state and return one value
+    per trial, shape (batch, 1), beside constant sigma1 and tau."""
     spec = ou_spec(eps=0.1, eta=0.2, sigma1=("constant", {"value": 0.6}), b=("linear_y", {"rate": 0.3}),
                    x0=1.0, y0=-0.5)
     spec.c = cf.Coefficient("per_trial", lambda x, y: 0.1 * np.arange(1.0, len(x) + 1.0)[:, None] - 0.2, {}, reads="")
@@ -649,71 +661,15 @@ def per_trial_free_spec():
     return spec
 
 
-# (output nodes, substeps) of the affine route's block layouts
+# (output nodes, substeps): y at every fine step is solved in blocks of
+# about sqrt(fine steps), x at the nodes in blocks of a multiple of substeps
 BLOCK_LAYOUTS = [
-    (21, 4),  # blocks of 8 fine steps, two nodes each
-    (14, 7),  # blocks of one output step
-    (12, 2),  # blocks of 4 fine steps and a last one of 2
-    (4, 37),  # blocks of 11 fine steps across the output steps, a last one of 1
-    (31, 1),  # every fine step a node
+    (21, 4),  # blocks of 9 fine steps and a last one of 8; of 8, two nodes each
+    (14, 7),  # blocks of 10 and a last one of 1; of one output step
+    (12, 2),  # blocks of 5 and a last one of 2; of 4 and a last one of 2
+    (4, 37),  # blocks of 11 and a last one of 1; of one output step, longer than sqrt(111)
+    (31, 1),  # blocks of 5, every fine step a node
 ]
-
-
-def class_free_terms(terms, const):
-    """``multiscale_sim._free_terms`` for the class-based oracle below, on
-    state arrays with no trailing axis."""
-    stack, rest = [], const
-    for evaluate, term, stacked in terms:
-        if evaluate is not None:
-            continue
-        if stacked:
-            stack.append(term[..., 0])
-        else:
-            term = np.asarray(term)
-            rest = rest + (term[:, 0] if term.ndim == 2 else term.reshape(-1)[0])
-    return stack + ([rest] if np.any(rest != 0.0) else [])
-
-
-def class_affine_paths(route, x_terms, y_terms, z0, n_steps, substeps, batch):
-    """``multiscale_sim._affine_paths`` with its output nodes found as
-    residue classes of the block length: the oracle that the (block,
-    offset) form must match bit for bit."""
-    mat, const = route
-    adds = [class_free_terms(terms, c) for terms, c in zip((x_terms, y_terms), const)]
-    root = max(1, round(math.sqrt(n_steps)))
-    s = substeps * max(1, round(root / substeps)) if substeps <= root else root
-    n_out, gcd = n_steps // substeps + 1, math.gcd(s, substeps)
-    # Node j + period lies stride blocks after node j, as many steps in:
-    # class j0 < period, its first node in block b0, t0 steps in.
-    period, stride = s // gcd, substeps // gcd
-    classes = [(j0, j0 * substeps // s, j0 * substeps % s) for j0 in range(min(period, n_out))]
-    kept = {t0: (j0, b0) for j0, b0, t0 in classes if t0}
-    out = [np.zeros((n_out, batch)) for _ in range(2)]
-    z = np.zeros((2, -(-n_steps // s) + 1, batch))
-    for t in range(s):
-        rows = -(-(n_steps - t) // s)
-        multiscale_sim._affine_step(
-            mat, z[:, 1 : rows + 1], [[a[t::s] if np.ndim(a) == 2 else a for a in side] for side in adds])
-        if t + 1 in kept:
-            j0, b0 = kept[t + 1]
-            for row in range(2):
-                out[row][j0::period] = z[row, b0 + 1 :: stride][: len(range(j0, n_out, period))]
-    powers = [np.eye(2)]
-    for _ in range(s):
-        powers.append((mat[:, :, None] * powers[-1]).sum(axis=1))
-    powers = np.array(powers)
-    z[:, 0] = np.reshape(z0, (2, 1))
-    for k in range(n_steps // s):
-        end = z[:, k + 1].copy()
-        z[:, k + 1] = z[:, k]
-        multiscale_sim._affine_step(powers[s], z[:, k + 1], [[end[0]], [end[1]]])
-    for j0, b0, t0 in classes:
-        starts = z[:, b0::stride][:, : len(range(j0, n_out, period))]
-        for row in range(2):
-            for col in range(2):
-                if powers[:, row, col].any():
-                    out[row][j0::period] += powers[t0, row, col] * starts[col]
-    return [o.T[:, :, None] for o in out]
 
 
 class TestAffineRoute:
@@ -731,42 +687,41 @@ class TestAffineRoute:
     def test_bare_callable_declares_no_form(self):
         assert cf.affine(lambda x, y: -x) is None
         spec = ou_spec(c=("linear_xy", {"ax": -1.0}))
-        assert on_affine_route(spec, 0.01)
+        assert on_skew_route(spec)
         spec.c = lambda x, y: -x
-        assert not on_affine_route(spec, 0.01)
+        assert not on_skew_route(spec)
 
-    @pytest.mark.parametrize("n_out,sub", BLOCK_LAYOUTS)
-    def test_block_layouts_match_the_loop(self, monkeypatch, n_out, sub):
-        spec = coupled_affine_spec()
-        ctrl = smooth_controls(n_out)
-        noise = stacked([make_noise(spec, n_out, 1.0, sub, seed=13, stream=trial) for trial in range(3)])
-        assert on_affine_route(spec, noise.dt)
-        batch = run(spec, noise, sub, ctrl)
-        loop_only(monkeypatch)
-        loop = run(spec, noise, sub, ctrl)
-        assert not batch.diverged.any() and not loop.diverged.any()
-        for trial in range(3):
-            for got, want in ((batch.x, loop.x), (batch.y, loop.y)):
-                assert got[trial, 0, 0] == want[trial, 0, 0]
-                assert_close(got[trial], want[trial])
-
-    @pytest.mark.filterwarnings("ignore:fast Euler step may be unstable")  # the OU config's eta on coarse grids
     @pytest.mark.parametrize("n_out,sub", BLOCK_LAYOUTS + [
-        (3, 200),  # substeps above sqrt(fine steps): blocks of 20 fine steps, nodes 10 blocks apart
-        (201, 50),  # the OU config's finest layout: blocks of 2 output steps
+        (3, 200),  # substeps above sqrt(fine steps): x in blocks of one output step
+        (201, 50),  # the OU config's finest layout
     ])
-    def test_nodes_match_the_class_oracle(self, monkeypatch, n_out, sub):
-        ou_config = load_config(CONFIGS / "ou_homogenization.cfg")
-        for spec in (coupled_affine_spec(), ou_config.make_spec(*ou_config.schedule[0]), per_trial_free_spec()):
+    def test_block_layouts_match_the_loop(self, monkeypatch, n_out, sub):
+        for spec in (coupled_skew_spec(), per_trial_free_spec()):
             noise = stacked([make_noise(spec, n_out, 1.0, sub, seed=13, stream=trial) for trial in range(3)])
-            assert on_affine_route(spec, noise.dt)
+            assert on_skew_route(spec)
             for ctrl in (None, smooth_controls(n_out)):
-                got = run(spec, noise, sub, ctrl)
+                batch = run(spec, noise, sub, ctrl)
                 with monkeypatch.context() as patch:
-                    patch.setattr(multiscale_sim, "_affine_paths", class_affine_paths)
-                    want = run(spec, noise, sub, ctrl)
-                assert np.array_equal(got.x, want.x, equal_nan=True)
-                assert np.array_equal(got.y, want.y, equal_nan=True)
+                    loop_only(patch)
+                    loop = run(spec, noise, sub, ctrl)
+                assert not batch.diverged.any() and not loop.diverged.any()
+                for trial in range(3):
+                    for got, want in ((batch.x, loop.x), (batch.y, loop.y)):
+                        assert got[trial, 0, 0] == want[trial, 0, 0]
+                        assert_close(got[trial], want[trial])
+
+    @pytest.mark.parametrize("role", ["g", "sigma1"])
+    def test_x_read_outside_c_takes_the_loop(self, role):
+        # a g or a noise coefficient that reads x couples the sides both
+        # ways: the loop steps the system, bit for bit the scalar oracle
+        spec = coupled_skew_spec()
+        setattr(spec, role, cf.build(role, "linear_xy", ax=0.3, ay=-0.2, const=0.5))
+        assert not on_skew_route(spec)
+        noises = [make_noise(spec, 11, 1.0, 4, seed=14, stream=trial) for trial in range(3)]
+        batch = run(spec, stacked(noises), 4, smooth_controls(11))
+        for trial, noise in enumerate(noises):
+            xs, ys = scalar_reference(spec, noise, 4, smooth_controls(11))
+            assert np.array_equal(batch.x[trial], xs) and np.array_equal(batch.y[trial], ys)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:fast Euler step may be unstable")
     @pytest.mark.parametrize("case", ["huge_noise", "unstable_fast_step"])
@@ -777,10 +732,10 @@ class TestAffineRoute:
             spec = ou_spec(eps=1.0, eta=0.2, sigma1=("constant", {"value": 1.0}), c=("linear_xy", {"ax": 50.0}), x0=1.0)
             noises, sub = [make_noise(spec, 21, 1.0, 1, seed=7, stream=trial) for trial in range(3)], 1
             noises[1].db[:] *= 1e306
-        else:  # 1 - dt_fast/eta = -9: y blows up, and the affine route's x, free of y, stays finite
+        else:  # 1 - dt_fast/eta = -9: y blows up, and the skew route's x, free of y, stays finite
             spec = ou_spec(eps=0.1, eta=1e-4, c=("linear_xy", {"ax": -1.0}), x0=1.0)
             noises, sub = [make_noise(spec, 11, 1.0, 100, seed=7, stream=trial) for trial in range(3)], 100
-        assert on_affine_route(spec, noises[0].dt)
+        assert on_skew_route(spec)
         batch = run(spec, stacked(noises), sub)
         loop_only(monkeypatch)
         loop = run(spec, stacked(noises), sub)
