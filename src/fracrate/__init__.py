@@ -11,7 +11,6 @@ from .errors import (
     DivergenceError,
     ExperimentFailure,
     FracrateError,
-    IllConditionedError,
     InvalidInputError,
     RegularityError,
     TruncationError,

@@ -33,14 +33,6 @@ class DegeneracyError(FracrateError, RuntimeError):
     """A matrix that must be invertible is singular beyond tolerance."""
 
 
-class IllConditionedError(FracrateError, RuntimeError):
-    """A linear solve exceeded the configured condition-number limit."""
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
-
-
 class AdmissibilityError(FracrateError, RuntimeError):
     """A path fails the near-zero weighted-regularity check."""
 

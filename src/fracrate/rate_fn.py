@@ -8,9 +8,9 @@ on the whole path at once:
   singular drift and the Brownian diffusion vanish and the averaged rough
   diffusion is invertible; equals half the squared inverse-lift norm of the
   forced displacement.
-* ``eval_rate_general`` - the operator form: factor the effective
-  diffusivity Gram operator, solve for the adjoint state, and read off both
-  the value and the minimizing control pair.
+* ``eval_rate_general`` - the operator form: factor the square root of the
+  effective diffusivity Gram operator by QR, solve for the adjoint state,
+  and read off both the value and the minimizing control pair.
 * ``eval_rate_fw_half`` / ``eval_rate_tilde_half`` - the two classical-noise
   quadratic forms; they differ exactly by replacing the average of the
   squared coefficient with the square of the averaged coefficient.
@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsymv, dsyrk
+from scipy.linalg.blas import dtrmv, dtrsv
+from scipy.linalg.lapack import dtpqrt
 
 from .cameron_martin import HurstContext, kdot_inverse
 from .coefficients import affine, is_zero
@@ -31,7 +31,6 @@ from .errors import (
     AdmissibilityError,
     DegeneracyError,
     DivergenceError,
-    IllConditionedError,
     RegularityError,
 )
 from .gridpath import GridPath, l2_norm, trapezoid_weights
@@ -40,11 +39,9 @@ from .poisson_cell import InvariantMeasure, PoissonSolution, average_coeff, effe
 
 # sigma1-bar is singular where its smallest singular value is below this
 _SINGULAR_TOL = 1e-8
-# the Gram operator is degenerate where its eigenvalue range
-# [lam_min, lam_max] has lam_min <= _DEGENERATE_RATIO * max(lam_max, 1), and
-# too ill-conditioned to solve where lam_max / lam_min > _CONDITION_LIMIT
+# the Gram operator G = R^T R is degenerate where the singular values
+# [s_min, s_max] of R have s_min <= _DEGENERATE_RATIO * max(s_max, 1)
 _DEGENERATE_RATIO = 1e-8
-_CONDITION_LIMIT = 1e8
 
 
 @dataclass
@@ -184,77 +181,62 @@ def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     )
 
 
-# the Gram accumulates A this many columns at a time: narrower blocks make
-# dsyrk sweep the Gram more often, at a cost that grows as n^3
-_GRAM_BLOCK_COLUMNS = 128
+# dtpqrt factors the square root of the Gram this many columns at a time
+_QR_BLOCK = 32
 
 
-def _condition_estimate(chol, diag):
-    """Power-iteration (lam_max, lam_min) of the Gram that ``chol`` factors
-    in its lower triangle and keeps in its upper one, but for ``diag``."""
-    c, _ = chol
-    fix = diag - np.diagonal(c)
-    gram_mv = lambda v: dsymv(1.0, c, v) + fix * v  # noqa: E731
+def _gram_range(r):
+    """Power-iteration (lam_max, lam_min) of the Gram G = R^T R of the upper
+    triangular R: 20 products with G and 20 solves, from seed 0."""
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(len(diag))
+    v = rng.standard_normal(len(r))
     for _ in range(20):
-        v = gram_mv(v)
+        v = dtrmv(r, dtrmv(r, v), trans=1)
         v /= np.linalg.norm(v)
-    lam_max = float(v @ gram_mv(v))
-    u = rng.standard_normal(len(diag))
-    # the Gram was checked finite once, and the iterates stay finite: no rescan per solve
+    u = rng.standard_normal(len(r))
     for _ in range(20):
-        u = cho_solve(chol, u, check_finite=False)
+        u = dtrsv(r, dtrsv(r, u, trans=1))
         u /= np.linalg.norm(u)
-    lam_min = float(u @ gram_mv(u))
-    return lam_max, lam_min
+    # x^T G x = |R x|^2
+    return [float(np.linalg.norm(dtrmv(r, x)) ** 2) for x in (v, u)]
 
 
 def _solve_gram(kd, s1, sw, qqt, r_w):
     """Solve G x = r_w on nodes 1..n-1 for the effective diffusivity Gram
     G = A A^T + diag(qqt), A[i, j] = sigma1-bar_i kd[i, j] sqrt(w_i / w_j)
     over rows 1..n-1, with (s1, sw, qqt) at all n nodes and r_w at nodes
-    1..n-1.  Returns (x, lam_max, lam_min).
+    1..n-1.  Returns (x, r_w . x / 2, lam_max, lam_min).
 
-    G is the one (n-1)^2 array: dsyrk accumulates A a block of columns at a
-    time into its upper triangle, which is mirrored into the lower one.
-    Cholesky then factors the lower triangle in place, and the upper one
-    keeps G for the condition estimate (the storage rule of LAPACK).
+    G is not formed, since forming it squares the condition of A.  Kdot is
+    lower triangular, so G = B^T B for B stacking U = (columns 1..n-1 of
+    A)^T, upper triangular, over column 0 of A as one row and the rows of
+    diag(sqrt(qqt)) where qqt > 0.  The triangular-pentagonal QR of B
+    (dtpqrt) overwrites U with R, G = R^T R, and r_w . x = |R^-T r_w|^2.
+    U is the one (n-1)^2 array; with qqt = 0, B has one row below it and
+    the QR costs O(n^2), and each node with qqt > 0 adds a row of n - 1.
     """
-    m, step = len(kd) - 1, _GRAM_BLOCK_COLUMNS
-    gram = np.zeros((m, m), order="F")
+    # A over columns 1..n-1, whose transpose U is F-contiguous
+    a = kd[1:, 1:] / sw[1:]
     rows = (s1 * sw)[1:, None]
-    for j0 in range(0, m + 1, step):
-        # columns j0.. of A, a temporary that is gone before the next one
-        a = kd[1:, j0 : j0 + step] / sw[j0 : j0 + step]
-        a *= rows
-        gram = dsyrk(1.0, a.T, beta=1.0, c=gram, trans=1, overwrite_c=1)
-        del a
-    for j0 in range(0, m, step):
-        j1 = j0 + step
-        gram[j1:, j0:j1] = gram[j0:j1, j1:].T
-        block = gram[j0:j1, j0:j1]
-        block += np.triu(block, 1).T
-    diag = np.diagonal(gram) + qqt[1:]
-    # G is semi-definite, |G_ik| <= sqrt(G_ii G_kk): a finite diagonal bounds G
-    if not np.all(np.isfinite(diag)):
+    a *= rows
+    qqt = qqt[1:]
+    brown = np.flatnonzero(qqt > 0)
+    b = np.zeros((1 + brown.size, len(a)), order="F")
+    b[0] = kd[1:, 0] / sw[0] * rows[:, 0]
+    b[1 + np.arange(brown.size), brown] = np.sqrt(qqt[brown])
+    # G is semi-definite: a finite trace bounds it
+    if not np.isfinite(np.vdot(a, a) + np.vdot(b[0], b[0]) + qqt.sum()):
         raise DivergenceError("general rate: the effective diffusivity Gram overflowed")
-    np.fill_diagonal(gram, diag)
-    try:
-        chol = cho_factor(gram, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError(f"effective diffusivity Gram is not positive definite: {exc}")
-    lam_max, lam_min = _condition_estimate(chol, diag)
-    if lam_min <= _DEGENERATE_RATIO * max(lam_max, 1.0):
-        raise DegeneracyError(
-            f"Gram operator degenerate: eigenvalue range [{lam_min:.3g}, {lam_max:.3g}]"
-        )
-    cond = lam_max / lam_min
-    if cond > _CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"Gram solve condition {cond:.3g} exceeds limit {_CONDITION_LIMIT:.3g}", condition=cond
-        )
-    return cho_solve(chol, r_w, check_finite=False), lam_max, lam_min
+    r, _, _, info = dtpqrt(brown.size, min(_QR_BLOCK, len(a)), a.T, b, overwrite_a=1, overwrite_b=1)
+    diag = np.diagonal(r)
+    if info or not np.all(np.isfinite(diag) & (diag != 0.0)):
+        raise DegeneracyError(f"effective diffusivity Gram is singular: zero or non-finite pivot (dtpqrt info {info})")
+    lam_max, lam_min = _gram_range(r)
+    s_max, s_min = np.sqrt([lam_max, lam_min])
+    if s_min <= _DEGENERATE_RATIO * max(s_max, 1.0):
+        raise DegeneracyError(f"Gram operator degenerate: singular values of R in [{s_min:.3g}, {s_max:.3g}]")
+    z = dtrsv(r, r_w, trans=1)
+    return dtrsv(r, z), 0.5 * float(z @ z), lam_max, lam_min
 
 
 def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
@@ -264,11 +246,14 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     the naively averaged coefficient with the lifted-derivative kernel
     matrix for the rough noise and adds the averaged effective Gram of the
     Brownian noise, pointwise in time, on its diagonal.  Solves
-    G w = phi-dot - cbar - grad-psi-g-bar in weighted coordinates and
-    returns half the pairing plus the minimizing pair (time control for the
-    rough noise, feedback bins for the Brownian noise).  Beyond the
-    context's cached ``kdot_matrix`` it holds one (n-1)^2 array, the Gram
-    and its Cholesky factor in one (``_solve_gram``).
+    G w = phi-dot - cbar - grad-psi-g-bar in weighted coordinates through
+    the triangular QR factor R of G's square root, G = R^T R, and returns
+    half the pairing plus the minimizing pair (time control for the rough
+    noise, feedback bins for the Brownian noise).  Beyond the context's
+    cached ``kdot_matrix`` it holds one (n-1)^2 array, the square root
+    overwritten by R, plus up to one more for the rows of a Brownian
+    diagonal (``_solve_gram``).  ``diagnostics`` holds power-iteration
+    estimates of G's extreme eigenvalues and their ratio.
     """
     ctx.check_grid(phi, "eval_rate_general")
     w = trapezoid_weights(phi.n, phi.dt)
@@ -281,8 +266,7 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     # the initial node is fixed by phi(0) = x0, not by its velocity, and the
     # lifted-derivative row vanishes there; solve on nodes 1..n-1
     w_sol = np.zeros(phi.n)
-    w_sol[1:], lam_max, lam_min = _solve_gram(kd, s1, sw, drift.qqt_bar(phi.values)[:, 0, 0], r_w[1:])
-    val = 0.5 * float(r_w[1:] @ w_sol[1:])
+    w_sol[1:], val, lam_max, lam_min = _solve_gram(kd, s1, sw, drift.qqt_bar(phi.values)[:, 0, 0], r_w[1:])
     # minimizers: u1* = Kdot* sigma1-bar w ; u2* = Q w (per bin)
     u1 = ((kd.T @ (s1 * sw * w_sol)) / w)[:, None]
     u2 = drift.q_bins(phi.values)[..., 0] * (w_sol / sw)[:, None, None]

@@ -635,6 +635,15 @@ class TestCommands:
         data = json.load(open(out))
         assert data["value"] > 0
 
+    def test_rate_general_on_a_fine_grid(self, tmp_path):
+        # exited 3 from n = 2049 on: the Gram's smallest eigenvalue fell
+        # below the degeneracy ratio while its square root's stayed above
+        text = (CONFIGS / "cos_limit_study.cfg").read_text().replace("n = 1025", "n = 2049")
+        out = tmp_path / "r.json"
+        rc = main(["rate", "--config", write(tmp_path, "fine.cfg", text), "--method", "general", "--out", str(out)])
+        assert rc == 0
+        assert np.isfinite(json.load(open(out))["value"])
+
     @pytest.mark.parametrize("hurst", ["0", "0.0"])
     def test_rate_explicit_zero_hurst_is_invalid_input(self, tmp_path, capsys, hurst):
         # --hurst 0 was read as unset: the run used the config's H = 0.8

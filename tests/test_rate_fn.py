@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtpqrt
 from scipy.special import gamma
 
 from fracrate import coefficients as cf
@@ -373,24 +374,48 @@ class TestGeneralMemory:
             tracemalloc.stop()
         assert peak < (n - 1) ** 2 * 8 + 2e6
 
+    def test_peak_with_brownian_diagonal(self, ou_measure):
+        # qqt > 0 at every node: the rows of diag(sqrt(qqt)) below the square
+        # root are a second (n-1)^2 table
+        spec = ou_spec(sigma1=("cos_y", {}), sigma2=("constant", {"value": 0.3}), hurst=0.8, beta=0.45)
+        drift = limit_drift(spec, ou_measure)
+        n = 1025
+        ctx = HurstContext(0.8, n, 1.0 / (n - 1))
+        ctx.kdot_matrix()
+        phi = admissible_phi(n)
+        tracemalloc.start()
+        try:
+            res = eval_rate_general(phi, drift, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics["lambda_min"] >= 0.5 * drift.qqt_bar(np.zeros((1, 1)))[0, 0, 0]
+        assert peak < 2 * (n - 1) ** 2 * 8 + 2e6
+
     def test_factor_is_the_gram(self, cos_drift, monkeypatch):
+        # the QR overwrites the square root's upper triangle U in place with
+        # the factor R of the Gram, G = R^T R on nodes 1..n-1
         factored = []
 
-        def factor(a, **kwargs):
-            out = cho_factor(a, **kwargs)
+        def factor(l, nb, a, b, **kwargs):
+            out = dtpqrt(l, nb, a, b, **kwargs)
             factored.append((a, out[0]))
             return out
 
-        monkeypatch.setattr(rate_fn, "cho_factor", factor)
+        monkeypatch.setattr(rate_fn, "dtpqrt", factor)
         n = 257
-        eval_rate_general(admissible_phi(n), cos_drift, HurstContext(0.8, n, 1.0 / (n - 1)))
-        ((gram, chol),) = factored
-        assert gram.shape == (n - 1, n - 1) and np.shares_memory(gram, chol)
+        phi, ctx = admissible_phi(n), HurstContext(0.8, n, 1.0 / (n - 1))
+        eval_rate_general(phi, cos_drift, ctx)
+        ((u, r),) = factored
+        assert u.shape == (n - 1, n - 1) and np.shares_memory(u, r)
+        gram = oracle_general(phi, cos_drift, ctx)["gram"][1:, 1:]
+        r = np.triu(r)
+        assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_forced_displacement_checked_before_the_factor(self, cos_drift, monkeypatch):
         calls = []
-        monkeypatch.setattr(rate_fn, "cho_factor", lambda *args, **kwargs: calls.append(1))
+        monkeypatch.setattr(rate_fn, "dtpqrt", lambda *args, **kwargs: calls.append(1))
         n = 65
         dt, t = grid_t(n)
         with pytest.raises(DivergenceError, match="forced displacement overflowed"):
@@ -415,6 +440,25 @@ class TestGeneral:
         for got, ref in ((res.minimizer["v1"].values, want["v1"]), (res.minimizer["u2_feedback"], want["u2"])):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_degenerate_sigma_raises(self, ou_measure):
+        # sigma1 = 0 and qqt = 0: the Gram is zero, and so is its factor
+        drift = limit_drift(ou_spec(), ou_measure)
+        n = 128
+        with pytest.raises(DegeneracyError):
+            eval_rate_general(admissible_phi(n), drift, HurstContext(0.7, n, 1.0 / (n - 1)))
+
+    def test_converges_to_explicit_on_finer_grids(self, cos_drift):
+        # first order in the grid: the gap to the explicit rate shrinks at
+        # least twofold per doubling, through n = 2049
+        gaps = []
+        for n in (257, 513, 1025, 2049):
+            phi, ctx = admissible_phi(n), HurstContext(0.8, n, 1.0 / (n - 1))
+            re = eval_rate_explicit(phi, cos_drift, ctx).value
+            gaps.append(abs(eval_rate_general(phi, cos_drift, ctx).value - re) / re)
+        assert gaps[0] < 2e-3
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert fine <= coarse / 2
 
     def test_zero_on_homogenized_flow(self, const_drift):
         n = 256
