@@ -1,12 +1,15 @@
 """Command-line interface: validation, experiment orchestration, artifacts.
 
 Subcommands: sample-fbm, simulate, poisson, rate, limit-study, mc, validate.
-Exit codes: 0 success, 2 validation failure or invalid input, 3 numerical
-failure.  The default output directory is the environment variable
-FRACRATE_OUT (falling back to the working directory).  Every run writes a
-machine-readable manifest (config digest, seed, versions, timestamp) beside
-its outputs; re-running a config with the same seed reproduces every output
-byte except the manifest timestamp.
+Each command is named on the command line; the config's ``[experiment]
+kind`` only labels the experiment, and ``simulate`` reads it to decide
+whether the config's ``trials`` counts trajectories.  Exit codes: 0
+success, 2 validation failure or invalid input, 3 numerical failure.  The
+default output directory is the environment variable FRACRATE_OUT (falling
+back to the working directory).  Every run writes a machine-readable
+manifest (config digest, seed, versions, timestamp) beside its outputs;
+re-running a config with the same seed reproduces every output byte except
+the manifest timestamp.
 """
 from __future__ import annotations
 
@@ -49,7 +52,7 @@ from .rate_fn import (
 
 
 def _out_dir(args):
-    base = args.out_dir if getattr(args, "out_dir", None) else os.environ.get("FRACRATE_OUT", ".")
+    base = args.out_dir or os.environ.get("FRACRATE_OUT", ".")
     os.makedirs(base, exist_ok=True)
     return base
 
@@ -101,7 +104,7 @@ def _validated_config(args):
     failures = hard_failures(checks)
     for chk in checks:
         print(f"[{chk.status}] {chk.name}: {chk.detail}")
-    if failures and not getattr(args, "force", False):
+    if failures and not args.force:
         named = "; ".join(f"{chk.name}: {chk.detail}" for chk in failures)
         raise ValidationFailure(
             f"{len(failures)} hard validation failure(s) ({named}); rerun with --force to override"
@@ -111,14 +114,13 @@ def _validated_config(args):
 
 def _measure_and_drift(config):
     mu, psol = config.cell_problem()
-    return build_limit_drift(config.make_spec(*config.schedule[-1]), psol, mu, nbins=config.tol["u2_bins"])
+    return build_limit_drift(config.make_spec(*config.schedule[-1]), psol, mu)
 
 
-def _load_or_default_path(config, drift):
-    csv = config.experiment["path_csv"]
-    if csv:
-        return GridPath.from_csv(csv)
-    # documented default: the admissible cubic with normalized displacement t^2
+def _input_path(args, config, drift):
+    """The ``--path`` CSV, else the admissible cubic with normalized displacement t^2."""
+    if args.path:
+        return GridPath.from_csv(args.path)
     n = config.grid["n"]
     horizon = config.grid["horizon"]
     dt = horizon / (n - 1)
@@ -137,7 +139,7 @@ def cmd_sample_fbm(args):
 
 def cmd_simulate(args):
     config = _validated_config(args)
-    trials = getattr(args, "trials", None)
+    trials = args.trials
     if trials is None:
         # another kind's trials count Monte Carlo samples, one trajectory file each here
         if config.kind != "simulate":
@@ -149,14 +151,13 @@ def cmd_simulate(args):
         raise InvalidInputError(f"need at least one trial, got {trials}")
     out_dir = _out_dir(args)
     drift = _measure_and_drift(config)
-    n, horizon = config.grid["n"], config.grid["horizon"]
-    seed = config.seed if getattr(args, "seed", None) is None else args.seed
+    n, horizon, substeps = config.grid["n"], config.grid["horizon"], config.grid["substeps"]
     ref = averaged_euler(drift, config.model["x0"], n, horizon / (n - 1))
 
     summary = {"schedule": [], "trials": trials, "reference": "homogenized Euler"}
     for idx, (eps, eta) in enumerate(config.schedule):
         sup_errs, terminals = [], []
-        chunks = simulate_point(config.make_spec(eps, eta), n, horizon, config.grid["substeps"], trials, seed, idx)
+        chunks = simulate_point(config.make_spec(eps, eta), n, horizon, substeps, trials, config.seed, idx)
         for chunk, batch in chunks:
             for i in np.flatnonzero(~batch.diverged):
                 batch.paths(i)[0].to_csv(os.path.join(out_dir, f"trajectory_eps{idx}_trial{chunk[i]}.csv"))
@@ -185,7 +186,7 @@ def cmd_poisson(args):
     out = _ensure_parent(args.out) if args.out else os.path.join(_out_dir(args), "poisson.json")
     spec = config.make_spec(*config.schedule[-1])
     mu, psol = config.cell_problem()
-    eq = effective_q(spec, psol, mu, spec.x0, degeneracy_tol=config.tol["degeneracy_tol"])
+    eq = effective_q(spec, psol, mu, spec.x0)
     payload = {
         "grid": mu.grid.tolist(),
         "density": mu.density.tolist(),
@@ -205,23 +206,20 @@ def cmd_rate(args):
     config = _validated_config(args)
     out = _ensure_parent(args.out) if args.out else os.path.join(_out_dir(args), "rate.json")
     drift = _measure_and_drift(config)
-    phi = GridPath.from_csv(args.path) if args.path else _load_or_default_path(config, drift)
-    method = args.method or config.experiment["method"]
+    phi = _input_path(args, config, drift)
     hurst = config.model["hurst"] if args.hurst is None else args.hurst
-    if method == "explicit":
+    if args.method == "explicit":
         res = eval_rate_explicit(phi, drift, HurstContext(hurst, phi.n, phi.dt))
-    elif method == "general":
+    elif args.method == "general":
         res = eval_rate_general(phi, drift, HurstContext(hurst, phi.n, phi.dt))
-    elif method == "fw-half":
+    elif args.method == "fw-half":
         res = eval_rate_fw_half(phi, drift)
-    elif method == "tilde-half":
-        res = eval_rate_tilde_half(phi, drift)
     else:
-        raise InvalidInputError(f"unknown method {method!r}")
+        res = eval_rate_tilde_half(phi, drift)
     payload = {"value": res.value, "method": res.method, "hurst": hurst, "diagnostics": res.diagnostics}
     _write_json(out, payload)
     _write_manifest(os.path.dirname(out) or ".", config, {"command": "rate"})
-    print(f"S = {res.value:.6g} ({method}); wrote {out}")
+    print(f"S = {res.value:.6g} ({args.method}); wrote {out}")
     return 0
 
 
@@ -243,7 +241,7 @@ def cmd_limit_study(args):
     out = _ensure_parent(args.out) if args.out else os.path.join(_out_dir(args), "limit_study.csv")
     h_list = _hurst_list(args, config)
     drift = _measure_and_drift(config)
-    phi = GridPath.from_csv(args.path) if args.path else _load_or_default_path(config, drift)
+    phi = _input_path(args, config, drift)
     study = h_limit_study(phi, drift, h_list)
     rows = []
     for row, gap_t, gap_f in zip(study["rows"], study["gap_to_tilde"], study["gap_to_fw"]):
@@ -312,29 +310,6 @@ def cmd_mc(args):
     return 0
 
 
-def cmd_run(args):
-    """Dispatch on the experiment kind declared in the config."""
-    config = load_config(args.config)
-    kind = config.kind
-    if kind == "none":
-        out_dir = _out_dir(args)
-        _write_manifest(out_dir, config, {"command": "run (no experiment)"})
-        print(f"no experiment declared; wrote {out_dir}/manifest.json")
-        return 0
-    dispatch = {
-        "simulate": cmd_simulate,
-        "poisson": cmd_poisson,
-        "rate": cmd_rate,
-        "limit-study": cmd_limit_study,
-    }
-    if kind in dispatch:
-        return dispatch[kind](args)
-    if kind in ("laplace", "rare-event"):
-        args.mode = kind
-        return cmd_mc(args)
-    raise InvalidInputError(f"cannot dispatch experiment kind {kind!r}")
-
-
 def cmd_validate(args):
     config = load_config(args.config)
     checks = validate(config)
@@ -364,24 +339,23 @@ def build_parser():
     p.set_defaults(func=cmd_sample_fbm)
 
     p = sub.add_parser("simulate", help="slow-fast trajectories along the schedule")
-    p.add_argument("--config", "--spec", dest="config", required=True)
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--config", required=True)
     p.add_argument("--trials", type=int, help="override the config trial count")
     p.add_argument("--out-dir")
     p.add_argument("--force", action="store_true", help="run despite validation failures")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("poisson", help="invariant density, corrector and effective Gram")
-    p.add_argument("--config", "--spec", dest="config", required=True)
+    p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--out-dir")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("rate", help="evaluate a rate functional on a path")
-    p.add_argument("--config", "--spec", dest="config", required=True)
+    p.add_argument("--config", required=True)
     p.add_argument("--path", help="GridPath CSV; defaults to the built-in admissible cubic")
-    p.add_argument("--method", choices=["explicit", "general", "fw-half", "tilde-half"])
+    p.add_argument("--method", choices=["explicit", "general", "fw-half", "tilde-half"], default="explicit")
     p.add_argument("--hurst", type=float)
     p.add_argument("--out")
     p.add_argument("--out-dir")
@@ -389,7 +363,7 @@ def build_parser():
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("limit-study", help="rate values along a Hurst schedule")
-    p.add_argument("--config", "--spec", dest="config", required=True)
+    p.add_argument("--config", required=True)
     p.add_argument("--path")
     p.add_argument("--hurst-list", help="comma list, e.g. 0.6,0.55,0.52")
     p.add_argument("--out")
@@ -399,25 +373,14 @@ def build_parser():
 
     p = sub.add_parser("mc", help="Monte Carlo Laplace / rare-event experiments")
     p.add_argument("mode", choices=["laplace", "rare-event"])
-    p.add_argument("--config", "--spec", dest="config", required=True)
+    p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.add_argument("--out-dir")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser("run", help="dispatch on the experiment kind in the config")
-    p.add_argument("--config", "--spec", dest="config", required=True)
-    p.add_argument("--path")
-    p.add_argument("--method", choices=["explicit", "general", "fw-half", "tilde-half"])
-    p.add_argument("--hurst", type=float)
-    p.add_argument("--hurst-list")
-    p.add_argument("--out")
-    p.add_argument("--out-dir")
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_run)
-
     p = sub.add_parser("validate", help="numeric spot checks of the standing conditions")
-    p.add_argument("--config", "--spec", dest="config", required=True)
+    p.add_argument("--config", required=True)
     p.add_argument("--json", help="also write the report to this JSON file")
     p.set_defaults(func=cmd_validate)
 

@@ -12,12 +12,13 @@ Every section is optional except ``[model]``, whose keys are the fields of
 * ``[grid]`` - output grid and substeps per output step (0 = automatic);
 * ``[schedule]`` - the eps list, and eta as ``auto`` (eps^1.5) or a list
   of the same length;
-* ``[experiment]`` - the experiment ``kind`` (one of ``_KINDS``) and the
-  settings of the experiments;
-* ``[poisson]`` - cell-problem domain half-width ``L`` (0 = automatic,
-  ``default_domain_sigmas`` standard deviations) and grid size;
-* ``[tolerances]`` - the numerical tolerances of the cell problem, the
-  effective Gram and the u2 feedback bins.
+* ``[experiment]`` - ``kind`` (one of ``_KINDS``), which labels the
+  experiment, and the settings of the experiments; ``simulate`` reads
+  ``kind`` to decide whether ``trials`` counts its trajectories.
+
+Each command reads its input path and rate method from its own flags, and
+the cell problem's domain, grid and tolerances are the defaults of the
+functions in ``fracrate.poisson_cell`` and ``fracrate.rate_fn``.
 
 Lists are comma- or space-separated, and every number, alone or in a
 list, must be finite.  A missing key takes its default; an unknown section
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from . import coefficients
 from .errors import CenteringError, FracrateError, InvalidInputError
 from .multiscale_sim import SlowFastSpec, schedule_checks
-from .poisson_cell import domain_halfwidth, effective_q, invariant_density_1d, solve_poisson_1d
+from .poisson_cell import CENTERING_TOL, domain_halfwidth, effective_q, invariant_density_1d, solve_poisson_1d
 
 
 def _finite(parse):
@@ -111,20 +112,11 @@ _SCHEMA = {
         "h_cap": (_float, "50.0"),
         "h_height": (_float, "10.0"),
         "h_width": (_at_least(_float, 0.0, strict=True), "0.05"),  # smooth_exceedance divides by it
-        "method": (str, "explicit"),  # rate evaluator
         "hurst_list": (float_list, "0.6, 0.55, 0.52"),  # limit study
-        "path_csv": (str, ""),  # input path of rate and limit-study; empty = built-in cubic
-    },
-    "poisson": {"l": (_float, "0"), "n": (int, "4097")},
-    "tolerances": {
-        "degeneracy_tol": (_float, "1e-8"),  # smallest acceptable eigenvalue of the effective Gram
-        "centering_tol": (_float, "1e-4"),  # |int b dmu| allowed before hard failure
-        "tail_mass_ratio": (_float, "1e-8"),  # density at +-L relative to its max
-        "default_domain_sigmas": (_float, "8.0"),  # automatic half-width in std devs
-        "u2_bins": (_at_least(int, 1), "64"),  # mu-quantile cells of the u2 feedback control
     },
 }
 _KINDS = {"simulate", "laplace", "rare-event", "rate", "limit-study", "poisson", "none"}
+_CELL_GRID = 4097  # points of the cell problem's fast grid
 
 
 @dataclass
@@ -135,8 +127,6 @@ class ExperimentConfig:
     grid: dict
     schedule: list
     experiment: dict
-    poisson: dict
-    tol: dict
     raw_text: str
     path: str = ""
     _cell: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -157,14 +147,13 @@ class ExperimentConfig:
 
     def cell_problem(self):
         """Invariant measure and centered Poisson corrector of the fast
-        dynamics, ``(mu, psol)``; they do not depend on (eps, eta), so the
-        first result is kept for every later call (an error is not)."""
+        dynamics, ``(mu, psol)``, on ``_CELL_GRID`` points over the automatic
+        half-width; they do not depend on (eps, eta), so the first result is
+        kept for every later call (an error is not)."""
         if self._cell is None:
             b, f, tau = (self.model[role] for role in ("b", "f", "tau"))
-            tol = self.tol
-            L = self.poisson["l"] or domain_halfwidth(f, tau, sigmas=tol["default_domain_sigmas"])
-            mu = invariant_density_1d(f, tau, L, self.poisson["n"], tail_ratio=tol["tail_mass_ratio"])
-            self._cell = mu, solve_poisson_1d(b, f, tau, mu, centering_tol=tol["centering_tol"])
+            mu = invariant_density_1d(f, tau, domain_halfwidth(f, tau), _CELL_GRID)
+            self._cell = mu, solve_poisson_1d(b, f, tau, mu)
         return self._cell
 
 
@@ -223,8 +212,6 @@ def load_config(path):
         grid=values["grid"],
         schedule=list(zip(eps_list, eta_list)),
         experiment=values["experiment"],
-        poisson=values["poisson"],
-        tol=values["tolerances"],
         raw_text=raw,
         path=str(path),
     )
@@ -249,13 +236,12 @@ def validate(config: ExperimentConfig):
     input) carry status 'fail' and block execution.
     """
     checks = []
-    tol = config.tol
     spec = config.make_spec(*config.schedule[0])
 
     # invariant measure, corrector and centering
     try:
         mu, psol = config.cell_problem()
-        checks.append(CheckResult("centering", "pass", f"|int b dmu| <= {tol['centering_tol']:.3g}"))
+        checks.append(CheckResult("centering", "pass", f"|int b dmu| <= {CENTERING_TOL:.3g}"))
     except CenteringError as exc:
         mu = None
         checks.append(CheckResult("centering", "fail", f"|int b dmu| = {abs(exc.b_mean).max():.3g}"))
@@ -285,7 +271,7 @@ def validate(config: ExperimentConfig):
     # effective Gram at x0; tau^2 > 0 on the grid holds once mu exists
     if mu is not None:
         try:
-            eq = effective_q(spec, psol, mu, spec.x0, degeneracy_tol=tol["degeneracy_tol"])
+            eq = effective_q(spec, psol, mu, spec.x0)
             status = "pass" if not eq["degenerate"] else "warn"
             checks.append(
                 CheckResult(

@@ -126,7 +126,10 @@ def _b_column(b, y):
     return np.broadcast_to(np.asarray(b(y), dtype=float), y.shape)[:, None]
 
 
-def solve_poisson_1d(b, f, tau, mu: InvariantMeasure, centering_tol=1e-4):
+CENTERING_TOL = 1e-4  # largest |int b dmu| of a centered slow drift
+
+
+def solve_poisson_1d(b, f, tau, mu: InvariantMeasure, centering_tol=CENTERING_TOL):
     """Centered solution of (tau^2/2) psi'' + f psi' = -b on the grid.
 
     Integrating the divergence form (tau^2 rho psi')' = -2 b rho twice gives

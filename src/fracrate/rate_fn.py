@@ -135,10 +135,12 @@ class RateEvalResult:
 
 
 def _forced_displacement(phi: GridPath, drift: LimitDrift, include_psi_g=True):
-    """phi-dot minus the homogenized drift, shape (n, 1)."""
-    r = phi.derivative() - drift.cbar(phi.values)
-    if include_psi_g:
-        r = r - drift.grad_psi_g_bar(phi.values)
+    """phi-dot minus the homogenized drift, shape (n, 1).  Overflow is not
+    reported here: every evaluator checks what it reads of r for finiteness."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = phi.derivative() - drift.cbar(phi.values)
+        if include_psi_g:
+            r = r - drift.grad_psi_g_bar(phi.values)
     return r
 
 
@@ -295,7 +297,8 @@ def eval_rate_fw_half(phi: GridPath, drift: LimitDrift):
     """Classical-noise rate with the fully averaged effective matrix
     sigma1 sigma1^T-bar + Q Q^T-bar."""
     r = _forced_displacement(phi, drift)
-    mats = drift.sigma1_sq_bar(phi.values) + drift.qqt_bar(phi.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _quadratic_form_rate
+        mats = drift.sigma1_sq_bar(phi.values) + drift.qqt_bar(phi.values)
     return RateEvalResult(value=_quadratic_form_rate(phi, r, mats, "fw_half"), method="fw_half")
 
 
@@ -303,7 +306,9 @@ def eval_rate_tilde_half(phi: GridPath, drift: LimitDrift):
     """Classical-form rate with the square of the naively averaged coefficient."""
     r = _forced_displacement(phi, drift, include_psi_g=False)
     s1 = drift.sigma1_bar(phi.values)
-    return RateEvalResult(value=_quadratic_form_rate(phi, r, s1 * s1, "tilde_half"), method="tilde_half")
+    with np.errstate(over="ignore"):  # checked by _quadratic_form_rate
+        mats = s1 * s1
+    return RateEvalResult(value=_quadratic_form_rate(phi, r, mats, "tilde_half"), method="tilde_half")
 
 
 def admissibility_check(phi: GridPath, drift: LimitDrift, exponent=1.05, factor=4.0, decade=10):

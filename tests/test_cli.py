@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracrate import cli
+from fracrate import cli, config
 from fracrate import coefficients as cf
 from fracrate import multiscale_sim
 from fracrate.cli import main
@@ -232,6 +233,24 @@ class TestConfig:
         except InvalidInputError:
             pass
 
+    def test_input_surface(self):
+        # every config value and subcommand, one way in each: a new knob
+        # edits this list on purpose
+        pairs = sorted((section, key) for section, keys in config._SCHEMA.items() for key in keys)
+        assert pairs == [
+            ("experiment", "h_cap"), ("experiment", "h_height"), ("experiment", "h_kind"),
+            ("experiment", "h_rho"), ("experiment", "h_target"), ("experiment", "h_width"),
+            ("experiment", "hurst_list"), ("experiment", "kind"), ("experiment", "seed"),
+            ("experiment", "threshold"), ("experiment", "trials"),
+            ("grid", "horizon"), ("grid", "n"), ("grid", "substeps"),
+            ("model", "b"), ("model", "beta"), ("model", "c"), ("model", "f"), ("model", "g"),
+            ("model", "hurst"), ("model", "sigma1"), ("model", "sigma2"), ("model", "tau"),
+            ("model", "x0"), ("model", "y0"),
+            ("schedule", "eps"), ("schedule", "eta"),
+        ]
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == ["limit-study", "mc", "poisson", "rate", "sample-fbm", "simulate", "validate"]
+
     def test_centering_failure_blocks(self, tmp_path):
         text = OU_HOMOG.replace("b = zero", "b = constant value=0.3")
         cfg = load_config(write(tmp_path, "e.cfg", text))
@@ -281,14 +300,13 @@ class TestCommands:
         assert main(["simulate", "--config", cfg, "--trials", "2", "--out-dir", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("case", ["simulate-config", "simulate-flag", "mc-config", "sample-fbm-flag"])
+    @pytest.mark.parametrize("case", ["simulate-config", "mc-config", "sample-fbm-flag"])
     def test_negative_seed_is_invalid_input(self, tmp_path, capsys, case):
         # numpy's SeedSequence raised a bare ValueError: exit 1 with a traceback
         out = tmp_path / "o"
         simulate = ["simulate", "--trials", "2", "--out-dir", str(out), "--config"]
         argv = {
             "simulate-config": [*simulate, write(tmp_path, "n.cfg", OU_HOMOG.replace("seed = 77", "seed = -1"))],
-            "simulate-flag": [*simulate, write(tmp_path, "s.cfg", OU_HOMOG), "--seed", "-1"],
             "mc-config": ["mc", "rare-event", "--out", str(out / "mc.csv"),
                           "--config", write(tmp_path, "r.cfg", RARE_EVENT.replace("seed = 99", "seed = -1"))],
             "sample-fbm-flag": ["sample-fbm", "--hurst", "0.7", "--n", "64", "--seed", "-1", "--out", str(out / "b.csv")],
@@ -296,6 +314,25 @@ class TestCommands:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("invalid input: need a seed >= 0, got -1")
         assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["run", "--config", "c.cfg"], "'run'"),
+            (["rate", "--config", "c.cfg", "--spec", "c.cfg"], "--spec"),
+            (["simulate", "--config", "c.cfg", "--seed", "3"], "--seed"),
+        ],
+        ids=["run", "spec", "simulate-seed"],
+    )
+    def test_removed_flags_exit_2_naming_them(self, tmp_path, capsys, monkeypatch, argv, named):
+        # run re-declared the flags of rate and limit-study, --spec was an
+        # alias of --config and simulate --seed one of [experiment] seed
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_validation_exit_code(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", BAD_BRANCH)
@@ -355,9 +392,12 @@ class TestCommands:
     @pytest.mark.parametrize(
         "edit",
         [
-            ("seed = 77", "seed = 77\n[tolerances]\ncondition_limit = 10"),
-            ("seed = 77", "seed = 77\n[tolerances]\nsmoothing_tol = 1e-3"),
-            ("seed = 77", "seed = 77\n[tolerances]\ncentering_tol = abc"),
+            # the cell problem's settings are function defaults, and the
+            # input path and rate method are flags of their commands
+            ("seed = 77", "seed = 77\n[tolerances]\ncentering_tol = 1e-4"),
+            ("seed = 77", "seed = 77\n[poisson]\nn = 4097"),
+            ("seed = 77", "seed = 77\npath_csv = path.csv"),
+            ("seed = 77", "seed = 77\nmethod = general"),
             ("c = linear_xy ax=-1.0", "c = linear_xy ax=abc"),
             ("[grid]", "[Grid]"),
             # the Monte Carlo engine follows the declared coefficient facts
@@ -370,8 +410,6 @@ class TestCommands:
             ("horizon = 1.0", "horizon = 0"),
             ("horizon = 1.0", "horizon = nan"),
             ("horizon = 1.0", "horizon = 1.0\nsubsteps = -2"),
-            ("seed = 77", "seed = 77\n[tolerances]\nu2_bins = 0"),
-            ("seed = 77", "seed = 77\n[tolerances]\nu2_bins = -1"),
         ],
     )
     def test_malformed_config_is_invalid_input(self, tmp_path, capsys, edit):
@@ -467,23 +505,27 @@ class TestCommands:
         assert main(["simulate", "--config", cfg, "--trials", "1", "--out-dir", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: all 1 trials aborted at eps=0.1")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("method", ["fw-half", "tilde-half", "general", "explicit"])
+    @pytest.mark.parametrize("method", ["fw-half", "tilde-half", "general", "explicit", "limit-study"])
     def test_rate_never_writes_nan(self, tmp_path, capsys, method):
         # x0 = 1e308 overflows the path's derivative: fw-half and tilde-half
         # wrote "value": NaN and general died with a ValueError; explicit
-        # writes Infinity, an inadmissible path, by design
+        # writes Infinity, an inadmissible path, by design.  numpy's overflow
+        # warnings reached stderr ahead of the typed failure
         text = (CONFIGS / "cos_limit_study.cfg").read_text().replace("x0 = 0.0", "x0 = 1e308")
-        out = tmp_path / "r.json"
-        rc = main(["rate", "--config", write(tmp_path, "big.cfg", text), "--method", method, "--out", str(out)])
+        cfg, out = write(tmp_path, "big.cfg", text), tmp_path / "r.out"
+        if method == "limit-study":
+            rc = main(["limit-study", "--config", cfg, "--out", str(out)])
+        else:
+            rc = main(["rate", "--config", cfg, "--method", method, "--out", str(out)])
+        err = capsys.readouterr().err
         if method == "explicit":
             assert rc == 0 and json.load(open(out))["value"] == float("inf")
+            assert err == ""
         else:
             assert rc == 3
-            assert capsys.readouterr().err.startswith("numerical failure:")
+            assert err.startswith("numerical failure:") and err.count("\n") == 1
             assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("method", ["fw-half", "tilde-half", "general"])
     def test_rate_overflowed_coefficients_are_numerical_failure(self, tmp_path, capsys, method):
         # x0 = 1e200 and sigma1 = x + y square to inf in the averaged
@@ -494,7 +536,8 @@ class TestCommands:
         out = tmp_path / "r.json"
         rc = main(["rate", "--config", write(tmp_path, "big.cfg", text), "--method", method, "--out", str(out)])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("numerical failure:")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["explicit", "general"])
@@ -608,7 +651,7 @@ class TestCommands:
         assert lines[0].startswith("hurst,")
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("command", ["limit-study", "run"])
+    @pytest.mark.parametrize("command", ["limit-study"])
     @pytest.mark.parametrize("hurst_list", ["0.6,abc", " , ", ""])
     def test_bad_hurst_list_is_invalid_input(self, tmp_path, capsys, command, hurst_list):
         cfg = write(tmp_path, "cos.cfg", COS_LIMIT)
@@ -699,19 +742,6 @@ class TestCommands:
         assert {row[header.index("prediction")] for row in rows} == {"0.0"}
         assert "0.0" in {row[header.index("neg_eps_log_p")] for row in rows}
         assert "-0.0" not in out.read_text()
-
-    def test_run_dispatch_and_empty_kind(self, tmp_path):
-        # kind = none: manifest only, exit success
-        text = OU_HOMOG.replace("kind = simulate", "kind = none")
-        cfg = write(tmp_path, "n.cfg", text)
-        out = str(tmp_path / "empty")
-        assert main(["run", "--config", cfg, "--out-dir", out]) == 0
-        assert os.listdir(out) == ["manifest.json"]
-        # kind = limit-study dispatches like the dedicated subcommand
-        cfg2 = write(tmp_path, "cos.cfg", COS_LIMIT)
-        out2 = str(tmp_path / "ls2.csv")
-        assert main(["run", "--config", cfg2, "--out", out2, "--out-dir", str(tmp_path)]) == 0
-        assert open(out2).readline().startswith("hurst,")
 
     def test_simulate_rerun_identical_outputs(self, tmp_path):
         cfg = write(tmp_path, "a.cfg", OU_HOMOG)

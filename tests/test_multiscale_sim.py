@@ -24,6 +24,7 @@ from fracrate.multiscale_sim import (
     empirical_occupation,
     simulate_chunks,
 )
+from scipy.linalg import cholesky, matmul_toeplitz, solve_triangular
 from scipy.special import gamma
 
 from conftest import SQRT2, ou_spec
@@ -748,6 +749,63 @@ class TestAffineRoute:
             else:
                 assert_close(batch.x[trial], loop.x[trial])
                 assert_close(batch.y[trial], loop.y[trial])
+
+
+def linear_gaussian_law(spec, n_out, sub):
+    """Exact mean (n_out - 1,) and covariance of x at output nodes 1..n_out-1
+    of the Euler recurrences of ``spec`` over [0, 1], ``sub`` fine steps of
+    dt per output step: c = ax x + ay y, sigma1 = s1, f = -rate y, tau
+    constant, every other role zero.  With a = 1 + ax dt, b = 1 - rate dt/eta
+    and m = j - 1 - i >= 0 steps from fine step i to the node at step j,
+    x_j responds to dB_i with s1 sqrt(eps) a^m and to dW_i with
+    (tau / sqrt(eta)) ay dt (a^m - b^m) / (a - b); dB is fGn times dt^H and
+    dW has variance dt, so the covariance is R_B Gamma R_B^T + dt R_W R_W^T.
+    The last node's mean and variance are the terminal law."""
+    ax, ay, _ = cf.affine(spec.c)
+    rate = -cf.affine(spec.f)[1]
+    s1, tau = float(spec.sigma1(0.0, 0.0)), float(spec.tau(0.0))
+    n_fine = (n_out - 1) * sub
+    dt = 1.0 / n_fine
+    a, b = 1.0 + ax * dt, 1.0 - rate * dt / spec.eta
+    j = sub * np.arange(1, n_out)
+    m = j[:, None] - 1 - np.arange(n_fine)
+    live, m = m >= 0, np.maximum(m, 0)
+    r_b = np.where(live, s1 * math.sqrt(spec.eps) * a**m, 0.0)
+    r_w = np.where(live, tau / math.sqrt(spec.eta) * ay * dt * (a**m - b**m) / (a - b), 0.0)
+    k = np.arange(n_fine, dtype=float)
+    gamma_col = 0.5 * ((k + 1) ** (2 * spec.hurst) - 2 * k ** (2 * spec.hurst) + np.abs(k - 1) ** (2 * spec.hurst))
+    cov = r_b @ matmul_toeplitz(gamma_col * dt ** (2 * spec.hurst), r_b.T) + dt * r_w @ r_w.T
+    mean = a**j * spec.x0 + ay * dt * spec.y0 * (a**j - b**j) / (a - b)
+    return mean, cov
+
+
+class TestExactLaw:
+    # Fixed before any mutated run: 2,000 trials per point and |z| <= 4.
+    # Mutated by hand, it fails with tau's forcing scaled by 1.05 (path z
+    # 6.9 and 10.0), dB scaled by dt^(H - 0.01) (11.3, 12.2), the fast slope
+    # by 1.05 (-4.3, -8.8) and the slow slope by 1.05 (terminal mean z -5.8
+    # at eps = 0.03); it passes the slow slope by 1.02 (-1.3, -2.1).  The
+    # terminal z-scores alone reach only 2.6 and 3.7 on the two scale errors
+    TRIALS, Z_BOUND = 2000, 4.0
+
+    @pytest.mark.parametrize("eps", [0.1, 0.03])
+    def test_linear_gaussian_law(self, eps):
+        # x at the output nodes is Gaussian: the whole chain (sampler,
+        # forcing scales, skew route) against its exact mean and covariance
+        spec = ou_spec(eps=eps, eta=eps**1.5, sigma1=("constant", {"value": 1.0}),
+                       c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0, y0=0.5)
+        n_out, trials = 33, self.TRIALS
+        assert on_skew_route(spec)
+        mean, cov = linear_gaussian_law(spec, n_out, default_substeps(1.0 / (n_out - 1), spec.eta))
+        x = np.concatenate([batch.x[:, 1:, 0] for _, batch in simulate_point(spec, n_out, 1.0, 0, trials, 11, 0)])
+        res = x - mean
+        z_mean = res[:, -1].mean() / math.sqrt(cov[-1, -1] / trials)
+        z_var = (res[:, -1].var(ddof=1) / cov[-1, -1] - 1.0) / math.sqrt(2.0 / (trials - 1))
+        # each trial's squared Mahalanobis distance is chi-square with
+        # n_out - 1 degrees of freedom: mean n_out - 1, variance 2 (n_out - 1)
+        d2 = np.sum(solve_triangular(cholesky(cov, lower=True), res.T, lower=True) ** 2, axis=0)
+        z_path = (d2.mean() - (n_out - 1)) / math.sqrt(2.0 * (n_out - 1) / trials)
+        assert max(abs(z_mean), abs(z_var), abs(z_path)) <= self.Z_BOUND, (z_mean, z_var, z_path)
 
 
 class TestControlled:

@@ -412,7 +412,6 @@ class TestGeneralMemory:
         r = np.triu(r)
         assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_forced_displacement_checked_before_the_factor(self, cos_drift, monkeypatch):
         calls = []
         monkeypatch.setattr(rate_fn, "dtpqrt", lambda *args, **kwargs: calls.append(1))
