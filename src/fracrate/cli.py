@@ -322,6 +322,13 @@ def cmd_validate(args):
     return 0
 
 
+def _out_flags(p):
+    """``--out`` (one file) or ``--out-dir`` (its default name there), not both."""
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--out")
+    group.add_argument("--out-dir")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fracrate",
@@ -347,8 +354,7 @@ def build_parser():
 
     p = sub.add_parser("poisson", help="invariant density, corrector and effective Gram")
     p.add_argument("--config", required=True)
-    p.add_argument("--out")
-    p.add_argument("--out-dir")
+    _out_flags(p)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_poisson)
 
@@ -357,8 +363,7 @@ def build_parser():
     p.add_argument("--path", help="GridPath CSV; defaults to the built-in admissible cubic")
     p.add_argument("--method", choices=["explicit", "general", "fw-half", "tilde-half"], default="explicit")
     p.add_argument("--hurst", type=float)
-    p.add_argument("--out")
-    p.add_argument("--out-dir")
+    _out_flags(p)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_rate)
 
@@ -366,16 +371,14 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--path")
     p.add_argument("--hurst-list", help="comma list, e.g. 0.6,0.55,0.52")
-    p.add_argument("--out")
-    p.add_argument("--out-dir")
+    _out_flags(p)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_limit_study)
 
     p = sub.add_parser("mc", help="Monte Carlo Laplace / rare-event experiments")
     p.add_argument("mode", choices=["laplace", "rare-event"])
     p.add_argument("--config", required=True)
-    p.add_argument("--out")
-    p.add_argument("--out-dir")
+    _out_flags(p)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_mc)
 

@@ -21,8 +21,9 @@ from .errors import FracrateError, InvalidInputError, RegularityError
 from .frac_calc import _cell_moments
 from .gridpath import GridPath
 
-# Values per temporary array in path_norms' blocks: about five are live at
-# once (tracemalloc), so a pass stays near 640 KB whatever the path length.
+# Values per temporary array in a block: about five are live at once in
+# path_norms (tracemalloc), so a pass stays near 640 KB whatever the path
+# length; sample_increments draws the normals of this many per fGn pass.
 _MAX_BLOCK_ELEMENTS = 2**14
 # Negative eigenvalues of the fGn embedding down to this fraction of the
 # largest are round-off (-1.2e-8 at H = 0.999, n = 2^18) and are clipped.
@@ -86,20 +87,28 @@ def _fgn(z, hurst):
 def sample_increments(hurst, n, horizon, streams, k=1, ell=1, seed=0):
     """Noise increments [dB, dW] of a chunk of trials, one per key of
     ``streams``, on n points over [0, horizon]: fBm dB (fine step, trial, k)
-    and Brownian dW (fine step, trial, ell), filled trial by trial.  Trial t
-    draws from ``rng_for(seed, 0, streams[t])`` (2(n - 1) normals per fBm
-    column) and ``rng_for(seed, 1, streams[t])``; k = 0 or ell = 0 skips one."""
+    and Brownian dW (fine step, trial, ell).  Trial t draws from
+    ``rng_for(seed, 0, streams[t])`` (2(n - 1) normals per fBm column) and
+    ``rng_for(seed, 1, streams[t])``; k = 0 or ell = 0 skips one.  The fBm
+    normals of a block of trials, at most ``_MAX_BLOCK_ELEMENTS`` values (one
+    trial, if more), go through one fGn pass."""
     if not (0.0 < hurst < 1.0):
         raise InvalidInputError(f"Hurst index must lie in (0,1), got {hurst}")
     if n < 2 or horizon <= 0 or k < 0 or ell < 0:
         raise InvalidInputError(f"bad grid or dimensions: n={n}, horizon={horizon}, k={k}, ell={ell}")
-    dt = horizon / (n - 1)
-    db = np.empty((n - 1, len(streams), k))
-    dw = np.empty((n - 1, len(streams), ell))
-    for t, stream in enumerate(streams):
-        if k:
-            db[:, t] = _fgn(rng_for(seed, 0, stream).standard_normal((k, 2 * (n - 1))), hurst).T
-        if ell:
+    dt, size = horizon / (n - 1), len(streams)
+    db = np.empty((n - 1, size, k))
+    dw = np.empty((n - 1, size, ell))
+    if k:
+        rows = max(1, _MAX_BLOCK_ELEMENTS // (2 * (n - 1) * k))
+        z = np.empty((min(rows, size), k, 2 * (n - 1)))
+        for t0 in range(0, size, rows):
+            block = z[: min(rows, size - t0)]
+            for t, row in enumerate(block, t0):
+                rng_for(seed, 0, streams[t]).standard_normal(out=row)
+            db[:, t0 : t0 + len(block)] = _fgn(block, hurst).transpose(2, 0, 1)
+    if ell:
+        for t, stream in enumerate(streams):
             dw[:, t] = rng_for(seed, 1, stream).standard_normal((n - 1, ell))
     db *= dt**hurst
     dw *= np.sqrt(dt)
@@ -117,15 +126,6 @@ def sample_fbm(hurst, n, horizon, dim=1, seed=0, stream=0):
         raise InvalidInputError(f"need at least one fBm component, got dim={dim}")
     db = sample_increments(hurst, n, horizon, [stream], k=dim, ell=0, seed=seed)[0][:, 0]
     return GridPath(0.0, horizon / (n - 1), np.concatenate([np.zeros((1, dim)), np.cumsum(db, axis=0)]))
-
-
-def sample_fbm_batch(hurst, n, horizon, size, seed=0, stream=0):
-    """Batch of scalar fBm paths, shape (size, n), all drawn from one
-    generator: z_0 of every path, then z_n, then a, then b."""
-    rng = rng_for(seed, 0, stream)
-    z = np.hstack([rng.standard_normal((2, size)).T, *rng.standard_normal((2, size, n - 2))])
-    fgn = _fgn(z, hurst) * (horizon / (n - 1)) ** hurst
-    return np.concatenate([np.zeros((size, 1)), np.cumsum(fgn, axis=1)], axis=1)
 
 
 def path_norms(f: GridPath, alpha):

@@ -52,7 +52,6 @@ class InvariantMeasure:
 
     grid: np.ndarray
     density: np.ndarray
-    normalization: float
 
     @property
     def dy(self):
@@ -74,16 +73,11 @@ class InvariantMeasure:
 
 @dataclass
 class PoissonSolution:
-    """Corrector and its gradient on the grid (or the analytic OU family).
-
-    ``psi`` and ``grad`` have shape (n, 1).  The analytic flag marks the
-    closed-form Ornstein-Uhlenbeck branch with a spatially constant gradient.
-    """
+    """Corrector and its gradient on the grid, each of shape (n, 1)."""
 
     grid: np.ndarray
     psi: np.ndarray
     grad: np.ndarray
-    analytic: bool = False
 
 
 def _unnormalized_density(f, tau, y):
@@ -107,8 +101,7 @@ def invariant_density_1d(f, tau, L, n, tail_ratio=1e-8, norm_tol=1e-6):
         raise InvalidInputError(f"bad domain: L={L}, n={n}")
     y = np.linspace(-L, L, int(n))
     raw = _unnormalized_density(f, tau, y)
-    z = float(np.trapezoid(raw, y))
-    rho = raw / z
+    rho = raw / float(np.trapezoid(raw, y))
     peak = rho.max()
     if rho[0] > tail_ratio * peak or rho[-1] > tail_ratio * peak:
         raise TruncationError(
@@ -118,7 +111,7 @@ def invariant_density_1d(f, tau, L, n, tail_ratio=1e-8, norm_tol=1e-6):
     total = float(np.trapezoid(rho, y))
     if abs(total - 1.0) > norm_tol:
         raise InvalidInputError(f"normalization failed: integral = {total}")
-    return InvariantMeasure(grid=y, density=rho, normalization=z)
+    return InvariantMeasure(grid=y, density=rho)
 
 
 def _b_column(b, y):
@@ -149,7 +142,7 @@ def solve_poisson_1d(b, f, tau, mu: InvariantMeasure, centering_tol=CENTERING_TO
     grad = -2.0 * cum / (tau2 * rho)[:, None]
     psi = _cumulative(grad, dy)
     psi -= np.trapezoid(psi * rho[:, None], y, axis=0)[None, :]
-    return PoissonSolution(grid=y, psi=psi, grad=grad, analytic=False)
+    return PoissonSolution(grid=y, psi=psi, grad=grad)
 
 
 def analytic_ou_solution(alpha, lam, mu: InvariantMeasure):
@@ -159,7 +152,7 @@ def analytic_ou_solution(alpha, lam, mu: InvariantMeasure):
     y = mu.grid
     psi = (lam / alpha) * y[:, None]
     grad = np.full((y.size, 1), lam / alpha)
-    return PoissonSolution(grid=y, psi=psi, grad=grad, analytic=True)
+    return PoissonSolution(grid=y, psi=psi, grad=grad)
 
 
 # Nodes x grid points per coefficient evaluation; longer paths run in blocks.

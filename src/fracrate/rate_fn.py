@@ -144,12 +144,12 @@ def _forced_displacement(phi: GridPath, drift: LimitDrift, include_psi_g=True):
     return r
 
 
-def _normalized_displacement(phi: GridPath, drift: LimitDrift, tol):
+def _normalized_displacement(phi: GridPath, drift: LimitDrift):
     """psi = (phi-dot - cbar) / sigma1-bar along the path, shape (n, 1),
-    after checking that |sigma1-bar| >= tol at every node."""
+    after checking that |sigma1-bar| >= ``_SINGULAR_TOL`` at every node."""
     r = _forced_displacement(phi, drift, include_psi_g=False)
     s1 = drift.sigma1_bar(phi.values)[:, 0]
-    bad = np.flatnonzero(np.abs(s1[:, 0]) < tol)
+    bad = np.flatnonzero(np.abs(s1[:, 0]) < _SINGULAR_TOL)
     if bad.size:
         raise DegeneracyError(f"sigma1-bar singular along the path ({s1[bad[0], 0]:.3g} at node {bad[0]})")
     return r / s1
@@ -164,7 +164,7 @@ def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     path inadmissible: the value is infinity with a reason, not an error.
     """
     ctx.check_grid(phi, "eval_rate_explicit")
-    psi = _normalized_displacement(phi, drift, _SINGULAR_TOL)
+    psi = _normalized_displacement(phi, drift)
     try:
         v = kdot_inverse(psi, ctx)
     except RegularityError as exc:
@@ -319,7 +319,7 @@ def admissibility_check(phi: GridPath, drift: LimitDrift, exponent=1.05, factor=
     heuristic, not a certificate; ``h_limit_study`` refuses a path that
     fails it.
     """
-    psi = _normalized_displacement(phi, drift, 1e-12)
+    psi = _normalized_displacement(phi, drift)
     head = slice(1, min(decade, phi.n - 1) + 1)
     ratios = np.abs(psi[head, 0]) / phi.times()[head] ** exponent
     scale = max(ratios[-1], 1e-12 * ratios.max())

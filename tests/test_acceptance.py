@@ -25,7 +25,7 @@ from scipy.stats import norm
 from fracrate import coefficients as cf
 from fracrate.cameron_martin import HurstContext, apply_KH, apply_KH_dot, apply_KH_inverse, c_H
 from fracrate.cli import main as cli_main
-from fracrate.fbm_gen import sample_fbm, sample_fbm_batch, sample_increments
+from fracrate.fbm_gen import sample_fbm, sample_increments
 from fracrate.frac_calc import default_young_alpha, young_integral
 from fracrate.gridpath import GridPath
 from fracrate.ldp_harness import (
@@ -100,7 +100,8 @@ def test_criterion_02_closed_form_kernel():
 
 def test_criterion_03_fbm_statistics():
     hurst, n, trials = 0.7, 512, 10000
-    batch = sample_fbm_batch(hurst, n, 1.0, trials, seed=31)
+    db = sample_increments(hurst, n, 1.0, range(trials), k=1, ell=0, seed=31)[0][:, :, 0]
+    batch = np.concatenate([np.zeros((1, trials)), np.cumsum(db, axis=0)]).T
     t = np.linspace(0, 1, n)
     var = batch[:, -1].var(ddof=1)
     se_var = var * math.sqrt(2.0 / (trials - 1))
@@ -302,7 +303,7 @@ threshold = 0.35
     for sub in ("r1", "r2"):
         out_dir = tmp_path / sub
         out = str(out_dir / "mc.csv")
-        rc = cli_main(["mc", "rare-event", "--config", str(cfg), "--out", out, "--out-dir", str(out_dir)])
+        rc = cli_main(["mc", "rare-event", "--config", str(cfg), "--out", out])
         assert rc == 0
         files = {}
         for name in sorted(os.listdir(out_dir)):

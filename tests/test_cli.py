@@ -334,6 +334,17 @@ class TestCommands:
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["poisson"], ["rate"], ["limit-study"], ["mc", "rare-event"]])
+    def test_out_and_out_dir_together_exit_2(self, tmp_path, capsys, command):
+        # --out won and --out-dir was ignored without a word
+        cfg = write(tmp_path, "c.cfg", COS_LIMIT)
+        argv = [*command, "--config", cfg, "--out", str(tmp_path / "o" / "a"), "--out-dir", str(tmp_path / "d")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not allowed with argument --out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
     def test_validation_exit_code(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", BAD_BRANCH)
         rc = main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")])
@@ -385,7 +396,7 @@ class TestCommands:
         text = OU_HOMOG.replace("kind = simulate", "kind = laplace\nh_kind = terminal_sqr")
         cfg = write(tmp_path, "l.cfg", text.replace("trials = 3", "trials = 1000"))
         out = tmp_path / "l.csv"
-        assert main(["mc", "laplace", "--config", cfg, "--out", str(out), "--out-dir", str(tmp_path)]) == 2
+        assert main(["mc", "laplace", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("invalid input: unknown functional kind 'terminal_sqr'")
         assert not out.exists()
 
@@ -645,7 +656,7 @@ class TestCommands:
     def test_limit_study_csv(self, tmp_path):
         cfg = write(tmp_path, "cos.cfg", COS_LIMIT)
         out = str(tmp_path / "ls.csv")
-        rc = main(["limit-study", "--config", cfg, "--out", out, "--out-dir", str(tmp_path)])
+        rc = main(["limit-study", "--config", cfg, "--out", out])
         assert rc == 0
         lines = open(out).read().splitlines()
         assert lines[0].startswith("hurst,")
@@ -665,7 +676,7 @@ class TestCommands:
     def test_poisson_json(self, tmp_path):
         cfg = write(tmp_path, "cos.cfg", COS_LIMIT)
         out = str(tmp_path / "p.json")
-        rc = main(["poisson", "--config", cfg, "--out", out, "--out-dir", str(tmp_path)])
+        rc = main(["poisson", "--config", cfg, "--out", out])
         assert rc == 0
         data = json.load(open(out))
         assert {"grid", "density", "psi", "grad_psi", "qqt_bar", "min_eigenvalue"} <= set(data)
@@ -673,7 +684,7 @@ class TestCommands:
     def test_rate_json(self, tmp_path):
         cfg = write(tmp_path, "cos.cfg", COS_LIMIT)
         out = str(tmp_path / "r.json")
-        rc = main(["rate", "--config", cfg, "--method", "explicit", "--hurst", "0.6", "--out", out, "--out-dir", str(tmp_path)])
+        rc = main(["rate", "--config", cfg, "--method", "explicit", "--hurst", "0.6", "--out", out])
         assert rc == 0
         data = json.load(open(out))
         assert data["value"] > 0
@@ -703,7 +714,7 @@ class TestCommands:
         # rare-event exited 3, "event too rare for 0 plain Monte Carlo trials"
         cfg = write(tmp_path, "mc.cfg", RARE_EVENT.replace("trials = 20000", f"trials = {trials}"))
         out = tmp_path / "m.csv"
-        assert main(["mc", mode, "--config", cfg, "--out", str(out), "--out-dir", str(tmp_path)]) == 2
+        assert main(["mc", mode, "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"invalid input: need at least one trial, got {trials}")
         assert not out.exists()
 
@@ -711,8 +722,8 @@ class TestCommands:
         cfg = write(tmp_path, "mc.cfg", RARE_EVENT)
         out1 = str(tmp_path / "m1.csv")
         out2 = str(tmp_path / "m2.csv")
-        assert main(["mc", "rare-event", "--config", cfg, "--out", out1, "--out-dir", str(tmp_path)]) == 0
-        assert main(["mc", "rare-event", "--config", cfg, "--out", out2, "--out-dir", str(tmp_path)]) == 0
+        assert main(["mc", "rare-event", "--config", cfg, "--out", out1]) == 0
+        assert main(["mc", "rare-event", "--config", cfg, "--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
     @pytest.mark.parametrize("edit,engine,prediction", [
@@ -724,7 +735,7 @@ class TestCommands:
         text = RARE_EVENT.replace(*edit).replace("trials = 20000", "trials = 1000")
         cfg = write(tmp_path, "mc.cfg", text + "\n[grid]\nn = 9\n")
         out = str(tmp_path / "m.csv")
-        assert main(["mc", "rare-event", "--config", cfg, "--out", out, "--out-dir", str(tmp_path)]) == 0
+        assert main(["mc", "rare-event", "--config", cfg, "--out", out]) == 0
         with open(out) as fh:
             header, *rows = [line.rstrip("\n").split(",") for line in fh]
         assert len(rows) == 2

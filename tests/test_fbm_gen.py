@@ -10,7 +10,6 @@ from fracrate.fbm_gen import (
     path_norms,
     rng_for,
     sample_fbm,
-    sample_fbm_batch,
     sample_increments,
 )
 from fracrate.frac_calc import _cell_moments
@@ -53,6 +52,28 @@ def per_trial_increments(hurst, n, horizon, streams, k, ell, seed):
     return db, dw
 
 
+def looped_increments(hurst, n, horizon, streams, k, ell, seed):
+    """The trial-by-trial ``sample_increments`` that the block pass replaced,
+    kept as its oracle: one ``_fgn`` call per trial."""
+    dt = horizon / (n - 1)
+    db = np.empty((n - 1, len(streams), k))
+    dw = np.empty((n - 1, len(streams), ell))
+    for t, stream in enumerate(streams):
+        if k:
+            db[:, t] = fbm_gen._fgn(rng_for(seed, 0, stream).standard_normal((k, 2 * (n - 1))), hurst).T
+        if ell:
+            dw[:, t] = rng_for(seed, 1, stream).standard_normal((n - 1, ell))
+    db *= dt**hurst
+    dw *= np.sqrt(dt)
+    return db, dw
+
+
+def fbm_paths(hurst, n, horizon, size, seed):
+    """``size`` scalar fBm paths, shape (size, n), one stream per path."""
+    db = sample_increments(hurst, n, horizon, range(size), k=1, ell=0, seed=seed)[0][:, :, 0]
+    return np.concatenate([np.zeros((1, size)), np.cumsum(db, axis=0)]).T
+
+
 class TestSampling:
     def test_determinism(self):
         a = sample_fbm(0.7, 64, 1.0, dim=2, seed=5)
@@ -68,7 +89,7 @@ class TestSampling:
 
     def test_brownian_independent_increments(self):
         # H = 1/2: disjoint increments uncorrelated within 3 standard errors
-        batch = sample_fbm_batch(0.5, 129, 1.0, 10000, seed=9)
+        batch = fbm_paths(0.5, 129, 1.0, 10000, seed=9)
         inc1 = batch[:, 32] - batch[:, 0]
         inc2 = batch[:, 96] - batch[:, 64]
         corr = np.corrcoef(inc1, inc2)[0, 1]
@@ -76,7 +97,7 @@ class TestSampling:
 
     def test_terminal_variance(self):
         hurst = 0.7
-        batch = sample_fbm_batch(hurst, 512, 1.0, 10000, seed=2)
+        batch = fbm_paths(hurst, 512, 1.0, 10000, seed=2)
         var = batch[:, -1].var(ddof=1)
         se = var * np.sqrt(2.0 / 9999)
         assert abs(var - 1.0) < 4 * se
@@ -84,7 +105,7 @@ class TestSampling:
     def test_midpoint_covariance_value(self):
         # R_H(0.5, 1) at H = 0.7 equals 0.5 (the covariance formula evaluated)
         assert abs(fbm_cov(0.5, 1.0, 0.7) - 0.5) < 1e-15
-        batch = sample_fbm_batch(0.7, 513, 1.0, 20000, seed=3)
+        batch = fbm_paths(0.7, 513, 1.0, 20000, seed=3)
         emp = np.mean(batch[:, 256] * batch[:, -1])
         se = np.std(batch[:, 256] * batch[:, -1], ddof=1) / np.sqrt(20000)
         assert abs(emp - 0.5) < 4 * se
@@ -92,7 +113,7 @@ class TestSampling:
     def test_covariance_matrix(self):
         hurst = 0.6
         nodes = [64, 128, 256, 384, 512]
-        batch = sample_fbm_batch(hurst, 513, 1.0, 10000, seed=4)
+        batch = fbm_paths(hurst, 513, 1.0, 10000, seed=4)
         t = np.linspace(0, 1, 513)
         for i in nodes:
             for j in nodes:
@@ -104,8 +125,8 @@ class TestSampling:
     def test_self_similarity_in_law(self):
         # increments over [0, T/2] rescaled by 2^H match the law over [0, T]
         hurst = 0.75
-        full = sample_fbm_batch(hurst, 257, 1.0, 4000, seed=7)[:, -1]
-        half = sample_fbm_batch(hurst, 257, 0.5, 4000, seed=8)[:, -1] * 2**hurst
+        full = fbm_paths(hurst, 257, 1.0, 4000, seed=7)[:, -1]
+        half = fbm_paths(hurst, 257, 0.5, 4000, seed=8)[:, -1] * 2**hurst
         stat = ks_2samp(full, half)
         assert stat.pvalue > 0.01
 
@@ -161,12 +182,24 @@ class TestIncrements:
         assert np.max(np.abs(db - want_b)) <= 1e-14 * np.max(np.abs(want_b))
         assert np.array_equal(dw, want_w)
 
-    def test_batch_matches_complex_oracle(self):
-        # within 1e-13 of the maximum, the running sum's round-off included
-        # (measured 3.6e-15)
-        want = complex_fgn_batch(0.7, 512, 300, rng_for(3, 0, 0)) * (1.0 / 512) ** 0.7
-        got = np.diff(sample_fbm_batch(0.7, 513, 1.0, 300, seed=3), axis=1)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # rows None sets the cap to 1 value, one trial per block; 3 gives blocks
+    # of 3, 3 and 1 trials; 0 keeps the shipped cap, on one chunk at the
+    # simulator's 2^20 points
+    @pytest.mark.parametrize(
+        "rows,n,trials,k,ell",
+        [(rows, 33, 7, k, ell) for rows in (None, 3) for k, ell in ((1, 1), (2, 0), (2, 1))] + [(0, 1601, 654, 1, 1)],
+    )
+    def test_blocks_match_looped_oracle(self, monkeypatch, rows, n, trials, k, ell):
+        # the same normals through one fGn pass per block: bit for bit with
+        # the per-trial loop, whatever the blocks
+        if rows is None:
+            monkeypatch.setattr(fbm_gen, "_MAX_BLOCK_ELEMENTS", 1)
+        elif rows:
+            monkeypatch.setattr(fbm_gen, "_MAX_BLOCK_ELEMENTS", rows * 2 * (n - 1) * k)
+        streams = [(6, t) for t in range(trials)]
+        db, dw = sample_increments(0.7, n, 1.5, streams, k, ell, seed=13)
+        want_b, want_w = looped_increments(0.7, n, 1.5, streams, k, ell, seed=13)
+        assert np.array_equal(db, want_b) and np.array_equal(dw, want_w)
 
     def test_chunk_is_its_trials(self):
         # one trial's increments do not depend on the chunk that draws them,

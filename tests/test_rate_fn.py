@@ -599,6 +599,22 @@ class TestLimitStudy:
         with pytest.raises(AdmissibilityError):
             h_limit_study(phi, cos_drift, [0.55])
 
+    def test_singular_sigma_raises_before_any_table(self, cos_drift, monkeypatch):
+        # |sigma1-bar| = 1e-10 at a node past the heuristic's first decade:
+        # the heuristic's own singularity rule (1e-12) let it through, and
+        # the limit study failed inside its first explicit evaluation
+        n, node = 512, 300
+
+        def sigma1_bar(xs):
+            s1 = cos_drift.sigma1_bar(xs).copy()
+            s1[node] = 1e-10
+            return s1
+
+        drift = dataclasses.replace(cos_drift, sigma1_bar=sigma1_bar)
+        monkeypatch.setattr(rate_fn, "HurstContext", pytest.fail)
+        with pytest.raises(DegeneracyError, match="node 300"):
+            h_limit_study(admissible_phi(n), drift, [0.55])
+
 
 def counted_averages(monkeypatch):
     """Count the calls of ``average_coeff`` made through ``rate_fn``."""
