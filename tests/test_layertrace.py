@@ -44,7 +44,12 @@ def test_tracer_hooks_every_name_and_restores_it(tmp_path, ou_measure):
     tracer = layertrace.Tracer()
     try:
         tracer.install()
-        patched = {(owner.__name__, attr) for owner, attr, _ in tracer._undo}
+        patched = {
+            (owner.__name__, attr)
+            for key, (owner, bindings) in namespaces().items()
+            for attr, value in bindings.items()
+            if before[key][1].get(attr) is not value
+        }
         assert {("HurstContext", m) for m in layertrace.TABLES} <= patched
         assert {("GridPath", "to_csv"), ("GridPath", "from_csv")} <= patched
         assert ("fracrate.fbm_gen", "sample_increments") in patched
