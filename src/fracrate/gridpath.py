@@ -13,6 +13,15 @@ import numpy as np
 from .errors import InvalidInputError
 
 
+def grid_step(dt):
+    """dt as a float; raises ``InvalidInputError`` unless it is positive
+    and finite.  The one rule for a grid spacing."""
+    dt = float(dt)
+    if not np.isfinite(dt) or dt <= 0.0:
+        raise InvalidInputError(f"dt must be positive and finite, got {dt}")
+    return dt
+
+
 class GridPath:
     """Values of a d-dimensional path on a uniform time grid.
 
@@ -29,9 +38,7 @@ class GridPath:
     __slots__ = ("t0", "dt", "values")
 
     def __init__(self, t0, dt, values):
-        dt = float(dt)
-        if not np.isfinite(dt) or dt <= 0.0:
-            raise InvalidInputError(f"dt must be positive and finite, got {dt}")
+        dt = grid_step(dt)
         arr = np.asarray(values, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
