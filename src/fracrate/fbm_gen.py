@@ -76,11 +76,19 @@ def _fgn(z, hurst):
     """Unit-step fGn (..., n_inc) of unit normals z (..., 2 n_inc) drawn as
     z_0, z_n, a_1..a_{n-1}, b_1..b_{n-1}: the half spectrum z_0, a_j + i b_j,
     z_n of a symmetric embedding, so one real inverse FFT per row suffices.
-    Raises ``FracrateError`` when the embedding is indefinite."""
+    The half spectrum is written by slices and weighted by sqrt(2 n_inc) at
+    its ends and sqrt(n_inc) inside, so no index or weight array is built
+    per call.  Raises ``FracrateError`` when the embedding is indefinite."""
     n_inc = z.shape[-1] // 2
-    half = z[..., np.r_[0, 2 : n_inc + 1, 1]].astype(complex)
+    half = np.empty(z.shape[:-1] + (n_inc + 1,), dtype=complex)
+    half.real[..., 0], half.real[..., n_inc] = z[..., 0], z[..., 1]
+    half.real[..., 1:n_inc] = z[..., 2 : n_inc + 1]
+    half.imag[..., 0] = half.imag[..., n_inc] = 0.0
     half.imag[..., 1:n_inc] = z[..., n_inc + 1 :]
-    half *= _fgn_scales(n_inc, hurst)[: n_inc + 1] * np.sqrt(np.r_[2.0, np.ones(n_inc - 1), 2.0] * n_inc)
+    scales = _fgn_scales(n_inc, hurst)
+    weights = scales[: n_inc + 1] * math.sqrt(n_inc)
+    weights[0], weights[n_inc] = scales[0] * math.sqrt(2 * n_inc), scales[n_inc] * math.sqrt(2 * n_inc)
+    half *= weights
     return np.fft.irfft(half, n=2 * n_inc)[..., :n_inc]
 
 

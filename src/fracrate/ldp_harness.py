@@ -7,13 +7,21 @@ sampling is needed.  All exponential averages are accumulated in the log
 domain; estimates come with delta-method (Laplace) or Wilson (exceedance)
 error bars.  Trials are keyed by (seed, schedule index, trial index), so a
 re-run is reproducible byte for byte, and results are independent of
-batching and of the block size: the exact Gaussian engine draws a schedule
-point's trials in blocks of ``_BLOCK_TRIALS`` from one generator, which
-gives the same bits as one draw of them all.
+batching, of the block size and of the number of threads: the exact
+Gaussian engine draws a schedule point's trials in blocks of
+``_BLOCK_TRIALS`` from one generator, which gives the same bits as one draw
+of them all, and ``estimate_rare_event`` counts its schedule points on up
+to ``_POINT_WORKERS`` threads, each point from its own generator, then
+checks and reports them in schedule order.  numpy releases the GIL while
+it fills and scales a block, so the points overlap.  The simulator and
+``estimate_laplace`` stay on the calling thread: ``simulate_chunks`` warns
+through the process-global ``warnings`` state and holds 8 MB stacks per
+noise column, and a Laplace row holds all the values of its point.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +34,13 @@ from .multiscale_sim import SlowFastSpec, default_substeps, noise_columns, sched
 
 # share of the trials, at least 200, that the rare-event feasibility pilot runs
 _PILOT_FRACTION = 0.02
-# trials per block of the exact Gaussian engine: 512 KB per temporary, so the
-# memory of a schedule point does not grow with its trial count
-_BLOCK_TRIALS = 1 << 16
+# trials per block of the exact Gaussian engine: 256 KB per temporary, so the
+# memory of a schedule point does not grow with its trial count, and two
+# points in flight hold what one point held with blocks of 2^16
+_BLOCK_TRIALS = 1 << 15
+# usable CPUs: the most schedule points of the exact Gaussian engine that
+# estimate_rare_event counts at once
+_POINT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # trials x fine-grid points per chunk of the simulator: one (fine step,
 # trial) stack of a chunk is then 8 MB per noise column, and a chunk holds
 # the increment stacks and at most one forcing stack per noise term
@@ -128,22 +140,28 @@ class MonteCarloPlan:
 
     def terminal_values(self, spec, stream, trials=None):
         """Terminal slow values of ``trials`` trials (None: the plan's) on
-        ``stream`` as blocks (values, aborted), NaN where a trial diverged,
-        each a fresh array.  The Gaussian engine yields blocks of at most
-        ``_BLOCK_TRIALS`` values, all drawn from one generator; the
-        simulator yields the chunks of ``simulate_point``."""
+        ``stream`` as an iterator of blocks (values, aborted), NaN where a
+        trial diverged, each a fresh array.  The Gaussian engine yields
+        blocks of at most ``_BLOCK_TRIALS`` (2^15) values, all drawn from
+        one generator, which this call builds, so that another thread can
+        draw the blocks without calling into the package; the simulator
+        yields the chunks of ``simulate_point``."""
         trials = self.trials if trials is None else trials
         if _engine(spec) == "gaussian":
-            rng = rng_for(self.seed, 3, stream)
             scale = math.sqrt(spec.eps) * _sigma1_at_start(spec) * self.horizon**spec.hurst
-            for start in range(0, trials, _BLOCK_TRIALS):
-                z = rng.standard_normal(min(_BLOCK_TRIALS, trials - start))
-                z *= scale
-                z += spec.x0
-                yield z, 0
-        else:
-            for _, batch in simulate_point(spec, self.n_grid, self.horizon, self.substeps, trials, self.seed, stream):
-                yield batch.x[:, -1, 0].copy(), int(np.count_nonzero(batch.diverged))
+            return _gaussian_blocks(rng_for(self.seed, 3, stream), scale, spec.x0, trials)
+        chunks = simulate_point(spec, self.n_grid, self.horizon, self.substeps, trials, self.seed, stream)
+        return ((batch.x[:, -1, 0].copy(), int(np.count_nonzero(batch.diverged))) for _, batch in chunks)
+
+
+def _gaussian_blocks(rng, scale, x0, trials):
+    """x0 + scale z for ``trials`` standard normals z of ``rng``, drawn and
+    scaled in place in blocks (values, 0) of at most ``_BLOCK_TRIALS``."""
+    for start in range(0, trials, _BLOCK_TRIALS):
+        z = rng.standard_normal(min(_BLOCK_TRIALS, trials - start))
+        z *= scale
+        z += x0
+        yield z, 0
 
 
 def _check_usable(finite, trials, eps):
@@ -170,7 +188,9 @@ def estimate_laplace(plan: MonteCarloPlan, h: HFunctional):
 
     Accumulation is in the log domain (mandatory: the weights underflow at
     small eps otherwise); the standard error is the delta-method propagation
-    of the weight variance.  Aborted trials are counted, not dropped.
+    of the weight variance.  Aborted trials are counted, not dropped; a
+    point with fewer than 2 finite trials raises ``ExperimentFailure``
+    (exit 3), as the standard error needs two.
     """
     if plan.trials < 1000:
         raise InvalidInputError("need at least 1000 trials per schedule point")
@@ -188,6 +208,8 @@ def _laplace_row(plan, h, idx, eps, eta):
     ok = np.isfinite(vals)
     good = vals if ok.all() else vals[ok]
     _check_usable(good.size, plan.trials, eps)
+    if good.size < 2:
+        raise ExperimentFailure(f"1 of {plan.trials} trials ended finite at eps={eps}; the standard error needs 2")
     logw = -h(good) / eps
     lme = logsumexp(logw) - math.log(good.size)
     estimate = -eps * lme
@@ -230,21 +252,36 @@ def estimate_rare_event(plan: MonteCarloPlan, threshold, prediction=None):
     that is (eps/2) log(1/eps) plus a term linear in eps), so it sits above
     the rate-function exponent at every finite eps.  Use
     ``extrapolated_exponent`` on the rows for the limit itself.
+
+    After the pilot, when every point takes the exact Gaussian engine, the
+    points' hits are counted on up to ``_POINT_WORKERS`` threads.  Each
+    point's spec and generator are built on the calling thread first, and
+    the all-aborted rule and the rows follow in schedule order, so the rows,
+    and the point an ``ExperimentFailure`` names, do not depend on the
+    number of threads.  The simulator's points are counted one at a time.
     """
+    specs = [plan.make_spec(eps, eta) for eps, eta in plan.schedule]
     # feasibility pilot at the largest eps
     pilot_n = max(200, int(plan.trials * _PILOT_FRACTION))
-    spec0 = plan.make_spec(*plan.schedule[0])
-    finite, pilot_hits, _ = _count_hits(plan.terminal_values(spec0, 999, pilot_n), threshold)
+    finite, pilot_hits, _ = _count_hits(plan.terminal_values(specs[0], 999, pilot_n), threshold)
     _check_usable(finite, pilot_n, plan.schedule[0][0])
     if pilot_hits * (plan.trials / pilot_n) < 10:
         raise ExperimentFailure(
             f"pilot run found {pilot_hits}/{pilot_n} hits at the largest eps; "
             f"the event is too rare for {plan.trials} plain Monte Carlo trials"
         )
+    points = [plan.terminal_values(spec, idx) for idx, spec in enumerate(specs)]
+    if all(_engine(spec) == "gaussian" for spec in specs):
+        # imported here: at module level the pool's modules raised the peak RSS
+        # of every command by 0.1-0.2 MB
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(len(specs), _POINT_WORKERS)) as pool:
+            counts = list(pool.map(_count_hits, points, [threshold] * len(specs)))
+    else:
+        counts = (_count_hits(point, threshold) for point in points)
     rows = []
-    for idx, (eps, eta) in enumerate(plan.schedule):
-        spec = plan.make_spec(eps, eta)
-        finite, hits, aborted = _count_hits(plan.terminal_values(spec, idx), threshold)
+    for (eps, eta), spec, (finite, hits, aborted) in zip(plan.schedule, specs, counts):
         _check_usable(finite, plan.trials, eps)
         row = {
             "eps": eps,

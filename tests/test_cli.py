@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracrate import cli, config
+from fracrate import cli, config, ldp_harness
 from fracrate import coefficients as cf
 from fracrate import multiscale_sim
 from fracrate.cli import main
@@ -716,6 +716,30 @@ class TestCommands:
         out = tmp_path / "m.csv"
         assert main(["mc", mode, "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"invalid input: need at least one trial, got {trials}")
+        assert not out.exists()
+
+    def test_mc_rare_event_csv_independent_of_workers(self, tmp_path, monkeypatch):
+        cfg = write(tmp_path, "mc.cfg", RARE_EVENT)
+        outs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ldp_harness, "_POINT_WORKERS", workers)
+            outs.append(tmp_path / f"m{workers}.csv")
+            assert main(["mc", "rare-event", "--config", cfg, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_mc_laplace_one_finite_trial_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # a point with one finite trial of 1000 wrote std_error nan
+        def one_finite(plan, spec, stream, trials=None):
+            vals = np.full(plan.trials, np.nan)
+            vals[0] = 0.1
+            return iter([(vals, plan.trials - 1)])
+
+        monkeypatch.setattr(MonteCarloPlan, "terminal_values", one_finite)
+        cfg = write(tmp_path, "mc.cfg", RARE_EVENT.replace("trials = 20000", "trials = 1000"))
+        out = tmp_path / "m.csv"
+        assert main(["mc", "laplace", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: 1 of 1000 trials ended finite at eps=0.1; the standard error needs 2\n"
         assert not out.exists()
 
     def test_mc_rare_event_determinism(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -99,6 +100,23 @@ class TestLaplace:
     def test_trials_floor(self):
         with pytest.raises(InvalidInputError):
             estimate_laplace(MonteCarloPlan(linear_spec, SCHED, trials=10, seed=0), HFunctional())
+
+    def test_fewer_than_two_finite_trials_fail(self, monkeypatch):
+        # one finite trial of 1000 wrote std_error nan: std(ddof=1) of one value
+        def few_finite(plan, spec, stream, trials=None):
+            vals = np.full(plan.trials, np.nan)
+            vals[:finite] = 0.1
+            return iter([(vals, plan.trials - finite)])
+
+        monkeypatch.setattr(MonteCarloPlan, "terminal_values", few_finite)
+        plan = MonteCarloPlan(linear_spec, SCHED[:2], trials=1000)
+        finite = 1
+        with pytest.raises(ExperimentFailure, match="^1 of 1000 trials ended finite at eps=0.1; "):
+            estimate_laplace(plan, HFunctional())
+        finite = 2
+        rows = estimate_laplace(plan, HFunctional())
+        assert [r["aborted"] for r in rows] == [998, 998]
+        assert all(np.isfinite(r["std_error"]) for r in rows)
 
     def test_bad_schedule_rejected(self):
         bad = [(0.01, 0.001), (0.1, 0.0316)]
@@ -249,7 +267,7 @@ class TestRareEvent:
         with pytest.raises(InvalidInputError):
             extrapolated_exponent(rows)
 
-    @pytest.mark.parametrize("trials", [1, _BLOCK_TRIALS - 1, _BLOCK_TRIALS, _BLOCK_TRIALS + 1, 3 * _BLOCK_TRIALS + 5])
+    @pytest.mark.parametrize("trials", [1, 6 * _BLOCK_TRIALS + 5] + [k * _BLOCK_TRIALS + d for k in (1, 2) for d in (-1, 0, 1)])
     def test_gaussian_blocks_equal_one_draw(self, trials):
         # oracle: the one-shot draw, scaled out of place, of the unblocked engine
         seed, stream, threshold = 21, 2, 0.3
@@ -282,8 +300,10 @@ class TestRareEvent:
         with pytest.raises(ExperimentFailure, match="all 1000 trials aborted at eps=0.05"):
             estimate_laplace(plan, HFunctional())
 
-    def test_memory_independent_of_trials(self):
-        # blocks of _BLOCK_TRIALS: a 10^6-trial point holds no 8 MB array
+    def test_memory_independent_of_trials(self, monkeypatch):
+        # blocks of _BLOCK_TRIALS: a 10^6-trial point holds no 8 MB array,
+        # with both points counted at once
+        monkeypatch.setattr(ldp_harness, "_POINT_WORKERS", 2)
         plan = MonteCarloPlan(linear_spec, SCHED[:2], trials=10**6, seed=4)
         tracemalloc.start()
         try:
@@ -325,6 +345,51 @@ class TestRareEvent:
         rows1 = estimate_rare_event(plan, 0.3)
         rows2 = estimate_rare_event(plan, 0.3)
         assert rows1 == rows2
+
+    def test_rows_independent_of_workers(self, monkeypatch):
+        # one thread, and more threads than the box has CPUs, give the same
+        # rows; each point counts the one-shot draw of its own stream
+        plan = MonteCarloPlan(linear_spec, SCHED, trials=3 * _BLOCK_TRIALS + 7, seed=17)
+        rows = {}
+        for workers in (1, 4):
+            monkeypatch.setattr(ldp_harness, "_POINT_WORKERS", workers)
+            rows[workers] = estimate_rare_event(plan, 0.3)
+        assert rows[1] == rows[4]
+        for idx, ((eps, _), row) in enumerate(zip(SCHED, rows[1])):
+            full = math.sqrt(eps) * rng_for(17, 3, idx).standard_normal(plan.trials)
+            assert row["hits"] == np.count_nonzero(full >= 0.3) > 0
+
+    def test_points_counted_on_worker_threads(self, monkeypatch):
+        # the package's functions run on the calling thread, the counts on the pool
+        main, seen = threading.current_thread(), {"rng_for": set(), "make_spec": set(), "_count_hits": set()}
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                seen[name].add(threading.current_thread() is main)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(ldp_harness, "_POINT_WORKERS", 2)
+        monkeypatch.setattr(ldp_harness, "rng_for", recorded("rng_for", rng_for))
+        monkeypatch.setattr(ldp_harness, "_count_hits", recorded("_count_hits", _count_hits))
+        plan = MonteCarloPlan(recorded("make_spec", linear_spec), SCHED, trials=2000, seed=3)
+        estimate_rare_event(plan, 0.3)
+        assert seen == {"rng_for": {True}, "make_spec": {True}, "_count_hits": {True, False}}
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_first_failing_point_named(self, monkeypatch, workers):
+        # sigma1 = inf at the second and third of four points sends every
+        # trial there to +-inf; the second point's eps is named
+        def make_spec(eps, eta):
+            spec = linear_spec(eps, eta)
+            if eps in (0.05, 0.02):
+                spec.sigma1 = cf.Coefficient("constant", lambda x, y: np.full((), np.inf), {"value": np.inf}, "")
+            return spec
+
+        assert _engine(make_spec(*SCHED[1])) == "gaussian"
+        monkeypatch.setattr(ldp_harness, "_POINT_WORKERS", workers)
+        with pytest.raises(ExperimentFailure, match=r"^all 5000 trials aborted at eps=0\.05$"):
+            estimate_rare_event(MonteCarloPlan(make_spec, SCHED, trials=5000, seed=2), 0.3)
 
 
 class TestWilson:
