@@ -46,7 +46,6 @@ from .multiscale_sim import (
 from .poisson_cell import (
     InvariantMeasure,
     PoissonSolution,
-    analytic_ou_solution,
     average_coeff,
     effective_q,
     invariant_density_1d,

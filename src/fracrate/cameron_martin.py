@@ -15,13 +15,18 @@ the weighted difference alone loses the accuracy budget.
 from __future__ import annotations
 
 import functools
+from math import gamma
 
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import betainc, gamma
 
 from .errors import InvalidInputError, RegularityError
 from .gridpath import GridPath, grid_step, l2_norm
+
+
+def beta(a, b):
+    """The Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) of
+    positive a and b whose Gammas stay finite."""
+    return gamma(a) * gamma(b) / gamma(a + b)
 
 
 def c_H(hurst):
@@ -100,23 +105,29 @@ def _row_blocks(n, pos, vals, fill=0.0):
 
 # Chebyshev nodes (first kind) of the incomplete Beta fit on [0, 1/2]
 _FIT_NODES = 24
+# terms of the series at the nodes: at x <= 1/2 the k-th is below 2^-k of the first
+_SERIES_TERMS = 60
 
 
 def _betainc_fit(a, b, x, out):
-    """Write I_x(a, b) at 0 <= x <= 1/2 into ``out``.
+    """Write I_x(a, b) at 0 <= x <= 1/2, a > 0 and 0 < b <= 1, into ``out``.
 
     I_x(a, b) = x^a 2F1(a, 1-b; a+1; x) / (a B(a, b)) (DLMF 8.17.7), and the
     factor after x^a is analytic on [0, 1/2] with its nearest singularity at
     x = 1, so its interpolant at ``_FIT_NODES`` Chebyshev points reaches
-    round-off (rho = 3 + 2 sqrt 2; Trefethen, ATAP, Thm 8.2).  ``betainc``
-    runs at the nodes only.  The coefficients are taken about the middle
-    node value, so their rounding scales with the spread of the factor, not
-    its level, and Clenshaw's recurrence sums them in place, a block of at
-    most ``_MAX_BLOCK_ELEMENTS`` points at a time.
+    round-off (rho = 3 + 2 sqrt 2; Trefethen, ATAP, Thm 8.2).  At the nodes
+    the factor is the hypergeometric series written out,
+    sum_k (1-b)_k / k! x^k / (a + k) / B(a, b), whose terms are positive and
+    shrink at least as fast as x^k.  The coefficients are taken about the
+    middle node value, so their rounding scales with the spread of the
+    factor, not its level, and Clenshaw's recurrence sums them in place, a
+    block of at most ``_MAX_BLOCK_ELEMENTS`` points at a time.
     """
     theta = (np.arange(_FIT_NODES) + 0.5) * (np.pi / _FIT_NODES)
     nodes = 0.25 * (1.0 + np.cos(theta))
-    g = betainc(a, b, nodes) / nodes**a
+    k = np.arange(1, _SERIES_TERMS)
+    terms = np.concatenate(([1.0], np.cumprod((k - b) / k))) / (a + np.arange(_SERIES_TERMS))
+    g = np.polyval(terms[::-1], nodes) / beta(a, b)
     mid = g[_FIT_NODES // 2]
     c = np.cos(np.outer(np.arange(_FIT_NODES), theta)) @ (g - mid) * (2.0 / _FIT_NODES)
     c[0] = 0.5 * c[0] + mid
@@ -198,7 +209,7 @@ class HurstContext:
         _, pos, _ = _fractions(self.n)
         # row i is closed by I_1(a, b) = 1 at column i
         for i0, i1, ix in _row_blocks(self.n, pos, _fraction_betainc(a, b, self.n), fill=1.0):
-            yield i0, i1, np.diff(ix, axis=1) * beta_fn(a, b)
+            yield i0, i1, np.diff(ix, axis=1) * beta(a, b)
 
     def cell_table(self):
         """T[i, j] = int_{t_j}^{t_{j+1}} z^(1/2-H) (t_i - z)^(H-3/2) dz, j < i.
@@ -249,7 +260,7 @@ class HurstContext:
             n, h = self.n, self.H
             a = 1.5 - h
             b0 = 0.5 - h
-            bfull = beta_fn(a, a)
+            bfull = beta(a, a)
             x, pos, _ = _fractions(n)
             P = _fraction_betainc(a, a, n)
             P *= bfull
@@ -340,14 +351,14 @@ def _kdot_inverse_core(psi, ctx, psi_half=None):
     lo, hi = (4, 40) if ctx.n >= 48 else (1, ctx.n)
     tt = t[lo:hi]
     basis = np.column_stack([tt ** (h - 0.5), np.ones(len(tt)), tt])
-    beta = np.linalg.lstsq(basis, psi[lo:hi], rcond=None)[0][0]
-    cusp = t[:, None] ** (h - 0.5) * beta
+    cusp_coef = np.linalg.lstsq(basis, psi[lo:hi], rcond=None)[0][0]
+    cusp = t[:, None] ** (h - 0.5) * cusp_coef
     th = 0.5 * ctx.dt
     if psi_half is not None:
-        cusp[0] = beta * th ** (h - 0.5)
+        cusp[0] = cusp_coef * th ** (h - 0.5)
         psi_half = psi_half - cusp[0]
     psi = psi - cusp
-    cusp_out = beta / (ctx.cH * gamma(1.5 - h))
+    cusp_out = cusp_coef / (ctx.cH * gamma(1.5 - h))
     slopes = np.diff(psi, axis=0) / ctx.dt
     offs = psi[:-1] - slopes * t[:-1, None]
     # cells strictly before the evaluation node, summed by parts
@@ -369,7 +380,7 @@ def _kdot_inverse_core(psi, ctx, psi_half=None):
     # half-step surrogate at the origin: the local interpolant is linear
     if psi_half is None:
         psi_half = 0.5 * (psi[0] + psi[1])
-    bfull = beta_fn(1.5 - h, 1.5 - h)
+    bfull = beta(1.5 - h, 1.5 - h)
     out[0] = gamma_h * th ** (0.5 - h) * psi_half
     out[0] += (h - 0.5) * bfull * slopes[0] * th ** (1.5 - h)
     return out / (ctx.cH * gamma(1.5 - h)) + cusp_out

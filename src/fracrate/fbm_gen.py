@@ -15,7 +15,9 @@ import functools
 import math
 
 import numpy as np
+from numpy.fft import fft, irfft
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import FracrateError, InvalidInputError, RegularityError
 from .frac_calc import _cell_moments
@@ -40,15 +42,15 @@ def rng_for(seed, *stream):
             flat.extend(int(v) for v in s)
         else:
             flat.append(int(s))
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(flat))
-    return np.random.Generator(np.random.Philox(seq))
+    seq = SeedSequence(entropy=int(seed), spawn_key=tuple(flat))
+    return Generator(Philox(seq))
 
 
 def _fgn_eigenvalues(n_inc, hurst):
     """Eigenvalues of the circulant embedding of the fGn autocovariance."""
     m = np.arange(n_inc + 1, dtype=float)
     rho = 0.5 * (np.abs(m + 1) ** (2 * hurst) - 2 * m ** (2 * hurst) + np.abs(m - 1) ** (2 * hurst))
-    return np.fft.fft(np.concatenate([rho, rho[-2:0:-1]])).real
+    return fft(np.concatenate([rho, rho[-2:0:-1]])).real
 
 
 @functools.lru_cache(maxsize=8)
@@ -89,7 +91,7 @@ def _fgn(z, hurst):
     weights = scales[: n_inc + 1] * math.sqrt(n_inc)
     weights[0], weights[n_inc] = scales[0] * math.sqrt(2 * n_inc), scales[n_inc] * math.sqrt(2 * n_inc)
     half *= weights
-    return np.fft.irfft(half, n=2 * n_inc)[..., :n_inc]
+    return irfft(half, n=2 * n_inc)[..., :n_inc]
 
 
 def sample_increments(hurst, n, horizon, streams, k=1, ell=1, seed=0):

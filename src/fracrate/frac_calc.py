@@ -34,22 +34,45 @@ Conventions
   cumulative sums, O(n log n) in all: product integration by FFT (Hairer,
   Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
 * Every convolution is ``_fftconv``, ``scipy.signal.fftconvolve``'s
-  algorithm on ``scipy.fft`` (``scipy.signal`` costs about half a second
-  to import).
+  algorithm on ``numpy.fft``, at the 5-smooth length that
+  ``scipy.fft.next_fast_len`` gives real transforms (``_next_fast_len``);
+  the package imports no scipy.
 * A path with a non-finite value raises ``InvalidInputError`` at every
   public entry; a non-finite result of a finite path raises
   ``RegularityError``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import gamma
+from numpy.fft import irfft, rfft
 
 from .errors import InvalidInputError, RegularityError
 from .gridpath import GridPath, trapezoid_weights
+
+
+def _gamma(x):
+    """Gamma(x), inf where it overflows: at x below about 5.6e-309, where
+    ``math.gamma`` raises."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
+
+
+def _next_fast_len(n):
+    """The smallest 2^i 3^j 5^k >= n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:  # odd = 5^k
+        part = odd
+        while part < best:  # part = 3^j 5^k, times the least power of two
+            best = min(best, part << (-(-n // part) - 1).bit_length())
+            part *= 3
+        odd *= 5
+    return best
 
 
 def _fftconv(a, kernel):
@@ -59,7 +82,7 @@ def _fftconv(a, kernel):
     if len(a) == 1 or len(kernel) == 1:
         return a * kernel.reshape(shape)
     size = len(a) + len(kernel) - 1
-    fast = next_fast_len(size, True)
+    fast = _next_fast_len(size)
     return irfft(rfft(a, fast, axis=0) * rfft(kernel, fast).reshape(shape), fast, axis=0)[:size]
 
 
@@ -143,7 +166,7 @@ def rl_left_values(values, alpha, dt):
     slopes = np.diff(values, axis=0) / dt
     c0 = _fftconv(values[:-1], M0[1:])
     c1 = _fftconv(slopes, M1[1:])
-    out[1:] = (c0[: n - 1] + c1[: n - 1]) / gamma(alpha)
+    out[1:] = (c0[: n - 1] + c1[: n - 1]) / _gamma(alpha)
     return out
 
 
@@ -166,7 +189,7 @@ def marchaud_left_values(values, alpha, dt):
     t = dt * np.arange(n)
     boundary = np.zeros(values.shape)
     boundary[1:] = values[1:] * (t[1:] ** (-alpha))[:, None]
-    return (boundary + alpha * delta_plus_running(values, alpha, dt)) / gamma(1.0 - alpha)
+    return (boundary + alpha * delta_plus_running(values, alpha, dt)) / _gamma(1.0 - alpha)
 
 
 def _ratio_to_end(values, alpha, dt, absolute):
@@ -219,7 +242,7 @@ def _young_running(fv, gv, alpha, dt):
     bnd = _fftconv(hg, K)[:n] - gv * _fftconv(h, K)[:n]
     terms = gv[:-1] * _fftconv(h, C0[: n - 1])[: n - 1] + slopes * _fftconv(h, C1[: n - 1])[: n - 1]
     delta = np.concatenate((np.zeros((1, terms.shape[1])), np.cumsum(terms, axis=0))) - _fftconv(hg, P0)[:n]
-    out = fv[0] * (gv - gv[0]) - (bnd - ap * delta) / gamma(alpha)
+    out = fv[0] * (gv - gv[0]) - (bnd - ap * delta) / _gamma(alpha)
     out[0] = 0.0  # the empty integral, without the sign of a rounded zero
     return out
 

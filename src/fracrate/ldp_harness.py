@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import math
 import os
+# imported with the module: at the first pool, concurrent.futures and the
+# logging it loads took 7-10 ms of the rare-event command itself
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .coefficients import is_zero, reads
 from .errors import DivergenceError, ExperimentFailure, InvalidInputError
@@ -197,6 +199,16 @@ def estimate_laplace(plan: MonteCarloPlan, h: HFunctional):
     return [_laplace_row(plan, h, idx, eps, eta) for idx, (eps, eta) in enumerate(plan.schedule)]
 
 
+def _log_mean_exp(logw):
+    """(log mean exp(logw), w, mean w) for the weights w = exp(logw - max
+    logw), scaled by the largest so that none overflows: one pass of
+    exponentials."""
+    top = logw.max()
+    w = np.exp(logw - top)
+    mean_w = w.mean()
+    return top + math.log(mean_w), w, mean_w
+
+
 def _laplace_row(plan, h, idx, eps, eta):
     """The Laplace row of schedule point ``idx``; its per-trial arrays end
     with the call."""
@@ -210,12 +222,9 @@ def _laplace_row(plan, h, idx, eps, eta):
     _check_usable(good.size, plan.trials, eps)
     if good.size < 2:
         raise ExperimentFailure(f"1 of {plan.trials} trials ended finite at eps={eps}; the standard error needs 2")
-    logw = -h(good) / eps
-    lme = logsumexp(logw) - math.log(good.size)
+    lme, w, mean_w = _log_mean_exp(-h(good) / eps)
     estimate = -eps * lme
-    w_shift = np.exp(logw - logw.max())
-    mean_w = w_shift.mean()
-    se = eps * w_shift.std(ddof=1) / (math.sqrt(good.size) * mean_w)
+    se = eps * w.std(ddof=1) / (math.sqrt(good.size) * mean_w)
     return {
         "eps": eps,
         "eta": eta,
@@ -272,10 +281,6 @@ def estimate_rare_event(plan: MonteCarloPlan, threshold, prediction=None):
         )
     points = [plan.terminal_values(spec, idx) for idx, spec in enumerate(specs)]
     if all(_engine(spec) == "gaussian" for spec in specs):
-        # imported here: at module level the pool's modules raised the peak RSS
-        # of every command by 0.1-0.2 MB
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(min(len(specs), _POINT_WORKERS)) as pool:
             counts = list(pool.map(_count_hits, points, [threshold] * len(specs)))
     else:

@@ -20,7 +20,7 @@ import numpy as np
 from .cameron_martin import HurstContext, apply_KH_dot
 from .coefficients import Coefficient, affine, is_zero, reads, y_derivative
 from .errors import InvalidInputError
-from .gridpath import GridPath, l2_norm
+from .gridpath import GridPath
 
 
 @dataclass
@@ -76,27 +76,10 @@ class SlowFastSpec:
 
 @dataclass
 class ControlPair:
-    """Deterministic control pair (v1 = pre-image of the fBm shift, du2/dt).
-
-    When a bound is declared the pair must satisfy the energy constraint
-    ||v1||^2 + ||u2dot||^2 <= bound^2 in L2.
-    """
+    """Deterministic control pair (v1 = pre-image of the fBm shift, du2/dt)."""
 
     v1: GridPath | None = None
     u2dot: GridPath | None = None
-    bound: float | None = None
-
-    def __post_init__(self):
-        if self.bound is not None:
-            energy = 0.0
-            if self.v1 is not None:
-                energy += l2_norm(self.v1.values, self.v1.dt) ** 2
-            if self.u2dot is not None:
-                energy += l2_norm(self.u2dot.values, self.u2dot.dt) ** 2
-            if energy > self.bound**2 * (1 + 1e-12):
-                raise InvalidInputError(
-                    f"control energy {energy:.6g} exceeds declared bound {self.bound**2:.6g}"
-                )
 
 
 @dataclass

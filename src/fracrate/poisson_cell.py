@@ -145,16 +145,6 @@ def solve_poisson_1d(b, f, tau, mu: InvariantMeasure, centering_tol=CENTERING_TO
     return PoissonSolution(grid=y, psi=psi, grad=grad)
 
 
-def analytic_ou_solution(alpha, lam, mu: InvariantMeasure):
-    """Closed-form corrector for f = -alpha y, tau = sqrt(2 alpha), b = lam y."""
-    if alpha <= 0:
-        raise InvalidInputError("OU relaxation rate must be positive")
-    y = mu.grid
-    psi = (lam / alpha) * y[:, None]
-    grad = np.full((y.size, 1), lam / alpha)
-    return PoissonSolution(grid=y, psi=psi, grad=grad)
-
-
 # Nodes x grid points per coefficient evaluation; longer paths run in blocks.
 _MAX_BLOCK_POINTS = 1 << 18
 

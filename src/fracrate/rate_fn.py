@@ -8,9 +8,10 @@ on the whole path at once:
   singular drift and the Brownian diffusion vanish and the averaged rough
   diffusion is invertible; equals half the squared inverse-lift norm of the
   forced displacement.
-* ``eval_rate_general`` - the operator form: factor the square root of the
-  effective diffusivity Gram operator by QR, solve for the adjoint state,
-  and read off both the value and the minimizing control pair.
+* ``eval_rate_general`` - the operator form: solve the effective
+  diffusivity Gram system through the triangular Kdot block and a Woodbury
+  correction for the rest, in numpy alone, and read off both the value and
+  the minimizing control pair.
 * ``eval_rate_fw_half`` / ``eval_rate_tilde_half`` - the two classical-noise
   quadratic forms; they differ exactly by replacing the average of the
   squared coefficient with the square of the averaged coefficient.
@@ -22,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dtrmv, dtrsv
-from scipy.linalg.lapack import dtpqrt
 
 from .cameron_martin import HurstContext, kdot_inverse
 from .coefficients import affine, is_zero
@@ -39,8 +38,9 @@ from .poisson_cell import InvariantMeasure, PoissonSolution, average_coeff, effe
 
 # sigma1-bar is singular where its smallest singular value is below this
 _SINGULAR_TOL = 1e-8
-# the Gram operator G = R^T R is degenerate where the singular values
-# [s_min, s_max] of R have s_min <= _DEGENERATE_RATIO * max(s_max, 1)
+# the Gram operator G = B B^T is degenerate where the singular values
+# [s_min, s_max] of its square root B have s_min <= _DEGENERATE_RATIO * max(s_max, 1),
+# or s_min is NaN
 _DEGENERATE_RATIO = 1e-8
 
 
@@ -183,62 +183,179 @@ def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     )
 
 
-# dtpqrt factors the square root of the Gram this many columns at a time
-_QR_BLOCK = 32
+# the sweeps of _solve_gram read the triangle this many rows at a time
+_BLOCK = 64
 
 
-def _gram_range(r):
-    """Power-iteration (lam_max, lam_min) of the Gram G = R^T R of the upper
-    triangular R: 20 products with G and 20 solves, from seed 0."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(len(r))
-    for _ in range(20):
-        v = dtrmv(r, dtrmv(r, v), trans=1)
-        v /= np.linalg.norm(v)
-    u = rng.standard_normal(len(r))
-    for _ in range(20):
-        u = dtrsv(r, dtrsv(r, u, trans=1))
-        u /= np.linalg.norm(u)
-    # x^T G x = |R x|^2
-    return [float(np.linalg.norm(dtrmv(r, x)) ** 2) for x in (v, u)]
+class _Triangle:
+    """The lower triangular L = diag(rows) K diag(cols) + diag(extra), K a
+    lower triangular array read in place, and the inverses of its diagonal
+    blocks of ``_BLOCK`` rows."""
+
+    def __init__(self, k, rows, cols, extra):
+        self.k, self.rows, self.cols, self.extra = k, rows[:, None], cols[:, None], extra[:, None]
+        self.inverses = []
+        for k0 in range(0, len(k), _BLOCK):
+            k1 = min(len(k), k0 + _BLOCK)
+            d = self.rows[k0:k1] * k[k0:k1, k0:k1] * cols[k0:k1]
+            d.flat[:: k1 - k0 + 1] += extra[k0:k1]
+            self.inverses.append((k0, k1, np.linalg.inv(d)))
+
+    def sweep(self, x, solve, trans=False):
+        """Overwrite the columns of x (len(k), c) in one pass over the row
+        blocks, forward or, when ``trans``, backward: the first ``solve`` with
+        L^-1 x, the others with L x, or with L^-T x and L^T x.  Returns x."""
+        k, rows, cols = self.k, self.rows, self.cols
+        # the columns scaled as K reads them: cols (rows when trans) times a
+        # product's input, and a solve's output once its block is solved
+        xs = np.zeros_like(x)
+        np.multiply(rows if trans else cols, x[:, solve:], out=xs[:, solve:])
+        x[:, solve:] *= self.extra
+        if not trans:
+            for k0, k1, inv in self.inverses:
+                xb = x[k0:k1]
+                off = rows[k0:k1] * (k[k0:k1, :k1] @ xs[:k1])
+                xb[:, solve:] += off[:, solve:]
+                xb[:, :solve] = inv @ (xb[:, :solve] - off[:, :solve])
+                np.multiply(cols[k0:k1], xb[:, :solve], out=xs[k0:k1, :solve])
+            return x
+        # K^T xs over the blocks swept so far
+        acc = np.zeros_like(x)
+        for k0, k1, inv in reversed(self.inverses):
+            xb, cb = x[k0:k1], cols[k0:k1]
+            xb[:, :solve] = inv.T @ (xb[:, :solve] - cb * acc[k0:k1, :solve])
+            np.multiply(rows[k0:k1], xb[:, :solve], out=xs[k0:k1, :solve])
+            acc[:k1] += k[k0:k1, :k1].T @ xs[k0:k1]
+            xb[:, solve:] += cb * acc[k0:k1, solve:]
+        return x
 
 
 def _solve_gram(kd, s1, sw, qqt, r_w):
     """Solve G x = r_w on nodes 1..n-1 for the effective diffusivity Gram
     G = A A^T + diag(qqt), A[i, j] = sigma1-bar_i kd[i, j] sqrt(w_i / w_j)
     over rows 1..n-1, with (s1, sw, qqt) at all n nodes and r_w at nodes
-    1..n-1.  Returns (x, r_w . x / 2, lam_max, lam_min).
+    1..n-1.  Returns (x, r_w . x / 2, lam_max, lam_min), the last two from
+    20 power and 20 inverse iterations from seed 0.
 
     G is not formed, since forming it squares the condition of A.  Kdot is
-    lower triangular, so G = B^T B for B stacking U = (columns 1..n-1 of
-    A)^T, upper triangular, over column 0 of A as one row and the rows of
-    diag(sqrt(qqt)) where qqt > 0.  The triangular-pentagonal QR of B
-    (dtpqrt) overwrites U with R, G = R^T R, and r_w . x = |R^-T r_w|^2.
-    U is the one (n-1)^2 array; with qqt = 0, B has one row below it and
-    the QR costs O(n^2), and each node with qqt > 0 adds a row of n - 1.
+    lower triangular, so G = L L^T + H H^T with L = A over columns 1..n-1,
+    lower triangular, and H holding column 0 of A and sqrt(qqt_i) e_i for
+    each node with qqt_i > 0.  Where sigma1-bar vanishes, L has a zero row:
+    there the Brownian column takes L's diagonal and L's column moves into
+    H.  With C = L^-1 H and the Cholesky factor W of I + C^T C, Woodbury
+    gives G^-1 = L^-T (I - D D^T) L^-1 for D = C W^-T.  One step of
+    iterative refinement, x += G^-1 (r_w - G x), brings the solution to the
+    accuracy of a QR of G's square root (the route this replaced, kept in
+    the tests as the oracle).
+    L is read through kd (``_Triangle``).  D is the one array beyond the
+    inputs that grows with n, (n-1)^2 only with a Brownian diagonal at
+    every node; C is solved for twice so that C, I + C^T C and W are never
+    held at once.  A power step and an inverse step share one forward and
+    one backward sweep.
     """
-    # A over columns 1..n-1, whose transpose U is F-contiguous
-    a = kd[1:, 1:] / sw[1:]
-    rows = (s1 * sw)[1:, None]
-    a *= rows
+    n1 = len(kd) - 1
+    k = kd[1:, 1:]
+    rows = (s1 * sw)[1:]
+    cols = 1.0 / sw[1:]
     qqt = qqt[1:]
-    brown = np.flatnonzero(qqt > 0)
-    b = np.zeros((1 + brown.size, len(a)), order="F")
-    b[0] = kd[1:, 0] / sw[0] * rows[:, 0]
-    b[1 + np.arange(brown.size), brown] = np.sqrt(qqt[brown])
-    # G is semi-definite: a finite trace bounds it
-    if not np.isfinite(np.vdot(a, a) + np.vdot(b[0], b[0]) + qqt.sum()):
+    c0 = kd[1:, 0] / sw[0] * rows
+    # G is semi-definite: its trace, finite when these are, bounds it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(rows @ rows + c0 @ c0 + qqt.sum()):
+            raise DivergenceError("general rate: the effective diffusivity Gram overflowed")
+    gaps = np.flatnonzero(rows == 0.0)
+    pivots = rows * np.diagonal(k) * cols
+    pivots[gaps] = np.sqrt(qqt[gaps])
+    bad = np.flatnonzero(pivots == 0.0)
+    if bad.size:
+        raise DegeneracyError(f"effective diffusivity Gram is singular: zero pivot at node {bad[0] + 1}")
+    extra = np.zeros(n1)
+    extra[gaps] = pivots[gaps]
+    cols_off = cols.copy()
+    cols_off[gaps] = 0.0
+    tri = _Triangle(k, rows, cols_off, extra)
+    # the columns of H: c0, L's columns at the gaps that a later row reads,
+    # and the Brownian columns off the gaps
+    moved = gaps[gaps < np.flatnonzero(rows).max(initial=-1)]
+    moved_cols = rows[:, None] * k[:, moved] * cols[moved]
+    brown = np.flatnonzero((qqt > 0) & (rows != 0.0))
+    sq = np.sqrt(qqt[brown])[:, None]
+    p = 1 + moved.size + brown.size
+
+    def h_t(v):
+        return np.concatenate(((c0 @ v)[None], moved_cols.T @ v, sq * v[brown]))
+
+    def h(t):
+        out = c0[:, None] * t[:1] + moved_cols @ t[1 : 1 + moved.size]
+        out[brown] += sq * t[1 + moved.size :]
+        return out
+
+    def solved(rhs):
+        """[C | L^-1 rhs], swept _BLOCK columns at a time."""
+        x = np.zeros((n1, p + rhs.shape[1]))
+        x[:, 0] = c0
+        x[:, 1 : 1 + moved.size] = moved_cols
+        x[brown, 1 + moved.size + np.arange(brown.size)] = sq[:, 0]
+        x[:, p:] = rhs
+        for j in range(0, x.shape[1], _BLOCK):
+            tri.sweep(x[:, j : j + _BLOCK], _BLOCK)
+        return x
+
+    # a near-singular L overflows C; the rules below read what comes out
+    with np.errstate(all="ignore"):
+        c = solved(np.empty((n1, 0)))
+        m = c.T @ c
+        del c
+        m.flat[:: p + 1] += 1.0
+        try:
+            w = np.linalg.cholesky(m)
+            factored = np.all(np.isfinite(w))
+        except np.linalg.LinAlgError:
+            factored = False
+        del m
+        if not factored:
+            raise DegeneracyError("effective diffusivity Gram is singular: C = L^-1 H overflowed")
+        dy = solved(r_w[:, None])
+        d = dy[:, :p]
+        # D^T = W^-1 C^T in place, _BLOCK / 2 rows of C per sweep: with a
+        # Brownian diagonal at every node W and C are (n-1)^2 arrays, and the
+        # sweep's scaled copy stays small beside them
+        w = _Triangle(w, np.ones(p), np.ones(p), np.zeros(p))
+        for j in range(0, n1, _BLOCK // 2):
+            w.sweep(d[j : j + _BLOCK // 2].T, _BLOCK)
+        del w
+
+        def deflate(y):
+            """(I + C C^T)^-1 y = (I - D D^T) y."""
+            return y - d @ (d.T @ y)
+
+        # G^-1 r_w = L^-T u with u = deflate(L^-1 r_w), and L^T x = u
+        u_sol = deflate(dy[:, p:])
+        x = tri.sweep(u_sol.copy(), 1, trans=True)
+        rng = np.random.default_rng(0)
+        v, u = rng.standard_normal((n1, 1)), rng.standard_normal((n1, 1))
+        lx, lv = np.hsplit(tri.sweep(np.hstack((x, v)), 0, trans=True), 2)
+        for _ in range(20):
+            fwd = tri.sweep(np.hstack((u, lv)), 1)  # L^-1 u, L L^T v
+            gv = fwd[:, 1:] + h(h_t(v))
+            v = gv / np.linalg.norm(gv)
+            bwd = tri.sweep(np.hstack((deflate(fwd[:, :1]), v)), 1, trans=True)  # G^-1 u, L^T v
+            u, lv = bwd[:, :1] / np.linalg.norm(bwd[:, :1]), bwd[:, 1:]
+        lu = tri.sweep(u.copy(), 0, trans=True)
+        # x^T G x = |L^T x|^2 + |H^T x|^2
+        lam_max = float(np.sum(lv * lv) + np.sum(h_t(v) ** 2))
+        lam_min = float(np.sum(lu * lu) + np.sum(h_t(u) ** 2))
+        # one step of refinement with the residual of the x in hand, which
+        # takes L^T x to lx + du
+        du = deflate(tri.sweep(r_w[:, None] - tri.sweep(lx.copy(), 0) - h(h_t(x)), 1))
+        x += tri.sweep(du.copy(), 1, trans=True)
+        val = 0.5 * float(np.sum((lx + du) ** 2) + np.sum(h_t(x) ** 2))
+    if not np.isfinite(lam_max):
         raise DivergenceError("general rate: the effective diffusivity Gram overflowed")
-    r, _, _, info = dtpqrt(brown.size, min(_QR_BLOCK, len(a)), a.T, b, overwrite_a=1, overwrite_b=1)
-    diag = np.diagonal(r)
-    if info or not np.all(np.isfinite(diag) & (diag != 0.0)):
-        raise DegeneracyError(f"effective diffusivity Gram is singular: zero or non-finite pivot (dtpqrt info {info})")
-    lam_max, lam_min = _gram_range(r)
     s_max, s_min = np.sqrt([lam_max, lam_min])
-    if s_min <= _DEGENERATE_RATIO * max(s_max, 1.0):
-        raise DegeneracyError(f"Gram operator degenerate: singular values of R in [{s_min:.3g}, {s_max:.3g}]")
-    z = dtrsv(r, r_w, trans=1)
-    return dtrsv(r, z), 0.5 * float(z @ z), lam_max, lam_min
+    if not s_min > _DEGENERATE_RATIO * max(s_max, 1.0):
+        raise DegeneracyError(f"Gram operator degenerate: singular values of its square root in [{s_min:.3g}, {s_max:.3g}]")
+    return x[:, 0], val, lam_max, lam_min
 
 
 def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
@@ -249,13 +366,14 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     matrix for the rough noise and adds the averaged effective Gram of the
     Brownian noise, pointwise in time, on its diagonal.  Solves
     G w = phi-dot - cbar - grad-psi-g-bar in weighted coordinates through
-    the triangular QR factor R of G's square root, G = R^T R, and returns
-    half the pairing plus the minimizing pair (time control for the rough
-    noise, feedback bins for the Brownian noise).  Beyond the context's
-    cached ``kdot_matrix`` it holds one (n-1)^2 array, the square root
-    overwritten by R, plus up to one more for the rows of a Brownian
-    diagonal (``_solve_gram``).  ``diagnostics`` holds power-iteration
-    estimates of G's extreme eigenvalues and their ratio.
+    the lower triangular Kdot block, read in place from the context's
+    cached ``kdot_matrix``, and a Woodbury correction for the rest of G's
+    square root (``_solve_gram``), and returns half the pairing plus the
+    minimizing pair (time control for the rough noise, feedback bins for
+    the Brownian noise).  It holds no (n-1)^2 array unless the Brownian
+    diagonal is nonzero at many nodes, two with one at every node.
+    ``diagnostics`` holds power-iteration estimates of G's extreme
+    eigenvalues and their ratio.
     """
     ctx.check_grid(phi, "eval_rate_general")
     w = trapezoid_weights(phi.n, phi.dt)

@@ -336,6 +336,8 @@ def _column_inverse_oracle(psi, ctx, psi_half=None, psi0_at_half=False):
 
 
 def _column_lift_oracle(vals, ctx):
+    # the package's gamma (cm.gamma, math.gamma), as this oracle checks the
+    # column algorithm; test_gamma_and_beta_match_scipy holds the constant
     T = ctx.cell_table()
     t = ctx.times
     p = ctx.H + 0.5
@@ -343,8 +345,8 @@ def _column_lift_oracle(vals, ctx):
     cols = []
     for j in range(vals.shape[1]):
         mids = 0.5 * (vals[:-1, j] + vals[1:, j])
-        h = (ctx.cH / gamma(ctx.H - 0.5)) * (T @ mids)
-        h[0] = ctx.cH * gamma(1.5 - ctx.H) * mids[0]
+        h = (ctx.cH / cm.gamma(ctx.H - 0.5)) * (T @ mids)
+        h[0] = ctx.cH * cm.gamma(1.5 - ctx.H) * mids[0]
         incr = 0.5 * (h[:-1] + h[1:]) * dpow
         cols.append(np.concatenate(([0.0], np.cumsum(incr))))
     return np.column_stack(cols)
@@ -570,6 +572,29 @@ def test_betainc_fit_matches_betainc(h):
     for p, q in ((a, a), (a, b)):
         fit = cm._fraction_betainc(p, q, n)
         assert np.max(np.abs(fit - betainc(p, q, x))) <= 4e-15
+
+
+# The package's special functions against scipy.special: gamma is
+# math.gamma, beta its ratio, and the fit's node values come from the
+# hypergeometric series.  Largest measured gaps on these sets: gamma
+# 7.8e-16 and beta 1.4e-15 relative on (0.01, 3), the fit 1.0e-15 absolute
+# at 2,000 points of (0, 1/2].
+
+
+def test_gamma_and_beta_match_scipy():
+    grid = np.linspace(0.01, 3.0, 300)
+    assert max(abs(cm.gamma(v) / gamma(v) - 1.0) for v in grid) <= 2e-15
+    assert max(abs(cm.beta(p, q) / beta_fn(p, q) - 1.0) for p in grid[::6] for q in grid[::6]) <= 4e-15
+
+
+@pytest.mark.parametrize("h", [0.5001, 0.51, 0.6, 0.8, 0.9, 0.999])
+def test_betainc_fit_from_series_matches_betainc(h):
+    x = np.linspace(0.0, 0.5, 2001)[1:]
+    a, b = 1.5 - h, h - 0.5
+    out = np.empty(x.size)
+    for p, q in ((a, a), (a, b), (b, a)):
+        cm._betainc_fit(p, q, x, out)
+        assert np.max(np.abs(out - betainc(p, q, x))) <= 3e-15
 
 
 def test_table_builds_keep_no_square_temporaries():

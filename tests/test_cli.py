@@ -592,6 +592,27 @@ class TestCommands:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_no_command_imports_scipy(self, tmp_path):
+        # every command on every shipped config, and sample-fbm, in one
+        # fresh interpreter: whatever each exits with, no scipy module loads,
+        # so set-up costs what numpy costs
+        runs = [["sample-fbm", "--hurst", "0.7", "--n", "65", "--out", str(tmp_path / "fbm.csv")]]
+        for cfg in sorted(CONFIGS.glob("*.cfg")):
+            common = ["--config", str(cfg), "--out-dir", str(tmp_path / cfg.stem)]
+            runs += [["validate", "--config", str(cfg)], ["poisson", *common], ["limit-study", *common],
+                     ["simulate", *common, "--trials", "2"], ["mc", "laplace", *common], ["mc", "rare-event", *common]]
+            runs += [["rate", *common, "--method", method] for method in ("explicit", "general", "fw-half", "tilde-half")]
+        code = (
+            "import json, sys\nfrom fracrate.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')]))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        codes, loaded = json.loads(out.stdout.splitlines()[-1])
+        assert len(codes) == len(runs) and set(codes) <= {0, 2, 3}
+        assert loaded == []
+
     def test_validate_reports_unsupported_dimension(self, tmp_path, capsys):
         # reported as a failed qqt_min_eigenvalue check before the dimension
         # keys went; now the config does not load

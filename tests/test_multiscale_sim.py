@@ -848,13 +848,6 @@ class TestControlled:
         target = c_hat * SQRT2 * math.sqrt(eta / eps)
         assert abs(np.mean(means) - target) < 0.1 * target
 
-    def test_energy_bound_enforced(self):
-        dt = 1.0 / 100
-        v1 = GridPath(0.0, dt, 2.0 * np.ones(101))
-        with pytest.raises(InvalidInputError):
-            ControlPair(v1=v1, bound=1.0)
-        ControlPair(v1=v1, bound=2.5)  # fits
-
 
 class TestOccupation:
     def test_total_mass_is_horizon(self):

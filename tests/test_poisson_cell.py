@@ -6,8 +6,9 @@ from scipy.integrate import cumulative_simpson, quad
 
 from fracrate.errors import CenteringError, InvalidInputError, TruncationError
 from fracrate.poisson_cell import (
+    InvariantMeasure,
+    PoissonSolution,
     _cumulative,
-    analytic_ou_solution,
     average_coeff,
     domain_halfwidth,
     effective_q,
@@ -17,6 +18,12 @@ from fracrate.poisson_cell import (
 )
 
 from conftest import SQRT2, ou_spec
+
+
+def analytic_ou_solution(alpha, lam, mu: InvariantMeasure):
+    """Closed-form corrector for f = -alpha y, tau = sqrt(2 alpha), b = lam y."""
+    y = mu.grid
+    return PoissonSolution(grid=y, psi=(lam / alpha) * y[:, None], grad=np.full((y.size, 1), lam / alpha))
 
 OU_F = lambda y: -np.asarray(y, dtype=float)
 OU_TAU = lambda y: SQRT2 * np.ones_like(np.asarray(y, dtype=float))

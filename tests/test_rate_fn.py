@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrmv, dtrsv
 from scipy.linalg.lapack import dtpqrt
 from scipy.special import gamma
 
@@ -393,28 +394,26 @@ class TestGeneralMemory:
         assert peak < 2 * (n - 1) ** 2 * 8 + 2e6
 
     def test_factor_is_the_gram(self, cos_drift, monkeypatch):
-        # the QR overwrites the square root's upper triangle U in place with
-        # the factor R of the Gram, G = R^T R on nodes 1..n-1
-        factored = []
-
-        def factor(l, nb, a, b, **kwargs):
-            out = dtpqrt(l, nb, a, b, **kwargs)
-            factored.append((a, out[0]))
-            return out
-
-        monkeypatch.setattr(rate_fn, "dtpqrt", factor)
+        # the triangle L reads the cached Kdot matrix in place, and with the
+        # column c0 of H it gives back the Gram, G = L L^T + c0 c0^T on
+        # nodes 1..n-1 when qqt = 0
+        made, make = [], rate_fn._Triangle
+        monkeypatch.setattr(rate_fn, "_Triangle", lambda *args: made.append(make(*args)) or made[-1])
         n = 257
         phi, ctx = admissible_phi(n), HurstContext(0.8, n, 1.0 / (n - 1))
         eval_rate_general(phi, cos_drift, ctx)
-        ((u, r),) = factored
-        assert u.shape == (n - 1, n - 1) and np.shares_memory(u, r)
-        gram = oracle_general(phi, cos_drift, ctx)["gram"][1:, 1:]
-        r = np.triu(r)
-        assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
+        tri = made[0]
+        assert np.shares_memory(tri.k, ctx.kdot_matrix())
+        lower = tri.sweep(np.eye(n - 1), 0)
+        assert np.array_equal(lower, np.tril(lower))
+        want = oracle_general(phi, cos_drift, ctx)
+        c0 = want["a_u1"][1:, 0]
+        gram = want["gram"][1:, 1:]
+        assert np.max(np.abs(lower @ lower.T + np.outer(c0, c0) - gram)) <= 1e-12 * np.max(np.abs(gram))
 
     def test_forced_displacement_checked_before_the_factor(self, cos_drift, monkeypatch):
         calls = []
-        monkeypatch.setattr(rate_fn, "dtpqrt", lambda *args, **kwargs: calls.append(1))
+        monkeypatch.setattr(rate_fn, "_Triangle", lambda *args: calls.append(1))
         n = 65
         dt, t = grid_t(n)
         with pytest.raises(DivergenceError, match="forced displacement overflowed"):
@@ -522,6 +521,115 @@ class TestGeneral:
         res = eval_rate_general(phi, drift, ctx)
         replay = replay_minimizer(phi, drift, ctx, res)
         assert np.max(np.abs(replay.values - phi.values)) < 5e-3
+
+
+def qr_solve_gram(kd, s1, sw, qqt, r_w):
+    """``rate_fn._solve_gram`` as the package solved it before it went to
+    Woodbury: one LAPACK ``dtpqrt`` of the Gram's square root B, whose
+    upper triangle U is the transposed rough block over columns 1..n-1,
+    G = B^T B = R^T R, power iteration on R, and two BLAS triangular solves
+    for the solution.  Returns (x, value, lam_max, lam_min)."""
+    a = kd[1:, 1:] / sw[1:]
+    rows = (s1 * sw)[1:, None]
+    a *= rows
+    qqt = qqt[1:]
+    brown = np.flatnonzero(qqt > 0)
+    b = np.zeros((1 + brown.size, len(a)), order="F")
+    b[0] = kd[1:, 0] / sw[0] * rows[:, 0]
+    b[1 + np.arange(brown.size), brown] = np.sqrt(qqt[brown])
+    r, _, _, info = dtpqrt(brown.size, min(32, len(a)), a.T, b, overwrite_a=1, overwrite_b=1)
+    diag = np.diagonal(r)
+    if info or not np.all(np.isfinite(diag) & (diag != 0.0)):
+        raise DegeneracyError("zero or non-finite pivot")
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(len(r))
+    for _ in range(20):
+        v = dtrmv(r, dtrmv(r, v), trans=1)
+        v /= np.linalg.norm(v)
+    u = rng.standard_normal(len(r))
+    for _ in range(20):
+        u = dtrsv(r, dtrsv(r, u, trans=1))
+        u /= np.linalg.norm(u)
+    lam_max, lam_min = (float(np.linalg.norm(dtrmv(r, x)) ** 2) for x in (v, u))
+    s_max, s_min = np.sqrt([lam_max, lam_min])
+    if s_min <= rate_fn._DEGENERATE_RATIO * max(s_max, 1.0):
+        raise DegeneracyError("degenerate")
+    z = dtrsv(r, r_w, trans=1)
+    return dtrsv(r, z), 0.5 * float(z @ z), lam_max, lam_min
+
+
+def gram_inputs(n, qqt_nodes="none", sigma_gaps=False, scale=1.0):
+    """(kd, s1, sw, qqt, r_w) of ``_solve_gram`` at H = 0.8 on the grid of n
+    nodes: sigma1-bar of the cos system with a slow ripple, times ``scale``;
+    qqt = 0.09 at no node, every third node or every node; with
+    ``sigma_gaps``, sigma1-bar = 0 at every seventh node, where qqt = 0.09."""
+    dt, t = grid_t(n)
+    kd = HurstContext(0.8, n, dt).kdot_matrix()
+    sw = np.sqrt(trapezoid_weights(n, dt))
+    s1 = scale * COS_S1_BAR * (1.0 + 0.3 * np.sin(5 * t))
+    qqt = np.zeros(n)
+    qqt[{"none": slice(0), "partial": slice(1, None, 3), "full": slice(None)}[qqt_nodes]] = 0.09
+    if sigma_gaps:
+        s1[3::7] = 0.0
+        qqt[3::7] = 0.09
+    r_w = ((1.5 - 4 * np.cos(4 * t)) * sw)[1:]
+    return kd, s1, sw, qqt, r_w
+
+
+class TestWoodburyOracle:
+    # the Woodbury solve on the triangular Kdot block against the QR route
+    # it replaced (qr_solve_gram).  Largest relative gaps measured over these
+    # cases, BLAS on one and on two threads: value 6.7e-16, solution 1.5e-11
+    # of its largest entry (cond(G) is 3.4e7 at n = 1025 with qqt = 0),
+    # lambda_max 5.8e-16 and lambda_min 4.5e-12; the bounds are about ten
+    # times those
+
+    @pytest.mark.parametrize("n", [2, 3, 65, 257, 1025])
+    @pytest.mark.parametrize("qqt_nodes,sigma_gaps", [("none", False), ("partial", False), ("full", False),
+                                                      ("none", True)], ids=["qqt0", "partial", "full", "gaps"])
+    def test_matches_qr_route(self, n, qqt_nodes, sigma_gaps):
+        args = gram_inputs(n, qqt_nodes, sigma_gaps)
+        x, val, lam_max, lam_min = rate_fn._solve_gram(*args)
+        x_ref, val_ref, lam_max_ref, lam_min_ref = qr_solve_gram(*args)
+        assert abs(val - val_ref) <= 1e-14 * abs(val_ref)
+        assert np.max(np.abs(x - x_ref)) <= 2e-10 * np.max(np.abs(x_ref))
+        assert abs(lam_max - lam_max_ref) <= 1e-14 * lam_max_ref
+        assert abs(lam_min - lam_min_ref) <= 5e-11 * lam_min_ref
+
+    @pytest.mark.parametrize("qqt_nodes,scale,degenerate", [
+        ("none", 1e-2, False),
+        # singular values of the square root below the degeneracy ratio
+        ("none", 1e-6, True),
+        # a zero row of the Gram: sigma1-bar = 0 and qqt = 0 at a node
+        ("none", 0.0, True),
+        ("partial", 0.0, True),
+        # the Brownian diagonal alone: G = diag(qqt)
+        ("full", 0.0, False),
+    ])
+    def test_degeneracy_rule_agrees(self, qqt_nodes, scale, degenerate):
+        args = gram_inputs(257, qqt_nodes, scale=scale)
+        outcomes = []
+        for solve in (rate_fn._solve_gram, qr_solve_gram):
+            try:
+                solve(*args)
+                outcomes.append(False)
+            except DegeneracyError:
+                outcomes.append(True)
+        assert outcomes == [degenerate, degenerate]
+
+    @pytest.mark.parametrize("tiny,rule", [(1e-300, "singular values"), (1e-320, "overflowed")])
+    def test_near_zero_rough_row_is_degenerate(self, tiny, rule):
+        # sigma1-bar near 0 at one node and qqt = 0: lambda_min comes out NaN,
+        # which the QR route's rule (s_min <= ratio * max(s_max, 1)) let
+        # through to an infinite or NaN value; the rule now reads NaN as
+        # degenerate, and a subnormal pivot overflows C = L^-1 H first
+        kd, s1, sw, qqt, r_w = gram_inputs(257)
+        s1[100] = tiny
+        with pytest.raises(DegeneracyError, match=rule):
+            rate_fn._solve_gram(kd, s1, sw, qqt, r_w)
+        with np.errstate(all="ignore"):
+            _, val, _, lam_min = qr_solve_gram(kd, s1, sw, qqt, r_w)
+        assert np.isnan(lam_min) and not np.isfinite(val)
 
 
 class TestClassicalForms:
