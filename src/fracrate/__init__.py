@@ -37,10 +37,8 @@ from .ldp_harness import (
 from .multiscale_sim import (
     BatchPaths,
     ControlPair,
-    OccupationHistogram,
     SlowFastSpec,
     default_substeps,
-    empirical_occupation,
     simulate_chunks,
 )
 from .poisson_cell import (

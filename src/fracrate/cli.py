@@ -319,7 +319,7 @@ def cmd_validate(args):
     for chk in checks:
         print(f"[{chk.status}] {chk.name}: {chk.detail}")
     if args.json:
-        _write_json(args.json, {"checks": [c.as_dict() for c in checks]})
+        _write_json(_ensure_parent(args.json), {"checks": [c.as_dict() for c in checks]})
     if hard_failures(checks):
         return 2
     return 0

@@ -112,38 +112,22 @@ class GridPath:
         )
 
     # -- CSV round trip ------------------------------------------------------
-    def to_csv(self, path_or_buf):
-        """Write ``t,v0,...,v{d-1}`` rows; exact float round trip via repr."""
-        close = False
-        if isinstance(path_or_buf, (str, bytes)):
-            buf = open(path_or_buf, "w", newline="")
-            close = True
-        else:
-            buf = path_or_buf
-        try:
-            buf.write(",".join(["t", *(f"v{j}" for j in range(self.dim))]) + "\n")
+    def to_csv(self, path):
+        """Write ``t,v0,...,v{d-1}`` rows to the file ``path`` (str, bytes
+        or ``os.PathLike``); exact float round trip via repr."""
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(["t", *(f"v{j}" for j in range(self.dim))]) + "\n")
             cols = [_time_column(self.t0, self.dt, self.n), *(map(repr, col) for col in self.values.T.tolist())]
-            buf.write("\n".join(map(",".join, zip(*cols))) + "\n")
-        finally:
-            if close:
-                buf.close()
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
     @classmethod
-    def from_csv(cls, path_or_buf) -> "GridPath":
-        close = False
-        if isinstance(path_or_buf, (str, bytes)):
-            buf = open(path_or_buf, "r", newline="")
-            close = True
-        else:
-            buf = path_or_buf
-        try:
-            header = buf.readline().strip()
+    def from_csv(cls, path) -> "GridPath":
+        """Read the file ``path`` as ``to_csv`` writes it."""
+        with open(path, "r", newline="") as fh:
+            header = fh.readline().strip()
             if not header.startswith("t"):
                 raise InvalidInputError(f"unexpected CSV header: {header!r}")
-            rows = [line.strip() for line in buf if line.strip()]
-        finally:
-            if close:
-                buf.close()
+            rows = [line.strip() for line in fh if line.strip()]
         if len(rows) < 2:
             raise InvalidInputError("need at least two grid rows")
         width = len(header.split(","))

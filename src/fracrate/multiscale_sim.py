@@ -1,5 +1,5 @@
 """Euler-Maruyama time stepping of the slow-fast system and its controlled
-variant, plus empirical occupation-measure diagnostics.
+variant.
 
 The fast component advances on a refined grid (the noise grid); the slow
 component is stepped alongside with left-point evaluation of all integrands,
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,24 +80,6 @@ class ControlPair:
 
     v1: GridPath | None = None
     u2dot: GridPath | None = None
-
-
-@dataclass
-class OccupationHistogram:
-    """dt-weighted histogram over (control, control, fast-state) coordinates."""
-
-    edges: list
-    counts: np.ndarray
-    total_time: float
-    axis_names: list = field(default_factory=list)
-
-    def marginal(self, axis):
-        axes = tuple(i for i in range(self.counts.ndim) if i != axis)
-        return self.counts.sum(axis=axes)
-
-    @property
-    def total_mass(self):
-        return float(self.counts.sum())
 
 
 def default_substeps(dt_out, eta, factor=10.0, cap=4096):
@@ -506,21 +488,3 @@ def _euler_chunk(spec, noise, dtf, substeps, evaluators, controls, skew):
             terms = (_trials(t, redo) for t in (x_terms, y_terms))
             xs[redo], ys[redo], bad[redo] = _loop(*terms, x[redo], y[redo], n_out, substeps, t_fine)
     return xs, ys, bad
-
-
-def empirical_occupation(y_path: GridPath, ctrl: ControlPair, bins=16):
-    """dt-weighted histogram of (v1(s), u2dot(s), Y_s) over the horizon.
-
-    Controls that are absent contribute a zero-valued coordinate (their
-    marginal is a point mass at 0).  Total mass equals the horizon up to
-    round-off.
-    """
-    n, dt = y_path.n, y_path.dt
-    blocks, names = [], []
-    for label, name, path in (("v1", "u1", ctrl.v1), ("u2dot", "u2", ctrl.u2dot), ("y", "y", y_path)):
-        if path is not None and not path.same_grid(y_path):
-            raise InvalidInputError(f"{label} grid does not match the fast path")
-        blocks.append(np.zeros((n - 1, 1)) if path is None else path.values[: n - 1])
-        names.extend(f"{name}_{j}" for j in range(blocks[-1].shape[1]))
-    counts, edges = np.histogramdd(np.hstack(blocks), bins=bins, weights=np.full(n - 1, dt))
-    return OccupationHistogram(edges=list(edges), counts=counts, total_time=(n - 1) * dt, axis_names=names)

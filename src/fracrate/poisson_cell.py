@@ -75,7 +75,6 @@ class InvariantMeasure:
 class PoissonSolution:
     """Corrector and its gradient on the grid, each of shape (n, 1)."""
 
-    grid: np.ndarray
     psi: np.ndarray
     grad: np.ndarray
 
@@ -114,11 +113,6 @@ def invariant_density_1d(f, tau, L, n, tail_ratio=1e-8, norm_tol=1e-6):
     return InvariantMeasure(grid=y, density=rho)
 
 
-def _b_column(b, y):
-    """Slow-drift values on the grid y as an (n, 1) column."""
-    return np.broadcast_to(np.asarray(b(y), dtype=float), y.shape)[:, None]
-
-
 CENTERING_TOL = 1e-4  # largest |int b dmu| of a centered slow drift
 
 
@@ -133,7 +127,7 @@ def solve_poisson_1d(b, f, tau, mu: InvariantMeasure, centering_tol=CENTERING_TO
     y = mu.grid
     rho = mu.density
     dy = mu.dy
-    bv = _b_column(b, y)
+    bv = np.broadcast_to(np.asarray(b(y), dtype=float), y.shape)[:, None]
     means = np.trapezoid(bv * rho[:, None], y, axis=0)
     if np.max(np.abs(means)) > centering_tol:
         raise CenteringError(f"drift is not centered: int b dmu = {means}", b_mean=means)
@@ -142,7 +136,7 @@ def solve_poisson_1d(b, f, tau, mu: InvariantMeasure, centering_tol=CENTERING_TO
     grad = -2.0 * cum / (tau2 * rho)[:, None]
     psi = _cumulative(grad, dy)
     psi -= np.trapezoid(psi * rho[:, None], y, axis=0)[None, :]
-    return PoissonSolution(grid=y, psi=psi, grad=grad)
+    return PoissonSolution(psi=psi, grad=grad)
 
 
 # Nodes x grid points per coefficient evaluation; longer paths run in blocks.
@@ -188,21 +182,6 @@ def average_coeff(coef, mu: InvariantMeasure, xs=None, cells=None):
     step = max(1, _MAX_BLOCK_POINTS // y.size)
     blocks = (xs[i : i + step] for i in range(0, len(xs), step))
     return np.concatenate([_block_average(coef(blk, y), mu, len(blk), cells) for blk in blocks])
-
-
-def generator_residual(psol: PoissonSolution, b, f, tau):
-    """Interior sup-norm of (tau^2/2) psi'' + f psi' + b on the grid."""
-    y = psol.grid
-    dy = y[1] - y[0]
-    d1 = np.gradient(psol.psi, dy, axis=0, edge_order=2)
-    d2 = np.gradient(d1, dy, axis=0, edge_order=2)
-    tau2 = np.broadcast_to(np.asarray(tau(y), dtype=float), y.shape) ** 2
-    drift = np.broadcast_to(np.asarray(f(y), dtype=float), y.shape)
-    res = 0.5 * tau2[:, None] * d2 + drift[:, None] * d1 + _b_column(b, y)
-    # central half of the domain: outside it the density tails make the
-    # quadrature-over-density quotient meaningless
-    interior = slice(y.size // 4, -(y.size // 4))
-    return float(np.max(np.abs(res[interior])))
 
 
 def effective_noise(spec, psol: PoissonSolution, mu: InvariantMeasure):

@@ -281,6 +281,15 @@ class TestCommands:
         assert rc == 0
         assert GridPath.from_csv(str(out)).n == 64
 
+    def test_validate_json_creates_its_directory(self, tmp_path):
+        # the report went to open() as given: a missing directory ended in a
+        # FileNotFoundError traceback and exit 1
+        cfg = write(tmp_path, "a.cfg", OU_HOMOG)
+        out = tmp_path / "new" / "dir" / "v.json"
+        assert main(["validate", "--config", cfg, "--json", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert checks and all(c["status"] != "fail" for c in checks)
+
     def test_simulate_and_summary(self, tmp_path):
         cfg = write(tmp_path, "a.cfg", OU_HOMOG)
         out = str(tmp_path / "out")

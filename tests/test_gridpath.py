@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,12 +39,19 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     assert q.t0 == p.t0
     assert abs(q.dt - p.dt) < 1e-15
     # value columns are byte-stable across round trips
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    p.to_csv(buf1)
-    q.to_csv(buf2)
-    cols1 = [line.split(",")[1:] for line in buf1.getvalue().splitlines()]
-    cols2 = [line.split(",")[1:] for line in buf2.getvalue().splitlines()]
+    q.to_csv(tmp_path / "q.csv")
+    cols1 = [line.split(",")[1:] for line in path.read_text().splitlines()]
+    cols2 = [line.split(",")[1:] for line in (tmp_path / "q.csv").read_text().splitlines()]
     assert cols1 == cols2
+
+
+def test_csv_round_trip_through_pathlib(tmp_path):
+    # a pathlib.Path was taken for a buffer and failed with AttributeError
+    p = GridPath(0.5, 0.125, np.column_stack([np.linspace(-1.0, 1.0, 9), np.full(9, -0.0)]))
+    p.to_csv(tmp_path / "p.csv")
+    assert GridPath.from_csv(tmp_path / "p.csv") == p
+    p.to_csv(str(tmp_path / "s.csv"))
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
 
 @st.composite
@@ -60,37 +65,39 @@ def grid_paths(draw):
     return GridPath(t0, dt, np.reshape(np.array(cells, dtype=float), (n, dim)))
 
 
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(path=grid_paths())
-def test_csv_roundtrip_property(path):
-    buf = io.StringIO()
-    path.to_csv(buf)
-    buf.seek(0)
-    back = GridPath.from_csv(buf)
+def test_csv_roundtrip_property(csv_dir, path):
+    target, again = csv_dir / "p.csv", csv_dir / "again.csv"
+    path.to_csv(target)
+    back = GridPath.from_csv(target)
     assert back.values.shape == path.values.shape
     assert back.values.tobytes() == path.values.tobytes()  # bit for bit, signs of zeros too
     assert back.t0 == path.t0
     # dt comes back as t1 - t0 of the written times, within two roundings
     assert abs(back.dt - path.dt) <= 4e-16 * (abs(path.t0) + path.dt)
-    again = io.StringIO()
     back.to_csv(again)
-    rows = [line.split(",")[1:] for line in buf.getvalue().splitlines()]
-    assert rows == [line.split(",")[1:] for line in again.getvalue().splitlines()]
+    rows = [line.split(",")[1:] for line in target.read_text().splitlines()]
+    assert rows == [line.split(",")[1:] for line in again.read_text().splitlines()]
 
 
 @pytest.mark.parametrize("dim", [0, 1, 3])
-def test_csv_rows_follow_the_per_cell_repr_rule(dim):
+def test_csv_rows_follow_the_per_cell_repr_rule(tmp_path, dim):
     # every cell is written as repr(float(v)): signed zeros, NaN, infinities
     # and subnormals included
     special = np.array([-0.0, np.nan, 5e-324, -np.inf, 1.0 / 3.0, -1e308, 0.1])
     vals = np.column_stack([np.roll(special, j) for j in range(dim)]) if dim else np.zeros((7, 0))
     path = GridPath(-0.5, 0.1, vals)
-    buf = io.StringIO()
-    path.to_csv(buf)
+    path.to_csv(tmp_path / "p.csv")
     times = path.times()
     expected = [",".join(["t"] + [f"v{j}" for j in range(dim)])]
     expected += [",".join([repr(float(times[i]))] + [repr(float(v)) for v in vals[i]]) for i in range(7)]
-    assert buf.getvalue() == "\n".join(expected) + "\n"
+    assert (tmp_path / "p.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def column_stack_csv(path):
@@ -107,14 +114,13 @@ class TestTimeColumnCache:
 
     @pytest.mark.parametrize("dim", [0, 1, 2])
     @pytest.mark.parametrize("t0", [0.0, -1.25, 1.0 / 3.0])
-    def test_matches_the_column_stack_writer(self, dim, t0):
+    def test_matches_the_column_stack_writer(self, tmp_path, dim, t0):
         rng = np.random.default_rng(dim)
         path = GridPath(t0, 0.1, rng.standard_normal((201, dim)) * np.pi)
         gridpath._time_column.cache_clear()
         for _ in range(2):  # a cold cache, then a warm one
-            buf = io.StringIO()
-            path.to_csv(buf)
-            assert buf.getvalue() == column_stack_csv(path)
+            path.to_csv(tmp_path / "p.csv")
+            assert (tmp_path / "p.csv").read_bytes() == column_stack_csv(path).encode()
         assert gridpath._time_column.cache_info()[:2] == (1, 1)  # hits, misses
 
     def test_alternating_grids_miss_the_cache(self, tmp_path):
@@ -129,16 +135,6 @@ class TestTimeColumnCache:
             back = GridPath.from_csv(str(target))
             assert back.values.tobytes() == path.values.tobytes() and back.t0 == path.t0
         assert gridpath._time_column.cache_info()[:2] == (0, 8)
-
-    def test_buffer_target_round_trip(self):
-        path = GridPath(2.5, 0.01, np.column_stack([np.linspace(-1.0, 1.0, 101), np.full(101, -0.0)]))
-        buf = io.StringIO()
-        path.to_csv(buf)
-        assert buf.getvalue() == column_stack_csv(path)
-        buf.seek(0)
-        back = GridPath.from_csv(buf)
-        assert back.values.tobytes() == path.values.tobytes()
-        assert back.t0 == path.t0 and abs(back.dt - path.dt) <= 1e-15
 
 
 def test_csv_rejects_nonuniform(tmp_path):

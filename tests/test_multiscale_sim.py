@@ -21,7 +21,6 @@ from fracrate.multiscale_sim import (
     ControlPair,
     SlowFastSpec,
     default_substeps,
-    empirical_occupation,
     simulate_chunks,
 )
 from scipy.linalg import cholesky, matmul_toeplitz, solve_triangular
@@ -849,15 +848,13 @@ class TestControlled:
         assert abs(np.mean(means) - target) < 0.1 * target
 
 
-class TestOccupation:
-    def test_total_mass_is_horizon(self):
-        spec = ou_spec(eta=0.01)
-        noise = make_noise(spec, 201, 2.0, 5, seed=2)
-        _, y_path = run(spec, noise, 5).paths(0)
-        hist = empirical_occupation(y_path, ControlPair(), bins=12)
-        assert abs(hist.total_mass - 2.0) < 1e-9
-        assert hist.total_time == pytest.approx(2.0)
+def occupation(y_path, bins):
+    """dt-weighted histogram of Y_s over [0, T) as probabilities, and its edges."""
+    counts, edges = np.histogram(y_path.values[:-1, 0], bins=bins, weights=np.full(y_path.n - 1, y_path.dt))
+    return counts / counts.sum(), edges
 
+
+class TestOccupation:
     def test_invariant_marginal_tv(self):
         # long horizon, uncontrolled: Y-marginal close to the standard normal
         spec = ou_spec(eps=0.1, eta=0.002)
@@ -865,24 +862,13 @@ class TestOccupation:
         sub = 100
         noise = make_noise(spec, n_out, 20.0, sub, seed=5)
         _, y_path = run(spec, noise, sub).paths(0)
-        hist = empirical_occupation(y_path, ControlPair(), bins=16)
-        y_axis = len(hist.edges) - 1
-        marg = hist.marginal(y_axis) / hist.total_mass
-        edges = hist.edges[y_axis]
+        marg, edges = occupation(y_path, bins=16)
         from scipy.stats import norm
 
         probs = np.diff(norm.cdf(edges))
         probs /= probs.sum()
         tv = 0.5 * np.sum(np.abs(marg - probs))
         assert tv < 0.05
-
-    def test_point_mass_for_zero_controls(self):
-        spec = ou_spec(eta=0.01)
-        noise = make_noise(spec, 101, 1.0, 4, seed=2)
-        _, y_path = run(spec, noise, 4).paths(0)
-        hist = empirical_occupation(y_path, ControlPair(), bins=7)
-        u1_marg = hist.marginal(0)
-        assert np.isclose(u1_marg.max(), hist.total_mass)
 
     def test_decoupling_with_bounded_controls(self):
         # sqrt(eta)/sqrt(eps) = 0.1: controlled Y-marginal stays near the
@@ -896,12 +882,10 @@ class TestOccupation:
         ctrl = ControlPair(u2dot=GridPath(0.0, dt_out, 0.5 * np.sin(np.arange(n_out))[:, None]))
         noise = make_noise(spec, n_out, 8.0, sub, seed=6)
         _, y_path = run(spec, noise, sub, ctrl).paths(0)
-        hist = empirical_occupation(y_path, ControlPair(u2dot=ctrl.u2dot), bins=24)
-        y_axis = len(hist.edges) - 1
-        marg = hist.marginal(y_axis) / hist.total_mass
+        marg, edges = occupation(y_path, bins=24)
         from scipy.stats import norm
 
-        probs = np.diff(norm.cdf(hist.edges[y_axis]))
+        probs = np.diff(norm.cdf(edges))
         probs /= probs.sum()
         assert 0.5 * np.sum(np.abs(marg - probs)) < 0.1
 
