@@ -124,12 +124,10 @@ def _input_path(args, config, drift):
     """The ``--path`` CSV, else the admissible cubic with normalized displacement t^2."""
     if args.path:
         return GridPath.from_csv(args.path)
-    n = config.grid["n"]
-    horizon = config.grid["horizon"]
-    dt = horizon / (n - 1)
+    n, x0 = config.grid["n"], config.model["x0"]
+    dt = config.grid["horizon"] / (n - 1)
     t = dt * np.arange(n)
-    x0 = config.model["x0"]
-    s1 = float(drift.sigma1_bar(np.reshape(x0, (1, 1)))[0, 0, 0])
+    s1 = float(drift.sigma1_bar([x0])[0])
     return GridPath(0.0, dt, x0 + s1 * t**3 / 3.0)
 
 
@@ -164,7 +162,7 @@ def cmd_simulate(args):
         for chunk, batch in chunks:
             for i in np.flatnonzero(~batch.diverged):
                 batch.paths(i)[0].to_csv(os.path.join(out_dir, f"trajectory_eps{idx}_trial{chunk[i]}.csv"))
-                sup_errs.append(float(np.max(np.abs(batch.x[i] - ref))))
+                sup_errs.append(float(np.max(np.abs(batch.x[i, :, 0] - ref))))
                 terminals.append(float(batch.x[i, -1, 0]))
         _check_usable(len(terminals), trials, eps)
         summary["schedule"].append(
@@ -190,13 +188,14 @@ def cmd_poisson(args):
     spec = config.make_spec(*config.schedule[-1])
     mu, psol = config.cell_problem()
     eq = effective_q(spec, psol, mu, spec.x0)
+    # psi, grad_psi and qqt_bar keep a vector system's layout: one-element rows, a 1 x 1 matrix
     payload = {
         "grid": mu.grid.tolist(),
         "density": mu.density.tolist(),
-        "psi": psol.psi.tolist(),
-        "grad_psi": psol.grad.tolist(),
-        "qqt_bar": eq["qqt_bar"].tolist(),
-        "min_eigenvalue": eq["min_eigenvalue"],
+        "psi": [[v] for v in psol.psi.tolist()],
+        "grad_psi": [[v] for v in psol.grad.tolist()],
+        "qqt_bar": [[eq["qqt_bar"]]],
+        "min_eigenvalue": eq["qqt_bar"],
         "degenerate": eq["degenerate"],
     }
     _write_json(out, payload)
@@ -246,18 +245,9 @@ def cmd_limit_study(args):
     drift = _measure_and_drift(config)
     phi = _input_path(args, config, drift)
     study = h_limit_study(phi, drift, h_list)
-    rows = []
-    for row, gap_t, gap_f in zip(study["rows"], study["gap_to_tilde"], study["gap_to_fw"]):
-        rows.append(
-            {
-                "hurst": row["hurst"],
-                "value": row["value"],
-                "tilde_half": study["tilde_half"],
-                "fw_half": study["fw_half"],
-                "gap_to_tilde": gap_t,
-                "gap_to_fw": gap_f,
-            }
-        )
+    shared = {key: study[key] for key in ("tilde_half", "fw_half")}
+    rows = [{**row, **shared, "gap_to_tilde": gap_t, "gap_to_fw": gap_f}
+            for row, gap_t, gap_f in zip(study["rows"], study["gap_to_tilde"], study["gap_to_fw"])]
     _write_rows_csv(out, rows, ["hurst", "value", "tilde_half", "fw_half", "gap_to_tilde", "gap_to_fw"])
     _write_manifest(os.path.dirname(out) or ".", config, {"command": "limit-study"})
     print(f"wrote {out}")
@@ -293,7 +283,7 @@ def cmd_mc(args):
         try:
             sigma_bar = None
             if rough_noise_only(spec0) and reads(spec0.sigma1, "y"):
-                sigma_bar = float(_measure_and_drift(config).sigma1_bar(np.reshape(spec0.x0, (1, 1)))[0, 0, 0])
+                sigma_bar = float(_measure_and_drift(config).sigma1_bar([spec0.x0])[0])
             pred = linear_case_prediction(
                 spec0, exp_cfg["threshold"], config.grid["horizon"], sigma_bar=sigma_bar
             )

@@ -244,7 +244,7 @@ def validate(config: ExperimentConfig):
         checks.append(CheckResult("centering", "pass", f"|int b dmu| <= {CENTERING_TOL:.3g}"))
     except CenteringError as exc:
         mu = None
-        checks.append(CheckResult("centering", "fail", f"|int b dmu| = {abs(exc.b_mean).max():.3g}"))
+        checks.append(CheckResult("centering", "fail", f"|int b dmu| = {abs(exc.b_mean):.3g}"))
     except FracrateError as exc:  # measure construction failures are hard failures
         mu = None
         checks.append(CheckResult("invariant_measure", "fail", str(exc)))
@@ -273,11 +273,8 @@ def validate(config: ExperimentConfig):
         try:
             eq = effective_q(spec, psol, mu, spec.x0)
             status = "pass" if not eq["degenerate"] else "warn"
-            checks.append(
-                CheckResult(
-                    "qqt_min_eigenvalue", status, f"min eigenvalue at x0 = {eq['min_eigenvalue']:.3g}"
-                )
-            )
+            # a scalar Gram is its own minimum eigenvalue
+            checks.append(CheckResult("qqt_min_eigenvalue", status, f"min eigenvalue at x0 = {eq['qqt_bar']:.3g}"))
         except InvalidInputError as exc:  # e.g. a coefficient the averaging layer cannot read
             checks.append(CheckResult("qqt_min_eigenvalue", "fail", f"invalid input: {exc}"))
         except FracrateError as exc:

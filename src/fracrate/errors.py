@@ -22,7 +22,7 @@ class TruncationError(FracrateError, RuntimeError):
 
 
 class CenteringError(FracrateError, RuntimeError):
-    """The drift fails the centering condition required by the cell problem."""
+    """The drift fails the cell problem's centering condition; ``b_mean`` is int b dmu."""
 
     def __init__(self, message, b_mean=None):
         super().__init__(message)

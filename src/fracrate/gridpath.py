@@ -122,12 +122,15 @@ class GridPath:
 
     @classmethod
     def from_csv(cls, path) -> "GridPath":
-        """Read the file ``path`` as ``to_csv`` writes it."""
-        with open(path, "r", newline="") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("t"):
-                raise InvalidInputError(f"unexpected CSV header: {header!r}")
-            rows = [line.strip() for line in fh if line.strip()]
+        """Read the file ``path`` as ``to_csv`` writes it; an unreadable file is invalid input."""
+        try:
+            with open(path, "r", newline="") as fh:
+                header = fh.readline().strip()
+                rows = [line.strip() for line in fh if line.strip()]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"cannot read path CSV {path}: {exc}") from None
+        if not header.startswith("t"):
+            raise InvalidInputError(f"unexpected CSV header: {header!r}")
         if len(rows) < 2:
             raise InvalidInputError("need at least two grid rows")
         width = len(header.split(","))

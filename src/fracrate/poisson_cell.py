@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CenteringError, InvalidInputError, TruncationError
+from .errors import CenteringError, DivergenceError, InvalidInputError, TruncationError
 
 
 def _cumulative(values, dy):
@@ -73,7 +73,7 @@ class InvariantMeasure:
 
 @dataclass
 class PoissonSolution:
-    """Corrector and its gradient on the grid, each of shape (n, 1)."""
+    """Corrector psi and its gradient on the fast grid, each of shape (ny,)."""
 
     psi: np.ndarray
     grad: np.ndarray
@@ -127,20 +127,27 @@ def solve_poisson_1d(b, f, tau, mu: InvariantMeasure, centering_tol=CENTERING_TO
     y = mu.grid
     rho = mu.density
     dy = mu.dy
-    bv = np.broadcast_to(np.asarray(b(y), dtype=float), y.shape)[:, None]
-    means = np.trapezoid(bv * rho[:, None], y, axis=0)
-    if np.max(np.abs(means)) > centering_tol:
-        raise CenteringError(f"drift is not centered: int b dmu = {means}", b_mean=means)
+    brho = np.broadcast_to(np.asarray(b(y), dtype=float), y.shape) * rho
+    mean = float(np.trapezoid(brho, y))
+    if abs(mean) > centering_tol:
+        raise CenteringError(f"drift is not centered: int b dmu = {mean}", b_mean=mean)
     tau2 = np.broadcast_to(np.asarray(tau(y), dtype=float), y.shape) ** 2
-    cum = _cumulative(bv * rho[:, None], dy)
-    grad = -2.0 * cum / (tau2 * rho)[:, None]
+    grad = -2.0 * _cumulative(brho, dy) / (tau2 * rho)
     psi = _cumulative(grad, dy)
-    psi -= np.trapezoid(psi * rho[:, None], y, axis=0)[None, :]
+    psi -= np.trapezoid(psi * rho, y)
     return PoissonSolution(psi=psi, grad=grad)
 
 
 # Nodes x grid points per coefficient evaluation; longer paths run in blocks.
 _MAX_BLOCK_POINTS = 1 << 18
+
+
+def _slow_states(xs):
+    """xs as floats (n,); ``InvalidInputError`` for any other shape."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise InvalidInputError(f"slow states must have shape (n,), got {xs.shape}")
+    return xs
 
 
 def _block_average(vals, mu: InvariantMeasure, rows, cells):
@@ -149,7 +156,7 @@ def _block_average(vals, mu: InvariantMeasure, rows, cells):
     if vals.ndim != 2 or vals.shape[0] not in (1, rows) or vals.shape[1] not in (1, ny):
         raise InvalidInputError(f"coefficient returned shape {vals.shape}, expected one broadcasting to ({rows}, {ny})")
     if cells is None:
-        return np.broadcast_to(mu.average(vals)[:, None] if vals.shape[1] == ny else vals, (rows, 1))
+        return np.broadcast_to(mu.average(vals) if vals.shape[1] == ny else vals[:, 0], rows)
     index, weight = cells
     width = int(index[-1]) + 1
     if vals.shape[1] == ny:
@@ -163,54 +170,48 @@ def _block_average(vals, mu: InvariantMeasure, rows, cells):
 def average_coeff(coef, mu: InvariantMeasure, xs=None, cells=None):
     """mu-averages of a scalar coefficient along a path of slow states.
 
-    ``coef(xs, y)`` is called on node blocks of the path ``xs`` (n, 1)
-    against the fast grid ``y`` (ny,), so its result broadcasts to
-    (nodes, ny) as elementwise numpy expressions do.  A result whose last
-    axis is the grid is integrated against the density; one without it
-    (last axis of size 1, or 0-d) is its own average.  Returns (n, 1).
-    With ``cells``, a pair of (ny,) arrays (the non-decreasing cell index
-    of each grid point, from 0 to p - 1, and weights that sum to one on
-    each cell), returns the (n, p) weighted averages on the cells instead.
-    With ``xs`` None, ``coef(y)`` is averaged once and the result is 0-d.
+    ``coef(x, y)`` is called on node blocks of the path ``xs`` (n,), as
+    columns x (nodes, 1), against the fast grid ``y`` (ny,), so its result
+    broadcasts to (nodes, ny) as elementwise numpy expressions do.  A result
+    whose last axis is the grid is integrated against the density; one
+    without it (last axis of size 1, or 0-d) is its own average.  Returns
+    (n,).  With ``cells``, a pair of (ny,) arrays (the non-decreasing cell
+    index of each grid point, from 0 to p - 1, and weights that sum to one
+    on each cell), returns the (n, p) weighted averages on the cells
+    instead.  With ``xs`` None, ``coef(y)`` is averaged once and the result
+    is 0-d.
     """
     y = mu.grid
     if xs is None:
-        return _block_average(coef(y), mu, 1, None)[0, 0]
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != 1:
-        raise InvalidInputError(f"slow path must have shape (n, 1), got {xs.shape}")
+        return _block_average(coef(y), mu, 1, None)[0]
+    xs = _slow_states(xs)
     step = max(1, _MAX_BLOCK_POINTS // y.size)
-    blocks = (xs[i : i + step] for i in range(0, len(xs), step))
+    blocks = (xs[i : i + step, None] for i in range(0, len(xs), step))
     return np.concatenate([_block_average(coef(blk, y), mu, len(blk), cells) for blk in blocks])
 
 
 def effective_noise(spec, psol: PoissonSolution, mu: InvariantMeasure):
-    """Effective noise map q(xs, y) = grad-psi(y) tau(y) + sigma2(xs, y)
+    """Effective noise map q(x, y) = grad-psi(y) tau(y) + sigma2(x, y)
     on the grid of ``mu``, in the calling convention of ``average_coeff``."""
-    qy = psol.grad[:, 0] * spec.tau(mu.grid)
+    qy = psol.grad * spec.tau(mu.grid)
     return lambda xs, y: qy + spec.sigma2(xs, y)
 
 
 def effective_q(spec, psol: PoissonSolution, mu: InvariantMeasure, x, degeneracy_tol=1e-8):
-    """Effective noise map Q(y) = grad-psi(y) tau(y) + sigma2(x, y) at one
-    slow state x and its Gram averaged against the invariant measure.
+    """Gram of the effective noise map Q(y) = grad-psi(y) tau(y) + sigma2(x, y)
+    at one slow state x, averaged against the invariant measure.
 
-    Returns a dict with ``q``, Q on the grid (ny, 1, 1), the averaged Gram
-    ``qqt_bar`` (1, 1), its minimum eigenvalue and a degeneracy flag.
-    Degeneracy is a flag rather than an error: degenerate systems are
-    simply outside the general evaluator's domain.
+    Returns a dict with ``qqt_bar``, the mean of Q^2, a float, and the flag
+    ``degenerate``, qqt_bar <= ``degeneracy_tol``: degenerate systems are
+    simply outside the general evaluator's domain.  A Gram that is not
+    finite raises ``DivergenceError``.
     """
     q = effective_noise(spec, psol, mu)
-    xs = np.reshape(np.asarray(x, dtype=float), (1, 1))
-    qv = np.broadcast_to(q(xs, mu.grid), (1, mu.grid.size))[0]
-    qqt_bar = average_coeff(lambda x_, y: q(x_, y) ** 2, mu, xs)[0, :, None]
-    eigs = np.linalg.eigvalsh(qqt_bar)
-    return {
-        "q": qv[:, None, None],
-        "qqt_bar": qqt_bar,
-        "min_eigenvalue": float(eigs[0]),
-        "degenerate": bool(eigs[0] <= degeneracy_tol),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        qqt_bar = float(average_coeff(lambda x_, y: q(x_, y) ** 2, mu, [x])[0])
+    if not np.isfinite(qqt_bar):
+        raise DivergenceError(f"effective Brownian Gram at x = {x} is not finite ({qqt_bar}): Q^2 overflowed")
+    return {"qqt_bar": qqt_bar, "degenerate": qqt_bar <= degeneracy_tol}
 
 
 def domain_halfwidth(f, tau, sigmas=8.0, probe_half=30.0, n=4001):

@@ -2,7 +2,7 @@
 
 Four evaluators share one differentiation convention (``GridPath.derivative``)
 and one set of averaged coefficients (``LimitDrift``), which they evaluate
-on the whole path at once:
+on the whole scalar path (``GridPath.scalar``) at once:
 
 * ``eval_rate_explicit`` - the closed quadratic form available when the
   singular drift and the Brownian diffusion vanish and the averaged rough
@@ -33,8 +33,7 @@ from .errors import (
     RegularityError,
 )
 from .gridpath import GridPath, l2_norm, trapezoid_weights
-from .multiscale_sim import ControlPair
-from .poisson_cell import InvariantMeasure, PoissonSolution, average_coeff, effective_noise
+from .poisson_cell import InvariantMeasure, PoissonSolution, _slow_states, average_coeff, effective_noise
 
 # sigma1-bar is singular where its smallest singular value is below this
 _SINGULAR_TOL = 1e-8
@@ -48,17 +47,17 @@ _DEGENERATE_RATIO = 1e-8
 class LimitDrift:
     """Averaged coefficient set entering the limiting dynamics.
 
-    Every callable takes a path of slow states xs (n, 1), a single state
-    being the one-node path (1, 1), and returns the averages at its nodes
-    with the nodes on the leading axis: ``cbar`` and ``grad_psi_g_bar`` the
-    drift pieces (n, 1), ``sigma1_bar`` the naively averaged rough diffusion
-    (n, 1, 1), ``sigma1_sq_bar`` the averaged squared coefficient (n, 1, 1),
-    ``qqt_bar`` the effective Brownian Gram (n, 1, 1).  ``q_bins`` carries
-    the effective noise map averaged on equal-mass cells of the measure for
-    feedback-control representations, (n, nbins, 1, 1), with the cell
-    masses ``bin_mass`` and centres ``bin_centers``.  ``affine_drift`` is
-    (slope, intercept) when cbar + grad_psi_g_bar is slope x + intercept by
-    the declared affine forms of c and g (None: not declared).
+    Every callable maps a path of slow states xs (n,), a single state being
+    the one-node path (1,), to one average per node (n,): ``cbar`` and
+    ``grad_psi_g_bar`` the drift pieces, ``sigma1_bar`` the naively averaged
+    rough diffusion, ``sigma1_sq_bar`` the averaged squared coefficient and
+    ``qqt_bar`` the effective Brownian Gram.  ``q_bins`` carries the
+    effective noise map averaged on equal-mass cells of the measure for
+    feedback-control representations, (n, nbins), with the cell masses
+    ``bin_mass`` and centres ``bin_centers``.  Each raises
+    ``InvalidInputError`` when xs is not one-dimensional.  ``affine_drift``
+    is (slope, intercept) when cbar + grad_psi_g_bar is slope x + intercept
+    by the declared affine forms of c and g (None: not declared).
     """
 
     cbar: object
@@ -91,9 +90,9 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
     weight = trapezoid_weights(y.size, mu.dy) * mu.density
     mass = np.bincount(cell, weight, nbins)
     cells = (cell, weight / np.where(mass > 0, mass, 1.0)[cell])
-    g1 = psol.grad[:, 0]
+    g1 = psol.grad
     if is_zero(spec.g):
-        grad_psi_g_bar = lambda xs: np.zeros((len(xs), 1))  # noqa: E731
+        grad_psi_g_bar = lambda xs: np.zeros(_slow_states(xs).shape)  # noqa: E731
     else:
         grad_psi_g_bar = lambda xs: average_coeff(lambda x, yy: g1 * spec.g(x, yy), mu, xs)  # noqa: E731
     affine_drift, c_form, g_form = None, affine(spec.c), affine(spec.g)
@@ -109,10 +108,10 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
     return LimitDrift(
         cbar=lambda xs: average_coeff(spec.c, mu, xs),
         grad_psi_g_bar=grad_psi_g_bar,
-        sigma1_bar=lambda xs: average_coeff(spec.sigma1, mu, xs)[..., None],
-        sigma1_sq_bar=lambda xs: average_coeff(lambda x, yy: spec.sigma1(x, yy) ** 2, mu, xs)[..., None],
-        qqt_bar=lambda xs: average_coeff(lambda x, yy: q(x, yy) ** 2, mu, xs)[..., None],
-        q_bins=lambda xs: average_coeff(q, mu, xs, cells)[..., None, None],
+        sigma1_bar=lambda xs: average_coeff(spec.sigma1, mu, xs),
+        sigma1_sq_bar=lambda xs: average_coeff(lambda x, yy: spec.sigma1(x, yy) ** 2, mu, xs),
+        qqt_bar=lambda xs: average_coeff(lambda x, yy: q(x, yy) ** 2, mu, xs),
+        q_bins=lambda xs: average_coeff(q, mu, xs, cells),
         bin_mass=mass / mass.sum(),
         bin_centers=0.5 * (edges[:-1] + edges[1:]),
         affine_drift=affine_drift,
@@ -121,8 +120,12 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
 
 @dataclass
 class RateEvalResult:
-    """Rate value with its minimizing control representation and method tag.
-    A NaN value raises ``DivergenceError``; an inadmissible path's is inf."""
+    """Rate value with its minimizer and method tag.  The minimizer is a
+    dict, ``"v1"`` the rough control as a ``GridPath``, plus for the general
+    rate the Brownian feedback ``"u2_feedback"`` (n, nbins) on the cells
+    centred at ``"bin_centers"``; None for the classical forms and an
+    inadmissible path.  A NaN value raises ``DivergenceError``; an
+    inadmissible path's is inf."""
 
     value: float
     method: str
@@ -135,23 +138,25 @@ class RateEvalResult:
 
 
 def _forced_displacement(phi: GridPath, drift: LimitDrift, include_psi_g=True):
-    """phi-dot minus the homogenized drift, shape (n, 1).  Overflow is not
-    reported here: every evaluator checks what it reads of r for finiteness."""
+    """The path's nodes x = phi.scalar() and phi-dot minus the homogenized
+    drift there, r, each (n,).  Overflow is not reported here: every
+    evaluator checks what it reads of r for finiteness."""
+    x = phi.scalar()
     with np.errstate(over="ignore", invalid="ignore"):
-        r = phi.derivative() - drift.cbar(phi.values)
+        r = phi.derivative()[:, 0] - drift.cbar(x)
         if include_psi_g:
-            r = r - drift.grad_psi_g_bar(phi.values)
-    return r
+            r = r - drift.grad_psi_g_bar(x)
+    return x, r
 
 
 def _normalized_displacement(phi: GridPath, drift: LimitDrift):
-    """psi = (phi-dot - cbar) / sigma1-bar along the path, shape (n, 1),
+    """psi = (phi-dot - cbar) / sigma1-bar along the path, shape (n,),
     after checking that |sigma1-bar| >= ``_SINGULAR_TOL`` at every node."""
-    r = _forced_displacement(phi, drift, include_psi_g=False)
-    s1 = drift.sigma1_bar(phi.values)[:, 0]
-    bad = np.flatnonzero(np.abs(s1[:, 0]) < _SINGULAR_TOL)
+    x, r = _forced_displacement(phi, drift, include_psi_g=False)
+    s1 = drift.sigma1_bar(x)
+    bad = np.flatnonzero(np.abs(s1) < _SINGULAR_TOL)
     if bad.size:
-        raise DegeneracyError(f"sigma1-bar singular along the path ({s1[bad[0], 0]:.3g} at node {bad[0]})")
+        raise DegeneracyError(f"sigma1-bar singular along the path ({s1[bad[0]]:.3g} at node {bad[0]})")
     return r / s1
 
 
@@ -174,11 +179,10 @@ def eval_rate_explicit(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
             diagnostics={"reason": f"inverse lift diverged: {exc}"},
         )
     val = 0.5 * l2_norm(v, phi.dt) ** 2
-    ctrl = ControlPair(v1=GridPath(0.0, phi.dt, v))
     return RateEvalResult(
         value=float(val),
         method="explicit",
-        minimizer=ctrl,
+        minimizer={"v1": GridPath(0.0, phi.dt, v)},
         diagnostics={"psi_sup": float(np.max(np.abs(psi)))},
     )
 
@@ -378,33 +382,32 @@ def eval_rate_general(phi: GridPath, drift: LimitDrift, ctx: HurstContext):
     ctx.check_grid(phi, "eval_rate_general")
     w = trapezoid_weights(phi.n, phi.dt)
     sw = np.sqrt(w)
-    r_w = _forced_displacement(phi, drift)[:, 0] * sw
+    x, r = _forced_displacement(phi, drift)
+    r_w = r * sw
     if not np.all(np.isfinite(r_w)):
         raise DivergenceError("general rate: the forced displacement overflowed")
-    s1 = drift.sigma1_bar(phi.values)[:, 0, 0]
+    s1 = drift.sigma1_bar(x)
     kd = ctx.kdot_matrix()
     # the initial node is fixed by phi(0) = x0, not by its velocity, and the
     # lifted-derivative row vanishes there; solve on nodes 1..n-1
     w_sol = np.zeros(phi.n)
-    w_sol[1:], val, lam_max, lam_min = _solve_gram(kd, s1, sw, drift.qqt_bar(phi.values)[:, 0, 0], r_w[1:])
+    w_sol[1:], val, lam_max, lam_min = _solve_gram(kd, s1, sw, drift.qqt_bar(x), r_w[1:])
     # minimizers: u1* = Kdot* sigma1-bar w ; u2* = Q w (per bin)
-    u1 = ((kd.T @ (s1 * sw * w_sol)) / w)[:, None]
-    u2 = drift.q_bins(phi.values)[..., 0] * (w_sol / sw)[:, None, None]
-    ctrl = ControlPair(v1=GridPath(0.0, phi.dt, u1))
+    u1 = (kd.T @ (s1 * sw * w_sol)) / w
+    u2 = drift.q_bins(x) * (w_sol / sw)[:, None]
     return RateEvalResult(
         value=val,
         method="general",
-        minimizer={"v1": ctrl.v1, "u2_feedback": u2, "bin_centers": drift.bin_centers},
+        minimizer={"v1": GridPath(0.0, phi.dt, u1), "u2_feedback": u2, "bin_centers": drift.bin_centers},
         diagnostics={"condition": lam_max / lam_min, "lambda_min": lam_min, "lambda_max": lam_max},
     )
 
 
 def _quadratic_form_rate(phi, r, mats, method):
-    """Half the weighted time integral of r^2 / mats, r (n, 1) and mats
-    (n, 1, 1).  Raises ``DivergenceError`` when either input has overflowed."""
+    """Half the weighted time integral of r^2 / mats, both (n,).  Raises
+    ``DivergenceError`` when either input has overflowed."""
     if not (np.all(np.isfinite(mats)) and np.all(np.isfinite(r))):
         raise DivergenceError(f"{method}: the effective matrix or the forced displacement overflowed")
-    mats, r = mats[:, 0, 0], r[:, 0]
     bad = np.flatnonzero(mats <= 1e-12)
     if bad.size:
         raise DegeneracyError(f"{method}: effective matrix degenerate at node {bad[0]}")
@@ -414,16 +417,16 @@ def _quadratic_form_rate(phi, r, mats, method):
 def eval_rate_fw_half(phi: GridPath, drift: LimitDrift):
     """Classical-noise rate with the fully averaged effective matrix
     sigma1 sigma1^T-bar + Q Q^T-bar."""
-    r = _forced_displacement(phi, drift)
+    x, r = _forced_displacement(phi, drift)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _quadratic_form_rate
-        mats = drift.sigma1_sq_bar(phi.values) + drift.qqt_bar(phi.values)
+        mats = drift.sigma1_sq_bar(x) + drift.qqt_bar(x)
     return RateEvalResult(value=_quadratic_form_rate(phi, r, mats, "fw_half"), method="fw_half")
 
 
 def eval_rate_tilde_half(phi: GridPath, drift: LimitDrift):
     """Classical-form rate with the square of the naively averaged coefficient."""
-    r = _forced_displacement(phi, drift, include_psi_g=False)
-    s1 = drift.sigma1_bar(phi.values)
+    x, r = _forced_displacement(phi, drift, include_psi_g=False)
+    s1 = drift.sigma1_bar(x)
     with np.errstate(over="ignore"):  # checked by _quadratic_form_rate
         mats = s1 * s1
     return RateEvalResult(value=_quadratic_form_rate(phi, r, mats, "tilde_half"), method="tilde_half")
@@ -439,7 +442,7 @@ def admissibility_check(phi: GridPath, drift: LimitDrift, exponent=1.05, factor=
     """
     psi = _normalized_displacement(phi, drift)
     head = slice(1, min(decade, phi.n - 1) + 1)
-    ratios = np.abs(psi[head, 0]) / phi.times()[head] ** exponent
+    ratios = np.abs(psi[head]) / phi.times()[head] ** exponent
     scale = max(ratios[-1], 1e-12 * ratios.max())
     ok = bool(ratios.max() <= factor * scale)
     return ok, ratios
@@ -483,17 +486,18 @@ def replay_minimizer(phi: GridPath, drift: LimitDrift, ctx: HurstContext, result
     of the evaluators on the same drift.
     """
     mini = result.minimizer
-    v1, u2 = (mini.v1, None) if isinstance(mini, ControlPair) else (mini["v1"], mini["u2_feedback"])
-    u1dot = ctx.kdot_matrix() @ v1.values  # (n, 1)
-    controls = [lambda i, x: drift.sigma1_bar(x) @ u1dot[i]]
+    u1dot = ctx.kdot_matrix() @ mini["v1"].scalar()
+    controls = [lambda i, x: drift.sigma1_bar(x) * u1dot[i]]
+    u2 = mini.get("u2_feedback")
     if u2 is not None:
-        controls.append(lambda i, x: np.einsum("ibme,be,b->im", drift.q_bins(x), u2[i], drift.bin_mass))
-    return GridPath(0.0, phi.dt, averaged_euler(drift, phi.values[0], phi.n, phi.dt, controls))
+        controls.append(lambda i, x: drift.q_bins(x) @ (u2[i] * drift.bin_mass))
+    return GridPath(0.0, phi.dt, averaged_euler(drift, phi.scalar()[0], phi.n, phi.dt, controls))
 
 
 def averaged_euler(drift: LimitDrift, x0, n, dt, controls=()):
-    """Euler path (n, 1) from x0, step dt, of the averaged drift cbar +
-    grad_psi_g_bar plus each ``control(i, x)`` at node i, x of shape (1, 1).
+    """Euler path (n,) from the number x0, step dt, of the averaged drift
+    cbar + grad_psi_g_bar plus each ``control(i, x)`` at node i, x the
+    one-node path (1,).
 
     Without controls, a drift with an ``affine_drift`` (slope, intercept)
     is stepped as the float recurrence x <- x + dt (slope x + intercept),
@@ -501,19 +505,18 @@ def averaged_euler(drift: LimitDrift, x0, n, dt, controls=()):
     averages; the loop steps every other drift."""
     if drift.affine_drift is not None and not controls:
         slope, intercept = drift.affine_drift
-        x = float(np.reshape(x0, ()))
+        x = float(x0)
         out = [x]
         for _ in range(n - 1):
             x = x + dt * (slope * x + intercept)
             out.append(x)
-        return np.array(out)[:, None]
-    x = np.reshape(np.array(x0, dtype=float), (1, 1))
-    out = np.empty((n, 1))
-    out[0] = x[0]
+        return np.array(out)
+    out = np.empty(n)
+    out[0] = x0
     for i in range(n - 1):
+        x = out[i : i + 1]
         dx = drift.cbar(x) + drift.grad_psi_g_bar(x)
         for control in controls:
             dx = dx + control(i, x)
-        x = x + dt * dx
-        out[i + 1] = x[0]
+        out[i + 1] = x[0] + dt * dx[0]
     return out

@@ -148,7 +148,7 @@ def test_criterion_05_poisson_averaging(ou_measure):
     sol = solve_poisson_1d(lambda y: lam * np.asarray(y), f, tau, ou_measure)
     y = ou_measure.grid
     mask = np.abs(y) <= 4.0
-    err_psi = float(np.max(np.abs(sol.psi[mask, 0] - lam * y[mask])))
+    err_psi = float(np.max(np.abs(sol.psi[mask] - lam * y[mask])))
     s1 = float(average_coeff(lambda yy: np.cos(yy), ou_measure))
     s2 = float(average_coeff(lambda yy: np.cos(yy) ** 2, ou_measure))
     err_s1 = abs(s1**2 - 1.0 / math.e)

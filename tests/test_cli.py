@@ -591,6 +591,53 @@ class TestCommands:
         assert captured.err.startswith("invalid input:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", [["rate"], ["limit-study"]], ids=["rate", "limit_study"])
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_path_is_invalid_input(self, tmp_path, capsys, command, case):
+        # each ended in a FileNotFoundError, IsADirectoryError or
+        # UnicodeDecodeError traceback with exit 1; a missing --config exits 2
+        csv = tmp_path / "p.csv"
+        if case == "directory":
+            csv.mkdir()
+        elif case == "not_utf8":
+            csv.write_bytes(b"t,v0\n0.0,\xff\xfe\n0.5,0.0\n")
+        out = tmp_path / "o.json"
+        argv = [*command, "--config", str(CONFIGS / "cos_limit_study.cfg"), "--path", str(csv), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["rate", "--method", m] for m in ("explicit", "general", "fw-half", "tilde-half")]
+                             + [["limit-study"]], ids=["explicit", "general", "fw_half", "tilde_half", "limit_study"])
+    def test_two_column_path_is_invalid_input(self, tmp_path, capsys, command):
+        # the slow state is a scalar; the path's dimension is named
+        csv = str(tmp_path / "f2.csv")
+        assert main(["sample-fbm", "--hurst", "0.7", "--n", "65", "--dim", "2", "--out", csv]) == 0
+        out = tmp_path / "o.json"
+        argv = [*command, "--config", str(CONFIGS / "cos_limit_study.cfg"), "--path", csv, "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "invalid input: expected a scalar path, got dim=2\n"
+        assert not out.exists()
+
+    def test_overflowing_brownian_gram_is_numerical_failure(self, tmp_path, capsys):
+        # sigma2 = 1e200 squares to inf: poisson wrote "qqt_bar": [[Infinity]]
+        # and exited 0, validate passed the check at inf, and numpy's
+        # overflow warning reached stderr
+        text = (CONFIGS / "ou_homogenization.cfg").read_text()
+        assert "sigma2 = zero" in text
+        cfg = write(tmp_path, "big.cfg", text.replace("sigma2 = zero", "sigma2 = constant value=1e200"))
+        assert main(["validate", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert "[warn] qqt_min_eigenvalue: effective Brownian Gram at x = 1.0 is not finite" in captured.out
+        assert captured.err == ""
+        out = tmp_path / "p.json"
+        assert main(["poisson", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: effective Brownian Gram") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_import_leaves_out_scipy_signal(self):
         # scipy.signal (and scipy.stats, which it imports) cost about half a
         # second per process, scipy.integrate (with scipy.optimize, scipy.sparse

@@ -2,9 +2,10 @@
 
 ``perfbench/layertrace.py`` reaches into the package by name: every public
 function of each layer module, the ``HurstContext`` table methods, the
-``GridPath`` CSV round trip and the callables of a built ``LimitDrift``.
-A change that renames or drops one of them breaks the benchmark, so it
-fails here too.
+``GridPath`` CSV round trip and the callables of a built ``LimitDrift``,
+which it counts as ``rate_fn.drift_calls``.  A change that renames or
+drops one of them, or that stops a traced call from reaching its span,
+breaks the benchmark, so it fails here too.
 """
 import dataclasses
 import importlib.util
@@ -61,12 +62,18 @@ def test_tracer_hooks_every_name_and_restores_it(tmp_path, ou_measure):
         GridPath.from_csv(str(tmp_path / "p.csv"))
         spec = cos_spec()
         drift = rate_fn.build_limit_drift(spec, solve_poisson_1d(spec.b, spec.f, spec.tau, ou_measure), ou_measure)
+        xs = np.linspace(-1.0, 1.0, 5)
         for name in layertrace.DRIFT_FIELDS:
             assert inspect.unwrap(getattr(drift, name)) is not getattr(drift, name), name
+            # one traced call on a path of slow states (n,)
+            assert getattr(drift, name)(xs).shape[0] == xs.size, name
         assert set(layertrace.DRIFT_FIELDS) <= {f.name for f in dataclasses.fields(rate_fn.LimitDrift)}
     finally:
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
+    for name in layertrace.DRIFT_FIELDS:
+        assert names.count(f"rate_fn.LimitDrift.{name}") == 1, name
+    assert tracer.layer_metrics(0.0)["rate_fn.drift_calls"] == len(layertrace.DRIFT_FIELDS)
     assert names.count("cameron_martin.HurstContext.kdot_matrix.cold") == 1
     assert names.count("cameron_martin.HurstContext.kdot_matrix") == 1
     assert "gridpath.GridPath.to_csv" in names and "gridpath.GridPath.from_csv" in names

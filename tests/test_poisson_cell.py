@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, quad
 
-from fracrate.errors import CenteringError, InvalidInputError, TruncationError
+from fracrate.errors import CenteringError, DivergenceError, InvalidInputError, TruncationError
 from fracrate.poisson_cell import (
     InvariantMeasure,
     PoissonSolution,
     _cumulative,
     average_coeff,
     domain_halfwidth,
+    effective_noise,
     effective_q,
     invariant_density_1d,
     solve_poisson_1d,
@@ -22,13 +23,13 @@ from conftest import SQRT2, ou_spec
 def analytic_ou_solution(alpha, lam, mu: InvariantMeasure):
     """Closed-form corrector for f = -alpha y, tau = sqrt(2 alpha), b = lam y."""
     y = mu.grid
-    return PoissonSolution(psi=(lam / alpha) * y[:, None], grad=np.full((y.size, 1), lam / alpha))
+    return PoissonSolution(psi=(lam / alpha) * y, grad=np.full(y.size, lam / alpha))
 
 
 def generator_residual(psol: PoissonSolution, mu: InvariantMeasure, b, f, tau):
     """Interior sup-norm of (tau^2/2) psi'' + f psi' + b on the grid of mu."""
     y = mu.grid
-    d1 = np.gradient(psol.psi[:, 0], mu.dy, edge_order=2)
+    d1 = np.gradient(psol.psi, mu.dy, edge_order=2)
     d2 = np.gradient(d1, mu.dy, edge_order=2)
     res = 0.5 * tau(y) ** 2 * d2 + f(y) * d1 + b(y)
     # central half of the domain: outside it the density tails make the
@@ -105,17 +106,18 @@ class TestPoissonSolve:
         sol = solve_poisson_1d(lambda y: lam * np.asarray(y), OU_F, OU_TAU, ou_measure)
         y = ou_measure.grid
         mask = np.abs(y) <= 4.0
-        assert np.max(np.abs(sol.psi[mask, 0] - lam * y[mask] / alpha)) < 1e-6
-        assert np.max(np.abs(sol.grad[mask, 0] - lam / alpha)) < 1e-6
+        assert sol.psi.shape == sol.grad.shape == y.shape
+        assert np.max(np.abs(sol.psi[mask] - lam * y[mask] / alpha)) < 1e-6
+        assert np.max(np.abs(sol.grad[mask] - lam / alpha)) < 1e-6
 
     def test_centering_enforced(self, ou_measure):
         with pytest.raises(CenteringError) as err:
             solve_poisson_1d(lambda y: np.asarray(y) + 0.5, OU_F, OU_TAU, ou_measure)
-        assert err.value.b_mean is not None
+        assert err.value.b_mean == pytest.approx(0.5)
 
     def test_psi_centering_invariant(self, ou_measure):
         sol = solve_poisson_1d(lambda y: np.asarray(y) ** 3, OU_F, OU_TAU, ou_measure)
-        center = np.trapezoid(sol.psi[:, 0] * ou_measure.density, ou_measure.grid)
+        center = np.trapezoid(sol.psi * ou_measure.density, ou_measure.grid)
         assert abs(center) < 1e-6
 
     def test_residual_oracle(self, ou_measure):
@@ -140,8 +142,9 @@ class TestAveraging:
         assert abs(s2 - 0.5 * (1 + math.exp(-2))) < 1e-6
 
     def test_y_independent(self, ou_measure):
-        val = average_coeff(lambda x, y: np.full_like(np.asarray(x), 3.25), ou_measure, xs=np.array([[1.0]]))
-        assert abs(np.asarray(val).reshape(-1)[0] - 3.25) < 1e-12
+        val = average_coeff(lambda x, y: np.full_like(np.asarray(x), 3.25), ou_measure, xs=np.array([1.0]))
+        assert val.shape == (1,)
+        assert abs(val[0] - 3.25) < 1e-12
 
     def test_linearity_and_monotonicity(self, ou_measure):
         a = average_coeff(lambda y: np.cos(y), ou_measure)
@@ -159,23 +162,32 @@ class TestEffectiveQ:
         spec = ou_spec(b=("linear_y", {"rate": lam}))
         sol = analytic_ou_solution(1.0, lam, ou_measure)
         eq = effective_q(spec, sol, ou_measure, x=0.0)
-        assert abs(eq["qqt_bar"][0, 0] - 2 * lam**2) < 1e-12
-        assert eq["min_eigenvalue"] >= 2 * lam**2 - 1e-12
+        assert set(eq) == {"qqt_bar", "degenerate"}
+        assert abs(eq["qqt_bar"] - 2 * lam**2) < 1e-12
         assert not eq["degenerate"]
-        assert eq["q"].shape == (ou_measure.grid.size, 1, 1)
-        assert np.max(np.abs(eq["q"][:, 0, 0] - SQRT2 * lam)) < 1e-9
+        q = effective_noise(spec, sol, ou_measure)(np.zeros((1, 1)), ou_measure.grid)
+        assert q.shape == (ou_measure.grid.size,)
+        assert np.max(np.abs(q - SQRT2 * lam)) < 1e-9
 
     def test_identity_sigma2_alone(self, ou_measure):
         spec = ou_spec(sigma2=("constant", {"value": 1.0}))
         sol = solve_poisson_1d(lambda y: 0.0 * np.asarray(y), OU_F, OU_TAU, ou_measure)
         eq = effective_q(spec, sol, ou_measure, x=0.0)
-        assert abs(eq["qqt_bar"][0, 0] - 1.0) < 1e-9
+        assert abs(eq["qqt_bar"] - 1.0) < 1e-9
 
     def test_degeneracy_flagged_not_raised(self, ou_measure):
         spec = ou_spec()
         sol = solve_poisson_1d(lambda y: 0.0 * np.asarray(y), OU_F, OU_TAU, ou_measure)
         eq = effective_q(spec, sol, ou_measure, x=0.0)
         assert eq["degenerate"]
+
+    def test_overflowing_gram_raises(self, ou_measure):
+        # Q^2 overflows: reported as a healthy Gram of inf, with numpy's
+        # overflow warning, before the Gram was checked
+        spec = ou_spec(sigma2=("constant", {"value": 1e200}))
+        sol = solve_poisson_1d(lambda y: 0.0 * np.asarray(y), OU_F, OU_TAU, ou_measure)
+        with pytest.raises(DivergenceError, match="not finite"):
+            effective_q(spec, sol, ou_measure, x=0.0)
 
     def test_numeric_matches_analytic(self, ou_measure):
         lam = 0.4
@@ -184,7 +196,7 @@ class TestEffectiveQ:
         analytic = analytic_ou_solution(1.0, lam, ou_measure)
         eq_n = effective_q(spec, numeric, ou_measure, x=0.0)
         eq_a = effective_q(spec, analytic, ou_measure, x=0.0)
-        assert abs(eq_n["qqt_bar"][0, 0] - eq_a["qqt_bar"][0, 0]) < 1e-5
+        assert abs(eq_n["qqt_bar"] - eq_a["qqt_bar"]) < 1e-5
 
 
 def test_domain_halfwidth_ou():

@@ -14,7 +14,7 @@ from fracrate import coefficients as cf
 from fracrate import poisson_cell, rate_fn
 from fracrate.cameron_martin import HurstContext, c_H
 from fracrate.config import load_config
-from fracrate.errors import AdmissibilityError, DegeneracyError, DivergenceError
+from fracrate.errors import AdmissibilityError, DegeneracyError, DivergenceError, InvalidInputError
 from fracrate.gridpath import GridPath, trapezoid_weights
 from fracrate.poisson_cell import invariant_density_1d, solve_poisson_1d
 from fracrate.rate_fn import (
@@ -44,13 +44,14 @@ def admissible_phi(n, scale=1.0, x0=0.0, sigma_bar=COS_S1_BAR):
 def reference_drift(spec, psol, mu, nbins=64):
     """Averaged coefficients one slow state x (1,) at a time: the per-state
     closures the package used before it averaged along whole paths, with
-    their 1 x 1 matrices and their order of operations."""
+    their 1 x 1 matrices and their order of operations (the corrector's
+    gradient a column (ny, 1), as the package held it)."""
     y = mu.grid
     rho = mu.density
     edges = mu.quantile_edges(nbins)
     bin_idx = np.clip(np.searchsorted(edges, y, side="right") - 1, 0, nbins - 1)
     wq = trapezoid_weights(y.size, y[1] - y[0])
-    grad = psol.grad  # (ny, 1)
+    grad = psol.grad[:, None]  # (ny, 1)
     tau_vals = np.broadcast_to(np.asarray(spec.tau(y), dtype=float), y.shape)
     tau_rows = tau_vals[:, None]
 
@@ -126,7 +127,7 @@ ORACLE_SPECS = {
 
 def oracle_path(n=257):
     _, t = grid_t(n)
-    return (0.3 + 1.5 * t - np.sin(4 * t))[:, None]
+    return 0.3 + 1.5 * t - np.sin(4 * t)
 
 
 class TestPathAveraging:
@@ -138,9 +139,11 @@ class TestPathAveraging:
         ref = reference_drift(spec, psol, ou_measure)
         xs = oracle_path()
         for name in DRIFT_FIELDS:
-            want = np.stack([ref[name](x) for x in xs])
             got = getattr(drift, name)(xs)
-            assert got.shape == want.shape, name
+            shape = (len(xs), 64) if name == "q_bins" else xs.shape
+            assert got.shape == shape, name
+            # the reference takes one state x (1,) and returns its 1 x 1 matrices
+            want = np.stack([ref[name](x) for x in xs[:, None]]).reshape(shape)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
 
     def test_empty_cells_match_reference(self):
@@ -150,7 +153,7 @@ class TestPathAveraging:
         psol = solve_poisson_1d(spec.b, spec.f, spec.tau, mu)
         drift = build_limit_drift(spec, psol, mu)
         xs = oracle_path()
-        want = np.stack([reference_drift(spec, psol, mu)["q_bins"](x) for x in xs])
+        want = np.stack([reference_drift(spec, psol, mu)["q_bins"](x) for x in xs[:, None]]).reshape(len(xs), 64)
         assert np.any(drift.bin_mass == 0)
         np.testing.assert_allclose(drift.q_bins(xs), want, rtol=1e-12, atol=0)
 
@@ -177,13 +180,30 @@ class TestPathAveraging:
         assert len(calls) == averages and got.shape == xs.shape
         assert np.any(got != 0) if averages else np.all(got == 0)
 
+    @pytest.mark.parametrize("case", sorted(ORACLE_SPECS))
+    def test_column_of_states_is_invalid_input(self, case, ou_measure):
+        # one number per node ((n,) in and out: test_matches_per_state_reference);
+        # a column of states (n, 1), the layout of a vector system, is
+        # refused, also by the corrector of a g declared zero, which averages
+        # nothing
+        spec = ORACLE_SPECS[case]()
+        psol = solve_poisson_1d(spec.b, spec.f, spec.tau, ou_measure)
+        drift = build_limit_drift(spec, psol, ou_measure)
+        xs = oracle_path()
+        for name in DRIFT_FIELDS:
+            with pytest.raises(InvalidInputError, match=r"shape \(n,\), got \(257, 1\)"):
+                getattr(drift, name)(xs[:, None])
+        assert poisson_cell.average_coeff(spec.sigma1, ou_measure, xs).shape == xs.shape
+        with pytest.raises(InvalidInputError, match="slow states"):
+            poisson_cell.average_coeff(spec.sigma1, ou_measure, xs[:, None])
+
     @pytest.mark.parametrize("role", ["c", "g", "sigma1", "sigma2"])
     @pytest.mark.parametrize("name", ["zero", "constant"])
     def test_x_free_builtins_carry_no_node_axis(self, role, name, ou_measure):
         # shared by all nodes, so averaged once; the cos_drift, ou_linear_xy
         # and x_constants oracle cases compare them with the per-state reference
         coef = cf.build(role, name, **({"value": 0.6} if name == "constant" else {}))
-        assert np.shape(coef(oracle_path(), ou_measure.grid)) == ()
+        assert np.shape(coef(oracle_path()[:, None], ou_measure.grid)) == ()
 
 
 class TestExplicit:
@@ -209,7 +229,7 @@ class TestExplicit:
         res = eval_rate_explicit(phi, drift, HurstContext(h, n, dt))
         assert abs(res.value - 0.5) < 5e-3
         # minimizer is the constant control
-        v1 = res.minimizer.v1.scalar()
+        v1 = res.minimizer["v1"].scalar()
         assert np.max(np.abs(v1[t >= 0.05] - 1.0)) < 5e-3
 
     def test_scale_invariance_in_sigma(self, ou_measure):
@@ -262,10 +282,11 @@ def oracle_general(phi, drift, ctx):
     copy of G on nodes 1..n-1, and power iteration on that block."""
     w = trapezoid_weights(phi.n, phi.dt)
     sw = np.sqrt(w)
-    a_u1 = drift.sigma1_bar(phi.values)[:, 0] * (ctx.kdot_matrix() * (sw[:, None] / sw[None, :]))
+    x = phi.scalar()
+    a_u1 = drift.sigma1_bar(x)[:, None] * (ctx.kdot_matrix() * (sw[:, None] / sw[None, :]))
     gram = a_u1 @ a_u1.T
     nodes = np.arange(phi.n)
-    gram[nodes, nodes] += drift.qqt_bar(phi.values)[:, 0, 0]
+    gram[nodes, nodes] += drift.qqt_bar(x)
     gram_k = gram[1:, 1:]
     chol = cho_factor(gram_k, lower=True)
     rng = np.random.default_rng(0)
@@ -279,7 +300,7 @@ def oracle_general(phi, drift, ctx):
         u = cho_solve(chol, u)
         u /= np.linalg.norm(u)
     lam_min = float(u @ (gram_k @ u))
-    r_w = rate_fn._forced_displacement(phi, drift)[:, 0] * sw
+    r_w = rate_fn._forced_displacement(phi, drift)[1] * sw
     w_sol = np.zeros(phi.n)
     w_sol[1:] = cho_solve(chol, r_w[1:])
     return {
@@ -288,7 +309,7 @@ def oracle_general(phi, drift, ctx):
         "lambda_max": lam_max,
         "condition": lam_max / lam_min,
         "v1": ((a_u1.T @ w_sol) / sw)[:, None],
-        "u2": drift.q_bins(phi.values)[..., 0] * (w_sol / sw)[:, None, None],
+        "u2": drift.q_bins(x) * (w_sol / sw)[:, None],
         "a_u1": a_u1,
         "gram": gram,
         "weights": w,
@@ -343,8 +364,8 @@ class TestAssembleQH:
         # its rough control gives back the forced displacement on nodes 1..n-1
         phi = GridPath(0.0, dt, 0.2 + 0.5 * t**2 + 0.3 * t**3)
         res = eval_rate_general(phi, const_drift, ctx)
-        r = rate_fn._forced_displacement(phi, const_drift)[1:, 0]
-        back = const_drift.sigma1_bar(phi.values)[:, 0, 0] * (ctx.kdot_matrix() @ res.minimizer["v1"].values[:, 0])
+        r = rate_fn._forced_displacement(phi, const_drift)[1][1:]
+        back = const_drift.sigma1_bar(phi.scalar()) * (ctx.kdot_matrix() @ res.minimizer["v1"].scalar())
         assert np.max(np.abs(back[1:] - r)) < 1e-10 * np.max(np.abs(r))
 
     def test_operator_norm_bounded_over_paths(self, cos_drift):
@@ -390,7 +411,7 @@ class TestGeneralMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.diagnostics["lambda_min"] >= 0.5 * drift.qqt_bar(np.zeros((1, 1)))[0, 0, 0]
+        assert res.diagnostics["lambda_min"] >= 0.5 * drift.qqt_bar(np.zeros(1))[0]
         assert peak < 2 * (n - 1) ** 2 * 8 + 2e6
 
     def test_factor_is_the_gram(self, cos_drift, monkeypatch):
@@ -498,7 +519,7 @@ class TestGeneral:
         n = 256
         dt, t = grid_t(n)
         res = eval_rate_general(GridPath(0.0, dt, 0.2 * t**2), drift, HurstContext(0.7, n, dt))
-        floor = drift.qqt_bar(np.zeros((1, 1)))[0, 0, 0]
+        floor = drift.qqt_bar(np.zeros(1))[0]
         assert res.diagnostics["lambda_min"] >= 0.5 * floor
 
     def test_minimizer_replay(self, cos_drift):
@@ -759,7 +780,7 @@ class TestAffineReference:
         assert calls == []
         loop = averaged_euler(general_route(drift), spec.x0, n, dt)
         assert len(calls) == n - 1
-        assert declared.shape == loop.shape == (n, 1)
+        assert declared.shape == loop.shape == (n,)
         assert declared.tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize("b,shift,g_const,form", [
