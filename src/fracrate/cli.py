@@ -4,12 +4,12 @@ Subcommands: sample-fbm, simulate, poisson, rate, limit-study, mc, validate.
 Each command is named on the command line; the config's ``[experiment]
 kind`` only labels the experiment, and ``simulate`` reads it to decide
 whether the config's ``trials`` counts trajectories.  Exit codes: 0
-success, 2 validation failure or invalid input, 3 numerical failure.  The
-default output directory is the environment variable FRACRATE_OUT (falling
-back to the working directory).  Every run writes a machine-readable
-manifest (config digest, seed, versions, timestamp) beside its outputs;
-re-running a config with the same seed reproduces every output byte except
-the manifest timestamp.
+success, 2 validation failure or invalid input (an unwritable output
+included), 3 numerical failure.  The default output directory is the
+environment variable FRACRATE_OUT (falling back to the working directory).
+Every command but sample-fbm and validate writes a manifest (command,
+config digest, seed, versions, timestamp) beside its outputs; re-running a
+config with the same seed reproduces every output byte but its timestamp.
 """
 from __future__ import annotations
 
@@ -73,11 +73,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_manifest(out_dir, config, extra=None):
+def _write_manifest(out_dir, config, command):
     payload = {
-        "config_sha256": config.digest() if config else None,
-        "config_path": config.path if config else None,
-        "seed": config.seed if config else None,
+        "command": command,
+        "config_sha256": config.digest(),
+        "config_path": config.path,
+        "seed": config.seed,
         "versions": {
             "fracrate": __version__,
             "numpy": np.__version__,
@@ -85,8 +86,6 @@ def _write_manifest(out_dir, config, extra=None):
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    if extra:
-        payload.update(extra)
     _write_json(os.path.join(out_dir, "manifest.json"), payload)
 
 
@@ -162,8 +161,8 @@ def cmd_simulate(args):
         for chunk, batch in chunks:
             for i in np.flatnonzero(~batch.diverged):
                 batch.paths(i)[0].to_csv(os.path.join(out_dir, f"trajectory_eps{idx}_trial{chunk[i]}.csv"))
-                sup_errs.append(float(np.max(np.abs(batch.x[i, :, 0] - ref))))
-                terminals.append(float(batch.x[i, -1, 0]))
+                sup_errs.append(float(np.max(np.abs(batch.x[i] - ref))))
+                terminals.append(float(batch.x[i, -1]))
         _check_usable(len(terminals), trials, eps)
         summary["schedule"].append(
             {
@@ -177,7 +176,7 @@ def cmd_simulate(args):
             }
         )
     _write_json(os.path.join(out_dir, "simulate_summary.json"), summary)
-    _write_manifest(out_dir, config, {"command": "simulate"})
+    _write_manifest(out_dir, config, "simulate")
     print(f"wrote {out_dir}/simulate_summary.json")
     return 0
 
@@ -199,7 +198,7 @@ def cmd_poisson(args):
         "degenerate": eq["degenerate"],
     }
     _write_json(out, payload)
-    _write_manifest(os.path.dirname(out) or ".", config, {"command": "poisson"})
+    _write_manifest(os.path.dirname(out) or ".", config, "poisson")
     print(f"wrote {out}")
     return 0
 
@@ -220,7 +219,7 @@ def cmd_rate(args):
         res = eval_rate_tilde_half(phi, drift)
     payload = {"value": res.value, "method": res.method, "hurst": hurst, "diagnostics": res.diagnostics}
     _write_json(out, payload)
-    _write_manifest(os.path.dirname(out) or ".", config, {"command": "rate"})
+    _write_manifest(os.path.dirname(out) or ".", config, "rate")
     print(f"S = {res.value:.6g} ({args.method}); wrote {out}")
     return 0
 
@@ -249,7 +248,7 @@ def cmd_limit_study(args):
     rows = [{**row, **shared, "gap_to_tilde": gap_t, "gap_to_fw": gap_f}
             for row, gap_t, gap_f in zip(study["rows"], study["gap_to_tilde"], study["gap_to_fw"])]
     _write_rows_csv(out, rows, ["hurst", "value", "tilde_half", "fw_half", "gap_to_tilde", "gap_to_fw"])
-    _write_manifest(os.path.dirname(out) or ".", config, {"command": "limit-study"})
+    _write_manifest(os.path.dirname(out) or ".", config, "limit-study")
     print(f"wrote {out}")
     return 0
 
@@ -298,7 +297,7 @@ def cmd_mc(args):
         _write_rows_csv(out, rows, cols)
         ok, diffs = stabilization_diagnostic(rows)
         print(f"stabilization diagnostic: {'pass' if ok else 'warn'} (diffs {diffs})")
-    _write_manifest(os.path.dirname(out) or ".", config, {"command": f"mc {args.mode}"})
+    _write_manifest(os.path.dirname(out) or ".", config, f"mc {args.mode}")
     print(f"wrote {out}")
     return 0
 
@@ -397,6 +396,9 @@ def main(argv=None):
     except FracrateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # every input's reader maps its own OSError, so this one is an output's
+        print(f"invalid input: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import FracrateError, InvalidInputError, RegularityError
-from .frac_calc import _cell_moments
+from .frac_calc import _cell_moments, _check_alpha
 from .gridpath import GridPath
 
 # Values per temporary array in a block: about five are live at once in
@@ -155,8 +155,7 @@ def path_norms(f: GridPath, alpha):
     wd[i, :L].sum() + d[i, L] C1[L-1] / dt, the absolute one at t_k sums
     wd[k - l, l] over l <= k, with C1[k-1] / dt for weight[k].
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must lie in (0,1), got {alpha}")
+    _check_alpha(alpha)
     if f.dim == 0:
         raise InvalidInputError("path norms need a path with at least one column")
     if not np.all(np.isfinite(f.values)):

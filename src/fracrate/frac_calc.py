@@ -100,6 +100,12 @@ class FracOrder:
             raise InvalidInputError(f"side must be 'left' or 'right', got {self.side!r}")
 
 
+def _check_alpha(alpha):
+    """The one rule for the alpha of a difference ratio, path norm or Young integral."""
+    if not (0.0 < alpha < 1.0):
+        raise InvalidInputError(f"alpha must lie in (0,1), got {alpha}")
+
+
 # ---------------------------------------------------------------------------
 # cell-exact kernel moments
 # ---------------------------------------------------------------------------
@@ -309,8 +315,7 @@ def delta_ratio(f: GridPath, alpha, s, t, absolute=False, direction="plus"):
     absolute numerator (componentwise for vector paths).  Exact per cell,
     including the sign change of the numerator inside a cell.
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must lie in (0,1), got {alpha}")
+    _check_alpha(alpha)
     if direction not in ("plus", "minus"):
         raise InvalidInputError(f"direction must be 'plus' or 'minus', got {direction!r}")
     i0 = _grid_index(f, s, "s")
@@ -344,8 +349,7 @@ def young_integral(f: GridPath, g: GridPath, alpha) -> GridPath:
     if not f.same_grid(g):
         raise InvalidInputError("f and g must share the same grid")
     fv, gv = _path_values(f), _path_values(g)
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must lie in (0,1), got {alpha}")
+    _check_alpha(alpha)
     if f.dim != g.dim and 1 not in (f.dim, g.dim):
         raise InvalidInputError(f"incompatible dimensions f.dim={f.dim}, g.dim={g.dim}")
     out = _young_running(fv, gv, alpha, f.dt)

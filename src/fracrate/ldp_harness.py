@@ -153,7 +153,7 @@ class MonteCarloPlan:
             scale = math.sqrt(spec.eps) * _sigma1_at_start(spec) * self.horizon**spec.hurst
             return _gaussian_blocks(rng_for(self.seed, 3, stream), scale, spec.x0, trials)
         chunks = simulate_point(spec, self.n_grid, self.horizon, self.substeps, trials, self.seed, stream)
-        return ((batch.x[:, -1, 0].copy(), int(np.count_nonzero(batch.diverged))) for _, batch in chunks)
+        return ((batch.x[:, -1].copy(), int(np.count_nonzero(batch.diverged))) for _, batch in chunks)
 
 
 def _gaussian_blocks(rng, scale, x0, trials):

@@ -32,11 +32,11 @@ class SlowFastSpec:
     Coefficient callables follow the signatures b(y), c(x, y),
     sigma1(x, y), sigma2(x, y), f(y), g(x, y), tau(y) and must broadcast
     over numpy arrays.  The simulator calls them on a batch of trials, x and
-    y of shape (B, 1); a result is (B, 1), or 0-d and shared by all trials
-    (see ``_evaluator``).  The averaging layer (``poisson_cell``) calls c,
-    sigma1, sigma2 and g on a block of path nodes, x of shape (n, 1),
-    against the fast grid, y of shape (ny,), and reads one number per node
-    and grid point.
+    y of shape (trials,); a result is (trials,), or 0-d and shared by all
+    trials (see ``_evaluator``).  The averaging layer (``poisson_cell``)
+    calls c, sigma1, sigma2 and g on a block of path nodes, x of shape
+    (n, 1), against the fast grid, y of shape (ny,), and reads one number
+    per node and grid point.
 
     What a coefficient reads, whether it is zero and its affine form are
     declared facts (``coefficients.reads``, ``coefficients.is_zero``,
@@ -122,8 +122,8 @@ _TAKES_X = ("c", "sigma1", "sigma2", "g")
 
 @dataclass
 class BatchPaths:
-    """Slow paths ``x`` (B, n_out, 1) and fast paths ``y`` (B, n_out, 1) of
-    a batch of trials, output step ``dt`` of ``substeps`` fine steps.
+    """Slow paths ``x`` (trials, n_out) and fast paths ``y`` (trials, n_out)
+    of a batch of trials, output step ``dt`` of ``substeps`` fine steps.
     ``first_bad_time`` is each trial's first output time with a non-finite
     state (its rows are NaN from there on), NaN if none."""
 
@@ -143,13 +143,14 @@ class BatchPaths:
 
 
 def _evaluator(spec, role):
-    """Evaluate one coefficient on a batch of states x, y of shape (B, 1),
-    ``(x, y) -> value``: (B, 1), or 0-d when shared by every trial.
+    """Evaluate one coefficient on states x, y of shape (trials,), ``(x, y)
+    -> value``: (trials,), or 0-d when shared by every trial.
 
     A coefficient declared zero has none (None): its terms are dropped from
     the step.  A ``Coefficient`` broadcasts over the batch and is called as
     it is.  A bare callable's result is read per call: 0-d is shared by
-    every trial, any other result is reshaped to (B, 1).
+    every trial, one value per trial is reshaped to (trials,), and any other
+    size is invalid input.
     """
     fn = getattr(spec, role)
     if is_zero(fn):
@@ -162,13 +163,13 @@ def _evaluator(spec, role):
         val = np.asarray(call(x, y), dtype=float)
         if val.ndim and val.size != len(y):
             raise InvalidInputError(f"coefficient {role} returned shape {val.shape} for {len(y)} trials")
-        return val.reshape(-1, 1) if val.ndim else val
+        return val.reshape(len(y)) if val.ndim else val
 
     return evaluate
 
 
 def _fast_jacobian_norm(eval_f, y):
-    """Largest |f'| over the rows of y (n, 1), by central differences."""
+    """Largest |f'| over the fast states y (n,), by central differences."""
     return _abs_max(np.broadcast_to(eval_f(None, y + 1e-4) - eval_f(None, y - 1e-4), y.shape) / 2e-4)
 
 
@@ -178,8 +179,8 @@ def _abs_max(values):
 
 
 def _fast_slope(f, eval_f, ys, unstable):
-    """The largest |f'| over the finite recorded fast states ys (B, n_out,
-    1), or the first that makes ``unstable(|f'|)`` true: the |ay| of an
+    """The largest |f'| over the finite recorded fast states ys (trial,
+    node), or the first that makes ``unstable(|f'|)`` true: the |ay| of an
     affine f if any state is finite (each trial's first is y0), else f' in
     blocks of output nodes, from f's declared y-derivative or, for a
     callable that declares none, from ``_fast_jacobian_norm``."""
@@ -190,16 +191,12 @@ def _fast_slope(f, eval_f, ys, unstable):
     norm = (lambda rows: _abs_max(dfdy(rows))) if dfdy else lambda rows: _fast_jacobian_norm(eval_f, rows)
     gnorm, nodes = 0.0, max(1, _PROBE_ROWS // len(ys))
     for j in range(0, ys.shape[1], nodes):
-        rows = ys[:, j : j + nodes].reshape(-1, 1)
-        rows = rows[np.isfinite(rows[:, 0])]
+        rows = ys[:, j : j + nodes].reshape(-1)
+        rows = rows[np.isfinite(rows)]
         gnorm = max(gnorm, norm(rows) if len(rows) else 0.0)
         if unstable(gnorm):
             break
     return gnorm
-
-
-def _interp_to_fine(path: GridPath, t_fine):
-    return np.interp(t_fine, path.times(), path.scalar())[:, None]
 
 
 def noise_columns(spec):
@@ -227,8 +224,8 @@ def _check_chunk(spec, noise, substeps, n_steps):
 def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPair | None = None):
     """Euler paths under the control pair ``ctrl`` (None: uncontrolled),
     one ``BatchPaths`` on every ``substeps``-th fine step per chunk of
-    ``chunks``: a list [dB, dW] of increments (fine step, trial, 1) over
-    fine steps of length dt, as ``fbm_gen.sample_increments`` draws it,
+    ``chunks``: a list [dB, dW] of increments (fine step, trial, column)
+    over fine steps of length dt, as ``fbm_gen.sample_increments`` draws it,
     checked by ``_check_chunk``, then taken out of the list and scaled in
     place.  v1 shifts the fBm by its lifted derivative, u2dot the Brownian
     motion on both sides.  A trial's path depends neither on the other
@@ -252,13 +249,10 @@ def simulate_chunks(spec: SlowFastSpec, chunks, dt, substeps=1, ctrl: ControlPai
     for noise in chunks:
         n_steps = _check_chunk(spec, noise, substeps, n_steps)
         if controls is None:
+            ctrl = ctrl or ControlPair()
+            u1dot = None if ctrl.v1 is None else apply_KH_dot(ctrl.v1, HurstContext(spec.hurst, ctrl.v1.n, ctrl.v1.dt))
             t_fine = dt * np.arange(n_steps + 1)
-            controls = [None, None]
-            if ctrl is not None and ctrl.v1 is not None:
-                ctx = HurstContext(spec.hurst, ctrl.v1.n, ctrl.v1.dt)
-                controls[0] = _interp_to_fine(apply_KH_dot(ctrl.v1, ctx), t_fine)
-            if ctrl is not None and ctrl.u2dot is not None:
-                controls[1] = _interp_to_fine(ctrl.u2dot, t_fine)
+            controls = [None if u is None else np.interp(t_fine, u.times(), u.scalar()) for u in (u1dot, ctrl.u2dot)]
         xs, ys, bad = _euler_chunk(spec, noise, dt, substeps, evaluators, controls, skew)
         with np.errstate(over="ignore", invalid="ignore"):
             gnorm = _fast_slope(spec.f, evaluators["f"], ys, unstable) if check else 0.0
@@ -284,10 +278,11 @@ def _forcing(spec, dt, noise, controls, role):
         sigma1: sqrt(eps) dB + u1dot dt        sigma2: sqrt(eps) dW + u2dot dt
         tau: dW/sqrt(eta) + u2dot dt/sqrt(eps eta)
 
-    A drift role's F is a scalar; a noise role's is a (fine step, trial, 1)
-    stack that the caller may overwrite.  The last role to read an
-    increment stack takes it out of ``noise`` and scales it in place; tau,
-    formed first (``_SIDES``), copies dW unless sigma2 is declared zero."""
+    A drift role's F is a scalar; a noise role's is the (fine step, trial)
+    column view of its increments, which the caller may overwrite.  The
+    last role to read an increment stack takes it out of ``noise`` and
+    scales it in place; tau, formed first (``_SIDES``), copies dW unless
+    sigma2 is declared zero.  A control is an (n_fine,) vector."""
     eps, eta = spec.eps, spec.eta
     drift = {"b": math.sqrt(eps / eta) * dt, "c": dt, "f": dt / eta, "g": dt / math.sqrt(eps * eta)}
     if role in drift:
@@ -298,48 +293,48 @@ def _forcing(spec, dt, noise, controls, role):
         "tau": (1, controls[1], 1.0 / math.sqrt(eta), dt / math.sqrt(eps * eta)),
     }[role]
     if role == "tau" and not is_zero(spec.sigma2):
-        inc = noise[path] * scale
+        inc = noise[path][..., 0] * scale
     else:
-        inc, noise[path] = noise[path], None
+        inc, noise[path] = noise[path][..., 0], None
         inc *= scale
     if u is not None:
-        inc += u[:-1, None, :] * u_scale
+        inc += u[:-1, None] * u_scale
     return inc
 
 
 def _terms(spec, evaluators, roles, dt, noise, controls, x, y):
     """The terms of one side of the step for a chunk with increments
     ``noise`` whose trials start at (x, y), in ``roles`` order: ``(role,
-    evaluate, F, stacked)`` is the term evaluate(x, y) * (F[i] if stacked
-    else F) of ``role`` at fine step i.  A role declared zero has no term.
-    A coefficient that reads no state is evaluated here, once, and its term
-    formed for all fine steps, in place on F where it is a stack
-    (``evaluate`` None, F the term); the terms before the first that reads
-    the state are summed.  The steppers only read the terms."""
+    evaluate, F)`` is the term evaluate(x, y) * F[i] of ``role`` at fine
+    step i, where F is a (fine step, trial) stack, else evaluate(x, y) * F.
+    A role declared zero has no term.  A coefficient that reads no state is
+    evaluated here, once, and its term formed for all fine steps, in place
+    on F where it is a stack (``evaluate`` None, F the term, (trial,) or 0-d
+    for a drift); the terms before the first that reads the state are
+    summed.  The trial axis is last in every F; the steppers only read F."""
     terms = []
     for role in roles:
         evaluate = evaluators[role]
         if evaluate is None:
             continue
         force, fn = _forcing(spec, dt, noise, controls, role), getattr(spec, role)
-        stacked = np.ndim(force) > 0
         if reads(fn, "x") or reads(fn, "y"):
-            terms.append((role, evaluate, force, stacked))
+            terms.append((role, evaluate, force))
             continue
         value = evaluate(x, y)
-        term = np.multiply(value, force, out=force) if stacked else np.multiply(value, force)
+        term = np.multiply(value, force, out=force) if np.ndim(force) else np.multiply(value, force)
         if len(terms) == 1 and terms[0][1] is None:  # noise roles come first: a stacked prefix sums in place
-            base, stacked = terms.pop()[2:]
-            term = np.add(base, term, out=base) if stacked else base + term
-        terms.append((role, None, term, stacked))
+            base = terms.pop()[2]
+            term = np.add(base, term, out=base) if np.ndim(base) == 2 else base + term
+        terms.append((role, None, term))
     return terms
 
 
 def _advance(s, terms, i, x, y):
     """The state s after fine step i: s plus the sum of the terms, in order."""
     ds = None
-    for _, evaluate, force, stacked in terms:
-        f = force[i] if stacked else force
+    for _, evaluate, force in terms:
+        f = force[i] if np.ndim(force) == 2 else force
         t = f if evaluate is None else np.multiply(evaluate(x, y), f)
         ds = t if ds is None else ds + t
     return s if ds is None else s + ds
@@ -363,8 +358,8 @@ def _skew_route(spec):
 
 def _scan(a, v, s0, stride):
     """The states s_0, s_stride, s_2stride, ... of s_{q+1} = a s_q + v[q]
-    from s0 (trial, 1) over the rows of v (fine step, trial, 1), as
-    (node, trial, 1).  The recurrence is solved as a linear one in blocks
+    from s0 (trial,) over the rows of v (fine step, trial), as (node,
+    trial).  The recurrence is solved as a linear one in blocks
     (Blelloch, "Prefix sums and their applications", 1990) of s fine steps,
     about sqrt(len(v)) and a multiple of ``stride``, so that node k r + i
     lies i stride steps into block k (r = s / stride):
@@ -402,29 +397,26 @@ def _scan(a, v, s0, stride):
 
 
 def _trials(terms, idx):
-    """The terms of the trials ``idx`` of a chunk."""
-    return [
-        (role, evaluate, f[:, idx] if stacked else f[idx] if evaluate is None and np.ndim(f) == 2 else f, stacked)
-        for role, evaluate, f, stacked in terms
-    ]
+    """The terms of the trials ``idx`` of a chunk, the last axis of every F."""
+    return [(role, evaluate, f[..., idx] if np.ndim(f) else f) for role, evaluate, f in terms]
 
 
 def _loop(x_terms, y_terms, x, y, n_out, substeps, t_fine):
     """The Euler loop, one fine step of all trials at a time, from (x, y):
-    the states at every ``substeps``-th fine step, NaN from a trial's first
-    non-finite one, and the time of that one (NaN if none)."""
+    the (trial, node) states at every ``substeps``-th fine step, NaN from a
+    trial's first non-finite one, and the time of that one (NaN if none)."""
     batch = len(x)
-    xs, ys = np.full((batch, n_out, 1), np.nan), np.full((batch, n_out, 1), np.nan)
+    xs, ys = np.full((batch, n_out), np.nan), np.full((batch, n_out), np.nan)
     bad = np.full(batch, np.nan)
     alive = np.ones(batch, dtype=bool)
     for j in range(n_out):
         for i in range(max(j - 1, 0) * substeps, j * substeps):
             x, y = _advance(x, x_terms, i, x, y), _advance(y, y_terms, i, x, y)
-        finite = np.isfinite(x[:, 0]) & np.isfinite(y[:, 0])
+        finite = np.isfinite(x) & np.isfinite(y)
         bad[alive & ~finite] = t_fine[j * substeps]
         alive &= finite
-        xs[:, j] = np.where(alive[:, None], x, np.nan)
-        ys[:, j] = np.where(alive[:, None], y, np.nan)
+        xs[:, j] = np.where(alive, x, np.nan)
+        ys[:, j] = np.where(alive, y, np.nan)
         if not alive.any():
             break
     return xs, ys, bad
@@ -439,13 +431,13 @@ def _affine_parts(spec, terms, left, shape):
     in place on ``left``.  v is a term's own stack, only read, when
     nothing is added to it, and the constant broadcast when there is none."""
     ax, ay, stacks, const = 0.0, 0.0, [], 0.0
-    for role, evaluate, force, stacked in terms:
-        form = None if evaluate is None or stacked else affine(getattr(spec, role))
+    for role, evaluate, force in terms:
+        form = None if evaluate is None or np.ndim(force) else affine(getattr(spec, role))
         if form is not None:
             ax, ay, const = ax + form[0] * force, ay + form[1] * force, const + form[2] * force
         elif evaluate is not None:
             stacks.append(evaluate(0.0, left) * force)
-        elif stacked:
+        elif np.ndim(force) == 2:
             stacks.append(force)
         else:
             const = const + force
@@ -459,7 +451,7 @@ def _affine_parts(spec, terms, left, shape):
 
 def _euler_chunk(spec, noise, dtf, substeps, evaluators, controls, skew):
     """Left-point Euler steps of one chunk with increments ``noise`` =
-    [dB, dW] over fine steps of length dtf, trials on the leading axis: as
+    [dB, dW] over fine steps of length dtf, one state per trial: as
     a skew product when ``skew`` (``_skew_route``), its trials with a
     non-finite recorded state stepped again by ``_loop``, by ``_loop``
     otherwise.  The skew product solves y_{i+1} = ay y_i + v_i by
@@ -468,21 +460,21 @@ def _euler_chunk(spec, noise, dtf, substeps, evaluators, controls, skew):
     slow terms at (0, y_i) (``_affine_parts``)."""
     n_steps, batch = noise[0].shape[:2]
     t_fine, n_out = dtf * np.arange(n_steps + 1), n_steps // substeps + 1
-    x, y = np.full((batch, 1), spec.x0), np.full((batch, 1), spec.y0)
+    x, y = np.full(batch, spec.x0), np.full(batch, spec.y0)
     # The fast side first: the stack freed by summing the slow noise terms
     # stays resident in the heap; freed last, it adds nothing to the peak.
     y_terms, x_terms = (_terms(spec, evaluators, roles, dtf, noise, controls, x, y) for roles in _SIDES)
     with np.errstate(over="ignore", invalid="ignore"):
         if not skew:
             return _loop(x_terms, y_terms, x, y, n_out, substeps, t_fine)
-        shape = (n_steps, batch, 1)
-        full = any(evaluate is not None and reads(getattr(spec, role), "y") for role, evaluate, _, _ in x_terms)
+        shape = (n_steps, batch)
+        full = any(evaluate is not None and reads(getattr(spec, role), "y") for role, evaluate, _ in x_terms)
         _, ay, v = _affine_parts(spec, y_terms, None, shape)
         ys = _scan(1.0 + ay, v, y, 1 if full else substeps)
         left, ys = (ys[:-1], ys[::substeps].copy()) if full else (None, ys)
         ax, _, v = _affine_parts(spec, x_terms, left, shape)
         xs = _scan(1.0 + ax, v, x, substeps)
-        redo = np.flatnonzero(~(np.isfinite(xs).all(axis=(0, 2)) & np.isfinite(ys).all(axis=(0, 2))))
+        redo = np.flatnonzero(~(np.isfinite(xs).all(axis=0) & np.isfinite(ys).all(axis=0)))
         xs, ys, bad = xs.swapaxes(0, 1), ys.swapaxes(0, 1), np.full(batch, np.nan)
         if len(redo):
             terms = (_trials(t, redo) for t in (x_terms, y_terms))

@@ -174,7 +174,7 @@ def test_criterion_06_homogenization():
         batch = next(simulate_chunks(spec, [noise], 1.0 / (n_fine - 1), sub))
         assert not batch.diverged.any()
         t = batch.paths(0)[0].times()
-        errs = np.max(np.abs(batch.x[:, :, 0] - np.exp(-t)), axis=1)
+        errs = np.max(np.abs(batch.x - np.exp(-t)), axis=1)
         means[eps] = float(np.mean(errs))
     elapsed = time.monotonic() - t0
     decreasing = means[0.1] > means[0.03] > means[0.01]

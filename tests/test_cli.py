@@ -608,6 +608,28 @@ class TestCommands:
         assert captured.err.startswith("invalid input:") and captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["poisson", "rate", "simulate", "validate", "sample_fbm"])
+    def test_unwritable_output_is_invalid_input(self, tmp_path, capsys, case):
+        # a directory as the output file, a file as the output directory or
+        # its parent, and an empty file name: each ended in an
+        # IsADirectoryError, FileExistsError or FileNotFoundError traceback
+        # with exit 1
+        folder, file = tmp_path / "d", tmp_path / "f"
+        folder.mkdir()
+        file.write_text("")
+        cfg = str(CONFIGS / "cos_limit_study.cfg")
+        argv = {
+            "poisson": ["poisson", "--config", cfg, "--out", f"{folder}/"],
+            "rate": ["rate", "--config", cfg, "--out", str(file / "r.json")],
+            "simulate": ["simulate", "--config", cfg, "--trials", "1", "--out-dir", str(file)],
+            "validate": ["validate", "--config", cfg, "--json", str(folder)],
+            "sample_fbm": ["sample-fbm", "--hurst", "0.7", "--n", "9", "--out", ""],
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: cannot write ") and err.count("\n") == 1
+        assert list(folder.iterdir()) == [] and file.read_text() == ""
+
     @pytest.mark.parametrize("command", [["rate", "--method", m] for m in ("explicit", "general", "fw-half", "tilde-half")]
                              + [["limit-study"]], ids=["explicit", "general", "fw_half", "tilde_half", "limit_study"])
     def test_two_column_path_is_invalid_input(self, tmp_path, capsys, command):

@@ -417,7 +417,7 @@ class TestWilson:
         noise = sample_increments(spec.hurst, n_fine, 1.0, list(range(400)), seed=77)
         batch = next(simulate_chunks(spec, [noise], 1.0 / (n_fine - 1), sub))
         assert not batch.diverged.any()
-        var = np.var(batch.x[:, -1, 0], ddof=1)
+        var = np.var(batch.x[:, -1], ddof=1)
         v_bar = eps * math.exp(-1.0)  # naive average squared
         v_sq = eps * 0.5 * (1 + math.exp(-2.0))  # averaged square
         assert abs(var - v_bar) < abs(var - v_sq)

@@ -64,20 +64,20 @@ def joined(chunks):
 
 
 def fine_controls(spec, t_fine, ctrl):
-    """The controls (u1dot, u2dot) on the fine grid as (n_fine, 1) columns,
+    """The controls (u1dot, u2dot) on the fine grid as (n_fine,) vectors,
     None where absent."""
     u1dot_f = u2dot_f = None
     if ctrl is not None and ctrl.v1 is not None:
         u1dot = apply_KH_dot(ctrl.v1, HurstContext(spec.hurst, ctrl.v1.n, ctrl.v1.dt))
-        u1dot_f = np.interp(t_fine, u1dot.times(), u1dot.scalar())[:, None]
+        u1dot_f = np.interp(t_fine, u1dot.times(), u1dot.scalar())
     if ctrl is not None and ctrl.u2dot is not None:
-        u2dot_f = np.interp(t_fine, ctrl.u2dot.times(), ctrl.u2dot.scalar())[:, None]
+        u2dot_f = np.interp(t_fine, ctrl.u2dot.times(), ctrl.u2dot.scalar())
     return u1dot_f, u2dot_f
 
 
 def one(value):
-    """A coefficient's value at one trial's state as a 1-vector."""
-    return np.reshape(np.asarray(value, dtype=float), 1)
+    """A coefficient's value at one trial's state as a float."""
+    return np.asarray(value, dtype=float).item()
 
 
 def forced(noise_term, u, i, u_scale):
@@ -86,7 +86,7 @@ def forced(noise_term, u, i, u_scale):
 
 
 def scalar_reference(spec, noise, substeps, ctrl=None):
-    """Euler loop over the one trial of ``noise``, its states 1-vectors,
+    """Euler loop over the one trial of ``noise``, its states floats,
     each side the state plus every coefficient times its forcing, in a
     fixed role order: the oracle that ``simulate_chunks`` must match bit
     for bit."""
@@ -96,10 +96,10 @@ def scalar_reference(spec, noise, substeps, ctrl=None):
     t_fine = dtf * np.arange(n_fine)
     u1, u2 = fine_controls(spec, t_fine, ctrl)
     eps, eta = spec.eps, spec.eta
-    x, y = np.array([spec.x0]), np.array([spec.y0])
-    xs, ys = np.empty((n_out, 1)), np.empty((n_out, 1))
+    x, y = spec.x0, spec.y0
+    xs, ys = np.empty(n_out), np.empty(n_out)
     xs[0], ys[0] = x, y
-    db, dw = noise.db[:, 0], noise.dw[:, 0]
+    db, dw = noise.db[:, 0, 0], noise.dw[:, 0, 0]
     out_idx = 1
     for i in range(n_fine - 1):
         f1 = forced(math.sqrt(eps) * db[i], u1, i, dtf)
@@ -111,7 +111,7 @@ def scalar_reference(spec, noise, substeps, ctrl=None):
         x = x + dx
         y = y + dyv
         if (i + 1) % substeps == 0:
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            if not (np.isfinite(x) and np.isfinite(y)):
                 raise DivergenceError(f"diverged at t={float(t_fine[i + 1])!r}")
             xs[out_idx], ys[out_idx] = x, y
             out_idx += 1
@@ -128,10 +128,10 @@ def grouped_reference(spec, noise, substeps, ctrl=None):
     t_fine = dtf * np.arange(n_fine)
     u1dot_f, u2dot_f = fine_controls(spec, t_fine, ctrl)
     se, sh, seh = math.sqrt(spec.eps), math.sqrt(spec.eta), math.sqrt(spec.eps * spec.eta)
-    x, y = np.array([spec.x0]), np.array([spec.y0])
-    xs, ys = np.empty((n_out, 1)), np.empty((n_out, 1))
+    x, y = spec.x0, spec.y0
+    xs, ys = np.empty(n_out), np.empty(n_out)
     xs[0], ys[0] = x, y
-    db, dw = noise.db[:, 0], noise.dw[:, 0]
+    db, dw = noise.db[:, 0, 0], noise.dw[:, 0, 0]
     out_idx = 1
     for i in range(n_fine - 1):
         bv, cv, fv, gv = one(spec.b(y)), one(spec.c(x, y)), one(spec.f(y)), one(spec.g(x, y))
@@ -146,7 +146,7 @@ def grouped_reference(spec, noise, substeps, ctrl=None):
         x = x + dx
         y = y + dyv
         if (i + 1) % substeps == 0:
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            if not (np.isfinite(x) and np.isfinite(y)):
                 raise DivergenceError(f"diverged at t={float(t_fine[i + 1])!r}")
             xs[out_idx], ys[out_idx] = x, y
             out_idx += 1
@@ -227,7 +227,7 @@ class TestSimulate:
         batch = run(spec, stacked(noises), sub)
         assert not batch.diverged.any()
         t = batch.paths(0)[0].times()
-        errs = np.max(np.abs(batch.x[:, :, 0] - np.exp(-t)), axis=1)
+        errs = np.max(np.abs(batch.x - np.exp(-t)), axis=1)
         assert np.mean(errs) < 0.1
 
     def test_determinism(self):
@@ -312,24 +312,24 @@ class TestBatched:
         assert_matches_reference(spec, noises, 3)
 
     @pytest.mark.parametrize("role,fn", [
-        ("c", lambda x, y: -x[..., 0]),
-        ("sigma1", lambda x, y: 0.5 + 0.1 * x[..., 0]),
+        ("c", lambda x, y: -np.reshape(x, (-1, 1))),
+        ("sigma1", lambda x, y: 0.5 + 0.1 * np.reshape(x, (-1, 1))),
     ])
     def test_per_trial_scalar_matches_single_trial(self, role, fn):
-        # a bare callable returning one number per trial, shape (B,), for
-        # m = k = 1: the batch died with a numpy broadcast error
+        # a bare callable returning one number per trial as a column, shape
+        # (trials, 1), where the states are (trials,): read as (trials,)
         spec = ou_spec(eps=0.1, eta=0.1, sigma1=("constant", {"value": 0.5}), x0=0.4)
         setattr(spec, role, fn)
         noises = [make_noise(spec, 21, 1.0, 3, seed=4, stream=trial) for trial in range(3)]
         batch = assert_matches_reference(spec, noises, 3)
         for trial, noise in enumerate(noises):
             xs, ys = run(spec, noise, 3).paths(0)
-            assert np.array_equal(batch.x[trial], xs.values) and np.array_equal(batch.y[trial], ys.values)
+            assert np.array_equal(batch.x[trial], xs.scalar()) and np.array_equal(batch.y[trial], ys.scalar())
 
     def test_bare_callable_of_another_shape_is_invalid_input(self):
         # a bare callable returns one number for all trials or one per trial
         spec = ou_spec(eps=0.1, eta=0.1)
-        spec.c = lambda x, y: np.hstack([x, y])
+        spec.c = lambda x, y: np.stack([x, y], axis=-1)
         noises = [make_noise(spec, 11, 1.0, 1, stream=trial) for trial in range(2)]
         with pytest.raises(InvalidInputError, match=re.escape("coefficient c returned shape (2, 2) for 2 trials")):
             run(spec, stacked(noises), 1)
@@ -413,7 +413,7 @@ class TestChunkChecks:
         spec = ou_spec(eta=0.5, sigma1=("constant", {"value": 1.0}))
         long, short = make_noise(spec, 11, 1.0, 1), make_noise(spec, 6, 0.5, 1)
         chunks = simulate_chunks(spec, [list(long[:2]), list(short[:2])], long.dt, 1)
-        assert next(chunks).x.shape == (1, 11, 1)
+        assert next(chunks).x.shape == (1, 11)
         with pytest.raises(InvalidInputError, match="the same in every chunk"):
             next(chunks)
 
@@ -530,8 +530,8 @@ class TestComposedStep:
         with pytest.warns(RuntimeWarning, match="fast Euler step may be unstable") as record:
             batch = joined(simulate_point(spec, 11, 1.0, 1, 3, 2, 0))
         assert sum("unstable" in str(w.message) for w in record) == 1
-        assert np.all(batch.y[:, -2, 0] < 0.95) and np.all(batch.y[:, -1, 0] > 0.95)
-        assert np.allclose(batch.y[0, :, 0], np.linspace(0.0, 1.0, 11))
+        assert np.all(batch.y[:, -2] < 0.95) and np.all(batch.y[:, -1] > 0.95)
+        assert np.allclose(batch.y[0], np.linspace(0.0, 1.0, 11))
 
     def test_no_stability_warning_without_violation(self):
         spec = kinked_drift_spec(rate=2.0)  # 2 dt |f'| = 0.4 < eta everywhere
@@ -568,14 +568,14 @@ class TestDeclaredSlope:
         rng = np.random.default_rng(len(name))
         never = lambda gnorm: False  # noqa: E731
         for blocks in (1, 4, 64):
-            ys = scale * rng.standard_normal((blocks, 5, 1))
+            ys = scale * rng.standard_normal((blocks, 5))
             ys[0, 3:] = np.nan  # a diverged trial's rows are skipped
-            rows = ys.reshape(-1, 1)
-            probe = multiscale_sim._fast_jacobian_norm(eval_f, rows[np.isfinite(rows[:, 0])])
+            rows = ys.reshape(-1)
+            probe = multiscale_sim._fast_jacobian_norm(eval_f, rows[np.isfinite(rows)])
             declared = multiscale_sim._fast_slope(spec.f, eval_f, ys, never)
             assert declared == pytest.approx(probe, rel=1e-6)
         # no finite state, as when y0 is not finite: nothing to bound
-        assert multiscale_sim._fast_slope(spec.f, eval_f, np.full((2, 3, 1), np.nan), never) == 0.0
+        assert multiscale_sim._fast_slope(spec.f, eval_f, np.full((2, 3), np.nan), never) == 0.0
 
     @pytest.mark.parametrize("name,params", [("ou", {"rate": 1.0}), ("cos_y", {}), ("cubic_y", {"rate": 1.0})])
     def test_built_in_f_is_never_probed(self, monkeypatch, name, params):
@@ -618,7 +618,7 @@ class TestZeroTerms:
         noises = [make_noise(spec, 11, 1.0, 4, seed=2, stream=trial) for trial in range(3)]
         for ctrl in (None, ControlPair(v1=GridPath(0.0, 0.1, t), u2dot=GridPath(0.0, 0.1, 1.0 - t))):
             run(spec, stacked(noises), 4, ctrl)
-        assert calls.pop("c") == [((40, 3, 1), True)] * 2  # its first row y_0
+        assert calls.pop("c") == [((40, 3), True)] * 2  # its first row y_0
         assert calls == dict.fromkeys(("b", "sigma1", "sigma2", "g"), [])
 
     @pytest.mark.filterwarnings("ignore:fast Euler step may be unstable")
@@ -653,11 +653,11 @@ def smooth_controls(n_out):
 
 def per_trial_free_spec():
     """A skew-route spec whose c and g read no state and return one value
-    per trial, shape (batch, 1), beside constant sigma1 and tau."""
+    per trial, shape (trials,), beside constant sigma1 and tau."""
     spec = ou_spec(eps=0.1, eta=0.2, sigma1=("constant", {"value": 0.6}), b=("linear_y", {"rate": 0.3}),
                    x0=1.0, y0=-0.5)
-    spec.c = cf.Coefficient("per_trial", lambda x, y: 0.1 * np.arange(1.0, len(x) + 1.0)[:, None] - 0.2, {}, reads="")
-    spec.g = cf.Coefficient("per_trial", lambda x, y: 0.3 - 0.2 * np.arange(len(y))[:, None], {}, reads="")
+    spec.c = cf.Coefficient("per_trial", lambda x, y: 0.1 * np.arange(1.0, len(x) + 1.0) - 0.2, {}, reads="")
+    spec.g = cf.Coefficient("per_trial", lambda x, y: 0.3 - 0.2 * np.arange(len(y)), {}, reads="")
     return spec
 
 
@@ -707,7 +707,7 @@ class TestAffineRoute:
                 assert not batch.diverged.any() and not loop.diverged.any()
                 for trial in range(3):
                     for got, want in ((batch.x, loop.x), (batch.y, loop.y)):
-                        assert got[trial, 0, 0] == want[trial, 0, 0]
+                        assert got[trial, 0] == want[trial, 0]
                         assert_close(got[trial], want[trial])
 
     @pytest.mark.parametrize("role", ["g", "sigma1"])
@@ -724,7 +724,7 @@ class TestAffineRoute:
             assert np.array_equal(batch.x[trial], xs) and np.array_equal(batch.y[trial], ys)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:fast Euler step may be unstable")
-    @pytest.mark.parametrize("case", ["huge_noise", "unstable_fast_step"])
+    @pytest.mark.parametrize("case", ["huge_noise", "unstable_fast_step", "per_trial_free"])
     def test_divergence_matches_the_loop(self, monkeypatch, case):
         # the trials that leave the finite range are stepped again by the
         # loop: their first_bad_time and NaN rows are the loop's
@@ -732,6 +732,10 @@ class TestAffineRoute:
             spec = ou_spec(eps=1.0, eta=0.2, sigma1=("constant", {"value": 1.0}), c=("linear_xy", {"ax": 50.0}), x0=1.0)
             noises, sub = [make_noise(spec, 21, 1.0, 1, seed=7, stream=trial) for trial in range(3)], 1
             noises[1].db[:] *= 1e306
+        elif case == "per_trial_free":  # the re-stepped trial reads its own values of c and g
+            spec = per_trial_free_spec()
+            noises, sub = [make_noise(spec, 51, 1.0, 4, seed=7, stream=trial) for trial in range(3)], 4
+            noises[1].dw[100:] *= np.finfo(float).max  # from t = 0.5 on: y overflows at t = 0.58
         else:  # 1 - dt_fast/eta = -9: y blows up, and the skew route's x, free of y, stays finite
             spec = ou_spec(eps=0.1, eta=1e-4, c=("linear_xy", {"ax": -1.0}), x0=1.0)
             noises, sub = [make_noise(spec, 11, 1.0, 100, seed=7, stream=trial) for trial in range(3)], 100
@@ -740,7 +744,9 @@ class TestAffineRoute:
         loop_only(monkeypatch)
         loop = run(spec, stacked(noises), sub)
         assert np.array_equal(batch.first_bad_time, loop.first_bad_time, equal_nan=True)
-        assert list(batch.diverged) == ([False, True, False] if case == "huge_noise" else [True] * 3)
+        assert list(batch.diverged) == ([True] * 3 if case == "unstable_fast_step" else [False, True, False])
+        if case == "per_trial_free":
+            assert batch.first_bad_time[1] == pytest.approx(0.58)
         for trial in range(3):
             if loop.diverged[trial]:
                 assert np.array_equal(batch.x[trial], loop.x[trial], equal_nan=True)
@@ -796,7 +802,7 @@ class TestExactLaw:
         n_out, trials = 33, self.TRIALS
         assert on_skew_route(spec)
         mean, cov = linear_gaussian_law(spec, n_out, default_substeps(1.0 / (n_out - 1), spec.eta))
-        x = np.concatenate([batch.x[:, 1:, 0] for _, batch in simulate_point(spec, n_out, 1.0, 0, trials, 11, 0)])
+        x = np.concatenate([batch.x[:, 1:] for _, batch in simulate_point(spec, n_out, 1.0, 0, trials, 11, 0)])
         res = x - mean
         z_mean = res[:, -1].mean() / math.sqrt(cov[-1, -1] / trials)
         z_var = (res[:, -1].var(ddof=1) / cov[-1, -1] - 1.0) / math.sqrt(2.0 / (trials - 1))
@@ -843,7 +849,7 @@ class TestControlled:
         ctrl = ControlPair(u2dot=GridPath(0.0, dt_out, c_hat * np.ones(n_out)))
         noises = [make_noise(spec, n_out, 1.0, sub, seed=31, stream=trial) for trial in range(40)]
         batch = run(spec, stacked(noises), sub, ctrl)
-        means = np.mean(batch.y[:, n_out // 2 :, 0], axis=1)
+        means = np.mean(batch.y[:, n_out // 2 :], axis=1)
         target = c_hat * SQRT2 * math.sqrt(eta / eps)
         assert abs(np.mean(means) - target) < 0.1 * target
 
