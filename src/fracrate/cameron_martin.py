@@ -5,7 +5,10 @@ admissible shifts, its time derivative Kdot, the inverse K^{-1}, the
 normalizing constant c_H and the induced Hilbert norm.  The doubly singular
 kernel z^(1/2-H) (s-z)^(H-3/2) of Kdot is integrated exactly per cell via
 regularized incomplete Beta functions, read off one Chebyshev fit per
-parameter pair (``_betainc_fit``).  The hypersingular difference
+parameter pair, summed by Horner's rule (``_betainc_fit``).  A table entry
+(i, j) depends on j/i alone, so every table is a vector over the reduced
+fractions of the grid, read a row block at a time by one gather through a
+cached index (``_fractions``, ``_row_blocks``).  The hypersingular difference
 quotient of K^{-1} is split into a closed-form part carrying the weight
 singularity plus a smooth-difference integral that is product-integrated
 exactly per cell (details on ``_kdot_inverse_core``); this keeps the
@@ -43,20 +46,25 @@ def c_H(hurst):
 
 @functools.lru_cache(maxsize=1)
 def _fractions(n):
-    """Reduced fractions of the strict lower triangle of an n-row table.
+    """Reduced fractions of the strict lower triangle of an n-row table,
+    and the index that reads a table off them a row block at a time.
 
     An entry (i, j), j < i, of a table depends on x = j/i alone.  Returns
-    (x, pos, k): x holds every reduced j/i with i < n, first the k with
+    (x, index, k): x holds every reduced j/i with i < n, first the k with
     x <= 1/2 in row order (0/1 and 1/2 lead), then the mirrors (i-j)/i of
-    the k - 2 others in the same order; pos[e] is the place in x of the
-    reduced form of entry e of the triangle read row by row.  Striking out
-    (d i, d j) for every d >= 2 leaves the coprime pairs; scatters by
-    ascending d then carry the positions of rows 1..m, m = (n-1)//d, to
-    (d i, d j), and the last write into (i, j) comes from d = gcd(i, j),
-    whose source is reduced.  One scatter serves every d with the same m:
-    those d lie within a factor (m+1)/m of each other and exceed m once
-    there are several, so none of them writes a row another reads or an
-    entry another writes.  The triangle is only ever held flat, as pos.
+    the k - 2 others in the same order.  index holds one (i0, i1, idx) per
+    block of rows i0..i1-1, at most ``_MAX_BLOCK_ELEMENTS`` entries or one
+    row: idx, (i1 - i0, i1) int32, holds at (i - i0, j) the place in x of
+    the reduced form of j/i, j < i, and x.size at j >= i, the last slot of
+    a vector read through it (``_row_blocks``), which carries the fill.
+    The blocks are views of one buffer, about 6% larger than the triangle
+    at n = 1025.  Striking out (d i, d j) for every d >= 2 leaves the
+    coprime pairs; scatters by ascending d then carry the places of rows
+    1..m, m = (n-1)//d, to (d i, d j), and the last write into (i, j) comes
+    from d = gcd(i, j), whose source is reduced.  One scatter serves every
+    d with the same m: those d lie within a factor (m+1)/m of each other
+    and exceed m once there are several, so none of them writes a row
+    another reads or an entry another writes.
     """
     lo = np.arange(n // 2 + 1) <= np.arange(n)[:, None] // 2  # 2j <= i
     lo[0] = False
@@ -64,43 +72,46 @@ def _fractions(n):
         lo[d::d, ::d] = False
     i, j = np.nonzero(lo)
     k = i.size
-    pos = np.empty(n * (n - 1) // 2, dtype=np.int32)
-    start = i * (i - 1) // 2  # of row i in the flat triangle
-    pos[start + j] = np.arange(k)
-    pos[(start + i - j)[2:]] = np.arange(k, 2 * k - 2)  # 0/1 and 1/2 have no mirror
+    step = max(1, _MAX_BLOCK_ELEMENTS // n)
+    i0 = np.arange(1, n, step)
+    i1 = np.minimum(i0 + step, n)
+    ends = np.cumsum((i1 - i0) * i1)
+    x = np.concatenate((j / i, (i - j)[2:] / i[2:]))
+    buf = np.full(ends[-1], x.size, dtype=np.int32)
+    b = np.arange(n - 1) // step  # the block of each row 1..n-1
+    start = np.concatenate(([0], ends[b] - (i1[b] - np.arange(1, n)) * i1[b]))  # of row i in buf
+    buf[start[i] + j] = np.arange(k)
+    buf[(start[i] + i - j)[2:]] = np.arange(k, x.size)  # 0/1 and 1/2 have no mirror
     rows = np.arange(1, (n - 1) // 2 + 1)
     r = np.repeat(rows, rows)  # row r and column c of each entry of these rows
     c = np.arange(r.size) - r * (r - 1) // 2
+    src = start[r] + c
     d = 2
     while d < n:
         m = (n - 1) // d
         ds = np.arange(d, (n - 1) // m + 1)[:, None]  # every d with this m
         size = m * (m + 1) // 2
-        dr = ds * r[:size]
-        pos[dr * (dr - 1) // 2 + ds * c[:size]] = pos[:size]
+        buf[start[ds * r[:size]] + ds * c[:size]] = buf[src[:size]]
         d = (n - 1) // m + 1
-    x = np.concatenate((j / i, (i - j)[2:] / i[2:]))
-    x.flags.writeable = pos.flags.writeable = False
-    return x, pos, k
+    x.flags.writeable = buf.flags.writeable = False
+    index = tuple(
+        (int(p), int(q), buf[e - (q - p) * q : e].reshape(q - p, q)) for p, q, e in zip(i0, i1, ends)
+    )
+    return x, index, k
 
 
 # a row block of a table holds at most this many entries
 _MAX_BLOCK_ELEMENTS = 1 << 16
 
 
-def _row_blocks(n, pos, vals, fill=0.0):
-    """Rows 1..n-1 of the table of ``vals`` read through ``pos`` (see
-    ``_fractions``), a few rows at a time.  Yields (i0, i1, block), the
-    (i1 - i0, i1) block holding rows i0..i1-1: the value of entry (i, j) at
-    j < i, ``fill`` at j >= i.  A block has at most ``_MAX_BLOCK_ELEMENTS``
-    entries, or one row."""
-    step = max(1, _MAX_BLOCK_ELEMENTS // n)
-    for i0 in range(1, n, step):
-        i1 = min(n, i0 + step)
-        tri = np.tri(i1 - i0, i1, i0 - 1, dtype=bool)
-        block = np.full(tri.shape, fill)
-        block[tri] = vals[pos[i0 * (i0 - 1) // 2 : i1 * (i1 - 1) // 2]]
-        yield i0, i1, block
+def _row_blocks(n, vals):
+    """Rows 1..n-1 of the table of ``vals`` read through the index of
+    ``_fractions(n)``, one gather per row block.  ``vals`` holds a value
+    per reduced fraction and the fill in one last slot.  Yields (i0, i1,
+    block), the (i1 - i0, i1) block holding rows i0..i1-1: the value of
+    entry (i, j) at j < i, the fill at j >= i."""
+    for i0, i1, idx in _fractions(n)[1]:
+        yield i0, i1, vals.take(idx)
 
 
 # Chebyshev nodes (first kind) of the incomplete Beta fit on [0, 1/2]
@@ -118,10 +129,13 @@ def _betainc_fit(a, b, x, out):
     round-off (rho = 3 + 2 sqrt 2; Trefethen, ATAP, Thm 8.2).  At the nodes
     the factor is the hypergeometric series written out,
     sum_k (1-b)_k / k! x^k / (a + k) / B(a, b), whose terms are positive and
-    shrink at least as fast as x^k.  The coefficients are taken about the
-    middle node value, so their rounding scales with the spread of the
-    factor, not its level, and Clenshaw's recurrence sums them in place, a
-    block of at most ``_MAX_BLOCK_ELEMENTS`` points at a time.
+    shrink at least as fast as x^k.  The Chebyshev coefficients are taken
+    about the middle node value, so their rounding scales with the spread
+    of the factor, not its level, then turned into the coefficients of a
+    polynomial in s = 4x - 1 by the recurrence T_{k+1} = 2 s T_k - T_{k-1}
+    (the sum of their magnitudes is below 1 at H = 0.6, so nothing is lost),
+    which Horner's rule sums in place, two passes per term, a block of at
+    most ``_MAX_BLOCK_ELEMENTS`` points at a time.
     """
     theta = (np.arange(_FIT_NODES) + 0.5) * (np.pi / _FIT_NODES)
     nodes = 0.25 * (1.0 + np.cos(theta))
@@ -131,38 +145,41 @@ def _betainc_fit(a, b, x, out):
     mid = g[_FIT_NODES // 2]
     c = np.cos(np.outer(np.arange(_FIT_NODES), theta)) @ (g - mid) * (2.0 / _FIT_NODES)
     c[0] = 0.5 * c[0] + mid
-    work = np.empty((3, min(x.size, _MAX_BLOCK_ELEMENTS)))
+    t0, t1 = np.eye(2, _FIT_NODES)  # the coefficients of T_0 and T_1 in s
+    m = c[0] * t0 + c[1] * t1
+    for ck in c[2:]:
+        t0, t1 = t1, -t0
+        t1[1:] += 2.0 * t0[:-1]
+        m += ck * t1
+    work = np.empty(min(x.size, _MAX_BLOCK_ELEMENTS))
     for lo in range(0, x.size, _MAX_BLOCK_ELEMENTS):
         xs, f = x[lo : lo + _MAX_BLOCK_ELEMENTS], out[lo : lo + _MAX_BLOCK_ELEMENTS]
-        s2, b1, b2 = work[:, : xs.size]
-        np.multiply(xs, 8.0, out=s2)
-        s2 -= 2.0  # twice the Chebyshev variable 4x - 1
-        b1.fill(c[-1])
-        b2.fill(0.0)
-        for ck in c[-2:0:-1]:
-            np.multiply(s2, b1, out=f)
-            np.subtract(f, b2, out=b2)
-            b2 += ck
-            b1, b2 = b2, b1
-        np.multiply(s2, b1, out=f)
-        f *= 0.5
-        f -= b2
-        f += c[0]
-        f *= np.power(xs, a, out=b2)
+        s = work[: xs.size]
+        np.multiply(xs, 4.0, out=s)
+        s -= 1.0
+        np.multiply(s, m[-1], out=f)
+        f += m[-2]
+        for mk in m[-3::-1]:
+            f *= s
+            f += mk
+        f *= np.power(xs, a, out=s)
 
 
 def _fraction_betainc(a, b, n):
     """I_x(a, b) at the reduced fractions x of ``_fractions(n)``: the fit at
-    the k leading x <= 1/2, and 1 - I_{1-x}(b, a) (DLMF 8.17.4) at their
-    mirrors, whose 1 - x are x[2:k]."""
+    the k leading x <= 1/2, 1 - I_{1-x}(b, a) (DLMF 8.17.4) at their
+    mirrors, whose 1 - x are x[2:k], and I_1 = 1 in the last slot, the fill
+    of a row's entries j >= i (``_row_blocks``)."""
     x, _, k = _fractions(n)
-    out = np.empty(x.size)
+    out = np.empty(x.size + 1)
     _betainc_fit(a, b, x[:k], out[:k])
+    mirrors = out[k:-1]
     if a == b:
-        out[k:] = out[2:k]
+        mirrors[:] = out[2:k]
     else:
-        _betainc_fit(b, a, x[2:k], out[k:])
-    np.subtract(1.0, out[k:], out=out[k:])
+        _betainc_fit(b, a, x[2:k], mirrors)
+    np.subtract(1.0, mirrors, out=mirrors)
+    out[-1] = 1.0
     return out
 
 
@@ -175,13 +192,16 @@ class HurstContext:
     ``cell_table`` itself is called (``apply_KH``); ``kdot_matrix`` does not
     keep the cell table it is built from.  The inverse-lift moments are two
     vectors over the reduced fractions of the grid, not tables: the inverse
-    lift reads them in row blocks per call.  The reduced-fraction index is
-    cached per n at module level (``_fractions``, the last n only), so
-    contexts at several H on one grid share it.  A build holds its output,
-    at most one further vector over the reduced fractions, and blocks of at
-    most ``_MAX_BLOCK_ELEMENTS`` entries.  H must lie in (1/2, 1), n must be an
-    integer of at least 2, and dt obeys ``gridpath.grid_step``.  Instances
-    are immutable after construction and safe to share across workers.
+    lift reads them in row blocks per call.  The reduced-fraction index, one
+    int32 array per row block, is cached per n at module level
+    (``_fractions``, the last n only), so contexts at several H on one grid
+    share it.  Every vector over the reduced fractions carries the fill of
+    its table in one last slot, so a read copies nothing.  A build holds
+    its output, at most one further vector over the reduced fractions, and
+    blocks of at most ``_MAX_BLOCK_ELEMENTS`` entries.  H must lie in
+    (1/2, 1), n must be an integer of at least 2, and dt obeys
+    ``gridpath.grid_step``.  Instances are immutable after construction and
+    safe to share across workers.
     """
 
     def __init__(self, hurst, n, dt):
@@ -206,9 +226,8 @@ class HurstContext:
         """Row blocks (i0, i1, cells) of ``cell_table``: cells holds its rows
         i0..i1-1 in i1 - 1 columns."""
         a, b = 1.5 - self.H, self.H - 0.5
-        _, pos, _ = _fractions(self.n)
-        # row i is closed by I_1(a, b) = 1 at column i
-        for i0, i1, ix in _row_blocks(self.n, pos, _fraction_betainc(a, b, self.n), fill=1.0):
+        # row i is closed by I_1(a, b) = 1, the fill, at column i
+        for i0, i1, ix in _row_blocks(self.n, _fraction_betainc(a, b, self.n)):
             yield i0, i1, np.diff(ix, axis=1) * beta(a, b)
 
     def cell_table(self):
@@ -250,33 +269,45 @@ class HurstContext:
         against a piecewise-linear psi, entry (i, j) of a row holds, at
         x = j/i, V = B_x(3/2-H, 1/2-H) and R = B_x(5/2-H, 1/2-H), both from
         the positive-parameter P = B_x(3/2-H, 3/2-H) through the contiguous
-        recurrence.  Returns (V, R, lastP): V and R over the reduced
-        fractions of ``_fractions``, read through its ``pos``, and lastP,
-        the regularized moment of the cell adjacent to the evaluation
-        point, where the raw moments diverge but the difference structure
-        cancels the divergence exactly.  No (n, n) table is built.
+        recurrence R = (a P - x^a (1-x)^(a-1)) / (a - 1), a = 3/2 - H.
+        The power term takes two powers per leading fraction x <= 1/2,
+        u = x^a and w = (1-x)^a: it is u w / (1-x) there and u w / x at the
+        mirror 1 - x.  Returns (V, R, lastP): V and R over the reduced
+        fractions of ``_fractions`` with 0, the fill, in the last slot, read
+        through ``_row_blocks``, and lastP, the regularized moment of the
+        cell adjacent to the evaluation point, where the raw moments diverge
+        but the difference structure cancels the divergence exactly.  The
+        build goes a block of leading fractions at a time; no (n, n) table
+        is built.
         """
         if self._inverse_tables is None:
             n, h = self.n, self.H
             a = 1.5 - h
             b0 = 0.5 - h
             bfull = beta(a, a)
-            x, pos, _ = _fractions(n)
+            x, index, k = _fractions(n)
             P = _fraction_betainc(a, a, n)
             P *= bfull
+            last = np.concatenate([np.diagonal(idx, i0 - 1) for i0, _, idx in index])  # entries (i, i - 1)
             lastP = np.zeros(n)
-            lastP[1:] = bfull - P[pos[np.cumsum(np.arange(1, n)) - 1]]  # entries (i, i - 1)
-            # R = (a P - x^a (1-x)^b0) / b0, then P + R over P, a block at a time
-            R = np.empty(x.size)
-            for lo in range(0, x.size, _MAX_BLOCK_ELEMENTS):
-                part = slice(lo, lo + _MAX_BLOCK_ELEMENTS)
-                r = R[part]
-                np.subtract(1.0, x[part], out=r)
-                r **= b0
-                r *= x[part] ** a
-                np.subtract(a * P[part], r, out=r)
-                r /= b0
-                P[part] += r
+            lastP[1:] = bfull - P[last]
+            # g = u w / (1-x) and u w / x into R, then R = (a P - g) / b0 and
+            # P + R over P, a block of leading x and their mirrors at a time
+            R = np.empty(x.size + 1)
+            for lo in range(0, k, _MAX_BLOCK_ELEMENTS):
+                hi = min(k, lo + _MAX_BLOCK_ELEMENTS)
+                xs, mid = x[lo:hi], max(lo, 2)  # the leading x from mid on have mirrors
+                q = 1.0 - xs
+                uw = xs**a
+                uw *= q**a
+                np.divide(uw, q, out=R[lo:hi])
+                np.divide(uw[mid - lo :], xs[mid - lo :], out=R[k + mid - 2 : k + hi - 2])
+                for part in (slice(lo, hi), slice(k + mid - 2, k + hi - 2)):
+                    r = R[part]
+                    np.subtract(a * P[part], r, out=r)
+                    r /= b0
+                    P[part] += r
+            P[-1] = R[-1] = 0.0  # the fill: V and R read 0 at j >= i
             self._inverse_tables = (P, R, lastP)
         return self._inverse_tables
 
@@ -366,8 +397,7 @@ def _kdot_inverse_core(psi, ctx, psi_half=None):
     d_offs[1:] = offs[:-1] - offs[1:]
     d_slopes[1:] = slopes[:-1] - slopes[1:]
     const_part, slope_part = np.empty(offs.shape), np.empty(offs.shape)
-    _, pos, _ = _fractions(ctx.n)
-    for (i0, i1, vb), (_, _, rb) in zip(_row_blocks(ctx.n, pos, V), _row_blocks(ctx.n, pos, R)):
+    for (i0, i1, vb), (_, _, rb) in zip(_row_blocks(ctx.n, V), _row_blocks(ctx.n, R)):
         rows = slice(i0 - 1, i1 - 1)
         const_part[rows] = np.diagonal(vb, i0 - 1)[:, None] * (psi[i0:i1] - offs[rows])
         const_part[rows] -= vb[:, :-1] @ d_offs[: i1 - 1]

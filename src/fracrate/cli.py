@@ -10,6 +10,8 @@ environment variable FRACRATE_OUT (falling back to the working directory).
 Every command but sample-fbm and validate writes a manifest (command,
 config digest, seed, versions, timestamp) beside its outputs; re-running a
 config with the same seed reproduces every output byte but its timestamp.
+A warning (a possibly unstable fast step, a capped substep count) goes to
+stderr as one line, ``warning: <message>``.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import json
 import locale  # noqa: F401
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -382,9 +385,15 @@ def build_parser():
     return parser
 
 
+def _format_warning(message, *_):
+    """A warning's stderr line, without the source path and line."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except ValidationFailure as exc:
@@ -399,6 +408,8 @@ def main(argv=None):
     except OSError as exc:  # every input's reader maps its own OSError, so this one is an output's
         print(f"invalid input: cannot write output: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -59,6 +59,13 @@ def reads(coef, arg):
     return arg in getattr(coef, "reads", "xy")
 
 
+def derived(name, fn, part, extra=""):
+    """``fn`` as a ``Coefficient`` that reads what ``part`` reads and the
+    arguments in ``extra``: the declared reads of a coefficient built from
+    another, such as its square."""
+    return Coefficient(name, fn, {}, {arg for arg in "xy" if reads(part, arg)} | set(extra))
+
+
 def is_zero(coef):
     """Whether ``coef`` is declared zero; undeclared callables are not."""
     return getattr(coef, "zero", False)

@@ -148,9 +148,10 @@ def _evaluator(spec, role):
 
     A coefficient declared zero has none (None): its terms are dropped from
     the step.  A ``Coefficient`` broadcasts over the batch and is called as
-    it is.  A bare callable's result is read per call: 0-d is shared by
-    every trial, one value per trial is reshaped to (trials,), and any other
-    size is invalid input.
+    it is; ``_terms`` checks the shape of its value when it reads no state.
+    A bare callable's result is read per call: 0-d is shared by every
+    trial, one value per trial is reshaped to (trials,), and any other size
+    is invalid input.
     """
     fn = getattr(spec, role)
     if is_zero(fn):
@@ -162,10 +163,14 @@ def _evaluator(spec, role):
     def evaluate(x, y):
         val = np.asarray(call(x, y), dtype=float)
         if val.ndim and val.size != len(y):
-            raise InvalidInputError(f"coefficient {role} returned shape {val.shape} for {len(y)} trials")
+            raise _shape_error(role, val.shape, len(y))
         return val.reshape(len(y)) if val.ndim else val
 
     return evaluate
+
+
+def _shape_error(role, shape, trials):
+    return InvalidInputError(f"coefficient {role} returned shape {shape} for {trials} trials")
 
 
 def _fast_jacobian_norm(eval_f, y):
@@ -308,10 +313,12 @@ def _terms(spec, evaluators, roles, dt, noise, controls, x, y):
     evaluate, F)`` is the term evaluate(x, y) * F[i] of ``role`` at fine
     step i, where F is a (fine step, trial) stack, else evaluate(x, y) * F.
     A role declared zero has no term.  A coefficient that reads no state is
-    evaluated here, once, and its term formed for all fine steps, in place
-    on F where it is a stack (``evaluate`` None, F the term, (trial,) or 0-d
-    for a drift); the terms before the first that reads the state are
-    summed.  The trial axis is last in every F; the steppers only read F."""
+    evaluated here, once, its value checked to be (trial,) or 0-d
+    (``InvalidInputError`` otherwise), and its term formed for all fine
+    steps, in place on F where it is a stack (``evaluate`` None, F the
+    term, (trial,) or 0-d for a drift); the terms before the first that
+    reads the state are summed.  The trial axis is last in every F; the
+    steppers only read F."""
     terms = []
     for role in roles:
         evaluate = evaluators[role]
@@ -322,6 +329,8 @@ def _terms(spec, evaluators, roles, dt, noise, controls, x, y):
             terms.append((role, evaluate, force))
             continue
         value = evaluate(x, y)
+        if np.ndim(value) and np.shape(value) != np.shape(y):
+            raise _shape_error(role, np.shape(value), len(y))
         term = np.multiply(value, force, out=force) if np.ndim(force) else np.multiply(value, force)
         if len(terms) == 1 and terms[0][1] is None:  # noise roles come first: a stacked prefix sums in place
             base = terms.pop()[2]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coefficients import derived, reads
 from .errors import CenteringError, DivergenceError, InvalidInputError, TruncationError
 
 
@@ -172,7 +173,9 @@ def average_coeff(coef, mu: InvariantMeasure, xs=None, cells=None):
 
     ``coef(x, y)`` is called on node blocks of the path ``xs`` (n,), as
     columns x (nodes, 1), against the fast grid ``y`` (ny,), so its result
-    broadcasts to (nodes, ny) as elementwise numpy expressions do.  A result
+    broadcasts to (nodes, ny) as elementwise numpy expressions do; one
+    whose declared ``reads`` lacks "x" (``coefficients.reads``) is called
+    once, on the first node, and its averages serve every node.  A result
     whose last axis is the grid is integrated against the density; one
     without it (last axis of size 1, or 0-d) is its own average.  Returns
     (n,).  With ``cells``, a pair of (ny,) arrays (the non-decreasing cell
@@ -185,6 +188,8 @@ def average_coeff(coef, mu: InvariantMeasure, xs=None, cells=None):
     if xs is None:
         return _block_average(coef(y), mu, 1, None)[0]
     xs = _slow_states(xs)
+    if not reads(coef, "x"):
+        return np.repeat(_block_average(coef(xs[:1, None], y), mu, 1, cells), len(xs), axis=0)
     step = max(1, _MAX_BLOCK_POINTS // y.size)
     blocks = (xs[i : i + step, None] for i in range(0, len(xs), step))
     return np.concatenate([_block_average(coef(blk, y), mu, len(blk), cells) for blk in blocks])
@@ -192,9 +197,10 @@ def average_coeff(coef, mu: InvariantMeasure, xs=None, cells=None):
 
 def effective_noise(spec, psol: PoissonSolution, mu: InvariantMeasure):
     """Effective noise map q(x, y) = grad-psi(y) tau(y) + sigma2(x, y)
-    on the grid of ``mu``, in the calling convention of ``average_coeff``."""
+    on the grid of ``mu``, in the calling convention of ``average_coeff``:
+    a ``Coefficient`` that reads y, and x where sigma2 does."""
     qy = psol.grad * spec.tau(mu.grid)
-    return lambda xs, y: qy + spec.sigma2(xs, y)
+    return derived("q", lambda xs, y: qy + spec.sigma2(xs, y), spec.sigma2, "y")
 
 
 def effective_q(spec, psol: PoissonSolution, mu: InvariantMeasure, x, degeneracy_tol=1e-8):
@@ -208,7 +214,7 @@ def effective_q(spec, psol: PoissonSolution, mu: InvariantMeasure, x, degeneracy
     """
     q = effective_noise(spec, psol, mu)
     with np.errstate(over="ignore", invalid="ignore"):
-        qqt_bar = float(average_coeff(lambda x_, y: q(x_, y) ** 2, mu, [x])[0])
+        qqt_bar = float(average_coeff(derived("q^2", lambda x_, y: q(x_, y) ** 2, q), mu, [x])[0])
     if not np.isfinite(qqt_bar):
         raise DivergenceError(f"effective Brownian Gram at x = {x} is not finite ({qqt_bar}): Q^2 overflowed")
     return {"qqt_bar": qqt_bar, "degenerate": qqt_bar <= degeneracy_tol}

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cameron_martin import HurstContext, kdot_inverse
-from .coefficients import affine, is_zero
+from .coefficients import affine, derived, is_zero
 from .errors import (
     AdmissibilityError,
     DegeneracyError,
@@ -94,7 +94,8 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
     if is_zero(spec.g):
         grad_psi_g_bar = lambda xs: np.zeros(_slow_states(xs).shape)  # noqa: E731
     else:
-        grad_psi_g_bar = lambda xs: average_coeff(lambda x, yy: g1 * spec.g(x, yy), mu, xs)  # noqa: E731
+        psi_g = derived("psi' g", lambda x, yy: g1 * spec.g(x, yy), spec.g, "y")
+        grad_psi_g_bar = lambda xs: average_coeff(psi_g, mu, xs)  # noqa: E731
     affine_drift, c_form, g_form = None, affine(spec.c), affine(spec.g)
     if c_form is not None and (is_zero(spec.g) or g_form is not None):
         ax, ay, const = c_form
@@ -104,13 +105,15 @@ def build_limit_drift(spec, psol: PoissonSolution, mu: InvariantMeasure, nbins=6
             mean_g1 = float(mu.average(g1))
             slope, intercept = slope + gx * mean_g1, intercept + gy * float(mu.average(g1 * y)) + gc * mean_g1
         affine_drift = (slope, intercept)
+    sigma1_sq = derived("sigma1^2", lambda x, yy: spec.sigma1(x, yy) ** 2, spec.sigma1)
+    q_sq = derived("q^2", lambda x, yy: q(x, yy) ** 2, q)
 
     return LimitDrift(
         cbar=lambda xs: average_coeff(spec.c, mu, xs),
         grad_psi_g_bar=grad_psi_g_bar,
         sigma1_bar=lambda xs: average_coeff(spec.sigma1, mu, xs),
-        sigma1_sq_bar=lambda xs: average_coeff(lambda x, yy: spec.sigma1(x, yy) ** 2, mu, xs),
-        qqt_bar=lambda xs: average_coeff(lambda x, yy: q(x, yy) ** 2, mu, xs),
+        sigma1_sq_bar=lambda xs: average_coeff(sigma1_sq, mu, xs),
+        qqt_bar=lambda xs: average_coeff(q_sq, mu, xs),
         q_bins=lambda xs: average_coeff(q, mu, xs, cells),
         bin_mass=mass / mass.sum(),
         bin_centers=0.5 * (edges[:-1] + edges[1:]),

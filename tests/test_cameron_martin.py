@@ -530,11 +530,10 @@ def _step_tables(ctx):
     moments V = P + R and R, read through the reduced-fraction index, and
     lastP: the tables the inverse lift built before it summed by parts."""
     V, R, lastP = ctx.inverse_tables()
-    _, pos, _ = cm._fractions(ctx.n)
     tables = []
     for vals in (V, R):
         table = np.zeros((ctx.n, ctx.n))
-        for i0, i1, block in cm._row_blocks(ctx.n, pos, vals):
+        for i0, i1, block in cm._row_blocks(ctx.n, vals):
             steps = np.diff(block, axis=1)
             np.fill_diagonal(steps[:, i0 - 1 :], 0.0)
             table[i0:i1, : i1 - 1] = steps
@@ -563,15 +562,107 @@ def test_tables_bit_identical_to_row_loops(h, n):
 @pytest.mark.parametrize("h", [0.5001, 0.501, 0.51, 0.52, 0.55, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999])
 def test_betainc_fit_matches_betainc(h):
     # every reduced fraction of n = 1025, for the inverse lift's (a, a) and
-    # the cell table's (a, b), whose mirrors read the fit at (b, a); the
-    # largest measured gap is 2.8e-15 (H = 0.6, (a, b))
+    # the cell table's (a, b), whose mirrors read the fit at (b, a), and
+    # I_1 = 1 in the fill slot; the largest measured gap is 2.8e-15
+    # (H = 0.6, (a, b))
     n = 1025
     x, _, _ = cm._fractions(n)
     assert x.size == 318964
     a, b = 1.5 - h, h - 0.5
     for p, q in ((a, a), (a, b)):
         fit = cm._fraction_betainc(p, q, n)
-        assert np.max(np.abs(fit - betainc(p, q, x))) <= 4e-15
+        assert np.max(np.abs(fit - betainc(p, q, np.append(x, 1.0)))) <= 4e-15
+
+
+# -- kernel oracles --------------------------------------------------------
+# The fit by Clenshaw's recurrence on the Chebyshev coefficients and the
+# masked row-block reads of a flat triangle index, as the package had them
+# before Horner's rule and the row-block index.  The blocks are the same
+# bit for bit.  Horner's rule and Clenshaw's differ by round-off: at most
+# 1.7e-16 on the points below, so HORNER_ATOL is 4e-16.
+
+HORNER_ATOL = 4e-16
+
+
+def _clenshaw_fit(a, b, x, out):
+    theta = (np.arange(cm._FIT_NODES) + 0.5) * (np.pi / cm._FIT_NODES)
+    nodes = 0.25 * (1.0 + np.cos(theta))
+    k = np.arange(1, cm._SERIES_TERMS)
+    terms = np.concatenate(([1.0], np.cumprod((k - b) / k))) / (a + np.arange(cm._SERIES_TERMS))
+    g = np.polyval(terms[::-1], nodes) / cm.beta(a, b)
+    mid = g[cm._FIT_NODES // 2]
+    c = np.cos(np.outer(np.arange(cm._FIT_NODES), theta)) @ (g - mid) * (2.0 / cm._FIT_NODES)
+    c[0] = 0.5 * c[0] + mid
+    work = np.empty((3, min(x.size, cm._MAX_BLOCK_ELEMENTS)))
+    for lo in range(0, x.size, cm._MAX_BLOCK_ELEMENTS):
+        xs, f = x[lo : lo + cm._MAX_BLOCK_ELEMENTS], out[lo : lo + cm._MAX_BLOCK_ELEMENTS]
+        s2, b1, b2 = work[:, : xs.size]
+        np.multiply(xs, 8.0, out=s2)
+        s2 -= 2.0  # twice the Chebyshev variable 4x - 1
+        b1.fill(c[-1])
+        b2.fill(0.0)
+        for ck in c[-2:0:-1]:
+            np.multiply(s2, b1, out=f)
+            np.subtract(f, b2, out=b2)
+            b2 += ck
+            b1, b2 = b2, b1
+        np.multiply(s2, b1, out=f)
+        f *= 0.5
+        f -= b2
+        f += c[0]
+        f *= np.power(xs, a, out=b2)
+
+
+def _flat_positions(n):
+    """(pos, x): the place in the reduced fractions of each entry (i, j),
+    j < i, of the triangle read row by row, and its value j/i in lowest
+    terms, from gcds.  The fractions list the coprime (i, j) with 2j <= i
+    in row order, then the mirrors (i, i - j) of all but the first two."""
+    i = np.repeat(np.arange(n), np.arange(n))
+    j = np.arange(i.size) - i * (i - 1) // 2
+    g = np.gcd(i, j)
+    lead = (g == 1) & (2 * j <= i)
+    k = np.count_nonzero(lead)
+    place = np.full((n, n), -1)
+    place[i[lead], j[lead]] = np.arange(k)
+    place[i[lead][2:], (i - j)[lead][2:]] = np.arange(k, 2 * k - 2)
+    return place[i // g, j // g], (j // g) / (i // g)
+
+
+def _masked_row_blocks(n, pos, vals, fill):
+    step = max(1, cm._MAX_BLOCK_ELEMENTS // n)
+    for i0 in range(1, n, step):
+        i1 = min(n, i0 + step)
+        tri = np.tri(i1 - i0, i1, i0 - 1, dtype=bool)
+        block = np.full(tri.shape, fill)
+        block[tri] = vals[pos[i0 * (i0 - 1) // 2 : i1 * (i1 - 1) // 2]]
+        yield i0, i1, block
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 47, 48, 129, 130, 1025])
+def test_row_blocks_match_masked_reads(n):
+    x, _, _ = cm._fractions(n)
+    pos, exact = _flat_positions(n)
+    assert np.array_equal(x[pos], exact)
+    V, R, _ = HurstContext(0.6, n, 1.0 / (n - 1)).inverse_tables()
+    cells = cm._fraction_betainc(0.9, 0.1, n)
+    for vals, fill in ((V, 0.0), (R, 0.0), (cells, 1.0)):
+        assert vals.size == x.size + 1 and vals[-1] == fill
+        new, old = list(cm._row_blocks(n, vals)), list(_masked_row_blocks(n, pos, vals[:-1], fill))
+        assert len(new) == len(old)
+        for (i0, i1, got), (j0, j1, want) in zip(new, old):
+            assert (i0, i1) == (j0, j1) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("h", [0.5001, 0.51, 0.6, 0.8, 0.9, 0.999])
+def test_horner_fit_matches_clenshaw(h):
+    x = np.linspace(0.0, 0.5, 2001)[1:]
+    a, b = 1.5 - h, h - 0.5
+    horner, clenshaw = np.empty(x.size), np.empty(x.size)
+    for p, q in ((a, a), (a, b), (b, a)):
+        cm._betainc_fit(p, q, x, horner)
+        _clenshaw_fit(p, q, x, clenshaw)
+        assert np.max(np.abs(horner - clenshaw)) <= HORNER_ATOL
 
 
 # The package's special functions against scipy.special: gamma is

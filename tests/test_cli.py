@@ -683,13 +683,34 @@ class TestCommands:
         code = (
             "import json, sys\nfrom fracrate.cli import main\n"
             f"codes = [main(argv) for argv in {runs!r}]\n"
-            "print(json.dumps([codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')]))"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'),"
+            " 'numpy.polynomial' in sys.modules]))"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        codes, loaded = json.loads(out.stdout.splitlines()[-1])
+        codes, loaded, polynomial = json.loads(out.stdout.splitlines()[-1])
         assert len(codes) == len(runs) and set(codes) <= {0, 2, 3}
         assert loaded == []
+        # numpy.polynomial costs 5-6 ms to import; the incomplete Beta fit
+        # converts its Chebyshev coefficients without it
+        assert not polynomial
+
+    def test_warning_is_one_line_without_source(self, tmp_path):
+        # the fast-step stability warning printed as
+        # "<path>/multiscale_sim.py:<line>: RuntimeWarning: ..." plus the
+        # source line, so stderr changed with the checkout path and with
+        # any edit above the call
+        text = (CONFIGS / "ou_homogenization.cfg").read_text()
+        assert "f = ou rate=1.0" in text and "n = 201" in text
+        cfg = write(tmp_path, "u.cfg", text.replace("f = ou rate=1.0", "f = cubic_y rate=1.0").replace("n = 201", "n = 51"))
+        argv = ["simulate", "--config", cfg, "--trials", "4", "--out-dir", str(tmp_path / "o")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-m", "fracrate.cli", *argv], capture_output=True, text=True, env=env)
+        assert out.returncode == 0
+        lines = out.stderr.splitlines()
+        assert len(lines) == 3
+        assert all(line.startswith("warning: fast Euler step may be unstable: eta=") for line in lines)
+        assert ".py:" not in out.stderr
 
     def test_validate_reports_unsupported_dimension(self, tmp_path, capsys):
         # reported as a failed qqt_min_eigenvalue check before the dimension

@@ -336,6 +336,20 @@ class TestBatched:
         with pytest.raises(InvalidInputError, match="x0 and y0 must be numbers"):
             ou_spec(x0=[1.0, -1.0])
 
+    @pytest.mark.parametrize("route", ["skew", "loop"])
+    def test_declared_state_free_column_is_invalid_input(self, monkeypatch, route):
+        # a c declared to read no state that returns one value per trial as a
+        # (trials, 1) column ended in a numpy ValueError on the skew route and
+        # in an IndexError in the loop; its value is checked once per chunk
+        spec = per_trial_free_spec()
+        spec.c = cf.Coefficient("column", lambda x, y: 0.1 * np.arange(1.0, len(x) + 1.0)[:, None], {}, reads="")
+        assert on_skew_route(spec)
+        if route == "loop":
+            loop_only(monkeypatch)
+        noises = [make_noise(spec, 21, 1.0, 4, seed=7, stream=trial) for trial in range(3)]
+        with pytest.raises(InvalidInputError, match=re.escape("coefficient c returned shape (3, 1) for 3 trials")):
+            run(spec, stacked(noises), 4)
+
     def test_controlled_matches_scalar_reference(self):
         spec = ou_spec(eps=0.1, eta=0.05, sigma1=("cos_y", {}), sigma2=("constant", {"value": 0.4}),
                        c=("linear_xy", {"ax": -1.0, "ay": 1.0}), x0=1.0)

@@ -146,6 +146,32 @@ class TestPathAveraging:
             want = np.stack([ref[name](x) for x in xs[:, None]]).reshape(shape)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
 
+    @pytest.mark.parametrize("coef", [("linear_xy", XY), ("cos_y", {})], ids=["reads_x", "x_free"])
+    def test_x_free_coefficient_is_averaged_once(self, coef, ou_measure):
+        # a coefficient whose declared reads lack x is called on the first
+        # node and its averages serve every node: bit for bit the 17 node
+        # blocks (63 nodes of 4,097 grid points each) that the same
+        # callables, undeclared, are averaged on
+        specs = {label: ou_spec(b=("linear_y", {"rate": 0.8}), c=coef, g=coef, sigma1=coef, sigma2=coef)
+                 for label in ("declared", "bare")}
+        for role in ("c", "g", "sigma1", "sigma2"):
+            setattr(specs["bare"], role, getattr(specs["bare"], role).fn)  # reads x and y
+        calls = {label: [] for label in specs}
+        for label, spec in specs.items():
+            fn = spec.sigma1
+            spec.sigma1 = cf.derived("counted", lambda x, y, fn=fn, log=calls[label]: log.append(1) or fn(x, y), fn)
+        drifts = {label: limit_drift(spec, ou_measure) for label, spec in specs.items()}
+        xs = oracle_path(1025)
+        for name in DRIFT_FIELDS:
+            got, want = (getattr(drifts[label], name)(xs) for label in ("declared", "bare"))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        for log in calls.values():
+            log.clear()
+        for drift in drifts.values():
+            drift.sigma1_bar(xs)
+        assert len(calls["bare"]) == 17
+        assert len(calls["declared"]) == (17 if coef[0] == "linear_xy" else 1)
+
     def test_empty_cells_match_reference(self):
         # 64 cells on a 65-point grid: most cells hold no grid point
         spec = ORACLE_SPECS["ou_linear_xy"]()
